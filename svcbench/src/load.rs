@@ -1,6 +1,6 @@
 //! One load run against real server processes: repeated set-up, the
-//! closed-loop bulk-ingest phase, the idle-query phase, the open-loop
-//! latency phase, and the bit-identity gate.
+//! closed-loop bulk-ingest phase, the open-loop latency phase, and the
+//! bit-identity gate.
 
 use crate::procs::ServerProc;
 use crate::roles;
@@ -17,8 +17,17 @@ use idldp_stream::{ReportAccumulator, ShapedAccumulator};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 5;
+/// Set-ups per run; `setup_s` is their median. A single server sets up
+/// in a few milliseconds, so one slow process start or wake-up moves a
+/// small sample's median; this many keep it put.
+pub const SETUPS: usize = 21;
+
+/// Pause before each set-up after the first. Back to back, a run's
+/// set-ups all fall in one fraction of a second and share whatever state
+/// the host is in then, so their median moves from run to run as a
+/// block; spaced out, they sample the host over seconds, and each starts
+/// after the previous fleet has fully exited.
+const SETUP_GAP: Duration = Duration::from_millis(200);
 
 /// The running server side: every server process and the address clients
 /// connect to (the coordinator when there is one).
@@ -133,9 +142,9 @@ pub struct Live {
     pub clients: [ReportClient; 2],
 }
 
-/// Sets up [`SETUPS`] times — spawn the servers, restore, handshake both
-/// clients — tearing down all but the last; returns it with every
-/// set-up's duration in seconds.
+/// Sets up [`SETUPS`] times, [`SETUP_GAP`] apart — spawn the servers,
+/// restore, handshake both clients — tearing down all but the last;
+/// returns it with every set-up's duration in seconds.
 pub fn setup(
     spec: &Spec,
     mech: &dyn Mechanism,
@@ -148,6 +157,7 @@ pub fn setup(
         if let Some(old) = live.take() {
             drop(old.clients);
             old.fleet.stop();
+            std::thread::sleep(SETUP_GAP);
         }
         let start = Instant::now();
         let fleet = start_fleet(spec, dir)?;
@@ -332,38 +342,6 @@ pub fn query_schedule(spec: &Spec, seconds: f64, seed: u64) -> Vec<(Duration, As
     }
     all.sort_by_key(|&(d, _)| d);
     all
-}
-
-/// Rounds of the idle-query phase.
-pub const IDLE_ROUNDS: usize = 5;
-
-/// Idle-query phase: with every report folded and nothing else in
-/// flight, each of [`IDLE_ROUNDS`] rounds sends `spec.idle_queries` Estimates
-/// back to back on the query connection, then a quarter as many `TopK`,
-/// then a quarter as many `Checkpoint`, and records each batch's mean
-/// round trip in ms — the read path's service time (snapshot, merge,
-/// oracle, top-k, reply encode, checkpoint write) without the queueing an
-/// open loop mixes in. Returns one mean per kind per round.
-pub fn idle_queries(live: &mut Live, spec: &Spec) -> Result<Vec<(Ask, f64)>, String> {
-    let client = &mut live.clients[1];
-    let n = spec.idle_queries;
-    let mut out = Vec::new();
-    for _ in 0..IDLE_ROUNDS {
-        for (ask, count) in [
-            (Ask::Estimates, n),
-            (Ask::TopK, n / 4),
-            (Ask::Checkpoint, n / 4),
-        ] {
-            let start = Instant::now();
-            for _ in 0..count {
-                client
-                    .query(ask.query())
-                    .map_err(|e| format!("idle query {ask:?}: {e}"))?;
-            }
-            out.push((ask, start.elapsed().as_secs_f64() * 1e3 / count as f64));
-        }
-    }
-    Ok(out)
 }
 
 /// Open-loop latency phase: report frames arrive at the workload's fixed

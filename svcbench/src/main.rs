@@ -9,12 +9,11 @@
 //! `CoordServer` processes (this binary re-executed in a server role, so
 //! server CPU time and peak RSS are read from `/proc/<pid>` apart from
 //! the load generator): [`load::SETUPS`] timed set-ups, a closed-loop
-//! ingest phase, an idle-query phase, an open-loop phase timed from due
-//! times, and a bit-identity gate against a local fold of exactly the
-//! acknowledged reports. `--trace 1` records spans around every client
-//! call, then replays the same frames single-threaded through each layer
-//! and prints the per-layer cost budget. The last stdout line is the JSON
-//! result.
+//! ingest phase, an open-loop phase timed from due times, and a
+//! bit-identity gate against a local fold of exactly the acknowledged
+//! reports. `--trace 1` records spans around every client call, then
+//! replays the same reports single-threaded through each layer and prints
+//! the per-layer cost budget. The last stdout line is the JSON result.
 
 mod load;
 mod procs;
@@ -129,13 +128,21 @@ fn bench(args: &[String]) -> Result<i32, String> {
     let restored = inputs.restored_users();
 
     let (mut live, setups) = load::setup(spec, mech.as_ref(), restored, dir)?;
+    let mut sorted = setups.clone();
+    sorted.sort_by(f64::total_cmp);
+    println!(
+        "setup times ms: min {:.3} median {:.3} max {:.3} over {} set-ups",
+        sorted[0] * 1e3,
+        sorted[sorted.len() / 2] * 1e3,
+        sorted[sorted.len() - 1] * 1e3,
+        sorted.len()
+    );
     let mut tracer = Tracer::new(Instant::now(), false);
     // Traced runs alternate traced and untraced rounds: their difference
     // is the tracing overhead.
     let closed = load::closed_loop(&mut live, &inputs, restored, &mut tracer, |r| {
         args.trace && r % 2 == 1
     })?;
-    let idle = load::idle_queries(&mut live, spec)?;
     tracer.set_enabled(args.trace);
     let open = load::open_loop(
         &mut live,
@@ -149,10 +156,11 @@ fn bench(args: &[String]) -> Result<i32, String> {
     let gate = load::gate(mech.as_ref(), &inputs, &open, &mut live.clients[1]);
     let peak_rss_mb = live.fleet.peak_rss_mb();
     let replay = if args.trace {
-        // The closed-loop frames: the phase whose server CPU the budget
+        // Closed-loop frames: the phase whose server CPU the budget
         // explains.
         let frames = &inputs.closed[..replay::FRAMES.min(inputs.closed.len())];
         let mut replay_tracer = tracer.sibling(true);
+        let mut bulk_tracer = tracer.sibling(true);
         let replay = replay::run(
             spec,
             &mech,
@@ -161,8 +169,9 @@ fn bench(args: &[String]) -> Result<i32, String> {
             dir,
             args.seed,
             &mut replay_tracer,
+            &mut bulk_tracer,
         )?;
-        Some((replay, replay_tracer))
+        Some((replay, replay_tracer, bulk_tracer))
     } else {
         None
     };
@@ -198,9 +207,7 @@ fn bench(args: &[String]) -> Result<i32, String> {
     );
 
     let attempted_reports = workload::count(inputs.closed_sent()) + workload::count(&inputs.open);
-    let idle_queries =
-        (load::IDLE_ROUNDS * (spec.idle_queries + 2 * (spec.idle_queries / 4))) as u64;
-    let queries = (closed.round_secs.len() + open.queries.len() + 3) as u64 + idle_queries;
+    let queries = (closed.round_secs.len() + open.queries.len() + 3) as u64;
     let refused = open.refused_reports(&inputs);
     let failed_queries = open.queries.iter().filter(|(_, _, ok)| !ok).count() as u64;
     let attempted = attempted_reports + queries;
@@ -210,7 +217,9 @@ fn bench(args: &[String]) -> Result<i32, String> {
         Ratio::new(failed as f64, attempted as f64)
     );
 
-    print_untracked(&idle, peak_rss_mb);
+    // Untracked: on the small workloads it swings with how full the
+    // ingest queue happened to get.
+    println!("untracked peak_rss_mb {peak_rss_mb} MiB (VmHWM summed over the server processes)");
     if late_p90.is_some_and(|v| v <= LATE_LIMIT_MS) {
         print_latencies(&open);
     } else {
@@ -220,9 +229,11 @@ fn bench(args: &[String]) -> Result<i32, String> {
         );
     }
     let metrics = match replay {
-        Some((replay, replay_tracer)) => {
+        Some((replay, replay_tracer, bulk_tracer)) => {
             let layers = trace::totals(replay_tracer.spans());
+            let bulk = trace::totals(bulk_tracer.spans());
             tracer.absorb(replay_tracer);
+            tracer.absorb(bulk_tracer);
             let spans_path = Path::new(WORK_DIR).join(format!("spans-{}.jsonl", spec.name));
             trace::write_jsonl(&spans_path, tracer.spans()).map_err(|e| e.to_string())?;
             println!(
@@ -230,7 +241,15 @@ fn bench(args: &[String]) -> Result<i32, String> {
                 spans_path.display(),
                 tracer.spans().len()
             );
-            layer_metrics(spec, &closed, &replay, &layers, tracer.spans(), late_p90)
+            layer_metrics(
+                spec,
+                &closed,
+                &replay,
+                &layers,
+                &bulk,
+                tracer.spans(),
+                late_p90,
+            )
         }
         None => end_to_end(&setups, &closed),
     };
@@ -275,33 +294,6 @@ fn end_to_end(setups: &[f64], closed: &Closed) -> Metrics {
     m
 }
 
-/// Prints what a run measures but does not track against a bound: peak
-/// memory, which on the small workloads swings with how full the ingest
-/// queue happened to get, and the read path's idle service times, which
-/// on the cheap workloads are a socket round trip (plus an fsync for a
-/// checkpoint) that a small shared host moves run to run by more than any
-/// bound.
-fn print_untracked(idle: &[(Ask, f64)], peak_rss_mb: f64) {
-    println!("untracked peak_rss_mb {peak_rss_mb} MiB (VmHWM summed over the server processes)");
-    for (name, ask) in [
-        ("query_idle_ms", Ask::Estimates),
-        ("topk_idle_ms", Ask::TopK),
-        ("checkpoint_idle_ms", Ask::Checkpoint),
-    ] {
-        let means: Vec<f64> = idle
-            .iter()
-            .filter(|(k, _)| *k == ask)
-            .map(|&(_, ms)| ms)
-            .collect();
-        if let Some(v) = median(&means) {
-            println!(
-                "untracked {name} {v} ms (median of {} round means)",
-                means.len()
-            );
-        }
-    }
-}
-
 /// Prints the open-loop latencies, timed from due time, with their sample
 /// counts. They are reported but not tracked: on a small virtual host a
 /// request's latency is a mixture of a fast mode and a slow one (a halted
@@ -330,11 +322,13 @@ fn print_latencies(open: &Open) {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn layer_metrics(
     spec: &workload::Spec,
     closed: &Closed,
     r: &Replay,
     t: &Layers,
+    bulk: &Layers,
     spans: &[trace::Span],
     late_p90: Option<f64>,
 ) -> Metrics {
@@ -423,26 +417,34 @@ fn layer_metrics(
         per_call("store.load").map(|v| v / 1e6),
         "ms",
     );
+
+    // A workload without a coordinator spends nothing in it.
+    let coord = |v: Option<f64>| if spec.collectors == 0 { Some(0.0) } else { v };
+    if spec.collectors == 0 {
+        println!("coord.* reported as 0: {} runs no coordinator", spec.name);
+    }
     m.put(
         "coord.route_us_per_frame",
-        per_call("coord.route").map(|v| v / 1e3),
+        coord(per_call("coord.route").map(|v| v / 1e3)),
         "us",
     );
-    let spilled = Ratio::new(r.spilled as f64, reports);
+    let spilled = Ratio::new(r.spilled as f64, r.routed as f64);
     println!("coord.spilled_frac {spilled}");
-    m.put("coord.spilled_frac", spilled.value(), "ratio");
+    m.put("coord.spilled_frac", coord(spilled.value()), "ratio");
     m.put(
         "coord.merged_snapshot_ms",
-        per_call("coord.merged_snapshot").map(|v| v / 1e6),
+        coord(per_call("coord.merged_snapshot").map(|v| v / 1e6)),
         "ms",
     );
     m.put(
         "coord.merge_candidates_us",
-        per_call("coord.merge_candidates").map(|v| v / 1e3),
+        coord(per_call("coord.merge_candidates").map(|v| v / 1e3)),
         "us",
     );
 
     // The load run's own spans: the client's view of the same layers.
+    // Open-loop pushes carry frames of the workload's size, as the
+    // replayed frames above do.
     let push_rtt_us = percentile(&trace::durations(spans, "client.push"), 0.5).map(|v| v / 1e3);
     let query_rtt_ms =
         percentile(&trace::durations(spans, "client.estimates"), 0.5).map(|v| v / 1e6);
@@ -453,14 +455,11 @@ fn layer_metrics(
         Some(closed.busy_retries as f64),
         "count",
     );
-    // Against the closed loop's round trips, which carry the replayed
-    // frames' size; the traced rounds record them.
     let ingress_us =
         (total("frame.decode") + total("report.validate") + total("queue.push")) / frames / 1e3;
-    let push_all_us = percentile(&trace::durations(spans, "client.push_all"), 0.5).map(|v| v / 1e3);
     m.put(
         "engine.residual_us_per_frame",
-        push_all_us.map(|v| v - ingress_us),
+        push_rtt_us.map(|v| v - ingress_us),
         "us",
     );
     let answer_ms = ["sharded.snapshot", "oracle.estimate", "frame.reply_encode"]
@@ -474,7 +473,11 @@ fn layer_metrics(
         "ms",
     );
 
-    let path_ns = total("replay.frame");
+    // The budget: the bulk pass, in the closed loop's frames, against the
+    // closed loop's server CPU.
+    let path_ns = bulk
+        .get("replay.frame")
+        .map_or(0.0, |&(_, total, _)| total as f64);
     m.put(
         "replay.single_thread_rps",
         Some(reports / (path_ns / 1e9)),
@@ -501,25 +504,24 @@ fn layer_metrics(
         "ratio",
     );
 
-    print_budget(spec, t, reports, frames, cpu_us_per_report, explained);
+    print_budget(spec, t, bulk, r, cpu_us_per_report, explained);
     m
 }
 
 /// The per-workload cost budget: each replayed layer's self time per
-/// report (report path) and per query (query path), against the server's
-/// measured CPU per report.
+/// report on the report path — in the closed loop's frames, which the
+/// server CPU figure is measured on, and in the workload's own frames —
+/// and per query on the query path.
 fn print_budget(
     spec: &workload::Spec,
     t: &Layers,
-    reports: f64,
-    frames: f64,
+    bulk: &Layers,
+    r: &Replay,
     cpu_us_per_report: f64,
     explained: Ratio,
 ) {
-    println!(
-        "budget {}: report path, self time per report ({} reports in {} frames)",
-        spec.name, reports, frames
-    );
+    let reports = r.reports as f64;
+    let own = |layers: &Layers, name: &str| layers.get(name).map_or(0.0, |&(_, _, own)| own as f64);
     let path = [
         "replay.frame",
         "frame.decode",
@@ -529,17 +531,29 @@ fn print_budget(
         "sharded.push_batch",
         "queue.mark",
     ];
-    let path_total: f64 = path
-        .iter()
-        .filter_map(|n| t.get(n))
-        .map(|&(_, _, own)| own as f64)
-        .sum();
+    let path_total: f64 = path.iter().map(|n| own(bulk, n)).sum();
+    println!(
+        "budget {}: report path, self time per report ({} reports; {} frames of {} / {} frames of {})",
+        spec.name,
+        reports,
+        r.bulk_frames,
+        workload::CLOSED_FRAME,
+        r.frames,
+        spec.frame
+    );
+    println!(
+        "budget   {:<22} {:>14} {:>8} {:>15}",
+        "layer",
+        format!("us/report@{}", workload::CLOSED_FRAME),
+        "share",
+        format!("us/report@{}", spec.frame)
+    );
     for name in path {
-        let own = t.get(name).map_or(0.0, |&(_, _, own)| own as f64);
         println!(
-            "budget   {name:<22} {:>12.4} us/report {:>7.2}%",
-            own / reports / 1e3,
-            100.0 * own / path_total.max(1.0)
+            "budget   {name:<22} {:>14.4} {:>7.2}% {:>15.4}",
+            own(bulk, name) / reports / 1e3,
+            100.0 * own(bulk, name) / path_total.max(1.0),
+            own(t, name) / reports / 1e3
         );
     }
     let queries = t.get("replay.query").map_or(0, |&(n, _, _)| n);
@@ -554,10 +568,9 @@ fn print_budget(
         "oracle.topk_select",
         "frame.reply_encode",
     ] {
-        let own = t.get(name).map_or(0.0, |&(_, _, own)| own as f64);
         println!(
             "budget   {name:<22} {:>12.4} us/query",
-            own / queries.max(1) as f64 / 1e3
+            own(t, name) / queries.max(1) as f64 / 1e3
         );
     }
     println!(

@@ -36,12 +36,6 @@ pub const OPEN_SHARE: f64 = 0.3;
 /// schedules too unevenly to measure against a bound.
 pub const CLOSED_FRAME: usize = 1024;
 
-/// Distinct closed-loop reports generated at most; past this, rounds send
-/// the pool again. Hashed reports are always distinct: a repeated
-/// `(seed, value)` pair would hit the server's preimage cache, which real
-/// clients, drawing a fresh seed per report, never do.
-pub const CLOSED_POOL_REPORTS: usize = 600_000;
-
 /// One workload's frozen parameters.
 #[derive(Debug)]
 pub struct Spec {
@@ -72,9 +66,6 @@ pub struct Spec {
     pub topk_per_s: f64,
     /// Offered `Checkpoint` rate.
     pub checkpoints_per_s: f64,
-    /// Estimates per round of the idle-query phase (a quarter as many
-    /// `TopK` and `Checkpoint`), enough that a round takes milliseconds.
-    pub idle_queries: usize,
     /// Queries the traced replay answers.
     pub replay_queries: usize,
 }
@@ -94,7 +85,6 @@ pub const SPECS: [Spec; 3] = [
         estimates_per_s: 20.0,
         topk_per_s: 5.0,
         checkpoints_per_s: 5.0,
-        idle_queries: 400,
         replay_queries: 100,
     },
     Spec {
@@ -110,7 +100,6 @@ pub const SPECS: [Spec; 3] = [
         estimates_per_s: 50.0,
         topk_per_s: 10.0,
         checkpoints_per_s: 5.0,
-        idle_queries: 400,
         replay_queries: 400,
     },
     Spec {
@@ -126,7 +115,6 @@ pub const SPECS: [Spec; 3] = [
         estimates_per_s: 10.0,
         topk_per_s: 5.0,
         checkpoints_per_s: 5.0,
-        idle_queries: 20,
         replay_queries: 20,
     },
 ];
@@ -168,7 +156,8 @@ pub struct Inputs {
     pub closed: Vec<Frame>,
     /// Closed-loop frames per connection per round.
     pub frames_per_turn: usize,
-    /// Distinct turns in the pool (`ROUNDS × 2` when nothing repeats).
+    /// Distinct turns in the pool: `ROUNDS × 2` for hashed reports, one
+    /// for every other shape.
     pub pool_turns: usize,
     /// Open-loop frames, one per scheduled send.
     pub open: Vec<Frame>,
@@ -250,11 +239,15 @@ pub fn generate(
     let closed_reports = spec.closed_rps * seconds * CLOSED_SHARE;
     let frames_per_turn =
         ((closed_reports / (ROUNDS * 2 * CLOSED_FRAME) as f64).round() as usize).max(1);
-    let turn_reports = frames_per_turn * CLOSED_FRAME;
+    // Hashed reports are all distinct: a repeated `(seed, value)` pair
+    // would hit the server's preimage cache, which real clients, drawing a
+    // fresh seed per report, never do. Every other shape folds the same
+    // way however often a report repeats, so one turn is generated and
+    // both connections send it every round.
     let pool_turns = if matches!(mech.report_shape(), ReportShape::Hashed { .. }) {
         ROUNDS * 2
     } else {
-        (CLOSED_POOL_REPORTS / turn_reports).clamp(1, ROUNDS * 2)
+        1
     };
     let open_frames =
         ((spec.open_rps * seconds * OPEN_SHARE / spec.frame as f64).round() as usize).max(1);
