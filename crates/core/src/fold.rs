@@ -2,12 +2,19 @@
 //!
 //! Per-report folding pays two per-report costs the batch ingest path does
 //! not have to: bit-vector reports are added byte at a time (`m` adds per
-//! report), and hashed reports re-evaluate [`hash_bucket`] over the whole
-//! item domain (`m` hashes per report). This module provides the three
-//! primitives that turn a *batch* of reports into memory-bound word
-//! operations; `idldp-stream`'s `accumulate_batch` specializations build on
-//! them:
+//! report), and hashed reports evaluate [`hash_bucket`] over the whole item
+//! domain (`m` hashes per report). This module provides the primitives that
+//! turn a *batch* of reports into word operations and make the one
+//! unavoidable hash pass cheap; `idldp-stream`'s `accumulate_batch`
+//! specializations build on them:
 //!
+//! * [`HashedFold`] — the one domain-wide hash loop of a `(seed, value)`
+//!   report: it hashes the seed across the item domain in a single pass,
+//!   reduces with an exact precomputed divisor instead of a runtime `%`,
+//!   and packs the preimage 64 items per `u64` word without a
+//!   data-dependent branch. [`crate::report::Report::fold_into`], the
+//!   [`SeedPreimageCache`] miss path and
+//!   [`crate::olh::OptimalLocalHashing::fold_support_into`] all run it.
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
 //!   (64 slots per word, LSB-first) with a carry-free multiply-gather, so
 //!   a row enters the fold as `m/64` words instead of `m` bytes.
@@ -19,26 +26,133 @@
 //!   enforces this by spilling automatically.
 //! * [`SeedPreimageCache`] — an LRU map from a hashed report's
 //!   `(seed, value)` to the packed bitmap of items it supports
-//!   (`{v : hash_bucket(seed, v, g) == value}`). A miss costs the one
-//!   `O(m)` hash pass that was previously paid per report; a hit replays
-//!   the report as an `O(m/64)` word row. The cache is bounded: each entry
+//!   (`{v : hash_bucket(seed, v, g) == value}`). A miss costs one
+//!   [`HashedFold`] pass; a hit replays the report as an `O(m/64)` word
+//!   row. Clients draw a fresh seed per report, so real traffic always
+//!   misses; hits need a repeated pair. The cache is bounded: each entry
 //!   is `⌈m/64⌉` words (`≈ m/8` bytes), and the default capacity keeps the
 //!   whole cache within ~1 MiB (clamped to `16..=4096` entries), evicting
 //!   least-recently-used entries beyond that.
 //!
-//! All three are pure integer arithmetic, so folds routed through them are
+//! All of them are pure integer arithmetic, so folds routed through them are
 //! **bit-identical** to the scalar per-report fold
 //! ([`crate::report::Report::fold_into`]) — the streaming conformance and
 //! property suites assert exactly that.
 
 use crate::error::{Error, Result};
-use crate::report::hash_bucket;
+use crate::report::{hash_word, ITEM_MIX};
 use std::collections::HashMap;
+
+#[cfg(doc)]
+use crate::report::hash_bucket;
 
 /// Number of `u64` words needed to pack `slots` bits.
 #[inline]
 pub fn packed_words(slots: usize) -> usize {
     slots.div_ceil(64)
+}
+
+/// The hash fold of hashed `(seed, value)` reports over one hash range:
+/// the packed preimage `{v : hash_bucket(seed, v, range) == value}`,
+/// computed in one pass over the item domain.
+///
+/// [`hash_bucket`] reduces its 64-bit hash with a runtime `z % range`,
+/// and a naive fold branches on every item's bucket. This kernel does
+/// neither. Built once per range, it holds the exact precomputed divisor
+/// `M = ⌈2^128 / range⌉` (Granlund & Montgomery, "Division by Invariant
+/// Integers using Multiplication", PLDI 1994), and [`HashedFold::reduce`]
+/// takes the quotient as the top word of the 192-bit product `z · M`.
+/// That is one multiply-high for every range, with no power-of-two or
+/// per-divisor special case. Each item then enters its word as
+/// `bits = (bits << 1) | u64::from(bucket == value)`, 64 items per word
+/// walked from the highest lane down, so the loop has neither a
+/// data-dependent branch nor a per-lane variable shift. The item term
+/// `v · ITEM_MIX` is walked by subtraction.
+///
+/// Exactness: write `M · range = 2^128 + e` with `0 ≤ e < range`. Then
+/// `z · M / 2^128 = z / range + z · e / (range · 2^128)`, and the error
+/// term is below `z / 2^128 < 2^-64 < 1 / range`. The fractional part of
+/// `z / range` is at most `1 − 1/range`, so the floor is exactly
+/// `⌊z / range⌋` for every `u64` `z`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HashedFold {
+    range: u64,
+    /// `⌈2^128 / range⌉`, which fits in a `u128` because `range ≥ 2`.
+    magic: u128,
+}
+
+impl HashedFold {
+    /// The kernel for hash range `range`.
+    ///
+    /// # Panics
+    /// Panics if `range < 2` (a one-bucket hash supports every item, and
+    /// no mechanism emits one).
+    pub fn new(range: usize) -> Self {
+        assert!(range >= 2, "hash range must have at least two buckets");
+        let range = range as u64;
+        Self {
+            range,
+            // ⌊(2^128 − 1) / d⌋ + 1 = ⌈2^128 / d⌉ for every d ≥ 2.
+            magic: u128::MAX / u128::from(range) + 1,
+        }
+    }
+
+    /// `z % range`, computed by multiplication: the quotient is the top
+    /// word of the 192-bit product `z · ⌈2^128 / range⌉`.
+    #[inline]
+    pub fn reduce(&self, z: u64) -> u64 {
+        let z = u128::from(z);
+        let (lo, hi) = (self.magic as u64, (self.magic >> 64) as u64);
+        // Bits 64.. of z · M: both terms are below 2^128 and so is the sum.
+        let upper = ((z * u128::from(lo)) >> 64) + z * u128::from(hi);
+        let quotient = (upper >> 64) as u64;
+        z as u64 - quotient * self.range
+    }
+
+    /// Hashes `seed` across items `0..slots` and hands each packed word of
+    /// the preimage of `value` to `emit(word_index, bits)`, in order. Item
+    /// `v` is bit `v % 64` of word `v / 64`, and padding bits beyond
+    /// `slots` are zero. A `value` outside the range has an empty
+    /// preimage.
+    #[inline]
+    pub fn preimage_words(
+        &self,
+        seed: u64,
+        value: usize,
+        slots: usize,
+        mut emit: impl FnMut(usize, u64),
+    ) {
+        let value = value as u64;
+        let word = |first: usize, lanes: usize| {
+            // Walk the word's items from the last down, shifting each in
+            // at bit 0, so no per-lane variable shift is needed.
+            let mut item_mix = ((first + lanes - 1) as u64).wrapping_mul(ITEM_MIX);
+            let mut bits = 0u64;
+            for _ in 0..lanes {
+                let bucket = self.reduce(hash_word(seed ^ item_mix));
+                bits = (bits << 1) | u64::from(bucket == value);
+                item_mix = item_mix.wrapping_sub(ITEM_MIX);
+            }
+            bits
+        };
+        let (full, tail) = (slots / 64, slots % 64);
+        for w in 0..full {
+            emit(w, word(w * 64, 64));
+        }
+        if tail > 0 {
+            emit(full, word(full * 64, tail));
+        }
+    }
+
+    /// Writes the packed preimage of `(seed, value)` over `slots` items
+    /// into `row` (see [`HashedFold::preimage_words`]).
+    ///
+    /// # Panics
+    /// Panics if `row` is not [`packed_words`]`(slots)` long.
+    pub fn preimage_into(&self, seed: u64, value: usize, slots: usize, row: &mut [u64]) {
+        assert_eq!(row.len(), packed_words(slots), "packed row width");
+        self.preimage_words(seed, value, slots, |w, bits| row[w] = bits);
+    }
 }
 
 /// Every byte's low bit must be the whole byte: a 0/1 lane mask.
@@ -208,7 +322,7 @@ struct CacheEntry {
 #[derive(Clone, Debug)]
 pub struct SeedPreimageCache {
     slots: usize,
-    range: usize,
+    fold: HashedFold,
     capacity: usize,
     map: HashMap<(u64, usize), usize>,
     entries: Vec<CacheEntry>,
@@ -223,7 +337,7 @@ impl SeedPreimageCache {
     /// `range`, using the default ~1 MiB capacity bound.
     ///
     /// # Panics
-    /// Panics if `slots == 0` or `range == 0`.
+    /// Panics if `slots == 0` or `range < 2`.
     pub fn new(slots: usize, range: usize) -> Self {
         let entry_bytes = packed_words(slots) * 8;
         let capacity = ((1usize << 20) / entry_bytes.max(1)).clamp(16, 4096);
@@ -233,14 +347,13 @@ impl SeedPreimageCache {
     /// A cache with an explicit entry capacity.
     ///
     /// # Panics
-    /// Panics if `slots == 0`, `range == 0`, or `capacity == 0`.
+    /// Panics if `slots == 0`, `range < 2`, or `capacity == 0`.
     pub fn with_capacity(slots: usize, range: usize, capacity: usize) -> Self {
         assert!(slots > 0, "preimage cache needs at least one slot");
-        assert!(range > 0, "hash range must be positive");
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             slots,
-            range,
+            fold: HashedFold::new(range),
             capacity,
             map: HashMap::with_capacity(capacity.min(4096)),
             entries: Vec::new(),
@@ -279,7 +392,8 @@ impl SeedPreimageCache {
     /// The packed preimage bitmap of `(seed, value)`: bit `v` is set iff
     /// `hash_bucket(seed, v, range) == value`. Builds and caches the
     /// bitmap on a miss (evicting the least-recently-used entry at
-    /// capacity), and marks the entry most-recently-used either way.
+    /// capacity) with one [`HashedFold`] pass, and marks the entry
+    /// most-recently-used either way.
     /// Padding bits beyond `slots` are always zero.
     pub fn preimage(&mut self, seed: u64, value: usize) -> &[u64] {
         if let Some(&idx) = self.map.get(&(seed, value)) {
@@ -305,15 +419,9 @@ impl SeedPreimageCache {
             });
             self.entries.len() - 1
         };
-        let (slots, range) = (self.slots, self.range);
         let bitmap = &mut self.entries[idx].bitmap;
-        bitmap.clear();
-        bitmap.resize(packed_words(slots), 0);
-        for v in 0..slots {
-            if hash_bucket(seed, v, range) == value {
-                bitmap[v / 64] |= 1u64 << (v % 64);
-            }
-        }
+        bitmap.resize(packed_words(self.slots), 0);
+        self.fold.preimage_into(seed, value, self.slots, bitmap);
         self.map.insert((seed, value), idx);
         self.push_front(idx);
         &self.entries[idx].bitmap
@@ -357,10 +465,89 @@ impl SeedPreimageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::hash_bucket;
 
     /// Deterministic 0/1 stream (no external RNG in unit tests).
     fn bit(i: usize, salt: u64) -> u8 {
         (hash_bucket(salt, i, 2)) as u8
+    }
+
+    /// Ranges that stress the reduction: tiny, 2^k and 2^k ± 1 up to
+    /// 2^63, the 32-bit boundary, and the largest `usize`.
+    fn edge_ranges() -> Vec<usize> {
+        let mut ranges = vec![2, 3, 4, 5, 7];
+        for k in 1..=63u32 {
+            let p = 1usize << k;
+            ranges.extend([p - 1, p, p + 1]);
+        }
+        ranges.extend([u32::MAX as usize, u32::MAX as usize + 1, usize::MAX]);
+        ranges.retain(|&r| r >= 2);
+        ranges
+    }
+
+    #[test]
+    fn reduce_equals_remainder_at_edges() {
+        for range in edge_ranges() {
+            let fold = HashedFold::new(range);
+            let r = range as u64;
+            let top = u64::MAX - u64::MAX % r; // the largest multiple of r
+            let mut zs = vec![0, 1, u64::MAX, u64::MAX - 1, r - 1, r, top, top - 1];
+            for k in [1u64, 2, 3, 1000, (u64::MAX / r / 2).max(1)] {
+                if let Some(z) = r.checked_mul(k) {
+                    zs.extend([z - 1, z, z.saturating_add(1)]);
+                }
+            }
+            if let Some(z) = top.checked_add(1) {
+                zs.push(z);
+            }
+            for z in zs {
+                assert_eq!(fold.reduce(z), z % r, "z={z} range={range}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_rows_match_hash_bucket() {
+        for range in edge_ranges() {
+            let fold = HashedFold::new(range);
+            for slots in [1usize, 63, 64, 65, 130, 1000] {
+                for seed in [0u64, 0x5EED_F00D, u64::MAX] {
+                    // One value with a non-empty preimage even for huge
+                    // ranges, plus the range's extremes.
+                    let hit = hash_bucket(seed, slots / 2, range);
+                    for value in [0, range - 1, hit] {
+                        let mut row = vec![u64::MAX; packed_words(slots)];
+                        fold.preimage_into(seed, value, slots, &mut row);
+                        for v in 0..slots {
+                            let want = hash_bucket(seed, v, range) == value;
+                            let got = (row[v / 64] >> (v % 64)) & 1 == 1;
+                            assert_eq!(
+                                got, want,
+                                "range={range} slots={slots} seed={seed} item {v}"
+                            );
+                        }
+                        let used = slots % 64;
+                        if used > 0 {
+                            assert_eq!(row[slots / 64] >> used, 0, "padding stays zero");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_value_has_empty_preimage() {
+        let fold = HashedFold::new(4);
+        let mut row = vec![u64::MAX; packed_words(130)];
+        fold.preimage_into(9, 4, 130, &mut row);
+        assert!(row.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two buckets")]
+    fn one_bucket_kernel_is_refused() {
+        HashedFold::new(1);
     }
 
     #[test]

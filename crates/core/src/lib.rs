@@ -36,8 +36,10 @@
 //!   [`mechanism::Mechanism::perturb_data`] are the shape-aware emission
 //!   path, with `perturb_into` the zero-alloc folded bit-vector twin.
 //! * **Fold engine** — [`fold`]: the batched, word-packed server-side
-//!   folding primitives ([`fold::BitPlanes`] SWAR bit-slice counters,
-//!   carry-free [`fold::pack_bits_row`] packing, and the bounded
+//!   folding primitives ([`fold::HashedFold`], the one branchless
+//!   domain-wide hash pass every hashed-report fold runs,
+//!   [`fold::BitPlanes`] SWAR bit-slice counters, carry-free
+//!   [`fold::pack_bits_row`] packing, and the bounded
 //!   [`fold::SeedPreimageCache`] for hashed reports) that the streaming
 //!   accumulators' `accumulate_batch` specializations build on.
 //! * **Estimation** — [`estimator::FrequencyEstimator`]: the unbiased

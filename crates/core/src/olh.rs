@@ -24,6 +24,7 @@
 
 use crate::budget::Epsilon;
 use crate::error::{Error, Result};
+use crate::fold::HashedFold;
 use crate::report::hash_bucket;
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -123,11 +124,17 @@ impl OptimalLocalHashing {
     }
 
     /// The items a `(seed, value)` report supports — the server-side fold
-    /// of one report, as 0/1 over the item domain.
+    /// of one report, as 0/1 over the item domain, through the shared
+    /// [`HashedFold`] kernel.
     pub fn fold_support_into(&self, seed: u64, value: usize, report: &mut [u8]) {
-        for (v, slot) in report.iter_mut().enumerate() {
-            *slot = u8::from(hash_bucket(seed, v, self.g) == value);
-        }
+        report.fill(0);
+        let slots = report.len();
+        HashedFold::new(self.g).preimage_words(seed, value, slots, |w, mut bits| {
+            while bits != 0 {
+                report[w * 64 + bits.trailing_zeros() as usize] = 1;
+                bits &= bits - 1;
+            }
+        });
     }
 }
 

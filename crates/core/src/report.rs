@@ -18,8 +18,10 @@
 //!   [`crate::mechanism::Mechanism::perturb_data`]; what a transport would
 //!   serialize.
 //! * [`hash_bucket`] — the shared client/server hash for
-//!   [`ReportShape::Hashed`] reports. The client encodes with it and the
-//!   server folds with it, so it is defined exactly once.
+//!   [`ReportShape::Hashed`] reports, defined exactly once. The client
+//!   encodes with it; the server folds with [`crate::fold::HashedFold`],
+//!   which shares its hash and replaces only the `%` by an exact
+//!   precomputed reduction (tested equal to it).
 //!
 //! Every shape folds to the same server-side state — per-bucket counts over
 //! `report_len` buckets ([`crate::mechanism::CountAccumulator`]) — which is
@@ -34,6 +36,7 @@
 //! | `ItemSet` | distinct items in `0..report_len` | increment each member |
 
 use crate::error::{Error, Result};
+use crate::fold::HashedFold;
 
 /// The report shape a mechanism emits on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,7 +133,10 @@ impl Report<'_> {
                         actual: bits.len(),
                     });
                 }
-                if bits.iter().any(|&b| b > 1) {
+                // An OR over all slots rather than an early-exit scan: it
+                // vectorizes, and its speed does not hinge on where the
+                // linker happens to place a one-byte loop.
+                if bits.iter().fold(0u8, |acc, &b| acc | b) > 1 {
                     return Err(Error::ParameterOrdering {
                         detail: "bit report slots must be 0/1".into(),
                     });
@@ -146,6 +152,13 @@ impl Report<'_> {
                 }
             }
             Report::Hashed { value, .. } => {
+                // A one-bucket hash supports every item whatever the
+                // client held: no mechanism emits it, and it cannot fold.
+                if shape_param < 2 {
+                    return Err(Error::Empty {
+                        what: "hash range (needs at least two buckets)".into(),
+                    });
+                }
                 if value >= shape_param {
                     return Err(Error::IndexOutOfRange {
                         what: "hashed report value".into(),
@@ -229,11 +242,13 @@ impl Report<'_> {
             }
             Report::Value(v) => counts[v] += 1,
             Report::Hashed { seed, value } => {
-                for (v, c) in counts.iter_mut().enumerate() {
-                    if hash_bucket(seed, v, shape_param) == value {
-                        *c += 1;
+                let slots = counts.len();
+                HashedFold::new(shape_param).preimage_words(seed, value, slots, |w, mut bits| {
+                    while bits != 0 {
+                        counts[w * 64 + bits.trailing_zeros() as usize] += 1;
+                        bits &= bits - 1;
                     }
-                }
+                });
             }
             Report::ItemSet(items) => {
                 for &item in items {
@@ -293,10 +308,11 @@ impl ReportData {
 ///
 /// A client encodes its input as `hash_bucket(seed, x, g)` before
 /// perturbation; the server folds a `(seed, value)` report by counting
-/// every item whose bucket equals `value`. Both sides call *this* function,
-/// so the mapping is defined exactly once and is stable across runs and
-/// platforms (pure integer arithmetic — a SplitMix64 finalizer over
-/// `seed ⊕ mix(item)`).
+/// every item whose bucket equals `value`. This function is the wire-level
+/// definition of that mapping, stable across runs and platforms (pure
+/// integer arithmetic — a SplitMix64 finalizer over `seed ⊕ mix(item)`).
+/// The server's domain-wide pass, [`crate::fold::HashedFold`], computes
+/// the same buckets with the `%` replaced by an exact multiplication.
 ///
 /// # Panics
 /// Panics if `range == 0` (hash ranges are validated positive at mechanism
@@ -304,12 +320,23 @@ impl ReportData {
 #[inline]
 pub fn hash_bucket(seed: u64, item: usize, range: usize) -> usize {
     assert!(range > 0, "hash range must be positive");
-    let mut z = seed ^ (item as u64).wrapping_mul(0xA24B_AED4_963E_E407);
+    (hash_word(seed ^ (item as u64).wrapping_mul(ITEM_MIX)) % range as u64) as usize
+}
+
+/// The per-item multiplier of [`hash_bucket`]: item `v` enters the hash as
+/// `seed ⊕ v · ITEM_MIX`.
+pub(crate) const ITEM_MIX: u64 = 0xA24B_AED4_963E_E407;
+
+/// The SplitMix64 finalizer [`hash_bucket`] applies to `seed ⊕ v · ITEM_MIX`
+/// before reducing into the hash range. Shared with
+/// [`crate::fold::HashedFold`], which steps the item term from one item to
+/// the next instead of multiplying it out.
+#[inline]
+pub(crate) fn hash_word(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % range as u64) as usize
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -447,6 +474,15 @@ mod tests {
     }
 
     #[test]
+    fn one_bucket_hash_range_is_refused() {
+        let mut counts = vec![0u64; 3];
+        let report = ReportData::Hashed { seed: 5, value: 0 };
+        assert!(report.as_report().validate(3, 1).is_err());
+        assert!(report.fold_into(&mut counts, 1).is_err());
+        assert_eq!(counts, vec![0, 0, 0], "failed folds count nothing");
+    }
+
+    #[test]
     fn validate_agrees_with_fold() {
         // validate() succeeding must imply fold_into() succeeding — the
         // contract transport servers rely on when they acknowledge a
@@ -459,6 +495,7 @@ mod tests {
             (ReportData::Value(3), 0),
             (ReportData::Hashed { seed: 7, value: 1 }, 4),
             (ReportData::Hashed { seed: 7, value: 4 }, 4),
+            (ReportData::Hashed { seed: 7, value: 0 }, 1),
             (ReportData::ItemSet(vec![0, 2]), 0),
             (ReportData::ItemSet(vec![]), 0),
             (ReportData::ItemSet(vec![1, 1]), 0),

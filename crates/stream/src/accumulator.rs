@@ -447,12 +447,13 @@ impl ReportAccumulator for OneHotReportAccumulator {
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
 /// either representation of the same report yields identical counts.
 ///
-/// The batched fold path keeps a bounded
-/// [`SeedPreimageCache`]: repeated `(seed, value)` pairs replay as
-/// `O(m/64)` word rows instead of `O(m)` hash evaluations. The cache is a
-/// performance artifact, not state — it never affects counts (cached
-/// bitmaps are exactly what the hash pass would recompute) and is excluded
-/// from equality.
+/// Both fold paths run the one [`idldp_core::fold::HashedFold`] kernel.
+/// The batched path reaches it through a bounded [`SeedPreimageCache`]:
+/// repeated `(seed, value)` pairs replay as `O(m/64)` word rows, but
+/// clients draw a fresh seed per report, so real traffic always misses and
+/// pays the kernel's one `O(m)` pass. The cache is a performance artifact,
+/// not state — it never affects counts (cached bitmaps are exactly what
+/// the hash pass would recompute) and is excluded from equality.
 #[derive(Clone, Debug)]
 pub struct HashedReportAccumulator {
     inner: CountAccumulator,
