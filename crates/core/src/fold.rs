@@ -9,8 +9,7 @@
 //! specializations build on them:
 //!
 //! * [`HashedFold`] — the one domain-wide hash loop of a `(seed, value)`
-//!   report: it hashes the seed across the item domain in a single pass,
-//!   reduces with an exact precomputed divisor instead of a runtime `%`,
+//!   report: it hashes the seed across the item domain in a single pass
 //!   and packs the preimage 64 items per `u64` word without a
 //!   data-dependent branch. [`crate::report::Report::fold_into`], the
 //!   [`SeedPreimageCache`] miss path and
@@ -56,29 +55,26 @@ pub fn packed_words(slots: usize) -> usize {
 /// the packed preimage `{v : hash_bucket(seed, v, range) == value}`,
 /// computed in one pass over the item domain.
 ///
-/// [`hash_bucket`] reduces its 64-bit hash with a runtime `z % range`,
-/// and a naive fold branches on every item's bucket. This kernel does
-/// neither. Built once per range, it holds the exact precomputed divisor
-/// `M = ⌈2^128 / range⌉` (Granlund & Montgomery, "Division by Invariant
-/// Integers using Multiplication", PLDI 1994), and [`HashedFold::reduce`]
-/// takes the quotient as the top word of the 192-bit product `z · M`.
-/// That is one multiply-high for every range, with no power-of-two or
-/// per-divisor special case. Each item then enters its word as
+/// A naive fold branches on every item's bucket, and at OLH's `g = 4`
+/// that branch mispredicts about a quarter of the time. This kernel does
+/// not branch: each item enters its word as
 /// `bits = (bits << 1) | u64::from(bucket == value)`, 64 items per word
 /// walked from the highest lane down, so the loop has neither a
 /// data-dependent branch nor a per-lane variable shift. The item term
 /// `v · ITEM_MIX` is walked by subtraction.
 ///
-/// Exactness: write `M · range = 2^128 + e` with `0 ≤ e < range`. Then
-/// `z · M / 2^128 = z / range + z · e / (range · 2^128)`, and the error
-/// term is below `z / 2^128 < 2^-64 < 1 / range`. The fractional part of
-/// `z / range` is at most `1 − 1/range`, so the floor is exactly
-/// `⌊z / range⌋` for every `u64` `z`.
+/// The bucket is the hardware remainder `z % range`, exactly as
+/// [`hash_bucket`] computes it. An exact multiply-high reduction by a
+/// precomputed `⌈2^128 / range⌉` (Granlund & Montgomery, PLDI 1994) was
+/// tried and dropped. On a 2-vCPU Xeon VM its median was barely better
+/// (4.3–4.5 µs against 4.5–4.6 µs per `m = 1000` preimage), and at
+/// several multiply µops per item the loop became dispatch-bound, so its
+/// speed followed whatever else ran on the physical core: over one-second
+/// windows its interquartile spread was 0.17–0.21 of the median, against
+/// 0.035 with the divider, whose latency hides the loop's other µops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HashedFold {
     range: u64,
-    /// `⌈2^128 / range⌉`, which fits in a `u128` because `range ≥ 2`.
-    magic: u128,
 }
 
 impl HashedFold {
@@ -89,24 +85,9 @@ impl HashedFold {
     /// no mechanism emits one).
     pub fn new(range: usize) -> Self {
         assert!(range >= 2, "hash range must have at least two buckets");
-        let range = range as u64;
         Self {
-            range,
-            // ⌊(2^128 − 1) / d⌋ + 1 = ⌈2^128 / d⌉ for every d ≥ 2.
-            magic: u128::MAX / u128::from(range) + 1,
+            range: range as u64,
         }
-    }
-
-    /// `z % range`, computed by multiplication: the quotient is the top
-    /// word of the 192-bit product `z · ⌈2^128 / range⌉`.
-    #[inline]
-    pub fn reduce(&self, z: u64) -> u64 {
-        let z = u128::from(z);
-        let (lo, hi) = (self.magic as u64, (self.magic >> 64) as u64);
-        // Bits 64.. of z · M: both terms are below 2^128 and so is the sum.
-        let upper = ((z * u128::from(lo)) >> 64) + z * u128::from(hi);
-        let quotient = (upper >> 64) as u64;
-        z as u64 - quotient * self.range
     }
 
     /// Hashes `seed` across items `0..slots` and hands each packed word of
@@ -129,7 +110,7 @@ impl HashedFold {
             let mut item_mix = ((first + lanes - 1) as u64).wrapping_mul(ITEM_MIX);
             let mut bits = 0u64;
             for _ in 0..lanes {
-                let bucket = self.reduce(hash_word(seed ^ item_mix));
+                let bucket = hash_word(seed ^ item_mix) % self.range;
                 bits = (bits << 1) | u64::from(bucket == value);
                 item_mix = item_mix.wrapping_sub(ITEM_MIX);
             }
@@ -472,8 +453,8 @@ mod tests {
         (hash_bucket(salt, i, 2)) as u8
     }
 
-    /// Ranges that stress the reduction: tiny, 2^k and 2^k ± 1 up to
-    /// 2^63, the 32-bit boundary, and the largest `usize`.
+    /// Ranges at the edges of the bucket arithmetic: tiny, 2^k and
+    /// 2^k ± 1 up to 2^63, the 32-bit boundary, and the largest `usize`.
     fn edge_ranges() -> Vec<usize> {
         let mut ranges = vec![2, 3, 4, 5, 7];
         for k in 1..=63u32 {
@@ -483,27 +464,6 @@ mod tests {
         ranges.extend([u32::MAX as usize, u32::MAX as usize + 1, usize::MAX]);
         ranges.retain(|&r| r >= 2);
         ranges
-    }
-
-    #[test]
-    fn reduce_equals_remainder_at_edges() {
-        for range in edge_ranges() {
-            let fold = HashedFold::new(range);
-            let r = range as u64;
-            let top = u64::MAX - u64::MAX % r; // the largest multiple of r
-            let mut zs = vec![0, 1, u64::MAX, u64::MAX - 1, r - 1, r, top, top - 1];
-            for k in [1u64, 2, 3, 1000, (u64::MAX / r / 2).max(1)] {
-                if let Some(z) = r.checked_mul(k) {
-                    zs.extend([z - 1, z, z.saturating_add(1)]);
-                }
-            }
-            if let Some(z) = top.checked_add(1) {
-                zs.push(z);
-            }
-            for z in zs {
-                assert_eq!(fold.reduce(z), z % r, "z={z} range={range}");
-            }
-        }
     }
 
     #[test]

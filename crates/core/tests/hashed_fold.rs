@@ -9,8 +9,9 @@ use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::report::{hash_bucket, Report};
 use proptest::prelude::*;
 
-/// Hash ranges from every regime the reduction must get right: small
-/// (OLH's `g = e^ε + 1`), `2^k` and `2^k ± 1`, and arbitrary 64-bit.
+/// Hash ranges from every regime the bucket arithmetic must get right:
+/// small (OLH's `g = e^ε + 1`), `2^k` and `2^k ± 1`, and arbitrary
+/// 64-bit.
 fn arb_range() -> impl Strategy<Value = usize> {
     (0u32..3, 2usize..64, 1u32..64, 0usize..3, any::<u64>()).prop_map(
         |(regime, small, k, offset, wide)| match regime {
@@ -51,12 +52,6 @@ proptest! {
         if used > 0 {
             prop_assert_eq!(row[slots / 64] >> used, 0);
         }
-    }
-
-    /// The reduction is `%` for any 64-bit value and range.
-    #[test]
-    fn reduce_is_remainder(z in any::<u64>(), range in arb_range()) {
-        prop_assert_eq!(HashedFold::new(range).reduce(z), z % range as u64);
     }
 
     /// The sequential fold and OLH's support vector, both routed through
