@@ -10,7 +10,9 @@
 //! domain sizes of the paper's datasets — and the server-side fold cost of
 //! the compact wire shapes through the shape accumulators. Mechanisms are
 //! built through the registry, so a newly registered protocol can be
-//! benchmarked by adding its name to a list.
+//! benchmarked by adding its name to a list. The `frame/reports` group
+//! measures the transport codec between the two: encoding and decoding
+//! one 1024-report frame of each wire shape.
 //!
 //! The `checkpoint/*` groups measure the pluggable snapshot stores: one
 //! save (`checkpoint/write/<backend>/m<domain>-t<traffic>`) after `t`
@@ -29,6 +31,7 @@ use idldp_core::levels::LevelPartition;
 use idldp_core::mechanism::{BatchMechanism, CountAccumulator, Input, InputBatch};
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, StoreKind};
 use idldp_num::rng::stream_rng;
+use idldp_server::{encode_reports_frame, Frame};
 use idldp_sim::stream::{ReportAccumulator, ShapedAccumulator};
 use idldp_sim::{BuildContext, MechanismRegistry};
 use std::hint::black_box;
@@ -142,6 +145,42 @@ fn bench_compact_wire_emission(c: &mut Criterion) {
                 });
             });
         }
+    }
+    group.finish();
+}
+
+fn bench_frame_reports(c: &mut Criterion) {
+    // The wire codec of one 1024-report `Reports` frame per report shape:
+    // what a client pays to encode a batch and a server pays to decode it
+    // before validation. Bit vectors are packed and spread 8 slots per
+    // multiply; divide by 1024 for the per-report cost.
+    let mut group = c.benchmark_group("frame/reports");
+    for (shape, name, m) in [
+        ("bits", "idue-opt1", 64usize),
+        ("bits", "idue-opt1", 1000),
+        ("value", "grr", 1000),
+        ("hashed", "olh", 1000),
+    ] {
+        let mech = build(name, m, 0);
+        let mut rng = stream_rng(7, 0);
+        let reports: Vec<_> = (0..1024)
+            .map(|i| mech.perturb_data(Input::Item(i % m), &mut rng).unwrap())
+            .collect();
+        let bytes = encode_reports_frame(&reports);
+        group.bench_with_input(
+            BenchmarkId::new(&format!("encode-{shape}"), m),
+            &m,
+            |b, _| {
+                b.iter(|| black_box(encode_reports_frame(black_box(&reports))));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(&format!("decode-{shape}"), m),
+            &m,
+            |b, _| {
+                b.iter(|| black_box(Frame::decode(black_box(&bytes)).unwrap()));
+            },
+        );
     }
     group.finish();
 }
@@ -385,6 +424,7 @@ criterion_group!(
     bench_item_set_perturb,
     bench_batch_fast_paths,
     bench_compact_wire_emission,
+    bench_frame_reports,
     bench_aggregate_fold,
     bench_batched_vs_sequential,
     bench_checkpoint_write,

@@ -20,8 +20,8 @@
 //! * [`hash_bucket`] — the shared client/server hash for
 //!   [`ReportShape::Hashed`] reports, defined exactly once. The client
 //!   encodes with it; the server folds with [`crate::fold::HashedFold`],
-//!   which shares its hash and replaces only the `%` by an exact
-//!   precomputed reduction (tested equal to it).
+//!   which walks the same hash and `%` across the whole item domain in one
+//!   branchless pass (tested equal to it).
 //!
 //! Every shape folds to the same server-side state — per-bucket counts over
 //! `report_len` buckets ([`crate::mechanism::CountAccumulator`]) — which is
@@ -312,7 +312,7 @@ impl ReportData {
 /// definition of that mapping, stable across runs and platforms (pure
 /// integer arithmetic — a SplitMix64 finalizer over `seed ⊕ mix(item)`).
 /// The server's domain-wide pass, [`crate::fold::HashedFold`], computes
-/// the same buckets with the `%` replaced by an exact multiplication.
+/// the same buckets with the same `z % range` reduction.
 ///
 /// # Panics
 /// Panics if `range == 0` (hash ranges are validated positive at mechanism

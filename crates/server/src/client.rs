@@ -10,7 +10,8 @@
 //! losing reports.
 
 use crate::frame::{
-    encoded_report_len, Frame, FrameError, MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+    encoded_report_len, try_encode_reports_frame, Frame, FrameError, MAX_PAYLOAD_LEN,
+    PROTOCOL_VERSION,
 };
 use idldp_core::identity::TenantId;
 use idldp_core::mechanism::Mechanism;
@@ -263,27 +264,12 @@ impl ReportClient {
     /// still queued), or a typed [`ClientError::Protocol`] when the batch
     /// would not fit one frame ([`Self::push_all`] splits automatically)
     /// or a bit report violates the wire form (wider than
-    /// [`MAX_BIT_REPORT_SLOTS`], or a slot outside 0/1 — the packed
-    /// encoding cannot represent other values, and silently coercing them
-    /// would accept a report the local fold path rejects).
+    /// [`MAX_BIT_REPORT_SLOTS`](crate::frame::MAX_BIT_REPORT_SLOTS), or a
+    /// slot outside 0/1 — the packed encoding cannot represent other
+    /// values, and silently coercing them would accept a report the local
+    /// fold path rejects). Both are found while encoding, before any bytes
+    /// are written.
     pub fn push(&mut self, reports: &[ReportData]) -> Result<PushOutcome, ClientError> {
-        for report in reports {
-            if let ReportData::Bits(bits) = report {
-                if bits.len() > MAX_BIT_REPORT_SLOTS {
-                    return Err(ClientError::Protocol(format!(
-                        "bit report of {} slots exceeds the protocol's \
-                         {MAX_BIT_REPORT_SLOTS}-slot width cap",
-                        bits.len()
-                    )));
-                }
-                if let Some(&bad) = bits.iter().find(|&&b| b > 1) {
-                    return Err(ClientError::Protocol(format!(
-                        "bit report slots must be 0/1 (got {bad}) — the packed wire \
-                         form cannot carry other values"
-                    )));
-                }
-            }
-        }
         let payload = 4 + reports.iter().map(encoded_report_len).sum::<usize>();
         if payload > MAX_PAYLOAD_LEN {
             return Err(ClientError::Protocol(format!(
@@ -295,8 +281,8 @@ impl ReportClient {
         // Encoded straight from the borrowed slice — no clone per (re)send,
         // which matters when Busy backpressure retries frame-cap-sized
         // batches.
-        self.writer
-            .write_all(&crate::frame::encode_reports_frame(reports))?;
+        let frame = try_encode_reports_frame(reports).map_err(ClientError::Protocol)?;
+        self.writer.write_all(&frame)?;
         self.writer.flush()?;
         match self.read_reply()? {
             Frame::Ingested { accepted } if accepted == reports.len() as u64 => {
@@ -331,10 +317,10 @@ impl ReportClient {
     /// Same conditions as [`Self::push`]; additionally a typed error if a
     /// *single* report cannot fit one frame (an item set of ~2M members —
     /// far beyond any real domain), a bit report is wider than
-    /// [`MAX_BIT_REPORT_SLOTS`], or the server answers `Busy` without
-    /// accepting anything [`MAX_STALLED_RETRIES`] times in a row (ingest
-    /// paused or wedged) — a bounded, visible failure instead of retrying
-    /// silently forever.
+    /// [`MAX_BIT_REPORT_SLOTS`](crate::frame::MAX_BIT_REPORT_SLOTS), or
+    /// the server answers `Busy` without accepting anything
+    /// [`MAX_STALLED_RETRIES`] times in a row (ingest paused or wedged) —
+    /// a bounded, visible failure instead of retrying silently forever.
     pub fn push_all(&mut self, reports: &[ReportData]) -> Result<(), ClientError> {
         let backoff_cap = self.retry_backoff.saturating_mul(512);
         let mut rest = reports;
@@ -636,6 +622,7 @@ fn frame_sized_prefix(reports: &[ReportData]) -> Result<usize, ClientError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_BIT_REPORT_SLOTS;
 
     /// A fake server that speaks raw frames lets the client's defenses be
     /// tested against replies a real `ReportServer` never produces: a
@@ -684,12 +671,21 @@ mod tests {
         let (mut client, users) = ReportClient::connect(addr, &mechanism).unwrap();
         assert_eq!(users, 0);
 
-        // Refused before any bytes hit the wire.
-        let bad_bits = [ReportData::Bits(vec![2, 0, 1])];
-        assert!(matches!(
-            client.push(&bad_bits),
-            Err(ClientError::Protocol(_))
-        ));
+        // Refused before any bytes hit the wire: a slot of 2 anywhere in a
+        // full 8-slot chunk or in the tail is a typed error, not a panic.
+        for at in 0..13 {
+            let mut bits = vec![1u8; 13];
+            bits[at] = 2;
+            match client.push(&[ReportData::Bits(bits)]) {
+                Err(ClientError::Protocol(message)) => {
+                    assert!(
+                        message.contains("slots must be 0/1"),
+                        "slot {at}: {message}"
+                    )
+                }
+                other => panic!("slot {at}: expected a typed protocol error, got {other:?}"),
+            }
+        }
         let too_wide = [ReportData::Bits(vec![0; MAX_BIT_REPORT_SLOTS + 1])];
         assert!(matches!(
             client.push(&too_wide),

@@ -26,6 +26,7 @@
 //! property suite in `tests/proptest_frames.rs` hammers all of this with
 //! arbitrary mutations).
 
+use idldp_core::fold;
 use idldp_core::report::{ReportData, ReportShape};
 use std::io::{Read, Write};
 
@@ -508,29 +509,54 @@ pub fn snapshot_reply_frames(users: u64, counts: &[u64]) -> Vec<Frame> {
         .collect()
 }
 
-/// Assembles header + payload. The `u32` length prefix is a hard
-/// invariant (a 4 GiB frame is unconstructible through the public
-/// senders, which split or refuse first).
+/// Assembles header + payload.
 fn frame_bytes(tag: u8, payload: Vec<u8>) -> Vec<u8> {
-    assert!(
-        u32::try_from(payload.len()).is_ok(),
-        "frame payload exceeds the u32 length prefix"
-    );
-    let mut out = Vec::with_capacity(5 + payload.len());
-    out.push(tag);
-    put_u32(&mut out, payload.len() as u32);
+    let mut out = frame_header(tag, payload.len());
     out.extend_from_slice(&payload);
     out
 }
 
-/// The [`Frame::Reports`] payload built straight from a slice.
-fn reports_payload(reports: &[ReportData]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, reports.len() as u32);
-    for r in reports {
-        put_report(&mut out, r);
-    }
+/// A frame's 5-byte header, in a buffer with room for its payload. The
+/// `u32` length prefix is a hard invariant (a 4 GiB frame is
+/// unconstructible through the public senders, which split or refuse
+/// first).
+fn frame_header(tag: u8, payload_len: usize) -> Vec<u8> {
+    assert!(
+        u32::try_from(payload_len).is_ok(),
+        "frame payload exceeds the u32 length prefix"
+    );
+    let mut out = Vec::with_capacity(5 + payload_len);
+    out.push(tag);
+    put_u32(&mut out, payload_len as u32);
     out
+}
+
+/// Appends the [`Frame::Reports`] payload of a borrowed slice to `out`.
+///
+/// # Errors
+/// Why the first unencodable report cannot travel (see [`put_report`]);
+/// `out` then holds a partial payload and must be discarded.
+fn put_reports(out: &mut Vec<u8>, reports: &[ReportData]) -> Result<(), String> {
+    put_u32(out, reports.len() as u32);
+    // One scratch word row serves every bit report of the batch.
+    let mut row = Vec::new();
+    for r in reports {
+        put_report(out, r, &mut row)?;
+    }
+    Ok(())
+}
+
+/// Encodes a [`Frame::Reports`] frame from a borrowed slice, or says why
+/// the batch cannot travel: a bit report wider than
+/// [`MAX_BIT_REPORT_SLOTS`] (no compliant peer could decode it) or with a
+/// slot outside 0/1 (the packed form cannot represent it, and coercing it
+/// would launder a report the local fold path rejects).
+pub(crate) fn try_encode_reports_frame(reports: &[ReportData]) -> Result<Vec<u8>, String> {
+    let payload_len = 4 + reports.iter().map(encoded_report_len).sum::<usize>();
+    let mut out = frame_header(TAG_REPORTS, payload_len);
+    put_reports(&mut out, reports)?;
+    debug_assert_eq!(out.len(), 5 + payload_len, "encoded_report_len drifted");
+    Ok(out)
 }
 
 /// Encodes a [`Frame::Reports`] frame directly from a borrowed slice —
@@ -541,10 +567,10 @@ fn reports_payload(reports: &[ReportData]) -> Vec<u8> {
 /// Panics on a bit report wider than [`MAX_BIT_REPORT_SLOTS`] or with a
 /// slot outside 0/1 — no compliant peer could decode the former, and the
 /// packed form cannot represent the latter; callers that take reports
-/// from untrusted input check first (as
+/// from untrusted input use the fallible path instead (as
 /// [`crate::client::ReportClient::push`] does, returning a typed error).
 pub fn encode_reports_frame(reports: &[ReportData]) -> Vec<u8> {
-    frame_bytes(TAG_REPORTS, reports_payload(reports))
+    try_encode_reports_frame(reports).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Exact encoded size of one report inside a [`Frame::Reports`] payload —
@@ -559,38 +585,37 @@ pub fn encoded_report_len(report: &ReportData) -> usize {
     }
 }
 
-/// Encodes one report in its compact wire form (bit vectors packed 8 slots
-/// per byte, LSB first). Like the `u32` length prefix in [`frame_bytes`],
-/// the [`MAX_BIT_REPORT_SLOTS`] width cap is a hard encoder invariant: an
-/// over-cap bit report would be rejected by every compliant decoder, so
-/// it must be refused *before* the wire (`ReportClient::push` returns the
-/// typed error first; a server never sends reports).
-fn put_report(out: &mut Vec<u8>, report: &ReportData) {
+/// Encodes one report in its compact wire form. A bit vector is packed 8
+/// slots per byte, LSB first, by [`fold::pack_bits_row`]'s multiply-gather
+/// into the scratch word `row`; the wire carries the first `⌈slots/8⌉`
+/// little-endian bytes of those words.
+///
+/// # Errors
+/// A bit report over the [`MAX_BIT_REPORT_SLOTS`] width cap, or with a
+/// slot outside 0/1. Both must be refused *before* the wire: every
+/// compliant decoder rejects the former, and the packed form cannot carry
+/// the latter.
+fn put_report(out: &mut Vec<u8>, report: &ReportData, row: &mut Vec<u64>) -> Result<(), String> {
     match report {
         ReportData::Bits(bits) => {
-            assert!(
-                bits.len() <= MAX_BIT_REPORT_SLOTS,
-                "bit report of {} slots exceeds MAX_BIT_REPORT_SLOTS ({MAX_BIT_REPORT_SLOTS})",
-                bits.len()
-            );
+            if bits.len() > MAX_BIT_REPORT_SLOTS {
+                return Err(format!(
+                    "bit report of {} slots exceeds MAX_BIT_REPORT_SLOTS ({MAX_BIT_REPORT_SLOTS})",
+                    bits.len()
+                ));
+            }
+            row.resize(fold::packed_words(bits.len()), 0);
+            fold::pack_bits_row(bits, row).map_err(|_| {
+                "bit report slots must be 0/1 — the packed wire form cannot carry other values"
+                    .to_string()
+            })?;
             out.push(REPORT_BITS);
             put_u32(out, bits.len() as u32);
-            let mut byte = 0u8;
-            for (i, &bit) in bits.iter().enumerate() {
-                // Slots outside 0/1 are unrepresentable in the packed
-                // form; coercing them would launder a report the local
-                // fold path (`Report::validate`) rejects.
-                assert!(bit <= 1, "bit report slots must be 0/1 (got {bit})");
-                if bit != 0 {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    out.push(byte);
-                    byte = 0;
-                }
-            }
-            if !bits.len().is_multiple_of(8) {
-                out.push(byte);
+            let mut left = bits.len().div_ceil(8);
+            for word in row.iter() {
+                let take = left.min(8);
+                out.extend_from_slice(&word.to_le_bytes()[..take]);
+                left -= take;
             }
         }
         ReportData::Value(v) => {
@@ -610,6 +635,7 @@ fn put_report(out: &mut Vec<u8>, report: &ReportData) {
             }
         }
     }
+    Ok(())
 }
 
 fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
@@ -632,10 +658,13 @@ fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
                 });
             }
             let packed = c.take(bytes_needed)?;
-            let mut bits = vec![0u8; slots];
-            for (i, bit) in bits.iter_mut().enumerate() {
-                *bit = (packed[i / 8] >> (i % 8)) & 1;
+            // Each wire byte spreads into 8 slot bytes with one multiply;
+            // the last chunk's padding slots are cut off.
+            let mut bits = Vec::with_capacity(8 * bytes_needed);
+            for &byte in packed {
+                bits.extend_from_slice(&fold::spread_bits(byte).to_le_bytes());
             }
+            bits.truncate(slots);
             // Padding bits above `slots` must be zero, so every encoding of
             // a report is canonical (encode ∘ decode is the identity on
             // bytes too, not just on reports).
@@ -714,7 +743,9 @@ impl Frame {
                 put_u64(&mut out, *users);
                 put_string(&mut out, run_line);
             }
-            Frame::Reports(reports) => out = reports_payload(reports),
+            Frame::Reports(reports) => {
+                put_reports(&mut out, reports).unwrap_or_else(|e| panic!("{e}"))
+            }
             Frame::Query | Frame::Checkpoint | Frame::SnapshotQuery => {}
             Frame::Estimates { users, estimates } => {
                 put_u64(&mut out, *users);
@@ -1468,7 +1499,7 @@ mod tests {
         ];
         for report in &reports {
             let mut out = Vec::new();
-            put_report(&mut out, report);
+            put_report(&mut out, report, &mut Vec::new()).unwrap();
             assert_eq!(out.len(), encoded_report_len(report), "{report:?}");
         }
         // A whole batch frame is header + count + the per-report sizes.
@@ -1512,6 +1543,57 @@ mod tests {
         // Coercing slot 2 to a set bit would launder a report the local
         // fold path rejects — the encoder refuses instead.
         let _ = Frame::Reports(vec![ReportData::Bits(vec![2])]).encode();
+    }
+
+    /// A slot of 2 anywhere — inside a full 8-slot chunk or in the tail —
+    /// makes the public encoder panic rather than coerce it.
+    #[test]
+    fn non_binary_slot_anywhere_is_unencodable() {
+        for at in 0..13 {
+            let mut bits = vec![1u8; 13];
+            bits[at] = 2;
+            let reports = [ReportData::Value(1), ReportData::Bits(bits)];
+            let panic = std::panic::catch_unwind(|| encode_reports_frame(&reports))
+                .expect_err("a non-0/1 slot must not encode");
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains("slots must be 0/1"),
+                "slot {at}: {message}"
+            );
+        }
+    }
+
+    /// The bit codec at every width across the 8-slot chunk and 64-slot
+    /// word edges: the wire bytes are the LSB-first packing, decode ∘
+    /// encode is the identity on reports and encode ∘ decode on bytes, and
+    /// a set padding bit is still refused.
+    #[test]
+    fn bit_codec_round_trips_every_width() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for slots in 0..=130usize {
+            let bits: Vec<u8> = (0..slots).map(|_| u8::from(rng.random_bool(0.5))).collect();
+            let mut packed = vec![0u8; slots.div_ceil(8)];
+            for (i, &bit) in bits.iter().enumerate() {
+                packed[i / 8] |= bit << (i % 8);
+            }
+            let reports = vec![ReportData::Value(7), ReportData::Bits(bits)];
+            let bytes = encode_reports_frame(&reports);
+            // Header (5), batch count (4), the value report (9), the bit
+            // report's tag and slot count (5), then the packed slots.
+            assert_eq!(&bytes[23..], packed, "slots={slots}: wire bytes");
+            let decoded = Frame::decode(&bytes).unwrap();
+            assert_eq!(decoded, Frame::Reports(reports), "slots={slots}");
+            assert_eq!(decoded.encode(), bytes, "slots={slots}: bytes");
+            if slots % 8 != 0 {
+                let mut padded = bytes.clone();
+                *padded.last_mut().unwrap() |= 1 << (slots % 8);
+                assert!(
+                    matches!(Frame::decode(&padded), Err(FrameError::Malformed(_))),
+                    "slots={slots}: nonzero padding accepted"
+                );
+            }
+        }
     }
 
     #[test]
