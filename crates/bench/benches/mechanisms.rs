@@ -297,7 +297,7 @@ fn bench_dir() -> PathBuf {
 
 /// The evolving accumulator state a checkpoint writer persists: per-shard
 /// monotone counts, mutated in place between saves the way folded reports
-/// mutate the server's shards.
+/// mutate the server's shards, and merged by the store on every save.
 struct Traffic {
     counts: Vec<Vec<u64>>,
     users: Vec<u64>,
@@ -305,8 +305,8 @@ struct Traffic {
 }
 
 impl Traffic {
-    /// The server's default shard count, so the persisted layout matches
-    /// what a real `snapshot_shards()` hands the store.
+    /// The server's default shard count, as `snapshot_shards()` hands
+    /// them to a store.
     const SHARDS: usize = 8;
 
     fn new(m: usize) -> Self {

@@ -21,14 +21,14 @@
 //!
 //! With `--checkpoint FILE` the accumulator state is persisted after every
 //! emission through the backend picked by `--checkpoint-store
-//! {file,sharded,delta}` — one atomically-rewritten flat file, one file
-//! per shard behind an fsynced manifest, or an append-only delta log whose
-//! cost tracks the traffic since the last emission instead of the domain
-//! size. Re-running the same command restores the checkpoint and resumes
-//! mid-stream instead of starting over (kill it halfway and run it again
-//! to see the user counter continue where it stopped); every backend
-//! restores v1 flat checkpoints transparently. The tracker needs no extra
-//! checkpoint state: its candidates are a pure function of the counts.
+//! {file,delta}` — one atomically-rewritten flat file, or an append-only
+//! delta log whose cost tracks the traffic since the last emission instead
+//! of the domain size. Re-running the same command restores the checkpoint
+//! and resumes mid-stream instead of starting over (kill it halfway and
+//! run it again to see the user counter continue where it stopped); both
+//! backends restore v1 flat checkpoints transparently. The tracker needs
+//! no extra checkpoint state: its candidates are a pure function of the
+//! counts.
 
 use crate::args::CliArgs;
 use idldp_core::identity::RunIdentity;
@@ -172,13 +172,10 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 .seek_to_user(users)
                 .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             match &mut sink {
-                Sink::Plain(sharded) => sharded
-                    .restore_shards(restored.shards())
-                    .map_err(|e| e.to_string())?,
-                Sink::Tracked(tracker) => tracker
-                    .restore(&restored.merged())
-                    .map_err(|e| e.to_string())?,
+                Sink::Plain(sharded) => sharded.restore(restored.snapshot()),
+                Sink::Tracked(tracker) => tracker.restore(restored.snapshot()),
             }
+            .map_err(|e| e.to_string())?;
             println!("ingest: restored {users} users from checkpoint `{path}`");
         }
     }
@@ -237,19 +234,17 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 }
             }
             if let (Some(path), Some(store)) = (checkpoint, store.as_mut()) {
-                // Per-shard snapshots, no merge: the store decides whether
-                // to persist them separately (sharded backend), merged
-                // into one flat file (file backend), or as a delta against
-                // the previous save (delta backend). Every backend commits
-                // atomically, so a kill mid-write can never leave a
-                // half-applied checkpoint behind — same rule as the
-                // server's checkpoint frame.
-                let shard_snaps = match &sink {
-                    Sink::Plain(sharded) => sharded.snapshot_shards(),
-                    Sink::Tracked(tracker) => tracker.sink().snapshot_shards(),
+                // The merged view, as a delta against the previous save
+                // (delta backend) or one rewritten flat file (file
+                // backend). Both commit atomically, so a kill mid-write
+                // can never leave a half-applied checkpoint behind — same
+                // rule as the server's checkpoint frame.
+                let snapshot = match &sink {
+                    Sink::Plain(sharded) => sharded.snapshot(),
+                    Sink::Tracked(tracker) => tracker.sink().snapshot(),
                 };
                 store
-                    .save(&shard_snaps, &run_line)
+                    .save(std::slice::from_ref(&snapshot), &run_line)
                     .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             }
         }

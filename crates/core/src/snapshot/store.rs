@@ -1,20 +1,14 @@
-//! Pluggable checkpoint stores: one durability contract, three layouts.
+//! Pluggable checkpoint stores: one durability contract, two layouts.
 //!
 //! Every checkpoint writer in the system — `idldp ingest` persisting its
 //! progress, the server's `Checkpoint` frame — used to rewrite one flat
 //! text file per checkpoint: O(domain) bytes even when only a handful of
-//! reports arrived since the last one, and a single-file contention point
-//! on restore. [`SnapshotStore`] abstracts the layout behind a two-method
-//! contract (`save` a set of per-shard snapshots durably, `load` the last
-//! committed state), with three backends:
+//! reports arrived since the last one. [`SnapshotStore`] abstracts the
+//! layout behind a two-method contract (`save` the accumulator's shard
+//! snapshots durably, `load` the last committed state), with two backends:
 //!
 //! - [`FileStore`] — the original single-file atomic format, byte-for-byte
 //!   compatible with checkpoints written before the trait existed.
-//! - [`ShardedStore`] — one file per accumulator shard plus a small
-//!   fsynced manifest written last. The manifest is the commit point:
-//!   shard files of a generation are only live once a manifest naming that
-//!   generation lands, so a crash mid-save leaves the previous generation
-//!   fully intact. Shard files are written and read back in parallel.
 //! - [`DeltaStore`] — a log-structured backend appending only the count
 //!   *deltas* since the previous checkpoint, compacting to a full base
 //!   record every K deltas or when the log outgrows its base by a size
@@ -22,10 +16,12 @@
 //!   cleanly to the last intact record. Steady-state checkpoint cost is
 //!   O(reports since last checkpoint), not O(domain).
 //!
-//! All three backends transparently migrate a v1 flat checkpoint
-//! (`idldp-snapshot v1`) on read, and all of them carry the caller's
-//! run-identity line so a restore can refuse state from a differently
-//! configured run.
+//! Both backends merge the shard snapshots before writing — the exact-merge
+//! law makes every shard split of the counts equivalent, so the split
+//! carries nothing an estimate can see — and a load hands back one
+//! snapshot. Both transparently migrate a v1 flat checkpoint
+//! (`idldp-snapshot v1`) on read, and both carry the caller's run-identity
+//! line so a restore can refuse state from a differently configured run.
 
 use super::{write_checkpoint_atomic, AccumulatorSnapshot};
 use std::fmt;
@@ -33,28 +29,25 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Which [`SnapshotStore`] backend to open. Parses from / displays as the
-/// CLI flag values `file`, `sharded`, and `delta`.
+/// CLI flag values `file` and `delta`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreKind {
     /// Single flat file, rewritten whole and atomically each checkpoint.
     #[default]
     File,
-    /// One file per accumulator shard + an fsynced manifest committed last.
-    Sharded,
     /// Append-only delta log with periodic compaction.
     Delta,
 }
 
 impl StoreKind {
     /// Every backend, in CLI-flag order — handy for conformance loops.
-    pub const ALL: [StoreKind; 3] = [StoreKind::File, StoreKind::Sharded, StoreKind::Delta];
+    pub const ALL: [StoreKind; 2] = [StoreKind::File, StoreKind::Delta];
 }
 
 impl fmt::Display for StoreKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             StoreKind::File => "file",
-            StoreKind::Sharded => "sharded",
             StoreKind::Delta => "delta",
         })
     }
@@ -66,10 +59,9 @@ impl std::str::FromStr for StoreKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "file" => Ok(StoreKind::File),
-            "sharded" => Ok(StoreKind::Sharded),
             "delta" => Ok(StoreKind::Delta),
             other => Err(format!(
-                "unknown checkpoint store `{other}` (expected file, sharded, or delta)"
+                "unknown checkpoint store `{other}` (expected file or delta)"
             )),
         }
     }
@@ -81,7 +73,7 @@ pub enum StoreError {
     /// The filesystem said no (permissions, full disk, vanished file).
     Io(std::io::Error),
     /// The on-disk state exists but cannot be trusted: bad header, digest
-    /// mismatch, a manifest referencing missing shard files, and so on.
+    /// mismatch, a file in another format, and so on.
     Corrupt(String),
 }
 
@@ -109,40 +101,19 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// What a successful [`SnapshotStore::load`] hands back: one or more
-/// equal-width shard snapshots (stores that persist a single merged state
-/// return exactly one) plus the run-identity line the checkpoint was
-/// stamped with, if any.
+/// What a successful [`SnapshotStore::load`] hands back: the merged
+/// snapshot plus the run-identity line the checkpoint was stamped with, if
+/// any.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RestoredCheckpoint {
-    shards: Vec<AccumulatorSnapshot>,
+    snapshot: AccumulatorSnapshot,
     run_line: Option<String>,
 }
 
 impl RestoredCheckpoint {
-    /// Builds a restored checkpoint, validating the invariants `load`
-    /// promises (at least one shard, all widths equal).
-    fn checked(
-        shards: Vec<AccumulatorSnapshot>,
-        run_line: Option<String>,
-    ) -> Result<Self, StoreError> {
-        let Some(first) = shards.first() else {
-            return Err(StoreError::Corrupt(
-                "restored checkpoint has no shards".into(),
-            ));
-        };
-        let width = first.report_len();
-        if shards.iter().any(|s| s.report_len() != width) {
-            return Err(StoreError::Corrupt(
-                "restored shard snapshots disagree on report width".into(),
-            ));
-        }
-        Ok(Self { shards, run_line })
-    }
-
-    /// The per-shard snapshots, all of one report width, at least one.
-    pub fn shards(&self) -> &[AccumulatorSnapshot] {
-        &self.shards
+    /// The restored counts and user total.
+    pub fn snapshot(&self) -> &AccumulatorSnapshot {
+        &self.snapshot
     }
 
     /// The run-identity line (`run ...`) the checkpoint carries, if any.
@@ -150,21 +121,14 @@ impl RestoredCheckpoint {
         self.run_line.as_deref()
     }
 
-    /// Total users across all shards.
+    /// Users the checkpoint covers.
     pub fn num_users(&self) -> u64 {
-        self.shards.iter().map(AccumulatorSnapshot::num_users).sum()
+        self.snapshot.num_users()
     }
 
-    /// All shards merged into one snapshot. Exact in any order — counts
-    /// are integers — and infallible because `load` validated the widths.
+    /// An owned copy of [`Self::snapshot`].
     pub fn merged(&self) -> AccumulatorSnapshot {
-        let mut merged = self.shards[0].clone();
-        for shard in &self.shards[1..] {
-            merged
-                .merge(shard)
-                .expect("load validated equal shard widths");
-        }
-        merged
+        self.snapshot.clone()
     }
 }
 
@@ -178,8 +142,7 @@ pub trait SnapshotStore: Send {
     /// Which backend this is.
     fn kind(&self) -> StoreKind;
 
-    /// The primary path the store commits at (backends may keep sibling
-    /// files next to it, named by suffixing this path).
+    /// The path the store commits at.
     fn path(&self) -> &Path;
 
     /// Reads the last committed checkpoint, if any. All backends accept a
@@ -192,11 +155,11 @@ pub trait SnapshotStore: Send {
     /// when on-disk state exists but cannot be restored.
     fn load(&mut self) -> Result<Option<RestoredCheckpoint>, StoreError>;
 
-    /// Durably commits the given per-shard snapshots, stamped with
-    /// `run_line` (pass `""` for no stamp). Callers pass snapshots whose
-    /// counts only ever grow between saves; a shrinking count or width
-    /// change is handled (stores fall back to a full rewrite) but defeats
-    /// the delta backend's incrementality.
+    /// Merges the given shard snapshots and durably commits the result,
+    /// stamped with `run_line` (pass `""` for no stamp). Callers pass
+    /// snapshots whose counts only ever grow between saves; a shrinking
+    /// count or width change is handled (stores fall back to a full
+    /// rewrite) but defeats the delta backend's incrementality.
     ///
     /// # Errors
     /// [`StoreError::Io`] on filesystem failure; [`StoreError::Corrupt`]
@@ -208,7 +171,6 @@ pub trait SnapshotStore: Send {
 pub fn open_store(kind: StoreKind, path: impl Into<PathBuf>) -> Box<dyn SnapshotStore> {
     match kind {
         StoreKind::File => Box::new(FileStore::new(path)),
-        StoreKind::Sharded => Box::new(ShardedStore::new(path)),
         StoreKind::Delta => Box::new(DeltaStore::new(path)),
     }
 }
@@ -237,33 +199,6 @@ fn seal(mut body: String) -> String {
     let digest = fnv1a(body.as_bytes());
     writeln!(body, "check {digest:016x}").expect("writing to String cannot fail");
     body
-}
-
-/// Verifies that `text` ends with a `check` line sealing everything before
-/// it, returning the body. The inverse of [`seal`].
-fn unseal(text: &str) -> Result<&str, String> {
-    let trimmed = text
-        .strip_suffix('\n')
-        .ok_or("missing trailing newline (truncated file?)")?;
-    let (body_end, check_line) = match trimmed.rfind('\n') {
-        Some(i) => (i + 1, &trimmed[i + 1..]),
-        None => (0, trimmed),
-    };
-    let want = check_line
-        .strip_prefix("check ")
-        .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
-        .ok_or_else(|| format!("bad check line `{check_line}`"))?;
-    let body = &text[..body_end];
-    if fnv1a(body.as_bytes()) != want {
-        return Err("digest mismatch (truncated or edited file?)".into());
-    }
-    Ok(body)
-}
-
-fn parse_prefixed_u64(line: &str, prefix: &str) -> Result<u64, String> {
-    line.strip_prefix(prefix)
-        .and_then(|v| v.trim().parse().ok())
-        .ok_or_else(|| format!("bad `{}` line `{line}`", prefix.trim()))
 }
 
 fn parse_counts_line(line: &str) -> Result<Vec<u64>, String> {
@@ -296,27 +231,19 @@ fn find_run_line(text: &str) -> Option<String> {
         .map(str::to_owned)
 }
 
-fn validate_save_args(shards: &[AccumulatorSnapshot]) -> Result<usize, StoreError> {
-    let Some(first) = shards.first() else {
-        return Err(StoreError::Corrupt("save called with no shards".into()));
-    };
-    let width = first.report_len();
-    if shards.iter().any(|s| s.report_len() != width) {
-        return Err(StoreError::Corrupt(
-            "save called with shards of differing report widths".into(),
-        ));
-    }
-    Ok(width)
-}
-
-fn merge_all(shards: &[AccumulatorSnapshot]) -> AccumulatorSnapshot {
-    let mut merged = shards[0].clone();
-    for shard in &shards[1..] {
+/// Merges the shard snapshots a `save` was handed into the one snapshot
+/// both backends persist.
+fn merge_shards(shards: &[AccumulatorSnapshot]) -> Result<AccumulatorSnapshot, StoreError> {
+    let (first, rest) = shards
+        .split_first()
+        .ok_or_else(|| StoreError::Corrupt("save called with no shards".into()))?;
+    let mut merged = first.clone();
+    for shard in rest {
         merged
             .merge(shard)
-            .expect("save validated equal shard widths");
+            .map_err(|e| StoreError::Corrupt(format!("save called with unequal shards: {e}")))?;
     }
-    merged
+    Ok(merged)
 }
 
 /// Parses a v1 flat checkpoint (`idldp-snapshot v1` + optional trailing
@@ -324,7 +251,10 @@ fn merge_all(shards: &[AccumulatorSnapshot]) -> AccumulatorSnapshot {
 fn load_v1_flat(text: &str) -> Result<RestoredCheckpoint, StoreError> {
     let snap = AccumulatorSnapshot::from_checkpoint_str(text)
         .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    RestoredCheckpoint::checked(vec![snap], find_run_line(text))
+    Ok(RestoredCheckpoint {
+        snapshot: snap,
+        run_line: find_run_line(text),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -366,368 +296,9 @@ impl SnapshotStore for FileStore {
     }
 
     fn save(&mut self, shards: &[AccumulatorSnapshot], run_line: &str) -> Result<(), StoreError> {
-        validate_save_args(shards)?;
-        let mut payload = merge_all(shards).to_checkpoint_string();
+        let mut payload = merge_shards(shards)?.to_checkpoint_string();
         push_run_line(&mut payload, run_line);
         write_checkpoint_atomic(&self.path, &payload).map_err(StoreError::Io)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedStore
-
-/// How many files a parallel shard write/read touches at once.
-const SHARD_IO_WORKERS: usize = 8;
-
-/// Backend #2: one file per accumulator shard plus a manifest.
-///
-/// A save of generation `g` first writes and fsyncs
-/// `<path>.g<g>.s<i>` for every shard `i` (in parallel, up to
-/// `SHARD_IO_WORKERS` files at a time), then atomically installs the
-/// manifest at `<path>` naming `g`. **The manifest rename is the commit
-/// point**: until it lands, a reader still sees the previous generation's
-/// manifest and files, so partially written new-generation shard files are
-/// invisible. After commit, stale generations are deleted best-effort.
-///
-/// If the manifest is missing or unreadable, `load` falls back to scanning
-/// sibling shard files for the newest generation whose set is complete and
-/// digest-clean — so even "the manifest vanished" degrades to the last
-/// committed generation rather than data loss.
-#[derive(Debug)]
-pub struct ShardedStore {
-    path: PathBuf,
-    /// Highest generation known to exist on disk (committed or partial);
-    /// the next save uses `gen + 1` so it can never collide with debris
-    /// from a crashed writer.
-    gen: u64,
-    synced: bool,
-}
-
-struct Manifest {
-    gen: u64,
-    shards: usize,
-    users: u64,
-    run_line: Option<String>,
-}
-
-struct ShardFile {
-    gen: u64,
-    idx: usize,
-    of: usize,
-    snapshot: AccumulatorSnapshot,
-    run_line: Option<String>,
-}
-
-impl ShardedStore {
-    /// A sharded store with its manifest at `path`.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            gen: 0,
-            synced: false,
-        }
-    }
-
-    fn shard_path(&self, gen: u64, idx: usize) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(format!(".g{gen}.s{idx}"));
-        PathBuf::from(name)
-    }
-
-    /// Every sibling file matching our `<path>.g<gen>.s<idx>` naming.
-    fn list_shard_files(&self) -> Vec<(u64, usize, PathBuf)> {
-        let Some(stem) = self
-            .path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-        else {
-            return Vec::new();
-        };
-        let prefix = format!("{stem}.g");
-        let dir = self
-            .path
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .unwrap_or(Path::new("."));
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return Vec::new();
-        };
-        entries
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                let rest = name.strip_prefix(&prefix)?;
-                let (gen_s, idx_s) = rest.split_once(".s")?;
-                Some((gen_s.parse().ok()?, idx_s.parse().ok()?, e.path()))
-            })
-            .collect()
-    }
-
-    /// The highest generation any on-disk state mentions, so a fresh
-    /// writer never reuses a generation number that already has files.
-    fn probe_disk_gen(&self) -> u64 {
-        let mut max = 0;
-        if let Ok(text) = std::fs::read_to_string(&self.path) {
-            if let Ok(manifest) = parse_manifest(&text) {
-                max = max.max(manifest.gen);
-            }
-        }
-        for (gen, _, _) in self.list_shard_files() {
-            max = max.max(gen);
-        }
-        max
-    }
-
-    fn write_shard_files(
-        &self,
-        gen: u64,
-        shards: &[AccumulatorSnapshot],
-        run_line: &str,
-    ) -> Result<(), StoreError> {
-        let n = shards.len();
-        let workers = n.min(SHARD_IO_WORKERS);
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (w, part) in shards.chunks(chunk).enumerate() {
-                let base = w * chunk;
-                handles.push(scope.spawn(move || -> std::io::Result<()> {
-                    for (j, snap) in part.iter().enumerate() {
-                        let i = base + j;
-                        let mut body = format!(
-                            "idldp-shard v1\ngen {gen}\nshard {i} of {n}\nusers {}\n",
-                            snap.num_users()
-                        );
-                        push_counts_line(&mut body, snap.counts());
-                        push_run_line(&mut body, run_line);
-                        let sealed = seal(body);
-                        let path = self.shard_path(gen, i);
-                        let mut file = std::fs::File::create(&path)?;
-                        file.write_all(sealed.as_bytes())?;
-                        // Shard data must be durable before the manifest
-                        // commit can reference it.
-                        file.sync_all()?;
-                    }
-                    Ok(())
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("shard writer panicked")?;
-            }
-            Ok(())
-        })
-        .map_err(StoreError::Io)
-    }
-
-    /// Reads the `n` shard files of a committed generation in parallel.
-    fn read_generation(&self, gen: u64, n: usize) -> Result<Vec<AccumulatorSnapshot>, StoreError> {
-        let workers = n.min(SHARD_IO_WORKERS);
-        let chunk = n.div_ceil(workers);
-        let mut slots: Vec<Option<AccumulatorSnapshot>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| -> Result<(), StoreError> {
-            let mut handles = Vec::new();
-            for (w, out) in slots.chunks_mut(chunk).enumerate() {
-                let base = w * chunk;
-                handles.push(scope.spawn(move || -> Result<(), String> {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        let i = base + j;
-                        let path = self.shard_path(gen, i);
-                        let text = std::fs::read_to_string(&path)
-                            .map_err(|e| format!("shard file `{}`: {e}", path.display()))?;
-                        let shard = parse_shard_file(&text)
-                            .map_err(|e| format!("shard file `{}`: {e}", path.display()))?;
-                        if shard.gen != gen || shard.idx != i || shard.of != n {
-                            return Err(format!(
-                                "shard file `{}` header disagrees with the manifest",
-                                path.display()
-                            ));
-                        }
-                        *slot = Some(shard.snapshot);
-                    }
-                    Ok(())
-                }));
-            }
-            for handle in handles {
-                handle
-                    .join()
-                    .expect("shard reader panicked")
-                    .map_err(StoreError::Corrupt)?;
-            }
-            Ok(())
-        })?;
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled by its reader"))
-            .collect())
-    }
-
-    /// Recovery scan when the manifest is missing or unreadable: newest
-    /// generation whose shard file set is complete and digest-clean wins.
-    fn scan_for_complete_generation(&self) -> Option<RestoredCheckpoint> {
-        let mut gens: Vec<u64> = self.list_shard_files().iter().map(|f| f.0).collect();
-        gens.sort_unstable();
-        gens.dedup();
-        for gen in gens.into_iter().rev() {
-            if let Some(restored) = self.try_read_generation(gen) {
-                return Some(restored);
-            }
-        }
-        None
-    }
-
-    fn try_read_generation(&self, gen: u64) -> Option<RestoredCheckpoint> {
-        let text = std::fs::read_to_string(self.shard_path(gen, 0)).ok()?;
-        let first = parse_shard_file(&text).ok()?;
-        if first.gen != gen || first.idx != 0 || first.of == 0 {
-            return None;
-        }
-        let n = first.of;
-        let run_line = first.run_line.clone();
-        let mut shards = vec![first.snapshot];
-        for i in 1..n {
-            let text = std::fs::read_to_string(self.shard_path(gen, i)).ok()?;
-            let shard = parse_shard_file(&text).ok()?;
-            if shard.gen != gen || shard.idx != i || shard.of != n {
-                return None;
-            }
-            shards.push(shard.snapshot);
-        }
-        RestoredCheckpoint::checked(shards, run_line).ok()
-    }
-
-    /// Deletes shard files from generations other than the current one
-    /// (best-effort: a failure just leaves debris a later save retries).
-    fn remove_stale_generations(&self) {
-        for (gen, _, path) in self.list_shard_files() {
-            if gen != self.gen {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-}
-
-fn parse_manifest(text: &str) -> Result<Manifest, String> {
-    let body = unseal(text)?;
-    let mut lines = body.lines();
-    let header = lines.next().ok_or("empty manifest")?;
-    if header != "idldp-manifest v1" {
-        return Err(format!("unsupported manifest header `{header}`"));
-    }
-    let gen = parse_prefixed_u64(lines.next().ok_or("missing gen line")?, "gen ")?;
-    let shards = parse_prefixed_u64(lines.next().ok_or("missing shards line")?, "shards ")?;
-    let users = parse_prefixed_u64(lines.next().ok_or("missing users line")?, "users ")?;
-    if shards == 0 {
-        return Err("manifest names zero shards".into());
-    }
-    let run_line = find_run_line(body);
-    Ok(Manifest {
-        gen,
-        shards: usize::try_from(shards).map_err(|_| "shard count overflows usize")?,
-        users,
-        run_line,
-    })
-}
-
-fn parse_shard_file(text: &str) -> Result<ShardFile, String> {
-    let body = unseal(text)?;
-    let mut lines = body.lines();
-    let header = lines.next().ok_or("empty shard file")?;
-    if header != "idldp-shard v1" {
-        return Err(format!("unsupported shard header `{header}`"));
-    }
-    let gen = parse_prefixed_u64(lines.next().ok_or("missing gen line")?, "gen ")?;
-    let shard_line = lines.next().ok_or("missing shard line")?;
-    let (idx, of) = shard_line
-        .strip_prefix("shard ")
-        .and_then(|rest| rest.split_once(" of "))
-        .and_then(|(i, n)| Some((i.trim().parse().ok()?, n.trim().parse().ok()?)))
-        .ok_or_else(|| format!("bad shard line `{shard_line}`"))?;
-    let users = parse_prefixed_u64(lines.next().ok_or("missing users line")?, "users ")?;
-    let counts = parse_counts_line(lines.next().ok_or("missing counts line")?)?;
-    let snapshot = AccumulatorSnapshot::new(counts, users).map_err(|e| e.to_string())?;
-    Ok(ShardFile {
-        gen,
-        idx,
-        of,
-        snapshot,
-        run_line: find_run_line(body),
-    })
-}
-
-impl SnapshotStore for ShardedStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::Sharded
-    }
-
-    fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn load(&mut self) -> Result<Option<RestoredCheckpoint>, StoreError> {
-        self.gen = self.probe_disk_gen();
-        self.synced = true;
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // No manifest: either nothing was ever committed here, or
-                // the manifest was lost. A complete shard generation still
-                // restores; otherwise there is no committed checkpoint.
-                return Ok(self.scan_for_complete_generation());
-            }
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        if text.starts_with("idldp-snapshot ") {
-            // v1 flat checkpoint at our manifest path: migrate on read.
-            return load_v1_flat(&text).map(Some);
-        }
-        match parse_manifest(&text) {
-            Ok(manifest) => {
-                let shards = self.read_generation(manifest.gen, manifest.shards)?;
-                let restored = RestoredCheckpoint::checked(shards, manifest.run_line)?;
-                if restored.num_users() != manifest.users {
-                    return Err(StoreError::Corrupt(format!(
-                        "manifest says {} users but shard files sum to {}",
-                        manifest.users,
-                        restored.num_users()
-                    )));
-                }
-                Ok(Some(restored))
-            }
-            Err(detail) => {
-                // Torn or garbled manifest: fall back to the newest
-                // complete generation; if none survives, surface the
-                // damage instead of silently starting empty.
-                self.scan_for_complete_generation()
-                    .map(Some)
-                    .ok_or_else(|| {
-                        StoreError::Corrupt(format!(
-                            "checkpoint manifest unreadable ({detail}) and no complete shard \
-                         generation found beside it"
-                        ))
-                    })
-            }
-        }
-    }
-
-    fn save(&mut self, shards: &[AccumulatorSnapshot], run_line: &str) -> Result<(), StoreError> {
-        validate_save_args(shards)?;
-        if !self.synced {
-            self.gen = self.probe_disk_gen();
-            self.synced = true;
-        }
-        let gen = self.gen + 1;
-        self.write_shard_files(gen, shards, run_line)?;
-        let users: u64 = shards.iter().map(AccumulatorSnapshot::num_users).sum();
-        let mut body = format!(
-            "idldp-manifest v1\ngen {gen}\nshards {}\nusers {users}\n",
-            shards.len()
-        );
-        push_run_line(&mut body, run_line);
-        // Commit point: the manifest rename makes generation `gen` live.
-        write_checkpoint_atomic(&self.path, &seal(body))?;
-        self.gen = gen;
-        self.remove_stale_generations();
-        Ok(())
     }
 }
 
@@ -742,7 +313,7 @@ pub const DELTA_COMPACT_EVERY: u64 = 64;
 /// multiple of its base record's size.
 pub const DELTA_SIZE_RATIO: u64 = 4;
 
-/// Backend #3: a log-structured checkpoint.
+/// Backend #2: a log-structured checkpoint.
 ///
 /// The log is a sequence of self-sealed records. A **base** record holds a
 /// full snapshot; a **delta** record holds only the per-bucket count
@@ -958,7 +529,7 @@ impl SnapshotStore for DeltaStore {
             // v1 flat checkpoint: migrate on read, rewrite as a delta-log
             // base record on the next save.
             let restored = load_v1_flat(text)?;
-            self.prev = Some(restored.merged());
+            self.prev = Some(restored.snapshot.clone());
             self.prev_run = restored.run_line.clone();
             self.force_compact = true;
             return Ok(Some(restored));
@@ -1008,18 +579,20 @@ impl SnapshotStore for DeltaStore {
                 let snap = AccumulatorSnapshot::new(counts, users)
                     .map_err(|e| StoreError::Corrupt(e.to_string()))?;
                 self.prev = Some(snap.clone());
-                RestoredCheckpoint::checked(vec![snap], self.prev_run.clone()).map(Some)
+                Ok(Some(RestoredCheckpoint {
+                    snapshot: snap,
+                    run_line: self.prev_run.clone(),
+                }))
             }
             None => Ok(None),
         }
     }
 
     fn save(&mut self, shards: &[AccumulatorSnapshot], run_line: &str) -> Result<(), StoreError> {
-        validate_save_args(shards)?;
+        let merged = merge_shards(shards)?;
         if !self.loaded {
             self.load()?;
         }
-        let merged = merge_all(shards);
         let run = (!run_line.is_empty()).then(|| run_line.to_owned());
         let need_full = self.force_compact
             || match &self.prev {
@@ -1087,6 +660,11 @@ mod tests {
             assert_eq!(kind.to_string().parse::<StoreKind>().unwrap(), kind);
         }
         assert!("zfs".parse::<StoreKind>().is_err());
+        let retired = "sharded".parse::<StoreKind>().unwrap_err();
+        assert!(
+            retired.contains("file") && retired.contains("delta"),
+            "{retired}"
+        );
         assert_eq!(StoreKind::default(), StoreKind::File);
     }
 
@@ -1098,7 +676,7 @@ mod tests {
             snap(&[0, 2, 0], 2),
             snap(&[4, 4, 4], 7),
         ];
-        let merged = merge_all(&shards);
+        let merged = merge_shards(&shards).unwrap();
         for kind in StoreKind::ALL {
             let path = dir.join(format!("{kind}.ckpt"));
             let mut store = open_store(kind, &path);
@@ -1156,38 +734,6 @@ mod tests {
             let again = open_store(kind, &path).load().unwrap().unwrap();
             assert_eq!(again.merged(), grown, "{kind}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_store_restores_across_different_shard_counts() {
-        let dir = test_dir("shardcount");
-        let path = dir.join("s.ckpt");
-        let shards: Vec<AccumulatorSnapshot> =
-            (0..13).map(|i| snap(&[i, 2 * i, 1], i + 1)).collect();
-        ShardedStore::new(&path).save(&shards, "").unwrap();
-        let restored = ShardedStore::new(&path).load().unwrap().unwrap();
-        assert_eq!(restored.shards().len(), 13);
-        assert_eq!(restored.merged(), merge_all(&shards));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_store_save_supersedes_and_cleans_previous_generation() {
-        let dir = test_dir("generations");
-        let path = dir.join("s.ckpt");
-        let mut store = ShardedStore::new(&path);
-        store
-            .save(&[snap(&[1, 1], 2), snap(&[0, 3], 1)], "")
-            .unwrap();
-        store
-            .save(&[snap(&[2, 1], 3), snap(&[0, 4], 2)], "")
-            .unwrap();
-        let restored = ShardedStore::new(&path).load().unwrap().unwrap();
-        assert_eq!(restored.merged(), snap(&[2, 5], 5));
-        // Only the committed generation's files remain beside the manifest.
-        let files = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(files, 3, "manifest + 2 live shard files");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,22 +6,25 @@
 //! happy paths; this suite attacks the commit machinery from the outside,
 //! with the damage a real crash (or operator) leaves behind:
 //!
-//! - **ShardedStore** — the manifest rename is the commit point. A torn or
-//!   garbled manifest, a deleted manifest, and half-written shard files of
-//!   a never-committed next generation must all degrade to the last
-//!   committed generation; only when *nothing* committed survives may the
-//!   store report corruption.
 //! - **DeltaStore** — every record seals itself with a digest, and a
 //!   reload replays the longest intact prefix. A property test truncates
 //!   the log at (and just past) every record boundary and asserts the
 //!   restored state is exactly the checkpoint the surviving records
 //!   describe — and that saving on top of the truncated log (append or
 //!   compaction) round-trips the new state exactly.
+//! - **Foreign formats** — a checkpoint neither backend wrote (here, the
+//!   manifest and shard file of the retired per-shard layout) is
+//!   corruption for both backends and for the server restoring through
+//!   them, never an empty restore that silently drops the counts.
 
-use idldp_core::snapshot::store::{DeltaStore, ShardedStore};
+use idldp_core::budget::Epsilon;
+use idldp_core::snapshot::store::DeltaStore;
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, SnapshotStore, StoreError, StoreKind};
+use idldp_core::ue::UnaryEncoding;
+use idldp_server::{ReportServer, ServerConfig, ServerError};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 const RUN: &str = "run idldp-test mechanism=oue m=4 eps=1";
 
@@ -39,25 +42,8 @@ fn snap(counts: &[u64], users: u64) -> AccumulatorSnapshot {
     AccumulatorSnapshot::new(counts.to_vec(), users).unwrap()
 }
 
-fn shards_a() -> Vec<AccumulatorSnapshot> {
-    vec![snap(&[5, 0, 2, 1], 6), snap(&[1, 3, 0, 4], 5)]
-}
-
-fn shards_b() -> Vec<AccumulatorSnapshot> {
-    vec![snap(&[9, 2, 2, 1], 9), snap(&[1, 3, 1, 7], 8)]
-}
-
-fn merged(shards: &[AccumulatorSnapshot]) -> AccumulatorSnapshot {
-    let mut m = shards[0].clone();
-    for s in &shards[1..] {
-        m.merge(s).unwrap();
-    }
-    m
-}
-
 /// FNV-1a, as the store's sealed records use it — re-derived here so the
-/// tests can forge crash debris (e.g. a digest-clean shard file of a
-/// generation whose manifest never landed).
+/// tests can forge digest-clean files.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -71,131 +57,58 @@ fn sealed(body: &str) -> String {
     format!("{body}check {:016x}\n", fnv1a(body.as_bytes()))
 }
 
-fn shard_path(base: &Path, gen: u64, idx: usize) -> PathBuf {
-    let mut name = base.as_os_str().to_owned();
-    name.push(format!(".g{gen}.s{idx}"));
-    PathBuf::from(name)
-}
-
-#[test]
-fn sharded_torn_manifest_falls_back_to_the_committed_generation() {
-    let dir = test_dir("torn-manifest");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap();
-
-    // The crash: the manifest is damaged after commit (bit rot, or a
-    // non-atomic writer died mid-copy). The shard files are intact.
-    std::fs::write(&path, "idldp-manifest v1\ngen 1\nsha").unwrap();
-
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().expect("committed state survives");
-    assert_eq!(restored.merged(), merged(&shards_a()));
-    assert_eq!(restored.run_line(), Some(RUN));
-
-    // The store stays writable after recovery, and the next load sees the
-    // newly committed state through a clean manifest again.
-    fresh.save(&shards_b(), RUN).unwrap();
-    let again = open_store(StoreKind::Sharded, &path)
-        .load()
-        .unwrap()
-        .unwrap();
-    assert_eq!(again.merged(), merged(&shards_b()));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_missing_manifest_restores_the_newest_complete_generation() {
-    let dir = test_dir("missing-manifest");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap();
-    store.save(&shards_b(), RUN).unwrap();
-
-    // The manifest vanishes entirely; only shard files remain.
-    std::fs::remove_file(&path).unwrap();
-
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().expect("scan finds the shard files");
-    assert_eq!(restored.merged(), merged(&shards_b()));
-    assert_eq!(restored.run_line(), Some(RUN));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_partial_next_generation_is_ignored_and_cleaned_up() {
-    let dir = test_dir("partial-gen");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap(); // generation 1, committed
-
-    // The crash: a writer died after writing one of generation 2's three
-    // shard files, before the manifest rename. The debris is even
-    // digest-clean — only the missing manifest (and missing siblings)
-    // mark it uncommitted.
-    let debris = shard_path(&path, 2, 0);
+/// A checkpoint the retired per-shard store committed at `path`: a sealed
+/// `idldp-manifest v1` naming generation 1, and that generation's one
+/// shard file beside it.
+fn write_retired_sharded_checkpoint(path: &std::path::Path) {
     std::fs::write(
-        &debris,
-        sealed("idldp-shard v1\ngen 2\nshard 0 of 3\nusers 99\ncounts 9 9 9 9\n"),
+        path,
+        sealed(&format!(
+            "idldp-manifest v1\ngen 1\nshards 1\nusers 7\n{RUN}\n"
+        )),
     )
     .unwrap();
-
-    // With the manifest intact, generation 1 restores and the debris is
-    // invisible.
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().unwrap();
-    assert_eq!(restored.merged(), merged(&shards_a()));
-
-    // Even without the manifest, the scan skips the incomplete generation
-    // 2 and restores the complete generation 1.
-    std::fs::remove_file(&path).unwrap();
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().unwrap();
-    assert_eq!(restored.merged(), merged(&shards_a()));
-
-    // The next save must not collide with the debris generation: it picks
-    // a fresh one, commits, and sweeps every stale file — debris included.
-    fresh.save(&shards_b(), RUN).unwrap();
-    let again = open_store(StoreKind::Sharded, &path)
-        .load()
-        .unwrap()
-        .unwrap();
-    assert_eq!(again.merged(), merged(&shards_b()));
-    assert!(!debris.exists(), "committed save sweeps crash debris");
-    std::fs::remove_dir_all(&dir).unwrap();
+    let mut shard = path.as_os_str().to_owned();
+    shard.push(".g1.s0");
+    std::fs::write(
+        shard,
+        sealed(&format!(
+            "idldp-shard v1\ngen 1\nshard 0 of 1\nusers 7\ncounts 3 1 2 4\n{RUN}\n"
+        )),
+    )
+    .unwrap();
 }
 
 #[test]
-fn sharded_corruption_with_no_committed_generation_is_an_error_not_empty() {
-    let dir = test_dir("all-corrupt");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap();
+fn retired_sharded_checkpoint_is_corrupt_not_an_empty_restore() {
+    let dir = test_dir("retired-sharded");
+    for kind in StoreKind::ALL {
+        let path = dir.join(format!("{kind}.ckpt"));
+        write_retired_sharded_checkpoint(&path);
+        match open_store(kind, &path).load() {
+            Err(StoreError::Corrupt(_)) => {}
+            Ok(None) => panic!("{kind}: a retired checkpoint restored as empty"),
+            other => panic!("{kind}: expected Corrupt, got {other:?}"),
+        }
 
-    // Damage the manifest AND one of the shard files: nothing committed
-    // survives. Silently starting empty would be data loss, so this must
-    // surface as corruption.
-    std::fs::write(&path, "garbage\n").unwrap();
-    std::fs::write(shard_path(&path, 1, 1), "idldp-shard v1\ngen 1\nsha").unwrap();
-
-    let err = open_store(StoreKind::Sharded, &path)
-        .load()
-        .expect_err("unrecoverable damage must not read as an empty store");
-    assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_store_struct_is_reachable_directly() {
-    // The concrete type is public API (benches construct it without the
-    // `open_store` indirection); keep the path stable.
-    let dir = test_dir("direct");
-    let path = dir.join("ckpt");
-    let mut store = ShardedStore::new(&path);
-    store.save(&shards_a(), "").unwrap();
-    let restored = store.load().unwrap().unwrap();
-    assert_eq!(restored.run_line(), None);
-    assert_eq!(restored.merged(), merged(&shards_a()));
+        // The server restoring through the same store refuses to start
+        // rather than serving from zero.
+        let mechanism = UnaryEncoding::optimized(Epsilon::new(1.0).unwrap(), 4).unwrap();
+        let config = ServerConfig::builder()
+            .checkpoint_path(path.clone())
+            .checkpoint_store(kind)
+            .build()
+            .unwrap();
+        match ReportServer::start(Arc::new(mechanism), config) {
+            Err(ServerError::Checkpoint(_)) => {}
+            Err(e) => panic!("{kind}: expected a checkpoint error, got {e}"),
+            Ok(server) => {
+                let users = server.num_users();
+                server.shutdown();
+                panic!("{kind}: server started over a retired checkpoint with {users} users");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -362,16 +362,13 @@ pub(crate) fn settle_reply(
         },
         QueryKind::Checkpoint => match &tenant.store {
             Some(store) => {
-                // Per-shard snapshots, no merge: the store decides whether
-                // to persist them separately (sharded backend) or merged
-                // (file and delta backends).
-                let shards = tenant.sink.snapshot_shards();
-                let users = shards.iter().map(|s| s.num_users()).sum();
+                let snapshot = tenant.sink.snapshot();
+                let users = snapshot.num_users();
                 let run_line = tenant.run_line();
                 let mut store = store
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match store.save(&shards, &run_line) {
+                match store.save(std::slice::from_ref(&snapshot), &run_line) {
                     Ok(()) => Frame::CheckpointAck { users },
                     Err(e) => reject(format!("checkpoint write: {e}")),
                 }

@@ -24,7 +24,7 @@
 
 use crate::conn::{self, FrameAction};
 use crate::frame::{Frame, FrameAssembler, FrameError};
-use crate::queue::{IngestQueue, WaitOutcome};
+use crate::queue::IngestQueue;
 use idldp_core::identity::{RunIdentity, TenantId};
 use idldp_core::mechanism::Mechanism;
 use idldp_core::report::Report;
@@ -323,11 +323,9 @@ impl ServerConfigBuilder {
     }
 
     /// Which [`SnapshotStore`] backend persists checkpoints: `file`
-    /// (single atomic rewrite), `sharded` (one file per accumulator
-    /// shard plus an fsynced manifest, parallel write/restore), or
-    /// `delta` (append-only delta log, O(traffic) per checkpoint). Any
-    /// backend transparently restores a checkpoint written by the plain
-    /// file format.
+    /// (single atomic rewrite) or `delta` (append-only delta log,
+    /// O(traffic) per checkpoint). Either backend transparently restores
+    /// a checkpoint written by the plain file format.
     #[must_use]
     pub fn checkpoint_store(mut self, store: StoreKind) -> Self {
         self.config.checkpoint_store = store;
@@ -435,25 +433,6 @@ impl Tenant {
     pub(crate) fn count_fold_failures(&self, reports: u64) {
         self.fold_failures.fetch_add(reports, Ordering::SeqCst);
     }
-
-    /// Waits for everything accepted into this tenant so far to be
-    /// folded, then freezes the merged view.
-    ///
-    /// # Errors
-    /// [`Settle::Shutdown`] when the server closed mid-wait (drop the
-    /// connection), [`Settle::Refuse`] when the wait cannot complete —
-    /// ingest is paused and the watermark needs still-queued reports, so
-    /// blocking would park the connection worker until resume (with every
-    /// worker parked, even the acceptor wedges). The typed refusal keeps
-    /// a paused maintenance window observable instead of hanging clients.
-    pub(crate) fn settled_snapshot(&self) -> Result<AccumulatorSnapshot, Settle> {
-        let watermark = self.queue.watermark();
-        match self.queue.wait_processed(watermark) {
-            WaitOutcome::Reached => Ok(self.sink.snapshot()),
-            WaitOutcome::Paused => Err(Settle::Refuse(conn::PAUSED_MSG.into())),
-            WaitOutcome::Closed => Err(Settle::Shutdown),
-        }
-    }
 }
 
 /// Shared state between the acceptor (or reactor loops), connection
@@ -559,15 +538,6 @@ impl Shared {
 /// server, the coordinator, and the checkpoint stores.
 pub fn run_identity_line(mechanism: &dyn Mechanism, config_stamp: Option<&str>) -> String {
     RunIdentity::for_mechanism(RunIdentity::PRODUCER_SERVE, mechanism, config_stamp).to_string()
-}
-
-/// Why a settled view could not be produced.
-pub(crate) enum Settle {
-    /// The server is shutting down — drop the connection.
-    Shutdown,
-    /// A typed, client-visible reason (paused ingest, oracle failure).
-    #[allow(dead_code)] // carried for symmetry; `snapshot()` discards it
-    Refuse(String),
 }
 
 /// A running ingestion service. Dropping the handle leaks the threads;
@@ -784,7 +754,7 @@ impl ReportServer {
                                 )))
                             }
                         }
-                        sink.restore_shards(restored.shards()).map_err(|e| {
+                        sink.restore(restored.snapshot()).map_err(|e| {
                             ServerError::Checkpoint(format!("{}: {e}", path.display()))
                         })?;
                     }
@@ -866,9 +836,8 @@ impl ReportServer {
     /// remote callers use the `Query` frame.
     pub fn snapshot(&self) -> AccumulatorSnapshot {
         let tenant = &self.shared.tenants[0];
-        tenant
-            .settled_snapshot()
-            .unwrap_or_else(|_| tenant.sink.snapshot())
+        tenant.queue.wait_processed(tenant.queue.watermark());
+        tenant.sink.snapshot()
     }
 
     /// Pauses folding on every tenant: accepted reports stay queued, so

@@ -7,11 +7,10 @@
 //! fresh store, restore into a fresh sink, seek the stream past the
 //! restored users, and stream the rest — then assert the final counts and
 //! oracle estimates are **bit-identical** to a batch
-//! [`SimulationPipeline`] run that never checkpointed at all. Every
-//! backend (`file`, `sharded`, `delta`) must pass, across shard counts,
-//! including restores into a *different* shard count than the one that
-//! saved (the sharded backend persists per-shard files; the merge law
-//! makes any J-way split restorable into any N shards).
+//! [`SimulationPipeline`] run that never checkpointed at all. Both
+//! backends (`file`, `delta`) must pass, across shard counts, including
+//! restores into a *different* shard count than the one that saved (the
+//! merge law makes any J-way split restorable into any N shards).
 //!
 //! The delta backend additionally runs a many-cycle torture loop: a
 //! checkpoint after every chunk with an aggressive compaction schedule,
@@ -121,7 +120,7 @@ fn kill_and_resume_through_every_store_is_bit_identical_to_batch() {
             assert_eq!(restored.run_line(), Some(RUN_LINE), "{label}: run stamp");
             assert_eq!(restored.num_users(), (n / 2) as u64, "{label}");
             let sink = fresh_sink(&mechanism, load_shards);
-            sink.restore_shards(restored.shards()).unwrap();
+            sink.restore(restored.snapshot()).unwrap();
             stream_range(&mechanism, inputs, &sink, n / 2, n);
 
             let streamed = sink.snapshot();
@@ -176,7 +175,7 @@ fn delta_log_survives_many_kill_resume_cycles_across_compactions() {
         let sink = fresh_sink(&mechanism, 4);
         if let Some(restored) = restored {
             assert_eq!(restored.run_line(), Some(RUN_LINE));
-            sink.restore_shards(restored.shards()).unwrap();
+            sink.restore(restored.snapshot()).unwrap();
         }
         let to = if lifetime == lifetimes - 1 {
             n

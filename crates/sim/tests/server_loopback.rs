@@ -479,8 +479,7 @@ fn checkpoint_restart_resumes_bit_identically_over_tcp() {
 
     // Every checkpoint backend × every connection engine: write → kill →
     // restore → resume must be bit-identical regardless of whether the
-    // checkpoint was one flat file, per-shard files behind a manifest, or
-    // an appended delta log.
+    // checkpoint was one flat file or an appended delta log.
     for store in StoreKind::ALL {
         for engine in engines() {
             let label = format!("{store}/{engine}");

@@ -158,58 +158,11 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
     }
 
     /// Freezes every shard separately — one snapshot per shard, no merge.
-    /// This is what a sharded checkpoint store persists: each shard's
-    /// state can be written (and later restored) in parallel, and the
-    /// exact-merge law guarantees the merged view of the parts equals
-    /// [`Self::snapshot`] of the whole.
+    /// The exact-merge law guarantees the merged view of the parts equals
+    /// [`Self::snapshot`] of the whole, so a checkpoint store may merge
+    /// them and a restore lands the sum in any shard count.
     pub fn snapshot_shards(&self) -> Vec<AccumulatorSnapshot> {
         self.shards.iter().map(|s| s.lock().snapshot()).collect()
-    }
-
-    /// Restores per-shard checkpoint state into an **empty** sharding.
-    ///
-    /// The shard counts need not match the count at save time: snapshot
-    /// `j` lands in shard `j % num_shards` (colliding snapshots merge —
-    /// exact, by the merge law), so a checkpoint taken at any sharding
-    /// restores into any other, and recovery no longer funnels everything
-    /// through shard 0.
-    ///
-    /// # Errors
-    /// Returns an error if `snapshots` is empty, any width differs from
-    /// [`Self::report_len`], or any shard already holds users (restoring
-    /// over live counts would double-count).
-    pub fn restore_shards(&self, snapshots: &[AccumulatorSnapshot]) -> Result<()> {
-        if snapshots.is_empty() {
-            return Err(Error::Empty {
-                what: "restored shard snapshots".into(),
-            });
-        }
-        let width = self.report_len();
-        if let Some(bad) = snapshots.iter().find(|s| s.report_len() != width) {
-            return Err(Error::DimensionMismatch {
-                what: "restored snapshot width".into(),
-                expected: width,
-                actual: bad.report_len(),
-            });
-        }
-        if self.num_users() != 0 {
-            return Err(Error::ParameterOrdering {
-                detail: "restore requires empty shards (counts already present)".into(),
-            });
-        }
-        let n = self.shards.len();
-        for (j, group) in self.shards.iter().enumerate().take(snapshots.len()) {
-            let mut shard = group.lock();
-            let mut merged: Option<AccumulatorSnapshot> = None;
-            for snapshot in snapshots.iter().skip(j).step_by(n) {
-                match merged.as_mut() {
-                    None => merged = Some(snapshot.clone()),
-                    Some(m) => m.merge(snapshot).expect("widths validated above"),
-                }
-            }
-            shard.restore(&merged.expect("j < snapshots.len() yields at least one"))?;
-        }
-        Ok(())
     }
 
     /// Consumes the sharding, returning one fully merged accumulator.
@@ -344,6 +297,10 @@ mod tests {
         assert_eq!(snap.num_users(), 13);
         // Restoring over live counts is refused.
         assert!(sharded.restore(&checkpoint).is_err());
+        // So is a snapshot of another width.
+        let fresh = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
+        let wrong = AccumulatorSnapshot::new(vec![1, 2, 3], 1).unwrap();
+        assert!(fresh.restore(&wrong).is_err());
     }
 
     #[test]
@@ -356,30 +313,20 @@ mod tests {
         let want = source.snapshot();
         let parts = source.snapshot_shards();
         assert_eq!(parts.len(), 5);
-        // A 5-way split restores into 1, 3, 5, or 8 shards — merged views
-        // identical by the exact-merge law.
+        // The merged 5-way split restores into 1, 3, 5, or 8 shards —
+        // views identical by the exact-merge law.
+        let mut merged = parts[0].clone();
+        for part in &parts[1..] {
+            merged.merge(part).unwrap();
+        }
         for shards in [1, 3, 5, 8] {
             let target = ShardedAccumulator::new(BitReportAccumulator::new(3), shards);
-            target.restore_shards(&parts).unwrap();
+            target.restore(&merged).unwrap();
             assert_eq!(target.snapshot(), want, "restore into {shards} shards");
             // The restored sharding keeps accepting reports.
             target.push(Report::Bits(&[1, 1, 1])).unwrap();
             assert_eq!(target.num_users(), want.num_users() + 1);
         }
-    }
-
-    #[test]
-    fn restore_shards_rejects_bad_input() {
-        let target = ShardedAccumulator::new(BitReportAccumulator::new(2), 2);
-        assert!(target.restore_shards(&[]).is_err(), "empty snapshot list");
-        let wrong = AccumulatorSnapshot::new(vec![1, 2, 3], 1).unwrap();
-        assert!(target.restore_shards(&[wrong]).is_err(), "width mismatch");
-        target.push(Report::Bits(&[1, 0])).unwrap();
-        let ok = AccumulatorSnapshot::new(vec![1, 2], 3).unwrap();
-        assert!(
-            target.restore_shards(&[ok]).is_err(),
-            "live counts refuse a restore"
-        );
     }
 
     #[test]

@@ -1,11 +1,19 @@
 //! Integration: the paper's concrete numerical claims.
 //!
 //! Table II values, the Lemma 1 sandwich, Theorem 4's exhaustive validity,
-//! and the opt-model dominance ordering the evaluation section relies on.
+//! the opt-model dominance ordering the evaluation section relies on, and
+//! the utility claims `examples/medical_survey.rs` and
+//! `examples/clickstream_sets.rs` print, run at the examples' seeds, budget
+//! schemes and aggregate mode.
 
 use idldp::prelude::*;
 use idldp_core::relations;
+use idldp_data::budgets::BudgetScheme;
+use idldp_data::kosarak::{generate, KosarakConfig};
+use idldp_data::synthetic;
+use idldp_num::rng::stream_rng;
 use idldp_opt::worst_case_objective;
+use idldp_sim::SimulationMode;
 
 fn toy_levels() -> LevelPartition {
     LevelPartition::new(
@@ -195,5 +203,89 @@ fn sequential_composition_theorem2_numeric() {
                 "pair ({i},{j}): composed {composed} vs allowed {allowed}"
             );
         }
+    }
+}
+
+/// How far `mse` sits below `baseline`, as a fraction of the baseline.
+fn reduction(mse: f64, baseline: f64) -> f64 {
+    1.0 - mse / baseline
+}
+
+#[test]
+fn idue_beats_oue_and_rappor_on_the_medical_survey() {
+    // examples/medical_survey.rs: power-law frequencies over 200
+    // conditions, paper-default budget levels, IDUE under MinID-LDP
+    // against baselines that run everything at the strictest budget.
+    let seed = 7_u64;
+    let m = 200;
+    let dataset = synthetic::power_law_with(&mut stream_rng(seed, 0), 100_000, m, 2.0);
+    let specs = [
+        MechanismSpec::Rappor,
+        MechanismSpec::Oue,
+        MechanismSpec::Idue(Model::Opt0),
+        MechanismSpec::Idue(Model::Opt1),
+    ];
+    for eps in [0.5_f64, 1.0, 2.0] {
+        let levels = BudgetScheme::paper_default()
+            .assign(m, Epsilon::new(eps).unwrap(), &mut stream_rng(seed, 1))
+            .unwrap();
+        let results = SingleItemExperiment::new(&dataset, levels, 10, seed)
+            .with_mode(SimulationMode::Aggregate)
+            .run(&specs)
+            .unwrap();
+        let rappor = results[0].empirical_mse;
+        let oue = results[1].empirical_mse;
+        for idue in &results[2..] {
+            let mse = idue.empirical_mse;
+            assert!(
+                reduction(mse, oue) >= 0.10,
+                "eps {eps}: {} total MSE {mse} is not 10% below OUE {oue}",
+                idue.name
+            );
+            assert!(
+                reduction(mse, rappor) >= 0.10,
+                "eps {eps}: {} total MSE {mse} is not 10% below RAPPOR {rappor}",
+                idue.name
+            );
+        }
+    }
+}
+
+#[test]
+fn idue_ps_beats_the_ps_baselines_on_clickstream_sets() {
+    // examples/clickstream_sets.rs: Kosarak-like click sets, base budget
+    // 1.5, padding at the 90th-percentile set size.
+    let seed = 11_u64;
+    let config = KosarakConfig {
+        users: 50_000,
+        pages: 500,
+        mean_set_size: 6.0,
+        zipf_exponent: 1.2,
+        max_set_size: 60,
+    };
+    let dataset = generate(&mut stream_rng(seed, 0), &config);
+    let levels = BudgetScheme::paper_default()
+        .assign(
+            dataset.domain_size(),
+            Epsilon::new(1.5).unwrap(),
+            &mut stream_rng(seed, 1),
+        )
+        .unwrap();
+    let padding = dataset.percentile_set_size(0.9).max(1);
+    let results = ItemSetExperiment::new(&dataset, levels, padding, 5, seed)
+        .with_mode(SimulationMode::Aggregate)
+        .run(&[
+            MechanismSpec::Rappor,
+            MechanismSpec::Oue,
+            MechanismSpec::Idue(Model::Opt0),
+        ])
+        .unwrap();
+    let idue_ps = results[2].empirical_mse;
+    for (baseline, name) in results[..2].iter().zip(["RAPPOR-PS", "OUE-PS"]) {
+        let base = baseline.empirical_mse;
+        assert!(
+            reduction(idue_ps, base) >= 0.20,
+            "IDUE-PS total MSE {idue_ps} is not 20% below {name} {base}"
+        );
     }
 }
