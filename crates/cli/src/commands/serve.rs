@@ -25,13 +25,10 @@
 //! tracks traffic instead of domain size. Both backends restore v1 flat
 //! checkpoints transparently.
 //!
-//! `--engine {blocking,reactor}` picks the connection engine: `blocking`
-//! (the default) spawns a worker thread per live connection behind a
-//! rendezvous acceptor; `reactor` multiplexes every connection onto
-//! `--workers` readiness event loops, so thousands of mostly-idle clients
-//! cost registrations instead of threads. The wire protocol and every
-//! reply byte are identical under both. `--idle-timeout-ms N` reaps a
-//! connection that completes no frame for `N` ms (`0` disables reaping).
+//! Every connection is multiplexed onto `--workers` readiness event
+//! loops, so thousands of mostly-idle clients cost registrations instead
+//! of threads. `--idle-timeout-ms N` reaps a connection that completes no
+//! frame for `N` ms (`0` disables reaping).
 //!
 //! `--tenants NAME=MECH:M:EPS:SEED,...` hosts additional fully
 //! independent streams alongside the default one — per-tenant
@@ -44,7 +41,7 @@
 use crate::args::CliArgs;
 use idldp_core::identity::TenantId;
 use idldp_core::mechanism::Mechanism;
-use idldp_server::{ConnectionEngine, ReportServer, ServerConfig, TenantConfig};
+use idldp_server::{ReportServer, ServerConfig, TenantConfig};
 use idldp_sim::{BuildContext, MechanismRegistry};
 use std::io::Write;
 use std::sync::Arc;
@@ -135,12 +132,6 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     let queue_capacity: usize = args.parse_or("queue-capacity", 65_536)?;
     let ingest_workers: usize = args.parse_or("ingest-workers", 2)?;
     let workers: usize = args.parse_or("workers", 4)?;
-    let engine = match args.get("engine") {
-        None => ConnectionEngine::default(),
-        Some(v) => v
-            .parse::<ConnectionEngine>()
-            .map_err(|e| format!("flag --engine: {e}"))?,
-    };
     let idle_timeout_ms: u64 = args.parse_or("idle-timeout-ms", 60_000)?;
     let checkpoint = args.get("checkpoint");
     let checkpoint_store = args
@@ -162,7 +153,6 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         .queue_capacity(queue_capacity)
         .ingest_workers(ingest_workers)
         .connection_workers(workers)
-        .engine(engine)
         // `0` disables reaping; anything else is the per-frame deadline.
         .idle_timeout((idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)))
         .checkpoint_store(checkpoint_store)
@@ -183,8 +173,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
 
     println!(
         "serve: mechanism = {mechanism_name} ({} reports, width {}), m = {m}, eps = {eps}, \
-         shards = {shards}, queue = {queue_capacity}, workers = {workers}+{ingest_workers}, \
-         engine = {engine}",
+         shards = {shards}, queue = {queue_capacity}, workers = {workers}+{ingest_workers}",
         mechanism.report_shape().label(),
         mechanism.report_len()
     );
@@ -203,7 +192,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     // flush past the pipe's block buffering before parking forever.
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 
-    // The listener, worker pool, and ingest threads do all the work; this
+    // The event loops and ingest threads do all the work; this
     // thread only keeps the process alive until it is killed.
     loop {
         std::thread::park();

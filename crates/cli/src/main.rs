@@ -89,15 +89,15 @@ USAGE:
   idldp serve    --mechanism NAME --m M --eps E [--port P] [--host H]
                  [--seed S] [--shards S] [--queue-capacity Q]
                  [--workers W] [--ingest-workers I] [--checkpoint FILE]
-                 [--engine blocking|reactor] [--idle-timeout-ms N]
+                 [--idle-timeout-ms N]
                  [--tenants NAME=MECH:M:EPS:SEED,..] [--tenants-file FILE]
       run the networked ingestion service: accept framed compact-wire
       report batches over TCP with bounded-queue backpressure (Busy
       replies), serve estimate/top-k queries from live snapshots, and
       persist atomic checkpoints on demand; --port 0 picks an
-      ephemeral port and prints it; --engine reactor multiplexes all
-      connections onto --workers event loops instead of a thread per
-      connection; --idle-timeout-ms reaps silent peers (0 disables);
+      ephemeral port and prints it; all connections are multiplexed
+      onto --workers event loops; --idle-timeout-ms reaps silent peers
+      (0 disables);
       --tenants hosts extra fully independent streams next to the
       default one (own accumulator, ingest queue, and checkpoint at
       <FILE>.tenant-<NAME>), selected by `push --tenant`

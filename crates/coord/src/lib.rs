@@ -54,7 +54,8 @@ use idldp_core::report::ReportData;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_num::vecops::{cmp_desc_nan_last, top_k_indices};
 use idldp_server::{
-    check_hello, encode_reply, hello_tenant, ClientError, Frame, PushOutcome, ReportClient,
+    check_hello, encode_reply, hello_tenant, ClientError, Frame, FrameError, PushOutcome,
+    ReportClient,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -613,6 +614,22 @@ fn reject(message: impl Into<String>) -> Frame {
     }
 }
 
+/// Reads the next frame off a frontend connection. `None` means the
+/// connection is done: a clean close, a socket error, or a malformed frame.
+/// A malformed frame first draws the same typed `Reject` a collector sends,
+/// prefixed with `phase` (`handshake` or `bad frame`) — a length-prefixed
+/// stream cannot resynchronise, so the connection then closes.
+fn read_frame(read_half: &mut TcpStream, stream: &mut TcpStream, phase: &str) -> Option<Frame> {
+    match Frame::read_from(read_half) {
+        Ok(frame) => frame,
+        Err(FrameError::Io(_)) => None,
+        Err(e) => {
+            let _ = write_frame(stream, &reject(format!("{phase}: {e}")));
+            None
+        }
+    }
+}
+
 /// Serves one frontend connection: Hello handshake, then the frame loop.
 /// Every reply either comes from the coordinator's fleet operations or is
 /// a typed `Reject` — a collector failure mid-query never silently
@@ -626,9 +643,8 @@ fn serve_connection(mut stream: TcpStream, coordinator: &Mutex<Coordinator>) {
 
     // Handshake: same acceptance rule as a collector (shared code), plus
     // the coordinator's own run line in the ack.
-    let hello = match Frame::read_from(&mut read_half) {
-        Ok(Some(frame)) => frame,
-        _ => return,
+    let Some(hello) = read_frame(&mut read_half, &mut stream, "handshake") else {
+        return;
     };
     // The frontend exposes exactly one stream — the fleet it coordinates.
     // A Hello naming a tenant is refused before the config check, with a
@@ -666,11 +682,8 @@ fn serve_connection(mut stream: TcpStream, coordinator: &Mutex<Coordinator>) {
     }
 
     loop {
-        let frame = match Frame::read_from(&mut read_half) {
-            Ok(Some(frame)) => frame,
-            // Clean close or a decode error the protocol cannot recover
-            // from (length-prefixed streams cannot resynchronise).
-            _ => return,
+        let Some(frame) = read_frame(&mut read_half, &mut stream, "bad frame") else {
+            return;
         };
         let reply = {
             let mut coord = coordinator

@@ -1,26 +1,19 @@
-//! Engine-independent connection protocol logic.
+//! The per-connection protocol, free of any transport.
 //!
-//! Both connection engines — the thread-per-connection blocking engine and
-//! the readiness reactor (`reactor.rs`) — drive the *same* per-connection
-//! protocol: Hello handshake, then a frame loop where `Reports` meet the
-//! bounded queue's typed `Busy` backpressure and queries linearize on the
-//! accept watermark. This module is that protocol, factored free of any
-//! transport: every function here maps a decoded [`Frame`] (plus the
-//! shared server state) to a [`FrameAction`], and never touches a socket.
-//! The engines differ only in *how* they read bytes, flush replies, and
-//! wait out a query's watermark — which is exactly why the loopback
-//! conformance suite can demand bit-identical behaviour from both.
+//! Hello handshake, then a frame loop where `Reports` meet the bounded
+//! queue's typed `Busy` backpressure and queries linearize on the accept
+//! watermark. Every function here maps a decoded [`Frame`] (plus the
+//! shared server state) to a [`FrameAction`] and never touches a socket;
+//! the reactor (`reactor.rs`) owns the bytes — reading, flushing replies,
+//! and waiting out a query's watermark.
 //!
 //! The query path is split in two on purpose: [`apply_frame`] captures the
 //! accept watermark *at frame-processing time* (the linearization point)
 //! and returns [`FrameAction::Settle`]; [`settle_reply`] then builds the
 //! reply once the fold frontier's verdict ([`WaitOutcome`]) is in. The
-//! blocking engine reaches the verdict by parking in
-//! [`IngestQueue::wait_processed`]; the reactor polls
-//! [`IngestQueue::poll_processed`] between events — same watermark, same
-//! verdict mapping, so the reply bytes cannot depend on the engine.
+//! reactor polls [`IngestQueue::poll_processed`] for that verdict between
+//! events, so a settling query never blocks an event loop.
 //!
-//! [`IngestQueue::wait_processed`]: crate::queue::IngestQueue::wait_processed
 //! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
 
 use crate::frame::{Frame, LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION};
@@ -108,10 +101,10 @@ fn check_hello_version(version: u32) -> Result<(), String> {
 
 /// Validates a connection's first frame against a mechanism config: it
 /// must be a [`Frame::Hello`] of an accepted protocol version announcing
-/// exactly this mechanism's kind/shape/width/ε. Shared by both server
-/// engines (via the internal `apply_hello`, against the *selected
-/// tenant's* mechanism) and the coordinator frontend, which speaks the
-/// same handshake on behalf of its collector fleet — one implementation,
+/// exactly this mechanism's kind/shape/width/ε. Shared by the server
+/// (via the internal `apply_hello`, against the *selected tenant's*
+/// mechanism) and the coordinator frontend, which speaks the same
+/// handshake on behalf of its collector fleet — one implementation,
 /// so the acceptance rule cannot drift. Tenant selection is deliberately
 /// not this function's business: the server resolves the name first via
 /// its registry, the coordinator refuses named tenants via
@@ -330,10 +323,9 @@ fn estimates_now(tenant: &Tenant) -> Result<(u64, Vec<f64>), String> {
 }
 
 /// Builds the reply of a settled query from the watermark wait's verdict.
-/// `None` means the server closed mid-wait — hang up without a reply,
-/// exactly like the blocking engine's mid-query shutdown. A paused queue
-/// draws the typed [`PAUSED_MSG`] refusal; a reached watermark computes
-/// the reply over the now-complete merged view.
+/// `None` means the server closed mid-wait — hang up without a reply. A
+/// paused queue draws the typed [`PAUSED_MSG`] refusal; a reached
+/// watermark computes the reply over the now-complete merged view.
 pub(crate) fn settle_reply(
     shared: &Shared,
     pending: &PendingQuery,
@@ -394,10 +386,10 @@ pub(crate) fn settle_reply(
 /// directly (the universal case, byte-identical to protocol 2). Estimate
 /// and snapshot vectors too large for one frame are split into contiguous
 /// continuation chunks ([`Frame::EstimatesPart`] / [`Frame::Snapshot`])
-/// and written as one buffer — both engines treat a reply as opaque
-/// bytes, so chunking cannot behave differently between them. Any other
-/// oversized reply (a `Candidates` list with millions of entries) still
-/// draws the typed over-cap refusal instead of a dead connection.
+/// and written as one buffer — the reactor treats a reply as opaque
+/// bytes. Any other oversized reply (a `Candidates` list with millions of
+/// entries) still draws the typed over-cap refusal instead of a dead
+/// connection.
 ///
 /// Public because the coordinator frontend encodes its replies through
 /// this too — coordinator and collector replies chunk identically.

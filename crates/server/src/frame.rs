@@ -457,8 +457,8 @@ fn check_chunk_bounds(what: &str, total: u64, offset: u64, count: usize) -> Resu
 /// [`Frame::Estimates`] when it fits a frame (byte-identical to the
 /// protocol-2 reply for every small domain), otherwise a sequence of
 /// contiguous [`Frame::EstimatesPart`] chunks of [`CHUNK_ELEMS`] elements.
-/// Both connection engines and the coordinator encode replies through
-/// this, so chunking behaves identically everywhere.
+/// The collector and the coordinator encode replies through this, so
+/// chunking behaves identically everywhere.
 pub fn estimates_reply_frames(users: u64, estimates: &[f64]) -> Vec<Frame> {
     let whole = Frame::Estimates {
         users,
@@ -1084,7 +1084,7 @@ enum AssemblerState {
 /// socket produced — any fragmentation, down to one byte at a time — and
 /// it yields exactly the frames [`Frame::decode`] would yield on the
 /// concatenation. This is the non-blocking twin of [`Frame::read_from`]:
-/// the readiness engine cannot block for the rest of a frame, so the
+/// the reactor cannot block for the rest of a frame, so the
 /// decoder keeps its place between reads instead.
 ///
 /// The stream reader's safety properties carry over unchanged:
@@ -1099,7 +1099,7 @@ enum AssemblerState {
 /// grammar there is no way to resynchronise on a length-prefixed wire,
 /// so every later [`Self::feed`] returns the same error and the
 /// connection must be torn down (after flushing the typed
-/// [`Frame::Reject`], as both engines do).
+/// [`Frame::Reject`], as the reactor does).
 pub struct FrameAssembler {
     state: AssemblerState,
     ready: std::collections::VecDeque<Frame>,
@@ -1217,7 +1217,7 @@ impl FrameAssembler {
 
     /// The typed error an EOF at this point amounts to: `None` at a frame
     /// boundary (clean close), [`FrameError::Truncated`] mid-frame — the
-    /// same classification [`Frame::read_from`] makes, so both engines
+    /// same classification [`Frame::read_from`] makes, so both decoders
     /// report an interrupted frame identically.
     pub fn eof_truncation(&self) -> Option<FrameError> {
         match &self.state {

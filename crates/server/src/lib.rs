@@ -12,18 +12,17 @@
 //!   frames (`Hello` mechanism-config handshake, `Query`, `TopKQuery`,
 //!   `Checkpoint`) and their typed replies. Decoding is total: arbitrary
 //!   bytes either parse or yield a typed [`FrameError`], never a panic.
-//! * [`queue`] — the bounded [`IngestQueue`] between connection workers
-//!   and fold workers: the backpressure point (full ⇒ typed `Busy` reply,
+//! * [`queue`] — the bounded [`IngestQueue`] between the event loops and
+//!   the fold workers: the backpressure point (full ⇒ typed `Busy` reply,
 //!   never a silent drop) and the drain watermark that linearizes queries
 //!   after ingestion.
 //! * [`server`] — [`ReportServer`]: ingest workers folding into an
 //!   [`idldp_stream::ShardedAccumulator`], snapshot/estimate/top-k queries
-//!   served over the same socket, atomic checkpoint persistence, and two
-//!   interchangeable *connection engines* ([`ConnectionEngine`]): a
-//!   thread-per-connection blocking engine behind a rendezvous acceptor,
-//!   and a readiness reactor multiplexing all connections onto a fixed
-//!   set of event loops (the C10k path). The protocol logic is one shared
-//!   module, so the engines cannot drift apart.
+//!   served over the same socket, atomic checkpoint persistence, and a
+//!   readiness reactor multiplexing all connections onto a fixed set of
+//!   event loops (epoll on Linux, poll(2) on other unix hosts). The
+//!   per-connection protocol is a transport-free module the reactor
+//!   drives.
 //! * [`client`] — [`ReportClient`]: connect + handshake, batched pushes
 //!   with `Busy`-absorbing retry, and the query calls. Backs the `idldp
 //!   push` CLI.
@@ -87,6 +86,5 @@ pub use frame::{
 };
 pub use queue::{IngestQueue, PushRefusal, WaitOutcome};
 pub use server::{
-    run_identity_line, ConnectionEngine, ReportServer, ServerConfig, ServerConfigBuilder,
-    ServerError, TenantConfig,
+    run_identity_line, ReportServer, ServerConfig, ServerConfigBuilder, ServerError, TenantConfig,
 };

@@ -1,12 +1,12 @@
-//! The bounded ingest queue between connection workers and fold workers.
+//! The bounded ingest queue between the event loops and the fold workers.
 //!
-//! Connection workers parse [`crate::frame::Frame::Reports`] batches and
+//! Event loops parse [`crate::frame::Frame::Reports`] batches and
 //! *try* to enqueue each frame's reports here as one unit; ingest workers
 //! pop whole batches and fold them into the sharded accumulator through
 //! one batched fold per frame. The queue is the backpressure point:
 //! [`IngestQueue::try_push_batch`] never blocks — when the queue is at
-//! capacity it refuses (or accepts only a prefix), and the connection
-//! worker turns that refusal into a typed `Busy` reply instead of silently
+//! capacity it refuses (or accepts only a prefix), and the event loop
+//! turns that refusal into a typed `Busy` reply instead of silently
 //! dropping a report. Capacity is counted in **reports**, not batches, so
 //! the memory bound does not depend on how clients chunk their frames.
 //!
@@ -19,8 +19,9 @@
 //! with several fold workers, worker B finishing reports 2..N must not let
 //! a watermark wait return while worker A is still mid-fold on report 1 —
 //! out-of-order completions are buffered until the prefix below them is
-//! done. [`IngestQueue::wait_processed`] therefore blocks until *every*
-//! report at or below a watermark has been folded — so a `Query` observes
+//! done. [`IngestQueue::wait_processed`] therefore blocks (and
+//! [`IngestQueue::poll_processed`] answers `None`) until *every* report at
+//! or below a watermark has been folded — so a `Query` observes
 //! every report the server accepted before it, and loopback estimates can
 //! be bit-identical to a batch run.
 
@@ -280,7 +281,7 @@ impl<T> IngestQueue<T> {
     /// finish (their folds are in flight), so the wait only reports
     /// [`WaitOutcome::Paused`] when the watermark lies beyond everything
     /// popped so far — otherwise a paused maintenance window would park
-    /// every querying connection worker until resume, wedging the server.
+    /// every querying caller until resume, wedging the server.
     pub fn wait_processed(&self, watermark: u64) -> WaitOutcome {
         let mut s = self.lock();
         loop {
@@ -305,7 +306,7 @@ impl<T> IngestQueue<T> {
     /// exactly what `wait_processed` would return right now; `None` means
     /// the wait would still block (the watermark is reachable but not yet
     /// reached) — poll again after more progress. This is what the
-    /// readiness engine uses: an event loop owning hundreds of
+    /// reactor uses: an event loop owning hundreds of
     /// connections cannot block one query's watermark wait without
     /// stalling all of them, so settling queries are re-polled on each
     /// loop tick instead.

@@ -1,12 +1,12 @@
-//! The readiness-based connection engine (the C10k path).
+//! The server's connection engine: readiness event loops (the C10k path).
 //!
 //! Instead of parking one thread per connection, a fixed set of event
 //! loops multiplexes *every* connection over a level-triggered readiness
-//! poller (the vendored `polling` shim: epoll on Linux). Loop 0 owns the
-//! non-blocking listener and deals accepted sockets round-robin across
-//! all loops through small hand-off inboxes (woken by
-//! [`polling::Poller::notify`]); each loop then owns its connections
-//! outright — no cross-loop locking on the hot path.
+//! poller (the vendored `polling` shim: epoll on Linux, poll(2) on other
+//! unix hosts). Loop 0 owns the non-blocking listener and deals accepted
+//! sockets round-robin across all loops through small hand-off inboxes
+//! (woken by [`polling::Poller::notify`]); each loop then owns its
+//! connections outright — no cross-loop locking on the hot path.
 //!
 //! Per connection the loop drives a small state machine:
 //!
@@ -30,16 +30,16 @@
 //! ([`crate::queue::IngestQueue::poll_processed`]) at a short tick while
 //! any settle is pending — the watermark was captured at
 //! frame-processing time, so linearization (and bit-identity with the
-//! blocking engine) is untouched.
+//! batch pipeline) is untouched.
 //!
 //! Idle peers are reaped: a connection that completes no frame within the
 //! configured idle timeout is closed on the next sweep, whether it is
 //! silent or dripping bytes one poll at a time. Protocol logic lives in
-//! [`crate::conn`], shared verbatim with the blocking engine.
+//! [`crate::conn`], free of any socket.
 
 use crate::conn::{self, FrameAction, PendingQuery};
 use crate::frame::{Frame, FrameAssembler};
-use crate::server::Shared;
+use crate::server::{EventLoops, Shared};
 use polling::{Event, Poller};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -47,7 +47,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Poller key of loop 0's listener; connection keys start above it.
@@ -65,16 +64,6 @@ const IDLE_TICK: Duration = Duration::from_millis(200);
 /// Wait bound while any query is settling — the fold frontier is polled
 /// at this tick.
 const SETTLE_TICK: Duration = Duration::from_millis(1);
-
-/// A running reactor: its event-loop threads plus the pollers to notify
-/// for shutdown.
-pub(crate) struct ReactorHandle {
-    /// One poller per event loop — `notify` them all to make the loops
-    /// observe the stop flag.
-    pub(crate) pollers: Vec<Arc<Poller>>,
-    /// The event-loop threads, to join after notifying.
-    pub(crate) threads: Vec<JoinHandle<()>>,
-}
 
 /// Connection phase (see the module-level diagram).
 enum Phase {
@@ -158,19 +147,19 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Spawns `loops` event-loop threads serving `listener`. The listener is
-/// switched to non-blocking and owned by loop 0.
+/// Spawns `loops` event-loop threads serving `listener` and returns one
+/// poller per loop (`notify` them all to make the loops observe the stop
+/// flag) with the threads to join. The listener is switched to
+/// non-blocking and owned by loop 0.
 ///
 /// # Errors
-/// Poller construction failure — notably `Unsupported` on platforms
-/// without a readiness backend, which `ReportServer::start` surfaces as a
-/// typed config error.
+/// Poller construction failure.
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
     loops: usize,
     idle_timeout: Option<Duration>,
-) -> std::io::Result<ReactorHandle> {
+) -> std::io::Result<EventLoops> {
     listener.set_nonblocking(true)?;
     let mut pollers = Vec::with_capacity(loops);
     let mut inboxes = Vec::with_capacity(loops);
@@ -193,7 +182,7 @@ pub(crate) fn spawn(
         };
         threads.push(std::thread::spawn(move || event_loop(ctx)));
     }
-    Ok(ReactorHandle { pollers, threads })
+    Ok((pollers, threads))
 }
 
 fn event_loop(ctx: LoopCtx) {
@@ -387,9 +376,8 @@ fn on_readable(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool
 }
 
 /// Queues the typed `Reject` for a protocol violation and moves to
-/// `Closing` — same reply-then-close the blocking engine performs. The
-/// `handshake:` / `bad frame:` prefix matches the blocking engine's per
-/// phase.
+/// `Closing`: reply, then close. The message is prefixed `handshake:`
+/// before the `HelloAck` and `bad frame:` after it.
 fn protocol_violation(conn: &mut Conn, detail: &str) {
     let message = match conn.phase {
         Phase::Handshake => format!("handshake: {detail}"),

@@ -1,29 +1,28 @@
-//! The report server: TCP listener, bounded worker pool, bounded ingest
+//! The report server: TCP listener, readiness event loops, bounded ingest
 //! queue, sharded accumulation, and snapshot queries.
 //!
 //! ```text
-//! acceptor ──(rendezvous channel: accept blocks while all workers busy)──▶
-//!   connection workers ──(bounded IngestQueue: full ⇒ typed Busy reply)──▶
+//! listener ──(loop 0 accepts, deals sockets round-robin)──▶
+//!   event loops ──(bounded IngestQueue: full ⇒ typed Busy reply)──▶
 //!     ingest workers ──(fold)──▶ ShardedAccumulator ──(snapshot)──▶ oracle
 //! ```
 //!
-//! Backpressure has exactly two points, both explicit: the acceptor blocks
-//! in `send` while every connection worker is busy (TCP's own accept queue
-//! then throttles new peers), and a full ingest queue makes the connection
-//! worker answer [`Frame::Busy`] with the count of reports it *did* accept
-//! — the client re-sends the rest. An accepted report is never dropped:
-//! it is either folded or the server was shut down.
+//! Connections are served by the readiness reactor (`reactor.rs`):
+//! [`ServerConfigBuilder::connection_workers`] event loops multiplex every
+//! socket, so an idle peer costs a registration, not a thread. Backpressure
+//! has one explicit point: a full ingest queue makes the event loop answer
+//! [`Busy`](crate::frame::Frame::Busy) with the count of reports it *did*
+//! accept — the client re-sends the rest. An accepted report is never
+//! dropped: it is either folded or the server was shut down.
 //!
 //! Queries linearize after ingestion: `Query`/`TopKQuery`/`Checkpoint`
-//! first wait until the fold side reaches the accept watermark taken when
-//! the request arrived ([`crate::queue::IngestQueue::wait_processed`]), so
-//! the reply reflects every report any client had pushed by then. That is
-//! what makes loopback estimates *bit-identical* to a batch pipeline run —
-//! `crates/sim/tests/server_loopback.rs` proves it for all eight
+//! are answered only once the fold side reaches the accept watermark taken
+//! when the request arrived ([`crate::queue::IngestQueue::poll_processed`]),
+//! so the reply reflects every report any client had pushed by then. That
+//! is what makes loopback estimates *bit-identical* to a batch pipeline
+//! run — `crates/sim/tests/server_loopback.rs` proves it for all eight
 //! mechanisms.
 
-use crate::conn::{self, FrameAction};
-use crate::frame::{Frame, FrameAssembler, FrameError};
 use crate::queue::IngestQueue;
 use idldp_core::identity::{RunIdentity, TenantId};
 use idldp_core::mechanism::Mechanism;
@@ -31,13 +30,13 @@ use idldp_core::report::Report;
 use idldp_core::report::{ReportData, ReportShape};
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, SnapshotStore, StoreKind};
 use idldp_stream::{ShapedAccumulator, ShardedAccumulator};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use polling::Poller;
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server construction/runtime errors.
 #[derive(Debug)]
@@ -69,47 +68,6 @@ impl std::error::Error for ServerError {}
 impl From<std::io::Error> for ServerError {
     fn from(e: std::io::Error) -> Self {
         ServerError::Io(e)
-    }
-}
-
-/// Which connection engine serves the sockets. The wire protocol, the
-/// typed `Busy` backpressure, and query linearization are identical under
-/// both — the loopback conformance suite runs every case against each and
-/// demands bit-identical estimates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ConnectionEngine {
-    /// Thread-per-connection blocking I/O behind a rendezvous acceptor:
-    /// one connection worker per live connection, `accept` blocks while
-    /// all are busy. Simple and debuggable; concurrency is bounded by
-    /// [`ServerConfigBuilder::connection_workers`].
-    #[default]
-    Blocking,
-    /// Readiness reactor (epoll-style): [`ServerConfigBuilder::connection_workers`]
-    /// event loops multiplex *all* connections over non-blocking sockets —
-    /// thousands of mostly-idle clients cost registrations, not threads.
-    Reactor,
-}
-
-impl std::str::FromStr for ConnectionEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(Self::Blocking),
-            "reactor" => Ok(Self::Reactor),
-            other => Err(format!(
-                "unknown connection engine `{other}` (expected `blocking` or `reactor`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ConnectionEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Blocking => "blocking",
-            Self::Reactor => "reactor",
-        })
     }
 }
 
@@ -195,7 +153,6 @@ pub struct ServerConfig {
     pub(crate) queue_capacity: usize,
     pub(crate) ingest_workers: usize,
     pub(crate) connection_workers: usize,
-    pub(crate) engine: ConnectionEngine,
     pub(crate) idle_timeout: Option<Duration>,
     pub(crate) checkpoint_path: Option<PathBuf>,
     pub(crate) checkpoint_store: StoreKind,
@@ -206,20 +163,13 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Starts a builder populated with the validated defaults: loopback
     /// ephemeral bind, [`idldp_stream::DEFAULT_SHARDS`] shards, a 65 536
-    /// report queue, 2 ingest workers, 4 connection workers, the blocking
-    /// engine, a 60 s idle timeout, no checkpointing, and no extra
-    /// tenants.
+    /// report queue, 2 ingest workers, 4 event loops, a 60 s idle
+    /// timeout, no checkpointing, and no extra tenants.
     #[must_use]
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
             config: ServerConfig::default(),
         }
-    }
-
-    /// The connection engine this config selects.
-    #[must_use]
-    pub fn engine(&self) -> ConnectionEngine {
-        self.engine
     }
 }
 
@@ -231,7 +181,6 @@ impl Default for ServerConfig {
             queue_capacity: 65_536,
             ingest_workers: 2,
             connection_workers: 4,
-            engine: ConnectionEngine::default(),
             idle_timeout: Some(Duration::from_secs(60)),
             checkpoint_path: None,
             checkpoint_store: StoreKind::default(),
@@ -285,25 +234,16 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Connection concurrency: blocking-engine workers (the acceptor
-    /// blocks once all are busy) or reactor event loops (each
-    /// multiplexing any number of connections).
+    /// Event loops serving connections; each multiplexes any number of
+    /// them.
     #[must_use]
     pub fn connection_workers(mut self, workers: usize) -> Self {
         self.config.connection_workers = workers;
         self
     }
 
-    /// Which connection engine serves the sockets.
-    #[must_use]
-    pub fn engine(mut self, engine: ConnectionEngine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
     /// Reap a connection that completes no frame for this long — a silent
-    /// peer must not pin a blocking worker (or a reactor registration)
-    /// forever. `None` disables reaping.
+    /// peer must not pin a registration forever. `None` disables reaping.
     #[must_use]
     pub fn idle_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.config.idle_timeout = timeout;
@@ -412,7 +352,7 @@ pub(crate) struct Tenant {
     /// into checkpoints).
     pub(crate) identity: RunIdentity,
     /// Reports that failed to fold after acceptance (cannot happen for
-    /// reports the connection workers validated; counted defensively).
+    /// reports the event loops validated; counted defensively).
     fold_failures: AtomicU64,
     /// The open checkpoint store, if checkpointing is configured — at the
     /// tenant-namespaced path. The mutex serializes concurrent
@@ -435,8 +375,7 @@ impl Tenant {
     }
 }
 
-/// Shared state between the acceptor (or reactor loops), connection
-/// workers, and ingest workers.
+/// Shared state between the event loops and the ingest workers.
 pub(crate) struct Shared {
     /// The tenant registry. Index 0 is always the default tenant (the
     /// mechanism passed to [`ReportServer::start`]); a connection binds
@@ -444,51 +383,12 @@ pub(crate) struct Shared {
     /// the rest of its life.
     pub(crate) tenants: Vec<Tenant>,
     pub(crate) stop: AtomicBool,
-    /// Connections reaped for idling past the configured timeout (either
-    /// engine) — observable via [`ReportServer::reaped_connections`].
+    /// Connections reaped for idling past the configured timeout —
+    /// observable via [`ReportServer::reaped_connections`].
     pub(crate) reaped: AtomicU64,
     /// High-water mark of any one connection's buffered frame bytes — the
     /// incremental-read memory bound the hostile-peer stress test pins.
     peak_buffered: AtomicUsize,
-    /// Live connections, keyed by a monotone id, so shutdown can close
-    /// their sockets and unblock workers parked in `read` (blocking
-    /// engine; reactor loops close their own connections on stop).
-    connections: Mutex<std::collections::HashMap<u64, TcpStream>>,
-    next_connection_id: AtomicU64,
-}
-
-impl Shared {
-    /// Registers a live connection for shutdown teardown.
-    fn track(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_connection_id.fetch_add(1, Ordering::SeqCst);
-        self.connections
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(id, clone);
-        Some(id)
-    }
-
-    fn untrack(&self, id: Option<u64>) {
-        if let Some(id) = id {
-            self.connections
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(&id);
-        }
-    }
-
-    /// Forcibly closes every live connection (both directions), waking any
-    /// worker blocked in a socket read.
-    fn close_connections(&self) {
-        let connections = self
-            .connections
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for stream in connections.values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
 }
 
 impl Shared {
@@ -545,17 +445,15 @@ pub fn run_identity_line(mechanism: &dyn Mechanism, config_stamp: Option<&str>) 
 pub struct ReportServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Reactor-engine pollers, notified on shutdown so the event loops
-    /// observe the stop flag (empty under the blocking engine).
-    #[cfg(unix)]
-    pollers: Vec<Arc<polling::Poller>>,
+    /// One poller per event loop, notified on shutdown so the loops
+    /// observe the stop flag.
+    pollers: Vec<Arc<Poller>>,
 }
 
 impl ReportServer {
     /// Binds, restores every tenant's checkpoint if one exists, and
-    /// spawns the acceptor, connection-worker, and ingest-worker threads.
+    /// spawns the event-loop and ingest-worker threads.
     /// `mechanism` serves the default tenant; additional tenants come
     /// from [`ServerConfigBuilder::tenant`].
     ///
@@ -565,7 +463,9 @@ impl ReportServer {
     /// `Default` config is held to the same rules), and a
     /// [`ServerError::Config`] for a bit-vector mechanism wider than the
     /// wire protocol's [`crate::frame::MAX_BIT_REPORT_SLOTS`] (every
-    /// report would be undecodable — fail at startup, not per frame).
+    /// report would be undecodable — fail at startup, not per frame). A
+    /// host without a unix readiness backend is a [`ServerError::Config`]
+    /// too.
     pub fn start(mechanism: Arc<dyn Mechanism>, config: ServerConfig) -> Result<Self, ServerError> {
         // Re-validate: `Default` and `Clone` can produce a config without
         // going through the builder.
@@ -585,25 +485,25 @@ impl ReportServer {
             tenants.push(Self::start_tenant(tenant.clone(), &config)?);
         }
 
-        let ingest_workers = config.ingest_workers;
         let shared = Arc::new(Shared {
             tenants,
             stop: AtomicBool::new(false),
             reaped: AtomicU64::new(0),
             peak_buffered: AtomicUsize::new(0),
-            connections: Mutex::new(std::collections::HashMap::new()),
-            next_connection_id: AtomicU64::new(0),
         });
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
+        // The event loops start first, so a host without a readiness
+        // backend fails before any thread exists.
+        let (pollers, mut workers) = spawn_event_loops(listener, &shared, &config)?;
+
         // Fold workers are per tenant: each tenant's queue drains
         // independently, so a paused or saturated tenant cannot stall
         // another tenant's fold pipeline.
-        let mut workers = Vec::new();
         for tenant_index in 0..shared.tenants.len() {
-            for _ in 0..ingest_workers {
+            for _ in 0..config.ingest_workers {
                 let shared = Arc::clone(&shared);
                 workers.push(std::thread::spawn(move || {
                     ingest_worker(&shared, tenant_index)
@@ -611,89 +511,10 @@ impl ReportServer {
             }
         }
 
-        let mut acceptor = None;
-        #[cfg(unix)]
-        let mut pollers = Vec::new();
-        match config.engine {
-            ConnectionEngine::Blocking => {
-                // Rendezvous handoff: `send` blocks until a connection
-                // worker is free, which in turn blocks `accept` —
-                // bounded-pool backpressure without an unbounded
-                // pending-connection buffer.
-                let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(0);
-                let conn_rx = Arc::new(Mutex::new(conn_rx));
-                for _ in 0..config.connection_workers {
-                    let shared = Arc::clone(&shared);
-                    let conn_rx = Arc::clone(&conn_rx);
-                    let idle = config.idle_timeout;
-                    workers.push(std::thread::spawn(move || loop {
-                        let stream = {
-                            let guard = conn_rx
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            guard.recv()
-                        };
-                        match stream {
-                            Ok(stream) => handle_connection(stream, &shared, idle),
-                            Err(_) => return, // acceptor gone: shutdown
-                        }
-                    }));
-                }
-
-                acceptor = Some({
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        for stream in listener.incoming() {
-                            if shared.stop.load(Ordering::SeqCst) {
-                                return; // conn_tx drops here, stopping the workers
-                            }
-                            match stream {
-                                Ok(stream) => {
-                                    if conn_tx.send(stream).is_err() {
-                                        return;
-                                    }
-                                }
-                                Err(_) => continue,
-                            }
-                        }
-                    })
-                });
-            }
-            ConnectionEngine::Reactor => {
-                #[cfg(unix)]
-                {
-                    let handle = crate::reactor::spawn(
-                        listener,
-                        Arc::clone(&shared),
-                        config.connection_workers,
-                        config.idle_timeout,
-                    )
-                    .map_err(|e| {
-                        if e.kind() == std::io::ErrorKind::Unsupported {
-                            ServerError::Config(format!("reactor engine unavailable: {e}"))
-                        } else {
-                            ServerError::Io(e)
-                        }
-                    })?;
-                    pollers = handle.pollers;
-                    workers.extend(handle.threads);
-                }
-                #[cfg(not(unix))]
-                {
-                    drop(listener);
-                    return Err(ServerError::Config(
-                        "reactor engine requires a unix readiness backend".into(),
-                    ));
-                }
-            }
-        }
-
         Ok(Self {
             addr,
             shared,
-            acceptor,
             workers,
-            #[cfg(unix)]
             pollers,
         })
     }
@@ -817,7 +638,7 @@ impl ReportServer {
 
     /// Connections reaped for completing no frame within the configured
     /// [`ServerConfigBuilder::idle_timeout`] — silent peers and slow-loris drips
-    /// alike, under either engine.
+    /// alike.
     pub fn reaped_connections(&self) -> u64 {
         self.shared.reaped.load(Ordering::SeqCst)
     }
@@ -844,8 +665,8 @@ impl ReportServer {
     /// the bounded queues fill and further pushes draw `Busy` —
     /// deterministic backpressure for tests and maintenance windows.
     /// Queries whose watermark needs still-queued reports answer with a
-    /// typed `Reject` while paused (blocking them would park connection
-    /// workers until resume).
+    /// typed `Reject` while paused (holding them would pin their
+    /// connections until resume).
     pub fn pause_ingest(&self) {
         for tenant in &self.shared.tenants {
             tenant.queue.set_paused(true);
@@ -859,42 +680,53 @@ impl ReportServer {
         }
     }
 
-    /// Orderly stop: refuse new work, wake every blocked thread, join them
-    /// all. In-queue (accepted but unfolded) reports at this instant are
-    /// discarded — clients that need durability send a `Checkpoint` frame
-    /// first.
+    /// Orderly stop: refuse new work, wake every event loop (each closes
+    /// its connections), and join all threads. In-queue (accepted but
+    /// unfolded) reports at this instant are discarded — clients that need
+    /// durability send a `Checkpoint` frame first.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for tenant in &self.shared.tenants {
             tenant.queue.close();
         }
-        // Reactor loops: wake each poller so it observes the stop flag
-        // and closes its connections.
-        #[cfg(unix)]
         for poller in &self.pollers {
             let _ = poller.notify();
-        }
-        // Unblock the acceptor with a throwaway connection, and workers
-        // parked in a socket read by closing every live connection. A
-        // server bound to an unspecified address (0.0.0.0 / ::) is not
-        // connectable *at* that address on every platform, so the wake-up
-        // aims at loopback on the bound port instead.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake.ip() {
-                std::net::IpAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                std::net::IpAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&wake, std::time::Duration::from_secs(1));
-        self.shared.close_connections();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
+}
+
+/// The event loops' pollers and threads.
+pub(crate) type EventLoops = (Vec<Arc<Poller>>, Vec<JoinHandle<()>>);
+
+/// Starts [`ServerConfigBuilder::connection_workers`] event loops serving
+/// `listener`.
+#[cfg(unix)]
+fn spawn_event_loops(
+    listener: TcpListener,
+    shared: &Arc<Shared>,
+    config: &ServerConfig,
+) -> Result<EventLoops, ServerError> {
+    Ok(crate::reactor::spawn(
+        listener,
+        Arc::clone(shared),
+        config.connection_workers,
+        config.idle_timeout,
+    )?)
+}
+
+/// The event loops need a unix readiness backend (epoll, or poll(2)).
+#[cfg(not(unix))]
+fn spawn_event_loops(
+    _listener: TcpListener,
+    _shared: &Arc<Shared>,
+    _config: &ServerConfig,
+) -> Result<EventLoops, ServerError> {
+    Err(ServerError::Config(
+        "the server requires a unix readiness backend (epoll or poll)".into(),
+    ))
 }
 
 /// Where a tenant's checkpoints live. The default tenant uses the
@@ -930,185 +762,11 @@ fn ingest_worker(shared: &Shared, tenant_index: usize) {
     while let Some((ticket, batch)) = tenant.queue.pop() {
         let reports: Vec<Report<'_>> = batch.iter().map(ReportData::as_report).collect();
         if tenant.sink.push_batch(&reports).is_err() {
-            // Cannot happen for reports the connection workers validated
+            // Cannot happen for reports the event loops validated
             // (the batched fold validates by the same core definition);
             // counted defensively, batch-atomically.
             tenant.count_fold_failures(batch.len() as u64);
         }
         tenant.queue.mark_processed(ticket);
-    }
-}
-
-/// How a blocking frame read ended without producing a frame.
-enum ReadStop {
-    /// Clean EOF at a frame boundary — the client closed.
-    Eof,
-    /// No complete frame arrived within the idle deadline — reap the peer.
-    Idle,
-    /// The byte stream violated the frame grammar (including EOF inside a
-    /// frame) — send the typed `Reject`, then close.
-    BadFrame(FrameError),
-    /// Socket error; just drop the connection.
-    Io,
-}
-
-/// Blocks until the assembler yields one frame, the idle deadline passes,
-/// or the stream ends. The deadline is per *frame*, enforced through
-/// `set_read_timeout` on the remaining budget — a silent peer and a
-/// slow-loris drip (bytes arriving, frames never completing) both run it
-/// out, which is the blocking half of the idle-reaping fix.
-fn read_frame_blocking(
-    stream: &mut TcpStream,
-    asm: &mut FrameAssembler,
-    buf: &mut [u8],
-    deadline: Option<Instant>,
-    shared: &Shared,
-) -> Result<Frame, ReadStop> {
-    loop {
-        if let Some(frame) = asm.next_frame() {
-            return Ok(frame);
-        }
-        if let Some(d) = deadline {
-            let now = Instant::now();
-            if now >= d {
-                return Err(ReadStop::Idle);
-            }
-            if stream.set_read_timeout(Some(d - now)).is_err() {
-                return Err(ReadStop::Io);
-            }
-        }
-        match stream.read(buf) {
-            Ok(0) => {
-                return match asm.eof_truncation() {
-                    None => Err(ReadStop::Eof),
-                    Some(e) => Err(ReadStop::BadFrame(e)),
-                }
-            }
-            Ok(n) => {
-                if let Err(e) = asm.feed(&buf[..n]) {
-                    return Err(ReadStop::BadFrame(e));
-                }
-                shared.note_buffered(asm.buffered_bytes());
-            }
-            Err(e)
-                if matches!(e.kind(), std::io::ErrorKind::WouldBlock)
-                    || matches!(e.kind(), std::io::ErrorKind::TimedOut) =>
-            {
-                // The read timeout was the remaining deadline budget.
-                return Err(ReadStop::Idle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(ReadStop::Io),
-        }
-    }
-}
-
-fn send_reply(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    stream.write_all(&conn::encode_reply(frame))
-}
-
-/// Serves one connection on the blocking engine: handshake, then a frame
-/// loop until EOF. Protocol violations answer with a typed
-/// [`Frame::Reject`]; socket errors just drop the connection (the client
-/// observes the closed socket). All protocol decisions are the shared
-/// [`crate::conn`] logic — byte-identical to the reactor engine's.
-fn handle_connection(stream: TcpStream, shared: &Shared, idle: Option<Duration>) {
-    let _ = stream.set_nodelay(true);
-    // An untrackable connection (clone failure under fd pressure) must be
-    // dropped outright: shutdown could never close its socket, and a
-    // silent peer would park this worker for the whole idle timeout.
-    let Some(tracked) = shared.track(&stream) else {
-        return;
-    };
-    let tracked = Some(tracked);
-    // Checked *after* tracking: shutdown sets `stop` before closing the
-    // tracked sockets, so a connection handed over concurrently is either
-    // tracked in time to be closed, or sees `stop` here — either way no
-    // worker can park in a read that nothing will ever wake
-    // (`ReportServer::shutdown` joins these workers).
-    if shared.stop.load(Ordering::SeqCst) {
-        shared.untrack(tracked);
-        return;
-    }
-    let mut stream = stream;
-    serve_frames(&mut stream, shared, idle);
-    shared.untrack(tracked);
-}
-
-/// The framed request/response loop of one blocking connection.
-fn serve_frames(stream: &mut TcpStream, shared: &Shared, idle: Option<Duration>) {
-    let mut asm = FrameAssembler::new();
-    let mut buf = [0u8; 8 << 10];
-    let mut deadline = idle.map(|d| Instant::now() + d);
-
-    // Handshake: the first frame must be a matching Hello; it binds the
-    // connection to one tenant for the rest of its life.
-    let tenant;
-    match read_frame_blocking(stream, &mut asm, &mut buf, deadline, shared) {
-        Ok(frame) => match conn::apply_hello(shared, frame) {
-            Ok((index, ack)) => {
-                tenant = index;
-                if send_reply(stream, &ack).is_err() {
-                    return;
-                }
-            }
-            Err(reject) => {
-                let _ = send_reply(stream, &reject);
-                return;
-            }
-        },
-        Err(ReadStop::Eof) | Err(ReadStop::Io) => return,
-        Err(ReadStop::Idle) => {
-            shared.reaped.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-        Err(ReadStop::BadFrame(e)) => {
-            let _ = send_reply(
-                stream,
-                &Frame::Reject {
-                    accepted: 0,
-                    message: format!("handshake: {e}"),
-                },
-            );
-            return;
-        }
-    }
-
-    loop {
-        deadline = idle.map(|d| Instant::now() + d);
-        let frame = match read_frame_blocking(stream, &mut asm, &mut buf, deadline, shared) {
-            Ok(frame) => frame,
-            Err(ReadStop::Eof) | Err(ReadStop::Io) => return,
-            Err(ReadStop::Idle) => {
-                shared.reaped.fetch_add(1, Ordering::SeqCst);
-                return;
-            }
-            Err(ReadStop::BadFrame(e)) => {
-                let _ = send_reply(
-                    stream,
-                    &Frame::Reject {
-                        accepted: 0,
-                        message: format!("bad frame: {e}"),
-                    },
-                );
-                return;
-            }
-        };
-        let reply = match conn::apply_frame(shared, tenant, frame) {
-            FrameAction::Reply(reply) => reply,
-            FrameAction::Settle(pending) => {
-                let outcome = shared
-                    .tenant(pending.tenant)
-                    .queue
-                    .wait_processed(pending.watermark);
-                match conn::settle_reply(shared, &pending, outcome) {
-                    Some(reply) => reply,
-                    None => return, // shutdown mid-query: drop without a reply
-                }
-            }
-        };
-        if send_reply(stream, &reply).is_err() {
-            return;
-        }
     }
 }

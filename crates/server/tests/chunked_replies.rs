@@ -7,8 +7,7 @@
 //! contiguous `Snapshot` chunks) that the client reassembles, with each
 //! chunk individually under the cap. This test runs a GRR domain *just*
 //! over the cap (the smallest m whose `Estimates` payload of `12 + 8m`
-//! bytes exceeds 16 MiB) end to end through a real server and both
-//! connection engines, and verifies the reassembled vectors are
+//! bytes exceeds 16 MiB) end to end through a real server and verifies the reassembled vectors are
 //! bit-identical to a local computation over the same counts.
 
 use idldp_core::budget::Epsilon;
@@ -16,16 +15,8 @@ use idldp_core::grr::GeneralizedRandomizedResponse;
 use idldp_core::mechanism::Mechanism;
 use idldp_core::report::ReportData;
 use idldp_core::snapshot::AccumulatorSnapshot;
-use idldp_server::{ConnectionEngine, ReportClient, ReportServer, ServerConfig, MAX_PAYLOAD_LEN};
+use idldp_server::{ReportClient, ReportServer, ServerConfig, MAX_PAYLOAD_LEN};
 use std::sync::Arc;
-
-fn engines() -> Vec<ConnectionEngine> {
-    let mut engines = vec![ConnectionEngine::Blocking];
-    if cfg!(unix) {
-        engines.push(ConnectionEngine::Reactor);
-    }
-    engines
-}
 
 #[test]
 fn over_cap_estimate_and_snapshot_replies_reassemble_bit_identically() {
@@ -54,37 +45,31 @@ fn over_cap_estimate_and_snapshot_replies_reassemble_bit_identically() {
         .estimate_from(&expected_snapshot)
         .unwrap();
 
-    for engine in engines() {
-        let server = ReportServer::start(
-            Arc::clone(&mechanism),
-            ServerConfig::builder().engine(engine).build().unwrap(),
-        )
-        .unwrap();
-        let (mut client, resumed) =
-            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-        assert_eq!(resumed, 0);
-        client.push_all(&reports).unwrap();
+    let server = ReportServer::start(Arc::clone(&mechanism), ServerConfig::default()).unwrap();
+    let (mut client, resumed) =
+        ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+    assert_eq!(resumed, 0);
+    client.push_all(&reports).unwrap();
 
-        // Estimates: over the cap, so the reply is chunked and reassembled
-        // transparently — and still bit-identical to the local oracle.
-        let (got_users, got_estimates) = client.query_estimates().unwrap();
-        assert_eq!(got_users, users, "{engine}");
-        assert_eq!(got_estimates.len(), m, "{engine}");
-        for (i, (a, b)) in got_estimates.iter().zip(&expected_estimates).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{engine}: estimate {i}");
-        }
-
-        // Raw counts: also chunked (m > CHUNK_ELEMS), exact integers.
-        let (snap_users, counts) = client.query_snapshot().unwrap();
-        assert_eq!(snap_users, users, "{engine}");
-        assert_eq!(counts, expected_counts, "{engine}");
-
-        // Top-k over the same huge domain stays a single small frame.
-        let (_, top) = client.query_top_k(2).unwrap();
-        let top_items: Vec<u64> = top.iter().map(|&(item, _)| item).collect();
-        assert_eq!(top_items, vec![(m - 1) as u64, 1], "{engine}");
-
-        drop(client);
-        server.shutdown();
+    // Estimates: over the cap, so the reply is chunked and reassembled
+    // transparently — and still bit-identical to the local oracle.
+    let (got_users, got_estimates) = client.query_estimates().unwrap();
+    assert_eq!(got_users, users);
+    assert_eq!(got_estimates.len(), m);
+    for (i, (a, b)) in got_estimates.iter().zip(&expected_estimates).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "estimate {i}");
     }
+
+    // Raw counts: also chunked (m > CHUNK_ELEMS), exact integers.
+    let (snap_users, counts) = client.query_snapshot().unwrap();
+    assert_eq!(snap_users, users);
+    assert_eq!(counts, expected_counts);
+
+    // Top-k over the same huge domain stays a single small frame.
+    let (_, top) = client.query_top_k(2).unwrap();
+    let top_items: Vec<u64> = top.iter().map(|&(item, _)| item).collect();
+    assert_eq!(top_items, vec![(m - 1) as u64, 1]);
+
+    drop(client);
+    server.shutdown();
 }

@@ -1,4 +1,4 @@
-//! Stress tests for the readiness-reactor connection engine.
+//! Stress tests for the server's readiness reactor.
 //!
 //! The reactor exists for exactly one reason: connection *count* must cost
 //! registrations, not threads. These tests hold that claim under the two
@@ -7,8 +7,8 @@
 //! 1. **A thousand mostly-idle connections** — the acceptor must keep
 //!    accepting and an active pusher must ingest at full speed while a
 //!    thousand negotiated connections sit idle on two event loops, and the
-//!    estimates served from that melee must be bit-identical to a
-//!    blocking-engine server fed the same reports.
+//!    estimates served from that melee must be bit-identical to a local
+//!    batch fold of the same reports.
 //! 2. **A slow-loris peer** — a connection dripping one byte per poll of a
 //!    multi-megabyte claimed frame must not starve an active client, must
 //!    not grow per-connection memory past the incremental-read bound, and
@@ -21,9 +21,9 @@ use idldp_core::grr::GeneralizedRandomizedResponse;
 use idldp_core::mechanism::Mechanism;
 use idldp_core::report::ReportData;
 use idldp_server::{
-    encode_reports_frame, ConnectionEngine, Frame, ReportClient, ReportServer, ServerConfig,
-    PROTOCOL_VERSION,
+    encode_reports_frame, Frame, ReportClient, ReportServer, ServerConfig, PROTOCOL_VERSION,
 };
+use idldp_stream::{ReportAccumulator, ShapedAccumulator};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -39,15 +39,14 @@ fn mechanism() -> Arc<dyn Mechanism> {
 
 fn reactor_config(workers: usize, idle: Option<Duration>) -> ServerConfig {
     ServerConfig::builder()
-        .engine(ConnectionEngine::Reactor)
         .connection_workers(workers)
         .idle_timeout(idle)
         .build()
         .unwrap()
 }
 
-/// Deterministic report population: folding is deterministic, so two
-/// servers fed this same sequence must answer bit-identical estimates.
+/// Deterministic report population: folding is deterministic, so a server
+/// fed this sequence must answer exactly what a local fold of it does.
 fn population(n: usize) -> Vec<ReportData> {
     (0..n).map(|i| ReportData::Value((i * 7) % 16)).collect()
 }
@@ -70,24 +69,23 @@ fn push_and_query(
 /// A thousand negotiated-then-idle connections multiplexed onto two event
 /// loops: accept must not stall at any point (every handshake is a full
 /// round trip), an active pusher must ingest and query through the crowd,
-/// and the answer must be bit-identical to a blocking-engine server fed
-/// the same reports.
+/// and the answer must be bit-identical to the batch reference: the same
+/// reports folded into a local accumulator and estimated by the oracle.
 #[test]
 fn thousand_idle_connections_do_not_stall_accept_or_ingest() {
     let mech = mechanism();
     let all = population(4000);
 
-    // Reference answer from the blocking engine.
-    let blocking = ReportServer::start(
-        Arc::clone(&mech),
-        ServerConfig::builder()
-            .engine(ConnectionEngine::Blocking)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    let (want_users, want) = push_and_query(&blocking, mech.as_ref(), &all);
-    blocking.shutdown();
+    // Reference answer: fold the population locally, estimate once.
+    let mut reference = ShapedAccumulator::for_mechanism(mech.as_ref());
+    for report in &all {
+        reference.accumulate(report.as_report()).unwrap();
+    }
+    let want_users = reference.num_users();
+    let want = mech
+        .frequency_oracle(want_users)
+        .estimate_from(&reference.snapshot())
+        .unwrap();
     assert_eq!(want_users, all.len() as u64);
 
     // No idle timeout: a reap here would mean the reactor confused "idle"
@@ -125,7 +123,7 @@ fn thousand_idle_connections_do_not_stall_accept_or_ingest() {
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
-            "estimate {i} differs between engines ({g} vs {w})"
+            "estimate {i} differs from the batch reference ({g} vs {w})"
         );
     }
 

@@ -6,8 +6,7 @@
 //! per-collector snapshots → exact merge → oracle — and asserts that the
 //! estimates read off the *coordinator* are **bit-identical** to a batch
 //! [`SimulationPipeline`] run of the same `(mechanism, inputs, seed)`,
-//! for all eight mechanisms, for fleet sizes {1, 2, 4}, under both
-//! collector connection engines. The partition the router induces is
+//! for all eight mechanisms, for fleet sizes {1, 2, 4}. The partition the router induces is
 //! irrelevant by construction (integer counts commute under any split);
 //! this suite is what pins that law end to end through two protocol hops.
 //!
@@ -18,7 +17,8 @@
 //! fleet-identity refusal at registration, coordinated checkpoints with
 //! a per-collector generation vector and bit-identical restart, and the
 //! exactness-over-availability rule: one dead collector means a typed
-//! refusal, never a silently partial estimate.
+//! refusal, never a silently partial estimate. A malformed frame draws the
+//! same typed `Reject` from the coordinator as from a collector.
 
 use idldp_coord::{CoordError, CoordServer, Coordinator};
 use idldp_core::budget::Epsilon;
@@ -35,11 +35,13 @@ use idldp_core::report::ReportData;
 use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
-    ClientError, ConnectionEngine, PushOutcome, ReportClient, ReportServer, ServerConfig,
+    ClientError, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig, PROTOCOL_VERSION,
 };
 use idldp_sim::heavy_hitters::identify_top_k;
 use idldp_sim::stream::SeededReportStream;
 use idldp_sim::SimulationPipeline;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 const SEED: u64 = 20200707;
@@ -49,18 +51,6 @@ const CHUNK: usize = 128;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
-}
-
-fn engines() -> Vec<ConnectionEngine> {
-    if cfg!(unix) {
-        vec![ConnectionEngine::Blocking, ConnectionEngine::Reactor]
-    } else {
-        vec![ConnectionEngine::Blocking]
-    }
-}
-
-fn engine_config(engine: ConnectionEngine) -> ServerConfig {
-    ServerConfig::builder().engine(engine).build().unwrap()
 }
 
 fn items(n: usize, m: usize) -> Vec<u32> {
@@ -182,6 +172,47 @@ fn wire_chunks(mechanism: &dyn Mechanism, inputs: InputBatch<'_>) -> Vec<Vec<Rep
     }
 }
 
+/// The `Hello` a well-behaved client sends for `mechanism`.
+fn hello(mechanism: &dyn Mechanism) -> Frame {
+    Frame::Hello {
+        version: PROTOCOL_VERSION,
+        kind: mechanism.kind().to_string(),
+        shape: mechanism.report_shape(),
+        report_len: mechanism.report_len() as u64,
+        ldp_eps_bits: mechanism.ldp_epsilon().to_bits(),
+        tenant: String::new(),
+    }
+}
+
+/// Sends raw `bytes` on a fresh connection — after a completed handshake
+/// when `negotiated` is given — and returns the `Reject` message they
+/// draw, checking that the connection is closed right after it.
+fn raw_reject(addr: SocketAddr, negotiated: Option<&dyn Mechanism>, bytes: &[u8]) -> String {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    if let Some(mechanism) = negotiated {
+        raw.write_all(&hello(mechanism).encode()).unwrap();
+        match Frame::read_from(&mut raw).unwrap() {
+            Some(Frame::HelloAck { .. }) => {}
+            other => panic!("handshake drew {other:?}"),
+        }
+    }
+    raw.write_all(bytes).unwrap();
+    let message = match Frame::read_from(&mut raw).unwrap() {
+        Some(Frame::Reject { message, .. }) => message,
+        other => panic!("a malformed frame must draw a Reject, got {other:?}"),
+    };
+    assert!(
+        matches!(Frame::read_from(&mut raw), Ok(None)),
+        "the connection closes after `{message}`"
+    );
+    message
+}
+
+/// A frame header with a tag no protocol version defines.
+const UNKNOWN_TAG: [u8; 5] = [0xEE, 0, 0, 0, 0];
+/// A `Reports` header claiming a payload over the 16 MiB frame cap.
+const OVERSIZED: [u8; 5] = [0x03, 0xFF, 0xFF, 0xFF, 0xFF];
+
 fn assert_bit_identical(name: &str, got: &[f64], want: &[f64]) {
     assert_eq!(got.len(), want.len(), "{name}: estimate vector length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -196,14 +227,13 @@ fn assert_bit_identical(name: &str, got: &[f64], want: &[f64]) {
 /// Starts `fleet` fresh collectors and a coordinator frontend over them.
 fn start_fleet(
     mechanism: &Arc<dyn BatchMechanism>,
-    engine: ConnectionEngine,
     fleet: usize,
 ) -> (Vec<ReportServer>, CoordServer) {
     let collectors: Vec<ReportServer> = (0..fleet)
         .map(|_| {
             ReportServer::start(
                 mechanism.clone() as Arc<dyn Mechanism>,
-                engine_config(engine),
+                ServerConfig::default(),
             )
             .unwrap()
         })
@@ -220,7 +250,7 @@ fn start_fleet(
 }
 
 /// The tentpole: for every mechanism, for fleets of 1, 2, and 4
-/// collectors, under both connection engines, the estimates and the
+/// collectors, the estimates and the
 /// top-k ranking read off the coordinator are bit-identical to batch —
 /// and the reports really were partitioned (every collector in a
 /// multi-collector fleet absorbed some).
@@ -232,62 +262,60 @@ fn coordinator_estimates_and_top_k_are_bit_identical_to_batch() {
         let k = 5;
         let want_top: Vec<u64> = identify_top_k(&want, k).iter().map(|&i| i as u64).collect();
 
-        for engine in engines() {
-            for fleet in [1usize, 2, 4] {
-                let name = format!("{mech_name}/{engine}/x{fleet}");
-                let (collectors, front) = start_fleet(&mechanism, engine, fleet);
-                let (mut client, resumed) =
-                    ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
-                assert_eq!(resumed, 0, "{name}");
+        for fleet in [1usize, 2, 4] {
+            let name = format!("{mech_name}/x{fleet}");
+            let (collectors, front) = start_fleet(&mechanism, fleet);
+            let (mut client, resumed) =
+                ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+            assert_eq!(resumed, 0, "{name}");
 
-                for chunk in &chunks {
-                    client.push_all(chunk).unwrap();
-                }
+            for chunk in &chunks {
+                client.push_all(chunk).unwrap();
+            }
 
-                let (users, estimates) = client.query_estimates().unwrap();
-                assert_eq!(users, want_users, "{name}: user count through the fleet");
-                assert_bit_identical(&name, &estimates, &want);
+            let (users, estimates) = client.query_estimates().unwrap();
+            assert_eq!(users, want_users, "{name}: user count through the fleet");
+            assert_bit_identical(&name, &estimates, &want);
 
-                // Distributed top-k goes through the Candidates merge
-                // path: local per-collector top-k replies unioned and
-                // re-ranked against the merged estimates — and must equal
-                // batch identification exactly, bits included.
-                let (tk_users, candidates) = client.query_top_k(k).unwrap();
-                assert_eq!(tk_users, want_users, "{name}");
-                let got_top: Vec<u64> = candidates.iter().map(|&(item, _)| item).collect();
-                assert_eq!(got_top, want_top, "{name}: top-{k} through the fleet");
-                for &(item, estimate) in &candidates {
-                    assert_eq!(
-                        estimate.to_bits(),
-                        want[item as usize].to_bits(),
-                        "{name}: candidate {item} estimate bits"
-                    );
-                }
-
-                // The routing really sharded the stream: nothing lost,
-                // and in a multi-collector fleet nothing degenerated to a
-                // single collector either.
-                let stats = front.coordinator().lock().unwrap().stats();
+            // Distributed top-k goes through the Candidates merge
+            // path: local per-collector top-k replies unioned and
+            // re-ranked against the merged estimates — and must equal
+            // batch identification exactly, bits included.
+            let (tk_users, candidates) = client.query_top_k(k).unwrap();
+            assert_eq!(tk_users, want_users, "{name}");
+            let got_top: Vec<u64> = candidates.iter().map(|&(item, _)| item).collect();
+            assert_eq!(got_top, want_top, "{name}: top-{k} through the fleet");
+            for &(item, estimate) in &candidates {
                 assert_eq!(
-                    stats.iter().map(|s| s.accepted).sum::<u64>(),
-                    want_users,
-                    "{name}: every report landed exactly once"
+                    estimate.to_bits(),
+                    want[item as usize].to_bits(),
+                    "{name}: candidate {item} estimate bits"
                 );
-                if fleet > 1 {
-                    assert!(
-                        stats.iter().all(|s| s.accepted > 0),
-                        "{name}: round-robin reached every collector: {stats:?}"
-                    );
-                }
+            }
 
-                for c in &collectors {
-                    assert_eq!(c.fold_failures(), 0, "{name}");
-                }
-                drop(client);
-                front.shutdown();
-                for c in collectors {
-                    c.shutdown();
-                }
+            // The routing really sharded the stream: nothing lost,
+            // and in a multi-collector fleet nothing degenerated to a
+            // single collector either.
+            let stats = front.coordinator().lock().unwrap().stats();
+            assert_eq!(
+                stats.iter().map(|s| s.accepted).sum::<u64>(),
+                want_users,
+                "{name}: every report landed exactly once"
+            );
+            if fleet > 1 {
+                assert!(
+                    stats.iter().all(|s| s.accepted > 0),
+                    "{name}: round-robin reached every collector: {stats:?}"
+                );
+            }
+
+            for c in &collectors {
+                assert_eq!(c.fold_failures(), 0, "{name}");
+            }
+            drop(client);
+            front.shutdown();
+            for c in collectors {
+                c.shutdown();
             }
         }
     }
@@ -347,102 +375,92 @@ fn busy_saturated_collector_spills_and_a_retrying_client_converges_exactly() {
     let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
     let chunks = wire_chunks(mechanism.as_ref(), inputs.as_batch());
 
-    for engine in engines() {
-        let capacity = 64; // CHUNK = 128 > capacity: one frame overfills a queue
-        let config = ServerConfig::builder()
-            .engine(engine)
-            .queue_capacity(capacity)
-            .build()
-            .unwrap();
-        let slow =
-            ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config.clone()).unwrap();
-        let fast = ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
-        let addrs = vec![
-            (slow.local_addr().to_string(), 1),
-            (fast.local_addr().to_string(), 1),
-        ];
-        let (coordinator, _) =
-            Coordinator::connect(mechanism.clone() as Arc<dyn Mechanism>, None, &addrs).unwrap();
-        let front = CoordServer::start(coordinator, "127.0.0.1:0").unwrap();
-        let (client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
-        let mut client = client.with_retry_backoff(std::time::Duration::from_millis(1));
+    let capacity = 64; // CHUNK = 128 > capacity: one frame overfills a queue
+    let config = ServerConfig::builder()
+        .queue_capacity(capacity)
+        .build()
+        .unwrap();
+    let slow =
+        ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config.clone()).unwrap();
+    let fast = ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
+    let addrs = vec![
+        (slow.local_addr().to_string(), 1),
+        (fast.local_addr().to_string(), 1),
+    ];
+    let (coordinator, _) =
+        Coordinator::connect(mechanism.clone() as Arc<dyn Mechanism>, None, &addrs).unwrap();
+    let front = CoordServer::start(coordinator, "127.0.0.1:0").unwrap();
+    let (client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+    let mut client = client.with_retry_backoff(std::time::Duration::from_millis(1));
 
-        // Whole fleet frozen: a frame bigger than the fleet's combined
-        // queue space (2 × 64) fills both queues — slow takes its prefix,
-        // the remainder spills, fast takes the spill's prefix — and the
-        // coordinator's reply is Busy with exactly the contiguous
-        // accepted prefix of the frame.
-        slow.pause_ingest();
-        fast.pause_ingest();
-        let oversized: Vec<ReportData> = chunks
-            .iter()
-            .flatten()
-            .take(2 * capacity + 40)
-            .cloned()
-            .collect();
-        let accepted = match client.push(&oversized).unwrap() {
-            PushOutcome::Busy { accepted } => accepted,
-            PushOutcome::Ingested => panic!("{engine}: a frozen fleet must answer Busy"),
-        };
+    // Whole fleet frozen: a frame bigger than the fleet's combined
+    // queue space (2 × 64) fills both queues — slow takes its prefix,
+    // the remainder spills, fast takes the spill's prefix — and the
+    // coordinator's reply is Busy with exactly the contiguous
+    // accepted prefix of the frame.
+    slow.pause_ingest();
+    fast.pause_ingest();
+    let oversized: Vec<ReportData> = chunks
+        .iter()
+        .flatten()
+        .take(2 * capacity + 40)
+        .cloned()
+        .collect();
+    let accepted = match client.push(&oversized).unwrap() {
+        PushOutcome::Busy { accepted } => accepted,
+        PushOutcome::Ingested => panic!("a frozen fleet must answer Busy"),
+    };
+    assert_eq!(
+        accepted,
+        2 * capacity as u64,
+        "both queues filled before the Busy"
+    );
+
+    // Fast thaws; slow stays frozen with a full queue for the rest of
+    // the stream — every frame routed its way yields a zero-progress
+    // Busy and spills wholesale to fast.
+    fast.resume_ingest();
+    let all: Vec<ReportData> = chunks.iter().flatten().cloned().collect();
+    client.push_all(&all[accepted as usize..]).unwrap();
+
+    {
+        let coordinator = front.coordinator();
+        let coordinator = coordinator.lock().unwrap();
+        let stats = coordinator.stats();
         assert_eq!(
-            accepted,
-            2 * capacity as u64,
-            "{engine}: both queues filled before the Busy"
+            stats.iter().map(|s| s.accepted).sum::<u64>(),
+            want_users,
+            "accepted across the fleet covers the population"
         );
-
-        // Fast thaws; slow stays frozen with a full queue for the rest of
-        // the stream — every frame routed its way yields a zero-progress
-        // Busy and spills wholesale to fast.
-        fast.resume_ingest();
-        let all: Vec<ReportData> = chunks.iter().flatten().cloned().collect();
-        client.push_all(&all[accepted as usize..]).unwrap();
-
-        {
-            let coordinator = front.coordinator();
-            let coordinator = coordinator.lock().unwrap();
-            let stats = coordinator.stats();
-            assert_eq!(
-                stats.iter().map(|s| s.accepted).sum::<u64>(),
-                want_users,
-                "{engine}: accepted across the fleet covers the population"
-            );
-            assert_eq!(
-                stats[0].accepted, capacity as u64,
-                "{engine}: slow froze early"
-            );
-            assert!(
-                stats[0].busy_replies > 0,
-                "{engine}: slow pushed back: {stats:?}"
-            );
-            assert!(
-                stats[1].spilled_in >= (want_users - 2 * capacity as u64),
-                "{engine}: the remainder spilled to fast: {stats:?}"
-            );
-        }
-
-        // Exactness over availability: with slow still paused (its 64
-        // accepted reports unfolded), a query draws a typed refusal, not
-        // a partial answer.
-        match client.query_estimates() {
-            Err(ClientError::Rejected { message, .. }) => assert!(
-                message.contains("paused"),
-                "{engine}: unexpected reason: {message}"
-            ),
-            other => panic!("{engine}: expected a typed refusal, got {other:?}"),
-        }
-
-        // Thaw slow: the same connection settles to the exact batch
-        // estimates — the spill/retry dance lost and duplicated nothing.
-        slow.resume_ingest();
-        let (users, estimates) = client.query_estimates().unwrap();
-        assert_eq!(users, want_users, "{engine}");
-        assert_bit_identical(&format!("busy-spill/{engine}"), &estimates, &want);
-        assert_eq!(slow.fold_failures() + fast.fold_failures(), 0);
-        drop(client);
-        front.shutdown();
-        slow.shutdown();
-        fast.shutdown();
+        assert_eq!(stats[0].accepted, capacity as u64, "slow froze early");
+        assert!(stats[0].busy_replies > 0, "slow pushed back: {stats:?}");
+        assert!(
+            stats[1].spilled_in >= (want_users - 2 * capacity as u64),
+            "the remainder spilled to fast: {stats:?}"
+        );
     }
+
+    // Exactness over availability: with slow still paused (its 64
+    // accepted reports unfolded), a query draws a typed refusal, not
+    // a partial answer.
+    match client.query_estimates() {
+        Err(ClientError::Rejected { message, .. }) => {
+            assert!(message.contains("paused"), "unexpected reason: {message}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+
+    // Thaw slow: the same connection settles to the exact batch
+    // estimates — the spill/retry dance lost and duplicated nothing.
+    slow.resume_ingest();
+    let (users, estimates) = client.query_estimates().unwrap();
+    assert_eq!(users, want_users);
+    assert_bit_identical("busy-spill", &estimates, &want);
+    assert_eq!(slow.fold_failures() + fast.fold_failures(), 0);
+    drop(client);
+    front.shutdown();
+    slow.shutdown();
+    fast.shutdown();
 }
 
 /// Registration is where a mixed fleet dies: a collector whose
@@ -621,7 +639,7 @@ fn coordinated_checkpoint_covers_the_fleet_and_restores_bit_identically() {
 fn a_dead_collector_means_a_typed_refusal_not_a_partial_answer() {
     let mechanism: Arc<dyn BatchMechanism> =
         Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
-    let (collectors, front) = start_fleet(&mechanism, ConnectionEngine::Blocking, 2);
+    let (collectors, front) = start_fleet(&mechanism, 2);
     let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
     let batch: Vec<ReportData> = (0..64).map(|i| ReportData::Value(i % 8)).collect();
     client.push_all(&batch).unwrap();
@@ -639,6 +657,34 @@ fn a_dead_collector_means_a_typed_refusal_not_a_partial_answer() {
         ),
         other => panic!("a dead collector must refuse the query, got {other:?}"),
     }
+    drop(client);
+    front.shutdown();
+    for c in collectors {
+        c.shutdown();
+    }
+}
+
+/// A malformed frame after the handshake draws the same typed `bad frame:`
+/// `Reject` a collector sends, then the coordinator closes the connection
+/// — for an unknown tag and an over-cap length prefix alike. The frontend
+/// keeps serving well-formed clients.
+#[test]
+fn malformed_frames_draw_a_typed_reject_from_the_coordinator() {
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.0), 8).unwrap());
+    let (collectors, front) = start_fleet(&mechanism, 2);
+
+    for (case, bytes) in [("unknown tag", UNKNOWN_TAG), ("oversized", OVERSIZED)] {
+        let message = raw_reject(front.local_addr(), Some(mechanism.as_ref()), &bytes);
+        assert!(message.starts_with("bad frame: "), "{case}: {message}");
+    }
+    let message = raw_reject(front.local_addr(), None, &UNKNOWN_TAG);
+    assert!(message.starts_with("handshake: "), "{message}");
+
+    let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+    client.push_all(&[ReportData::Value(3)]).unwrap();
+    let (users, _) = client.query_estimates().unwrap();
+    assert_eq!(users, 1, "malformed peers left no reports behind");
     drop(client);
     front.shutdown();
     for c in collectors {

@@ -8,23 +8,16 @@
 //! [`SimulationPipeline`] run of the same `(mechanism, inputs, seed)`, for
 //! all eight mechanisms in their native wire shapes. On top of the
 //! streaming ≡ batch contract (`streaming_conformance.rs`) this adds the
-//! transport: framing, the worker pool, the queue, and the
+//! transport: framing, the event loops, the queue, and the
 //! query-after-ingest linearization must all preserve every report
 //! exactly.
 //!
 //! Also covered: the backpressure contract (a full ingest queue answers
 //! `Busy`, and a retrying client still converges to the exact batch
 //! estimates — accepted reports are never dropped), handshake rejection of
-//! mismatched mechanism configs, typed rejection of invalid reports, the
-//! top-k query against batch `identify_top_k`, and checkpoint → restart →
-//! resume bit-identity over the socket.
-//!
-//! Every case runs against **both** connection engines
-//! ([`ConnectionEngine::Blocking`] and [`ConnectionEngine::Reactor`]) from
-//! the same test body: the engines share the protocol logic by
-//! construction, and this suite is what keeps the transport halves from
-//! drifting apart — the reply bytes, and therefore the estimates, must be
-//! bit-identical regardless of which engine served them.
+//! mismatched mechanism configs and malformed frames, typed rejection of
+//! invalid reports, the top-k query against batch `identify_top_k`, and
+//! checkpoint → restart → resume bit-identity over the socket.
 
 use idldp_core::budget::Epsilon;
 use idldp_core::grr::GeneralizedRandomizedResponse;
@@ -41,11 +34,13 @@ use idldp_core::snapshot::StoreKind;
 use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
-    ClientError, ConnectionEngine, PushOutcome, ReportClient, ReportServer, ServerConfig,
+    ClientError, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig, PROTOCOL_VERSION,
 };
 use idldp_sim::heavy_hitters::identify_top_k;
 use idldp_sim::stream::SeededReportStream;
 use idldp_sim::SimulationPipeline;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 const SEED: u64 = 20200707;
@@ -53,21 +48,6 @@ const CHUNK: usize = 256;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
-}
-
-/// Both connection engines on unix; the readiness reactor needs a unix
-/// poller backend, so non-unix hosts cover the blocking engine only.
-fn engines() -> Vec<ConnectionEngine> {
-    if cfg!(unix) {
-        vec![ConnectionEngine::Blocking, ConnectionEngine::Reactor]
-    } else {
-        vec![ConnectionEngine::Blocking]
-    }
-}
-
-/// A [`ServerConfig`] pinned to one engine (defaults otherwise).
-fn engine_config(engine: ConnectionEngine) -> ServerConfig {
-    ServerConfig::builder().engine(engine).build().unwrap()
 }
 
 fn items(n: usize, m: usize) -> Vec<u32> {
@@ -192,6 +172,47 @@ fn wire_chunks(mechanism: &dyn Mechanism, inputs: InputBatch<'_>) -> Vec<Vec<Rep
     }
 }
 
+/// The `Hello` a well-behaved client sends for `mechanism`.
+fn hello(mechanism: &dyn Mechanism) -> Frame {
+    Frame::Hello {
+        version: PROTOCOL_VERSION,
+        kind: mechanism.kind().to_string(),
+        shape: mechanism.report_shape(),
+        report_len: mechanism.report_len() as u64,
+        ldp_eps_bits: mechanism.ldp_epsilon().to_bits(),
+        tenant: String::new(),
+    }
+}
+
+/// Sends raw `bytes` on a fresh connection — after a completed handshake
+/// when `negotiated` is given — and returns the `Reject` message they
+/// draw, checking that the connection is closed right after it.
+fn raw_reject(addr: SocketAddr, negotiated: Option<&dyn Mechanism>, bytes: &[u8]) -> String {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    if let Some(mechanism) = negotiated {
+        raw.write_all(&hello(mechanism).encode()).unwrap();
+        match Frame::read_from(&mut raw).unwrap() {
+            Some(Frame::HelloAck { .. }) => {}
+            other => panic!("handshake drew {other:?}"),
+        }
+    }
+    raw.write_all(bytes).unwrap();
+    let message = match Frame::read_from(&mut raw).unwrap() {
+        Some(Frame::Reject { message, .. }) => message,
+        other => panic!("a malformed frame must draw a Reject, got {other:?}"),
+    };
+    assert!(
+        matches!(Frame::read_from(&mut raw), Ok(None)),
+        "the connection closes after `{message}`"
+    );
+    message
+}
+
+/// A frame header with a tag no protocol version defines.
+const UNKNOWN_TAG: [u8; 5] = [0xEE, 0, 0, 0, 0];
+/// A `Reports` header claiming a payload over the 16 MiB frame cap.
+const OVERSIZED: [u8; 5] = [0x03, 0xFF, 0xFF, 0xFF, 0xFF];
+
 fn assert_bit_identical(name: &str, got: &[f64], want: &[f64]) {
     assert_eq!(got.len(), want.len(), "{name}: estimate vector length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -208,42 +229,40 @@ fn loopback_estimates_are_bit_identical_to_batch_for_all_eight_mechanisms() {
     for (mech_name, mechanism, inputs) in lineup() {
         let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
 
-        for engine in engines() {
-            let name = format!("{mech_name}/{engine}");
-            let server = ReportServer::start(
-                mechanism.clone() as Arc<dyn Mechanism>,
-                engine_config(engine),
-            )
-            .unwrap();
-            let (mut client, resumed) =
-                ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-            assert_eq!(resumed, 0, "{name}: fresh server starts empty");
+        let name = mech_name;
+        let server = ReportServer::start(
+            mechanism.clone() as Arc<dyn Mechanism>,
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let (mut client, resumed) =
+            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+        assert_eq!(resumed, 0, "{name}: fresh server starts empty");
 
-            for chunk in wire_chunks(mechanism.as_ref(), inputs.as_batch()) {
-                client.push_all(&chunk).unwrap();
-            }
-
-            let (users, estimates) = client.query_estimates().unwrap();
-            assert_eq!(users, want_users, "{name}: user count over TCP");
-            assert_bit_identical(&name, &estimates, &want);
-
-            // The top-k query ranks exactly like batch identification.
-            let k = 5;
-            let (_, candidates) = client.query_top_k(k).unwrap();
-            let want_top: Vec<u64> = identify_top_k(&want, k).iter().map(|&i| i as u64).collect();
-            let got_top: Vec<u64> = candidates.iter().map(|&(item, _)| item).collect();
-            assert_eq!(got_top, want_top, "{name}: top-{k} over TCP");
-            for &(item, estimate) in &candidates {
-                assert_eq!(
-                    estimate.to_bits(),
-                    want[item as usize].to_bits(),
-                    "{name}: candidate estimate bits"
-                );
-            }
-
-            assert_eq!(server.fold_failures(), 0, "{name}: no post-accept failures");
-            server.shutdown();
+        for chunk in wire_chunks(mechanism.as_ref(), inputs.as_batch()) {
+            client.push_all(&chunk).unwrap();
         }
+
+        let (users, estimates) = client.query_estimates().unwrap();
+        assert_eq!(users, want_users, "{name}: user count over TCP");
+        assert_bit_identical(name, &estimates, &want);
+
+        // The top-k query ranks exactly like batch identification.
+        let k = 5;
+        let (_, candidates) = client.query_top_k(k).unwrap();
+        let want_top: Vec<u64> = identify_top_k(&want, k).iter().map(|&i| i as u64).collect();
+        let got_top: Vec<u64> = candidates.iter().map(|&(item, _)| item).collect();
+        assert_eq!(got_top, want_top, "{name}: top-{k} over TCP");
+        for &(item, estimate) in &candidates {
+            assert_eq!(
+                estimate.to_bits(),
+                want[item as usize].to_bits(),
+                "{name}: candidate estimate bits"
+            );
+        }
+
+        assert_eq!(server.fold_failures(), 0, "{name}: no post-accept failures");
+        server.shutdown();
     }
 }
 
@@ -254,162 +273,153 @@ fn full_ingest_queue_yields_busy_and_a_retrying_client_still_converges() {
     let inputs = OwnedInputs::Items(items(2000, 16));
     let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
 
-    for engine in engines() {
-        let capacity = 64;
-        let server = ReportServer::start(
-            mechanism.clone() as Arc<dyn Mechanism>,
-            ServerConfig::builder()
-                .engine(engine)
-                .queue_capacity(capacity)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let (mut client, _) =
-            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-        client = client.with_retry_backoff(std::time::Duration::from_millis(1));
+    let capacity = 64;
+    let server = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        ServerConfig::builder()
+            .queue_capacity(capacity)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let (mut client, _) = ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+    client = client.with_retry_backoff(std::time::Duration::from_millis(1));
 
-        // Freeze the fold side: accepted reports pile up in the bounded queue.
-        server.pause_ingest();
-        let chunks = wire_chunks(mechanism.as_ref(), inputs.as_batch());
-        let oversized: Vec<ReportData> = chunks
-            .iter()
-            .flatten()
-            .take(capacity + 40)
-            .cloned()
-            .collect();
-        match client.push(&oversized).unwrap() {
-            PushOutcome::Busy { accepted } => {
-                assert_eq!(
-                    accepted, capacity as u64,
-                    "{engine}: exactly the queue capacity is accepted before Busy"
-                );
-            }
-            PushOutcome::Ingested => panic!("{engine}: a full queue must answer Busy"),
+    // Freeze the fold side: accepted reports pile up in the bounded queue.
+    server.pause_ingest();
+    let chunks = wire_chunks(mechanism.as_ref(), inputs.as_batch());
+    let oversized: Vec<ReportData> = chunks
+        .iter()
+        .flatten()
+        .take(capacity + 40)
+        .cloned()
+        .collect();
+    match client.push(&oversized).unwrap() {
+        PushOutcome::Busy { accepted } => {
+            assert_eq!(
+                accepted, capacity as u64,
+                "exactly the queue capacity is accepted before Busy"
+            );
         }
-        // Still paused: nothing further fits, but nothing breaks either.
-        match client.push(&oversized[capacity..]).unwrap() {
-            PushOutcome::Busy { accepted } => assert_eq!(accepted, 0),
-            PushOutcome::Ingested => panic!("{engine}: queue is still full"),
-        }
-
-        // Resume folding and push the whole population through the retry loop,
-        // skipping the `capacity` reports the server already accepted.
-        server.resume_ingest();
-        let all: Vec<ReportData> = chunks.into_iter().flatten().collect();
-        client.push_all(&all[capacity..]).unwrap();
-
-        let (users, estimates) = client.query_estimates().unwrap();
-        assert_eq!(
-            users, want_users,
-            "{engine}: no accepted report was dropped"
-        );
-        assert_bit_identical(&format!("busy-retry/{engine}"), &estimates, &want);
-        assert_eq!(server.fold_failures(), 0);
-        server.shutdown();
+        PushOutcome::Ingested => panic!("a full queue must answer Busy"),
     }
+    // Still paused: nothing further fits, but nothing breaks either.
+    match client.push(&oversized[capacity..]).unwrap() {
+        PushOutcome::Busy { accepted } => assert_eq!(accepted, 0),
+        PushOutcome::Ingested => panic!("queue is still full"),
+    }
+
+    // Resume folding and push the whole population through the retry loop,
+    // skipping the `capacity` reports the server already accepted.
+    server.resume_ingest();
+    let all: Vec<ReportData> = chunks.into_iter().flatten().collect();
+    client.push_all(&all[capacity..]).unwrap();
+
+    let (users, estimates) = client.query_estimates().unwrap();
+    assert_eq!(users, want_users, "no accepted report was dropped");
+    assert_bit_identical("busy-retry", &estimates, &want);
+    assert_eq!(server.fold_failures(), 0);
+    server.shutdown();
 }
 
 #[test]
 fn handshake_rejects_mismatched_mechanism_config() {
-    for engine in engines() {
-        let server_mech: Arc<dyn BatchMechanism> =
-            Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 16).unwrap());
-        let server = ReportServer::start(
-            server_mech.clone() as Arc<dyn Mechanism>,
-            engine_config(engine),
-        )
-        .unwrap();
+    let server_mech: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 16).unwrap());
+    let server = ReportServer::start(
+        server_mech.clone() as Arc<dyn Mechanism>,
+        ServerConfig::default(),
+    )
+    .unwrap();
 
-        // Wrong kind + shape (OLH sends hashed pairs, server runs GRR).
-        let olh = OptimalLocalHashing::new(eps(1.2), 16).unwrap();
-        let err = ReportClient::connect(server.local_addr(), &olh)
-            .map(|_| ())
-            .expect_err("mismatched hello must be rejected");
-        match err {
-            ClientError::Rejected { message, .. } => {
-                assert!(
-                    message.contains("mismatch"),
-                    "{engine}: unexpected reason: {message}"
-                )
-            }
-            other => panic!("{engine}: expected a typed rejection, got {other:?}"),
+    // Wrong kind + shape (OLH sends hashed pairs, server runs GRR).
+    let olh = OptimalLocalHashing::new(eps(1.2), 16).unwrap();
+    let err = ReportClient::connect(server.local_addr(), &olh)
+        .map(|_| ())
+        .expect_err("mismatched hello must be rejected");
+    match err {
+        ClientError::Rejected { message, .. } => {
+            assert!(message.contains("mismatch"), "unexpected reason: {message}")
         }
-
-        // Same kind, wrong width.
-        let narrow = GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap();
-        assert!(matches!(
-            ReportClient::connect(server.local_addr(), &narrow),
-            Err(ClientError::Rejected { .. })
-        ));
-
-        // Same kind, same shape, same width — different privacy budget. The
-        // reports would fold cleanly but calibrate wrongly, so the handshake
-        // must refuse (the Hello carries the exact ε bits).
-        let other_eps = GeneralizedRandomizedResponse::new(eps(2.0), 16).unwrap();
-        assert!(matches!(
-            ReportClient::connect(server.local_addr(), &other_eps),
-            Err(ClientError::Rejected { .. })
-        ));
-
-        // A matching client still gets through afterwards.
-        let (mut client, _) =
-            ReportClient::connect(server.local_addr(), server_mech.as_ref()).unwrap();
-        client.push_all(&[ReportData::Value(3)]).unwrap();
-        let (users, _) = client.query_estimates().unwrap();
-        assert_eq!(users, 1);
-        server.shutdown();
+        other => panic!("expected a typed rejection, got {other:?}"),
     }
+
+    // Same kind, wrong width.
+    let narrow = GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap();
+    assert!(matches!(
+        ReportClient::connect(server.local_addr(), &narrow),
+        Err(ClientError::Rejected { .. })
+    ));
+
+    // Same kind, same shape, same width — different privacy budget. The
+    // reports would fold cleanly but calibrate wrongly, so the handshake
+    // must refuse (the Hello carries the exact ε bits).
+    let other_eps = GeneralizedRandomizedResponse::new(eps(2.0), 16).unwrap();
+    assert!(matches!(
+        ReportClient::connect(server.local_addr(), &other_eps),
+        Err(ClientError::Rejected { .. })
+    ));
+
+    // A malformed first frame: the typed handshake refusal, then EOF.
+    let message = raw_reject(server.local_addr(), None, &UNKNOWN_TAG);
+    assert!(message.starts_with("handshake: "), "{message}");
+
+    // A matching client still gets through afterwards.
+    let (mut client, _) = ReportClient::connect(server.local_addr(), server_mech.as_ref()).unwrap();
+    client.push_all(&[ReportData::Value(3)]).unwrap();
+    let (users, _) = client.query_estimates().unwrap();
+    assert_eq!(users, 1);
+    server.shutdown();
 }
 
 #[test]
 fn invalid_reports_are_rejected_without_corrupting_counts() {
-    for engine in engines() {
-        let mechanism: Arc<dyn BatchMechanism> =
-            Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
-        let server = ReportServer::start(
-            mechanism.clone() as Arc<dyn Mechanism>,
-            engine_config(engine),
-        )
-        .unwrap();
-        let (mut client, _) =
-            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
+    let server = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let (mut client, _) = ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
 
-        // A hostile frame mixing valid and invalid reports is rejected
-        // *atomically*: the whole frame validates before anything is queued,
-        // so nothing folds — not even the valid prefix — and the reply names
-        // the offending report.
-        let batch = vec![
-            ReportData::Value(1),
-            ReportData::Value(2),
-            ReportData::Value(8), // out of 0..8
-            ReportData::Value(3),
-        ];
-        match client.push_all(&batch) {
-            Err(ClientError::Rejected { accepted, message }) => {
-                assert_eq!(accepted, 0, "{engine}: mixed frames reject atomically");
-                assert!(message.contains("report 2"), "{engine}: {message}");
-                assert!(message.contains("out of range"), "{engine}: {message}");
-            }
-            other => panic!("{engine}: invalid report must be rejected, got {other:?}"),
+    // A hostile frame mixing valid and invalid reports is rejected
+    // *atomically*: the whole frame validates before anything is queued,
+    // so nothing folds — not even the valid prefix — and the reply names
+    // the offending report.
+    let batch = vec![
+        ReportData::Value(1),
+        ReportData::Value(2),
+        ReportData::Value(8), // out of 0..8
+        ReportData::Value(3),
+    ];
+    match client.push_all(&batch) {
+        Err(ClientError::Rejected { accepted, message }) => {
+            assert_eq!(accepted, 0, "mixed frames reject atomically");
+            assert!(message.contains("report 2"), "{message}");
+            assert!(message.contains("out of range"), "{message}");
         }
-        // A wrong-shape report is refused too (connection negotiated values).
-        assert!(matches!(
-            client.push_all(&[ReportData::Hashed { seed: 1, value: 0 }]),
-            Err(ClientError::Rejected { .. })
-        ));
-
-        // The connection survives rejection, and only valid frames count.
-        client.push_all(&[ReportData::Value(3)]).unwrap();
-        let (users, estimates) = client.query_estimates().unwrap();
-        assert_eq!(
-            users, 1,
-            "{engine}: only the clean frame after the rejections folds"
-        );
-        assert_eq!(estimates.len(), 8);
-        assert_eq!(server.fold_failures(), 0);
-        server.shutdown();
+        other => panic!("invalid report must be rejected, got {other:?}"),
     }
+    // A wrong-shape report is refused too (connection negotiated values).
+    assert!(matches!(
+        client.push_all(&[ReportData::Hashed { seed: 1, value: 0 }]),
+        Err(ClientError::Rejected { .. })
+    ));
+
+    // The connection survives rejection, and only valid frames count.
+    client.push_all(&[ReportData::Value(3)]).unwrap();
+
+    // A malformed frame after the handshake cannot be resynchronised: it
+    // draws the typed `bad frame:` refusal, then the server hangs up.
+    let message = raw_reject(server.local_addr(), Some(mechanism.as_ref()), &OVERSIZED);
+    assert!(message.starts_with("bad frame: "), "{message}");
+
+    let (users, estimates) = client.query_estimates().unwrap();
+    assert_eq!(users, 1, "only the clean frame after the rejections folds");
+    assert_eq!(estimates.len(), 8);
+    assert_eq!(server.fold_failures(), 0);
+    server.shutdown();
 }
 
 /// One multi-report `Reports` frame draws exactly one `Ingested` reply
@@ -419,55 +429,48 @@ fn invalid_reports_are_rejected_without_corrupting_counts() {
 /// subset-selection set rejects the frame atomically.
 #[test]
 fn one_frame_one_ack_and_pinned_item_set_cardinality() {
-    for engine in engines() {
-        // A 100-report frame is one push, one Ingested.
-        let mechanism: Arc<dyn BatchMechanism> =
-            Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
-        let server = ReportServer::start(
-            mechanism.clone() as Arc<dyn Mechanism>,
-            engine_config(engine),
-        )
-        .unwrap();
-        let (mut client, _) =
-            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-        let batch: Vec<ReportData> = (0..100).map(|i| ReportData::Value(i % 8)).collect();
-        assert_eq!(client.push(&batch).unwrap(), PushOutcome::Ingested);
-        let (users, _) = client.query_estimates().unwrap();
-        assert_eq!(
-            users, 100,
-            "{engine}: the whole frame folded behind the single ack"
-        );
-        assert_eq!(server.fold_failures(), 0);
-        server.shutdown();
+    // A 100-report frame is one push, one Ingested.
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
+    let server = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let (mut client, _) = ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+    let batch: Vec<ReportData> = (0..100).map(|i| ReportData::Value(i % 8)).collect();
+    assert_eq!(client.push(&batch).unwrap(), PushOutcome::Ingested);
+    let (users, _) = client.query_estimates().unwrap();
+    assert_eq!(users, 100, "the whole frame folded behind the single ack");
+    assert_eq!(server.fold_failures(), 0);
+    server.shutdown();
 
-        // Subset selection pins k in the handshake shape; a set of any other
-        // size is refused and poisons its whole frame.
-        let ss = SubsetSelection::new(eps(1.0), 20).unwrap();
-        let k = ss.subset_size();
-        assert!((1..20).contains(&k));
-        let mechanism: Arc<dyn BatchMechanism> = Arc::new(ss);
-        let server = ReportServer::start(
-            mechanism.clone() as Arc<dyn Mechanism>,
-            engine_config(engine),
-        )
-        .unwrap();
-        let (mut client, _) =
-            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-        let valid = ReportData::ItemSet((0..k).collect());
-        client.push_all(std::slice::from_ref(&valid)).unwrap();
-        let wrong_size = ReportData::ItemSet((0..k + 1).collect());
-        match client.push_all(&[valid, wrong_size]) {
-            Err(ClientError::Rejected { accepted, message }) => {
-                assert_eq!(accepted, 0, "{engine}: the valid lead report must not fold");
-                assert!(message.contains("cardinality"), "{engine}: {message}");
-            }
-            other => panic!("{engine}: wrong-sized set must be rejected, got {other:?}"),
+    // Subset selection pins k in the handshake shape; a set of any other
+    // size is refused and poisons its whole frame.
+    let ss = SubsetSelection::new(eps(1.0), 20).unwrap();
+    let k = ss.subset_size();
+    assert!((1..20).contains(&k));
+    let mechanism: Arc<dyn BatchMechanism> = Arc::new(ss);
+    let server = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let (mut client, _) = ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+    let valid = ReportData::ItemSet((0..k).collect());
+    client.push_all(std::slice::from_ref(&valid)).unwrap();
+    let wrong_size = ReportData::ItemSet((0..k + 1).collect());
+    match client.push_all(&[valid, wrong_size]) {
+        Err(ClientError::Rejected { accepted, message }) => {
+            assert_eq!(accepted, 0, "the valid lead report must not fold");
+            assert!(message.contains("cardinality"), "{message}");
         }
-        let (users, _) = client.query_estimates().unwrap();
-        assert_eq!(users, 1, "{engine}: only the clean frame counts");
-        assert_eq!(server.fold_failures(), 0);
-        server.shutdown();
+        other => panic!("wrong-sized set must be rejected, got {other:?}"),
     }
+    let (users, _) = client.query_estimates().unwrap();
+    assert_eq!(users, 1, "only the clean frame counts");
+    assert_eq!(server.fold_failures(), 0);
+    server.shutdown();
 }
 
 #[test]
@@ -477,100 +480,93 @@ fn checkpoint_restart_resumes_bit_identically_over_tcp() {
     let inputs = OwnedInputs::Items(items(2048, 16));
     let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
 
-    // Every checkpoint backend × every connection engine: write → kill →
+    // Every checkpoint backend: write → kill →
     // restore → resume must be bit-identical regardless of whether the
     // checkpoint was one flat file or an appended delta log.
     for store in StoreKind::ALL {
-        for engine in engines() {
-            let label = format!("{store}/{engine}");
-            let dir = std::env::temp_dir().join(format!(
-                "idldp-server-loopback-{}-{store}-{engine}",
-                std::process::id()
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
-            let ckpt = dir.join("serve.ckpt");
-            let config = ServerConfig::builder()
-                .engine(engine)
-                .checkpoint_path(ckpt.clone())
-                .checkpoint_store(store)
-                .build()
-                .unwrap();
+        let label = store.to_string();
+        let dir = std::env::temp_dir().join(format!(
+            "idldp-server-loopback-{}-{store}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("serve.ckpt");
+        let config = ServerConfig::builder()
+            .checkpoint_path(ckpt.clone())
+            .checkpoint_store(store)
+            .build()
+            .unwrap();
 
-            let chunks = wire_chunks(mechanism.as_ref(), inputs.as_batch());
-            let half = chunks.len() / 2;
+        let chunks = wire_chunks(mechanism.as_ref(), inputs.as_batch());
+        let half = chunks.len() / 2;
 
-            // First server: ingest half the stream, checkpoint over the
-            // socket — twice, so the delta backend's second record is a
-            // true delta appended after a base, not just one base record.
-            let server =
-                ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config.clone())
-                    .unwrap();
-            let (mut client, resumed) =
-                ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-            assert_eq!(resumed, 0);
-            let quarter = half / 2;
-            for chunk in &chunks[..quarter] {
-                client.push_all(chunk).unwrap();
-            }
-            assert_eq!(client.checkpoint().unwrap(), (quarter * CHUNK) as u64);
-            for chunk in &chunks[quarter..half] {
-                client.push_all(chunk).unwrap();
-            }
-            let covered = client.checkpoint().unwrap();
-            assert_eq!(covered, (half * CHUNK) as u64, "{label}");
-            drop(client);
-            server.shutdown();
-
-            // "Restart": a new server restores the checkpoint; the client
-            // learns the resume point from the HelloAck and pushes only the
-            // tail.
-            let server =
-                ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
-            let (mut client, resumed) =
-                ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-            assert_eq!(
-                resumed, covered,
-                "{label}: HelloAck reports the restored users"
-            );
-            for chunk in &chunks[half..] {
-                client.push_all(chunk).unwrap();
-            }
-            let (users, estimates) = client.query_estimates().unwrap();
-            assert_eq!(users, want_users, "{label}");
-            assert_bit_identical(&format!("checkpoint-restart/{label}"), &estimates, &want);
-            server.shutdown();
-
-            // A differently configured server refuses the checkpoint
-            // outright — whether the mechanism kind differs...
-            let other: Arc<dyn BatchMechanism> =
-                Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 16).unwrap());
-            let again = ServerConfig::builder()
-                .engine(engine)
-                .checkpoint_path(ckpt.clone())
-                .checkpoint_store(store)
-                .build()
-                .unwrap();
-            assert!(
-                ReportServer::start(other as Arc<dyn Mechanism>, again).is_err(),
-                "{label}: other kind must refuse"
-            );
-            // ...or only the privacy budget does (same kind, same shape,
-            // same width: counts perturbed under a different ε must not be
-            // restored, because the oracle would calibrate them wrongly).
-            let other_eps: Arc<dyn BatchMechanism> =
-                Arc::new(UnaryEncoding::optimized(eps(2.5), 16).unwrap());
-            let again = ServerConfig::builder()
-                .engine(engine)
-                .checkpoint_path(ckpt)
-                .checkpoint_store(store)
-                .build()
-                .unwrap();
-            assert!(
-                ReportServer::start(other_eps as Arc<dyn Mechanism>, again).is_err(),
-                "{label}: other ε must refuse"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
+        // First server: ingest half the stream, checkpoint over the
+        // socket — twice, so the delta backend's second record is a
+        // true delta appended after a base, not just one base record.
+        let server =
+            ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config.clone()).unwrap();
+        let (mut client, resumed) =
+            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+        assert_eq!(resumed, 0);
+        let quarter = half / 2;
+        for chunk in &chunks[..quarter] {
+            client.push_all(chunk).unwrap();
         }
+        assert_eq!(client.checkpoint().unwrap(), (quarter * CHUNK) as u64);
+        for chunk in &chunks[quarter..half] {
+            client.push_all(chunk).unwrap();
+        }
+        let covered = client.checkpoint().unwrap();
+        assert_eq!(covered, (half * CHUNK) as u64, "{label}");
+        drop(client);
+        server.shutdown();
+
+        // "Restart": a new server restores the checkpoint; the client
+        // learns the resume point from the HelloAck and pushes only the
+        // tail.
+        let server = ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
+        let (mut client, resumed) =
+            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+        assert_eq!(
+            resumed, covered,
+            "{label}: HelloAck reports the restored users"
+        );
+        for chunk in &chunks[half..] {
+            client.push_all(chunk).unwrap();
+        }
+        let (users, estimates) = client.query_estimates().unwrap();
+        assert_eq!(users, want_users, "{label}");
+        assert_bit_identical(&format!("checkpoint-restart/{label}"), &estimates, &want);
+        server.shutdown();
+
+        // A differently configured server refuses the checkpoint
+        // outright — whether the mechanism kind differs...
+        let other: Arc<dyn BatchMechanism> =
+            Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 16).unwrap());
+        let again = ServerConfig::builder()
+            .checkpoint_path(ckpt.clone())
+            .checkpoint_store(store)
+            .build()
+            .unwrap();
+        assert!(
+            ReportServer::start(other as Arc<dyn Mechanism>, again).is_err(),
+            "{label}: other kind must refuse"
+        );
+        // ...or only the privacy budget does (same kind, same shape,
+        // same width: counts perturbed under a different ε must not be
+        // restored, because the oracle would calibrate them wrongly).
+        let other_eps: Arc<dyn BatchMechanism> =
+            Arc::new(UnaryEncoding::optimized(eps(2.5), 16).unwrap());
+        let again = ServerConfig::builder()
+            .checkpoint_path(ckpt)
+            .checkpoint_store(store)
+            .build()
+            .unwrap();
+        assert!(
+            ReportServer::start(other_eps as Arc<dyn Mechanism>, again).is_err(),
+            "{label}: other ε must refuse"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -587,97 +583,81 @@ fn v1_flat_checkpoints_migrate_through_every_store_over_tcp() {
     let half = chunks.len() / 2;
 
     for store in StoreKind::ALL {
-        for engine in engines() {
-            let label = format!("v1-migrate/{store}/{engine}");
-            let dir = std::env::temp_dir().join(format!(
-                "idldp-v1-migrate-{}-{store}-{engine}",
-                std::process::id()
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
-            let ckpt = dir.join("serve.ckpt");
+        let label = format!("v1-migrate/{store}");
+        let dir =
+            std::env::temp_dir().join(format!("idldp-v1-migrate-{}-{store}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("serve.ckpt");
 
-            // Write a v1 flat checkpoint the way the pre-store server did:
-            // merged snapshot text + run line, one atomic file.
-            let config = ServerConfig::builder()
-                .engine(engine)
-                .checkpoint_path(ckpt.clone())
-                .checkpoint_store(StoreKind::File)
-                .build()
-                .unwrap();
-            let server =
-                ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
-            let (mut client, _) =
-                ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-            for chunk in &chunks[..half] {
-                client.push_all(chunk).unwrap();
-            }
-            let covered = client.checkpoint().unwrap();
-            drop(client);
-            server.shutdown();
-
-            // Restart under the backend being tested: the v1 file restores,
-            // a new checkpoint migrates it, and a second restart restores
-            // from the migrated form.
-            let config = ServerConfig::builder()
-                .engine(engine)
-                .checkpoint_path(ckpt.clone())
-                .checkpoint_store(store)
-                .build()
-                .unwrap();
-            let server =
-                ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config.clone())
-                    .unwrap();
-            let (mut client, resumed) =
-                ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-            assert_eq!(resumed, covered, "{label}: v1 flat file restores");
-            for chunk in &chunks[half..] {
-                client.push_all(chunk).unwrap();
-            }
-            assert_eq!(client.checkpoint().unwrap(), want_users, "{label}");
-            drop(client);
-            server.shutdown();
-
-            let server =
-                ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
-            let (mut client, resumed) =
-                ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
-            assert_eq!(resumed, want_users, "{label}: migrated form restores");
-            let (users, estimates) = client.query_estimates().unwrap();
-            assert_eq!(users, want_users, "{label}");
-            assert_bit_identical(&label, &estimates, &want);
-            server.shutdown();
-            std::fs::remove_dir_all(&dir).unwrap();
+        // Write a v1 flat checkpoint the way the pre-store server did:
+        // merged snapshot text + run line, one atomic file.
+        let config = ServerConfig::builder()
+            .checkpoint_path(ckpt.clone())
+            .checkpoint_store(StoreKind::File)
+            .build()
+            .unwrap();
+        let server = ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
+        let (mut client, _) =
+            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+        for chunk in &chunks[..half] {
+            client.push_all(chunk).unwrap();
         }
+        let covered = client.checkpoint().unwrap();
+        drop(client);
+        server.shutdown();
+
+        // Restart under the backend being tested: the v1 file restores,
+        // a new checkpoint migrates it, and a second restart restores
+        // from the migrated form.
+        let config = ServerConfig::builder()
+            .checkpoint_path(ckpt.clone())
+            .checkpoint_store(store)
+            .build()
+            .unwrap();
+        let server =
+            ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config.clone()).unwrap();
+        let (mut client, resumed) =
+            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+        assert_eq!(resumed, covered, "{label}: v1 flat file restores");
+        for chunk in &chunks[half..] {
+            client.push_all(chunk).unwrap();
+        }
+        assert_eq!(client.checkpoint().unwrap(), want_users, "{label}");
+        drop(client);
+        server.shutdown();
+
+        let server = ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config).unwrap();
+        let (mut client, resumed) =
+            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+        assert_eq!(resumed, want_users, "{label}: migrated form restores");
+        let (users, estimates) = client.query_estimates().unwrap();
+        assert_eq!(users, want_users, "{label}");
+        assert_bit_identical(&label, &estimates, &want);
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 /// A server bound to the unspecified address must still shut down cleanly:
-/// the shutdown wake-up cannot connect *to* 0.0.0.0 on every platform, so
-/// it targets loopback on the bound port — otherwise `shutdown` would hang
-/// joining an acceptor that never wakes.
+/// shutdown wakes the event loops through their pollers, so it never needs
+/// to connect *to* 0.0.0.0 (which is not connectable on every platform).
 #[test]
 fn shutdown_completes_when_bound_to_the_unspecified_address() {
-    for engine in engines() {
-        let mechanism: Arc<dyn BatchMechanism> =
-            Arc::new(GeneralizedRandomizedResponse::new(eps(1.0), 8).unwrap());
-        let config = ServerConfig::builder()
-            .engine(engine)
-            .addr("0.0.0.0:0")
-            .build()
-            .unwrap();
-        let server = ReportServer::start(mechanism as Arc<dyn Mechanism>, config).unwrap();
-        assert!(server.local_addr().ip().is_unspecified());
-        let done = std::thread::spawn(move || server.shutdown());
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !done.is_finished() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{engine}: shutdown hung on an unspecified-address bind"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        done.join().unwrap();
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.0), 8).unwrap());
+    let config = ServerConfig::builder().addr("0.0.0.0:0").build().unwrap();
+    let server = ReportServer::start(mechanism as Arc<dyn Mechanism>, config).unwrap();
+    assert!(server.local_addr().ip().is_unspecified());
+    let done = std::thread::spawn(move || server.shutdown());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shutdown hung on an unspecified-address bind"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
+    done.join().unwrap();
 }
 
 /// A bit-vector mechanism wider than the wire protocol's
@@ -686,24 +666,21 @@ fn shutdown_completes_when_bound_to_the_unspecified_address() {
 /// per-frame rejection marathon.
 #[test]
 fn too_wide_bit_mechanism_is_a_typed_startup_error() {
-    for engine in engines() {
-        let too_wide = idldp_server::MAX_BIT_REPORT_SLOTS + 1;
-        let mechanism: Arc<dyn BatchMechanism> =
-            Arc::new(UnaryEncoding::optimized(eps(1.0), too_wide).unwrap());
-        let err = ReportServer::start(mechanism as Arc<dyn Mechanism>, engine_config(engine))
-            .err()
-            .expect("over-cap width must not start");
-        assert!(
-            err.to_string().contains("wire cap"),
-            "{engine}: unexpected error: {err}"
-        );
-    }
+    let too_wide = idldp_server::MAX_BIT_REPORT_SLOTS + 1;
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(UnaryEncoding::optimized(eps(1.0), too_wide).unwrap());
+    let err = ReportServer::start(mechanism as Arc<dyn Mechanism>, ServerConfig::default())
+        .err()
+        .expect("over-cap width must not start");
+    assert!(
+        err.to_string().contains("wire cap"),
+        "unexpected error: {err}"
+    );
 }
 
 /// A query while ingest is paused (and accepted reports are still queued)
-/// must answer with a typed `Reject` rather than parking the connection
-/// worker until resume — otherwise a few concurrent queries during a
-/// maintenance window would wedge the whole server, acceptor included.
+/// must answer with a typed `Reject` rather than settling until resume —
+/// a maintenance window must not leave queries hanging.
 #[test]
 fn query_during_paused_ingest_is_refused_not_blocked() {
     let mechanism: Arc<dyn BatchMechanism> =
@@ -711,34 +688,28 @@ fn query_during_paused_ingest_is_refused_not_blocked() {
     let inputs = OwnedInputs::Items(items(200, 8));
     let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
 
-    for engine in engines() {
-        let server = ReportServer::start(
-            mechanism.clone() as Arc<dyn Mechanism>,
-            engine_config(engine),
-        )
-        .unwrap();
-        let (mut client, _) =
-            ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
+    let server = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let (mut client, _) = ReportClient::connect(server.local_addr(), mechanism.as_ref()).unwrap();
 
-        server.pause_ingest();
-        for chunk in wire_chunks(mechanism.as_ref(), inputs.as_batch()) {
-            client.push_all(&chunk).unwrap(); // capacity 65_536 ≫ 200: all queue
-        }
-        match client.query_estimates() {
-            Err(ClientError::Rejected { message, .. }) => {
-                assert!(
-                    message.contains("paused"),
-                    "{engine}: unexpected reason: {message}"
-                )
-            }
-            other => panic!("{engine}: expected a typed paused refusal, got {other:?}"),
-        }
-
-        // The refusal is not sticky: resume, and the same connection settles.
-        server.resume_ingest();
-        let (users, estimates) = client.query_estimates().unwrap();
-        assert_eq!(users, want_users);
-        assert_bit_identical(&format!("paused-resume/{engine}"), &estimates, &want);
-        server.shutdown();
+    server.pause_ingest();
+    for chunk in wire_chunks(mechanism.as_ref(), inputs.as_batch()) {
+        client.push_all(&chunk).unwrap(); // capacity 65_536 ≫ 200: all queue
     }
+    match client.query_estimates() {
+        Err(ClientError::Rejected { message, .. }) => {
+            assert!(message.contains("paused"), "unexpected reason: {message}")
+        }
+        other => panic!("expected a typed paused refusal, got {other:?}"),
+    }
+
+    // The refusal is not sticky: resume, and the same connection settles.
+    server.resume_ingest();
+    let (users, estimates) = client.query_estimates().unwrap();
+    assert_eq!(users, want_users);
+    assert_bit_identical("paused-resume", &estimates, &want);
+    server.shutdown();
 }

@@ -23,10 +23,6 @@
 //! * Checkpoints are per tenant: each tenant persists at its own
 //!   namespaced path, and a restart restores every tenant's count
 //!   independently, resuming to bit-identical estimates.
-//!
-//! Every case runs against **both** connection engines
-//! ([`ConnectionEngine::Blocking`] and [`ConnectionEngine::Reactor`]),
-//! the same bar `server_loopback.rs` sets for the single-tenant path.
 
 use idldp_core::budget::Epsilon;
 use idldp_core::grr::GeneralizedRandomizedResponse;
@@ -36,8 +32,8 @@ use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::report::ReportData;
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
-    ClientError, ConnectionEngine, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig,
-    ServerConfigBuilder, TenantConfig, LEGACY_PROTOCOL_VERSION,
+    ClientError, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig, ServerConfigBuilder,
+    TenantConfig, LEGACY_PROTOCOL_VERSION,
 };
 use idldp_sim::stream::SeededReportStream;
 use idldp_sim::SimulationPipeline;
@@ -50,16 +46,6 @@ const CHUNK: usize = 256;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
-}
-
-/// Both connection engines on unix; the readiness reactor needs a unix
-/// poller backend, so non-unix hosts cover the blocking engine only.
-fn engines() -> Vec<ConnectionEngine> {
-    if cfg!(unix) {
-        vec![ConnectionEngine::Blocking, ConnectionEngine::Reactor]
-    } else {
-        vec![ConnectionEngine::Blocking]
-    }
 }
 
 fn items(n: usize, m: usize) -> Vec<u32> {
@@ -148,8 +134,8 @@ fn three_streams() -> Vec<Stream> {
 
 /// A builder preloaded with `streams[0]` as the implied default tenant's
 /// config and every later stream as a named [`TenantConfig`].
-fn tenanted_builder(streams: &[Stream], engine: ConnectionEngine) -> ServerConfigBuilder {
-    let mut builder = ServerConfig::builder().engine(engine);
+fn tenanted_builder(streams: &[Stream]) -> ServerConfigBuilder {
+    let mut builder = ServerConfig::builder();
     for stream in &streams[1..] {
         builder = builder.tenant(TenantConfig::new(
             stream.tenant.clone(),
@@ -181,56 +167,51 @@ fn tenants_are_each_bit_identical_to_their_own_batch_run() {
     let streams = three_streams();
     let reference: Vec<(u64, Vec<f64>)> = streams.iter().map(Stream::batch).collect();
 
-    for engine in engines() {
-        let server = ReportServer::start(
-            Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
-            tenanted_builder(&streams, engine).build().unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            server.tenant_ids(),
-            streams.iter().map(|s| s.tenant.clone()).collect::<Vec<_>>(),
-            "{engine}: default tenant first, then registration order"
-        );
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        tenanted_builder(&streams).build().unwrap(),
+    )
+    .unwrap();
+    assert_eq!(
+        server.tenant_ids(),
+        streams.iter().map(|s| s.tenant.clone()).collect::<Vec<_>>(),
+        "default tenant first, then registration order"
+    );
 
-        let mut clients: Vec<ReportClient> = streams
-            .iter()
-            .map(|stream| {
-                let (client, resumed) = stream.connect(&server);
-                assert_eq!(resumed, 0, "{engine}/{}: fresh server", stream.tenant);
-                client
-            })
-            .collect();
+    let mut clients: Vec<ReportClient> = streams
+        .iter()
+        .map(|stream| {
+            let (client, resumed) = stream.connect(&server);
+            assert_eq!(resumed, 0, "{}: fresh server", stream.tenant);
+            client
+        })
+        .collect();
 
-        // Interleave: one chunk per tenant per round until all are drained.
-        let mut chunks: Vec<Vec<Vec<ReportData>>> =
-            streams.iter().map(Stream::wire_chunks).collect();
-        let rounds = chunks.iter().map(Vec::len).max().unwrap();
-        for round in 0..rounds {
-            for (client, chunks) in clients.iter_mut().zip(&chunks) {
-                if let Some(chunk) = chunks.get(round) {
-                    client.push_all(chunk).unwrap();
-                }
+    // Interleave: one chunk per tenant per round until all are drained.
+    let mut chunks: Vec<Vec<Vec<ReportData>>> = streams.iter().map(Stream::wire_chunks).collect();
+    let rounds = chunks.iter().map(Vec::len).max().unwrap();
+    for round in 0..rounds {
+        for (client, chunks) in clients.iter_mut().zip(&chunks) {
+            if let Some(chunk) = chunks.get(round) {
+                client.push_all(chunk).unwrap();
             }
         }
-        chunks.clear();
-
-        for ((stream, client), (want_users, want)) in
-            streams.iter().zip(&mut clients).zip(&reference)
-        {
-            let name = format!("{engine}/{}", stream.tenant);
-            let (users, estimates) = client.query_estimates().unwrap();
-            assert_eq!(users, *want_users, "{name}: every report folded");
-            assert_bit_identical(&name, &estimates, want);
-            assert_eq!(
-                server.num_users_for(&stream.tenant).unwrap(),
-                *want_users,
-                "{name}: server-side count agrees"
-            );
-        }
-        assert_eq!(server.fold_failures(), 0, "{engine}");
-        server.shutdown();
     }
+    chunks.clear();
+
+    for ((stream, client), (want_users, want)) in streams.iter().zip(&mut clients).zip(&reference) {
+        let name = stream.tenant.to_string();
+        let (users, estimates) = client.query_estimates().unwrap();
+        assert_eq!(users, *want_users, "{name}: every report folded");
+        assert_bit_identical(&name, &estimates, want);
+        assert_eq!(
+            server.num_users_for(&stream.tenant).unwrap(),
+            *want_users,
+            "{name}: server-side count agrees"
+        );
+    }
+    assert_eq!(server.fold_failures(), 0);
+    server.shutdown();
 }
 
 /// Tenant selection is checked before config, and config is checked
@@ -240,55 +221,53 @@ fn tenants_are_each_bit_identical_to_their_own_batch_run() {
 #[test]
 fn wrong_and_unknown_tenants_draw_typed_rejects() {
     let streams = three_streams();
-    for engine in engines() {
-        let server = ReportServer::start(
-            Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
-            tenanted_builder(&streams, engine).build().unwrap(),
-        )
-        .unwrap();
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        tenanted_builder(&streams).build().unwrap(),
+    )
+    .unwrap();
 
-        // Right tenant name, wrong mechanism config (the default
-        // tenant's OUE against tenant alpha's GRR).
-        let alpha = TenantId::new("alpha").unwrap();
-        let err = ReportClient::connect_tenant(
-            server.local_addr(),
-            streams[0].mechanism.as_ref(),
-            Some(&alpha),
-        )
-        .map(|_| ())
-        .expect_err("mismatched config against a named tenant must be rejected");
-        match err {
-            ClientError::Rejected { message, .. } => assert!(
-                message.contains("mechanism config mismatch"),
-                "{engine}: unhelpful reject `{message}`"
-            ),
-            other => panic!("{engine}: expected a typed reject, got {other:?}"),
-        }
-
-        // A tenant this server does not host, with an otherwise valid
-        // config: refused by name, and the reject lists what is hosted.
-        let ghost = TenantId::new("ghost").unwrap();
-        let err = ReportClient::connect_tenant(
-            server.local_addr(),
-            streams[1].mechanism.as_ref(),
-            Some(&ghost),
-        )
-        .map(|_| ())
-        .expect_err("an unhosted tenant must be rejected");
-        match err {
-            ClientError::Rejected { message, .. } => assert!(
-                message.contains("unknown tenant `ghost`") && message.contains("alpha"),
-                "{engine}: unhelpful reject `{message}`"
-            ),
-            other => panic!("{engine}: expected a typed reject, got {other:?}"),
-        }
-
-        // The rejects left the tenants untouched and the server serving:
-        // a correct handshake still lands.
-        let (_client, resumed) = streams[1].connect(&server);
-        assert_eq!(resumed, 0, "{engine}");
-        server.shutdown();
+    // Right tenant name, wrong mechanism config (the default
+    // tenant's OUE against tenant alpha's GRR).
+    let alpha = TenantId::new("alpha").unwrap();
+    let err = ReportClient::connect_tenant(
+        server.local_addr(),
+        streams[0].mechanism.as_ref(),
+        Some(&alpha),
+    )
+    .map(|_| ())
+    .expect_err("mismatched config against a named tenant must be rejected");
+    match err {
+        ClientError::Rejected { message, .. } => assert!(
+            message.contains("mechanism config mismatch"),
+            "unhelpful reject `{message}`"
+        ),
+        other => panic!("expected a typed reject, got {other:?}"),
     }
+
+    // A tenant this server does not host, with an otherwise valid
+    // config: refused by name, and the reject lists what is hosted.
+    let ghost = TenantId::new("ghost").unwrap();
+    let err = ReportClient::connect_tenant(
+        server.local_addr(),
+        streams[1].mechanism.as_ref(),
+        Some(&ghost),
+    )
+    .map(|_| ())
+    .expect_err("an unhosted tenant must be rejected");
+    match err {
+        ClientError::Rejected { message, .. } => assert!(
+            message.contains("unknown tenant `ghost`") && message.contains("alpha"),
+            "unhelpful reject `{message}`"
+        ),
+        other => panic!("expected a typed reject, got {other:?}"),
+    }
+
+    // The rejects left the tenants untouched and the server serving:
+    // a correct handshake still lands.
+    let (_client, resumed) = streams[1].connect(&server);
+    assert_eq!(resumed, 0);
+    server.shutdown();
 }
 
 /// The compatibility half of the handshake redesign: a protocol-v3
@@ -298,67 +277,65 @@ fn wrong_and_unknown_tenants_draw_typed_rejects() {
 #[test]
 fn a_v3_hello_lands_on_the_default_tenant() {
     let streams = three_streams();
-    for engine in engines() {
-        let server = ReportServer::start(
-            Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
-            tenanted_builder(&streams, engine).build().unwrap(),
-        )
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        tenanted_builder(&streams).build().unwrap(),
+    )
+    .unwrap();
+
+    let mechanism = streams[0].mechanism.as_ref();
+    // `Frame::Hello` omits the tenant from the encoding whenever the
+    // version predates tenancy, so this writes byte-exact v3 frames.
+    let hello = Frame::Hello {
+        version: LEGACY_PROTOCOL_VERSION,
+        kind: mechanism.kind().to_string(),
+        shape: mechanism.report_shape(),
+        report_len: mechanism.report_len() as u64,
+        ldp_eps_bits: mechanism.ldp_epsilon().to_bits(),
+        tenant: String::new(),
+    };
+    let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+    socket.write_all(&hello.encode()).unwrap();
+    let run_line = match Frame::read_from(&mut socket).unwrap() {
+        Some(Frame::HelloAck { users, run_line }) => {
+            assert_eq!(users, 0);
+            run_line
+        }
+        other => panic!("v3 handshake drew {other:?}"),
+    };
+    let identity: RunIdentity = run_line.parse().unwrap();
+    assert_eq!(
+        identity.kind(),
+        mechanism.kind(),
+        "the ack is the default tenant's identity"
+    );
+
+    // Reports over the v3 connection fold into the default tenant
+    // and only the default tenant.
+    let chunk = &streams[0].wire_chunks()[0];
+    socket
+        .write_all(&Frame::Reports(chunk.clone()).encode())
         .unwrap();
-
-        let mechanism = streams[0].mechanism.as_ref();
-        // `Frame::Hello` omits the tenant from the encoding whenever the
-        // version predates tenancy, so this writes byte-exact v3 frames.
-        let hello = Frame::Hello {
-            version: LEGACY_PROTOCOL_VERSION,
-            kind: mechanism.kind().to_string(),
-            shape: mechanism.report_shape(),
-            report_len: mechanism.report_len() as u64,
-            ldp_eps_bits: mechanism.ldp_epsilon().to_bits(),
-            tenant: String::new(),
-        };
-        let mut socket = TcpStream::connect(server.local_addr()).unwrap();
-        socket.write_all(&hello.encode()).unwrap();
-        let run_line = match Frame::read_from(&mut socket).unwrap() {
-            Some(Frame::HelloAck { users, run_line }) => {
-                assert_eq!(users, 0, "{engine}");
-                run_line
-            }
-            other => panic!("{engine}: v3 handshake drew {other:?}"),
-        };
-        let identity: RunIdentity = run_line.parse().unwrap();
-        assert_eq!(
-            identity.kind(),
-            mechanism.kind(),
-            "{engine}: the ack is the default tenant's identity"
-        );
-
-        // Reports over the v3 connection fold into the default tenant
-        // and only the default tenant.
-        let chunk = &streams[0].wire_chunks()[0];
-        socket
-            .write_all(&Frame::Reports(chunk.clone()).encode())
-            .unwrap();
-        match Frame::read_from(&mut socket).unwrap() {
-            Some(Frame::Ingested { accepted }) => assert_eq!(accepted, chunk.len() as u64),
-            other => panic!("{engine}: v3 reports drew {other:?}"),
-        }
-        socket.write_all(&Frame::Query.encode()).unwrap();
-        match Frame::read_from(&mut socket).unwrap() {
-            Some(Frame::Estimates { users, .. }) => {
-                assert_eq!(users, chunk.len() as u64, "{engine}")
-            }
-            other => panic!("{engine}: v3 query drew {other:?}"),
-        }
-        for stream in &streams[1..] {
-            assert_eq!(
-                server.num_users_for(&stream.tenant).unwrap(),
-                0,
-                "{engine}/{}: v3 traffic must not leak into named tenants",
-                stream.tenant
-            );
-        }
-        server.shutdown();
+    match Frame::read_from(&mut socket).unwrap() {
+        Some(Frame::Ingested { accepted }) => assert_eq!(accepted, chunk.len() as u64),
+        other => panic!("v3 reports drew {other:?}"),
     }
+    socket.write_all(&Frame::Query.encode()).unwrap();
+    match Frame::read_from(&mut socket).unwrap() {
+        Some(Frame::Estimates { users, .. }) => {
+            assert_eq!(users, chunk.len() as u64)
+        }
+        other => panic!("v3 query drew {other:?}"),
+    }
+    for stream in &streams[1..] {
+        assert_eq!(
+            server.num_users_for(&stream.tenant).unwrap(),
+            0,
+            "{}: v3 traffic must not leak into named tenants",
+            stream.tenant
+        );
+    }
+    server.shutdown();
 }
 
 /// Backpressure isolation: each tenant has its own bounded ingest queue,
@@ -372,81 +349,76 @@ fn a_busy_tenant_does_not_starve_another() {
     let (default_want_users, default_want) = streams[0].batch();
     let (alpha_want_users, alpha_want) = streams[1].batch();
 
-    for engine in engines() {
-        let mut builder = ServerConfig::builder().engine(engine);
-        builder = builder.tenant(
-            TenantConfig::new(
-                streams[1].tenant.clone(),
-                Arc::clone(&streams[1].mechanism) as Arc<dyn Mechanism>,
-            )
-            .with_queue_capacity(capacity),
-        );
-        let server = ReportServer::start(
-            Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
-            builder.build().unwrap(),
+    let mut builder = ServerConfig::builder();
+    builder = builder.tenant(
+        TenantConfig::new(
+            streams[1].tenant.clone(),
+            Arc::clone(&streams[1].mechanism) as Arc<dyn Mechanism>,
         )
+        .with_queue_capacity(capacity),
+    );
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        builder.build().unwrap(),
+    )
+    .unwrap();
+
+    let (mut default_client, _) = streams[0].connect(&server);
+    let (mut alpha_client, _) = streams[1].connect(&server);
+    alpha_client = alpha_client.with_retry_backoff(std::time::Duration::from_millis(1));
+
+    // Freeze folding on every tenant: accepted reports pile up in the
+    // per-tenant bounded queues.
+    server.pause_ingest();
+    let alpha_chunks = streams[1].wire_chunks();
+    let oversized: Vec<ReportData> = alpha_chunks
+        .iter()
+        .flatten()
+        .take(capacity + 40)
+        .cloned()
+        .collect();
+    match alpha_client.push(&oversized).unwrap() {
+        PushOutcome::Busy { accepted } => assert_eq!(
+            accepted, capacity as u64,
+            "alpha accepts exactly its own queue capacity"
+        ),
+        PushOutcome::Ingested => panic!("alpha's full queue must answer Busy"),
+    }
+
+    // Alpha is wedged; the default tenant's (default-capacity) queue
+    // still accepts the same burst outright.
+    let default_chunks = streams[0].wire_chunks();
+    let burst: Vec<ReportData> = default_chunks
+        .iter()
+        .flatten()
+        .take(capacity + 40)
+        .cloned()
+        .collect();
+    match default_client.push(&burst).unwrap() {
+        PushOutcome::Ingested => {}
+        PushOutcome::Busy { .. } => {
+            panic!("alpha's backpressure leaked into the default tenant")
+        }
+    }
+
+    // Resume folding; both tenants finish their populations and land
+    // exactly on their own batch answers.
+    server.resume_ingest();
+    let alpha_all: Vec<ReportData> = alpha_chunks.into_iter().flatten().collect();
+    alpha_client.push_all(&alpha_all[capacity..]).unwrap();
+    let default_all: Vec<ReportData> = default_chunks.into_iter().flatten().collect();
+    default_client
+        .push_all(&default_all[burst.len()..])
         .unwrap();
 
-        let (mut default_client, _) = streams[0].connect(&server);
-        let (mut alpha_client, _) = streams[1].connect(&server);
-        alpha_client = alpha_client.with_retry_backoff(std::time::Duration::from_millis(1));
-
-        // Freeze folding on every tenant: accepted reports pile up in the
-        // per-tenant bounded queues.
-        server.pause_ingest();
-        let alpha_chunks = streams[1].wire_chunks();
-        let oversized: Vec<ReportData> = alpha_chunks
-            .iter()
-            .flatten()
-            .take(capacity + 40)
-            .cloned()
-            .collect();
-        match alpha_client.push(&oversized).unwrap() {
-            PushOutcome::Busy { accepted } => assert_eq!(
-                accepted, capacity as u64,
-                "{engine}: alpha accepts exactly its own queue capacity"
-            ),
-            PushOutcome::Ingested => panic!("{engine}: alpha's full queue must answer Busy"),
-        }
-
-        // Alpha is wedged; the default tenant's (default-capacity) queue
-        // still accepts the same burst outright.
-        let default_chunks = streams[0].wire_chunks();
-        let burst: Vec<ReportData> = default_chunks
-            .iter()
-            .flatten()
-            .take(capacity + 40)
-            .cloned()
-            .collect();
-        match default_client.push(&burst).unwrap() {
-            PushOutcome::Ingested => {}
-            PushOutcome::Busy { .. } => {
-                panic!("{engine}: alpha's backpressure leaked into the default tenant")
-            }
-        }
-
-        // Resume folding; both tenants finish their populations and land
-        // exactly on their own batch answers.
-        server.resume_ingest();
-        let alpha_all: Vec<ReportData> = alpha_chunks.into_iter().flatten().collect();
-        alpha_client.push_all(&alpha_all[capacity..]).unwrap();
-        let default_all: Vec<ReportData> = default_chunks.into_iter().flatten().collect();
-        default_client
-            .push_all(&default_all[burst.len()..])
-            .unwrap();
-
-        let (users, estimates) = alpha_client.query_estimates().unwrap();
-        assert_eq!(users, alpha_want_users, "{engine}: alpha dropped nothing");
-        assert_bit_identical(&format!("busy-alpha/{engine}"), &estimates, &alpha_want);
-        let (users, estimates) = default_client.query_estimates().unwrap();
-        assert_eq!(
-            users, default_want_users,
-            "{engine}: default dropped nothing"
-        );
-        assert_bit_identical(&format!("busy-default/{engine}"), &estimates, &default_want);
-        assert_eq!(server.fold_failures(), 0, "{engine}");
-        server.shutdown();
-    }
+    let (users, estimates) = alpha_client.query_estimates().unwrap();
+    assert_eq!(users, alpha_want_users, "alpha dropped nothing");
+    assert_bit_identical("busy-alpha", &estimates, &alpha_want);
+    let (users, estimates) = default_client.query_estimates().unwrap();
+    assert_eq!(users, default_want_users, "default dropped nothing");
+    assert_bit_identical("busy-default", &estimates, &default_want);
+    assert_eq!(server.fold_failures(), 0);
+    server.shutdown();
 }
 
 /// Checkpoints are tenant-namespaced and restore independently: each
@@ -459,79 +431,74 @@ fn per_tenant_checkpoints_restore_independently() {
     let streams = three_streams();
     let reference: Vec<(u64, Vec<f64>)> = streams.iter().map(Stream::batch).collect();
 
-    for engine in engines() {
-        let dir = std::env::temp_dir().join(format!(
-            "idldp-tenant-loopback-{}-{engine}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("serve.ckpt");
-        let config = || {
-            tenanted_builder(&streams, engine)
-                .checkpoint_path(ckpt.clone())
-                .build()
-                .unwrap()
-        };
+    let dir = std::env::temp_dir().join(format!("idldp-tenant-loopback-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("serve.ckpt");
+    let config = || {
+        tenanted_builder(&streams)
+            .checkpoint_path(ckpt.clone())
+            .build()
+            .unwrap()
+    };
 
-        // First life: half of every tenant's stream, then one checkpoint
-        // frame per tenant.
-        let server = ReportServer::start(
-            Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
-            config(),
-        )
-        .unwrap();
-        let mut halves = Vec::new();
-        for stream in &streams {
-            let (mut client, resumed) = stream.connect(&server);
-            assert_eq!(resumed, 0, "{engine}/{}", stream.tenant);
-            let chunks = stream.wire_chunks();
-            let half = chunks.len() / 2;
-            for chunk in &chunks[..half] {
-                client.push_all(chunk).unwrap();
-            }
-            let covered = client.checkpoint().unwrap();
-            assert_eq!(covered, (half * CHUNK) as u64, "{engine}/{}", stream.tenant);
-            halves.push((chunks, half));
+    // First life: half of every tenant's stream, then one checkpoint
+    // frame per tenant.
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        config(),
+    )
+    .unwrap();
+    let mut halves = Vec::new();
+    for stream in &streams {
+        let (mut client, resumed) = stream.connect(&server);
+        assert_eq!(resumed, 0, "{}", stream.tenant);
+        let chunks = stream.wire_chunks();
+        let half = chunks.len() / 2;
+        for chunk in &chunks[..half] {
+            client.push_all(chunk).unwrap();
         }
-        server.shutdown();
-
-        // Every tenant persisted to its own file: the default tenant at
-        // the exact configured path, the named tenants at sibling paths.
-        assert!(ckpt.exists(), "{engine}: default tenant checkpoint");
-        for stream in &streams[1..] {
-            let sibling = dir.join(format!("serve.ckpt.tenant-{}", stream.tenant));
-            assert!(
-                sibling.exists(),
-                "{engine}/{}: tenant-namespaced checkpoint at {sibling:?}",
-                stream.tenant
-            );
-        }
-
-        // Second life: every tenant resumes from its own count and its
-        // tail push converges to the uninterrupted batch answer.
-        let server = ReportServer::start(
-            Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
-            config(),
-        )
-        .unwrap();
-        for (stream, ((chunks, half), (want_users, want))) in
-            streams.iter().zip(halves.iter().zip(&reference))
-        {
-            let name = format!("{engine}/{}", stream.tenant);
-            let (mut client, resumed) = stream.connect(&server);
-            assert_eq!(
-                resumed,
-                (half * CHUNK) as u64,
-                "{name}: HelloAck reports this tenant's restored users"
-            );
-            for chunk in &chunks[*half..] {
-                client.push_all(chunk).unwrap();
-            }
-            let (users, estimates) = client.query_estimates().unwrap();
-            assert_eq!(users, *want_users, "{name}");
-            assert_bit_identical(&format!("checkpoint-restart/{name}"), &estimates, want);
-        }
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
+        let covered = client.checkpoint().unwrap();
+        assert_eq!(covered, (half * CHUNK) as u64, "{}", stream.tenant);
+        halves.push((chunks, half));
     }
+    server.shutdown();
+
+    // Every tenant persisted to its own file: the default tenant at
+    // the exact configured path, the named tenants at sibling paths.
+    assert!(ckpt.exists(), "default tenant checkpoint");
+    for stream in &streams[1..] {
+        let sibling = dir.join(format!("serve.ckpt.tenant-{}", stream.tenant));
+        assert!(
+            sibling.exists(),
+            "{}: tenant-namespaced checkpoint at {sibling:?}",
+            stream.tenant
+        );
+    }
+
+    // Second life: every tenant resumes from its own count and its
+    // tail push converges to the uninterrupted batch answer.
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        config(),
+    )
+    .unwrap();
+    for (stream, ((chunks, half), (want_users, want))) in
+        streams.iter().zip(halves.iter().zip(&reference))
+    {
+        let name = stream.tenant.to_string();
+        let (mut client, resumed) = stream.connect(&server);
+        assert_eq!(
+            resumed,
+            (half * CHUNK) as u64,
+            "{name}: HelloAck reports this tenant's restored users"
+        );
+        for chunk in &chunks[*half..] {
+            client.push_all(chunk).unwrap();
+        }
+        let (users, estimates) = client.query_estimates().unwrap();
+        assert_eq!(users, *want_users, "{name}");
+        assert_bit_identical(&format!("checkpoint-restart/{name}"), &estimates, want);
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
