@@ -29,6 +29,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idldp_core::budget::Epsilon;
 use idldp_core::levels::LevelPartition;
 use idldp_core::mechanism::{BatchMechanism, CountAccumulator, Input, InputBatch};
+use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, StoreKind};
 use idldp_num::rng::stream_rng;
 use idldp_server::{encode_reports_frame, Frame};
@@ -216,25 +217,35 @@ fn bench_aggregate_fold(c: &mut Criterion) {
     // What an OLH ingest worker really folds: every iteration's 1k reports
     // are freshly perturbed (outside the timed region), so each carries a
     // seed the accumulator's preimage cache has never seen and the fold
-    // pays one full O(m) hash pass per report.
+    // pays one full O(m) hash pass per report. `olh-fresh` runs at the
+    // registry's ε = 1, whose range g = 4 takes the kernel's mask arm;
+    // `olh-fresh-g5` forces g = 5, which keeps the remainder arm.
     let m = 1000usize;
-    let mech = build("olh", m, 0);
-    let mut rng = stream_rng(5, 0);
-    let mut acc = ShapedAccumulator::for_mechanism(mech.as_ref());
-    group.bench_with_input(BenchmarkId::new("olh-fresh", m), &m, |b, _| {
-        b.iter_with_setup(
-            || {
-                (0..1000)
-                    .map(|i| mech.perturb_data(Input::Item(i % m), &mut rng).unwrap())
-                    .collect::<Vec<_>>()
-            },
-            |reports| {
-                let views: Vec<_> = reports.iter().map(|r| r.as_report()).collect();
-                acc.accumulate_batch(black_box(&views)).unwrap();
-                black_box(acc.num_users())
-            },
-        );
-    });
+    let fresh: [(&str, Box<dyn BatchMechanism>); 2] = [
+        ("olh-fresh", build("olh", m, 0)),
+        (
+            "olh-fresh-g5",
+            Box::new(OptimalLocalHashing::with_hash_range(eps(1.0), m, 5).unwrap()),
+        ),
+    ];
+    for (master, (label, mech)) in (5u64..).zip(fresh) {
+        let mut rng = stream_rng(master, 0);
+        let mut acc = ShapedAccumulator::for_mechanism(mech.as_ref());
+        group.bench_with_input(BenchmarkId::new(label, m), &m, |b, _| {
+            b.iter_with_setup(
+                || {
+                    (0..1000)
+                        .map(|i| mech.perturb_data(Input::Item(i % m), &mut rng).unwrap())
+                        .collect::<Vec<_>>()
+                },
+                |reports| {
+                    let views: Vec<_> = reports.iter().map(|r| r.as_report()).collect();
+                    acc.accumulate_batch(black_box(&views)).unwrap();
+                    black_box(acc.num_users())
+                },
+            );
+        });
+    }
     group.finish();
 }
 

@@ -11,7 +11,8 @@
 //! * [`HashedFold`] — the one domain-wide hash loop of a `(seed, value)`
 //!   report: it hashes the seed across the item domain in a single pass
 //!   and packs the preimage 64 items per `u64` word without a
-//!   data-dependent branch. [`crate::report::Report::fold_into`], the
+//!   data-dependent branch, reducing a power-of-two range with a mask
+//!   and any other with `%`. [`crate::report::Report::fold_into`], the
 //!   [`SeedPreimageCache`] miss path and
 //!   [`crate::olh::OptimalLocalHashing::fold_support_into`] all run it.
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
@@ -66,15 +67,30 @@ pub fn packed_words(slots: usize) -> usize {
 /// data-dependent branch nor a per-lane variable shift. The item term
 /// `v · ITEM_MIX` is walked by subtraction.
 ///
-/// The bucket is the hardware remainder `z % range`, exactly as
-/// [`hash_bucket`] computes it. An exact multiply-high reduction by a
+/// The bucket reduction is chosen once per call, from the range alone.
+/// A power-of-two range (`2, 4, 8, …`; OLH's `g` at `ε = 1` and `ε = 2`)
+/// takes the mask `z & (range − 1)`. That is exact: for `range = 2^k`,
+/// `z % 2^k` is the low `k` bits of `z`, so the mask equals the
+/// [`hash_bucket`] remainder for every `z`. Every other range (`3, 5, …`)
+/// keeps the hardware remainder `z % range`, exactly as [`hash_bucket`]
+/// computes it. Both arms run one generic word walk, so each compiles its
+/// own loop with no per-item branch between them.
+///
+/// The mask replaces a 64-bit `div` (about 4 ns per item, the loop's
+/// throughput limit) with one AND. An exact multiply-high reduction by a
 /// precomputed `⌈2^128 / range⌉` (Granlund & Montgomery, PLDI 1994) was
-/// tried and dropped. On a 2-vCPU Xeon VM its median was barely better
-/// (4.3–4.5 µs against 4.5–4.6 µs per `m = 1000` preimage), and at
-/// several multiply µops per item the loop became dispatch-bound, so its
-/// speed followed whatever else ran on the physical core: over one-second
-/// windows its interquartile spread was 0.17–0.21 of the median, against
-/// 0.035 with the divider, whose latency hides the loop's other µops.
+/// tried for every range and dropped. On a 2-vCPU Xeon VM its median was
+/// barely better (4.3–4.5 µs against 4.5–4.6 µs per `m = 1000`
+/// preimage), and at several multiply µops per item the loop became
+/// dispatch-bound, so its speed followed whatever else ran on the
+/// physical core: over one-second windows its interquartile spread was
+/// 0.17–0.21 of the median, against 0.035 with the divider. The mask
+/// adds one AND and no multiply, where multiply-high added three
+/// multiplies per item, and so it halves the median instead of barely
+/// moving it (1.9 against 3.7 µs per `m = 1000` preimage on the same
+/// kind of VM). It does not escape that variant's noise: without the
+/// divider to wait on, the loop is dispatch-bound too, and its one-second
+/// windows spread 0.156 of the median against 0.065 with the divider.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HashedFold {
     range: u64,
@@ -104,27 +120,14 @@ impl HashedFold {
         seed: u64,
         value: usize,
         slots: usize,
-        mut emit: impl FnMut(usize, u64),
+        emit: impl FnMut(usize, u64),
     ) {
-        let value = value as u64;
-        let word = |first: usize, lanes: usize| {
-            // Walk the word's items from the last down, shifting each in
-            // at bit 0, so no per-lane variable shift is needed.
-            let mut item_mix = ((first + lanes - 1) as u64).wrapping_mul(ITEM_MIX);
-            let mut bits = 0u64;
-            for _ in 0..lanes {
-                let bucket = hash_word(seed ^ item_mix) % self.range;
-                bits = (bits << 1) | u64::from(bucket == value);
-                item_mix = item_mix.wrapping_sub(ITEM_MIX);
-            }
-            bits
-        };
-        let (full, tail) = (slots / 64, slots % 64);
-        for w in 0..full {
-            emit(w, word(w * 64, 64));
-        }
-        if tail > 0 {
-            emit(full, word(full * 64, tail));
+        let range = self.range;
+        if range.is_power_of_two() {
+            let mask = range - 1;
+            walk_words(seed, value as u64, slots, |z| z & mask, emit);
+        } else {
+            walk_words(seed, value as u64, slots, |z| z % range, emit);
         }
     }
 
@@ -136,6 +139,37 @@ impl HashedFold {
     pub fn preimage_into(&self, seed: u64, value: usize, slots: usize, row: &mut [u64]) {
         assert_eq!(row.len(), packed_words(slots), "packed row width");
         self.preimage_words(seed, value, slots, |w, bits| row[w] = bits);
+    }
+}
+
+/// The word walk of [`HashedFold::preimage_words`], generic over the
+/// bucket reduction `bucket(z)` so each reduction compiles its own loop
+/// with no per-item branch on which one applies.
+#[inline(always)]
+fn walk_words(
+    seed: u64,
+    value: u64,
+    slots: usize,
+    bucket: impl Fn(u64) -> u64,
+    mut emit: impl FnMut(usize, u64),
+) {
+    let word = |first: usize, lanes: usize| {
+        // Walk the word's items from the last down, shifting each in at
+        // bit 0, so no per-lane variable shift is needed.
+        let mut item_mix = ((first + lanes - 1) as u64).wrapping_mul(ITEM_MIX);
+        let mut bits = 0u64;
+        for _ in 0..lanes {
+            bits = (bits << 1) | u64::from(bucket(hash_word(seed ^ item_mix)) == value);
+            item_mix = item_mix.wrapping_sub(ITEM_MIX);
+        }
+        bits
+    };
+    let (full, tail) = (slots / 64, slots % 64);
+    for w in 0..full {
+        emit(w, word(w * 64, 64));
+    }
+    if tail > 0 {
+        emit(full, word(full * 64, tail));
     }
 }
 

@@ -20,7 +20,8 @@
 //! * [`hash_bucket`] — the shared client/server hash for
 //!   [`ReportShape::Hashed`] reports, defined exactly once. The client
 //!   encodes with it; the server folds with [`crate::fold::HashedFold`],
-//!   which walks the same hash and `%` across the whole item domain in one
+//!   which walks the same hash and reduction (a mask for power-of-two
+//!   ranges, `%` otherwise) across the whole item domain in one
 //!   branchless pass (tested equal to it).
 //!
 //! Every shape folds to the same server-side state — per-bucket counts over
@@ -312,7 +313,8 @@ impl ReportData {
 /// definition of that mapping, stable across runs and platforms (pure
 /// integer arithmetic — a SplitMix64 finalizer over `seed ⊕ mix(item)`).
 /// The server's domain-wide pass, [`crate::fold::HashedFold`], computes
-/// the same buckets with the same `z % range` reduction.
+/// the same buckets: with `z % range`, or with the equal mask
+/// `z & (range − 1)` when `range` is a power of two.
 ///
 /// # Panics
 /// Panics if `range == 0` (hash ranges are validated positive at mechanism

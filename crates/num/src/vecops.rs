@@ -98,11 +98,21 @@ pub fn cmp_desc_nan_last(x: f64, y: f64) -> std::cmp::Ordering {
 /// top-k both call this, so their orderings can never drift apart.
 ///
 /// Uses [`cmp_desc_nan_last`], so NaN values neither panic the sort nor
-/// surface as top items.
+/// surface as top items. Runs in `O(n + k log k)`: a selection moves the
+/// `k` top indices to the front, and only those are sorted. The comparator
+/// (value, then index) is a strict total order, so the result is the
+/// prefix of the fully sorted index list. `k` beyond the length returns
+/// every index.
 pub fn top_k_indices(values: &[f64], k: usize) -> Vec<usize> {
+    let k = k.min(values.len());
+    let order = |&a: &usize, &b: &usize| cmp_desc_nan_last(values[a], values[b]).then(a.cmp(&b));
+    if k == 0 {
+        return Vec::new();
+    }
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| cmp_desc_nan_last(values[a], values[b]).then(a.cmp(&b)));
+    idx.select_nth_unstable_by(k - 1, order);
     idx.truncate(k);
+    idx.sort_unstable_by(order);
     idx
 }
 
@@ -179,6 +189,47 @@ mod tests {
         assert_eq!(cmp_desc_nan_last(f64::INFINITY, f64::NAN), Ordering::Less);
         assert_eq!(cmp_desc_nan_last(f64::NAN, f64::NAN), Ordering::Equal);
         assert_eq!(cmp_desc_nan_last(2.0, 1.0), Ordering::Less);
+    }
+
+    #[test]
+    fn top_k_selection_matches_full_sort_reference() {
+        let reference = |values: &[f64], k: usize| {
+            let mut idx: Vec<usize> = (0..values.len()).collect();
+            idx.sort_by(|&a, &b| cmp_desc_nan_last(values[a], values[b]).then(a.cmp(&b)));
+            idx.truncate(k);
+            idx
+        };
+        let edge = [
+            2.0,
+            f64::NAN,
+            -0.0,
+            2.0,
+            0.0,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            2.0,
+            f64::INFINITY,
+            -0.0,
+            0.0,
+            -1.5,
+            f64::NAN,
+            -1.5,
+        ];
+        // A longer vector with heavy ties: 300 values over 8 levels.
+        let tied: Vec<f64> = (0..300u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as f64 - 3.0)
+            .collect();
+        let cases: [&[f64]; 4] = [&[], &[f64::NAN], &edge, &tied];
+        for values in cases {
+            let n = values.len();
+            for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 3] {
+                assert_eq!(
+                    top_k_indices(values, k),
+                    reference(values, k),
+                    "n={n} k={k}"
+                );
+            }
+        }
     }
 
     #[test]
