@@ -12,7 +12,8 @@
 //!   report: it hashes the seed across the item domain in a single pass
 //!   and packs the preimage 64 items per `u64` word without a
 //!   data-dependent branch, reducing a power-of-two range with a mask
-//!   and any other with `%`. [`crate::report::Report::fold_into`], the
+//!   (eight items per instruction on AVX-512 CPUs) and any other with
+//!   `%`. [`crate::report::Report::fold_into`], the
 //!   [`SeedPreimageCache`] miss path and
 //!   [`crate::olh::OptimalLocalHashing::fold_support_into`] all run it.
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
@@ -60,37 +61,48 @@ pub fn packed_words(slots: usize) -> usize {
 /// computed in one pass over the item domain.
 ///
 /// A naive fold branches on every item's bucket, and at OLH's `g = 4`
-/// that branch mispredicts about a quarter of the time. This kernel does
-/// not branch: each item enters its word as
-/// `bits = (bits << 1) | u64::from(bucket == value)`, 64 items per word
-/// walked from the highest lane down, so the loop has neither a
+/// that branch mispredicts about a quarter of the time. No arm of this
+/// kernel branches on an item. In the scalar arms each item enters its
+/// word as `bits = (bits << 1) | u64::from(bucket == value)`, 64 items
+/// per word walked from the highest lane down, so the loop has neither a
 /// data-dependent branch nor a per-lane variable shift. The item term
 /// `v · ITEM_MIX` is walked by subtraction.
 ///
-/// The bucket reduction is chosen once per call, from the range alone.
-/// A power-of-two range (`2, 4, 8, …`; OLH's `g` at `ε = 1` and `ε = 2`)
-/// takes the mask `z & (range − 1)`. That is exact: for `range = 2^k`,
-/// `z % 2^k` is the low `k` bits of `z`, so the mask equals the
-/// [`hash_bucket`] remainder for every `z`. Every other range (`3, 5, …`)
-/// keeps the hardware remainder `z % range`, exactly as [`hash_bucket`]
-/// computes it. Both arms run one generic word walk, so each compiles its
-/// own loop with no per-item branch between them.
+/// Each call runs one of three arms, chosen once per call from the range
+/// and, for the first, the CPU:
 ///
-/// The mask replaces a 64-bit `div` (about 4 ns per item, the loop's
-/// throughput limit) with one AND. An exact multiply-high reduction by a
-/// precomputed `⌈2^128 / range⌉` (Granlund & Montgomery, PLDI 1994) was
-/// tried for every range and dropped. On a 2-vCPU Xeon VM its median was
-/// barely better (4.3–4.5 µs against 4.5–4.6 µs per `m = 1000`
-/// preimage), and at several multiply µops per item the loop became
-/// dispatch-bound, so its speed followed whatever else ran on the
-/// physical core: over one-second windows its interquartile spread was
-/// 0.17–0.21 of the median, against 0.035 with the divider. The mask
-/// adds one AND and no multiply, where multiply-high added three
-/// multiplies per item, and so it halves the median instead of barely
-/// moving it (1.9 against 3.7 µs per `m = 1000` preimage on the same
-/// kind of VM). It does not escape that variant's noise: without the
-/// divider to wait on, the loop is dispatch-bound too, and its one-second
-/// windows spread 0.156 of the median against 0.065 with the divider.
+/// * **AVX-512 mask arm** — a power-of-two range (`2, 4, 8, …`; OLH's `g`
+///   at `ε = 1` and `ε = 2`) on an x86-64 CPU with `avx512f` and
+///   `avx512dq`, detected at run time (std caches the probe). It hashes
+///   eight consecutive items per instruction: the SplitMix64 finalizer's
+///   two 64-bit multiplies are one `vpmullq` each for all eight lanes, and
+///   one `vpcmpeqq` writes the eight bucket tests into an 8-bit mask that
+///   becomes one byte of the word. Every lane runs the same wrapping
+///   64-bit adds, multiplies and xor-shifts as [`hash_bucket`] on its own
+///   item, and lane `i` of the word's group `j` is item `64w + 8j + i`,
+///   whose test lands at bit `8j + i`, so each word is exactly the scalar
+///   arm's word. The last word hashes whole groups past `slots` and clears
+///   those bits, so padding stays zero.
+/// * **Scalar mask arm** — a power-of-two range on any other CPU.
+/// * **Remainder arm** — every other range (`3, 5, …`), with the hardware
+///   remainder `z % range`, exactly as [`hash_bucket`] computes it. There
+///   is no vector integer divide, so it has no vector form.
+///
+/// The mask `z & (range − 1)` is exact: for `range = 2^k`, `z % 2^k` is the
+/// low `k` bits of `z`, so the mask equals the [`hash_bucket`] remainder
+/// for every `z`. The two scalar arms run one generic word walk, so each
+/// compiles its own loop with no per-item branch between them.
+///
+/// The scalar mask replaces a 64-bit `div` (about 4 ns per item, the
+/// loop's throughput limit) with one AND. An exact multiply-high reduction
+/// by a precomputed `⌈2^128 / range⌉` (Granlund & Montgomery, PLDI 1994)
+/// was tried for every range and dropped: on a 2-vCPU Xeon VM its median
+/// was barely better (4.3–4.5 µs against 4.5–4.6 µs per `m = 1000`
+/// preimage), and its one-second windows spread 0.17–0.21 of the median
+/// against 0.035 with the divider. Without the divider to wait on, the
+/// scalar mask loop is dispatch-bound at about 21 µops per item (1.7–2.3 µs
+/// per `m = 1000` preimage); the AVX-512 arm spends under three µops per
+/// item, and on the same kind of VM builds that preimage in about 0.5 µs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HashedFold {
     range: u64,
@@ -120,12 +132,14 @@ impl HashedFold {
         seed: u64,
         value: usize,
         slots: usize,
-        emit: impl FnMut(usize, u64),
+        mut emit: impl FnMut(usize, u64),
     ) {
         let range = self.range;
         if range.is_power_of_two() {
             let mask = range - 1;
-            walk_words(seed, value as u64, slots, |z| z & mask, emit);
+            if !try_walk_words_avx512(seed, value as u64, mask, slots, &mut emit) {
+                walk_words(seed, value as u64, slots, |z| z & mask, emit);
+            }
         } else {
             walk_words(seed, value as u64, slots, |z| z % range, emit);
         }
@@ -170,6 +184,121 @@ fn walk_words(
     }
     if tail > 0 {
         emit(full, word(full * 64, tail));
+    }
+}
+
+/// Runs the AVX-512 word walk of the mask arm (bucket `z & mask`) if this
+/// host has `avx512f` and `avx512dq`, and returns whether it ran; `emit`
+/// is not called when it returns `false`.
+#[cfg(target_arch = "x86_64")]
+fn try_walk_words_avx512(
+    seed: u64,
+    value: u64,
+    mask: u64,
+    slots: usize,
+    emit: impl FnMut(usize, u64),
+) -> bool {
+    // std caches the CPUID probe, so each check is a load and a bit test.
+    if !(std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq"))
+    {
+        return false;
+    }
+    #[allow(unsafe_code)]
+    // SAFETY: `walk_words_avx512` only requires the `avx512f` and
+    // `avx512dq` target features, and both were detected on this CPU
+    // (with OS support for the AVX-512 register state) just above.
+    unsafe {
+        avx512::walk_words_avx512(seed, value, mask, slots, emit)
+    };
+    true
+}
+
+/// No AVX-512 arm off x86-64: the scalar mask arm always runs.
+#[cfg(not(target_arch = "x86_64"))]
+fn try_walk_words_avx512(
+    _seed: u64,
+    _value: u64,
+    _mask: u64,
+    _slots: usize,
+    _emit: impl FnMut(usize, u64),
+) -> bool {
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use crate::report::ITEM_MIX;
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpeq_epi64_mask, _mm512_mullo_epi64,
+        _mm512_set1_epi64, _mm512_set_epi64, _mm512_srli_epi64, _mm512_xor_si512,
+    };
+
+    /// `lane · ITEM_MIX` for lane `0..8`: the item terms of one group of
+    /// eight consecutive items, relative to the group's first.
+    const fn lane_mix(lane: u64) -> i64 {
+        lane.wrapping_mul(ITEM_MIX) as i64
+    }
+
+    /// [`crate::report::hash_word`] on eight lanes: the same three
+    /// wrapping adds/multiplies and xor-shifts, lane by lane.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn hash_word8(z: __m512i) -> __m512i {
+        let z = _mm512_add_epi64(z, _mm512_set1_epi64(0x9E37_79B9_7F4A_7C15_u64 as i64));
+        let z = _mm512_mullo_epi64(
+            _mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)),
+            _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9_u64 as i64),
+        );
+        let z = _mm512_mullo_epi64(
+            _mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)),
+            _mm512_set1_epi64(0x94D0_49BB_1331_11EB_u64 as i64),
+        );
+        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+    }
+
+    /// The mask arm's word walk, eight items per vector: lane `i` of group
+    /// `j` in word `w` is item `64w + 8j + i`, and its compare result is
+    /// bit `i` of the group's 8-bit mask, so the group's mask lands at
+    /// bits `8j..8j + 8` of the word, exactly where the scalar walk puts
+    /// those items. The last word hashes whole groups past `slots` and
+    /// clears those bits before it is emitted.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) fn walk_words_avx512(
+        seed: u64,
+        value: u64,
+        mask: u64,
+        slots: usize,
+        mut emit: impl FnMut(usize, u64),
+    ) {
+        let seed = _mm512_set1_epi64(seed as i64);
+        let mask = _mm512_set1_epi64(mask as i64);
+        let value = _mm512_set1_epi64(value as i64);
+        let step = _mm512_set1_epi64(lane_mix(8));
+        let mut item_mix = _mm512_set_epi64(
+            lane_mix(7),
+            lane_mix(6),
+            lane_mix(5),
+            lane_mix(4),
+            lane_mix(3),
+            lane_mix(2),
+            lane_mix(1),
+            lane_mix(0),
+        );
+        let words = super::packed_words(slots);
+        for w in 0..words {
+            let mut bits = 0u64;
+            for group in 0..8 {
+                let z = hash_word8(_mm512_xor_si512(seed, item_mix));
+                let hits = _mm512_cmpeq_epi64_mask(_mm512_and_si512(z, mask), value);
+                bits |= u64::from(hits) << (8 * group);
+                item_mix = _mm512_add_epi64(item_mix, step);
+            }
+            let used = slots - w * 64;
+            if used < 64 {
+                bits &= (1u64 << used) - 1;
+            }
+            emit(w, bits);
+        }
     }
 }
 
@@ -546,6 +675,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Hands every mask-arm input to `check(seed, value, mask, slots,
+    /// naive)`, with `naive` the packed `hash_bucket` preimage: ranges
+    /// `2^1..=2^63`, widths `1..=130` and 1000, three seeds, and values
+    /// inside the range (0, the last bucket, one an item hashes to) and
+    /// outside it (the range itself and `u64::MAX`).
+    fn for_each_mask_input(mut check: impl FnMut(u64, u64, u64, usize, &[u64])) {
+        for k in 1..=63u32 {
+            let range = 1u64 << k;
+            for slots in (1..=130usize).chain([1000]) {
+                for seed in [0u64, 0x5EED_F00D, u64::MAX] {
+                    let hit = hash_bucket(seed, slots / 2, range as usize) as u64;
+                    for value in [0, range - 1, hit, range, u64::MAX] {
+                        let mut naive = vec![0u64; packed_words(slots)];
+                        for v in 0..slots {
+                            let bucket = hash_bucket(seed, v, range as usize) as u64;
+                            naive[v / 64] |= u64::from(bucket == value) << (v % 64);
+                        }
+                        if value >= range {
+                            assert!(naive.iter().all(|&w| w == 0));
+                        }
+                        check(seed, value, range - 1, slots, &naive);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar mask arm, called directly so it stays tested on hosts
+    /// where the dispatch picks the AVX-512 arm.
+    #[test]
+    fn scalar_mask_arm_matches_hash_bucket() {
+        for_each_mask_input(|seed, value, mask, slots, naive| {
+            let mut row = vec![u64::MAX; packed_words(slots)];
+            walk_words(seed, value, slots, |z| z & mask, |w, bits| row[w] = bits);
+            assert_eq!(
+                row, naive,
+                "mask={mask:#x} slots={slots} seed={seed} value={value}"
+            );
+        });
+    }
+
+    /// The AVX-512 arm equals the scalar mask arm and `hash_bucket`,
+    /// padding included. Needs `avx512f` and `avx512dq`.
+    #[test]
+    fn avx512_arm_matches_scalar_arm_and_hash_bucket() {
+        let mut probe = [0u64; 1];
+        if !try_walk_words_avx512(0, 0, 3, 1, |w, bits| probe[w] = bits) {
+            eprintln!("avx512_arm_matches_scalar_arm_and_hash_bucket: no avx512f/avx512dq on this CPU, AVX-512 arm not run");
+            return;
+        }
+        for_each_mask_input(|seed, value, mask, slots, naive| {
+            let mut scalar = vec![u64::MAX; packed_words(slots)];
+            walk_words(seed, value, slots, |z| z & mask, |w, bits| scalar[w] = bits);
+            let mut avx512 = vec![u64::MAX; packed_words(slots)];
+            assert!(try_walk_words_avx512(
+                seed,
+                value,
+                mask,
+                slots,
+                |w, bits| { avx512[w] = bits }
+            ));
+            let at = format!("mask={mask:#x} slots={slots} seed={seed} value={value}");
+            assert_eq!(avx512, scalar, "{at}");
+            assert_eq!(avx512, naive, "{at}");
+        });
     }
 
     #[test]

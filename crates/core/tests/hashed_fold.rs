@@ -1,8 +1,9 @@
 //! Property tests for the OLH hash-fold kernel: for arbitrary seeds,
 //! values, hash ranges and domain widths, [`HashedFold`] computes exactly
 //! the preimage a naive `hash_bucket(seed, v, range) == value` loop does,
-//! and every fold built on it agrees, on both of its bucket reductions
-//! (the mask for power-of-two ranges, the remainder otherwise).
+//! and every fold built on it agrees, on every arm it dispatches to (the
+//! mask for power-of-two ranges, on AVX-512 where the CPU has it, and the
+//! remainder otherwise).
 
 use idldp_core::budget::Epsilon;
 use idldp_core::fold::{packed_words, HashedFold};
@@ -82,28 +83,40 @@ proptest! {
 
 /// The workload's width at the budgets that pick each reduction arm: OLH's
 /// `g = round(e^ε) + 1` is 3 and 5 (remainder) and 4 and 8 (mask) at
-/// ε = 0.5, 1, 1.5 and 2. Both kernel folds must equal the naive loop.
+/// ε = 0.5, 1, 1.5 and 2, and explicit ranges g = 4 and g = 8 put the mask
+/// arm (AVX-512 where the CPU has it) under other budgets too. Both kernel
+/// folds must equal the naive loop.
 #[test]
 fn olh_ranges_of_both_reduction_arms_match_naive() {
     let m = 1000;
+    let mut cases = Vec::new();
     for (eps, want_g) in [(0.5, 3usize), (1.0, 4), (1.5, 5), (2.0, 8)] {
         let olh = OptimalLocalHashing::new(Epsilon::new(eps).unwrap(), m).unwrap();
+        assert_eq!(olh.hash_range(), want_g, "ε = {eps}");
+        cases.push((eps, olh));
+    }
+    for (eps, g) in [(0.5, 4usize), (1.5, 4), (0.5, 8), (1.0, 8)] {
+        let olh = OptimalLocalHashing::with_hash_range(Epsilon::new(eps).unwrap(), m, g).unwrap();
+        assert_eq!(olh.hash_range(), g, "ε = {eps}");
+        cases.push((eps, olh));
+    }
+    for (eps, olh) in cases {
         let g = olh.hash_range();
-        assert_eq!(g, want_g, "ε = {eps}");
         for seed in [0u64, 1, 0x5EED_F00D, 0xDEAD_BEEF_CAFE_F00D, u64::MAX] {
             for value in 0..g {
                 let naive: Vec<u64> = (0..m)
                     .map(|v| u64::from(hash_bucket(seed, v, g) == value))
                     .collect();
+                let at = format!("ε = {eps} g = {g} seed = {seed} value = {value}");
                 let mut counts = vec![0u64; m];
                 Report::Hashed { seed, value }
                     .fold_into(&mut counts, g)
                     .unwrap();
-                assert_eq!(counts, naive, "ε = {eps} seed = {seed} value = {value}");
+                assert_eq!(counts, naive, "{at}");
                 let mut support = vec![7u8; m];
                 olh.fold_support_into(seed, value, &mut support);
                 let support: Vec<u64> = support.iter().map(|&b| u64::from(b)).collect();
-                assert_eq!(support, naive, "ε = {eps} seed = {seed} value = {value}");
+                assert_eq!(support, naive, "{at}");
             }
         }
     }
