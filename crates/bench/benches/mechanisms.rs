@@ -153,8 +153,8 @@ fn bench_compact_wire_emission(c: &mut Criterion) {
 fn bench_frame_reports(c: &mut Criterion) {
     // The wire codec of one 1024-report `Reports` frame per report shape:
     // what a client pays to encode a batch and a server pays to decode it
-    // before validation. Bit vectors are packed and spread 8 slots per
-    // multiply; divide by 1024 for the per-report cost.
+    // before validation. A bit report is copied between its packed words
+    // and the wire bytes; divide by 1024 for the per-report cost.
     let mut group = c.benchmark_group("frame/reports");
     for (shape, name, m) in [
         ("bits", "idue-opt1", 64usize),

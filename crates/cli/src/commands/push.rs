@@ -101,7 +101,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         let mut batch = Vec::with_capacity(chunk);
         let got = stream
             .next_chunk_with(|report| {
-                batch.push(report.to_data());
+                batch.push(report.to_data()?);
                 Ok(())
             })
             .map_err(|e| e.to_string())?;

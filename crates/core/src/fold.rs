@@ -18,10 +18,9 @@
 //!   [`crate::olh::OptimalLocalHashing::fold_support_into`] all run it.
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
 //!   (64 slots per word, LSB-first) with a carry-free multiply-gather, so
-//!   a row enters the fold as `m/64` words instead of `m` bytes.
-//!   [`spread_bits`] is its inverse, one packed byte back into 8 slot
-//!   bytes per multiply. The server's wire codec encodes and decodes bit
-//!   reports with this pair.
+//!   a row enters the fold as `m/64` words instead of `m` bytes. It builds
+//!   [`crate::report::PackedBits`], the owned bit report, whose words the
+//!   wire carries and the fold adds as they are.
 //! * [`BitPlanes`] — a SWAR bit-sliced counter: eight `u64` bit-planes per
 //!   64-slot lane accumulate packed rows with a carry-save add (no
 //!   per-slot loop), and spill into ordinary `u64` counts. The **spill
@@ -311,21 +310,6 @@ const LANE_MASK: u64 = 0x0101_0101_0101_0101;
 /// `i − i' = 8t`, impossible in `0..8`), so the gather is carry-free.
 const GATHER: u64 = 0x0102_0408_1020_4080;
 
-/// Selects bit `i` of byte `i` in each of 8 little-endian bytes.
-const DIAGONAL: u64 = 0x8040_2010_0804_0201;
-
-/// Spreads the 8 bits of a packed byte into 8 little-endian 0/1 bytes, bit
-/// `i` into byte `i`: the inverse of the [`pack_bits_row`] gather. The
-/// multiply broadcasts `byte` into every lane, the diagonal mask keeps lane
-/// `i`'s own bit, and adding `0x7F` per lane moves any nonzero lane's
-/// value into its top bit without a carry out of the lane (the lane holds
-/// at most `0x80`, and `0x80 + 0x7F = 0xFF`).
-#[inline]
-pub fn spread_bits(byte: u8) -> u64 {
-    let x = u64::from(byte).wrapping_mul(LANE_MASK) & DIAGONAL;
-    ((x + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & LANE_MASK
-}
-
 /// Packs a 0/1 byte-per-slot bit report into `u64` words, 64 slots per
 /// word, slot `i` at bit `i % 64` of word `i / 64` (LSB-first). Padding
 /// bits beyond `bits.len()` are zero. Eight slots are gathered per `u64`
@@ -410,7 +394,8 @@ impl BitPlanes {
         self.pending
     }
 
-    /// Adds one packed 0/1 row (as produced by [`pack_bits_row`] or a
+    /// Adds one packed 0/1 row (as produced by [`pack_bits_row`], the
+    /// words of a [`crate::report::PackedBits`], or a
     /// [`SeedPreimageCache`] bitmap). Spills into `counts` first if the
     /// 255-row plane capacity is reached, so the spill invariant holds by
     /// construction.
@@ -773,18 +758,6 @@ mod tests {
             if used != 0 {
                 assert_eq!(words[slots / 64] >> used, 0, "slots={slots} padding");
             }
-        }
-    }
-
-    #[test]
-    fn spread_inverts_the_gather_for_every_byte() {
-        for byte in 0..=255u8 {
-            let lanes = spread_bits(byte);
-            assert_eq!(lanes & !LANE_MASK, 0, "byte {byte:#04x}: lanes are 0/1");
-            for (i, &lane) in lanes.to_le_bytes().iter().enumerate() {
-                assert_eq!(lane, (byte >> i) & 1, "byte {byte:#04x} lane {i}");
-            }
-            assert_eq!(lanes.wrapping_mul(GATHER) >> 56, u64::from(byte));
         }
     }
 

@@ -31,7 +31,8 @@
 //!   new protocol is one `impl` plus one registry entry (in `idldp-sim`).
 //! * **Report wire format** — [`report`]: the shape-polymorphic report
 //!   layer ([`report::ReportShape`], borrowed [`report::Report`], owned
-//!   [`report::ReportData`], and the shared client/server
+//!   [`report::ReportData`], the packed bit report
+//!   [`report::PackedBits`], and the shared client/server
 //!   [`report::hash_bucket`]); [`mechanism::Mechanism::report_shape`] and
 //!   [`mechanism::Mechanism::perturb_data`] are the shape-aware emission
 //!   path, with `perturb_into` the zero-alloc folded bit-vector twin.
@@ -123,7 +124,7 @@ pub use notion::{Notion, RFunction};
 pub use olh::OptimalLocalHashing;
 pub use params::LevelParams;
 pub use policy::PolicyGraph;
-pub use report::{hash_bucket, Report, ReportData, ReportShape};
+pub use report::{hash_bucket, PackedBits, Report, ReportData, ReportShape};
 pub use snapshot::AccumulatorSnapshot;
 pub use subset::SubsetSelection;
 pub use ue::UnaryEncoding;

@@ -27,7 +27,7 @@
 //! aggregate simulation path exploits.
 
 use crate::error::{Error, Result};
-use crate::report::{ReportData, ReportShape};
+use crate::report::{PackedBits, ReportData, ReportShape};
 use crate::snapshot::AccumulatorSnapshot;
 use rand::RngCore;
 
@@ -331,15 +331,16 @@ pub trait Mechanism: Send + Sync {
     /// emitting native-shape reports and a batch run folding bit vectors
     /// produce identical counts per seed — the streaming conformance suite
     /// holds every mechanism to this. The default covers bit-shaped
-    /// mechanisms by delegating to `perturb_into`; `perturb_into` remains
-    /// the zero-alloc fast path for callers with a reusable buffer.
+    /// mechanisms by packing `perturb_into`'s buffer (the same draws, so
+    /// the same report); `perturb_into` remains the zero-alloc fast path
+    /// for callers with a reusable buffer.
     ///
     /// # Errors
     /// Same conditions as [`Self::perturb_into`].
     fn perturb_data(&self, input: Input<'_>, rng: &mut dyn RngCore) -> Result<ReportData> {
         let mut report = vec![0u8; self.report_len()];
         self.perturb_into(input, rng, &mut report)?;
-        Ok(ReportData::Bits(report))
+        Ok(ReportData::Bits(PackedBits::from_slots(&report)?))
     }
 
     /// Convenience: perturb into a freshly allocated report.

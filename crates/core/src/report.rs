@@ -17,6 +17,9 @@
 //! * [`ReportData`] — the owned twin, produced by
 //!   [`crate::mechanism::Mechanism::perturb_data`]; what a transport would
 //!   serialize.
+//! * [`PackedBits`] — the owned bit report: its slots packed 64 per word,
+//!   the same bits the wire carries 8 per byte, so a bit report decodes
+//!   and folds as the words it arrived in.
 //! * [`hash_bucket`] — the shared client/server hash for
 //!   [`ReportShape::Hashed`] reports, defined exactly once. The client
 //!   encodes with it; the server folds with [`crate::fold::HashedFold`],
@@ -31,13 +34,13 @@
 //!
 //! | shape | wire payload | fold into counts |
 //! |---|---|---|
-//! | `Bits` | 0/1 vector, `report_len` slots | add each bit |
+//! | `Bits` | `report_len` bits, packed or one 0/1 byte per slot | add each bit |
 //! | `Value` | one value in `0..report_len` | increment that bucket |
 //! | `Hashed` | `(seed, value in 0..range)` | increment every `v` with `hash_bucket(seed, v, range) == value` |
 //! | `ItemSet` | distinct items in `0..report_len` | increment each member |
 
 use crate::error::{Error, Result};
-use crate::fold::HashedFold;
+use crate::fold::{pack_bits_row, packed_words, HashedFold};
 
 /// The report shape a mechanism emits on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,8 +84,14 @@ impl ReportShape {
 /// it. This is the type every report-ingestion API accepts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Report<'a> {
-    /// A 0/1 bit vector of the mechanism's report width.
+    /// A 0/1 bit vector of the mechanism's report width, one byte per
+    /// slot: the folded form [`crate::mechanism::Mechanism::perturb_into`]
+    /// writes.
     Bits(&'a [u8]),
+    /// A bit report in its packed form, as [`ReportData::Bits`] owns it
+    /// and the wire carries it. Folds exactly like the same slots as
+    /// [`Report::Bits`].
+    Packed(&'a PackedBits),
     /// A categorical report: the single reported value in
     /// `0..report_len` (GRR and matrix-mechanism wire format).
     Value(usize),
@@ -100,13 +109,19 @@ pub enum Report<'a> {
 
 impl Report<'_> {
     /// Copies the report into its owned form.
-    pub fn to_data(&self) -> ReportData {
-        match *self {
-            Report::Bits(bits) => ReportData::Bits(bits.to_vec()),
+    ///
+    /// # Errors
+    /// A [`Report::Bits`] slot other than 0/1 has no packed form. It is
+    /// refused, not coerced: a coerced slot would launder a report that
+    /// [`Report::fold_into`] rejects.
+    pub fn to_data(&self) -> Result<ReportData> {
+        Ok(match *self {
+            Report::Bits(bits) => ReportData::Bits(PackedBits::from_slots(bits)?),
+            Report::Packed(bits) => ReportData::Bits(bits.clone()),
             Report::Value(v) => ReportData::Value(v),
             Report::Hashed { seed, value } => ReportData::Hashed { seed, value },
             Report::ItemSet(items) => ReportData::ItemSet(items.to_vec()),
-        }
+        })
     }
 
     /// Checks this report against a mechanism configuration — width
@@ -140,6 +155,17 @@ impl Report<'_> {
                 if bits.iter().fold(0u8, |acc, &b| acc | b) > 1 {
                     return Err(Error::ParameterOrdering {
                         detail: "bit report slots must be 0/1".into(),
+                    });
+                }
+            }
+            // Every packed slot is 0/1 by construction: only the width
+            // is left to check.
+            Report::Packed(bits) => {
+                if bits.slots() != report_len {
+                    return Err(Error::DimensionMismatch {
+                        what: "bit report".into(),
+                        expected: report_len,
+                        actual: bits.slots(),
                     });
                 }
             }
@@ -241,6 +267,11 @@ impl Report<'_> {
                     *c += u64::from(bit);
                 }
             }
+            Report::Packed(bits) => {
+                for slot in bits.ones() {
+                    counts[slot] += 1;
+                }
+            }
             Report::Value(v) => counts[v] += 1,
             Report::Hashed { seed, value } => {
                 let slots = counts.len();
@@ -265,8 +296,8 @@ impl Report<'_> {
 /// emits and what a transport would serialize.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReportData {
-    /// A 0/1 bit vector of the mechanism's report width.
-    Bits(Vec<u8>),
+    /// A 0/1 bit vector of the mechanism's report width, packed.
+    Bits(PackedBits),
     /// A categorical report value in `0..report_len`.
     Value(usize),
     /// A hashed report `(seed, value in 0..range)`.
@@ -284,7 +315,7 @@ impl ReportData {
     /// Borrows the report for ingestion.
     pub fn as_report(&self) -> Report<'_> {
         match self {
-            ReportData::Bits(bits) => Report::Bits(bits),
+            ReportData::Bits(bits) => Report::Packed(bits),
             ReportData::Value(v) => Report::Value(*v),
             ReportData::Hashed { seed, value } => Report::Hashed {
                 seed: *seed,
@@ -301,6 +332,180 @@ impl ReportData {
     /// Same conditions as [`Report::fold_into`].
     pub fn fold_into(&self, counts: &mut [u64], shape_param: usize) -> Result<()> {
         self.as_report().fold_into(counts, shape_param)
+    }
+}
+
+/// Words a [`PackedBits`] keeps in place (128 slots): two words and the
+/// slot count are what fit in [`ReportData`]'s 32 bytes, so the packed bit
+/// report makes no report variant larger.
+const INLINE_WORDS: usize = 2;
+
+/// A 0/1 bit report, packed: slot `i` is bit `i % 64` of word `i / 64`,
+/// and every bit above [`PackedBits::slots`] is zero. The words are the
+/// wire form read as little-endian `u64`s, and the row
+/// [`crate::fold::BitPlanes::add_row`] folds, so a report decodes and
+/// folds without a byte per slot. Reports of up to 128 slots live inline;
+/// wider ones keep their words in one boxed slice.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedBits(Storage);
+
+/// Which storage holds the words is fixed by the slot count, and inline
+/// words past `⌈slots/64⌉` stay zero, so derived equality compares
+/// reports, not layouts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Storage {
+    Inline {
+        slots: u32,
+        words: [u64; INLINE_WORDS],
+    },
+    Heap {
+        slots: u32,
+        words: Box<[u64]>,
+    },
+}
+
+impl Default for PackedBits {
+    /// The empty report (no slots).
+    fn default() -> Self {
+        Self(Storage::Inline {
+            slots: 0,
+            words: [0; INLINE_WORDS],
+        })
+    }
+}
+
+impl PackedBits {
+    /// All-zero slots, in the storage the slot count calls for.
+    #[inline]
+    fn zeroed(slots: usize) -> Result<Self> {
+        let count = u32::try_from(slots).map_err(|_| Error::IndexOutOfRange {
+            what: "bit report slot count".into(),
+            index: slots,
+            bound: u32::MAX as usize + 1,
+        })?;
+        let words = packed_words(slots);
+        Ok(Self(if words <= INLINE_WORDS {
+            Storage::Inline {
+                slots: count,
+                words: [0; INLINE_WORDS],
+            }
+        } else {
+            Storage::Heap {
+                slots: count,
+                words: vec![0; words].into_boxed_slice(),
+            }
+        }))
+    }
+
+    /// Packs a report of one 0/1 byte per slot.
+    ///
+    /// # Errors
+    /// A slot other than 0/1 (see [`pack_bits_row`]), or more than
+    /// `u32::MAX` slots.
+    pub fn from_slots(slots: &[u8]) -> Result<Self> {
+        let mut packed = Self::zeroed(slots.len())?;
+        pack_bits_row(slots, packed.words_mut())?;
+        Ok(packed)
+    }
+
+    /// Re-packs `slots` in place, reusing the word storage when the slot
+    /// count is unchanged: the allocation-free twin of
+    /// [`PackedBits::from_slots`] for a caller packing report after report.
+    ///
+    /// # Errors
+    /// As [`PackedBits::from_slots`]; the report then holds unspecified,
+    /// still well-formed, bits.
+    pub fn repack(&mut self, slots: &[u8]) -> Result<()> {
+        if self.slots() != slots.len() {
+            *self = Self::zeroed(slots.len())?;
+        }
+        pack_bits_row(slots, self.words_mut())
+    }
+
+    /// Reads `slots` slots from `⌈slots/8⌉` little-endian bytes, slot `i`
+    /// at bit `i % 8` of byte `i / 8`: the packed wire form.
+    ///
+    /// # Errors
+    /// `bytes` is not `⌈slots/8⌉` long, a padding bit above `slots` is
+    /// set (so every report has exactly one byte encoding), or there are
+    /// more than `u32::MAX` slots.
+    #[inline]
+    pub fn from_le_bytes(slots: usize, bytes: &[u8]) -> Result<Self> {
+        if bytes.len() != slots.div_ceil(8) {
+            return Err(Error::DimensionMismatch {
+                what: "packed bit report bytes".into(),
+                expected: slots.div_ceil(8),
+                actual: bytes.len(),
+            });
+        }
+        let mut packed = Self::zeroed(slots)?;
+        let words = packed.words_mut();
+        let mut chunks = bytes.chunks_exact(8);
+        for (word, chunk) in words.iter_mut().zip(&mut chunks) {
+            *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+        if let Some(last) = words.last_mut() {
+            for (i, &byte) in chunks.remainder().iter().enumerate() {
+                *last |= u64::from(byte) << (8 * i);
+            }
+            if !slots.is_multiple_of(64) && *last >> (slots % 64) != 0 {
+                return Err(Error::ParameterOrdering {
+                    detail: "nonzero padding bits in packed bit report".into(),
+                });
+            }
+        }
+        Ok(packed)
+    }
+
+    /// Appends the `⌈slots/8⌉`-byte little-endian form
+    /// [`PackedBits::from_le_bytes`] reads.
+    #[inline]
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        let mut left = self.slots().div_ceil(8);
+        for word in self.words() {
+            let take = left.min(8);
+            out.extend_from_slice(&word.to_le_bytes()[..take]);
+            left -= take;
+        }
+    }
+
+    /// Number of slots.
+    #[inline]
+    pub fn slots(&self) -> usize {
+        match self.0 {
+            Storage::Inline { slots, .. } | Storage::Heap { slots, .. } => slots as usize,
+        }
+    }
+
+    /// The `⌈slots/64⌉` packed words.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        match &self.0 {
+            Storage::Inline { slots, words } => &words[..packed_words(*slots as usize)],
+            Storage::Heap { words, .. } => words,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Storage::Inline { slots, words } => &mut words[..packed_words(*slots as usize)],
+            Storage::Heap { words, .. } => words,
+        }
+    }
+
+    /// The set slots, in increasing order.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words().iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    slot
+                })
+            })
+        })
     }
 }
 
@@ -345,6 +550,10 @@ pub(crate) fn hash_word(mut z: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn bits(slots: &[u8]) -> ReportData {
+        ReportData::Bits(PackedBits::from_slots(slots).unwrap())
+    }
+
     #[test]
     fn shape_labels() {
         assert_eq!(ReportShape::Bits.label(), "bits");
@@ -380,14 +589,19 @@ mod tests {
     #[test]
     fn owned_and_borrowed_round_trip() {
         let cases = [
-            ReportData::Bits(vec![1, 0, 1]),
+            bits(&[1, 0, 1]),
             ReportData::Value(2),
             ReportData::Hashed { seed: 9, value: 1 },
             ReportData::ItemSet(vec![0, 2]),
         ];
         for data in cases {
-            assert_eq!(data.as_report().to_data(), data);
+            assert_eq!(data.as_report().to_data().unwrap(), data);
         }
+        // The slot view packs into the same owned report.
+        assert_eq!(
+            Report::Bits(&[1, 0, 1]).to_data().unwrap(),
+            bits(&[1, 0, 1])
+        );
     }
 
     #[test]
@@ -427,9 +641,7 @@ mod tests {
     #[test]
     fn fold_matches_shapes() {
         let mut counts = vec![0u64; 4];
-        ReportData::Bits(vec![1, 0, 1, 0])
-            .fold_into(&mut counts, 0)
-            .unwrap();
+        bits(&[1, 0, 1, 0]).fold_into(&mut counts, 0).unwrap();
         ReportData::Value(3).fold_into(&mut counts, 0).unwrap();
         ReportData::ItemSet(vec![1, 3])
             .fold_into(&mut counts, 0)
@@ -453,12 +665,9 @@ mod tests {
     #[test]
     fn fold_rejects_invalid_reports() {
         let mut counts = vec![0u64; 3];
-        assert!(ReportData::Bits(vec![1, 0])
-            .fold_into(&mut counts, 0)
-            .is_err());
-        assert!(ReportData::Bits(vec![1, 0, 2])
-            .fold_into(&mut counts, 0)
-            .is_err());
+        assert!(bits(&[1, 0]).fold_into(&mut counts, 0).is_err());
+        assert!(Report::Bits(&[1, 0]).fold_into(&mut counts, 0).is_err());
+        assert!(Report::Bits(&[1, 0, 2]).fold_into(&mut counts, 0).is_err());
         assert!(ReportData::Value(3).fold_into(&mut counts, 0).is_err());
         assert!(ReportData::Hashed { seed: 1, value: 4 }
             .fold_into(&mut counts, 4)
@@ -489,30 +698,106 @@ mod tests {
         // validate() succeeding must imply fold_into() succeeding — the
         // contract transport servers rely on when they acknowledge a
         // report before folding it.
+        let (fits, narrow) = (bits(&[1, 0, 1]), bits(&[1, 0]));
         let cases = [
-            (ReportData::Bits(vec![1, 0, 1]), 0usize),
-            (ReportData::Bits(vec![1, 0]), 0),
-            (ReportData::Bits(vec![2, 0, 0]), 0),
-            (ReportData::Value(2), 0),
-            (ReportData::Value(3), 0),
-            (ReportData::Hashed { seed: 7, value: 1 }, 4),
-            (ReportData::Hashed { seed: 7, value: 4 }, 4),
-            (ReportData::Hashed { seed: 7, value: 0 }, 1),
-            (ReportData::ItemSet(vec![0, 2]), 0),
-            (ReportData::ItemSet(vec![]), 0),
-            (ReportData::ItemSet(vec![1, 1]), 0),
-            (ReportData::ItemSet(vec![5]), 0),
+            (Report::Bits(&[1, 0, 1]), 0usize),
+            (Report::Bits(&[1, 0]), 0),
+            (Report::Bits(&[2, 0, 0]), 0),
+            (fits.as_report(), 0),
+            (narrow.as_report(), 0),
+            (Report::Value(2), 0),
+            (Report::Value(3), 0),
+            (Report::Hashed { seed: 7, value: 1 }, 4),
+            (Report::Hashed { seed: 7, value: 4 }, 4),
+            (Report::Hashed { seed: 7, value: 0 }, 1),
+            (Report::ItemSet(&[0, 2]), 0),
+            (Report::ItemSet(&[]), 0),
+            (Report::ItemSet(&[1, 1]), 0),
+            (Report::ItemSet(&[5]), 0),
         ];
-        for (data, range) in cases {
-            let report = data.as_report();
+        for (report, range) in cases {
             let valid = report.validate(3, range).is_ok();
             let mut counts = vec![0u64; 3];
             assert_eq!(
                 valid,
                 report.fold_into(&mut counts, range).is_ok(),
-                "{data:?}"
+                "{report:?}"
             );
         }
+    }
+
+    /// Pseudo-random 0/1 rows at every width across the 64-slot word
+    /// edges and the 128/129 inline/heap edge, and one wide row.
+    fn random_rows() -> impl Iterator<Item = Vec<u8>> {
+        (1..=130usize)
+            .chain([1000])
+            .map(|m| (0..m).map(|i| hash_bucket(m as u64, i, 2) as u8).collect())
+    }
+
+    #[test]
+    fn packed_bits_fold_and_round_trip_like_their_slots() {
+        let mut reused = PackedBits::default();
+        for slots in random_rows() {
+            let m = slots.len();
+            let packed = PackedBits::from_slots(&slots).unwrap();
+            assert_eq!(packed.slots(), m);
+            assert_eq!(packed.words().len(), m.div_ceil(64), "m={m}");
+            let ones: Vec<usize> = (0..m).filter(|&i| slots[i] == 1).collect();
+            assert_eq!(packed.ones().collect::<Vec<_>>(), ones, "m={m}");
+
+            let (mut via_slots, mut via_packed) = (vec![0u64; m], vec![0u64; m]);
+            Report::Bits(&slots).fold_into(&mut via_slots, 0).unwrap();
+            Report::Packed(&packed)
+                .fold_into(&mut via_packed, 0)
+                .unwrap();
+            assert_eq!(via_packed, via_slots, "m={m}");
+            assert!(Report::Packed(&packed).validate(m + 1, 0).is_err());
+
+            let data = ReportData::Bits(packed.clone());
+            assert_eq!(data.as_report().to_data().unwrap(), data, "m={m}");
+
+            let mut bytes = Vec::new();
+            packed.extend_le_bytes(&mut bytes);
+            assert_eq!(bytes.len(), m.div_ceil(8));
+            assert_eq!(PackedBits::from_le_bytes(m, &bytes).unwrap(), packed);
+
+            reused.repack(&slots).unwrap();
+            assert_eq!(reused, packed, "m={m}");
+        }
+    }
+
+    /// A slot of 2 has no packed form wherever it sits: in a full 8-slot
+    /// chunk, in the tail, inline or on the heap.
+    #[test]
+    fn from_slots_rejects_a_non_binary_slot_anywhere() {
+        for m in [13usize, 130] {
+            for at in 0..m {
+                let mut slots = vec![1u8; m];
+                slots[at] = 2;
+                let err = PackedBits::from_slots(&slots).unwrap_err();
+                assert!(err.to_string().contains("slots must be 0/1"), "{err}");
+                assert!(Report::Bits(&slots).to_data().is_err(), "m={m} at={at}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_bytes_must_fit_the_slot_count() {
+        assert!(PackedBits::from_le_bytes(9, &[0xFF, 0x01]).is_ok());
+        assert!(PackedBits::from_le_bytes(9, &[0xFF]).is_err(), "short");
+        assert!(PackedBits::from_le_bytes(9, &[0xFF, 1, 0]).is_err(), "long");
+        assert!(
+            PackedBits::from_le_bytes(9, &[0xFF, 0x03]).is_err(),
+            "padding"
+        );
+    }
+
+    /// Packed bit reports keep [`ReportData`] at its 32 bytes, so queues
+    /// of value and hashed reports do not grow.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn report_data_stays_32_bytes() {
+        assert!(std::mem::size_of::<ReportData>() <= 32);
     }
 
     /// Item-set distinctness must agree between the small (prefix-scan)

@@ -263,12 +263,9 @@ impl ReportClient {
     /// a report (its `accepted` count says how many of the batch were
     /// still queued), or a typed [`ClientError::Protocol`] when the batch
     /// would not fit one frame ([`Self::push_all`] splits automatically)
-    /// or a bit report violates the wire form (wider than
-    /// [`MAX_BIT_REPORT_SLOTS`](crate::frame::MAX_BIT_REPORT_SLOTS), or a
-    /// slot outside 0/1 — the packed encoding cannot represent other
-    /// values, and silently coercing them would accept a report the local
-    /// fold path rejects). Both are found while encoding, before any bytes
-    /// are written.
+    /// or a bit report is wider than
+    /// [`MAX_BIT_REPORT_SLOTS`](crate::frame::MAX_BIT_REPORT_SLOTS), which
+    /// is found while encoding, before any bytes are written.
     pub fn push(&mut self, reports: &[ReportData]) -> Result<PushOutcome, ClientError> {
         let payload = 4 + reports.iter().map(encoded_report_len).sum::<usize>();
         if payload > MAX_PAYLOAD_LEN {
@@ -623,15 +620,16 @@ fn frame_sized_prefix(reports: &[ReportData]) -> Result<usize, ClientError> {
 mod tests {
     use super::*;
     use crate::frame::MAX_BIT_REPORT_SLOTS;
+    use idldp_core::report::PackedBits;
 
     /// A fake server that speaks raw frames lets the client's defenses be
     /// tested against replies a real `ReportServer` never produces: a
     /// `Busy` claiming more accepted reports than the batch held must be a
     /// typed protocol error, not an out-of-bounds resend slice. The
-    /// client-side wire-form checks (non-0/1 bit slots) fire before any
-    /// bytes are written.
+    /// client-side wire-form check (the bit-report width cap) fires before
+    /// any bytes are written.
     #[test]
-    fn hostile_busy_counts_and_bad_bit_slots_are_typed_errors() {
+    fn hostile_busy_counts_and_over_wide_bit_reports_are_typed_errors() {
         use idldp_core::budget::Epsilon;
         use idldp_core::grr::GeneralizedRandomizedResponse;
         use std::io::BufRead;
@@ -671,26 +669,17 @@ mod tests {
         let (mut client, users) = ReportClient::connect(addr, &mechanism).unwrap();
         assert_eq!(users, 0);
 
-        // Refused before any bytes hit the wire: a slot of 2 anywhere in a
-        // full 8-slot chunk or in the tail is a typed error, not a panic.
-        for at in 0..13 {
-            let mut bits = vec![1u8; 13];
-            bits[at] = 2;
-            match client.push(&[ReportData::Bits(bits)]) {
-                Err(ClientError::Protocol(message)) => {
-                    assert!(
-                        message.contains("slots must be 0/1"),
-                        "slot {at}: {message}"
-                    )
-                }
-                other => panic!("slot {at}: expected a typed protocol error, got {other:?}"),
+        // Refused before any bytes hit the wire: a bit report over the
+        // width cap is a typed error, not a panic.
+        let too_wide = [ReportData::Bits(
+            PackedBits::from_slots(&vec![0; MAX_BIT_REPORT_SLOTS + 1]).unwrap(),
+        )];
+        match client.push(&too_wide) {
+            Err(ClientError::Protocol(message)) => {
+                assert!(message.contains("MAX_BIT_REPORT_SLOTS"), "{message}")
             }
+            other => panic!("expected a typed protocol error, got {other:?}"),
         }
-        let too_wide = [ReportData::Bits(vec![0; MAX_BIT_REPORT_SLOTS + 1])];
-        assert!(matches!(
-            client.push(&too_wide),
-            Err(ClientError::Protocol(_))
-        ));
 
         // The hostile Busy count is a typed error, not a panic.
         let batch = vec![ReportData::Value(1); 3];
@@ -753,7 +742,7 @@ mod tests {
     fn frame_sized_prefix_packs_under_the_cap() {
         // ~1 MiB encoded per report: 16 fit (4 + 16·(5 + 2^20) < 16 MiB),
         // a 17th would not.
-        let wide = ReportData::Bits(vec![1; 8 << 20]);
+        let wide = ReportData::Bits(PackedBits::from_slots(&vec![1; 8 << 20]).unwrap());
         let per = encoded_report_len(&wide);
         let fits = (MAX_PAYLOAD_LEN - 4) / per;
         let reports: Vec<ReportData> = std::iter::repeat_n(wide, fits + 3).collect();

@@ -20,14 +20,14 @@
 //! returns a typed [`FrameError`] — truncated input, an oversized length
 //! prefix ([`MAX_PAYLOAD_LEN`]), an unknown tag, or malformed payload
 //! content. Nothing panics and nothing allocates proportionally to a
-//! length field before the bytes backing it have arrived; the one place
-//! decoding inflates received bytes — unpacking a bit report to one byte
-//! per slot — is bounded by the [`MAX_BIT_REPORT_SLOTS`] width cap (the
-//! property suite in `tests/proptest_frames.rs` hammers all of this with
-//! arbitrary mutations).
+//! length field before the bytes backing it have arrived. A bit report
+//! decodes into its owned packed form ([`PackedBits`]) as a copy of the
+//! wire bytes into words, after the [`MAX_BIT_REPORT_SLOTS`] width cap,
+//! the truncation test and the padding check (the property suite in
+//! `tests/proptest_frames.rs` hammers all of this with arbitrary
+//! mutations).
 
-use idldp_core::fold;
-use idldp_core::report::{ReportData, ReportShape};
+use idldp_core::report::{PackedBits, ReportData, ReportShape};
 use std::io::{Read, Write};
 
 /// Protocol version negotiated in [`Frame::Hello`]. Bump on any grammar
@@ -71,12 +71,13 @@ pub const CHUNK_ELEMS: usize = 1 << 20;
 pub const MAX_PAYLOAD_LEN: usize = 16 << 20;
 
 /// Hard ceiling on the slot count of one packed bit report (2²³ slots =
-/// 1 MiB on the wire, 8 MiB decoded). The packed wire form is 8× smaller
-/// than the decoded one-byte-per-slot `Vec<u8>`, so without a width cap a
-/// 16 MiB frame claiming ~134M slots would make the decoder allocate
-/// ~134 MB — this cap bounds that amplification per report. It is far
-/// wider than any realistic unary-encoding domain; servers refuse to
-/// start for a bit-vector mechanism wider than this.
+/// 1 MiB on the wire). A report decodes into its packed words, about as
+/// many bytes as it takes on the wire, so the cap bounds a report's
+/// width, not an expansion; the decoder checks it before it looks for the
+/// bytes behind a claim. It is far wider than any realistic
+/// unary-encoding domain; servers refuse to start for a bit-vector
+/// mechanism wider than this, and senders refuse to encode a wider
+/// report.
 pub const MAX_BIT_REPORT_SLOTS: usize = 1 << 23;
 
 /// Typed decode/transport errors. Every malformed input maps to one of
@@ -538,19 +539,15 @@ fn frame_header(tag: u8, payload_len: usize) -> Vec<u8> {
 /// `out` then holds a partial payload and must be discarded.
 fn put_reports(out: &mut Vec<u8>, reports: &[ReportData]) -> Result<(), String> {
     put_u32(out, reports.len() as u32);
-    // One scratch word row serves every bit report of the batch.
-    let mut row = Vec::new();
     for r in reports {
-        put_report(out, r, &mut row)?;
+        put_report(out, r)?;
     }
     Ok(())
 }
 
 /// Encodes a [`Frame::Reports`] frame from a borrowed slice, or says why
 /// the batch cannot travel: a bit report wider than
-/// [`MAX_BIT_REPORT_SLOTS`] (no compliant peer could decode it) or with a
-/// slot outside 0/1 (the packed form cannot represent it, and coercing it
-/// would launder a report the local fold path rejects).
+/// [`MAX_BIT_REPORT_SLOTS`], which no compliant peer could decode.
 pub(crate) fn try_encode_reports_frame(reports: &[ReportData]) -> Result<Vec<u8>, String> {
     let payload_len = 4 + reports.iter().map(encoded_report_len).sum::<usize>();
     let mut out = frame_header(TAG_REPORTS, payload_len);
@@ -564,10 +561,9 @@ pub(crate) fn try_encode_reports_frame(reports: &[ReportData]) -> Result<Vec<u8>
 /// [`Frame::Reports`] would force on every (re)send.
 ///
 /// # Panics
-/// Panics on a bit report wider than [`MAX_BIT_REPORT_SLOTS`] or with a
-/// slot outside 0/1 — no compliant peer could decode the former, and the
-/// packed form cannot represent the latter; callers that take reports
-/// from untrusted input use the fallible path instead (as
+/// Panics on a bit report wider than [`MAX_BIT_REPORT_SLOTS`], which no
+/// compliant peer could decode; callers that take reports from untrusted
+/// input use the fallible path instead (as
 /// [`crate::client::ReportClient::push`] does, returning a typed error).
 pub fn encode_reports_frame(reports: &[ReportData]) -> Vec<u8> {
     try_encode_reports_frame(reports).unwrap_or_else(|e| panic!("{e}"))
@@ -578,45 +574,32 @@ pub fn encode_reports_frame(reports: &[ReportData]) -> Vec<u8> {
 /// encoding twice.
 pub fn encoded_report_len(report: &ReportData) -> usize {
     match report {
-        ReportData::Bits(bits) => 1 + 4 + bits.len().div_ceil(8),
+        ReportData::Bits(bits) => 1 + 4 + bits.slots().div_ceil(8),
         ReportData::Value(_) => 1 + 8,
         ReportData::Hashed { .. } => 1 + 8 + 8,
         ReportData::ItemSet(items) => 1 + 4 + 8 * items.len(),
     }
 }
 
-/// Encodes one report in its compact wire form. A bit vector is packed 8
-/// slots per byte, LSB first, by [`fold::pack_bits_row`]'s multiply-gather
-/// into the scratch word `row`; the wire carries the first `⌈slots/8⌉`
-/// little-endian bytes of those words.
+/// Encodes one report in its compact wire form. A bit report is already
+/// packed: the wire carries the first `⌈slots/8⌉` little-endian bytes of
+/// its words, 8 slots per byte, LSB first.
 ///
 /// # Errors
-/// A bit report over the [`MAX_BIT_REPORT_SLOTS`] width cap, or with a
-/// slot outside 0/1. Both must be refused *before* the wire: every
-/// compliant decoder rejects the former, and the packed form cannot carry
-/// the latter.
-fn put_report(out: &mut Vec<u8>, report: &ReportData, row: &mut Vec<u64>) -> Result<(), String> {
+/// A bit report over the [`MAX_BIT_REPORT_SLOTS`] width cap, refused
+/// *before* the wire because every compliant decoder rejects it.
+fn put_report(out: &mut Vec<u8>, report: &ReportData) -> Result<(), String> {
     match report {
         ReportData::Bits(bits) => {
-            if bits.len() > MAX_BIT_REPORT_SLOTS {
+            if bits.slots() > MAX_BIT_REPORT_SLOTS {
                 return Err(format!(
                     "bit report of {} slots exceeds MAX_BIT_REPORT_SLOTS ({MAX_BIT_REPORT_SLOTS})",
-                    bits.len()
+                    bits.slots()
                 ));
             }
-            row.resize(fold::packed_words(bits.len()), 0);
-            fold::pack_bits_row(bits, row).map_err(|_| {
-                "bit report slots must be 0/1 — the packed wire form cannot carry other values"
-                    .to_string()
-            })?;
             out.push(REPORT_BITS);
-            put_u32(out, bits.len() as u32);
-            let mut left = bits.len().div_ceil(8);
-            for word in row.iter() {
-                let take = left.min(8);
-                out.extend_from_slice(&word.to_le_bytes()[..take]);
-                left -= take;
-            }
+            put_u32(out, bits.slots() as u32);
+            bits.extend_le_bytes(out);
         }
         ReportData::Value(v) => {
             out.push(REPORT_VALUE);
@@ -642,9 +625,8 @@ fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
     match c.read_u8()? {
         REPORT_BITS => {
             let slots = c.read_u32()? as usize;
-            // Checked before the truncation test (and before any
-            // allocation): packed bits expand 8× on decode, so the width
-            // cap is what bounds a report's decoded footprint.
+            // Checked before the truncation test, so a hostile claim is
+            // refused before the decoder looks for the bytes behind it.
             if slots > MAX_BIT_REPORT_SLOTS {
                 return Err(FrameError::Malformed(format!(
                     "bit report claims {slots} slots, over the {MAX_BIT_REPORT_SLOTS}-slot cap"
@@ -657,26 +639,12 @@ fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
                     available: c.remaining(),
                 });
             }
-            let packed = c.take(bytes_needed)?;
-            // Each wire byte spreads into 8 slot bytes with one multiply;
-            // the last chunk's padding slots are cut off.
-            let mut bits = Vec::with_capacity(8 * bytes_needed);
-            for &byte in packed {
-                bits.extend_from_slice(&fold::spread_bits(byte).to_le_bytes());
-            }
-            bits.truncate(slots);
             // Padding bits above `slots` must be zero, so every encoding of
             // a report is canonical (encode ∘ decode is the identity on
             // bytes too, not just on reports).
-            if !slots.is_multiple_of(8) {
-                let last = packed[bytes_needed - 1];
-                if last >> (slots % 8) != 0 {
-                    return Err(FrameError::Malformed(
-                        "nonzero padding bits in packed bit report".into(),
-                    ));
-                }
-            }
-            Ok(ReportData::Bits(bits))
+            PackedBits::from_le_bytes(slots, c.take(bytes_needed)?)
+                .map(ReportData::Bits)
+                .map_err(|e| FrameError::Malformed(e.to_string()))
         }
         REPORT_VALUE => Ok(ReportData::Value(c.read_len("report value")?)),
         REPORT_HASHED => Ok(ReportData::Hashed {
@@ -1238,6 +1206,10 @@ impl FrameAssembler {
 mod tests {
     use super::*;
 
+    fn bit_report(slots: &[u8]) -> ReportData {
+        ReportData::Bits(PackedBits::from_slots(slots).unwrap())
+    }
+
     fn round_trip(frame: Frame) {
         let bytes = frame.encode();
         assert_eq!(
@@ -1285,7 +1257,7 @@ mod tests {
             run_line: "run idldp-serve kind=idue shape=bits report_len=64 ldp_eps=1.25".into(),
         });
         round_trip(Frame::Reports(vec![
-            ReportData::Bits(vec![1, 0, 1, 1, 0, 0, 0, 1, 1]),
+            bit_report(&[1, 0, 1, 1, 0, 0, 0, 1, 1]),
             ReportData::Value(3),
             ReportData::Hashed { seed: 9, value: 2 },
             ReportData::ItemSet(vec![0, 5, 17]),
@@ -1393,7 +1365,7 @@ mod tests {
     #[test]
     fn truncation_is_typed_at_every_length() {
         let bytes = Frame::Reports(vec![
-            ReportData::Bits(vec![1, 0, 1]),
+            bit_report(&[1, 0, 1]),
             ReportData::ItemSet(vec![2, 4]),
         ])
         .encode();
@@ -1426,7 +1398,7 @@ mod tests {
 
     #[test]
     fn nonzero_padding_bits_are_rejected() {
-        let mut bytes = Frame::Reports(vec![ReportData::Bits(vec![1, 1, 1])]).encode();
+        let mut bytes = Frame::Reports(vec![bit_report(&[1, 1, 1])]).encode();
         // The packed byte is 0b0000_0111; set a padding bit above slot 2.
         let last = bytes.len() - 1;
         bytes[last] |= 0b1000_0000;
@@ -1470,7 +1442,7 @@ mod tests {
             Err(FrameError::Malformed(_))
         ));
         // Exactly at the cap the report still round-trips.
-        let at_cap = Frame::Reports(vec![ReportData::Bits(vec![1; MAX_BIT_REPORT_SLOTS])]);
+        let at_cap = Frame::Reports(vec![bit_report(&vec![1; MAX_BIT_REPORT_SLOTS])]);
         assert_eq!(Frame::decode(&at_cap.encode()).unwrap(), at_cap);
     }
 
@@ -1488,10 +1460,10 @@ mod tests {
     #[test]
     fn encoded_report_len_matches_the_encoder() {
         let reports = [
-            ReportData::Bits(vec![]),
-            ReportData::Bits(vec![1; 7]),
-            ReportData::Bits(vec![0; 8]),
-            ReportData::Bits(vec![1; 65]),
+            bit_report(&[]),
+            bit_report(&[1; 7]),
+            bit_report(&[0; 8]),
+            bit_report(&[1; 65]),
             ReportData::Value(3),
             ReportData::Hashed { seed: 1, value: 2 },
             ReportData::ItemSet(vec![]),
@@ -1499,7 +1471,7 @@ mod tests {
         ];
         for report in &reports {
             let mut out = Vec::new();
-            put_report(&mut out, report, &mut Vec::new()).unwrap();
+            put_report(&mut out, report).unwrap();
             assert_eq!(out.len(), encoded_report_len(report), "{report:?}");
         }
         // A whole batch frame is header + count + the per-report sizes.
@@ -1511,7 +1483,7 @@ mod tests {
     #[test]
     fn slice_encoder_matches_owned_encoder() {
         let reports = vec![
-            ReportData::Bits(vec![1, 0, 1]),
+            bit_report(&[1, 0, 1]),
             ReportData::Value(2),
             ReportData::Hashed { seed: 3, value: 1 },
             ReportData::ItemSet(vec![0, 4]),
@@ -1537,32 +1509,6 @@ mod tests {
         assert!(!oversized.fits_one_frame());
     }
 
-    #[test]
-    #[should_panic(expected = "slots must be 0/1")]
-    fn non_binary_slots_are_unencodable() {
-        // Coercing slot 2 to a set bit would launder a report the local
-        // fold path rejects — the encoder refuses instead.
-        let _ = Frame::Reports(vec![ReportData::Bits(vec![2])]).encode();
-    }
-
-    /// A slot of 2 anywhere — inside a full 8-slot chunk or in the tail —
-    /// makes the public encoder panic rather than coerce it.
-    #[test]
-    fn non_binary_slot_anywhere_is_unencodable() {
-        for at in 0..13 {
-            let mut bits = vec![1u8; 13];
-            bits[at] = 2;
-            let reports = [ReportData::Value(1), ReportData::Bits(bits)];
-            let panic = std::panic::catch_unwind(|| encode_reports_frame(&reports))
-                .expect_err("a non-0/1 slot must not encode");
-            let message = panic.downcast_ref::<String>().expect("formatted panic");
-            assert!(
-                message.contains("slots must be 0/1"),
-                "slot {at}: {message}"
-            );
-        }
-    }
-
     /// The bit codec at every width across the 8-slot chunk and 64-slot
     /// word edges: the wire bytes are the LSB-first packing, decode ∘
     /// encode is the identity on reports and encode ∘ decode on bytes, and
@@ -1577,7 +1523,7 @@ mod tests {
             for (i, &bit) in bits.iter().enumerate() {
                 packed[i / 8] |= bit << (i % 8);
             }
-            let reports = vec![ReportData::Value(7), ReportData::Bits(bits)];
+            let reports = vec![ReportData::Value(7), bit_report(&bits)];
             let bytes = encode_reports_frame(&reports);
             // Header (5), batch count (4), the value report (9), the bit
             // report's tag and slot count (5), then the packed slots.
@@ -1598,7 +1544,7 @@ mod tests {
 
     #[test]
     fn bit_packing_is_compact() {
-        let bytes = Frame::Reports(vec![ReportData::Bits(vec![1; 64])]).encode();
+        let bytes = Frame::Reports(vec![bit_report(&[1; 64])]).encode();
         // 5 header + 4 batch count + 1 report tag + 4 slot count + 8 packed.
         assert_eq!(bytes.len(), 5 + 4 + 1 + 4 + 8);
     }
@@ -1608,7 +1554,7 @@ mod tests {
         let frames = vec![
             Frame::Query,
             Frame::Reports(vec![
-                ReportData::Bits(vec![1, 0, 1, 1, 0, 0, 0, 1, 1]),
+                bit_report(&[1, 0, 1, 1, 0, 0, 0, 1, 1]),
                 ReportData::ItemSet(vec![0, 5, 17]),
             ]),
             Frame::Estimates {

@@ -15,7 +15,7 @@
 //!    whole-frame decode, buffers no more than one frame at a time, and
 //!    classifies an EOF cut exactly like the blocking stream reader.
 
-use idldp_core::report::ReportData;
+use idldp_core::report::{PackedBits, ReportData};
 use idldp_server::{Frame, FrameAssembler, FrameError, MAX_PAYLOAD_LEN, PROTOCOL_VERSION};
 use proptest::prelude::*;
 
@@ -30,7 +30,7 @@ fn arb_report() -> impl Strategy<Value = ReportData> {
     )
         .prop_map(
             |(kind, bits, value, (seed, hashed_value), mut items)| match kind {
-                0 => ReportData::Bits(bits),
+                0 => ReportData::Bits(PackedBits::from_slots(&bits).unwrap()),
                 1 => ReportData::Value(value),
                 2 => ReportData::Hashed {
                     seed,

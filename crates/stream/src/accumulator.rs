@@ -26,16 +26,17 @@
 //! * [`ItemSetReportAccumulator`] — subset-selection reports: a small set
 //!   of distinct items, each incrementing its own bucket.
 //!
-//! Every accumulator also accepts the report's *folded* bit-vector form
-//! ([`Report::Bits`]), which is what
-//! [`idldp_core::mechanism::Mechanism::perturb_into`] writes — so streams
-//! and batch pipelines interoperate with either representation and the
-//! counts are identical by the fold laws tested in `idldp-core`.
+//! Every accumulator also accepts the report's *folded* bit-vector form,
+//! either as one byte per slot ([`Report::Bits`], what
+//! [`idldp_core::mechanism::Mechanism::perturb_into`] writes) or packed
+//! ([`Report::Packed`], what a bit report carries on the wire) — so
+//! streams and batch pipelines interoperate with any representation and
+//! the counts are identical by the fold laws tested in `idldp-core`.
 
 use idldp_core::error::{Error, Result};
 use idldp_core::fold::{pack_bits_row, packed_words, BitPlanes, SeedPreimageCache};
 use idldp_core::mechanism::CountAccumulator;
-use idldp_core::report::ReportShape;
+use idldp_core::report::{PackedBits, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
 
 pub use idldp_core::report::Report;
@@ -177,7 +178,7 @@ fn check_width(what: &str, expected: usize, actual: usize) -> Result<()> {
 
 fn wrong_shape(accumulator: &str, got: &Report<'_>, width: usize) -> Error {
     let shape = match got {
-        Report::Bits(_) => "bit-vector",
+        Report::Bits(_) | Report::Packed(_) => "bit-vector",
         Report::Value(_) => "categorical value",
         Report::Hashed { .. } => "hashed (seed, value)",
         Report::ItemSet(_) => "item-set",
@@ -247,28 +248,34 @@ impl ReportAccumulator for BitReportAccumulator {
 
     fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
         match report {
-            Report::Bits(bits) => self.inner.accumulate_report(bits),
+            Report::Bits(_) | Report::Packed(_) => self.inner.fold_report(report, 0),
             other => Err(wrong_shape("bit", &other, self.report_len())),
         }
     }
 
-    /// Word-packed batch fold: each report is packed 64 slots per `u64`
-    /// (packing doubles as the 0/1 validation) and carry-save-added into
-    /// SWAR bit-planes, spilling into a staged buffer that only commits
-    /// once the whole batch has validated — atomic, and bit-identical to
-    /// the sequential byte-at-a-time fold.
+    /// Word-packed batch fold: a packed report's words, or a slot report
+    /// packed here (packing doubles as the 0/1 validation), are
+    /// carry-save-added into SWAR bit-planes. They spill into a staged
+    /// buffer that only commits once the whole batch has validated, so
+    /// the fold is atomic and bit-identical to the sequential one.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         let mut planes = BitPlanes::new(m);
         let mut staged = vec![0u64; m];
         let mut row = vec![0u64; packed_words(m)];
         for report in reports {
-            let Report::Bits(bits) = report else {
-                return Err(wrong_shape("bit", report, m));
-            };
-            check_width("accumulated report width", m, bits.len())?;
-            pack_bits_row(bits, &mut row)?;
-            planes.add_row(&row, &mut staged);
+            match *report {
+                Report::Packed(bits) => {
+                    check_width("accumulated report width", m, bits.slots())?;
+                    planes.add_row(bits.words(), &mut staged);
+                }
+                Report::Bits(bits) => {
+                    check_width("accumulated report width", m, bits.len())?;
+                    pack_bits_row(bits, &mut row)?;
+                    planes.add_row(&row, &mut staged);
+                }
+                ref other => return Err(wrong_shape("bit", other, m)),
+            }
         }
         planes.spill_into(&mut staged);
         for (c, &s) in self.inner.counts_mut().iter_mut().zip(&staged) {
@@ -310,8 +317,8 @@ impl ReportAccumulator for BitReportAccumulator {
 /// Accumulator for categorical (one-hot) reports: GRR value reports,
 /// matrix-mechanism rows, and PS's sampled item.
 ///
-/// Accepts [`Report::Value`] directly, or [`Report::Bits`] that are exactly
-/// one-hot — the folded form
+/// Accepts [`Report::Value`] directly, or [`Report::Bits`] /
+/// [`Report::Packed`] that are exactly one-hot — the folded form
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for these
 /// mechanisms. Shares the core [`CountAccumulator`] state with
 /// [`BitReportAccumulator`], so there is a single implementation of the
@@ -340,16 +347,25 @@ impl OneHotReportAccumulator {
             match (b, hot) {
                 (0, _) => {}
                 (1, None) => hot = Some(i),
-                _ => {
-                    return Err(Error::ParameterOrdering {
-                        detail: "categorical report must be one-hot (one bit set)".into(),
-                    })
-                }
+                _ => return Err(not_one_hot()),
             }
         }
-        hot.ok_or_else(|| Error::ParameterOrdering {
-            detail: "categorical report must be one-hot (one bit set)".into(),
-        })
+        hot.ok_or_else(not_one_hot)
+    }
+
+    fn packed_hot_index(&self, bits: &PackedBits) -> Result<usize> {
+        check_width("one-hot report", self.report_len(), bits.slots())?;
+        let mut ones = bits.ones();
+        match (ones.next(), ones.next()) {
+            (Some(hot), None) => Ok(hot),
+            _ => Err(not_one_hot()),
+        }
+    }
+}
+
+fn not_one_hot() -> Error {
+    Error::ParameterOrdering {
+        detail: "categorical report must be one-hot (one bit set)".into(),
     }
 }
 
@@ -373,6 +389,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
                 })
             }
             Report::Bits(bits) => self.hot_index(bits)?,
+            Report::Packed(bits) => self.packed_hot_index(bits)?,
             other => return Err(wrong_shape("categorical", &other, self.report_len())),
         };
         self.inner.add_bit(value);
@@ -397,6 +414,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
                     })
                 }
                 Report::Bits(bits) => self.hot_index(bits)?,
+                Report::Packed(bits) => self.packed_hot_index(bits)?,
                 ref other => return Err(wrong_shape("categorical", other, m)),
             };
             values.push(value);
@@ -443,7 +461,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
 /// `v` whose [`idldp_core::report::hash_bucket`]`(seed, v, range)` equals
 /// the reported value — the same shared hash the client encoded with,
 /// through the one shared fold. Also accepts the
-/// pre-folded [`Report::Bits`] support vector (what
+/// pre-folded [`Report::Bits`] / [`Report::Packed`] support vector (what
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
 /// either representation of the same report yields identical counts.
 ///
@@ -511,7 +529,9 @@ impl ReportAccumulator for HashedReportAccumulator {
         match report {
             // Both the wire pair and its pre-folded support vector go
             // through the one shared fold (`Report::fold_into`).
-            Report::Hashed { .. } | Report::Bits(_) => self.inner.fold_report(report, self.range),
+            Report::Hashed { .. } | Report::Bits(_) | Report::Packed(_) => {
+                self.inner.fold_report(report, self.range)
+            }
             other => Err(wrong_shape("hashed", &other, self.report_len())),
         }
     }
@@ -528,7 +548,9 @@ impl ReportAccumulator for HashedReportAccumulator {
         // Validation pass first: nothing folds if any report is invalid.
         for report in reports {
             match report {
-                Report::Hashed { .. } | Report::Bits(_) => report.validate(m, self.range)?,
+                Report::Hashed { .. } | Report::Bits(_) | Report::Packed(_) => {
+                    report.validate(m, self.range)?
+                }
                 other => return Err(wrong_shape("hashed", other, m)),
             }
         }
@@ -545,6 +567,7 @@ impl ReportAccumulator for HashedReportAccumulator {
                     pack_bits_row(bits, &mut row).expect("validated 0/1 row");
                     planes.add_row(&row, &mut staged);
                 }
+                Report::Packed(bits) => planes.add_row(bits.words(), &mut staged),
                 _ => unreachable!("shapes checked in the validation pass"),
             }
         }
@@ -590,7 +613,7 @@ impl ReportAccumulator for HashedReportAccumulator {
 ///
 /// Each report is a small set of distinct items; every member increments
 /// its own bucket and the report counts as one user. Also accepts the
-/// k-hot [`Report::Bits`] membership vector.
+/// k-hot [`Report::Bits`] / [`Report::Packed`] membership vector.
 ///
 /// When built with [`ItemSetReportAccumulator::with_cardinality`] the
 /// accumulator pins the exact set size `k` the mechanism emits
@@ -654,7 +677,9 @@ impl ReportAccumulator for ItemSetReportAccumulator {
             // the one shared fold (`Report::fold_into`), which validates
             // range, distinctness, and the pinned cardinality before
             // counting anything.
-            Report::ItemSet(_) | Report::Bits(_) => self.inner.fold_report(report, self.k),
+            Report::ItemSet(_) | Report::Bits(_) | Report::Packed(_) => {
+                self.inner.fold_report(report, self.k)
+            }
             other => Err(wrong_shape("item-set", &other, self.report_len())),
         }
     }
@@ -675,7 +700,7 @@ impl ReportAccumulator for ItemSetReportAccumulator {
         for report in reports {
             let items = match report {
                 Report::ItemSet(items) => *items,
-                Report::Bits(_) => {
+                Report::Bits(_) | Report::Packed(_) => {
                     report.validate(m, self.k)?;
                     continue;
                 }
@@ -721,6 +746,11 @@ impl ReportAccumulator for ItemSetReportAccumulator {
                 Report::Bits(bits) => {
                     for (c, &bit) in counts.iter_mut().zip(bits) {
                         *c += u64::from(bit);
+                    }
+                }
+                Report::Packed(bits) => {
+                    for slot in bits.ones() {
+                        counts[slot] += 1;
                     }
                 }
                 _ => unreachable!("shapes checked in the validation pass"),
@@ -937,6 +967,8 @@ mod tests {
     fn bit_accumulator_rejects_bad_shapes() {
         let mut a = BitReportAccumulator::new(3);
         assert!(a.accumulate(Report::Bits(&[1, 0])).is_err());
+        // One at a time as in a batch: a slot outside 0/1 counts nothing.
+        assert!(a.accumulate(Report::Bits(&[2, 0, 0])).is_err());
         assert!(a.accumulate(Report::Value(1)).is_err());
         assert!(a.accumulate(Report::Hashed { seed: 1, value: 0 }).is_err());
         assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
@@ -1028,7 +1060,10 @@ mod tests {
     #[test]
     fn shaped_accumulator_dispatches_every_shape() {
         let cases: Vec<(ReportShape, ReportData)> = vec![
-            (ReportShape::Bits, ReportData::Bits(vec![1, 0, 1, 0])),
+            (
+                ReportShape::Bits,
+                ReportData::Bits(PackedBits::from_slots(&[1, 0, 1, 0]).unwrap()),
+            ),
             (ReportShape::Value, ReportData::Value(2)),
             (
                 ReportShape::Hashed { range: 3 },
@@ -1141,6 +1176,68 @@ mod tests {
         let mut batched = ItemSetReportAccumulator::new(m);
         batched.accumulate_batch(&set_reports).unwrap();
         assert_eq!(batched.snapshot(), seq.snapshot());
+    }
+
+    /// Every accumulator that takes bit reports folds a packed report
+    /// exactly like the same slots, one at a time and batched, at every
+    /// width across the 64-slot word and 128/129 inline/heap edges.
+    #[test]
+    fn packed_view_folds_like_the_slot_view() {
+        for m in (1..=130usize).chain([1000]) {
+            // 300 rows cross a bit-plane spill; the one-hot rows are the
+            // only ones the categorical accumulator takes.
+            let mut rows: Vec<Vec<u8>> = (0..300u64)
+                .map(|r| {
+                    (0..m)
+                        .map(|i| hash_bucket(r << 16 | m as u64, i, 2) as u8)
+                        .collect()
+                })
+                .collect();
+            rows.extend((0..4).map(|r| {
+                let mut row = vec![0u8; m];
+                row[r * 7 % m] = 1;
+                row
+            }));
+            let packed: Vec<PackedBits> = rows
+                .iter()
+                .map(|row| PackedBits::from_slots(row).unwrap())
+                .collect();
+            for shape in [
+                ReportShape::Bits,
+                ReportShape::Value,
+                ReportShape::Hashed { range: 3 },
+                ReportShape::ItemSet { k: 0 },
+            ] {
+                let (mut seq_slots, mut seq_packed) = (
+                    ShapedAccumulator::for_shape(shape, m),
+                    ShapedAccumulator::for_shape(shape, m),
+                );
+                for (row, bits) in rows.iter().zip(&packed) {
+                    assert_eq!(
+                        seq_slots.accumulate(Report::Bits(row)).is_ok(),
+                        seq_packed.accumulate(Report::Packed(bits)).is_ok(),
+                        "{shape:?} m={m}"
+                    );
+                }
+                assert_eq!(seq_packed, seq_slots, "{shape:?} m={m}");
+
+                let taken: Vec<usize> = (0..rows.len())
+                    .filter(|&r| shape != ReportShape::Value || packed[r].ones().count() == 1)
+                    .collect();
+                let slot_views: Vec<Report<'_>> =
+                    taken.iter().map(|&r| Report::Bits(&rows[r])).collect();
+                let packed_views: Vec<Report<'_>> =
+                    taken.iter().map(|&r| Report::Packed(&packed[r])).collect();
+                let (mut batch_slots, mut batch_packed) = (
+                    ShapedAccumulator::for_shape(shape, m),
+                    ShapedAccumulator::for_shape(shape, m),
+                );
+                batch_slots.accumulate_batch(&slot_views).unwrap();
+                batch_packed.accumulate_batch(&packed_views).unwrap();
+                assert_eq!(batch_packed, batch_slots, "{shape:?} m={m}");
+                assert_eq!(batch_packed, seq_packed, "{shape:?} m={m}");
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::accumulator::{Report, ReportAccumulator};
 use crate::sharded::ShardedAccumulator;
 use idldp_core::error::{Error, Result};
 use idldp_core::mechanism::{Input, InputBatch, Mechanism};
-use idldp_core::report::{ReportData, ReportShape};
+use idldp_core::report::{PackedBits, ReportData, ReportShape};
 use idldp_num::rng::stream_rng;
 
 /// Default users per chunk. Identical to the batch pipeline's default so
@@ -80,13 +80,15 @@ pub struct SeededReportStream<'a> {
     next_chunk: u64,
     shape: ReportShape,
     buffer: Vec<u8>,
+    packed: PackedBits,
 }
 
 impl<'a> SeededReportStream<'a> {
     /// A stream over `inputs` with the default chunk size. Reports are
     /// emitted in the mechanism's *native wire shape*
-    /// ([`Mechanism::report_shape`]): the bit-vector shape flows through a
-    /// reused zero-alloc buffer as [`Report::Bits`], while the compact
+    /// ([`Mechanism::report_shape`]): the bit-vector shape is perturbed
+    /// into a reused buffer and emitted as [`Report::Packed`] through one
+    /// reused [`PackedBits`], with no allocation per report, while the compact
     /// shapes are emitted via [`Mechanism::perturb_data`]
     /// ([`Report::Value`] / [`Report::Hashed`] / [`Report::ItemSet`]).
     /// Both emission paths draw randomness identically, so the shape never
@@ -110,6 +112,7 @@ impl<'a> SeededReportStream<'a> {
             next_chunk: 0,
             shape,
             buffer,
+            packed: PackedBits::default(),
         }
     }
 
@@ -209,11 +212,12 @@ impl<'a> SeededReportStream<'a> {
                 debug_assert!(!matches!(data, ReportData::Bits(_)));
                 sink(data.as_report())?;
             } else {
-                // The bit-vector shape: the zero-alloc path through the
-                // reused buffer.
+                // The bit-vector shape: `perturb_data`'s draws and packing
+                // without its allocations.
                 self.mechanism
                     .perturb_into(input, &mut rng, &mut self.buffer)?;
-                sink(Report::Bits(&self.buffer))?;
+                self.packed.repack(&self.buffer)?;
+                sink(Report::Packed(&self.packed))?;
             }
         }
         self.next_chunk += 1;

@@ -16,7 +16,7 @@ use idldp_core::mechanism::{InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
-use idldp_core::report::ReportData;
+use idldp_core::report::{PackedBits, ReportData};
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_core::subset::SubsetSelection;
 use idldp_num::rng::SplitMix64;
@@ -96,7 +96,7 @@ fn materialize(mech: &dyn Mechanism, inputs: InputBatch<'_>, seed: u64) -> Vec<R
     loop {
         let got = stream
             .next_chunk_with(|r| {
-                reports.push(r.to_data());
+                reports.push(r.to_data()?);
                 Ok(())
             })
             .unwrap();
@@ -211,7 +211,7 @@ proptest! {
                 let ReportData::Value(v) = r else { panic!("one-hot mechanisms emit values") };
                 let mut bits = vec![0u8; mech.report_len()];
                 bits[*v] = 1;
-                ReportData::Bits(bits)
+                ReportData::Bits(PackedBits::from_slots(&bits).unwrap())
             })
             .collect();
         let via_bits = sequential(BitReportAccumulator::new(mech.report_len()), &bit_reports);

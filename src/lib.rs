@@ -83,7 +83,7 @@ pub mod prelude {
     pub use idldp_core::notion::{Notion, RFunction};
     pub use idldp_core::olh::OptimalLocalHashing;
     pub use idldp_core::params::LevelParams;
-    pub use idldp_core::report::{ReportData, ReportShape};
+    pub use idldp_core::report::{PackedBits, ReportData, ReportShape};
     pub use idldp_core::snapshot::AccumulatorSnapshot;
     pub use idldp_core::subset::SubsetSelection;
     pub use idldp_core::ue::UnaryEncoding;
