@@ -34,7 +34,7 @@
 //!
 //! | shape | wire payload | fold into counts |
 //! |---|---|---|
-//! | `Bits` | `report_len` bits, packed or one 0/1 byte per slot | add each bit |
+//! | `Bits` | `report_len` bits, packed | add each bit |
 //! | `Value` | one value in `0..report_len` | increment that bucket |
 //! | `Hashed` | `(seed, value in 0..range)` | increment every `v` with `hash_bucket(seed, v, range) == value` |
 //! | `ItemSet` | distinct items in `0..report_len` | increment each member |
@@ -84,13 +84,8 @@ impl ReportShape {
 /// it. This is the type every report-ingestion API accepts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Report<'a> {
-    /// A 0/1 bit vector of the mechanism's report width, one byte per
-    /// slot: the folded form [`crate::mechanism::Mechanism::perturb_into`]
-    /// writes.
-    Bits(&'a [u8]),
-    /// A bit report in its packed form, as [`ReportData::Bits`] owns it
-    /// and the wire carries it. Folds exactly like the same slots as
-    /// [`Report::Bits`].
+    /// A 0/1 bit vector of the mechanism's report width, packed, as
+    /// [`ReportData::Bits`] owns it and the wire carries it.
     Packed(&'a PackedBits),
     /// A categorical report: the single reported value in
     /// `0..report_len` (GRR and matrix-mechanism wire format).
@@ -109,19 +104,13 @@ pub enum Report<'a> {
 
 impl Report<'_> {
     /// Copies the report into its owned form.
-    ///
-    /// # Errors
-    /// A [`Report::Bits`] slot other than 0/1 has no packed form. It is
-    /// refused, not coerced: a coerced slot would launder a report that
-    /// [`Report::fold_into`] rejects.
-    pub fn to_data(&self) -> Result<ReportData> {
-        Ok(match *self {
-            Report::Bits(bits) => ReportData::Bits(PackedBits::from_slots(bits)?),
+    pub fn to_data(&self) -> ReportData {
+        match *self {
             Report::Packed(bits) => ReportData::Bits(bits.clone()),
             Report::Value(v) => ReportData::Value(v),
             Report::Hashed { seed, value } => ReportData::Hashed { seed, value },
             Report::ItemSet(items) => ReportData::ItemSet(items.to_vec()),
-        })
+        }
     }
 
     /// Checks this report against a mechanism configuration — width
@@ -136,28 +125,11 @@ impl Report<'_> {
     /// acknowledged report can never fail to fold later.
     ///
     /// # Errors
-    /// Width mismatch or non-0/1 slot (bit reports), out-of-domain value
+    /// Width mismatch (bit reports), out-of-domain value
     /// (categorical/hashed), or an empty, repeating, wrong-cardinality, or
     /// out-of-domain item set.
     pub fn validate(&self, report_len: usize, shape_param: usize) -> Result<()> {
         match *self {
-            Report::Bits(bits) => {
-                if bits.len() != report_len {
-                    return Err(Error::DimensionMismatch {
-                        what: "bit report".into(),
-                        expected: report_len,
-                        actual: bits.len(),
-                    });
-                }
-                // An OR over all slots rather than an early-exit scan: it
-                // vectorizes, and its speed does not hinge on where the
-                // linker happens to place a one-byte loop.
-                if bits.iter().fold(0u8, |acc, &b| acc | b) > 1 {
-                    return Err(Error::ParameterOrdering {
-                        detail: "bit report slots must be 0/1".into(),
-                    });
-                }
-            }
             // Every packed slot is 0/1 by construction: only the width
             // is left to check.
             Report::Packed(bits) => {
@@ -262,11 +234,6 @@ impl Report<'_> {
     pub fn fold_into(&self, counts: &mut [u64], shape_param: usize) -> Result<()> {
         self.validate(counts.len(), shape_param)?;
         match *self {
-            Report::Bits(bits) => {
-                for (c, &bit) in counts.iter_mut().zip(bits) {
-                    *c += u64::from(bit);
-                }
-            }
             Report::Packed(bits) => {
                 for slot in bits.ones() {
                     counts[slot] += 1;
@@ -595,13 +562,8 @@ mod tests {
             ReportData::ItemSet(vec![0, 2]),
         ];
         for data in cases {
-            assert_eq!(data.as_report().to_data().unwrap(), data);
+            assert_eq!(data.as_report().to_data(), data);
         }
-        // The slot view packs into the same owned report.
-        assert_eq!(
-            Report::Bits(&[1, 0, 1]).to_data().unwrap(),
-            bits(&[1, 0, 1])
-        );
     }
 
     #[test]
@@ -666,8 +628,6 @@ mod tests {
     fn fold_rejects_invalid_reports() {
         let mut counts = vec![0u64; 3];
         assert!(bits(&[1, 0]).fold_into(&mut counts, 0).is_err());
-        assert!(Report::Bits(&[1, 0]).fold_into(&mut counts, 0).is_err());
-        assert!(Report::Bits(&[1, 0, 2]).fold_into(&mut counts, 0).is_err());
         assert!(ReportData::Value(3).fold_into(&mut counts, 0).is_err());
         assert!(ReportData::Hashed { seed: 1, value: 4 }
             .fold_into(&mut counts, 4)
@@ -700,10 +660,7 @@ mod tests {
         // report before folding it.
         let (fits, narrow) = (bits(&[1, 0, 1]), bits(&[1, 0]));
         let cases = [
-            (Report::Bits(&[1, 0, 1]), 0usize),
-            (Report::Bits(&[1, 0]), 0),
-            (Report::Bits(&[2, 0, 0]), 0),
-            (fits.as_report(), 0),
+            (fits.as_report(), 0usize),
             (narrow.as_report(), 0),
             (Report::Value(2), 0),
             (Report::Value(3), 0),
@@ -745,16 +702,14 @@ mod tests {
             let ones: Vec<usize> = (0..m).filter(|&i| slots[i] == 1).collect();
             assert_eq!(packed.ones().collect::<Vec<_>>(), ones, "m={m}");
 
-            let (mut via_slots, mut via_packed) = (vec![0u64; m], vec![0u64; m]);
-            Report::Bits(&slots).fold_into(&mut via_slots, 0).unwrap();
-            Report::Packed(&packed)
-                .fold_into(&mut via_packed, 0)
-                .unwrap();
-            assert_eq!(via_packed, via_slots, "m={m}");
+            let mut counts = vec![0u64; m];
+            Report::Packed(&packed).fold_into(&mut counts, 0).unwrap();
+            let want: Vec<u64> = slots.iter().map(|&b| u64::from(b)).collect();
+            assert_eq!(counts, want, "m={m}");
             assert!(Report::Packed(&packed).validate(m + 1, 0).is_err());
 
             let data = ReportData::Bits(packed.clone());
-            assert_eq!(data.as_report().to_data().unwrap(), data, "m={m}");
+            assert_eq!(data.as_report().to_data(), data, "m={m}");
 
             let mut bytes = Vec::new();
             packed.extend_le_bytes(&mut bytes);
@@ -776,7 +731,6 @@ mod tests {
                 slots[at] = 2;
                 let err = PackedBits::from_slots(&slots).unwrap_err();
                 assert!(err.to_string().contains("slots must be 0/1"), "{err}");
-                assert!(Report::Bits(&slots).to_data().is_err(), "m={m} at={at}");
             }
         }
     }

@@ -945,20 +945,11 @@ impl Frame {
     /// # Errors
     /// Any of the typed [`FrameError`] conditions; never panics.
     pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() < 5 {
-            return Err(FrameError::Truncated {
-                needed: 5,
-                available: buf.len(),
-            });
-        }
-        let tag = buf[0];
-        let len = u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize;
-        if len > MAX_PAYLOAD_LEN {
-            return Err(FrameError::Oversized {
-                len,
-                max: MAX_PAYLOAD_LEN,
-            });
-        }
+        let header = buf.first_chunk().ok_or(FrameError::Truncated {
+            needed: 5,
+            available: buf.len(),
+        })?;
+        let (tag, len) = read_header(header)?;
         if buf.len() - 5 < len {
             return Err(FrameError::Truncated {
                 needed: len,
@@ -983,57 +974,48 @@ impl Frame {
         Ok(())
     }
 
-    /// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at
-    /// a frame boundary (the peer closed the connection); EOF *inside* a
-    /// frame is [`FrameError::Truncated`].
+    /// Reads one frame from a stream through a [`FrameAssembler`], never
+    /// past the frame's end, so a pipelined next frame stays in the
+    /// stream. Returns `Ok(None)` on a clean EOF at a frame boundary (the
+    /// peer closed the connection); EOF *inside* a frame is
+    /// [`FrameError::Truncated`].
     ///
     /// # Errors
     /// Typed decode errors or [`FrameError::Io`].
     pub fn read_from<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
-        let mut header = [0u8; 5];
-        let mut got = 0;
-        while got < header.len() {
-            match r.read(&mut header[got..]) {
-                Ok(0) if got == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(FrameError::Truncated {
-                        needed: header.len(),
-                        available: got,
-                    })
-                }
-                Ok(n) => got += n,
+        let mut asm = FrameAssembler::new();
+        let mut buf = Vec::new();
+        loop {
+            if let Some(frame) = asm.next_frame() {
+                return Ok(Some(frame));
+            }
+            buf.resize(asm.pending().min(READ_CHUNK), 0);
+            match r.read(&mut buf) {
+                Ok(0) => return asm.eof_truncation().map_or(Ok(None), Err),
+                Ok(n) => asm.feed(&buf[..n])?,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        let tag = header[0];
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
-        if len > MAX_PAYLOAD_LEN {
-            return Err(FrameError::Oversized {
-                len,
-                max: MAX_PAYLOAD_LEN,
-            });
-        }
-        // The payload buffer grows as bytes actually arrive (`take` +
-        // `read_to_end`), with only a small initial reservation — a peer
-        // sending a 5-byte header claiming 16 MiB must deliver the bytes
-        // before the reader holds them, keeping the module's
-        // no-allocation-ahead-of-data guarantee true for the stream
-        // reader too, not just the slice decoder.
-        let mut payload = Vec::with_capacity(len.min(64 << 10));
-        let got = r
-            .by_ref()
-            .take(len as u64)
-            .read_to_end(&mut payload)
-            .map_err(|e| FrameError::Io(e.to_string()))?;
-        if got < len {
-            return Err(FrameError::Truncated {
-                needed: len,
-                available: got,
-            });
-        }
-        Self::parse_payload(tag, &payload).map(Some)
     }
+}
+
+/// Largest single read [`Frame::read_from`] makes, and the payload
+/// reservation a header alone earns: a peer claiming 16 MiB holds no more
+/// than this until it delivers the bytes.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Reads a frame header: the tag and the payload length, refusing a length
+/// over [`MAX_PAYLOAD_LEN`] before anything is allocated for it.
+fn read_header(header: &[u8; 5]) -> Result<(u8, usize), FrameError> {
+    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
+    if len > MAX_PAYLOAD_LEN {
+        return Err(FrameError::Oversized {
+            len,
+            max: MAX_PAYLOAD_LEN,
+        });
+    }
+    Ok((header[0], len))
 }
 
 /// What the [`FrameAssembler`] is in the middle of.
@@ -1051,12 +1033,11 @@ enum AssemblerState {
 /// Push-based incremental frame decoder: feed it whatever bytes the
 /// socket produced — any fragmentation, down to one byte at a time — and
 /// it yields exactly the frames [`Frame::decode`] would yield on the
-/// concatenation. This is the non-blocking twin of [`Frame::read_from`]:
-/// the reactor cannot block for the rest of a frame, so the
-/// decoder keeps its place between reads instead.
+/// concatenation. It is the one stateful reader of the frame grammar: the
+/// reactor keeps one per connection because it cannot block for the rest
+/// of a frame, and the blocking [`Frame::read_from`] is a loop over one.
 ///
-/// The stream reader's safety properties carry over unchanged:
-/// an oversized length prefix fails at header completion *before* any
+/// An oversized length prefix fails at header completion *before* any
 /// payload allocation, and the payload buffer grows only as bytes
 /// actually arrive (small initial reservation), so a peer claiming a
 /// 16 MiB frame holds no more memory than it has transmitted
@@ -1130,24 +1111,14 @@ impl FrameAssembler {
                     *len += take;
                     bytes = &bytes[take..];
                     if *len == buf.len() {
-                        let tag = buf[0];
-                        let need =
-                            u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize;
-                        if need > MAX_PAYLOAD_LEN {
-                            let e = FrameError::Oversized {
-                                len: need,
-                                max: MAX_PAYLOAD_LEN,
-                            };
+                        let (tag, need) = read_header(buf).inspect_err(|e| {
                             self.failed = Some(e.clone());
-                            return Err(e);
-                        }
+                        })?;
                         self.state = AssemblerState::Payload {
                             tag,
                             need,
-                            // Same incremental-growth policy as
-                            // `Frame::read_from`: reserve small, grow as
-                            // bytes arrive.
-                            payload: Vec::with_capacity(need.min(64 << 10)),
+                            // Reserve small and grow as bytes arrive.
+                            payload: Vec::with_capacity(need.min(READ_CHUNK)),
                         };
                     }
                 }
@@ -1163,6 +1134,16 @@ impl FrameAssembler {
     /// The next fully decoded frame, in arrival order.
     pub fn next_frame(&mut self) -> Option<Frame> {
         self.ready.pop_front()
+    }
+
+    /// Bytes still missing from the part in progress: the rest of the
+    /// header, or the rest of the payload. Reading no more than this never
+    /// consumes a byte past the current frame.
+    fn pending(&self) -> usize {
+        match &self.state {
+            AssemblerState::Header { buf, len } => buf.len() - len,
+            AssemblerState::Payload { need, payload, .. } => need - payload.len(),
+        }
     }
 
     /// Bytes buffered for the frame in progress (header + partial
@@ -1184,9 +1165,8 @@ impl FrameAssembler {
     }
 
     /// The typed error an EOF at this point amounts to: `None` at a frame
-    /// boundary (clean close), [`FrameError::Truncated`] mid-frame — the
-    /// same classification [`Frame::read_from`] makes, so both decoders
-    /// report an interrupted frame identically.
+    /// boundary (clean close), [`FrameError::Truncated`] mid-frame. This
+    /// is what [`Frame::read_from`] returns at EOF.
     pub fn eof_truncation(&self) -> Option<FrameError> {
         match &self.state {
             AssemblerState::Header { len: 0, .. } => None,
@@ -1424,6 +1404,44 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// A reader that hands out as much as each read asks for, recording
+    /// the sizes asked.
+    struct Greedy {
+        bytes: std::io::Cursor<Vec<u8>>,
+        asks: Vec<usize>,
+    }
+
+    impl Read for Greedy {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.asks.push(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn stream_reader_reads_in_bounded_steps_and_not_past_the_frame() {
+        // An 800 KB snapshot reply, then a pipelined frame.
+        let snapshot = Frame::Snapshot {
+            users: 7,
+            total: 100_000,
+            offset: 0,
+            counts: (0..100_000).collect(),
+        };
+        let next = Frame::Ingested { accepted: 3 };
+        let mut bytes = snapshot.encode();
+        let payload = bytes.len() - 5;
+        bytes.extend_from_slice(&next.encode());
+        let mut reader = Greedy {
+            bytes: std::io::Cursor::new(bytes),
+            asks: Vec::new(),
+        };
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), Some(snapshot));
+        assert_eq!(reader.asks.len(), 1 + payload.div_ceil(READ_CHUNK));
+        assert!(reader.asks.iter().all(|&ask| ask <= READ_CHUNK));
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), Some(next));
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), None);
     }
 
     #[test]

@@ -204,17 +204,6 @@ impl<T> IngestQueue<T> {
         Ok(accepted)
     }
 
-    /// Non-blocking single-item push: a one-item [`Self::try_push_batch`].
-    ///
-    /// # Errors
-    /// [`PushRefusal::Full`] at capacity (the item is **not** queued;
-    /// callers reply `Busy`), [`PushRefusal::Closed`] after [`Self::close`].
-    pub fn try_push(&self, item: T) -> Result<(), PushRefusal> {
-        self.try_push_batch(vec![item]).map(|accepted| {
-            debug_assert_eq!(accepted, 1, "a one-item push is all-or-nothing");
-        })
-    }
-
     /// Blocks until a batch is available (and the queue is not paused),
     /// returning `None` once the queue is closed. Ingest workers exit on
     /// `None`. The returned [`BatchTicket`] names the batch's contiguous
@@ -362,12 +351,12 @@ mod tests {
     fn bounded_push_pop() {
         let q = IngestQueue::new(2);
         assert_eq!(q.capacity(), 2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushRefusal::Full));
+        q.try_push_batch(vec![1]).unwrap();
+        q.try_push_batch(vec![2]).unwrap();
+        assert_eq!(q.try_push_batch(vec![3]), Err(PushRefusal::Full));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((ticket(1, 1), vec![1])));
-        q.try_push(3).unwrap();
+        q.try_push_batch(vec![3]).unwrap();
         assert_eq!(q.pop(), Some((ticket(2, 2), vec![2])));
         assert_eq!(q.pop(), Some((ticket(3, 3), vec![3])));
         assert!(q.is_empty());
@@ -423,7 +412,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.close();
         assert_eq!(popper.join().unwrap(), None);
-        assert_eq!(q.try_push(1), Err(PushRefusal::Closed));
+        assert_eq!(q.try_push_batch(vec![1]), Err(PushRefusal::Closed));
         assert_eq!(q.try_push_batch(vec![1, 2]), Err(PushRefusal::Closed));
     }
 
@@ -431,7 +420,7 @@ mod tests {
     fn watermark_waits_for_processing() {
         let q = Arc::new(IngestQueue::new(16));
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            q.try_push_batch(vec![i]).unwrap();
         }
         let watermark = q.watermark();
         assert_eq!(watermark, 5);
@@ -453,7 +442,7 @@ mod tests {
     #[test]
     fn wait_processed_observes_close() {
         let q = Arc::new(IngestQueue::new(4));
-        q.try_push(1).unwrap();
+        q.try_push_batch(vec![1]).unwrap();
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.wait_processed(1));
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -482,10 +471,10 @@ mod tests {
             got
         });
         for i in 0..3 {
-            q.try_push(i).unwrap();
+            q.try_push_batch(vec![i]).unwrap();
         }
         // Paused: the popper cannot drain, so capacity is reached.
-        assert_eq!(q.try_push(9), Err(PushRefusal::Full));
+        assert_eq!(q.try_push_batch(vec![9]), Err(PushRefusal::Full));
         q.set_paused(false);
         assert_eq!(popper.join().unwrap(), vec![0, 1, 2]);
         assert_eq!(q.wait_processed(3), WaitOutcome::Reached);
@@ -538,8 +527,8 @@ mod tests {
     #[test]
     fn paused_watermark_is_refused_not_blocked() {
         let q = Arc::new(IngestQueue::new(8));
-        q.try_push(10).unwrap();
-        q.try_push(11).unwrap();
+        q.try_push_batch(vec![10]).unwrap();
+        q.try_push_batch(vec![11]).unwrap();
         let (t1, _) = q.pop().unwrap(); // in flight
         q.set_paused(true);
         // Item 2 is still queued and cannot be popped while paused.
@@ -565,14 +554,14 @@ mod tests {
     fn poll_processed_matches_wait_semantics() {
         let q = IngestQueue::new(8);
         assert_eq!(q.poll_processed(0), Some(WaitOutcome::Reached));
-        q.try_push(7).unwrap();
+        q.try_push_batch(vec![7]).unwrap();
         assert_eq!(q.poll_processed(1), None, "accepted but not yet folded");
         let (t, _) = q.pop().unwrap();
         // Paused with the watermark already in flight: still just pending.
         q.set_paused(true);
         assert_eq!(q.poll_processed(1), None);
         // Paused with a watermark beyond everything popped: typed refusal.
-        q.try_push(8).unwrap();
+        q.try_push_batch(vec![8]).unwrap();
         assert_eq!(q.poll_processed(2), Some(WaitOutcome::Paused));
         q.set_paused(false);
         q.mark_processed(t);

@@ -1,6 +1,6 @@
 //! Property tests for the frame codec.
 //!
-//! Two laws:
+//! Three laws:
 //!
 //! 1. **Round-trip identity** — for arbitrary [`ReportData`] of every wire
 //!    shape and arbitrary control frames, `decode(encode(f)) == f`, both
@@ -10,14 +10,33 @@
 //!    frame or return a typed [`FrameError`]; the decoder never panics and
 //!    never accepts an oversized length prefix.
 //! 3. **Fragmentation invariance** — the incremental [`FrameAssembler`]
-//!    (the reactor engine's decode path) fed any byte-fragmentation
-//!    schedule of a frame sequence yields exactly the frames of a
-//!    whole-frame decode, buffers no more than one frame at a time, and
-//!    classifies an EOF cut exactly like the blocking stream reader.
+//!    (the decode path of the reactor and of the blocking stream reader)
+//!    fed any byte-fragmentation schedule of a frame sequence yields
+//!    exactly the frames of a whole-frame decode and buffers no more than
+//!    one frame at a time; the stream reader, fed a few bytes per read,
+//!    never reads past a frame's end and classifies an EOF cut as a clean
+//!    close or a truncation.
 
 use idldp_core::report::{PackedBits, ReportData};
 use idldp_server::{Frame, FrameAssembler, FrameError, MAX_PAYLOAD_LEN, PROTOCOL_VERSION};
 use proptest::prelude::*;
+use std::io::Read;
+
+/// A reader that hands out at most `drip` bytes per call, like a socket
+/// delivering a stream in small segments.
+struct Drip<'a> {
+    bytes: &'a [u8],
+    drip: usize,
+}
+
+impl Read for Drip<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.drip).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
 
 /// Arbitrary report of any of the four wire shapes.
 fn arb_report() -> impl Strategy<Value = ReportData> {
@@ -260,52 +279,37 @@ proptest! {
         prop_assert_eq!(asm.eof_truncation(), None);
     }
 
-    /// An EOF cut anywhere inside a frame sequence is classified by the
-    /// assembler exactly like the blocking stream reader classifies the
-    /// same prefix: complete leading frames decode, and the cut is either
-    /// a clean boundary (no error) or a typed `Truncated` — never a panic,
-    /// never a phantom frame.
+    /// Over any prefix of a frame sequence, with a reader that hands out
+    /// 1–7 bytes per call, successive `read_from` calls yield exactly the
+    /// whole frames before the cut, then `Ok(None)` when the cut is at a
+    /// frame boundary or `Truncated` when it is inside a frame. Each call
+    /// must stop at its frame's end: a byte read past it would be lost to
+    /// the next call, and the next frame would not decode.
     #[test]
-    fn assembler_eof_classification_matches_stream_reader(
+    fn stream_reader_stops_at_each_frame_end(
         frames in prop::collection::vec(arb_frame(), 1..5),
         cut in any::<prop::sample::Index>(),
-        drip in 1usize..7,
+        drip in 1usize..8,
     ) {
         let mut bytes = Vec::new();
+        let mut ends = vec![0];
         for frame in &frames {
             bytes.extend_from_slice(&frame.encode());
+            ends.push(bytes.len());
         }
         let cut = cut.index(bytes.len() + 1);
-        let prefix = &bytes[..cut];
+        let whole = ends[1..].iter().filter(|&&end| end <= cut).count();
 
-        // Reference: the blocking reader over the same prefix.
-        let mut want = Vec::new();
-        let mut cursor = std::io::Cursor::new(prefix);
-        let want_err = loop {
-            match Frame::read_from(&mut cursor) {
-                Ok(Some(frame)) => want.push(frame),
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-
-        // The assembler fed in fixed-size drips.
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        for chunk in prefix.chunks(drip) {
-            asm.feed(chunk).unwrap();
-            while let Some(frame) = asm.next_frame() {
-                got.push(frame);
-            }
+        let mut reader = Drip { bytes: &bytes[..cut], drip };
+        for frame in &frames[..whole] {
+            prop_assert_eq!(Frame::read_from(&mut reader).unwrap().as_ref(), Some(frame));
         }
-        prop_assert_eq!(got, want);
-        match (asm.eof_truncation(), want_err) {
-            (None, None) => {}
-            (Some(FrameError::Truncated { .. }), Some(FrameError::Truncated { .. })) => {}
-            (got_err, want_err) => prop_assert!(
-                false,
-                "assembler saw {got_err:?}, stream reader saw {want_err:?}"
-            ),
+        match Frame::read_from(&mut reader) {
+            Ok(None) => prop_assert!(ends.contains(&cut), "clean EOF inside a frame"),
+            Err(FrameError::Truncated { .. }) => {
+                prop_assert!(!ends.contains(&cut), "truncation reported at a boundary")
+            }
+            other => prop_assert!(false, "cut at {cut} read as {other:?}"),
         }
     }
 }

@@ -161,7 +161,7 @@ fn wire_chunks(mechanism: &dyn Mechanism, inputs: InputBatch<'_>) -> Vec<Vec<Rep
         let mut chunk = Vec::new();
         let got = stream
             .next_chunk_with(|report| {
-                chunk.push(report.to_data()?);
+                chunk.push(report.to_data());
                 Ok(())
             })
             .unwrap();

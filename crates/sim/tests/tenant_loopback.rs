@@ -92,7 +92,7 @@ impl Stream {
             let mut chunk = Vec::new();
             let got = stream
                 .next_chunk_with(|report| {
-                    chunk.push(report.to_data()?);
+                    chunk.push(report.to_data());
                     Ok(())
                 })
                 .unwrap();

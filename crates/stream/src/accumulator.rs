@@ -26,15 +26,14 @@
 //! * [`ItemSetReportAccumulator`] — subset-selection reports: a small set
 //!   of distinct items, each incrementing its own bucket.
 //!
-//! Every accumulator also accepts the report's *folded* bit-vector form,
-//! either as one byte per slot ([`Report::Bits`], what
-//! [`idldp_core::mechanism::Mechanism::perturb_into`] writes) or packed
-//! ([`Report::Packed`], what a bit report carries on the wire) — so
-//! streams and batch pipelines interoperate with any representation and
-//! the counts are identical by the fold laws tested in `idldp-core`.
+//! Every accumulator also accepts the report's *folded* bit-vector form
+//! as a [`Report::Packed`] bit report (the support vector
+//! [`idldp_core::mechanism::Mechanism::perturb_into`] writes, packed), so
+//! streams and batch pipelines interoperate with either representation
+//! and the counts are identical by the fold laws tested in `idldp-core`.
 
 use idldp_core::error::{Error, Result};
-use idldp_core::fold::{pack_bits_row, packed_words, BitPlanes, SeedPreimageCache};
+use idldp_core::fold::{BitPlanes, SeedPreimageCache};
 use idldp_core::mechanism::CountAccumulator;
 use idldp_core::report::{PackedBits, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
@@ -51,12 +50,14 @@ pub use idldp_core::report::Report;
 ///
 /// # Examples
 /// ```
+/// use idldp_core::report::PackedBits;
 /// use idldp_stream::{BitReportAccumulator, Report, ReportAccumulator};
 ///
+/// let packed = |slots: &[u8]| PackedBits::from_slots(slots).unwrap();
 /// let mut shard_a = BitReportAccumulator::new(3);
 /// let mut shard_b = BitReportAccumulator::new(3);
-/// shard_a.accumulate(Report::Bits(&[1, 0, 1])).unwrap();
-/// shard_b.accumulate(Report::Bits(&[0, 1, 1])).unwrap();
+/// shard_a.accumulate(Report::Packed(&packed(&[1, 0, 1]))).unwrap();
+/// shard_b.accumulate(Report::Packed(&packed(&[0, 1, 1]))).unwrap();
 ///
 /// // Shards merge exactly, regardless of how reports were distributed.
 /// shard_a.merge_from(&shard_b).unwrap();
@@ -178,7 +179,7 @@ fn check_width(what: &str, expected: usize, actual: usize) -> Result<()> {
 
 fn wrong_shape(accumulator: &str, got: &Report<'_>, width: usize) -> Error {
     let shape = match got {
-        Report::Bits(_) | Report::Packed(_) => "bit-vector",
+        Report::Packed(_) => "bit-vector",
         Report::Value(_) => "categorical value",
         Report::Hashed { .. } => "hashed (seed, value)",
         Report::ItemSet(_) => "item-set",
@@ -212,21 +213,6 @@ impl BitReportAccumulator {
             inner: CountAccumulator::new(report_len),
         }
     }
-
-    /// The wrapped core accumulator.
-    pub fn as_counts(&self) -> &CountAccumulator {
-        &self.inner
-    }
-
-    /// Absorbs a whole pre-merged [`CountAccumulator`] (the batch
-    /// pipeline's per-chunk output) in one step.
-    ///
-    /// # Panics
-    /// Panics if the widths differ (the same contract as
-    /// [`CountAccumulator::merge`]).
-    pub fn absorb_counts(&mut self, counts: &CountAccumulator) {
-        self.inner.merge(counts);
-    }
 }
 
 impl From<CountAccumulator> for BitReportAccumulator {
@@ -248,31 +234,24 @@ impl ReportAccumulator for BitReportAccumulator {
 
     fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
         match report {
-            Report::Bits(_) | Report::Packed(_) => self.inner.fold_report(report, 0),
+            Report::Packed(_) => self.inner.fold_report(report, 0),
             other => Err(wrong_shape("bit", &other, self.report_len())),
         }
     }
 
-    /// Word-packed batch fold: a packed report's words, or a slot report
-    /// packed here (packing doubles as the 0/1 validation), are
-    /// carry-save-added into SWAR bit-planes. They spill into a staged
-    /// buffer that only commits once the whole batch has validated, so
-    /// the fold is atomic and bit-identical to the sequential one.
+    /// Word-packed batch fold: each report's words are carry-save-added
+    /// into SWAR bit-planes. They spill into a staged buffer that only
+    /// commits once the whole batch has validated, so the fold is atomic
+    /// and bit-identical to the sequential one.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         let mut planes = BitPlanes::new(m);
         let mut staged = vec![0u64; m];
-        let mut row = vec![0u64; packed_words(m)];
         for report in reports {
             match *report {
                 Report::Packed(bits) => {
                     check_width("accumulated report width", m, bits.slots())?;
                     planes.add_row(bits.words(), &mut staged);
-                }
-                Report::Bits(bits) => {
-                    check_width("accumulated report width", m, bits.len())?;
-                    pack_bits_row(bits, &mut row)?;
-                    planes.add_row(&row, &mut staged);
                 }
                 ref other => return Err(wrong_shape("bit", other, m)),
             }
@@ -317,8 +296,8 @@ impl ReportAccumulator for BitReportAccumulator {
 /// Accumulator for categorical (one-hot) reports: GRR value reports,
 /// matrix-mechanism rows, and PS's sampled item.
 ///
-/// Accepts [`Report::Value`] directly, or [`Report::Bits`] /
-/// [`Report::Packed`] that are exactly one-hot — the folded form
+/// Accepts [`Report::Value`] directly, or a [`Report::Packed`] bit
+/// report that is exactly one-hot — the folded form
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for these
 /// mechanisms. Shares the core [`CountAccumulator`] state with
 /// [`BitReportAccumulator`], so there is a single implementation of the
@@ -340,20 +319,7 @@ impl OneHotReportAccumulator {
         }
     }
 
-    fn hot_index(&self, bits: &[u8]) -> Result<usize> {
-        check_width("one-hot report", self.report_len(), bits.len())?;
-        let mut hot = None;
-        for (i, &b) in bits.iter().enumerate() {
-            match (b, hot) {
-                (0, _) => {}
-                (1, None) => hot = Some(i),
-                _ => return Err(not_one_hot()),
-            }
-        }
-        hot.ok_or_else(not_one_hot)
-    }
-
-    fn packed_hot_index(&self, bits: &PackedBits) -> Result<usize> {
+    fn hot_index(&self, bits: &PackedBits) -> Result<usize> {
         check_width("one-hot report", self.report_len(), bits.slots())?;
         let mut ones = bits.ones();
         match (ones.next(), ones.next()) {
@@ -388,8 +354,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
                     bound: self.report_len(),
                 })
             }
-            Report::Bits(bits) => self.hot_index(bits)?,
-            Report::Packed(bits) => self.packed_hot_index(bits)?,
+            Report::Packed(bits) => self.hot_index(bits)?,
             other => return Err(wrong_shape("categorical", &other, self.report_len())),
         };
         self.inner.add_bit(value);
@@ -413,8 +378,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
                         bound: m,
                     })
                 }
-                Report::Bits(bits) => self.hot_index(bits)?,
-                Report::Packed(bits) => self.packed_hot_index(bits)?,
+                Report::Packed(bits) => self.hot_index(bits)?,
                 ref other => return Err(wrong_shape("categorical", other, m)),
             };
             values.push(value);
@@ -461,7 +425,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
 /// `v` whose [`idldp_core::report::hash_bucket`]`(seed, v, range)` equals
 /// the reported value — the same shared hash the client encoded with,
 /// through the one shared fold. Also accepts the
-/// pre-folded [`Report::Bits`] / [`Report::Packed`] support vector (what
+/// pre-folded [`Report::Packed`] support vector (what
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
 /// either representation of the same report yields identical counts.
 ///
@@ -529,9 +493,7 @@ impl ReportAccumulator for HashedReportAccumulator {
         match report {
             // Both the wire pair and its pre-folded support vector go
             // through the one shared fold (`Report::fold_into`).
-            Report::Hashed { .. } | Report::Bits(_) | Report::Packed(_) => {
-                self.inner.fold_report(report, self.range)
-            }
+            Report::Hashed { .. } | Report::Packed(_) => self.inner.fold_report(report, self.range),
             other => Err(wrong_shape("hashed", &other, self.report_len())),
         }
     }
@@ -548,24 +510,17 @@ impl ReportAccumulator for HashedReportAccumulator {
         // Validation pass first: nothing folds if any report is invalid.
         for report in reports {
             match report {
-                Report::Hashed { .. } | Report::Bits(_) | Report::Packed(_) => {
-                    report.validate(m, self.range)?
-                }
+                Report::Hashed { .. } | Report::Packed(_) => report.validate(m, self.range)?,
                 other => return Err(wrong_shape("hashed", other, m)),
             }
         }
         let mut planes = BitPlanes::new(m);
         let mut staged = vec![0u64; m];
-        let mut row = vec![0u64; packed_words(m)];
         for report in reports {
             match *report {
                 Report::Hashed { seed, value } => {
                     let bitmap = self.cache.preimage(seed, value);
                     planes.add_row(bitmap, &mut staged);
-                }
-                Report::Bits(bits) => {
-                    pack_bits_row(bits, &mut row).expect("validated 0/1 row");
-                    planes.add_row(&row, &mut staged);
                 }
                 Report::Packed(bits) => planes.add_row(bits.words(), &mut staged),
                 _ => unreachable!("shapes checked in the validation pass"),
@@ -613,7 +568,7 @@ impl ReportAccumulator for HashedReportAccumulator {
 ///
 /// Each report is a small set of distinct items; every member increments
 /// its own bucket and the report counts as one user. Also accepts the
-/// k-hot [`Report::Bits`] / [`Report::Packed`] membership vector.
+/// k-hot [`Report::Packed`] membership vector.
 ///
 /// When built with [`ItemSetReportAccumulator::with_cardinality`] the
 /// accumulator pins the exact set size `k` the mechanism emits
@@ -677,9 +632,7 @@ impl ReportAccumulator for ItemSetReportAccumulator {
             // the one shared fold (`Report::fold_into`), which validates
             // range, distinctness, and the pinned cardinality before
             // counting anything.
-            Report::ItemSet(_) | Report::Bits(_) | Report::Packed(_) => {
-                self.inner.fold_report(report, self.k)
-            }
+            Report::ItemSet(_) | Report::Packed(_) => self.inner.fold_report(report, self.k),
             other => Err(wrong_shape("item-set", &other, self.report_len())),
         }
     }
@@ -700,7 +653,7 @@ impl ReportAccumulator for ItemSetReportAccumulator {
         for report in reports {
             let items = match report {
                 Report::ItemSet(items) => *items,
-                Report::Bits(_) | Report::Packed(_) => {
+                Report::Packed(_) => {
                     report.validate(m, self.k)?;
                     continue;
                 }
@@ -741,11 +694,6 @@ impl ReportAccumulator for ItemSetReportAccumulator {
                 Report::ItemSet(items) => {
                     for &item in items {
                         counts[item] += 1;
-                    }
-                }
-                Report::Bits(bits) => {
-                    for (c, &bit) in counts.iter_mut().zip(bits) {
-                        *c += u64::from(bit);
                     }
                 }
                 Report::Packed(bits) => {
@@ -946,6 +894,10 @@ mod tests {
     use super::*;
     use idldp_core::report::{hash_bucket, ReportData};
 
+    fn packed(slots: &[u8]) -> PackedBits {
+        PackedBits::from_slots(slots).unwrap()
+    }
+
     #[test]
     fn bit_accumulator_counts_and_merges() {
         let mut a = BitReportAccumulator::new(3);
@@ -954,8 +906,9 @@ mod tests {
         let reports: [[u8; 3]; 4] = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]];
         for (i, r) in reports.iter().enumerate() {
             let target = if i % 2 == 0 { &mut a } else { &mut b };
-            target.accumulate(Report::Bits(r)).unwrap();
-            seq.accumulate(Report::Bits(r)).unwrap();
+            let r = packed(r);
+            target.accumulate(Report::Packed(&r)).unwrap();
+            seq.accumulate(Report::Packed(&r)).unwrap();
         }
         a.merge_from(&b).unwrap();
         assert_eq!(a.snapshot(), seq.snapshot());
@@ -966,9 +919,7 @@ mod tests {
     #[test]
     fn bit_accumulator_rejects_bad_shapes() {
         let mut a = BitReportAccumulator::new(3);
-        assert!(a.accumulate(Report::Bits(&[1, 0])).is_err());
-        // One at a time as in a batch: a slot outside 0/1 counts nothing.
-        assert!(a.accumulate(Report::Bits(&[2, 0, 0])).is_err());
+        assert!(a.accumulate(Report::Packed(&packed(&[1, 0]))).is_err());
         assert!(a.accumulate(Report::Value(1)).is_err());
         assert!(a.accumulate(Report::Hashed { seed: 1, value: 0 }).is_err());
         assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
@@ -981,8 +932,10 @@ mod tests {
     fn one_hot_accumulator_accepts_both_shapes() {
         let mut a = OneHotReportAccumulator::new(4);
         a.accumulate(Report::Value(2)).unwrap();
-        a.accumulate(Report::Bits(&[0, 0, 1, 0])).unwrap();
-        a.accumulate(Report::Bits(&[1, 0, 0, 0])).unwrap();
+        a.accumulate(Report::Packed(&packed(&[0, 0, 1, 0])))
+            .unwrap();
+        a.accumulate(Report::Packed(&packed(&[1, 0, 0, 0])))
+            .unwrap();
         let snap = a.snapshot();
         assert_eq!(snap.counts(), &[1, 0, 2, 0]);
         assert_eq!(snap.num_users(), 3);
@@ -992,9 +945,9 @@ mod tests {
     fn one_hot_accumulator_rejects_invalid() {
         let mut a = OneHotReportAccumulator::new(3);
         assert!(a.accumulate(Report::Value(3)).is_err());
-        assert!(a.accumulate(Report::Bits(&[0, 0, 0])).is_err());
-        assert!(a.accumulate(Report::Bits(&[1, 1, 0])).is_err());
-        assert!(a.accumulate(Report::Bits(&[1, 0])).is_err());
+        assert!(a.accumulate(Report::Packed(&packed(&[0, 0, 0]))).is_err());
+        assert!(a.accumulate(Report::Packed(&packed(&[1, 1, 0]))).is_err());
+        assert!(a.accumulate(Report::Packed(&packed(&[1, 0]))).is_err());
         assert!(a.accumulate(Report::ItemSet(&[1])).is_err());
         assert_eq!(a.num_users(), 0);
     }
@@ -1019,7 +972,7 @@ mod tests {
             *b = u8::from(hash_bucket(seed, v, g) == value);
         }
         let mut via_bits = HashedReportAccumulator::new(m, g);
-        via_bits.accumulate(Report::Bits(&bits)).unwrap();
+        via_bits.accumulate(Report::Packed(&packed(&bits))).unwrap();
         assert_eq!(via_bits.snapshot(), snap);
     }
 
@@ -1029,7 +982,7 @@ mod tests {
         assert!(a.accumulate(Report::Hashed { seed: 1, value: 3 }).is_err());
         assert!(a.accumulate(Report::Value(1)).is_err());
         assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
-        assert!(a.accumulate(Report::Bits(&[1, 0])).is_err());
+        assert!(a.accumulate(Report::Packed(&packed(&[1, 0]))).is_err());
         assert_eq!(a.num_users(), 0);
         // Merging across hash ranges is refused (folds would disagree).
         let b = HashedReportAccumulator::new(4, 5);
@@ -1041,7 +994,8 @@ mod tests {
         let mut a = ItemSetReportAccumulator::new(5);
         a.accumulate(Report::ItemSet(&[0, 3])).unwrap();
         a.accumulate(Report::ItemSet(&[3])).unwrap();
-        a.accumulate(Report::Bits(&[0, 1, 0, 1, 0])).unwrap();
+        a.accumulate(Report::Packed(&packed(&[0, 1, 0, 1, 0])))
+            .unwrap();
         let snap = a.snapshot();
         assert_eq!(snap.counts(), &[1, 1, 0, 3, 0]);
         assert_eq!(snap.num_users(), 3);
@@ -1122,10 +1076,15 @@ mod tests {
         // bit-identical to sequential accumulate, for every shape, with
         // enough bit rows to cross a SWAR spill boundary.
         let m = 9usize;
-        let bit_rows: Vec<Vec<u8>> = (0..600u64)
-            .map(|r| (0..m).map(|i| hash_bucket(r, i, 2) as u8).collect())
+        let bit_rows: Vec<PackedBits> = (0..600u64)
+            .map(|r| {
+                (0..m)
+                    .map(|i| hash_bucket(r, i, 2) as u8)
+                    .collect::<Vec<_>>()
+            })
+            .map(|row| packed(&row))
             .collect();
-        let bit_reports: Vec<Report<'_>> = bit_rows.iter().map(|r| Report::Bits(r)).collect();
+        let bit_reports: Vec<Report<'_>> = bit_rows.iter().map(Report::Packed).collect();
 
         let mut seq = BitReportAccumulator::new(m);
         for r in &bit_reports {
@@ -1152,7 +1111,7 @@ mod tests {
                 seed: i % 7,
                 value: (i % g as u64) as usize,
             })
-            .chain(std::iter::once(Report::Bits(&bit_rows[0])))
+            .chain(std::iter::once(Report::Packed(&bit_rows[0])))
             .collect();
         let mut seq = HashedReportAccumulator::new(m, g);
         for r in &hashed {
@@ -1167,7 +1126,7 @@ mod tests {
         let set_reports: Vec<Report<'_>> = sets
             .iter()
             .map(|s| Report::ItemSet(s))
-            .chain(std::iter::once(Report::Bits(&bit_rows[1])))
+            .chain(std::iter::once(Report::Packed(&bit_rows[1])))
             .collect();
         let mut seq = ItemSetReportAccumulator::new(m);
         for r in &set_reports {
@@ -1178,11 +1137,11 @@ mod tests {
         assert_eq!(batched.snapshot(), seq.snapshot());
     }
 
-    /// Every accumulator that takes bit reports folds a packed report
-    /// exactly like the same slots, one at a time and batched, at every
+    /// Every accumulator that takes bit reports folds packed reports to
+    /// the counts of their 0/1 rows, one at a time and batched, at every
     /// width across the 64-slot word and 128/129 inline/heap edges.
     #[test]
-    fn packed_view_folds_like_the_slot_view() {
+    fn packed_reports_fold_to_their_rows() {
         for m in (1..=130usize).chain([1000]) {
             // 300 rows cross a bit-plane spill; the one-hot rows are the
             // only ones the categorical accumulator takes.
@@ -1198,44 +1157,40 @@ mod tests {
                 row[r * 7 % m] = 1;
                 row
             }));
-            let packed: Vec<PackedBits> = rows
-                .iter()
-                .map(|row| PackedBits::from_slots(row).unwrap())
-                .collect();
+            let reports: Vec<PackedBits> = rows.iter().map(|row| packed(row)).collect();
             for shape in [
                 ReportShape::Bits,
                 ReportShape::Value,
                 ReportShape::Hashed { range: 3 },
                 ReportShape::ItemSet { k: 0 },
             ] {
-                let (mut seq_slots, mut seq_packed) = (
-                    ShapedAccumulator::for_shape(shape, m),
-                    ShapedAccumulator::for_shape(shape, m),
-                );
-                for (row, bits) in rows.iter().zip(&packed) {
+                let takes = |row: &[u8]| {
+                    shape != ReportShape::Value || row.iter().filter(|&&b| b == 1).count() == 1
+                };
+                let taken: Vec<usize> = (0..rows.len()).filter(|&r| takes(&rows[r])).collect();
+                let mut want = vec![0u64; m];
+                for &r in &taken {
+                    for (w, &bit) in want.iter_mut().zip(&rows[r]) {
+                        *w += u64::from(bit);
+                    }
+                }
+
+                let mut seq = ShapedAccumulator::for_shape(shape, m);
+                for (row, bits) in rows.iter().zip(&reports) {
                     assert_eq!(
-                        seq_slots.accumulate(Report::Bits(row)).is_ok(),
-                        seq_packed.accumulate(Report::Packed(bits)).is_ok(),
+                        seq.accumulate(Report::Packed(bits)).is_ok(),
+                        takes(row),
                         "{shape:?} m={m}"
                     );
                 }
-                assert_eq!(seq_packed, seq_slots, "{shape:?} m={m}");
+                assert_eq!(seq.snapshot().counts(), want, "{shape:?} m={m}");
+                assert_eq!(seq.num_users(), taken.len() as u64, "{shape:?} m={m}");
 
-                let taken: Vec<usize> = (0..rows.len())
-                    .filter(|&r| shape != ReportShape::Value || packed[r].ones().count() == 1)
-                    .collect();
-                let slot_views: Vec<Report<'_>> =
-                    taken.iter().map(|&r| Report::Bits(&rows[r])).collect();
-                let packed_views: Vec<Report<'_>> =
-                    taken.iter().map(|&r| Report::Packed(&packed[r])).collect();
-                let (mut batch_slots, mut batch_packed) = (
-                    ShapedAccumulator::for_shape(shape, m),
-                    ShapedAccumulator::for_shape(shape, m),
-                );
-                batch_slots.accumulate_batch(&slot_views).unwrap();
-                batch_packed.accumulate_batch(&packed_views).unwrap();
-                assert_eq!(batch_packed, batch_slots, "{shape:?} m={m}");
-                assert_eq!(batch_packed, seq_packed, "{shape:?} m={m}");
+                let views: Vec<Report<'_>> =
+                    taken.iter().map(|&r| Report::Packed(&reports[r])).collect();
+                let mut batched = ShapedAccumulator::for_shape(shape, m);
+                batched.accumulate_batch(&views).unwrap();
+                assert_eq!(batched, seq, "{shape:?} m={m}");
             }
         }
     }
@@ -1244,14 +1199,13 @@ mod tests {
     fn batch_with_any_invalid_report_counts_nothing() {
         // Atomicity: one bad report anywhere in the batch leaves the
         // accumulator untouched — no partial fold, no user counted.
-        let good = [1u8, 0, 1];
-        let bad_width = [1u8, 0];
+        let (good, bad_width) = (packed(&[1, 0, 1]), packed(&[1, 0]));
         let mut bits = BitReportAccumulator::new(3);
         assert!(bits
             .accumulate_batch(&[
-                Report::Bits(&good),
-                Report::Bits(&good),
-                Report::Bits(&bad_width),
+                Report::Packed(&good),
+                Report::Packed(&good),
+                Report::Packed(&bad_width),
             ])
             .is_err());
         assert_eq!(bits.num_users(), 0);
@@ -1303,17 +1257,5 @@ mod tests {
         assert!(bits
             .restore(&idldp_core::snapshot::AccumulatorSnapshot::empty(5).unwrap())
             .is_err());
-    }
-
-    #[test]
-    fn absorb_counts_matches_streaming() {
-        let mut batch = CountAccumulator::new(2);
-        batch.accumulate_report(&[1, 0]).unwrap();
-        batch.accumulate_report(&[1, 1]).unwrap();
-        let mut acc = BitReportAccumulator::new(2);
-        acc.accumulate(Report::Bits(&[0, 1])).unwrap();
-        acc.absorb_counts(&batch);
-        assert_eq!(acc.snapshot().counts(), &[2, 2]);
-        assert_eq!(acc.num_users(), 3);
     }
 }

@@ -200,12 +200,17 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
 mod tests {
     use super::*;
     use crate::accumulator::BitReportAccumulator;
+    use idldp_core::report::PackedBits;
+
+    fn packed(slots: &[u8]) -> PackedBits {
+        PackedBits::from_slots(slots).unwrap()
+    }
 
     #[test]
     fn round_robin_covers_all_shards() {
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 4);
         for _ in 0..8 {
-            sharded.push(Report::Bits(&[1, 0])).unwrap();
+            sharded.push(Report::Packed(&packed(&[1, 0]))).unwrap();
         }
         assert_eq!(sharded.num_users(), 8);
         assert_eq!(sharded.num_shards(), 4);
@@ -219,14 +224,14 @@ mod tests {
 
     #[test]
     fn shard_count_does_not_change_counts() {
-        let reports: Vec<[u8; 3]> = (0..100)
-            .map(|i| [(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8])
+        let reports: Vec<PackedBits> = (0..100)
+            .map(|i| packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]))
             .collect();
         let mut reference: Option<AccumulatorSnapshot> = None;
         for shards in [1, 2, 3, 7, 100, 128] {
             let sharded = ShardedAccumulator::new(BitReportAccumulator::new(3), shards);
             for r in &reports {
-                sharded.push(Report::Bits(r)).unwrap();
+                sharded.push(Report::Packed(r)).unwrap();
             }
             let snap = sharded.snapshot();
             if let Some(ref want) = reference {
@@ -240,18 +245,22 @@ mod tests {
     #[test]
     fn push_to_and_errors() {
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 2);
-        sharded.push_to(1, Report::Bits(&[0, 1])).unwrap();
-        assert!(sharded.push_to(2, Report::Bits(&[0, 1])).is_err());
-        assert!(sharded.push(Report::Bits(&[1])).is_err());
+        sharded
+            .push_to(1, Report::Packed(&packed(&[0, 1])))
+            .unwrap();
+        assert!(sharded
+            .push_to(2, Report::Packed(&packed(&[0, 1])))
+            .is_err());
+        assert!(sharded.push(Report::Packed(&packed(&[1]))).is_err());
         assert_eq!(sharded.num_users(), 1);
     }
 
     #[test]
     fn push_batch_matches_per_report_pushes() {
-        let rows: Vec<[u8; 3]> = (0..90)
-            .map(|i| [(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8])
+        let rows: Vec<PackedBits> = (0..90)
+            .map(|i| packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]))
             .collect();
-        let reports: Vec<Report<'_>> = rows.iter().map(|r| Report::Bits(r)).collect();
+        let reports: Vec<Report<'_>> = rows.iter().map(Report::Packed).collect();
 
         let per_report = ShardedAccumulator::new(BitReportAccumulator::new(3), 4);
         for r in &reports {
@@ -266,7 +275,10 @@ mod tests {
         // An invalid report anywhere in a batch counts nothing.
         let before = batched.snapshot();
         assert!(batched
-            .push_batch(&[Report::Bits(&[1, 0, 1]), Report::Bits(&[1, 0])])
+            .push_batch(&[
+                Report::Packed(&packed(&[1, 0, 1])),
+                Report::Packed(&packed(&[1, 0]))
+            ])
             .is_err());
         assert_eq!(batched.snapshot(), before);
         batched.push_batch(&[]).unwrap();
@@ -277,10 +289,10 @@ mod tests {
     fn absorb_merges_worker_state() {
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
         let mut local = BitReportAccumulator::new(2);
-        local.accumulate(Report::Bits(&[1, 1])).unwrap();
-        local.accumulate(Report::Bits(&[1, 0])).unwrap();
+        local.accumulate(Report::Packed(&packed(&[1, 1]))).unwrap();
+        local.accumulate(Report::Packed(&packed(&[1, 0]))).unwrap();
         sharded.absorb(&local).unwrap();
-        sharded.push(Report::Bits(&[0, 1])).unwrap();
+        sharded.push(Report::Packed(&packed(&[0, 1]))).unwrap();
         let snap = sharded.snapshot();
         assert_eq!(snap.counts(), &[2, 2]);
         assert_eq!(snap.num_users(), 3);
@@ -291,7 +303,7 @@ mod tests {
         let checkpoint = AccumulatorSnapshot::new(vec![5, 7], 12).unwrap();
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
         sharded.restore(&checkpoint).unwrap();
-        sharded.push(Report::Bits(&[1, 0])).unwrap();
+        sharded.push(Report::Packed(&packed(&[1, 0]))).unwrap();
         let snap = sharded.snapshot();
         assert_eq!(snap.counts(), &[6, 7]);
         assert_eq!(snap.num_users(), 13);
@@ -307,8 +319,8 @@ mod tests {
     fn shard_snapshots_restore_across_any_shard_count() {
         let source = ShardedAccumulator::new(BitReportAccumulator::new(3), 5);
         for i in 0..100u32 {
-            let row = [(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8];
-            source.push(Report::Bits(&row)).unwrap();
+            let row = packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]);
+            source.push(Report::Packed(&row)).unwrap();
         }
         let want = source.snapshot();
         let parts = source.snapshot_shards();
@@ -324,7 +336,7 @@ mod tests {
             target.restore(&merged).unwrap();
             assert_eq!(target.snapshot(), want, "restore into {shards} shards");
             // The restored sharding keeps accepting reports.
-            target.push(Report::Bits(&[1, 1, 1])).unwrap();
+            target.push(Report::Packed(&packed(&[1, 1, 1]))).unwrap();
             assert_eq!(target.num_users(), want.num_users() + 1);
         }
     }
@@ -336,9 +348,9 @@ mod tests {
             for t in 0..4 {
                 let sharded = &sharded;
                 scope.spawn(move || {
-                    let report = [u8::from(t % 2 == 0), u8::from(t % 2 == 1)];
+                    let report = packed(&[u8::from(t % 2 == 0), u8::from(t % 2 == 1)]);
                     for _ in 0..1000 {
-                        sharded.push(Report::Bits(&report)).unwrap();
+                        sharded.push(Report::Packed(&report)).unwrap();
                     }
                 });
             }

@@ -96,7 +96,7 @@ fn materialize(mech: &dyn Mechanism, inputs: InputBatch<'_>, seed: u64) -> Vec<R
     loop {
         let got = stream
             .next_chunk_with(|r| {
-                reports.push(r.to_data()?);
+                reports.push(r.to_data());
                 Ok(())
             })
             .unwrap();

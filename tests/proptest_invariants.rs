@@ -38,13 +38,17 @@ fn arb_ab_pair() -> impl Strategy<Value = (f64, f64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The convex solvers always return Eq. 7-feasible parameters, for any
-    /// level structure.
+    /// Every solver model returns Eq. 7-feasible parameters, for any level
+    /// structure: by the solver's own check, and by the independent audit
+    /// of the mechanism built from them.
     #[test]
-    fn solvers_always_feasible(levels in arb_levels(), use_opt2 in any::<bool>()) {
-        let model = if use_opt2 { Model::Opt2 } else { Model::Opt1 };
-        let params = IdueSolver::new(model).solve(&levels).unwrap();
+    fn solvers_always_feasible(levels in arb_levels(), model in 0usize..3) {
+        let params = IdueSolver::new(Model::ALL[model]).solve(&levels).unwrap();
         prop_assert!(params.verify(&levels, RFunction::Min, 1e-6).is_ok());
+        let mech = Idue::new(levels, &params).unwrap();
+        let audited =
+            audit::audit_unary_encoding(mech.unary_encoding(), &mech.intended_notion(), 1e-6);
+        prop_assert!(audited.is_ok(), "{:?}", audited);
     }
 
     /// Lemma 1: any mechanism satisfying E-MinID-LDP (by Eq. 7 audit)
