@@ -35,8 +35,8 @@
 //! accumulator, ingest queue, and checkpoint (at the sibling path
 //! `<checkpoint>.tenant-<NAME>`). `--tenants-file FILE` reads the same
 //! specs from a file, one per line (`#` comments and blank lines
-//! ignored). Clients select a tenant with `push --tenant NAME`; v3
-//! clients (and clients that name no tenant) land on the default tenant.
+//! ignored). Clients select a tenant with `push --tenant NAME`; clients
+//! that name no tenant land on the default tenant.
 
 use crate::args::CliArgs;
 use idldp_core::identity::TenantId;

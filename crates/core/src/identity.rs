@@ -55,14 +55,14 @@ pub const MAX_TENANT_ID_LEN: usize = 64;
 /// A validated tenant (stream) name: 1–64 chars of `[A-Za-z0-9._-]`.
 ///
 /// The default tenant is [`TenantId::DEFAULT_NAME`] — the stream a
-/// pre-tenancy (protocol v3) client lands on, and the one a server
-/// hosting a single stream serves.
+/// client that names no tenant lands on, and the one a server hosting a
+/// single stream serves.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(String);
 
 impl TenantId {
-    /// The name of the default tenant — where v3 clients (whose `Hello`
-    /// predates tenancy) and tenant-less v4 clients land.
+    /// The name of the default tenant — where clients whose `Hello` names
+    /// no tenant land.
     pub const DEFAULT_NAME: &'static str = "default";
 
     /// Validates and wraps a tenant name.

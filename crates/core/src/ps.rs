@@ -28,11 +28,6 @@ impl SampledItem {
             SampledItem::Dummy(j) => m + j,
         }
     }
-
-    /// `true` for a real item.
-    pub fn is_real(&self) -> bool {
-        matches!(self, SampledItem::Real(_))
-    }
 }
 
 /// Internal position-level sampling outcome (index into the input set, or a
@@ -258,8 +253,8 @@ mod tests {
     fn encoded_index_layout() {
         assert_eq!(SampledItem::Real(3).encoded_index(10), 3);
         assert_eq!(SampledItem::Dummy(2).encoded_index(10), 12);
-        assert!(SampledItem::Real(0).is_real());
-        assert!(!SampledItem::Dummy(0).is_real());
+        assert!(matches!(SampledItem::Real(0), SampledItem::Real(_)));
+        assert!(!matches!(SampledItem::Dummy(0), SampledItem::Real(_)));
     }
 
     #[test]
@@ -268,7 +263,10 @@ mod tests {
         let x = [5usize, 6, 7];
         let mut rng = SplitMix64::new(6);
         for _ in 0..200 {
-            assert!(ps.pad_and_sample(&x, &mut rng).is_real());
+            assert!(matches!(
+                ps.pad_and_sample(&x, &mut rng),
+                SampledItem::Real(_)
+            ));
         }
     }
 }

@@ -132,11 +132,6 @@ impl IdueSolver {
         self.model
     }
 
-    /// The notion's r-function.
-    pub fn r_function(&self) -> RFunction {
-        self.r
-    }
-
     fn cache_key(&self, levels: &LevelPartition) -> CacheKey {
         let t = levels.num_levels();
         CacheKey {

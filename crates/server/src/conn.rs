@@ -16,7 +16,7 @@
 //!
 //! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
 
-use crate::frame::{Frame, LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::frame::{Frame, PROTOCOL_VERSION};
 use crate::queue::{PushRefusal, WaitOutcome};
 use crate::server::{Shared, Tenant};
 use idldp_core::report::{ReportData, ReportShape};
@@ -72,11 +72,10 @@ fn reject(message: impl Into<String>) -> Frame {
     }
 }
 
-/// The tenant name a [`Frame::Hello`] carries (the empty string is every
-/// v3 client and a v4 client selecting the default tenant); `None` when
-/// the frame is not a `Hello` at all. Public for single-stream frontends
-/// — the coordinator hosts exactly one stream and refuses named tenants
-/// through this before [`check_hello`].
+/// The tenant name a [`Frame::Hello`] carries (the empty string selects
+/// the default tenant); `None` when the frame is not a `Hello` at all.
+/// Public for single-stream frontends — the coordinator hosts exactly one
+/// stream and refuses named tenants through this before [`check_hello`].
 #[must_use]
 pub fn hello_tenant(frame: &Frame) -> Option<&str> {
     match frame {
@@ -85,22 +84,19 @@ pub fn hello_tenant(frame: &Frame) -> Option<&str> {
     }
 }
 
-/// The protocol versions a server accepts: the current version, and the
-/// immediately preceding one (a v3 `Hello` cannot name a tenant, so it
-/// lands on the default tenant — old clients keep working against
-/// multi-tenant servers).
+/// A server accepts [`PROTOCOL_VERSION`] only. (A v3 `Hello` never gets
+/// here: it has no tenant field, so it does not decode.)
 fn check_hello_version(version: u32) -> Result<(), String> {
-    if version != PROTOCOL_VERSION && version != LEGACY_PROTOCOL_VERSION {
+    if version != PROTOCOL_VERSION {
         return Err(format!(
-            "protocol version {version} unsupported (server speaks \
-             {PROTOCOL_VERSION}, accepts {LEGACY_PROTOCOL_VERSION})"
+            "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
         ));
     }
     Ok(())
 }
 
 /// Validates a connection's first frame against a mechanism config: it
-/// must be a [`Frame::Hello`] of an accepted protocol version announcing
+/// must be a [`Frame::Hello`] of [`PROTOCOL_VERSION`] announcing
 /// exactly this mechanism's kind/shape/width/ε. Shared by the server
 /// (via the internal `apply_hello`, against the *selected tenant's*
 /// mechanism) and the coordinator frontend, which speaks the same

@@ -6,7 +6,11 @@
 //! frame   := tag(u8)  payload_len(u32 LE)  payload
 //! ```
 //!
-//! The payload grammar is per-tag (see [`Frame`]); all integers are
+//! The payload grammar is the frame table in this file (`frame_table!`):
+//! one line per [`Frame`] variant giving its tag and its fields in wire
+//! order. The encoder, the decoder and the payload length are all
+//! generated from that table, so the grammar is written once. Strings and
+//! vectors carry a `u32` length prefix; all integers are
 //! little-endian, floats travel as their IEEE-754 bit patterns
 //! ([`f64::to_bits`]), so estimates received over TCP are *bit-identical*
 //! to the server's local computation. Reports are framed in their native
@@ -44,21 +48,13 @@ use std::io::{Read, Write};
 /// chunked estimate replies ([`Frame::EstimatesPart`]) for domains whose
 /// estimate vector exceeds one frame.
 ///
-/// Version 4 added tenancy: a trailing tenant-name string in
+/// Version 4 added tenancy: a tenant-name string at the end of
 /// [`Frame::Hello`] selects which of the server's streams the connection
-/// addresses, and the [`Frame::HelloAck`] `run_line` is that tenant's
-/// run identity. The tenant field is appended *after* every v3 field and
-/// is only encoded when `version >= 4`, so a v3 `Hello` is byte-identical
-/// under both codecs — servers still accept
-/// [`LEGACY_PROTOCOL_VERSION`]-speaking clients and map them to the
-/// default tenant.
+/// addresses, and the [`Frame::HelloAck`] `run_line` is that tenant's run
+/// identity. Servers accept this version only. A v3 `Hello` has no tenant
+/// field, so it does not decode, and the server answers it with a typed
+/// `handshake:` [`Frame::Reject`].
 pub const PROTOCOL_VERSION: u32 = 4;
-
-/// The oldest protocol version servers still accept (v3: the pre-tenancy
-/// grammar). A v3 `Hello` carries no tenant name and lands on the default
-/// tenant; every reply frame it can draw is grammatically unchanged, so
-/// v3 clients interoperate byte-for-byte.
-pub const LEGACY_PROTOCOL_VERSION: u32 = 3;
 
 /// Elements per chunk of a chunked reply ([`Frame::EstimatesPart`] /
 /// [`Frame::Snapshot`]): 2²⁰ × 8-byte elements = 8 MiB of payload per
@@ -164,11 +160,8 @@ pub enum Frame {
         /// incompatible counts, so the server refuses the mismatch just
         /// like its checkpoint run-identity stamp does.
         ldp_eps_bits: u64,
-        /// The tenant (stream) this connection addresses — on the wire
-        /// only when `version >= 4`, appended after every v3 field so the
-        /// v3 byte layout is unchanged. Empty means the default tenant
-        /// (what every v3 client gets, since its `Hello` has no tenant
-        /// field to decode).
+        /// The tenant (stream) this connection addresses. Empty means the
+        /// default tenant.
         tenant: String,
     },
     /// Handshake accepted; `users` reports are already accumulated
@@ -281,21 +274,9 @@ pub enum Frame {
     },
 }
 
-const TAG_HELLO: u8 = 0x01;
-const TAG_HELLO_ACK: u8 = 0x02;
+/// The `Reports` tag, the one the codec needs outside the frame table:
+/// [`try_encode_reports_frame`] writes that frame from a borrowed slice.
 const TAG_REPORTS: u8 = 0x03;
-const TAG_INGESTED: u8 = 0x04;
-const TAG_BUSY: u8 = 0x05;
-const TAG_QUERY: u8 = 0x06;
-const TAG_ESTIMATES: u8 = 0x07;
-const TAG_TOP_K_QUERY: u8 = 0x08;
-const TAG_CANDIDATES: u8 = 0x09;
-const TAG_CHECKPOINT: u8 = 0x0A;
-const TAG_CHECKPOINT_ACK: u8 = 0x0B;
-const TAG_REJECT: u8 = 0x0C;
-const TAG_SNAPSHOT_QUERY: u8 = 0x0D;
-const TAG_SNAPSHOT: u8 = 0x0E;
-const TAG_ESTIMATES_PART: u8 = 0x0F;
 
 const SHAPE_BITS: u8 = 0;
 const SHAPE_VALUE: u8 = 1;
@@ -352,10 +333,6 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn read_f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.read_u64()?))
-    }
-
     /// A `u64` that must fit the platform's `usize`.
     fn read_len(&mut self, what: &str) -> Result<usize, FrameError> {
         let v = self.read_u64()?;
@@ -376,13 +353,6 @@ impl<'a> Cursor<'a> {
         Ok(count)
     }
 
-    fn read_string(&mut self, what: &str) -> Result<String, FrameError> {
-        let len = self.read_count(what, 1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FrameError::Malformed(format!("{what} is not valid UTF-8")))
-    }
-
     fn finish(self, what: &str) -> Result<(), FrameError> {
         if self.remaining() != 0 {
             return Err(FrameError::Malformed(format!(
@@ -394,57 +364,205 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// One payload field's wire form: the one place a field type is written,
+/// sized and read. The frame table composes every frame from these.
+trait Field: Sized {
+    /// The fewest wire bytes one value takes, which bounds a vector's
+    /// element count by the payload actually received.
+    const MIN_LEN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn wire_len(&self) -> usize;
+    /// Reads one value; `what` names the field in a malformed-frame error.
+    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError>;
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Field for u32 {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn wire_len(&self) -> usize {
+        4
+    }
+    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
+        c.read_u32()
+    }
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+impl Field for u64 {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn wire_len(&self) -> usize {
+        8
+    }
+    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
+        c.read_u64()
+    }
 }
 
-fn put_shape(out: &mut Vec<u8>, shape: ReportShape) {
-    match shape {
-        ReportShape::Bits => out.push(SHAPE_BITS),
-        ReportShape::Value => out.push(SHAPE_VALUE),
-        ReportShape::Hashed { range } => {
-            out.push(SHAPE_HASHED);
-            put_u64(out, range as u64);
+/// Floats travel as their IEEE-754 bits, so they arrive bit-identical.
+impl Field for f64 {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn wire_len(&self) -> usize {
+        8
+    }
+    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
+        c.read_u64().map(f64::from_bits)
+    }
+}
+
+/// A `u32` byte length, then UTF-8.
+impl Field for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
+    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+        let len = c.read_count(what, 1)?;
+        String::from_utf8(c.take(len)?.to_vec())
+            .map_err(|_| FrameError::Malformed(format!("{what} is not valid UTF-8")))
+    }
+}
+
+/// A shape tag byte, then the shape's parameter as a `u64` when it has one.
+impl Field for ReportShape {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            ReportShape::Bits => out.push(SHAPE_BITS),
+            ReportShape::Value => out.push(SHAPE_VALUE),
+            ReportShape::Hashed { range } => {
+                out.push(SHAPE_HASHED);
+                (range as u64).put(out);
+            }
+            ReportShape::ItemSet { k } => {
+                out.push(SHAPE_ITEM_SET);
+                (k as u64).put(out);
+            }
         }
-        ReportShape::ItemSet { k } => {
-            out.push(SHAPE_ITEM_SET);
-            put_u64(out, k as u64);
+    }
+    fn wire_len(&self) -> usize {
+        match self {
+            ReportShape::Hashed { .. } | ReportShape::ItemSet { .. } => 1 + 8,
+            ReportShape::Bits | ReportShape::Value => 1,
+        }
+    }
+    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
+        match c.read_u8()? {
+            SHAPE_BITS => Ok(ReportShape::Bits),
+            SHAPE_VALUE => Ok(ReportShape::Value),
+            SHAPE_HASHED => Ok(ReportShape::Hashed {
+                range: c.read_len("hash range")?,
+            }),
+            SHAPE_ITEM_SET => Ok(ReportShape::ItemSet {
+                k: c.read_len("item-set cardinality")?,
+            }),
+            other => Err(FrameError::Malformed(format!("unknown shape tag {other}"))),
         }
     }
 }
 
-fn read_shape(c: &mut Cursor<'_>) -> Result<ReportShape, FrameError> {
-    match c.read_u8()? {
-        SHAPE_BITS => Ok(ReportShape::Bits),
-        SHAPE_VALUE => Ok(ReportShape::Value),
-        SHAPE_HASHED => Ok(ReportShape::Hashed {
-            range: c.read_len("hash range")?,
-        }),
-        SHAPE_ITEM_SET => Ok(ReportShape::ItemSet {
-            k: c.read_len("item-set cardinality")?,
-        }),
-        other => Err(FrameError::Malformed(format!("unknown shape tag {other}"))),
+/// A top-k candidate: the item, then its estimate.
+impl Field for (u64, f64) {
+    const MIN_LEN: usize = 16;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn wire_len(&self) -> usize {
+        16
+    }
+    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+        Ok((u64::read(c, what)?, f64::read(c, what)?))
     }
 }
 
-/// Reads the `(total, offset)` header shared by the chunked reply frames.
-fn read_chunk_header(c: &mut Cursor<'_>) -> Result<(u64, u64), FrameError> {
-    Ok((c.read_u64()?, c.read_u64()?))
+/// A field whose every value takes exactly [`Field::MIN_LEN`] bytes.
+trait FixedWidth: Field {}
+impl FixedWidth for u64 {}
+impl FixedWidth for f64 {}
+impl FixedWidth for (u64, f64) {}
+
+/// A `u32` element count, then the elements. The count is checked against
+/// the payload left before anything is reserved, so the reservation is
+/// exact and never exceeds what the frame carries; the elements' bytes are
+/// then taken in one step and decoded from that slice.
+impl<T: FixedWidth> Field for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for x in self {
+            x.put(out);
+        }
+    }
+    fn wire_len(&self) -> usize {
+        4 + T::MIN_LEN * self.len()
+    }
+    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+        let count = c.read_count(what, T::MIN_LEN)?;
+        let mut elems = Cursor::new(c.take(count * T::MIN_LEN)?);
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(T::read(&mut elems, what)?);
+        }
+        Ok(out)
+    }
 }
 
-/// Rejects a chunk whose claimed span falls outside its own `total` —
-/// keeps non-contiguity the *only* invalid state a reassembling client
+/// The report batch: the hot path, written by hand over [`put_report`] and
+/// [`read_report`].
+impl Field for Vec<ReportData> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_reports(out, self).unwrap_or_else(|e| panic!("{e}"));
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(encoded_report_len).sum::<usize>()
+    }
+    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+        // Every report is at least 5 bytes on the wire (tag + the 4-byte
+        // count of an empty bits/item-set body). The reservation is
+        // additionally clamped: an in-memory `ReportData` is ~6× the
+        // minimum wire size, so trusting a hostile count even within the
+        // payload bound would reserve far more than the bytes received —
+        // the Vec grows to the true count as reports actually parse.
+        let count = c.read_count(what, 5)?;
+        let mut reports = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            reports.push(read_report(c)?);
+        }
+        Ok(reports)
+    }
+}
+
+/// Rejects a chunk reply whose claimed span falls outside its own `total`
+/// — keeps non-contiguity the *only* invalid state a reassembling client
 /// has to detect.
-fn check_chunk_bounds(what: &str, total: u64, offset: u64, count: usize) -> Result<(), FrameError> {
+fn check_chunk_bounds(frame: &Frame) -> Result<(), FrameError> {
+    let (what, total, offset, count) = match frame {
+        Frame::Snapshot {
+            total,
+            offset,
+            counts,
+            ..
+        } => ("snapshot chunk", *total, *offset, counts.len()),
+        Frame::EstimatesPart {
+            total,
+            offset,
+            estimates,
+            ..
+        } => ("estimates chunk", *total, *offset, estimates.len()),
+        _ => return Ok(()),
+    };
     let end = offset.checked_add(count as u64);
     if end.is_none_or(|end| end > total) {
         return Err(FrameError::Malformed(format!(
@@ -510,13 +628,6 @@ pub fn snapshot_reply_frames(users: u64, counts: &[u64]) -> Vec<Frame> {
         .collect()
 }
 
-/// Assembles header + payload.
-fn frame_bytes(tag: u8, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = frame_header(tag, payload.len());
-    out.extend_from_slice(&payload);
-    out
-}
-
 /// A frame's 5-byte header, in a buffer with room for its payload. The
 /// `u32` length prefix is a hard invariant (a 4 GiB frame is
 /// unconstructible through the public senders, which split or refuse
@@ -528,7 +639,7 @@ fn frame_header(tag: u8, payload_len: usize) -> Vec<u8> {
     );
     let mut out = Vec::with_capacity(5 + payload_len);
     out.push(tag);
-    put_u32(&mut out, payload_len as u32);
+    (payload_len as u32).put(&mut out);
     out
 }
 
@@ -538,7 +649,7 @@ fn frame_header(tag: u8, payload_len: usize) -> Vec<u8> {
 /// Why the first unencodable report cannot travel (see [`put_report`]);
 /// `out` then holds a partial payload and must be discarded.
 fn put_reports(out: &mut Vec<u8>, reports: &[ReportData]) -> Result<(), String> {
-    put_u32(out, reports.len() as u32);
+    (reports.len() as u32).put(out);
     for r in reports {
         put_report(out, r)?;
     }
@@ -598,29 +709,30 @@ fn put_report(out: &mut Vec<u8>, report: &ReportData) -> Result<(), String> {
                 ));
             }
             out.push(REPORT_BITS);
-            put_u32(out, bits.slots() as u32);
+            (bits.slots() as u32).put(out);
             bits.extend_le_bytes(out);
         }
         ReportData::Value(v) => {
             out.push(REPORT_VALUE);
-            put_u64(out, *v as u64);
+            (*v as u64).put(out);
         }
         ReportData::Hashed { seed, value } => {
             out.push(REPORT_HASHED);
-            put_u64(out, *seed);
-            put_u64(out, *value as u64);
+            seed.put(out);
+            (*value as u64).put(out);
         }
         ReportData::ItemSet(items) => {
             out.push(REPORT_ITEM_SET);
-            put_u32(out, items.len() as u32);
+            (items.len() as u32).put(out);
             for &item in items {
-                put_u64(out, item as u64);
+                (item as u64).put(out);
             }
         }
     }
     Ok(())
 }
 
+#[inline]
 fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
     match c.read_u8()? {
         REPORT_BITS => {
@@ -663,272 +775,91 @@ fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
     }
 }
 
-impl Frame {
-    fn tag(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => TAG_HELLO,
-            Frame::HelloAck { .. } => TAG_HELLO_ACK,
-            Frame::Reports(_) => TAG_REPORTS,
-            Frame::Ingested { .. } => TAG_INGESTED,
-            Frame::Busy { .. } => TAG_BUSY,
-            Frame::Query => TAG_QUERY,
-            Frame::Estimates { .. } => TAG_ESTIMATES,
-            Frame::TopKQuery { .. } => TAG_TOP_K_QUERY,
-            Frame::Candidates { .. } => TAG_CANDIDATES,
-            Frame::Checkpoint => TAG_CHECKPOINT,
-            Frame::CheckpointAck { .. } => TAG_CHECKPOINT_ACK,
-            Frame::Reject { .. } => TAG_REJECT,
-            Frame::SnapshotQuery => TAG_SNAPSHOT_QUERY,
-            Frame::Snapshot { .. } => TAG_SNAPSHOT,
-            Frame::EstimatesPart { .. } => TAG_ESTIMATES_PART,
-        }
-    }
+/// The frame table: each variant's tag and its fields in wire order. It
+/// is the payload grammar. `tag`, the payload encoder, the payload decoder
+/// and [`Frame::encoded_payload_len`] are all generated from it, so a field
+/// is declared once. A missing or misnamed field does not compile: the
+/// patterns name every field and the decoder builds the variant literally.
+/// Fields decode in the order listed, each through its [`Field`] impl,
+/// which the variant's field type selects.
+macro_rules! frame_table {
+    ($($tag:tt => $variant:ident $(($tuple:ident))? $({ $($field:ident),* })?,)*) => {
+        impl Frame {
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Frame::$variant { .. } => $tag,)*
+                }
+            }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Frame::Hello {
-                version,
-                kind,
-                shape,
-                report_len,
-                ldp_eps_bits,
-                tenant,
-            } => {
-                put_u32(&mut out, *version);
-                put_string(&mut out, kind);
-                put_shape(&mut out, *shape);
-                put_u64(&mut out, *report_len);
-                put_u64(&mut out, *ldp_eps_bits);
-                if *version >= PROTOCOL_VERSION {
-                    put_string(&mut out, tenant);
+            fn put_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Frame::$variant $(($tuple))? $({ $($field),* })? => {
+                        $($tuple.put(out);)?
+                        $($($field.put(out);)*)?
+                    })*
                 }
             }
-            Frame::Ingested { accepted: users }
-            | Frame::Busy { accepted: users }
-            | Frame::CheckpointAck { users } => put_u64(&mut out, *users),
-            Frame::HelloAck { users, run_line } => {
-                put_u64(&mut out, *users);
-                put_string(&mut out, run_line);
-            }
-            Frame::Reports(reports) => {
-                put_reports(&mut out, reports).unwrap_or_else(|e| panic!("{e}"))
-            }
-            Frame::Query | Frame::Checkpoint | Frame::SnapshotQuery => {}
-            Frame::Estimates { users, estimates } => {
-                put_u64(&mut out, *users);
-                put_u32(&mut out, estimates.len() as u32);
-                for e in estimates {
-                    put_u64(&mut out, e.to_bits());
-                }
-            }
-            Frame::TopKQuery { k } => put_u64(&mut out, *k),
-            Frame::Candidates { users, items } => {
-                put_u64(&mut out, *users);
-                put_u32(&mut out, items.len() as u32);
-                for (item, estimate) in items {
-                    put_u64(&mut out, *item);
-                    put_u64(&mut out, estimate.to_bits());
-                }
-            }
-            Frame::Reject { accepted, message } => {
-                put_u64(&mut out, *accepted);
-                put_string(&mut out, message);
-            }
-            Frame::Snapshot {
-                users,
-                total,
-                offset,
-                counts,
-            } => {
-                put_u64(&mut out, *users);
-                put_u64(&mut out, *total);
-                put_u64(&mut out, *offset);
-                put_u32(&mut out, counts.len() as u32);
-                for c in counts {
-                    put_u64(&mut out, *c);
-                }
-            }
-            Frame::EstimatesPart {
-                users,
-                total,
-                offset,
-                estimates,
-            } => {
-                put_u64(&mut out, *users);
-                put_u64(&mut out, *total);
-                put_u64(&mut out, *offset);
-                put_u32(&mut out, estimates.len() as u32);
-                for e in estimates {
-                    put_u64(&mut out, e.to_bits());
-                }
-            }
-        }
-        out
-    }
 
-    fn parse_payload(tag: u8, payload: &[u8]) -> Result<Frame, FrameError> {
-        let mut c = Cursor::new(payload);
-        let frame = match tag {
-            TAG_HELLO => {
-                let version = c.read_u32()?;
-                let kind = c.read_string("mechanism kind")?;
-                let shape = read_shape(&mut c)?;
-                let report_len = c.read_u64()?;
-                let ldp_eps_bits = c.read_u64()?;
-                // The tenant field exists only from v4 on; a v3 payload
-                // ends exactly here and maps to the default (empty) tenant.
-                let tenant = if version >= PROTOCOL_VERSION {
-                    c.read_string("tenant name")?
-                } else {
-                    String::new()
+            /// Exact byte length of this frame's payload, computed
+            /// arithmetically (the per-shape twin of [`encoded_report_len`])
+            /// — what [`Self::fits_one_frame`] uses so that sizing a reply
+            /// never builds and discards the actual payload bytes.
+            pub fn encoded_payload_len(&self) -> usize {
+                match self {
+                    $(Frame::$variant $(($tuple))? $({ $($field),* })? => {
+                        0 $(+ $tuple.wire_len())? $($(+ $field.wire_len())*)?
+                    })*
+                }
+            }
+
+            fn parse_payload(tag: u8, payload: &[u8]) -> Result<Frame, FrameError> {
+                let mut c = Cursor::new(payload);
+                let frame = match tag {
+                    $($tag => Frame::$variant
+                        $((Field::read(
+                            &mut c,
+                            concat!(stringify!($variant), ".", stringify!($tuple)),
+                        )?))?
+                        $({ $($field: Field::read(
+                            &mut c,
+                            concat!(stringify!($variant), ".", stringify!($field)),
+                        )?),* })?,)*
+                    other => return Err(FrameError::UnknownTag(other)),
                 };
-                Frame::Hello {
-                    version,
-                    kind,
-                    shape,
-                    report_len,
-                    ldp_eps_bits,
-                    tenant,
-                }
+                c.finish("frame payload")?;
+                check_chunk_bounds(&frame)?;
+                Ok(frame)
             }
-            TAG_HELLO_ACK => Frame::HelloAck {
-                users: c.read_u64()?,
-                run_line: c.read_string("run-identity line")?,
-            },
-            TAG_REPORTS => {
-                // Every report is at least 5 bytes on the wire (tag + the
-                // 4-byte count of an empty bits/item-set body). The
-                // reservation is additionally clamped: an in-memory
-                // `ReportData` is ~6× the minimum wire size, so trusting a
-                // hostile count even within the payload bound would
-                // reserve far more than the bytes received — the Vec
-                // grows to the true count as reports actually parse.
-                let count = c.read_count("report batch", 5)?;
-                let mut reports = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    reports.push(read_report(&mut c)?);
-                }
-                Frame::Reports(reports)
-            }
-            TAG_INGESTED => Frame::Ingested {
-                accepted: c.read_u64()?,
-            },
-            TAG_BUSY => Frame::Busy {
-                accepted: c.read_u64()?,
-            },
-            TAG_QUERY => Frame::Query,
-            TAG_ESTIMATES => {
-                let users = c.read_u64()?;
-                let count = c.read_count("estimate vector", 8)?;
-                let mut estimates = Vec::with_capacity(count);
-                for _ in 0..count {
-                    estimates.push(c.read_f64()?);
-                }
-                Frame::Estimates { users, estimates }
-            }
-            TAG_TOP_K_QUERY => Frame::TopKQuery { k: c.read_u64()? },
-            TAG_CANDIDATES => {
-                let users = c.read_u64()?;
-                let count = c.read_count("candidate list", 16)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let item = c.read_u64()?;
-                    items.push((item, c.read_f64()?));
-                }
-                Frame::Candidates { users, items }
-            }
-            TAG_CHECKPOINT => Frame::Checkpoint,
-            TAG_CHECKPOINT_ACK => Frame::CheckpointAck {
-                users: c.read_u64()?,
-            },
-            TAG_REJECT => Frame::Reject {
-                accepted: c.read_u64()?,
-                message: c.read_string("reject message")?,
-            },
-            TAG_SNAPSHOT_QUERY => Frame::SnapshotQuery,
-            TAG_SNAPSHOT => {
-                let users = c.read_u64()?;
-                let (total, offset) = read_chunk_header(&mut c)?;
-                let count = c.read_count("snapshot chunk", 8)?;
-                check_chunk_bounds("snapshot chunk", total, offset, count)?;
-                let mut counts = Vec::with_capacity(count);
-                for _ in 0..count {
-                    counts.push(c.read_u64()?);
-                }
-                Frame::Snapshot {
-                    users,
-                    total,
-                    offset,
-                    counts,
-                }
-            }
-            TAG_ESTIMATES_PART => {
-                let users = c.read_u64()?;
-                let (total, offset) = read_chunk_header(&mut c)?;
-                let count = c.read_count("estimates chunk", 8)?;
-                check_chunk_bounds("estimates chunk", total, offset, count)?;
-                let mut estimates = Vec::with_capacity(count);
-                for _ in 0..count {
-                    estimates.push(c.read_f64()?);
-                }
-                Frame::EstimatesPart {
-                    users,
-                    total,
-                    offset,
-                    estimates,
-                }
-            }
-            other => return Err(FrameError::UnknownTag(other)),
-        };
-        c.finish("frame payload")?;
-        Ok(frame)
-    }
+        }
+    };
+}
 
+frame_table! {
+    0x01 => Hello { version, kind, shape, report_len, ldp_eps_bits, tenant },
+    0x02 => HelloAck { users, run_line },
+    TAG_REPORTS => Reports(reports),
+    0x04 => Ingested { accepted },
+    0x05 => Busy { accepted },
+    0x06 => Query,
+    0x07 => Estimates { users, estimates },
+    0x08 => TopKQuery { k },
+    0x09 => Candidates { users, items },
+    0x0A => Checkpoint,
+    0x0B => CheckpointAck { users },
+    0x0C => Reject { accepted, message },
+    0x0D => SnapshotQuery,
+    0x0E => Snapshot { users, total, offset, counts },
+    0x0F => EstimatesPart { users, total, offset, estimates },
+}
+
+impl Frame {
     /// Encodes the frame — header and payload — into bytes.
     pub fn encode(&self) -> Vec<u8> {
-        frame_bytes(self.tag(), self.payload())
-    }
-
-    /// Exact byte length of this frame's payload, computed arithmetically
-    /// (the per-shape twin of [`encoded_report_len`]) — what
-    /// [`Self::fits_one_frame`] uses so that sizing a reply never builds
-    /// and discards the actual payload bytes.
-    pub fn encoded_payload_len(&self) -> usize {
-        fn shape_len(shape: ReportShape) -> usize {
-            match shape {
-                ReportShape::Hashed { .. } | ReportShape::ItemSet { .. } => 1 + 8,
-                ReportShape::Bits | ReportShape::Value => 1,
-            }
-        }
-        match self {
-            Frame::Hello {
-                version,
-                kind,
-                shape,
-                tenant,
-                ..
-            } => {
-                let tenant_len = if *version >= PROTOCOL_VERSION {
-                    4 + tenant.len()
-                } else {
-                    0
-                };
-                4 + (4 + kind.len()) + shape_len(*shape) + 8 + 8 + tenant_len
-            }
-            Frame::Ingested { .. }
-            | Frame::Busy { .. }
-            | Frame::CheckpointAck { .. }
-            | Frame::TopKQuery { .. } => 8,
-            Frame::HelloAck { run_line, .. } => 8 + 4 + run_line.len(),
-            Frame::Reports(reports) => 4 + reports.iter().map(encoded_report_len).sum::<usize>(),
-            Frame::Query | Frame::Checkpoint | Frame::SnapshotQuery => 0,
-            Frame::Estimates { estimates, .. } => 8 + 4 + 8 * estimates.len(),
-            Frame::Candidates { items, .. } => 8 + 4 + 16 * items.len(),
-            Frame::Reject { message, .. } => 8 + 4 + message.len(),
-            Frame::Snapshot { counts, .. } => 8 + 8 + 8 + 4 + 8 * counts.len(),
-            Frame::EstimatesPart { estimates, .. } => 8 + 8 + 8 + 4 + 8 * estimates.len(),
-        }
+        let len = self.encoded_payload_len();
+        let mut out = frame_header(self.tag(), len);
+        self.put_payload(&mut out);
+        debug_assert_eq!(out.len(), 5 + len, "encoded_payload_len drifted");
+        out
     }
 
     /// `true` when this frame's payload fits under [`MAX_PAYLOAD_LEN`] —
@@ -1157,13 +1088,6 @@ impl FrameAssembler {
         }
     }
 
-    /// `true` when the stream stopped inside a frame — an EOF now is a
-    /// truncation (the blocking reader's [`FrameError::Truncated`]), not
-    /// a clean close.
-    pub fn mid_frame(&self) -> bool {
-        !matches!(self.state, AssemblerState::Header { len: 0, .. })
-    }
-
     /// The typed error an EOF at this point amounts to: `None` at a frame
     /// boundary (clean close), [`FrameError::Truncated`] mid-frame. This
     /// is what [`Frame::read_from`] returns at EOF.
@@ -1222,16 +1146,6 @@ mod tests {
             ldp_eps_bits: 2.0f64.to_bits(),
             tenant: String::new(),
         });
-        // A legacy v3 Hello has no tenant field on the wire; it decodes
-        // back to the empty (default) tenant and round-trips bytewise.
-        round_trip(Frame::Hello {
-            version: LEGACY_PROTOCOL_VERSION,
-            kind: "oue".into(),
-            shape: ReportShape::Bits,
-            report_len: 20,
-            ldp_eps_bits: 1.0f64.to_bits(),
-            tenant: String::new(),
-        });
         round_trip(Frame::HelloAck {
             users: 12,
             run_line: "run idldp-serve kind=idue shape=bits report_len=64 ldp_eps=1.25".into(),
@@ -1275,52 +1189,128 @@ mod tests {
         });
     }
 
-    /// The v4 tenant field cannot disturb the v3 byte layout: a v3
-    /// `Hello` encoded by this codec is byte-identical to the hand-built
-    /// pre-tenancy layout (version, kind, shape, width, ε — nothing
-    /// after), and those bytes decode to the default (empty) tenant.
+    /// Hex with optional spaces (one field per group) to bytes.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The wire gate: every frame kind, every `ReportShape` and every
+    /// report kind against literal bytes. Round-trips cannot see a layout
+    /// change that the encoder and decoder agree on; these bytes can.
     #[test]
-    fn v3_hello_bytes_are_unchanged_by_the_tenant_field() {
-        let kind = "oue";
-        let mut payload = Vec::new();
-        put_u32(&mut payload, LEGACY_PROTOCOL_VERSION);
-        put_string(&mut payload, kind);
-        put_shape(&mut payload, ReportShape::Bits);
-        put_u64(&mut payload, 20);
-        put_u64(&mut payload, 1.0f64.to_bits());
-        let legacy_bytes = frame_bytes(TAG_HELLO, payload);
-
-        let hello = Frame::Hello {
-            version: LEGACY_PROTOCOL_VERSION,
-            kind: kind.into(),
-            shape: ReportShape::Bits,
-            report_len: 20,
-            ldp_eps_bits: 1.0f64.to_bits(),
-            tenant: String::new(),
-        };
-        assert_eq!(hello.encode(), legacy_bytes, "v3 encode drifted");
-        assert_eq!(Frame::decode(&legacy_bytes).unwrap(), hello);
-
-        // And a v4 Hello is the same prefix plus exactly the tenant
-        // string — nothing reordered.
-        let v4 = Frame::Hello {
+    fn every_frame_kind_has_pinned_bytes() {
+        let hello = |kind: &str, shape, report_len, eps: f64, tenant: &str| Frame::Hello {
             version: PROTOCOL_VERSION,
             kind: kind.into(),
-            shape: ReportShape::Bits,
-            report_len: 20,
-            ldp_eps_bits: 1.0f64.to_bits(),
-            tenant: "alpha".into(),
+            shape,
+            report_len,
+            ldp_eps_bits: eps.to_bits(),
+            tenant: tenant.into(),
         };
-        let v4_bytes = v4.encode();
-        let legacy_payload = &legacy_bytes[5..];
-        // Same fields after the version word, in the same order...
-        assert_eq!(
-            &v4_bytes[5 + 4..5 + legacy_payload.len()],
-            &legacy_payload[4..],
-            "the v4 payload must extend the v3 layout, not reorder it"
-        );
-        // ...with the tenant string appended at the very end.
-        assert_eq!(&v4_bytes[v4_bytes.len() - 5..], b"alpha");
+        let cases = [
+            (
+                hello("oue", ReportShape::Bits, 20, 1.0, ""),
+                "01 20000000 04000000 03000000 6f7565 00 1400000000000000 \
+                 000000000000f03f 00000000",
+            ),
+            (
+                hello("grr", ReportShape::Value, 16, 1.25, "ads"),
+                "01 23000000 04000000 03000000 677272 01 1000000000000000 \
+                 000000000000f43f 03000000 616473",
+            ),
+            (
+                hello("olh", ReportShape::Hashed { range: 7 }, 64, 2.0, "t"),
+                "01 29000000 04000000 03000000 6f6c68 02 0700000000000000 \
+                 4000000000000000 0000000000000040 01000000 74",
+            ),
+            (
+                hello("ss", ReportShape::ItemSet { k: 3 }, 16, 0.5, ""),
+                "01 27000000 04000000 02000000 7373 03 0300000000000000 \
+                 1000000000000000 000000000000e03f 00000000",
+            ),
+            (
+                Frame::HelloAck {
+                    users: 12,
+                    run_line: "run".into(),
+                },
+                "02 0f000000 0c00000000000000 03000000 72756e",
+            ),
+            (
+                Frame::Reports(vec![
+                    bit_report(&[1, 0, 1, 1, 0, 0, 0, 1, 1]),
+                    ReportData::Value(3),
+                    ReportData::Hashed { seed: 9, value: 2 },
+                    ReportData::ItemSet(vec![0, 5]),
+                ]),
+                "03 3a000000 04000000 00 09000000 8d01 01 0300000000000000 \
+                 02 0900000000000000 0200000000000000 \
+                 03 02000000 0000000000000000 0500000000000000",
+            ),
+            (
+                Frame::Ingested { accepted: 1024 },
+                "04 08000000 0004000000000000",
+            ),
+            (Frame::Busy { accepted: 7 }, "05 08000000 0700000000000000"),
+            (Frame::Query, "06 00000000"),
+            (
+                Frame::Estimates {
+                    users: 5,
+                    estimates: vec![0.25, -1.5],
+                },
+                "07 1c000000 0500000000000000 02000000 000000000000d03f 000000000000f8bf",
+            ),
+            (Frame::TopKQuery { k: 5 }, "08 08000000 0500000000000000"),
+            (
+                Frame::Candidates {
+                    users: 100,
+                    items: vec![(3, 0.5), (1, 0.25)],
+                },
+                "09 2c000000 6400000000000000 02000000 0300000000000000 000000000000e03f \
+                 0100000000000000 000000000000d03f",
+            ),
+            (Frame::Checkpoint, "0a 00000000"),
+            (
+                Frame::CheckpointAck { users: 42 },
+                "0b 08000000 2a00000000000000",
+            ),
+            (
+                Frame::Reject {
+                    accepted: 3,
+                    message: "no".into(),
+                },
+                "0c 0e000000 0300000000000000 02000000 6e6f",
+            ),
+            (Frame::SnapshotQuery, "0d 00000000"),
+            (
+                Frame::Snapshot {
+                    users: 9,
+                    total: 10,
+                    offset: 4,
+                    counts: vec![1, 7],
+                },
+                "0e 2c000000 0900000000000000 0a00000000000000 0400000000000000 02000000 \
+                 0100000000000000 0700000000000000",
+            ),
+            (
+                Frame::EstimatesPart {
+                    users: 9,
+                    total: 6,
+                    offset: 2,
+                    estimates: vec![0.5],
+                },
+                "0f 24000000 0900000000000000 0600000000000000 0200000000000000 01000000 \
+                 000000000000e03f",
+            ),
+        ];
+        for (frame, hex) in cases {
+            let bytes = unhex(hex);
+            assert_eq!(frame.encode(), bytes, "encode of {frame:?}");
+            assert_eq!(Frame::decode(&bytes).unwrap(), frame, "decode of {hex}");
+        }
     }
 
     #[test]
@@ -1359,7 +1349,7 @@ mod tests {
 
     #[test]
     fn oversized_and_unknown_are_rejected() {
-        let mut oversized = vec![TAG_QUERY];
+        let mut oversized = vec![0x06]; // Query
         oversized.extend_from_slice(&(MAX_PAYLOAD_LEN as u32 + 1).to_le_bytes());
         assert!(matches!(
             Frame::decode(&oversized),
@@ -1394,7 +1384,7 @@ mod tests {
         // reader reports exactly what arrived (it buffers incrementally —
         // a stalling peer cannot make it hold a length-prefix-sized
         // allocation).
-        let mut bytes = vec![TAG_REJECT];
+        let mut bytes = vec![0x0C]; // Reject
         bytes.extend_from_slice(&100u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 10]);
         let mut cursor = std::io::Cursor::new(bytes);
@@ -1591,7 +1581,11 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
-        assert!(!asm.mid_frame(), "stream ended at a frame boundary");
+        assert_eq!(
+            asm.eof_truncation(),
+            None,
+            "stream ended at a frame boundary"
+        );
         assert_eq!(asm.buffered_bytes(), 0);
     }
 
@@ -1745,7 +1739,7 @@ mod tests {
         drip.extend_from_slice(&[0u8; 10]);
         let mut asm = FrameAssembler::new();
         asm.feed(&drip).unwrap();
-        assert!(asm.mid_frame());
+        assert!(asm.eof_truncation().is_some());
         assert_eq!(asm.buffered_bytes(), 15);
     }
 }

@@ -38,8 +38,8 @@
 //! A server hosts one or more *tenants* — fully independent (mechanism,
 //! ε) streams with per-tenant accumulators, ingest queues, and
 //! checkpoints. The mechanism passed to [`ReportServer::start`] serves
-//! the default tenant; [`server::TenantConfig`] adds more, and a v4
-//! `Hello` selects one by name (v3 clients land on the default tenant).
+//! the default tenant; [`server::TenantConfig`] adds more, and the
+//! `Hello` selects one by name (an empty name selects the default).
 //!
 //! ```no_run
 //! use idldp_core::budget::Epsilon;
@@ -81,8 +81,8 @@ pub use client::{ClientError, PushOutcome, Query, Reply, ReportClient, MAX_STALL
 pub use conn::{check_hello, encode_reply, hello_tenant};
 pub use frame::{
     encode_reports_frame, encoded_report_len, estimates_reply_frames, snapshot_reply_frames, Frame,
-    FrameAssembler, FrameError, CHUNK_ELEMS, LEGACY_PROTOCOL_VERSION, MAX_BIT_REPORT_SLOTS,
-    MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+    FrameAssembler, FrameError, CHUNK_ELEMS, MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN,
+    PROTOCOL_VERSION,
 };
 pub use queue::{IngestQueue, PushRefusal, WaitOutcome};
 pub use server::{

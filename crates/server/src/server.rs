@@ -288,8 +288,8 @@ impl ServerConfigBuilder {
 
     /// Adds a tenant (stream) alongside the default tenant, which is
     /// always present and served by the mechanism passed to
-    /// [`ReportServer::start`]. A v4 `Hello` selects a tenant by name;
-    /// v3 clients land on the default tenant.
+    /// [`ReportServer::start`]. The `Hello` selects a tenant by name; a
+    /// client that names none lands on the default tenant.
     #[must_use]
     pub fn tenant(mut self, tenant: TenantConfig) -> Self {
         self.config.tenants.push(tenant);
@@ -404,8 +404,7 @@ impl Shared {
     }
 
     /// Resolves a `Hello`'s tenant name to a registry index. The empty
-    /// name (every v3 client, and a v4 client that names no tenant) maps
-    /// to the default tenant.
+    /// name (a client that names no tenant) maps to the default tenant.
     ///
     /// # Errors
     /// A client-visible reject message naming the unknown tenant and the

@@ -275,8 +275,7 @@ proptest! {
             prev = cut;
         }
         prop_assert_eq!(got, frames);
-        prop_assert!(!asm.mid_frame(), "stream must end at a frame boundary");
-        prop_assert_eq!(asm.eof_truncation(), None);
+        prop_assert_eq!(asm.eof_truncation(), None, "stream must end at a frame boundary");
     }
 
     /// Over any prefix of a frame sequence, with a reader that hands out

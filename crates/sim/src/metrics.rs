@@ -27,33 +27,6 @@ pub fn squared_error_on(estimate: &[f64], truth: &[f64], items: &[usize]) -> f64
         .sum()
 }
 
-/// Maximum absolute per-item error.
-pub fn max_abs_error(estimate: &[f64], truth: &[f64]) -> f64 {
-    estimate
-        .iter()
-        .zip(truth)
-        .map(|(e, t)| (e - t).abs())
-        .fold(0.0, f64::max)
-}
-
-/// Average relative error over items whose true count is at least `floor`
-/// (items with tiny truth make relative error meaningless).
-pub fn mean_relative_error(estimate: &[f64], truth: &[f64], floor: f64) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (e, t) in estimate.iter().zip(truth) {
-        if *t >= floor {
-            total += (e - t).abs() / t;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,20 +42,5 @@ mod tests {
         let truth = [0.0, 5.0, 8.0];
         assert_eq!(squared_error_on(&est, &truth, &[0, 2]), 1.0 + 4.0);
         assert_eq!(squared_error_on(&est, &truth, &[]), 0.0);
-    }
-
-    #[test]
-    fn max_error() {
-        assert_eq!(max_abs_error(&[1.0, -2.0], &[0.0, 2.0]), 4.0);
-        assert_eq!(max_abs_error(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn relative_error_floor() {
-        let est = [110.0, 1.0];
-        let truth = [100.0, 0.0];
-        // Item 1 has truth 0 → excluded by floor.
-        assert!((mean_relative_error(&est, &truth, 1.0) - 0.1).abs() < 1e-12);
-        assert_eq!(mean_relative_error(&est, &truth, 1000.0), 0.0);
     }
 }

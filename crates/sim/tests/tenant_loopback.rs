@@ -14,8 +14,8 @@
 //!   refused with the same typed reject a single-tenant server sends;
 //!   a `Hello` naming a tenant the server does not host is refused by
 //!   name.
-//! * A protocol-v3 `Hello` (no tenant field on the wire at all) lands on
-//!   the default tenant, byte-compatible with pre-tenancy clients.
+//! * A protocol-v3 `Hello` (no tenant field on the wire at all) draws a
+//!   typed handshake `Reject` and is never counted: v3 is retired.
 //! * Backpressure is per tenant: with folding frozen, a hot tenant with
 //!   a small ingest queue answers `Busy` while the default tenant keeps
 //!   accepting — and after resuming, both converge to their exact batch
@@ -26,14 +26,14 @@
 
 use idldp_core::budget::Epsilon;
 use idldp_core::grr::GeneralizedRandomizedResponse;
-use idldp_core::identity::{RunIdentity, TenantId};
+use idldp_core::identity::TenantId;
 use idldp_core::mechanism::{BatchMechanism, InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
-use idldp_core::report::ReportData;
+use idldp_core::report::{ReportData, ReportShape};
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
     ClientError, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig, ServerConfigBuilder,
-    TenantConfig, LEGACY_PROTOCOL_VERSION,
+    TenantConfig,
 };
 use idldp_sim::stream::SeededReportStream;
 use idldp_sim::SimulationPipeline;
@@ -270,12 +270,11 @@ fn wrong_and_unknown_tenants_draw_typed_rejects() {
     server.shutdown();
 }
 
-/// The compatibility half of the handshake redesign: a protocol-v3
-/// `Hello` — whose wire bytes carry no tenant field at all — lands on
-/// the default tenant of a multi-tenant server, exactly as it did
-/// against a pre-tenancy server.
+/// Protocol v3 is retired. A pre-tenancy `Hello` has no tenant field on
+/// the wire, so it does not decode: the server answers it with the typed
+/// handshake refusal, never acks it, and no tenant counts anything.
 #[test]
-fn a_v3_hello_lands_on_the_default_tenant() {
+fn a_v3_hello_draws_a_typed_reject() {
     let streams = three_streams();
     let server = ReportServer::start(
         Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
@@ -283,65 +282,45 @@ fn a_v3_hello_lands_on_the_default_tenant() {
     )
     .unwrap();
 
+    // The v3 layout by hand: version, kind, shape, width and ε bits, with
+    // nothing after. OUE's bit shape is the single shape byte 0.
     let mechanism = streams[0].mechanism.as_ref();
-    // `Frame::Hello` omits the tenant from the encoding whenever the
-    // version predates tenancy, so this writes byte-exact v3 frames.
-    let hello = Frame::Hello {
-        version: LEGACY_PROTOCOL_VERSION,
-        kind: mechanism.kind().to_string(),
-        shape: mechanism.report_shape(),
-        report_len: mechanism.report_len() as u64,
-        ldp_eps_bits: mechanism.ldp_epsilon().to_bits(),
-        tenant: String::new(),
-    };
-    let mut socket = TcpStream::connect(server.local_addr()).unwrap();
-    socket.write_all(&hello.encode()).unwrap();
-    let run_line = match Frame::read_from(&mut socket).unwrap() {
-        Some(Frame::HelloAck { users, run_line }) => {
-            assert_eq!(users, 0);
-            run_line
-        }
-        other => panic!("v3 handshake drew {other:?}"),
-    };
-    let identity: RunIdentity = run_line.parse().unwrap();
-    assert_eq!(
-        identity.kind(),
-        mechanism.kind(),
-        "the ack is the default tenant's identity"
-    );
+    assert_eq!(mechanism.report_shape(), ReportShape::Bits);
+    let kind = mechanism.kind();
+    let mut payload = 3u32.to_le_bytes().to_vec();
+    payload.extend_from_slice(&(kind.len() as u32).to_le_bytes());
+    payload.extend_from_slice(kind.as_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&(mechanism.report_len() as u64).to_le_bytes());
+    payload.extend_from_slice(&mechanism.ldp_epsilon().to_bits().to_le_bytes());
+    let mut hello = vec![0x01];
+    hello.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    hello.extend_from_slice(&payload);
 
-    // Reports over the v3 connection fold into the default tenant
-    // and only the default tenant.
-    let chunk = &streams[0].wire_chunks()[0];
-    socket
-        .write_all(&Frame::Reports(chunk.clone()).encode())
-        .unwrap();
+    let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+    socket.write_all(&hello).unwrap();
     match Frame::read_from(&mut socket).unwrap() {
-        Some(Frame::Ingested { accepted }) => assert_eq!(accepted, chunk.len() as u64),
-        other => panic!("v3 reports drew {other:?}"),
+        Some(Frame::Reject {
+            accepted: 0,
+            message,
+        }) => assert!(message.starts_with("handshake: "), "{message}"),
+        other => panic!("v3 handshake drew {other:?}"),
     }
-    socket.write_all(&Frame::Query.encode()).unwrap();
-    match Frame::read_from(&mut socket).unwrap() {
-        Some(Frame::Estimates { users, .. }) => {
-            assert_eq!(users, chunk.len() as u64)
-        }
-        other => panic!("v3 query drew {other:?}"),
-    }
-    for stream in &streams[1..] {
+    assert!(
+        !matches!(Frame::read_from(&mut socket), Ok(Some(_))),
+        "the refused connection must close without another frame"
+    );
+    for stream in &streams {
         assert_eq!(
             server.num_users_for(&stream.tenant).unwrap(),
             0,
-            "{}: v3 traffic must not leak into named tenants",
+            "{}: a v3 connection must count nothing",
             stream.tenant
         );
     }
     server.shutdown();
 }
 
-/// Backpressure isolation: each tenant has its own bounded ingest queue,
-/// so a hot tenant filling a small queue draws `Busy` while the default
-/// tenant keeps accepting — and once folding resumes, both converge to
-/// their exact batch answers through the client retry loop.
 #[test]
 fn a_busy_tenant_does_not_starve_another() {
     let streams = three_streams();

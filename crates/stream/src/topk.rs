@@ -386,11 +386,6 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
     pub fn restore_from_checkpoint_str(&mut self, text: &str) -> Result<()> {
         self.restore(&AccumulatorSnapshot::from_checkpoint_str(text)?)
     }
-
-    /// Consumes the tracker, returning the wrapped sink.
-    pub fn into_sink(self) -> ShardedAccumulator<A> {
-        self.sink
-    }
 }
 
 #[cfg(test)]
