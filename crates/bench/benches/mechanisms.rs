@@ -249,49 +249,6 @@ fn bench_aggregate_fold(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batched_vs_sequential(c: &mut Criterion) {
-    // The fold-engine win in isolation: a cold accumulator per iteration
-    // folds the same 1k reports either one `accumulate` call at a time
-    // (the pre-batch ingest path) or through a single `accumulate_batch`.
-    // Cold means every OLH seed misses the preimage cache, as fresh-seed
-    // traffic always does, so the batched OLH fold pays cache bookkeeping
-    // on top of the same O(m) hash passes.
-    // Subset selection wins even cold (scratch-row validation beats
-    // sorting a copy of every set).
-    let mut group = c.benchmark_group("aggregate/batched-vs-sequential");
-    group.sample_size(10);
-    for name in ["olh", "ss"] {
-        let m = 1000usize;
-        let mech = build(name, m, 0);
-        let mut rng = stream_rng(4, 0);
-        let reports: Vec<_> = (0..1000)
-            .map(|i| mech.perturb_data(Input::Item(i % m), &mut rng).unwrap())
-            .collect();
-        let views: Vec<_> = reports.iter().map(|r| r.as_report()).collect();
-        group.bench_with_input(BenchmarkId::new(&format!("{name}-seq"), m), &m, |b, _| {
-            b.iter(|| {
-                let mut acc = ShapedAccumulator::for_mechanism(mech.as_ref());
-                for r in &reports {
-                    acc.accumulate(r.as_report()).unwrap();
-                }
-                black_box(acc.num_users())
-            });
-        });
-        group.bench_with_input(
-            BenchmarkId::new(&format!("{name}-batched"), m),
-            &m,
-            |b, _| {
-                b.iter(|| {
-                    let mut acc = ShapedAccumulator::for_mechanism(mech.as_ref());
-                    acc.accumulate_batch(&views).unwrap();
-                    black_box(acc.num_users())
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Scratch directory for checkpoint benches: tmpfs when the host has it,
 /// so the measurements are serialization + layout, not disk latency.
 fn bench_dir() -> PathBuf {
@@ -437,7 +394,6 @@ criterion_group!(
     bench_compact_wire_emission,
     bench_frame_reports,
     bench_aggregate_fold,
-    bench_batched_vs_sequential,
     bench_checkpoint_write,
     bench_checkpoint_restore
 );

@@ -1,9 +1,9 @@
 //! `idldp ingest` — serve-style streaming aggregation.
 //!
-//! Consumes a seeded report stream in chunks through a
-//! [`ShardedAccumulator`] and emits calibrated estimates at a fixed
-//! cadence, the way an online ID-LDP collector would serve a dashboard.
-//! The stream is the deterministic [`SeededReportStream`] over a synthetic
+//! Folds a seeded report stream into a [`ShardedAccumulator`] one chunk
+//! at a time, each chunk as one batch on one shard, and emits calibrated
+//! estimates at a fixed cadence, the way an online ID-LDP collector would
+//! serve a dashboard. The stream is the deterministic [`SeededReportStream`] over a synthetic
 //! population (the report-transport twin of `idldp simulate`), so every run
 //! is reproducible, and — by the streaming conformance contract — its final
 //! counts are bit-identical to a batch `SimulationPipeline` run of the same
@@ -13,8 +13,9 @@
 //!
 //! With `--top-k K` (or `--threshold T`) the sink is wrapped in a
 //! [`HeavyHitterTracker`]: every `--track-every` reports the tracker runs
-//! its snapshot → prune → re-estimate cycle, and each emission prints the
-//! evolving candidate set alongside the periodic estimates. The final
+//! its snapshot → prune → re-estimate cycle (splitting a chunk at those
+//! boundaries), and each emission prints the evolving candidate set
+//! alongside the periodic estimates. The final
 //! candidate line is identical to what batch `identify_top_k` /
 //! `identify_above` would report over the full population (the
 //! `topk_conformance` suite proves this).
@@ -200,9 +201,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     loop {
         let ingested = match &mut sink {
             Sink::Plain(sharded) => stream.ingest_chunk(sharded).map_err(|e| e.to_string())?,
-            Sink::Tracked(tracker) => stream
-                .next_chunk_with(|report| tracker.push(report).map(|_| ()))
-                .map_err(|e| e.to_string())?,
+            Sink::Tracked(tracker) => stream.track_chunk(tracker).map_err(|e| e.to_string())?,
         };
         since_emit += ingested;
         let done = ingested == 0;

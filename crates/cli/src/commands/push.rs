@@ -98,18 +98,12 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     );
     let mut pushed = 0usize;
     loop {
-        let mut batch = Vec::with_capacity(chunk);
-        let got = stream
-            .next_chunk_with(|report| {
-                batch.push(report.to_data());
-                Ok(())
-            })
-            .map_err(|e| e.to_string())?;
-        if got == 0 {
+        let batch = stream.next_chunk().map_err(|e| e.to_string())?;
+        if batch.is_empty() {
             break;
         }
         client.push_all(&batch).map_err(|e| e.to_string())?;
-        pushed += got;
+        pushed += batch.len();
     }
     println!(
         "push: pushed {pushed} users ({} busy retries)",

@@ -5,8 +5,8 @@
 //! report), and hashed reports evaluate [`hash_bucket`] over the whole item
 //! domain (`m` hashes per report). This module provides the primitives that
 //! turn a *batch* of reports into word operations and make the one
-//! unavoidable hash pass cheap; `idldp-stream`'s `accumulate_batch`
-//! specializations build on them:
+//! unavoidable hash pass cheap; the `accumulate_batch` folds of
+//! `idldp-stream`'s accumulators build on them:
 //!
 //! * [`HashedFold`] — the one domain-wide hash loop of a `(seed, value)`
 //!   report: it hashes the seed across the item domain in a single pass
@@ -361,6 +361,7 @@ pub struct BitPlanes {
     planes: Vec<u64>,
     words: usize,
     slots: usize,
+    /// Rows added since the last spill (always ≤ 255).
     pending: u32,
 }
 
@@ -387,11 +388,6 @@ impl BitPlanes {
     /// Number of slots counted per row.
     pub fn slots(&self) -> usize {
         self.slots
-    }
-
-    /// Rows added since the last spill (always ≤ 255).
-    pub fn pending_rows(&self) -> u32 {
-        self.pending
     }
 
     /// Adds one packed 0/1 row (as produced by [`pack_bits_row`], the
@@ -789,11 +785,11 @@ mod tests {
             }
             pack_bits_row(&bits, &mut row).unwrap();
             planes.add_row(&row, &mut counts);
-            assert!(planes.pending_rows() <= BitPlanes::MAX_PENDING_ROWS);
+            assert!(planes.pending <= BitPlanes::MAX_PENDING_ROWS);
         }
         planes.spill_into(&mut counts);
         assert_eq!(counts, want);
-        assert_eq!(planes.pending_rows(), 0);
+        assert_eq!(planes.pending, 0);
         // A second spill is a no-op.
         planes.spill_into(&mut counts);
         assert_eq!(counts, want);

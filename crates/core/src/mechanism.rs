@@ -135,7 +135,7 @@ impl CountAccumulator {
     /// # Errors
     /// Returns an error if the report length differs from the accumulator
     /// width (the same typed contract as the streaming
-    /// `ReportAccumulator::accumulate` in `idldp-stream`); nothing is
+    /// `ReportAccumulator::accumulate_batch` in `idldp-stream`); nothing is
     /// counted on failure.
     pub fn accumulate_report(&mut self, report: &[u8]) -> Result<()> {
         if report.len() != self.counts.len() {

@@ -13,7 +13,8 @@
 //!   [`crate::mechanism::Mechanism::report_shape`] and used by servers to
 //!   pick the matching accumulator.
 //! * [`Report`] — one borrowed report in any shape: the type every
-//!   accumulator ingests (`idldp-stream`'s `ReportAccumulator::accumulate`).
+//!   accumulator ingests (`idldp-stream`'s
+//!   `ReportAccumulator::accumulate_batch` takes a slice of them).
 //! * [`ReportData`] — the owned twin, produced by
 //!   [`crate::mechanism::Mechanism::perturb_data`]; what a transport would
 //!   serialize.
@@ -375,20 +376,6 @@ impl PackedBits {
         Ok(packed)
     }
 
-    /// Re-packs `slots` in place, reusing the word storage when the slot
-    /// count is unchanged: the allocation-free twin of
-    /// [`PackedBits::from_slots`] for a caller packing report after report.
-    ///
-    /// # Errors
-    /// As [`PackedBits::from_slots`]; the report then holds unspecified,
-    /// still well-formed, bits.
-    pub fn repack(&mut self, slots: &[u8]) -> Result<()> {
-        if self.slots() != slots.len() {
-            *self = Self::zeroed(slots.len())?;
-        }
-        pack_bits_row(slots, self.words_mut())
-    }
-
     /// Reads `slots` slots from `⌈slots/8⌉` little-endian bytes, slot `i`
     /// at bit `i % 8` of byte `i / 8`: the packed wire form.
     ///
@@ -693,7 +680,6 @@ mod tests {
 
     #[test]
     fn packed_bits_fold_and_round_trip_like_their_slots() {
-        let mut reused = PackedBits::default();
         for slots in random_rows() {
             let m = slots.len();
             let packed = PackedBits::from_slots(&slots).unwrap();
@@ -715,9 +701,6 @@ mod tests {
             packed.extend_le_bytes(&mut bytes);
             assert_eq!(bytes.len(), m.div_ceil(8));
             assert_eq!(PackedBits::from_le_bytes(m, &bytes).unwrap(), packed);
-
-            reused.repack(&slots).unwrap();
-            assert_eq!(reused, packed, "m={m}");
         }
     }
 

@@ -189,19 +189,6 @@ impl AccumulatorSnapshot {
         Ok(snapshot)
     }
 
-    /// Writes this snapshot (plus optional trailing metadata lines, e.g. a
-    /// run-identity stamp) to `path` via [`write_checkpoint_atomic`].
-    ///
-    /// # Errors
-    /// Propagates filesystem errors from the temp-file write or the rename.
-    pub fn write_checkpoint(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        trailer: &str,
-    ) -> std::io::Result<()> {
-        write_checkpoint_atomic(path, &format!("{}{trailer}", self.to_checkpoint_string()))
-    }
-
     /// FNV-1a over the user count and the count vector, little-endian.
     fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf29ce484222325;
@@ -289,6 +276,18 @@ pub fn write_checkpoint_atomic(
 mod tests {
     use super::*;
 
+    /// A flat checkpoint file: the snapshot, then `trailer`.
+    fn write(
+        snapshot: &AccumulatorSnapshot,
+        path: &std::path::Path,
+        trailer: &str,
+    ) -> std::io::Result<()> {
+        write_checkpoint_atomic(
+            path,
+            &format!("{}{trailer}", snapshot.to_checkpoint_string()),
+        )
+    }
+
     /// Test-only fault injection for [`write_checkpoint_atomic`]: flipping
     /// the flag makes the next sync step fail, standing in for an fsync
     /// error (full disk, dying device) that is otherwise impossible to
@@ -372,7 +371,7 @@ mod tests {
 
         // First write lands whole and parses back.
         let first = AccumulatorSnapshot::new(vec![1, 2, 3], 6).unwrap();
-        first.write_checkpoint(&path, "run test-stamp\n").unwrap();
+        write(&first, &path, "run test-stamp\n").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.ends_with("run test-stamp\n"));
         assert_eq!(
@@ -386,7 +385,7 @@ mod tests {
         // pre-atomic plain `fs::write`, which could tear on crash: the
         // visible file is only ever a complete payload).
         let second = AccumulatorSnapshot::new(vec![9, 9, 9], 12).unwrap();
-        second.write_checkpoint(&path, "").unwrap();
+        write(&second, &path, "").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             AccumulatorSnapshot::from_checkpoint_str(&text).unwrap(),
@@ -402,12 +401,12 @@ mod tests {
         let path_b = path.clone();
         let ta = std::thread::spawn(move || {
             for _ in 0..50 {
-                a.write_checkpoint(&path_a, "").unwrap();
+                write(&a, &path_a, "").unwrap();
             }
         });
         let tb = std::thread::spawn(move || {
             for _ in 0..50 {
-                b.write_checkpoint(&path_b, "").unwrap();
+                write(&b, &path_b, "").unwrap();
             }
         });
         ta.join().unwrap();
@@ -420,12 +419,12 @@ mod tests {
         );
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         // Re-establish a known state (either writer may have won above).
-        second.write_checkpoint(&path, "").unwrap();
+        write(&second, &path, "").unwrap();
 
         // A failed write (unwritable directory) must not touch the
         // existing checkpoint.
         let bogus = dir.join("missing-subdir").join("state.ckpt");
-        assert!(first.write_checkpoint(&bogus, "").is_err());
+        assert!(write(&first, &bogus, "").is_err());
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             AccumulatorSnapshot::from_checkpoint_str(&text).unwrap(),
@@ -445,7 +444,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.ckpt");
         let snap = AccumulatorSnapshot::new(vec![4, 4], 2).unwrap();
-        snap.write_checkpoint(&path, "").unwrap();
+        write(&snap, &path, "").unwrap();
 
         let tmp_count = || {
             std::fs::read_dir(&dir)
@@ -463,7 +462,7 @@ mod tests {
         // A write-path failure (injected at the fsync step) must clean up
         // its temp file and leave the previous checkpoint untouched.
         fault::set_fail_sync(true);
-        let err = snap.write_checkpoint(&path, "").unwrap_err();
+        let err = write(&snap, &path, "").unwrap_err();
         fault::set_fail_sync(false);
         assert!(err.to_string().contains("injected fsync failure"));
         assert_eq!(tmp_count(), 0, "failed write must not leave a .tmp file");
@@ -479,7 +478,7 @@ mod tests {
         // makes the rename fail after a successful write + fsync.
         let blocked = dir.join("blocked");
         std::fs::create_dir_all(blocked.join("occupier")).unwrap();
-        assert!(snap.write_checkpoint(&blocked, "").is_err());
+        assert!(write(&snap, &blocked, "").is_err());
         assert_eq!(
             tmp_count(),
             1,

@@ -702,9 +702,11 @@ mod tests {
         let path = dir.join("legacy.ckpt");
         let merged = snap(&[10, 20, 30], 6);
         // What `idldp ingest` / the server wrote before stores existed.
-        merged
-            .write_checkpoint(&path, "run legacy stamp\n")
-            .unwrap();
+        write_checkpoint_atomic(
+            &path,
+            &format!("{}run legacy stamp\n", merged.to_checkpoint_string()),
+        )
+        .unwrap();
         let legacy = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         FileStore::new(&path)
@@ -720,7 +722,11 @@ mod tests {
         let merged = snap(&[7, 0, 9, 2], 11);
         for kind in StoreKind::ALL {
             let path = dir.join(format!("{kind}.ckpt"));
-            merged.write_checkpoint(&path, "run old-format\n").unwrap();
+            write_checkpoint_atomic(
+                &path,
+                &format!("{}run old-format\n", merged.to_checkpoint_string()),
+            )
+            .unwrap();
             let mut store = open_store(kind, &path);
             let restored = store.load().unwrap().unwrap();
             assert_eq!(restored.merged(), merged, "{kind}");

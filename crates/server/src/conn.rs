@@ -16,7 +16,7 @@
 //!
 //! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
 
-use crate::frame::{Frame, PROTOCOL_VERSION};
+use crate::frame::{check_version, Frame};
 use crate::queue::{PushRefusal, WaitOutcome};
 use crate::server::{Shared, Tenant};
 use idldp_core::report::{ReportData, ReportShape};
@@ -84,20 +84,10 @@ pub fn hello_tenant(frame: &Frame) -> Option<&str> {
     }
 }
 
-/// A server accepts [`PROTOCOL_VERSION`] only. (A v3 `Hello` never gets
-/// here: it has no tenant field, so it does not decode.)
-fn check_hello_version(version: u32) -> Result<(), String> {
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
-        ));
-    }
-    Ok(())
-}
-
 /// Validates a connection's first frame against a mechanism config: it
-/// must be a [`Frame::Hello`] of [`PROTOCOL_VERSION`] announcing
-/// exactly this mechanism's kind/shape/width/ε. Shared by the server
+/// must be a [`Frame::Hello`] of
+/// [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION) announcing exactly this
+/// mechanism's kind/shape/width/ε. Shared by the server
 /// (via the internal `apply_hello`, against the *selected tenant's*
 /// mechanism) and the coordinator frontend, which speaks the same
 /// handshake on behalf of its collector fleet — one implementation,
@@ -123,7 +113,10 @@ pub fn check_hello(
     else {
         return Err("expected Hello as the first frame".into());
     };
-    check_hello_version(*version)?;
+    // A `Hello` of another version from the wire never gets here (the
+    // codec refuses it by its version word); one built in memory is
+    // refused with the same message.
+    check_version(*version).map_err(|e| e.to_string())?;
     if *kind != mech.kind()
         || *shape != mech.report_shape()
         || *report_len != mech.report_len() as u64
@@ -151,20 +144,16 @@ pub fn check_hello(
 /// checks the announced config against *that tenant's* mechanism, and
 /// binds the connection to the tenant. `Ok` is the tenant index plus the
 /// `HelloAck` to send before entering the frame loop; `Err` is the
-/// `Reject` to send before closing (version mismatch, unknown tenant,
-/// config mismatch, or not a Hello at all).
+/// `Reject` to send before closing (unknown tenant, config mismatch, or
+/// not a Hello at all; the codec already refused another version).
 pub(crate) fn apply_hello(shared: &Shared, frame: Frame) -> Result<(usize, Frame), Frame> {
     let Frame::Hello {
-        version,
         tenant: ref tenant_name,
         ..
     } = frame
     else {
         return Err(reject("expected Hello as the first frame"));
     };
-    // Version precedes tenant resolution: an unsupported version draws the
-    // version refusal even if it happens to name a known tenant.
-    check_hello_version(version).map_err(reject)?;
     let index = shared.resolve_tenant(tenant_name).map_err(reject)?;
     let tenant = shared.tenant(index);
     check_hello(tenant.mechanism.as_ref(), &frame).map_err(reject)?;
@@ -393,24 +382,11 @@ pub fn encode_reply(frame: &Frame) -> Vec<u8> {
     if frame.fits_one_frame() {
         return frame.encode();
     }
-    let parts = match frame {
-        Frame::Estimates { users, estimates } => {
-            crate::frame::estimates_reply_frames(*users, estimates)
-        }
-        Frame::Snapshot { users, counts, .. } => {
-            crate::frame::snapshot_reply_frames(*users, counts)
-        }
-        _ => {
-            let refusal = reject(format!(
-                "reply exceeds the {} MiB frame cap (domain too large for one frame)",
-                crate::frame::MAX_PAYLOAD_LEN >> 20
-            ));
-            return refusal.encode();
-        }
-    };
-    let mut out = Vec::with_capacity(parts.iter().map(|f| 5 + f.encoded_payload_len()).sum());
-    for part in &parts {
-        out.extend_from_slice(&part.encode());
-    }
-    out
+    crate::frame::encode_reply_parts(frame).unwrap_or_else(|| {
+        reject(format!(
+            "reply exceeds the {} MiB frame cap (domain too large for one frame)",
+            crate::frame::MAX_PAYLOAD_LEN >> 20
+        ))
+        .encode()
+    })
 }

@@ -99,6 +99,9 @@ pub enum FrameError {
     /// The payload violates its tag's grammar (bad count, bad UTF-8,
     /// nonzero padding bits, trailing bytes, …).
     Malformed(String),
+    /// A `Hello` of a protocol version other than [`PROTOCOL_VERSION`],
+    /// refused by its leading version word before the rest is parsed.
+    UnsupportedVersion(u32),
     /// An I/O error while reading or writing a socket.
     Io(String),
 }
@@ -117,6 +120,10 @@ impl std::fmt::Display for FrameError {
             }
             FrameError::UnknownTag(tag) => write!(f, "unknown frame tag 0x{tag:02x}"),
             FrameError::Malformed(detail) => write!(f, "malformed frame: {detail}"),
+            FrameError::UnsupportedVersion(version) => write!(
+                f,
+                "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
+            ),
             FrameError::Io(detail) => write!(f, "frame i/o: {detail}"),
         }
     }
@@ -274,9 +281,15 @@ pub enum Frame {
     },
 }
 
-/// The `Reports` tag, the one the codec needs outside the frame table:
-/// [`try_encode_reports_frame`] writes that frame from a borrowed slice.
+/// The tags the codec needs outside the frame table: a `Hello` is refused
+/// by its version word before it is parsed, [`try_encode_reports_frame`]
+/// writes a `Reports` frame from a borrowed slice, and
+/// [`encode_reply_parts`] writes the chunk frames of an over-cap reply
+/// from the reply's own vector.
+const TAG_HELLO: u8 = 0x01;
 const TAG_REPORTS: u8 = 0x03;
+const TAG_SNAPSHOT: u8 = 0x0E;
+const TAG_ESTIMATES_PART: u8 = 0x0F;
 
 const SHAPE_BITS: u8 = 0;
 const SHAPE_VALUE: u8 = 1;
@@ -499,10 +512,7 @@ impl FixedWidth for (u64, f64) {}
 impl<T: FixedWidth> Field for Vec<T> {
     const MIN_LEN: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).put(out);
-        for x in self {
-            x.put(out);
-        }
+        put_elems(out, self);
     }
     fn wire_len(&self) -> usize {
         4 + T::MIN_LEN * self.len()
@@ -515,6 +525,15 @@ impl<T: FixedWidth> Field for Vec<T> {
             out.push(T::read(&mut elems, what)?);
         }
         Ok(out)
+    }
+}
+
+/// A `u32` element count, then the elements: the wire form of a
+/// `Vec<T>` field, written from a borrowed slice.
+fn put_elems<T: FixedWidth>(out: &mut Vec<u8>, elems: &[T]) {
+    (elems.len() as u32).put(out);
+    for x in elems {
+        x.put(out);
     }
 }
 
@@ -541,6 +560,28 @@ impl Field for Vec<ReportData> {
             reports.push(read_report(c)?);
         }
         Ok(reports)
+    }
+}
+
+/// Refuses a protocol version other than [`PROTOCOL_VERSION`].
+///
+/// # Errors
+/// [`FrameError::UnsupportedVersion`] naming `version`.
+pub(crate) fn check_version(version: u32) -> Result<(), FrameError> {
+    if version != PROTOCOL_VERSION {
+        return Err(FrameError::UnsupportedVersion(version));
+    }
+    Ok(())
+}
+
+/// Refuses a `Hello` of another protocol version by its leading version
+/// word, before the rest is parsed: the codec knows only this version's
+/// `Hello` layout (a v3 `Hello` has no tenant field), so parsing on would
+/// report an old client as a truncated frame instead of by its version.
+fn check_hello_version(tag: u8, payload: &[u8]) -> Result<(), FrameError> {
+    match payload.first_chunk() {
+        Some(&word) if tag == TAG_HELLO => check_version(u32::from_le_bytes(word)),
+        _ => Ok(()),
     }
 }
 
@@ -572,60 +613,38 @@ fn check_chunk_bounds(frame: &Frame) -> Result<(), FrameError> {
     Ok(())
 }
 
-/// Splits an estimate reply into wire frames: one plain
-/// [`Frame::Estimates`] when it fits a frame (byte-identical to the
-/// protocol-2 reply for every small domain), otherwise a sequence of
-/// contiguous [`Frame::EstimatesPart`] chunks of [`CHUNK_ELEMS`] elements.
-/// The collector and the coordinator encode replies through this, so
-/// chunking behaves identically everywhere.
-pub fn estimates_reply_frames(users: u64, estimates: &[f64]) -> Vec<Frame> {
-    let whole = Frame::Estimates {
-        users,
-        estimates: Vec::new(),
-    };
-    if whole.encoded_payload_len() + 8 * estimates.len() <= MAX_PAYLOAD_LEN {
-        return vec![Frame::Estimates {
-            users,
-            estimates: estimates.to_vec(),
-        }];
+/// Encodes an estimates or snapshot reply too large for one frame as
+/// contiguous chunk frames of [`CHUNK_ELEMS`] elements — a
+/// [`Frame::EstimatesPart`] or [`Frame::Snapshot`] sequence — written
+/// straight from the reply's vector into one buffer. `None` for any other
+/// frame. The collector and the coordinator encode replies through this,
+/// so chunking behaves identically everywhere.
+pub(crate) fn encode_reply_parts(frame: &Frame) -> Option<Vec<u8>> {
+    match frame {
+        Frame::Estimates { users, estimates } => {
+            Some(encode_parts(TAG_ESTIMATES_PART, *users, estimates))
+        }
+        Frame::Snapshot { users, counts, .. } => Some(encode_parts(TAG_SNAPSHOT, *users, counts)),
+        _ => None,
     }
-    let total = estimates.len() as u64;
-    estimates
-        .chunks(CHUNK_ELEMS)
-        .enumerate()
-        .map(|(i, chunk)| Frame::EstimatesPart {
-            users,
-            total,
-            offset: (i * CHUNK_ELEMS) as u64,
-            estimates: chunk.to_vec(),
-        })
-        .collect()
 }
 
-/// Splits a raw-count snapshot reply into contiguous [`Frame::Snapshot`]
-/// chunks (a single chunk when it fits one frame). Unlike estimates there
-/// is no unchunked legacy form — `Snapshot` always carries the
-/// `(total, offset)` header.
-pub fn snapshot_reply_frames(users: u64, counts: &[u64]) -> Vec<Frame> {
-    let total = counts.len() as u64;
-    if counts.is_empty() {
-        return vec![Frame::Snapshot {
-            users,
-            total,
-            offset: 0,
-            counts: Vec::new(),
-        }];
+/// The chunk frames of one reply vector, in the field order the frame
+/// table declares for `Snapshot` and `EstimatesPart`: `users`, `total`,
+/// the chunk's `offset`, then its elements as a counted vector.
+fn encode_parts<T: FixedWidth>(tag: u8, users: u64, elems: &[T]) -> Vec<u8> {
+    const FIXED: usize = 3 * 8 + 4;
+    let parts = elems.len().div_ceil(CHUNK_ELEMS);
+    let mut out = Vec::with_capacity(parts * (5 + FIXED) + T::MIN_LEN * elems.len());
+    for (i, chunk) in elems.chunks(CHUNK_ELEMS).enumerate() {
+        out.push(tag);
+        ((FIXED + T::MIN_LEN * chunk.len()) as u32).put(&mut out);
+        users.put(&mut out);
+        (elems.len() as u64).put(&mut out);
+        ((i * CHUNK_ELEMS) as u64).put(&mut out);
+        put_elems(&mut out, chunk);
     }
-    counts
-        .chunks(CHUNK_ELEMS)
-        .enumerate()
-        .map(|(i, chunk)| Frame::Snapshot {
-            users,
-            total,
-            offset: (i * CHUNK_ELEMS) as u64,
-            counts: chunk.to_vec(),
-        })
-        .collect()
+    out
 }
 
 /// A frame's 5-byte header, in a buffer with room for its payload. The
@@ -813,6 +832,7 @@ macro_rules! frame_table {
             }
 
             fn parse_payload(tag: u8, payload: &[u8]) -> Result<Frame, FrameError> {
+                check_hello_version(tag, payload)?;
                 let mut c = Cursor::new(payload);
                 let frame = match tag {
                     $($tag => Frame::$variant
@@ -835,7 +855,7 @@ macro_rules! frame_table {
 }
 
 frame_table! {
-    0x01 => Hello { version, kind, shape, report_len, ldp_eps_bits, tenant },
+    TAG_HELLO => Hello { version, kind, shape, report_len, ldp_eps_bits, tenant },
     0x02 => HelloAck { users, run_line },
     TAG_REPORTS => Reports(reports),
     0x04 => Ingested { accepted },
@@ -848,8 +868,8 @@ frame_table! {
     0x0B => CheckpointAck { users },
     0x0C => Reject { accepted, message },
     0x0D => SnapshotQuery,
-    0x0E => Snapshot { users, total, offset, counts },
-    0x0F => EstimatesPart { users, total, offset, estimates },
+    TAG_SNAPSHOT => Snapshot { users, total, offset, counts },
+    TAG_ESTIMATES_PART => EstimatesPart { users, total, offset, estimates },
 }
 
 impl Frame {
@@ -1109,6 +1129,7 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::encode_reply;
 
     fn bit_report(slots: &[u8]) -> ReportData {
         ReportData::Bits(PackedBits::from_slots(slots).unwrap())
@@ -1633,19 +1654,31 @@ mod tests {
         assert_eq!(asm.feed(&[0]), Err(FrameError::UnknownTag(0xEE)));
     }
 
+    /// Every frame of an encoded reply, decoded in order.
+    fn decode_reply(bytes: &[u8]) -> Vec<Frame> {
+        let mut asm = FrameAssembler::new();
+        asm.feed(bytes).unwrap();
+        let frames: Vec<Frame> = std::iter::from_fn(|| asm.next_frame()).collect();
+        assert_eq!(
+            asm.buffered_bytes(),
+            0,
+            "the reply ends on a frame boundary"
+        );
+        frames
+    }
+
     #[test]
     fn small_estimate_replies_stay_on_the_legacy_frame() {
         // The chunker must not change a single wire byte for domains that
         // already fit one frame — protocol-2 clients' replies are sacred.
         let estimates: Vec<f64> = (0..1000).map(|i| i as f64 / 7.0).collect();
-        let frames = estimates_reply_frames(42, &estimates);
-        assert_eq!(
-            frames,
-            vec![Frame::Estimates {
-                users: 42,
-                estimates
-            }]
-        );
+        let reply = Frame::Estimates {
+            users: 42,
+            estimates,
+        };
+        let bytes = encode_reply(&reply);
+        assert_eq!(bytes, reply.encode());
+        assert_eq!(decode_reply(&bytes), vec![reply]);
     }
 
     #[test]
@@ -1653,7 +1686,10 @@ mod tests {
         // Just over the single-frame cap: payload 12 + 8n > 16 MiB.
         let n = (MAX_PAYLOAD_LEN - 12) / 8 + 1;
         let estimates: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let frames = estimates_reply_frames(5, &estimates);
+        let frames = decode_reply(&encode_reply(&Frame::Estimates {
+            users: 5,
+            estimates: estimates.clone(),
+        }));
         assert!(frames.len() >= 2, "must actually chunk");
         let mut got = Vec::new();
         for frame in &frames {
@@ -1681,28 +1717,32 @@ mod tests {
 
     #[test]
     fn snapshot_chunker_covers_empty_and_large() {
-        assert_eq!(
-            snapshot_reply_frames(0, &[]),
-            vec![Frame::Snapshot {
-                users: 0,
-                total: 0,
-                offset: 0,
-                counts: vec![]
-            }]
-        );
+        let empty = Frame::Snapshot {
+            users: 0,
+            total: 0,
+            offset: 0,
+            counts: vec![],
+        };
+        assert_eq!(decode_reply(&encode_reply(&empty)), vec![empty]);
         let counts: Vec<u64> = (0..(CHUNK_ELEMS * 2 + 3) as u64).collect();
-        let frames = snapshot_reply_frames(7, &counts);
+        let frames = decode_reply(&encode_reply(&Frame::Snapshot {
+            users: 7,
+            total: counts.len() as u64,
+            offset: 0,
+            counts: counts.clone(),
+        }));
         assert_eq!(frames.len(), 3);
         let mut got = Vec::new();
         for frame in &frames {
             assert!(frame.fits_one_frame());
             match frame {
                 Frame::Snapshot {
+                    users,
                     total,
                     offset,
                     counts: chunk,
-                    ..
                 } => {
+                    assert_eq!(*users, 7);
                     assert_eq!(*total, counts.len() as u64);
                     assert_eq!(*offset, got.len() as u64);
                     got.extend_from_slice(chunk);
@@ -1711,6 +1751,92 @@ mod tests {
             }
         }
         assert_eq!(got, counts);
+    }
+
+    /// An over-cap reply's bytes are exactly its chunk frames encoded one
+    /// by one through the frame table and concatenated.
+    #[test]
+    fn over_cap_replies_equal_their_parts_encoded_one_by_one() {
+        let n = CHUNK_ELEMS * 2 + 5;
+        let estimates: Vec<f64> = (0..n).map(|i| i as f64 / 3.0).collect();
+        let counts: Vec<u64> = (0..n as u64).map(|i| i * 7).collect();
+        let mut want_estimates = Vec::new();
+        let mut want_snapshot = Vec::new();
+        for (i, (e, c)) in estimates
+            .chunks(CHUNK_ELEMS)
+            .zip(counts.chunks(CHUNK_ELEMS))
+            .enumerate()
+        {
+            let offset = (i * CHUNK_ELEMS) as u64;
+            want_estimates.extend(
+                Frame::EstimatesPart {
+                    users: 9,
+                    total: n as u64,
+                    offset,
+                    estimates: e.to_vec(),
+                }
+                .encode(),
+            );
+            want_snapshot.extend(
+                Frame::Snapshot {
+                    users: 9,
+                    total: n as u64,
+                    offset,
+                    counts: c.to_vec(),
+                }
+                .encode(),
+            );
+        }
+        let estimates_reply = Frame::Estimates {
+            users: 9,
+            estimates,
+        };
+        assert!(!estimates_reply.fits_one_frame());
+        assert_eq!(encode_reply(&estimates_reply), want_estimates);
+        let snapshot_reply = Frame::Snapshot {
+            users: 9,
+            total: n as u64,
+            offset: 0,
+            counts,
+        };
+        assert!(!snapshot_reply.fits_one_frame());
+        assert_eq!(encode_reply(&snapshot_reply), want_snapshot);
+    }
+
+    #[test]
+    fn a_hello_of_another_version_is_refused_by_its_version_word() {
+        // The v3 layout: no tenant field after the ε bits.
+        let mut v3 = vec![TAG_HELLO, 0, 0, 0, 0];
+        v3.extend_from_slice(&3u32.to_le_bytes());
+        "oue".to_string().put(&mut v3);
+        ReportShape::Bits.put(&mut v3);
+        16u64.put(&mut v3);
+        1f64.to_bits().put(&mut v3);
+        let len = (v3.len() - 5) as u32;
+        v3[1..5].copy_from_slice(&len.to_le_bytes());
+        assert_eq!(Frame::decode(&v3), Err(FrameError::UnsupportedVersion(3)));
+        assert_eq!(
+            FrameError::UnsupportedVersion(3).to_string(),
+            format!("protocol version 3 unsupported (server speaks {PROTOCOL_VERSION})")
+        );
+        // A later version's Hello is refused the same way, whatever follows.
+        let v5 = Frame::Hello {
+            version: 5,
+            kind: "oue".into(),
+            shape: ReportShape::Bits,
+            report_len: 16,
+            ldp_eps_bits: 1f64.to_bits(),
+            tenant: String::new(),
+        };
+        assert_eq!(
+            Frame::decode(&v5.encode()),
+            Err(FrameError::UnsupportedVersion(5))
+        );
+        // Without a whole version word there is nothing to refuse by.
+        assert!(matches!(
+            Frame::decode(&[TAG_HELLO, 2, 0, 0, 0, 4, 0]),
+            Err(FrameError::Truncated { .. })
+        ));
     }
 
     #[test]

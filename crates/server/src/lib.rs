@@ -80,9 +80,8 @@ pub mod server;
 pub use client::{ClientError, PushOutcome, Query, Reply, ReportClient, MAX_STALLED_RETRIES};
 pub use conn::{check_hello, encode_reply, hello_tenant};
 pub use frame::{
-    encode_reports_frame, encoded_report_len, estimates_reply_frames, snapshot_reply_frames, Frame,
-    FrameAssembler, FrameError, CHUNK_ELEMS, MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN,
-    PROTOCOL_VERSION,
+    encode_reports_frame, encoded_report_len, Frame, FrameAssembler, FrameError, CHUNK_ELEMS,
+    MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
 };
 pub use queue::{IngestQueue, PushRefusal, WaitOutcome};
 pub use server::{

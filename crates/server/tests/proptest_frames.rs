@@ -211,7 +211,8 @@ proptest! {
                 FrameError::Truncated { .. }
                 | FrameError::Oversized { .. }
                 | FrameError::UnknownTag(_)
-                | FrameError::Malformed(_),
+                | FrameError::Malformed(_)
+                | FrameError::UnsupportedVersion(_),
             ) => {}
             Err(FrameError::Io(detail)) => {
                 prop_assert!(false, "slice decode cannot do i/o: {detail}")

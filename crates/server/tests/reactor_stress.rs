@@ -78,9 +78,8 @@ fn thousand_idle_connections_do_not_stall_accept_or_ingest() {
 
     // Reference answer: fold the population locally, estimate once.
     let mut reference = ShapedAccumulator::for_mechanism(mech.as_ref());
-    for report in &all {
-        reference.accumulate(report.as_report()).unwrap();
-    }
+    let reports: Vec<_> = all.iter().map(|r| r.as_report()).collect();
+    reference.accumulate_batch(&reports).unwrap();
     let want_users = reference.num_users();
     let want = mech
         .frequency_oracle(want_users)

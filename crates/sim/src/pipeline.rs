@@ -168,10 +168,10 @@ impl SimulationPipeline {
     }
 
     /// The snapshot-driven online variant: streams the same seeded report
-    /// population one report at a time into a
+    /// population chunk by chunk into a
     /// [`HeavyHitterTracker`] (shape-dispatched sink over `num_shards`
-    /// shards, snapshot → prune → re-estimate every `cadence` reports) and
-    /// returns its final answer.
+    /// shards, one `push_batch` per chunk, snapshot → prune → re-estimate
+    /// every `cadence` reports) and returns its final answer.
     ///
     /// The stream shares the batch chunk/RNG grid, so the tracker's counts
     /// — and therefore its final top-k — are **identical** to running
@@ -197,7 +197,7 @@ impl SimulationPipeline {
         let mut tracker = HeavyHitterTracker::for_mechanism(mechanism, num_shards, mode, cadence)?;
         let mut stream =
             SeededReportStream::new(mechanism, inputs, seed).with_chunk_size(self.chunk_size);
-        while stream.next_chunk_with(|report| tracker.push(report).map(|_| ()))? > 0 {}
+        while stream.track_chunk(&mut tracker)? > 0 {}
         let top_k = tracker.finish()?;
         Ok(TopKRun {
             top_k,

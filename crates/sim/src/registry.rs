@@ -113,8 +113,8 @@ impl RegistryEntry {
 ///     .run(mechanism.as_ref(), InputBatch::Items(&items), 42)
 ///     .unwrap();
 ///
-/// // Streaming: the same seeded reports through sharded accumulators —
-/// // bit-identical counts, any shard count.
+/// // Streaming: the same seeded reports, one batch per chunk, through
+/// // sharded accumulators — bit-identical counts, any shard count.
 /// let sink = ShardedAccumulator::new(
 ///     BitReportAccumulator::new(mechanism.report_len()),
 ///     4,

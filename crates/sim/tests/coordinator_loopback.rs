@@ -31,7 +31,7 @@ use idldp_core::mechanism::{BatchMechanism, InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
-use idldp_core::report::ReportData;
+use idldp_core::report::{ReportData, ReportShape};
 use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
@@ -158,14 +158,8 @@ fn wire_chunks(mechanism: &dyn Mechanism, inputs: InputBatch<'_>) -> Vec<Vec<Rep
     let mut stream = SeededReportStream::new(mechanism, inputs, SEED).with_chunk_size(CHUNK);
     let mut chunks = Vec::new();
     loop {
-        let mut chunk = Vec::new();
-        let got = stream
-            .next_chunk_with(|report| {
-                chunk.push(report.to_data());
-                Ok(())
-            })
-            .unwrap();
-        if got == 0 {
+        let chunk = stream.next_chunk().unwrap();
+        if chunk.is_empty() {
             return chunks;
         }
         chunks.push(chunk);
@@ -182,6 +176,24 @@ fn hello(mechanism: &dyn Mechanism) -> Frame {
         ldp_eps_bits: mechanism.ldp_epsilon().to_bits(),
         tenant: String::new(),
     }
+}
+
+/// A protocol-v3 `Hello` built by hand: version, kind, shape, width and ε
+/// bits, with no tenant field after them. GRR's value shape is the single
+/// shape byte 1.
+fn v3_hello(mechanism: &dyn Mechanism) -> Vec<u8> {
+    assert_eq!(mechanism.report_shape(), ReportShape::Value);
+    let kind = mechanism.kind();
+    let mut payload = 3u32.to_le_bytes().to_vec();
+    payload.extend_from_slice(&(kind.len() as u32).to_le_bytes());
+    payload.extend_from_slice(kind.as_bytes());
+    payload.push(1);
+    payload.extend_from_slice(&(mechanism.report_len() as u64).to_le_bytes());
+    payload.extend_from_slice(&mechanism.ldp_epsilon().to_bits().to_le_bytes());
+    let mut hello = vec![0x01];
+    hello.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    hello.extend_from_slice(&payload);
+    hello
 }
 
 /// Sends raw `bytes` on a fresh connection — after a completed handshake
@@ -680,6 +692,12 @@ fn malformed_frames_draw_a_typed_reject_from_the_coordinator() {
     }
     let message = raw_reject(front.local_addr(), None, &UNKNOWN_TAG);
     assert!(message.starts_with("handshake: "), "{message}");
+    // A v3 client is refused by its version, before the rest of its Hello.
+    let message = raw_reject(front.local_addr(), None, &v3_hello(mechanism.as_ref()));
+    assert_eq!(
+        message,
+        format!("handshake: protocol version 3 unsupported (server speaks {PROTOCOL_VERSION})")
+    );
 
     let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
     client.push_all(&[ReportData::Value(3)]).unwrap();

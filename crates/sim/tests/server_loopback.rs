@@ -158,14 +158,8 @@ fn wire_chunks(mechanism: &dyn Mechanism, inputs: InputBatch<'_>) -> Vec<Vec<Rep
     let mut stream = SeededReportStream::new(mechanism, inputs, SEED).with_chunk_size(CHUNK);
     let mut chunks = Vec::new();
     loop {
-        let mut chunk = Vec::new();
-        let got = stream
-            .next_chunk_with(|report| {
-                chunk.push(report.to_data());
-                Ok(())
-            })
-            .unwrap();
-        if got == 0 {
+        let chunk = stream.next_chunk().unwrap();
+        if chunk.is_empty() {
             return chunks;
         }
         chunks.push(chunk);

@@ -5,8 +5,8 @@
 //!
 //! 1. **Batch** — [`SimulationPipeline::run`] / `run_snapshot`
 //!    (`perturb_batch` fast paths, rayon chunks, sharded absorption), and
-//! 2. **Streaming** — [`SeededReportStream`] generating one report at a
-//!    time, fanned across a [`ShardedAccumulator`] chunk by chunk,
+//! 2. **Streaming** — [`SeededReportStream`] generating the same reports
+//!    chunk by chunk, each chunk one batch on a [`ShardedAccumulator`],
 //!
 //! and asserts identical per-bucket counts *and* identical oracle
 //! estimates, for all eight mechanisms and for several shard counts — with
@@ -266,9 +266,9 @@ fn checkpoint_resume_matches_uninterrupted_stream() {
 }
 
 #[test]
-fn one_report_at_a_time_equals_push_to_explicit_shards() {
-    // Round-robin vs caller-partitioned fan-out: same counts — exercised
-    // for one mechanism per wire shape.
+fn whole_chunks_equal_one_report_batches() {
+    // Chunk-sized vs one-report batches over round-robin shards: same
+    // counts — exercised for one mechanism per wire shape.
     let m = 8;
     let bits_mech = UnaryEncoding::symmetric(eps(1.0), m).unwrap();
     let value_mech = GeneralizedRandomizedResponse::new(eps(1.0), m).unwrap();
@@ -279,29 +279,25 @@ fn one_report_at_a_time_equals_push_to_explicit_shards() {
     let batch = InputBatch::Items(&inputs);
 
     for mech in mechanisms {
-        let round_robin = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(mech), 3);
+        let whole_chunks = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(mech), 3);
         SeededReportStream::new(mech, batch, SEED)
-            .ingest_all(&round_robin)
+            .ingest_all(&whole_chunks)
             .unwrap();
 
-        let partitioned = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(mech), 3);
-        let mut i = 0usize;
+        let one_by_one = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(mech), 3);
         let mut stream = SeededReportStream::new(mech, batch, SEED);
         loop {
-            let got = stream
-                .next_chunk_with(|report| {
-                    let shard = (i * 7) % 3; // arbitrary deterministic partition
-                    i += 1;
-                    partitioned.push_to(shard, report)
-                })
-                .unwrap();
-            if got == 0 {
+            let chunk = stream.next_chunk().unwrap();
+            if chunk.is_empty() {
                 break;
+            }
+            for report in &chunk {
+                one_by_one.push_batch(&[report.as_report()]).unwrap();
             }
         }
         assert_eq!(
-            round_robin.snapshot(),
-            partitioned.snapshot(),
+            whole_chunks.snapshot(),
+            one_by_one.snapshot(),
             "{}",
             mech.kind()
         );

@@ -33,7 +33,7 @@ use idldp_core::report::{ReportData, ReportShape};
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
     ClientError, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig, ServerConfigBuilder,
-    TenantConfig,
+    TenantConfig, PROTOCOL_VERSION,
 };
 use idldp_sim::stream::SeededReportStream;
 use idldp_sim::SimulationPipeline;
@@ -89,14 +89,8 @@ impl Stream {
         .with_chunk_size(CHUNK);
         let mut chunks = Vec::new();
         loop {
-            let mut chunk = Vec::new();
-            let got = stream
-                .next_chunk_with(|report| {
-                    chunk.push(report.to_data());
-                    Ok(())
-                })
-                .unwrap();
-            if got == 0 {
+            let chunk = stream.next_chunk().unwrap();
+            if chunk.is_empty() {
                 return chunks;
             }
             chunks.push(chunk);
@@ -303,7 +297,10 @@ fn a_v3_hello_draws_a_typed_reject() {
         Some(Frame::Reject {
             accepted: 0,
             message,
-        }) => assert!(message.starts_with("handshake: "), "{message}"),
+        }) => assert_eq!(
+            message,
+            format!("handshake: protocol version 3 unsupported (server speaks {PROTOCOL_VERSION})")
+        ),
         other => panic!("v3 handshake drew {other:?}"),
     }
     assert!(

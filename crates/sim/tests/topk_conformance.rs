@@ -16,7 +16,8 @@
 //! * across a checkpoint → restore → resume restart (bit-identical final
 //!   candidates), and
 //! * — by property test — under *any* snapshot schedule (random manual
-//!   refreshes on top of any cadence) and *any* report→shard assignment.
+//!   refreshes on top of any cadence) and *any* batching of the stream
+//!   into pushes, and so any assignment of report runs to shards.
 //!
 //! The equivalence rests on two invariants proven elsewhere: streaming
 //! counts are bit-identical to batch counts (streaming conformance suite),
@@ -35,6 +36,8 @@ use idldp_core::mechanism::{BatchMechanism, InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
+use idldp_core::report::{Report, ReportData};
+use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
 use idldp_num::rng::SplitMix64;
@@ -236,11 +239,7 @@ fn tracker_checkpoint_resume_is_bit_identical() {
     // Uninterrupted reference run.
     let mut whole = HeavyHitterTracker::for_mechanism(&mech, 4, mode, 300).unwrap();
     let mut stream = SeededReportStream::new(&mech, batch, SEED).with_chunk_size(CHUNK);
-    while stream
-        .next_chunk_with(|r| whole.push(r).map(|_| ()))
-        .unwrap()
-        > 0
-    {}
+    while stream.track_chunk(&mut whole).unwrap() > 0 {}
     let want = whole.finish().unwrap();
 
     // Interrupted run: ingest half, checkpoint, "restart" into a tracker
@@ -248,25 +247,18 @@ fn tracker_checkpoint_resume_is_bit_identical() {
     let mut first = HeavyHitterTracker::for_mechanism(&mech, 2, mode, 300).unwrap();
     let mut stream = SeededReportStream::new(&mech, batch, SEED).with_chunk_size(CHUNK);
     for _ in 0..8 {
-        assert_eq!(
-            stream
-                .next_chunk_with(|r| first.push(r).map(|_| ()))
-                .unwrap(),
-            CHUNK
-        );
+        assert_eq!(stream.track_chunk(&mut first).unwrap(), CHUNK);
     }
-    let checkpoint = first.to_checkpoint_string();
+    let checkpoint = first.sink().snapshot().to_checkpoint_string();
 
     let mut resumed = HeavyHitterTracker::for_mechanism(&mech, 7, mode, 511).unwrap();
-    resumed.restore_from_checkpoint_str(&checkpoint).unwrap();
+    resumed
+        .restore(&AccumulatorSnapshot::from_checkpoint_str(&checkpoint).unwrap())
+        .unwrap();
     assert_eq!(resumed.num_users(), (8 * CHUNK) as u64);
     let mut stream = SeededReportStream::new(&mech, batch, SEED).with_chunk_size(CHUNK);
     stream.seek_to_user(resumed.num_users() as usize).unwrap();
-    while stream
-        .next_chunk_with(|r| resumed.push(r).map(|_| ()))
-        .unwrap()
-        > 0
-    {}
+    while stream.track_chunk(&mut resumed).unwrap() > 0 {}
 
     assert_eq!(resumed.finish().unwrap(), want);
     assert_eq!(
@@ -381,8 +373,9 @@ proptest! {
 
     /// Snapshot-cadence invariance: *any* snapshot schedule — any cadence,
     /// plus randomly injected manual `refresh()` calls — and *any*
-    /// report→shard assignment (random `push_to` over any shard count)
-    /// land on exactly the same final candidate set as the canonical
+    /// batching of the stream (random `push_batch` cuts, each batch on the
+    /// next of any number of shards) land on exactly the same final
+    /// candidate set as the canonical
     /// round-robin run at a different cadence and shard count.
     #[test]
     fn any_schedule_and_sharding_yields_the_same_final_candidates(
@@ -409,25 +402,27 @@ proptest! {
             .unwrap();
         prop_assert_eq!(reference.num_users, n as u64);
 
-        // Route B: a hand-driven tracker — explicit random shard per
-        // report, a different cadence, and random extra refreshes between
-        // chunks (an arbitrary snapshot schedule).
+        // Route B: a hand-driven tracker — every chunk cut into random
+        // batches (each landing on the next round-robin shard), a
+        // different cadence, and random extra refreshes between chunks
+        // (an arbitrary snapshot schedule).
         let mut tracker =
             HeavyHitterTracker::for_mechanism(mech.as_ref(), shards_b, mode, cadence_b).unwrap();
         let mut schedule = SplitMix64::new(schedule_seed);
         let mut stream =
             SeededReportStream::new(mech.as_ref(), inputs.batch(), seed).with_chunk_size(64);
         loop {
-            let shard_seed = schedule.next();
-            let mut pick = SplitMix64::new(shard_seed);
-            let got = stream
-                .next_chunk_with(|report| {
-                    let shard = (pick.next() % shards_b as u64) as usize;
-                    tracker.push_to(shard, report).map(|_| ())
-                })
-                .unwrap();
-            if got == 0 {
+            let chunk = stream.next_chunk().unwrap();
+            if chunk.is_empty() {
                 break;
+            }
+            let reports: Vec<Report<'_>> = chunk.iter().map(ReportData::as_report).collect();
+            let mut rest = &reports[..];
+            while !rest.is_empty() {
+                let take = 1 + (schedule.next() % rest.len() as u64) as usize;
+                let (batch, tail) = rest.split_at(take);
+                tracker.push_batch(batch).unwrap();
+                rest = tail;
             }
             if schedule.next().is_multiple_of(3) {
                 tracker.refresh().unwrap();

@@ -1,12 +1,22 @@
 //! Mergeable per-shard accumulation state for every report shape.
 //!
-//! A streaming server never stores reports; each arriving report is folded
-//! into an accumulator immediately. The [`ReportAccumulator`] trait is the
-//! contract that makes this shardable: accumulation is per-shard local
-//! state (`Send`), shards [`ReportAccumulator::merge_from`] exactly
-//! (integer counts — no floating point, no order dependence), and a frozen
-//! [`AccumulatorSnapshot`] of the merged state feeds the incremental oracle
-//! path ([`idldp_core::mechanism::FrequencyOracle::estimate_from`]).
+//! A streaming server never stores reports; each arriving batch of reports
+//! (one transport frame, one stream chunk) is folded into an accumulator
+//! immediately. The [`ReportAccumulator`] trait is the contract that makes
+//! this shardable: accumulation is per-shard local state (`Send`), shards
+//! [`ReportAccumulator::merge_from`] exactly (integer counts — no floating
+//! point, no order dependence), and a frozen [`AccumulatorSnapshot`] of the
+//! merged state feeds the incremental oracle path
+//! ([`idldp_core::mechanism::FrequencyOracle::estimate_from`]).
+//!
+//! Every accumulator is one fold over one count state. The fold,
+//! [`ReportAccumulator::accumulate_batch`], is the only part each shape
+//! writes; the count state is the core [`CountAccumulator`], and the
+//! trait's provided methods (width, users, merge, snapshot, restore) are
+//! written once over it. How reports are grouped into batches never
+//! changes the counts: the stream property suite checks every shape's
+//! batched fold against the core reference fold
+//! ([`idldp_core::report::Report::fold_into`]) for any split.
 //!
 //! Reports arrive as [`idldp_core::report::Report`] in any of the four wire
 //! shapes; one accumulator exists per shape, and [`ShapedAccumulator`]
@@ -40,13 +50,16 @@ use idldp_core::snapshot::AccumulatorSnapshot;
 
 pub use idldp_core::report::Report;
 
-/// Mergeable, shard-local report accumulation state.
+/// Mergeable, shard-local report accumulation state: one fold over one
+/// count state.
 ///
-/// Implementations must satisfy the *exact-merge law*: for any partition of
-/// a report multiset across accumulators and any merge tree over them, the
-/// merged counts equal those of a single accumulator fed every report
-/// sequentially. (Counts are integers; the property test suite checks this
-/// for streams generated by all eight mechanisms, in every wire shape.)
+/// An implementation supplies its [`Self::shape`], its count state and its
+/// fold, [`Self::accumulate_batch`]; everything else is provided here
+/// once. The *exact-merge law* follows: for any partition of a report
+/// multiset across accumulators, any batching of each part, and any merge
+/// tree over them, the merged counts equal the reference fold of every
+/// report. (Counts are integers; the property test suite checks this for
+/// streams generated by all eight mechanisms, in every wire shape.)
 ///
 /// # Examples
 /// ```
@@ -54,93 +67,88 @@ pub use idldp_core::report::Report;
 /// use idldp_stream::{BitReportAccumulator, Report, ReportAccumulator};
 ///
 /// let packed = |slots: &[u8]| PackedBits::from_slots(slots).unwrap();
+/// let (a, b, c) = (packed(&[1, 0, 1]), packed(&[0, 1, 1]), packed(&[1, 1, 0]));
 /// let mut shard_a = BitReportAccumulator::new(3);
 /// let mut shard_b = BitReportAccumulator::new(3);
-/// shard_a.accumulate(Report::Packed(&packed(&[1, 0, 1]))).unwrap();
-/// shard_b.accumulate(Report::Packed(&packed(&[0, 1, 1]))).unwrap();
+/// shard_a.accumulate_batch(&[Report::Packed(&a)]).unwrap();
+/// shard_b.accumulate_batch(&[Report::Packed(&b), Report::Packed(&c)]).unwrap();
 ///
 /// // Shards merge exactly, regardless of how reports were distributed.
 /// shard_a.merge_from(&shard_b).unwrap();
 /// let snapshot = shard_a.snapshot();
-/// assert_eq!(snapshot.counts(), &[1, 1, 2]);
-/// assert_eq!(snapshot.num_users(), 2);
+/// assert_eq!(snapshot.counts(), &[2, 2, 2]);
+/// assert_eq!(snapshot.num_users(), 3);
 /// ```
 pub trait ReportAccumulator: Send {
-    /// Width of the folded count state (the mechanism's
-    /// [`idldp_core::mechanism::Mechanism::report_len`]).
-    fn report_len(&self) -> usize;
+    /// The wire shape this accumulator folds, hash range and pinned
+    /// cardinality included. Only accumulators of one shape merge.
+    fn shape(&self) -> ReportShape;
 
-    /// Number of reports absorbed so far.
-    fn num_users(&self) -> u64;
+    /// The folded per-bucket counts and user total.
+    fn count_state(&self) -> &CountAccumulator;
 
-    /// Folds one report into the state.
-    ///
-    /// # Errors
-    /// Returns an error if the report has the wrong width, the wrong shape
-    /// for this accumulator, or an out-of-range value; nothing is counted
-    /// on failure.
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()>;
+    /// Mutable access to the count state, for the provided merge and
+    /// restore steps. Counts changed through it bypass report validation.
+    fn count_state_mut(&mut self) -> &mut CountAccumulator;
 
     /// Folds a whole batch of reports (one `Reports` frame, one stream
-    /// chunk) in a single call, so servers pay one lock acquisition and
-    /// one fold per frame instead of per-report round trips.
+    /// chunk; a single report is a one-element batch) — the accumulator's
+    /// only fold.
     ///
-    /// The default implementation loops [`Self::accumulate`] and is
-    /// therefore **not atomic** — reports before the first invalid one
-    /// stay counted. Every accumulator in this crate overrides it with an
-    /// atomic *validate-all-then-fold* specialization: a batch containing
-    /// any invalid report counts nothing, which is what the transport
-    /// server relies on to reject a hostile mixed frame without a partial
-    /// fold. Counts after a successful call are bit-identical to
-    /// sequential [`Self::accumulate`] of the same reports (the batched
-    /// fold engine in [`idldp_core::fold`] is pure integer arithmetic) —
-    /// the stream property suite asserts this for every shape and every
-    /// batch split.
+    /// Atomic: every report validates before any bucket moves, so a batch
+    /// containing any invalid report counts nothing. The transport server
+    /// relies on this to reject a hostile mixed frame without a partial
+    /// fold. The counts after a successful call equal the core reference
+    /// fold ([`Report::fold_into`]) of the same reports, for every way of
+    /// splitting a stream into batches (the batched fold engine in
+    /// [`idldp_core::fold`] is pure integer arithmetic).
     ///
     /// # Errors
-    /// Returns the first report's validation error.
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        for report in reports {
-            self.accumulate(*report)?;
-        }
-        Ok(())
+    /// Returns the first report's validation error: the wrong width, the
+    /// wrong shape for this accumulator, or an out-of-range value.
+    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()>;
+
+    /// Width of the folded count state (the mechanism's
+    /// [`idldp_core::mechanism::Mechanism::report_len`]).
+    fn report_len(&self) -> usize {
+        self.count_state().counts().len()
+    }
+
+    /// Number of reports absorbed so far.
+    fn num_users(&self) -> u64 {
+        self.count_state().num_users()
     }
 
     /// Adds another accumulator's state (the shard-merge step).
     ///
     /// # Errors
-    /// Returns an error if the widths differ.
+    /// Returns an error if the shapes or the widths differ.
     fn merge_from(&mut self, other: &Self) -> Result<()>
     where
-        Self: Sized;
+        Self: Sized,
+    {
+        if self.shape() != other.shape() {
+            return Err(Error::ParameterOrdering {
+                detail: format!(
+                    "cannot merge accumulators of different shapes ({:?} vs {:?})",
+                    self.shape(),
+                    other.shape()
+                ),
+            });
+        }
+        check_width(
+            "accumulator merge width",
+            self.report_len(),
+            other.report_len(),
+        )?;
+        self.count_state_mut().merge(other.count_state());
+        Ok(())
+    }
 
     /// Freezes the current counts into a snapshot for estimation or
     /// checkpointing.
-    fn snapshot(&self) -> AccumulatorSnapshot;
-
-    /// Adds this accumulator's per-bucket counts into `out` and returns
-    /// its user count — the allocation-free half of [`Self::snapshot`].
-    /// A caller merging many shards sums them all into one preallocated
-    /// buffer in a single pass instead of allocating an intermediate
-    /// snapshot per shard and merging pairwise.
-    ///
-    /// The default implementation goes through [`Self::snapshot`]; every
-    /// accumulator in this crate overrides it to add straight from its
-    /// count state without allocating.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.report_len()`.
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        let snapshot = self.snapshot();
-        assert_eq!(
-            out.len(),
-            snapshot.report_len(),
-            "count buffer width mismatch"
-        );
-        for (o, &c) in out.iter_mut().zip(snapshot.counts()) {
-            *o += c;
-        }
-        snapshot.num_users()
+    fn snapshot(&self) -> AccumulatorSnapshot {
+        self.count_state().snapshot()
     }
 
     /// Replaces the state with checkpointed counts (restart recovery).
@@ -148,22 +156,15 @@ pub trait ReportAccumulator: Send {
     /// # Errors
     /// Returns an error if the snapshot width differs from
     /// [`Self::report_len`].
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()>;
-}
-
-/// Shared [`ReportAccumulator::add_counts_into`] override for the four
-/// count-backed accumulators: add straight out of the count state, no
-/// intermediate snapshot.
-fn add_inner_counts(inner: &CountAccumulator, out: &mut [u64]) -> u64 {
-    assert_eq!(
-        out.len(),
-        inner.counts().len(),
-        "count buffer width mismatch"
-    );
-    for (o, &c) in out.iter_mut().zip(inner.counts()) {
-        *o += c;
+    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
+        check_width(
+            "restored snapshot width",
+            self.report_len(),
+            snapshot.report_len(),
+        )?;
+        *self.count_state_mut() = CountAccumulator::from_snapshot(snapshot);
+        Ok(())
     }
-    inner.num_users()
 }
 
 fn check_width(what: &str, expected: usize, actual: usize) -> Result<()> {
@@ -189,6 +190,16 @@ fn wrong_shape(accumulator: &str, got: &Report<'_>, width: usize) -> Error {
         expected: width,
         actual: 0,
     }
+}
+
+/// Adds a batch's staged per-bucket sums into the count state and counts
+/// its users: the commit step of the staged folds, run only once the whole
+/// batch has validated.
+fn commit_staged(inner: &mut CountAccumulator, staged: &[u64], users: usize) {
+    for (c, &s) in inner.counts_mut().iter_mut().zip(staged) {
+        *c += s;
+    }
+    inner.add_users(users as u64);
 }
 
 /// Accumulator for 0/1 bit-vector reports (the UE/IDUE/IDUE-PS shape).
@@ -224,25 +235,21 @@ impl From<CountAccumulator> for BitReportAccumulator {
 }
 
 impl ReportAccumulator for BitReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
+    fn shape(&self) -> ReportShape {
+        ReportShape::Bits
     }
 
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
+    fn count_state(&self) -> &CountAccumulator {
+        &self.inner
     }
 
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match report {
-            Report::Packed(_) => self.inner.fold_report(report, 0),
-            other => Err(wrong_shape("bit", &other, self.report_len())),
-        }
+    fn count_state_mut(&mut self) -> &mut CountAccumulator {
+        &mut self.inner
     }
 
     /// Word-packed batch fold: each report's words are carry-save-added
     /// into SWAR bit-planes. They spill into a staged buffer that only
-    /// commits once the whole batch has validated, so the fold is atomic
-    /// and bit-identical to the sequential one.
+    /// commits once the whole batch has validated.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         let mut planes = BitPlanes::new(m);
@@ -257,38 +264,7 @@ impl ReportAccumulator for BitReportAccumulator {
             }
         }
         planes.spill_into(&mut staged);
-        for (c, &s) in self.inner.counts_mut().iter_mut().zip(&staged) {
-            *c += s;
-        }
-        self.inner.add_users(reports.len() as u64);
-        Ok(())
-    }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
+        commit_staged(&mut self.inner, &staged, reports.len());
         Ok(())
     }
 }
@@ -300,8 +276,7 @@ impl ReportAccumulator for BitReportAccumulator {
 /// report that is exactly one-hot — the folded form
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for these
 /// mechanisms. Shares the core [`CountAccumulator`] state with
-/// [`BitReportAccumulator`], so there is a single implementation of the
-/// exact-merge law; only the accepted report shape differs.
+/// [`BitReportAccumulator`]; only the accepted report shape differs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OneHotReportAccumulator {
     inner: CountAccumulator,
@@ -324,47 +299,28 @@ impl OneHotReportAccumulator {
         let mut ones = bits.ones();
         match (ones.next(), ones.next()) {
             (Some(hot), None) => Ok(hot),
-            _ => Err(not_one_hot()),
+            _ => Err(Error::ParameterOrdering {
+                detail: "categorical report must be one-hot (one bit set)".into(),
+            }),
         }
     }
 }
 
-fn not_one_hot() -> Error {
-    Error::ParameterOrdering {
-        detail: "categorical report must be one-hot (one bit set)".into(),
-    }
-}
-
 impl ReportAccumulator for OneHotReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
+    fn shape(&self) -> ReportShape {
+        ReportShape::Value
     }
 
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
+    fn count_state(&self) -> &CountAccumulator {
+        &self.inner
     }
 
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        let value = match report {
-            Report::Value(v) if v < self.report_len() => v,
-            Report::Value(v) => {
-                return Err(Error::IndexOutOfRange {
-                    what: "categorical report value".into(),
-                    index: v,
-                    bound: self.report_len(),
-                })
-            }
-            Report::Packed(bits) => self.hot_index(bits)?,
-            other => return Err(wrong_shape("categorical", &other, self.report_len())),
-        };
-        self.inner.add_bit(value);
-        self.inner.add_user();
-        Ok(())
+    fn count_state_mut(&mut self) -> &mut CountAccumulator {
+        &mut self.inner
     }
 
     /// Batch fold: resolves every report to its hot index first (the
-    /// all-or-nothing validation pass), then applies the increments — a
-    /// batch containing any invalid report counts nothing.
+    /// all-or-nothing validation pass), then applies the increments.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         let mut values = Vec::with_capacity(reports.len());
@@ -389,34 +345,6 @@ impl ReportAccumulator for OneHotReportAccumulator {
         self.inner.add_users(reports.len() as u64);
         Ok(())
     }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
-        Ok(())
-    }
 }
 
 /// Accumulator for hashed `(seed, value)` reports (the OLH wire shape).
@@ -424,13 +352,12 @@ impl ReportAccumulator for OneHotReportAccumulator {
 /// The server half of the hash protocol: each report increments every item
 /// `v` whose [`idldp_core::report::hash_bucket`]`(seed, v, range)` equals
 /// the reported value — the same shared hash the client encoded with,
-/// through the one shared fold. Also accepts the
-/// pre-folded [`Report::Packed`] support vector (what
+/// through the one [`idldp_core::fold::HashedFold`] kernel. Also accepts
+/// the pre-folded [`Report::Packed`] support vector (what
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
 /// either representation of the same report yields identical counts.
 ///
-/// Both fold paths run the one [`idldp_core::fold::HashedFold`] kernel.
-/// The batched path reaches it through a bounded [`SeedPreimageCache`]:
+/// The fold reaches the kernel through a bounded [`SeedPreimageCache`]:
 /// repeated `(seed, value)` pairs replay as `O(m/64)` word rows, but
 /// clients draw a fresh seed per report, so real traffic always misses and
 /// pays the kernel's one `O(m)` pass. The cache is a performance artifact,
@@ -473,29 +400,24 @@ impl HashedReportAccumulator {
         self.range
     }
 
-    /// The seed-preimage cache behind the batched fold path (statistics
-    /// and capacity introspection; the cache never affects counts).
+    /// The seed-preimage cache behind the fold (statistics and capacity
+    /// introspection; the cache never affects counts).
     pub fn preimage_cache(&self) -> &SeedPreimageCache {
         &self.cache
     }
 }
 
 impl ReportAccumulator for HashedReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
+    fn shape(&self) -> ReportShape {
+        ReportShape::Hashed { range: self.range }
     }
 
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
+    fn count_state(&self) -> &CountAccumulator {
+        &self.inner
     }
 
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match report {
-            // Both the wire pair and its pre-folded support vector go
-            // through the one shared fold (`Report::fold_into`).
-            Report::Hashed { .. } | Report::Packed(_) => self.inner.fold_report(report, self.range),
-            other => Err(wrong_shape("hashed", &other, self.report_len())),
-        }
+    fn count_state_mut(&mut self) -> &mut CountAccumulator {
+        &mut self.inner
     }
 
     /// Bucket-inverted batch fold: every `(seed, value)` pair resolves to
@@ -503,8 +425,7 @@ impl ReportAccumulator for HashedReportAccumulator {
     /// `O(m/64)` word adds per hit) and carry-save-adds into SWAR
     /// bit-planes, spilling into a staged buffer that only commits once
     /// the whole batch has validated. The bitmap rows are exactly what the
-    /// scalar hash fold would increment, so counts stay bit-identical to
-    /// sequential [`ReportAccumulator::accumulate`].
+    /// scalar hash fold would increment.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         // Validation pass first: nothing folds if any report is invalid.
@@ -527,39 +448,7 @@ impl ReportAccumulator for HashedReportAccumulator {
             }
         }
         planes.spill_into(&mut staged);
-        for (c, &s) in self.inner.counts_mut().iter_mut().zip(&staged) {
-            *c += s;
-        }
-        self.inner.add_users(reports.len() as u64);
-        Ok(())
-    }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        check_width("accumulator hash range", self.range, other.range)?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
+        commit_staged(&mut self.inner, &staged, reports.len());
         Ok(())
     }
 }
@@ -618,29 +507,21 @@ impl ItemSetReportAccumulator {
 }
 
 impl ReportAccumulator for ItemSetReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
+    fn shape(&self) -> ReportShape {
+        ReportShape::ItemSet { k: self.k }
     }
 
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
+    fn count_state(&self) -> &CountAccumulator {
+        &self.inner
     }
 
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match report {
-            // Both the wire set and its k-hot membership vector go through
-            // the one shared fold (`Report::fold_into`), which validates
-            // range, distinctness, and the pinned cardinality before
-            // counting anything.
-            Report::ItemSet(_) | Report::Packed(_) => self.inner.fold_report(report, self.k),
-            other => Err(wrong_shape("item-set", &other, self.report_len())),
-        }
+    fn count_state_mut(&mut self) -> &mut CountAccumulator {
+        &mut self.inner
     }
 
     /// Batch fold: validates every report (width, domain, distinctness,
     /// pinned cardinality) before any bucket moves, then applies the
-    /// member increments — a batch containing any invalid report counts
-    /// nothing.
+    /// member increments.
     ///
     /// Distinctness is checked against an epoch-stamped scratch row shared
     /// by the whole batch, replacing the per-report sort-and-scan of
@@ -707,35 +588,6 @@ impl ReportAccumulator for ItemSetReportAccumulator {
         self.inner.add_users(reports.len() as u64);
         Ok(())
     }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        check_width("accumulator item-set cardinality", self.k, other.k)?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
-        Ok(())
-    }
 }
 
 /// Shape-dispatching accumulator: wraps the matching shape-specific
@@ -753,8 +605,9 @@ impl ReportAccumulator for ItemSetReportAccumulator {
 ///
 /// let olh = OptimalLocalHashing::new(Epsilon::new(1.0).unwrap(), 16).unwrap();
 /// let mut acc = ShapedAccumulator::for_mechanism(&olh);
-/// acc.accumulate(Report::Hashed { seed: 7, value: 1 }).unwrap();
-/// assert_eq!(acc.num_users(), 1);
+/// acc.accumulate_batch(&[Report::Hashed { seed: 7, value: 1 }, Report::Hashed { seed: 8, value: 0 }])
+///     .unwrap();
+/// assert_eq!(acc.num_users(), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShapedAccumulator {
@@ -794,45 +647,33 @@ impl ShapedAccumulator {
     pub fn for_mechanism(mechanism: &dyn idldp_core::mechanism::Mechanism) -> Self {
         Self::for_shape(mechanism.report_shape(), mechanism.report_len())
     }
-
-    /// The shape this accumulator ingests.
-    pub fn shape(&self) -> ReportShape {
-        match self {
-            Self::Bits(_) => ReportShape::Bits,
-            Self::Value(_) => ReportShape::Value,
-            Self::Hashed(h) => ReportShape::Hashed {
-                range: h.hash_range(),
-            },
-            Self::ItemSet(a) => ReportShape::ItemSet { k: a.cardinality() },
-        }
-    }
 }
 
 impl ReportAccumulator for ShapedAccumulator {
-    fn report_len(&self) -> usize {
+    fn shape(&self) -> ReportShape {
         match self {
-            Self::Bits(a) => a.report_len(),
-            Self::Value(a) => a.report_len(),
-            Self::Hashed(a) => a.report_len(),
-            Self::ItemSet(a) => a.report_len(),
+            Self::Bits(a) => a.shape(),
+            Self::Value(a) => a.shape(),
+            Self::Hashed(a) => a.shape(),
+            Self::ItemSet(a) => a.shape(),
         }
     }
 
-    fn num_users(&self) -> u64 {
+    fn count_state(&self) -> &CountAccumulator {
         match self {
-            Self::Bits(a) => a.num_users(),
-            Self::Value(a) => a.num_users(),
-            Self::Hashed(a) => a.num_users(),
-            Self::ItemSet(a) => a.num_users(),
+            Self::Bits(a) => a.count_state(),
+            Self::Value(a) => a.count_state(),
+            Self::Hashed(a) => a.count_state(),
+            Self::ItemSet(a) => a.count_state(),
         }
     }
 
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
+    fn count_state_mut(&mut self) -> &mut CountAccumulator {
         match self {
-            Self::Bits(a) => a.accumulate(report),
-            Self::Value(a) => a.accumulate(report),
-            Self::Hashed(a) => a.accumulate(report),
-            Self::ItemSet(a) => a.accumulate(report),
+            Self::Bits(a) => a.count_state_mut(),
+            Self::Value(a) => a.count_state_mut(),
+            Self::Hashed(a) => a.count_state_mut(),
+            Self::ItemSet(a) => a.count_state_mut(),
         }
     }
 
@@ -842,49 +683,6 @@ impl ReportAccumulator for ShapedAccumulator {
             Self::Value(a) => a.accumulate_batch(reports),
             Self::Hashed(a) => a.accumulate_batch(reports),
             Self::ItemSet(a) => a.accumulate_batch(reports),
-        }
-    }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        match (self, other) {
-            (Self::Bits(a), Self::Bits(b)) => a.merge_from(b),
-            (Self::Value(a), Self::Value(b)) => a.merge_from(b),
-            (Self::Hashed(a), Self::Hashed(b)) => a.merge_from(b),
-            (Self::ItemSet(a), Self::ItemSet(b)) => a.merge_from(b),
-            (me, other) => Err(Error::ParameterOrdering {
-                detail: format!(
-                    "cannot merge accumulators of different shapes ({:?} vs {:?})",
-                    me.shape(),
-                    other.shape()
-                ),
-            }),
-        }
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        match self {
-            Self::Bits(a) => a.snapshot(),
-            Self::Value(a) => a.snapshot(),
-            Self::Hashed(a) => a.snapshot(),
-            Self::ItemSet(a) => a.snapshot(),
-        }
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        match self {
-            Self::Bits(a) => a.add_counts_into(out),
-            Self::Value(a) => a.add_counts_into(out),
-            Self::Hashed(a) => a.add_counts_into(out),
-            Self::ItemSet(a) => a.add_counts_into(out),
-        }
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        match self {
-            Self::Bits(a) => a.restore(snapshot),
-            Self::Value(a) => a.restore(snapshot),
-            Self::Hashed(a) => a.restore(snapshot),
-            Self::ItemSet(a) => a.restore(snapshot),
         }
     }
 }
@@ -898,20 +696,35 @@ mod tests {
         PackedBits::from_slots(slots).unwrap()
     }
 
+    /// Folds one report as a one-element batch.
+    fn fold_one<A: ReportAccumulator>(acc: &mut A, report: Report<'_>) -> Result<()> {
+        acc.accumulate_batch(&[report])
+    }
+
+    /// The core reference fold of `reports`, one report at a time.
+    fn reference(reports: &[Report<'_>], width: usize, shape_param: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; width];
+        for r in reports {
+            r.fold_into(&mut counts, shape_param).unwrap();
+        }
+        counts
+    }
+
     #[test]
     fn bit_accumulator_counts_and_merges() {
         let mut a = BitReportAccumulator::new(3);
         let mut b = BitReportAccumulator::new(3);
-        let mut seq = BitReportAccumulator::new(3);
+        let mut whole = BitReportAccumulator::new(3);
         let reports: [[u8; 3]; 4] = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]];
-        for (i, r) in reports.iter().enumerate() {
+        let rows: Vec<PackedBits> = reports.iter().map(|r| packed(r)).collect();
+        for (i, r) in rows.iter().enumerate() {
             let target = if i % 2 == 0 { &mut a } else { &mut b };
-            let r = packed(r);
-            target.accumulate(Report::Packed(&r)).unwrap();
-            seq.accumulate(Report::Packed(&r)).unwrap();
+            fold_one(target, Report::Packed(r)).unwrap();
         }
+        let views: Vec<Report<'_>> = rows.iter().map(Report::Packed).collect();
+        whole.accumulate_batch(&views).unwrap();
         a.merge_from(&b).unwrap();
-        assert_eq!(a.snapshot(), seq.snapshot());
+        assert_eq!(a.snapshot(), whole.snapshot());
         assert_eq!(a.num_users(), 4);
         assert_eq!(a.snapshot().counts(), &[2, 2, 3]);
     }
@@ -919,10 +732,10 @@ mod tests {
     #[test]
     fn bit_accumulator_rejects_bad_shapes() {
         let mut a = BitReportAccumulator::new(3);
-        assert!(a.accumulate(Report::Packed(&packed(&[1, 0]))).is_err());
-        assert!(a.accumulate(Report::Value(1)).is_err());
-        assert!(a.accumulate(Report::Hashed { seed: 1, value: 0 }).is_err());
-        assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
+        assert!(fold_one(&mut a, Report::Packed(&packed(&[1, 0]))).is_err());
+        assert!(fold_one(&mut a, Report::Value(1)).is_err());
+        assert!(fold_one(&mut a, Report::Hashed { seed: 1, value: 0 }).is_err());
+        assert!(fold_one(&mut a, Report::ItemSet(&[0])).is_err());
         let b = BitReportAccumulator::new(4);
         assert!(a.merge_from(&b).is_err());
         assert_eq!(a.num_users(), 0, "failed accumulations count nothing");
@@ -931,11 +744,13 @@ mod tests {
     #[test]
     fn one_hot_accumulator_accepts_both_shapes() {
         let mut a = OneHotReportAccumulator::new(4);
-        a.accumulate(Report::Value(2)).unwrap();
-        a.accumulate(Report::Packed(&packed(&[0, 0, 1, 0])))
-            .unwrap();
-        a.accumulate(Report::Packed(&packed(&[1, 0, 0, 0])))
-            .unwrap();
+        let (two, zero) = (packed(&[0, 0, 1, 0]), packed(&[1, 0, 0, 0]));
+        a.accumulate_batch(&[
+            Report::Value(2),
+            Report::Packed(&two),
+            Report::Packed(&zero),
+        ])
+        .unwrap();
         let snap = a.snapshot();
         assert_eq!(snap.counts(), &[1, 0, 2, 0]);
         assert_eq!(snap.num_users(), 3);
@@ -944,11 +759,11 @@ mod tests {
     #[test]
     fn one_hot_accumulator_rejects_invalid() {
         let mut a = OneHotReportAccumulator::new(3);
-        assert!(a.accumulate(Report::Value(3)).is_err());
-        assert!(a.accumulate(Report::Packed(&packed(&[0, 0, 0]))).is_err());
-        assert!(a.accumulate(Report::Packed(&packed(&[1, 1, 0]))).is_err());
-        assert!(a.accumulate(Report::Packed(&packed(&[1, 0]))).is_err());
-        assert!(a.accumulate(Report::ItemSet(&[1])).is_err());
+        assert!(fold_one(&mut a, Report::Value(3)).is_err());
+        assert!(fold_one(&mut a, Report::Packed(&packed(&[0, 0, 0]))).is_err());
+        assert!(fold_one(&mut a, Report::Packed(&packed(&[1, 1, 0]))).is_err());
+        assert!(fold_one(&mut a, Report::Packed(&packed(&[1, 0]))).is_err());
+        assert!(fold_one(&mut a, Report::ItemSet(&[1])).is_err());
         assert_eq!(a.num_users(), 0);
     }
 
@@ -958,7 +773,7 @@ mod tests {
         let mut a = HashedReportAccumulator::new(m, g);
         assert_eq!(a.hash_range(), g);
         let (seed, value) = (99u64, 1usize);
-        a.accumulate(Report::Hashed { seed, value }).unwrap();
+        fold_one(&mut a, Report::Hashed { seed, value }).unwrap();
         let snap = a.snapshot();
         for v in 0..m {
             let want = u64::from(hash_bucket(seed, v, g) == value);
@@ -972,17 +787,17 @@ mod tests {
             *b = u8::from(hash_bucket(seed, v, g) == value);
         }
         let mut via_bits = HashedReportAccumulator::new(m, g);
-        via_bits.accumulate(Report::Packed(&packed(&bits))).unwrap();
+        fold_one(&mut via_bits, Report::Packed(&packed(&bits))).unwrap();
         assert_eq!(via_bits.snapshot(), snap);
     }
 
     #[test]
     fn hashed_accumulator_rejects_invalid() {
         let mut a = HashedReportAccumulator::new(4, 3);
-        assert!(a.accumulate(Report::Hashed { seed: 1, value: 3 }).is_err());
-        assert!(a.accumulate(Report::Value(1)).is_err());
-        assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
-        assert!(a.accumulate(Report::Packed(&packed(&[1, 0]))).is_err());
+        assert!(fold_one(&mut a, Report::Hashed { seed: 1, value: 3 }).is_err());
+        assert!(fold_one(&mut a, Report::Value(1)).is_err());
+        assert!(fold_one(&mut a, Report::ItemSet(&[0])).is_err());
+        assert!(fold_one(&mut a, Report::Packed(&packed(&[1, 0]))).is_err());
         assert_eq!(a.num_users(), 0);
         // Merging across hash ranges is refused (folds would disagree).
         let b = HashedReportAccumulator::new(4, 5);
@@ -992,10 +807,13 @@ mod tests {
     #[test]
     fn item_set_accumulator_counts_members_once() {
         let mut a = ItemSetReportAccumulator::new(5);
-        a.accumulate(Report::ItemSet(&[0, 3])).unwrap();
-        a.accumulate(Report::ItemSet(&[3])).unwrap();
-        a.accumulate(Report::Packed(&packed(&[0, 1, 0, 1, 0])))
-            .unwrap();
+        let k_hot = packed(&[0, 1, 0, 1, 0]);
+        a.accumulate_batch(&[
+            Report::ItemSet(&[0, 3]),
+            Report::ItemSet(&[3]),
+            Report::Packed(&k_hot),
+        ])
+        .unwrap();
         let snap = a.snapshot();
         assert_eq!(snap.counts(), &[1, 1, 0, 3, 0]);
         assert_eq!(snap.num_users(), 3);
@@ -1004,10 +822,10 @@ mod tests {
     #[test]
     fn item_set_accumulator_rejects_invalid() {
         let mut a = ItemSetReportAccumulator::new(3);
-        assert!(a.accumulate(Report::ItemSet(&[3])).is_err());
-        assert!(a.accumulate(Report::ItemSet(&[1, 1])).is_err());
-        assert!(a.accumulate(Report::Value(0)).is_err());
-        assert!(a.accumulate(Report::Hashed { seed: 0, value: 0 }).is_err());
+        assert!(fold_one(&mut a, Report::ItemSet(&[3])).is_err());
+        assert!(fold_one(&mut a, Report::ItemSet(&[1, 1])).is_err());
+        assert!(fold_one(&mut a, Report::Value(0)).is_err());
+        assert!(fold_one(&mut a, Report::Hashed { seed: 0, value: 0 }).is_err());
         assert_eq!(a.num_users(), 0, "failed accumulations count nothing");
     }
 
@@ -1036,7 +854,7 @@ mod tests {
             let mut acc = ShapedAccumulator::for_shape(shape, 4);
             assert_eq!(acc.shape(), shape);
             assert_eq!(acc.report_len(), 4);
-            acc.accumulate(data.as_report()).unwrap();
+            fold_one(&mut acc, data.as_report()).unwrap();
             assert_eq!(acc.num_users(), 1, "{shape:?}");
             // Merge-from an identical clone doubles the state...
             let other = acc.clone();
@@ -1058,9 +876,9 @@ mod tests {
     fn item_set_accumulator_pins_cardinality() {
         let mut a = ItemSetReportAccumulator::with_cardinality(5, 2);
         assert_eq!(a.cardinality(), 2);
-        a.accumulate(Report::ItemSet(&[0, 3])).unwrap();
-        assert!(a.accumulate(Report::ItemSet(&[1])).is_err());
-        assert!(a.accumulate(Report::ItemSet(&[1, 2, 4])).is_err());
+        fold_one(&mut a, Report::ItemSet(&[0, 3])).unwrap();
+        assert!(fold_one(&mut a, Report::ItemSet(&[1])).is_err());
+        assert!(fold_one(&mut a, Report::ItemSet(&[1, 2, 4])).is_err());
         assert_eq!(a.num_users(), 1, "wrong-sized sets count nothing");
         // Merging across pinned cardinalities is refused.
         let other = ItemSetReportAccumulator::with_cardinality(5, 3);
@@ -1072,9 +890,10 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_for_every_shape() {
-        // The core batched-fold guarantee: accumulate_batch is
-        // bit-identical to sequential accumulate, for every shape, with
-        // enough bit rows to cross a SWAR spill boundary.
+        // The core batched-fold guarantee: accumulate_batch equals the
+        // sequential reference fold (`Report::fold_into`, one report at a
+        // time), for every shape, with enough bit rows to cross a SWAR
+        // spill boundary.
         let m = 9usize;
         let bit_rows: Vec<PackedBits> = (0..600u64)
             .map(|r| {
@@ -1085,23 +904,14 @@ mod tests {
             .map(|row| packed(&row))
             .collect();
         let bit_reports: Vec<Report<'_>> = bit_rows.iter().map(Report::Packed).collect();
-
-        let mut seq = BitReportAccumulator::new(m);
-        for r in &bit_reports {
-            seq.accumulate(*r).unwrap();
-        }
         let mut batched = BitReportAccumulator::new(m);
         batched.accumulate_batch(&bit_reports).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
+        assert_eq!(batched.snapshot().counts(), reference(&bit_reports, m, 0));
 
-        let mut seq = OneHotReportAccumulator::new(m);
-        let mut batched = OneHotReportAccumulator::new(m);
         let values: Vec<Report<'_>> = (0..40).map(|v| Report::Value(v % m)).collect();
-        for r in &values {
-            seq.accumulate(*r).unwrap();
-        }
+        let mut batched = OneHotReportAccumulator::new(m);
         batched.accumulate_batch(&values).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
+        assert_eq!(batched.snapshot().counts(), reference(&values, m, 0));
 
         // Hashed: repeated seeds exercise the preimage-cache hit path, and
         // a mixed-in pre-folded bits row exercises the packed-row path.
@@ -1113,13 +923,9 @@ mod tests {
             })
             .chain(std::iter::once(Report::Packed(&bit_rows[0])))
             .collect();
-        let mut seq = HashedReportAccumulator::new(m, g);
-        for r in &hashed {
-            seq.accumulate(*r).unwrap();
-        }
         let mut batched = HashedReportAccumulator::new(m, g);
         batched.accumulate_batch(&hashed).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
+        assert_eq!(batched.snapshot().counts(), reference(&hashed, m, g));
         assert!(batched.preimage_cache().hits() > 0, "repeated seeds hit");
 
         let sets: Vec<Vec<usize>> = (0..30usize).map(|i| vec![i % m, (i + 3) % m]).collect();
@@ -1128,18 +934,16 @@ mod tests {
             .map(|s| Report::ItemSet(s))
             .chain(std::iter::once(Report::Packed(&bit_rows[1])))
             .collect();
-        let mut seq = ItemSetReportAccumulator::new(m);
-        for r in &set_reports {
-            seq.accumulate(*r).unwrap();
-        }
         let mut batched = ItemSetReportAccumulator::new(m);
         batched.accumulate_batch(&set_reports).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
+        assert_eq!(batched.snapshot().counts(), reference(&set_reports, m, 0));
+        assert_eq!(batched.num_users(), set_reports.len() as u64);
     }
 
     /// Every accumulator that takes bit reports folds packed reports to
-    /// the counts of their 0/1 rows, one at a time and batched, at every
-    /// width across the 64-slot word and 128/129 inline/heap edges.
+    /// the counts of their 0/1 rows, in one-report batches and in one
+    /// whole batch, at every width across the 64-slot word and 128/129
+    /// inline/heap edges.
     #[test]
     fn packed_reports_fold_to_their_rows() {
         for m in (1..=130usize).chain([1000]) {
@@ -1175,22 +979,26 @@ mod tests {
                     }
                 }
 
-                let mut seq = ShapedAccumulator::for_shape(shape, m);
+                let mut one_by_one = ShapedAccumulator::for_shape(shape, m);
                 for (row, bits) in rows.iter().zip(&reports) {
                     assert_eq!(
-                        seq.accumulate(Report::Packed(bits)).is_ok(),
+                        fold_one(&mut one_by_one, Report::Packed(bits)).is_ok(),
                         takes(row),
                         "{shape:?} m={m}"
                     );
                 }
-                assert_eq!(seq.snapshot().counts(), want, "{shape:?} m={m}");
-                assert_eq!(seq.num_users(), taken.len() as u64, "{shape:?} m={m}");
+                assert_eq!(one_by_one.snapshot().counts(), want, "{shape:?} m={m}");
+                assert_eq!(
+                    one_by_one.num_users(),
+                    taken.len() as u64,
+                    "{shape:?} m={m}"
+                );
 
                 let views: Vec<Report<'_>> =
                     taken.iter().map(|&r| Report::Packed(&reports[r])).collect();
                 let mut batched = ShapedAccumulator::for_shape(shape, m);
                 batched.accumulate_batch(&views).unwrap();
-                assert_eq!(batched, seq, "{shape:?} m={m}");
+                assert_eq!(batched, one_by_one, "{shape:?} m={m}");
             }
         }
     }
@@ -1245,8 +1053,8 @@ mod tests {
     #[test]
     fn restore_round_trips() {
         let mut a = OneHotReportAccumulator::new(3);
-        a.accumulate(Report::Value(1)).unwrap();
-        a.accumulate(Report::Value(1)).unwrap();
+        a.accumulate_batch(&[Report::Value(1), Report::Value(1)])
+            .unwrap();
         let snap = a.snapshot();
         let mut fresh = OneHotReportAccumulator::new(3);
         fresh.restore(&snap).unwrap();

@@ -5,7 +5,7 @@
 //! crate is that online layer:
 //!
 //! * [`accumulator`] — [`ReportAccumulator`]: mergeable, `Send` per-shard
-//!   count state, with one implementation per wire shape
+//!   count state with one batched fold per wire shape
 //!   ([`BitReportAccumulator`] for the unary-encoding family,
 //!   [`OneHotReportAccumulator`] for GRR/matrix/PS value reports,
 //!   [`HashedReportAccumulator`] for OLH `(seed, value)` pairs folded
@@ -14,11 +14,11 @@
 //!   [`ShapedAccumulator`] picked from
 //!   [`idldp_core::mechanism::Mechanism::report_shape`].
 //! * [`sharded`] — [`ShardedAccumulator`]: stripes the state across `N`
-//!   independently locked shards with round-robin fan-out and exact
-//!   merge-on-demand snapshots.
-//! * [`source`] — [`SeededReportStream`]: the deterministic report stream
-//!   sharing the batch pipeline's chunk/RNG grid ([`chunk_ranges`]), so
-//!   streaming counts are bit-identical to a batch
+//!   independently locked shards, one batch per round-robin turn, with
+//!   exact merge-on-demand snapshots.
+//! * [`source`] — [`SeededReportStream`]: the deterministic report stream,
+//!   chunk by chunk, sharing the batch pipeline's chunk/RNG grid
+//!   ([`chunk_ranges`]), so streaming counts are bit-identical to a batch
 //!   `SimulationPipeline::run` of the same `(mechanism, inputs, seed)`.
 //! * [`topk`] — [`HeavyHitterTracker`]: online heavy-hitter identification
 //!   over any sharded sink via the snapshot → prune → re-estimate loop;
@@ -41,9 +41,8 @@
 //! // A GRR server accumulating categorical value reports over 4 shards.
 //! let grr = GeneralizedRandomizedResponse::new(Epsilon::new(2.0).unwrap(), 5).unwrap();
 //! let sink = ShardedAccumulator::new(OneHotReportAccumulator::new(grr.report_len()), 4);
-//! for value in [0usize, 3, 3, 1, 4, 3] {
-//!     sink.push(Report::Value(value)).unwrap();
-//! }
+//! let frame: Vec<Report> = [0usize, 3, 3, 1, 4, 3].map(Report::Value).to_vec();
+//! sink.push_batch(&frame).unwrap();
 //! let snapshot = sink.snapshot();
 //! let estimates = grr
 //!     .frequency_oracle(snapshot.num_users())

@@ -2,7 +2,8 @@
 //!
 //! A single mutex around one accumulator would serialize every ingestion
 //! thread; [`ShardedAccumulator`] stripes the state across `N` shards, each
-//! behind its own lock, and fans incoming reports over them round-robin.
+//! behind its own lock, and fans incoming report batches over them
+//! round-robin.
 //! Writers contend only `1/N` of the time, and because accumulator merges
 //! are exact (integer counts), the merged view — materialized on demand by
 //! [`ShardedAccumulator::snapshot`] — is identical for every shard count
@@ -26,10 +27,12 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// ```
 /// use idldp_stream::{Report, ShardedAccumulator, OneHotReportAccumulator};
 ///
-/// // Four GRR-style categorical buckets across 3 shards.
+/// // Four GRR-style categorical buckets across 3 shards, one batch per
+/// // arriving frame.
 /// let sharded = ShardedAccumulator::new(OneHotReportAccumulator::new(4), 3);
-/// for value in [0, 2, 2, 3, 1, 2] {
-///     sharded.push(Report::Value(value)).unwrap();
+/// for frame in [&[0, 2][..], &[2, 3, 1], &[2]] {
+///     let reports: Vec<Report> = frame.iter().map(|&v| Report::Value(v)).collect();
+///     sharded.push_batch(&reports).unwrap();
 /// }
 /// let snapshot = sharded.snapshot();
 /// assert_eq!(snapshot.counts(), &[1, 1, 3, 1]);
@@ -79,27 +82,15 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
         self.shards.iter().map(|s| s.lock().num_users()).sum()
     }
 
-    /// Folds one report into the next shard (round-robin), locking only
-    /// that shard.
-    ///
-    /// # Errors
-    /// Propagates the shard accumulator's shape/width errors; the
-    /// round-robin cursor still advances, so one malformed report cannot
-    /// pin a shard.
-    pub fn push(&self, report: Report<'_>) -> Result<()> {
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].lock().accumulate(report)
-    }
-
     /// Folds a whole batch of reports (one transport frame, one stream
-    /// chunk) into a single shard under one lock acquisition, through the
-    /// accumulator's atomic [`ReportAccumulator::accumulate_batch`] — the
-    /// ingestion fast path: one frame costs one cursor bump, one lock, and
-    /// one batched fold instead of per-report round trips.
+    /// chunk) into the next shard (round-robin) under one lock
+    /// acquisition, through the accumulator's atomic
+    /// [`ReportAccumulator::accumulate_batch`]: one frame costs one cursor
+    /// bump, one lock, and one batched fold.
     ///
-    /// Counts are bit-identical to pushing each report individually (the
-    /// exact-merge law makes shard placement irrelevant), and a batch
-    /// containing any invalid report counts nothing.
+    /// Counts are identical for every batching and shard placement (the
+    /// exact-merge law), and a batch containing any invalid report counts
+    /// nothing.
     ///
     /// # Errors
     /// Returns the first report's validation error; the round-robin cursor
@@ -112,27 +103,9 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
         self.shards[shard].lock().accumulate_batch(reports)
     }
 
-    /// Folds one report into an explicit shard — for callers that partition
-    /// upstream (e.g. one network listener per shard) instead of
-    /// round-robin.
-    ///
-    /// # Errors
-    /// Returns an error if `shard >= num_shards` or the report is invalid.
-    pub fn push_to(&self, shard: usize, report: Report<'_>) -> Result<()> {
-        let slot = self
-            .shards
-            .get(shard)
-            .ok_or_else(|| Error::IndexOutOfRange {
-                what: "shard index".into(),
-                index: shard,
-                bound: self.shards.len(),
-            })?;
-        slot.lock().accumulate(report)
-    }
-
     /// Merges a locally accumulated `A` (e.g. a worker's chunk state) into
-    /// the next shard in one lock acquisition — the batch-sized sibling of
-    /// [`Self::push`].
+    /// the next shard in one lock acquisition — the pre-folded sibling of
+    /// [`Self::push_batch`].
     ///
     /// # Errors
     /// Returns an error if the widths differ.
@@ -144,15 +117,20 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
     /// Freezes the merged view of all shards — counts and user totals are
     /// exact sums, identical for any shard count and writer interleaving.
     ///
-    /// One preallocated buffer, one pass: each shard adds its counts into
-    /// the same vector under its own lock
-    /// ([`ReportAccumulator::add_counts_into`]), instead of allocating an
-    /// intermediate snapshot per shard and merging pairwise.
+    /// One preallocated buffer, one pass: each shard adds its counts
+    /// ([`ReportAccumulator::count_state`]) into the same vector under its
+    /// own lock, instead of allocating an intermediate snapshot per shard
+    /// and merging pairwise. Every shard has the prototype's width.
     pub fn snapshot(&self) -> AccumulatorSnapshot {
         let mut counts = vec![0u64; self.report_len()];
         let mut users = 0u64;
         for shard in &self.shards {
-            users += shard.lock().add_counts_into(&mut counts);
+            let shard = shard.lock();
+            let state = shard.count_state();
+            for (c, &s) in counts.iter_mut().zip(state.counts()) {
+                *c += s;
+            }
+            users += state.num_users();
         }
         AccumulatorSnapshot::new(counts, users).expect("shards have nonzero width")
     }
@@ -163,18 +141,6 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
     /// them and a restore lands the sum in any shard count.
     pub fn snapshot_shards(&self) -> Vec<AccumulatorSnapshot> {
         self.shards.iter().map(|s| s.lock().snapshot()).collect()
-    }
-
-    /// Consumes the sharding, returning one fully merged accumulator.
-    pub fn into_merged(self) -> A {
-        let mut shards = self.shards.into_iter().map(Mutex::into_inner);
-        let mut merged = shards.next().expect("at least one shard");
-        for shard in shards {
-            merged
-                .merge_from(&shard)
-                .expect("shards share one width by construction");
-        }
-        merged
     }
 
     /// Restores checkpointed state into shard 0 of an **empty** sharding —
@@ -206,11 +172,18 @@ mod tests {
         PackedBits::from_slots(slots).unwrap()
     }
 
+    fn rows(n: u32) -> Vec<PackedBits> {
+        (0..n)
+            .map(|i| packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]))
+            .collect()
+    }
+
     #[test]
     fn round_robin_covers_all_shards() {
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 4);
+        let row = packed(&[1, 0]);
         for _ in 0..8 {
-            sharded.push(Report::Packed(&packed(&[1, 0]))).unwrap();
+            sharded.push_batch(&[Report::Packed(&row)]).unwrap();
         }
         assert_eq!(sharded.num_users(), 8);
         assert_eq!(sharded.num_shards(), 4);
@@ -218,20 +191,20 @@ mod tests {
         let snap = sharded.snapshot();
         assert_eq!(snap.counts(), &[8, 0]);
         // Every shard saw exactly 2 reports.
-        let merged = sharded.into_merged();
-        assert_eq!(merged.num_users(), 8);
+        for shard in sharded.snapshot_shards() {
+            assert_eq!(shard.num_users(), 2);
+        }
     }
 
     #[test]
     fn shard_count_does_not_change_counts() {
-        let reports: Vec<PackedBits> = (0..100)
-            .map(|i| packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]))
-            .collect();
+        let rows = rows(100);
+        let reports: Vec<Report<'_>> = rows.iter().map(Report::Packed).collect();
         let mut reference: Option<AccumulatorSnapshot> = None;
         for shards in [1, 2, 3, 7, 100, 128] {
             let sharded = ShardedAccumulator::new(BitReportAccumulator::new(3), shards);
-            for r in &reports {
-                sharded.push(Report::Packed(r)).unwrap();
+            for batch in reports.chunks(shards) {
+                sharded.push_batch(batch).unwrap();
             }
             let snap = sharded.snapshot();
             if let Some(ref want) = reference {
@@ -243,28 +216,29 @@ mod tests {
     }
 
     #[test]
-    fn push_to_and_errors() {
+    fn failed_batch_counts_nothing_and_advances_the_cursor() {
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 2);
-        sharded
-            .push_to(1, Report::Packed(&packed(&[0, 1])))
-            .unwrap();
+        let (good, narrow) = (packed(&[0, 1]), packed(&[1]));
         assert!(sharded
-            .push_to(2, Report::Packed(&packed(&[0, 1])))
+            .push_batch(&[Report::Packed(&good), Report::Packed(&narrow)])
             .is_err());
-        assert!(sharded.push(Report::Packed(&packed(&[1]))).is_err());
-        assert_eq!(sharded.num_users(), 1);
+        assert_eq!(sharded.num_users(), 0);
+        // The refused batch still took shard 0's turn: the next one lands
+        // on shard 1, so one malformed frame cannot pin a shard.
+        sharded.push_batch(&[Report::Packed(&good)]).unwrap();
+        let shards = sharded.snapshot_shards();
+        assert_eq!(shards[0].num_users(), 0);
+        assert_eq!(shards[1].num_users(), 1);
     }
 
     #[test]
     fn push_batch_matches_per_report_pushes() {
-        let rows: Vec<PackedBits> = (0..90)
-            .map(|i| packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]))
-            .collect();
+        let rows = rows(90);
         let reports: Vec<Report<'_>> = rows.iter().map(Report::Packed).collect();
 
         let per_report = ShardedAccumulator::new(BitReportAccumulator::new(3), 4);
         for r in &reports {
-            per_report.push(*r).unwrap();
+            per_report.push_batch(std::slice::from_ref(r)).unwrap();
         }
         let batched = ShardedAccumulator::new(BitReportAccumulator::new(3), 4);
         for chunk in reports.chunks(7) {
@@ -289,10 +263,12 @@ mod tests {
     fn absorb_merges_worker_state() {
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
         let mut local = BitReportAccumulator::new(2);
-        local.accumulate(Report::Packed(&packed(&[1, 1]))).unwrap();
-        local.accumulate(Report::Packed(&packed(&[1, 0]))).unwrap();
+        let (a, b, c) = (packed(&[1, 1]), packed(&[1, 0]), packed(&[0, 1]));
+        local
+            .accumulate_batch(&[Report::Packed(&a), Report::Packed(&b)])
+            .unwrap();
         sharded.absorb(&local).unwrap();
-        sharded.push(Report::Packed(&packed(&[0, 1]))).unwrap();
+        sharded.push_batch(&[Report::Packed(&c)]).unwrap();
         let snap = sharded.snapshot();
         assert_eq!(snap.counts(), &[2, 2]);
         assert_eq!(snap.num_users(), 3);
@@ -303,7 +279,9 @@ mod tests {
         let checkpoint = AccumulatorSnapshot::new(vec![5, 7], 12).unwrap();
         let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
         sharded.restore(&checkpoint).unwrap();
-        sharded.push(Report::Packed(&packed(&[1, 0]))).unwrap();
+        sharded
+            .push_batch(&[Report::Packed(&packed(&[1, 0]))])
+            .unwrap();
         let snap = sharded.snapshot();
         assert_eq!(snap.counts(), &[6, 7]);
         assert_eq!(snap.num_users(), 13);
@@ -318,9 +296,10 @@ mod tests {
     #[test]
     fn shard_snapshots_restore_across_any_shard_count() {
         let source = ShardedAccumulator::new(BitReportAccumulator::new(3), 5);
-        for i in 0..100u32 {
-            let row = packed(&[(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8]);
-            source.push(Report::Packed(&row)).unwrap();
+        let rows = rows(100);
+        let reports: Vec<Report<'_>> = rows.iter().map(Report::Packed).collect();
+        for batch in reports.chunks(3) {
+            source.push_batch(batch).unwrap();
         }
         let want = source.snapshot();
         let parts = source.snapshot_shards();
@@ -331,12 +310,13 @@ mod tests {
         for part in &parts[1..] {
             merged.merge(part).unwrap();
         }
+        let ones = packed(&[1, 1, 1]);
         for shards in [1, 3, 5, 8] {
             let target = ShardedAccumulator::new(BitReportAccumulator::new(3), shards);
             target.restore(&merged).unwrap();
             assert_eq!(target.snapshot(), want, "restore into {shards} shards");
             // The restored sharding keeps accepting reports.
-            target.push(Report::Packed(&packed(&[1, 1, 1]))).unwrap();
+            target.push_batch(&[Report::Packed(&ones)]).unwrap();
             assert_eq!(target.num_users(), want.num_users() + 1);
         }
     }
@@ -349,8 +329,9 @@ mod tests {
                 let sharded = &sharded;
                 scope.spawn(move || {
                     let report = packed(&[u8::from(t % 2 == 0), u8::from(t % 2 == 1)]);
-                    for _ in 0..1000 {
-                        sharded.push(Report::Packed(&report)).unwrap();
+                    let batch = [Report::Packed(&report); 10];
+                    for _ in 0..100 {
+                        sharded.push_batch(&batch).unwrap();
                     }
                 });
             }

@@ -1,8 +1,8 @@
 //! Seeded report streams: the online twin of the batch pipeline.
 //!
 //! A [`SeededReportStream`] replays the exact client population a batch
-//! `SimulationPipeline` run (in `idldp-sim`) would simulate, but one
-//! report at a time, chunk by chunk. Determinism is anchored to the same
+//! `SimulationPipeline` run (in `idldp-sim`) would simulate, but chunk by
+//! chunk, as owned wire reports. Determinism is anchored to the same
 //! *chunk grid* the pipeline uses — users are split into fixed-size chunks
 //! and chunk `i` draws from the independent RNG stream `(seed, i)` — which
 //! is defined once here ([`chunk_ranges`]) and reused by the pipeline. The
@@ -18,6 +18,7 @@
 
 use crate::accumulator::{Report, ReportAccumulator};
 use crate::sharded::ShardedAccumulator;
+use crate::topk::HeavyHitterTracker;
 use idldp_core::error::{Error, Result};
 use idldp_core::mechanism::{Input, InputBatch, Mechanism};
 use idldp_core::report::{PackedBits, ReportData, ReportShape};
@@ -80,17 +81,16 @@ pub struct SeededReportStream<'a> {
     next_chunk: u64,
     shape: ReportShape,
     buffer: Vec<u8>,
-    packed: PackedBits,
 }
 
 impl<'a> SeededReportStream<'a> {
     /// A stream over `inputs` with the default chunk size. Reports are
     /// emitted in the mechanism's *native wire shape*
     /// ([`Mechanism::report_shape`]): the bit-vector shape is perturbed
-    /// into a reused buffer and emitted as [`Report::Packed`] through one
-    /// reused [`PackedBits`], with no allocation per report, while the compact
-    /// shapes are emitted via [`Mechanism::perturb_data`]
-    /// ([`Report::Value`] / [`Report::Hashed`] / [`Report::ItemSet`]).
+    /// into a reused buffer and packed into a [`ReportData::Bits`], while
+    /// the compact shapes are emitted via [`Mechanism::perturb_data`]
+    /// ([`ReportData::Value`] / [`ReportData::Hashed`] /
+    /// [`ReportData::ItemSet`]).
     /// Both emission paths draw randomness identically, so the shape never
     /// changes the counts — pair the stream with
     /// [`crate::ShapedAccumulator::for_mechanism`] and any mechanism's
@@ -112,7 +112,6 @@ impl<'a> SeededReportStream<'a> {
             next_chunk: 0,
             shape,
             buffer,
-            packed: PackedBits::default(),
         }
     }
 
@@ -181,66 +180,93 @@ impl<'a> SeededReportStream<'a> {
         Ok(())
     }
 
-    /// Generates the next chunk of reports, passing each to `sink` in user
-    /// order. Returns the number of users emitted — `0` once the stream is
-    /// exhausted.
+    /// Generates the next chunk of reports in user order, as owned reports
+    /// in the stream's wire shape — what a client sends as one frame.
+    /// Returns an empty chunk once the stream is exhausted.
+    ///
+    /// # Errors
+    /// Returns the first perturbation error; the stream does not advance
+    /// past a failed chunk.
+    pub fn next_chunk(&mut self) -> Result<Vec<ReportData>> {
+        let chunk = self.current_chunk()?;
+        self.next_chunk += u64::from(!chunk.is_empty());
+        Ok(chunk)
+    }
+
+    /// Folds the next chunk into a sharded accumulator as one batch
+    /// ([`ShardedAccumulator::push_batch`]). Returns the number of users
+    /// ingested (`0` when exhausted).
     ///
     /// # Errors
     /// Returns the first perturbation or sink error; the stream does not
     /// advance past a failed chunk.
-    pub fn next_chunk_with<F>(&mut self, mut sink: F) -> Result<usize>
-    where
-        F: FnMut(Report<'_>) -> Result<()>,
-    {
+    pub fn ingest_chunk<A: ReportAccumulator>(
+        &mut self,
+        sink: &ShardedAccumulator<A>,
+    ) -> Result<usize> {
+        self.fold_next_chunk(|reports| sink.push_batch(reports))
+    }
+
+    /// Folds the next chunk into a heavy-hitter tracker
+    /// ([`HeavyHitterTracker::push_batch`], which refreshes at every
+    /// cadence boundary inside the chunk). Returns the number of users
+    /// ingested (`0` when exhausted).
+    ///
+    /// # Errors
+    /// Same conditions as [`Self::ingest_chunk`], plus refresh errors.
+    pub fn track_chunk<A: ReportAccumulator>(
+        &mut self,
+        tracker: &mut HeavyHitterTracker<'_, A>,
+    ) -> Result<usize> {
+        self.fold_next_chunk(|reports| tracker.push_batch(reports))
+    }
+
+    /// Hands the next chunk's reports to `fold` as one batch and advances
+    /// past the chunk only once generating and folding it both succeeded.
+    fn fold_next_chunk(&mut self, fold: impl FnOnce(&[Report<'_>]) -> Result<()>) -> Result<usize> {
+        let chunk = self.current_chunk()?;
+        let reports: Vec<Report<'_>> = chunk.iter().map(ReportData::as_report).collect();
+        fold(&reports)?;
+        self.next_chunk += u64::from(!chunk.is_empty());
+        Ok(chunk.len())
+    }
+
+    /// Generates the chunk at the stream position without advancing; empty
+    /// once the stream is exhausted.
+    fn current_chunk(&mut self) -> Result<Vec<ReportData>> {
         let n = self.inputs.len();
         let lo = (self.next_chunk as usize) * self.chunk_size;
         if lo >= n {
-            return Ok(0);
+            return Ok(Vec::new());
         }
         let hi = (lo + self.chunk_size).min(n);
         let mut rng = stream_rng(self.seed, self.next_chunk);
-        let compact = self.shape != ReportShape::Bits;
+        let mut chunk = Vec::with_capacity(hi - lo);
         for user in lo..hi {
             let input = match self.inputs {
                 InputBatch::Items(items) => Input::Item(items[user] as usize),
                 InputBatch::Sets(sets) => Input::Set(&sets[user]),
             };
-            if compact {
-                // Native compact wire shapes (categorical value, hashed
-                // pair, item set): no m-wide buffer at all.
-                let data = self.mechanism.perturb_data(input, &mut rng)?;
-                debug_assert!(!matches!(data, ReportData::Bits(_)));
-                sink(data.as_report())?;
-            } else {
-                // The bit-vector shape: `perturb_data`'s draws and packing
-                // without its allocations.
+            if self.shape == ReportShape::Bits {
+                // `perturb_data`'s draws and packing, through one reused
+                // m-wide buffer instead of one per report.
                 self.mechanism
                     .perturb_into(input, &mut rng, &mut self.buffer)?;
-                self.packed.repack(&self.buffer)?;
-                sink(Report::Packed(&self.packed))?;
+                chunk.push(ReportData::Bits(PackedBits::from_slots(&self.buffer)?));
+            } else {
+                // Native compact wire shapes (categorical value, hashed
+                // pair, item set): no m-wide buffer at all.
+                chunk.push(self.mechanism.perturb_data(input, &mut rng)?);
             }
         }
-        self.next_chunk += 1;
-        Ok(hi - lo)
-    }
-
-    /// Convenience: feeds the next chunk into a sharded accumulator.
-    /// Returns the number of users ingested (`0` when exhausted).
-    ///
-    /// # Errors
-    /// Same conditions as [`Self::next_chunk_with`].
-    pub fn ingest_chunk<A: ReportAccumulator>(
-        &mut self,
-        sink: &ShardedAccumulator<A>,
-    ) -> Result<usize> {
-        self.next_chunk_with(|report| sink.push(report))
+        Ok(chunk)
     }
 
     /// Drains the whole remaining stream into a sharded accumulator,
     /// returning the total users ingested.
     ///
     /// # Errors
-    /// Same conditions as [`Self::next_chunk_with`].
+    /// Same conditions as [`Self::ingest_chunk`].
     pub fn ingest_all<A: ReportAccumulator>(
         &mut self,
         sink: &ShardedAccumulator<A>,
@@ -315,18 +341,15 @@ mod tests {
             SeededReportStream::new(&mech, InputBatch::Items(&items), 9).with_chunk_size(10);
         let mut seen = 0usize;
         loop {
-            let got = full
-                .next_chunk_with(|r| {
-                    if seen >= 20 {
-                        tail_sink.push(r)?;
-                    }
-                    seen += 1;
-                    Ok(())
-                })
-                .unwrap();
-            if got == 0 {
+            let chunk = full.next_chunk().unwrap();
+            if chunk.is_empty() {
                 break;
             }
+            if seen >= 20 {
+                let reports: Vec<Report<'_>> = chunk.iter().map(ReportData::as_report).collect();
+                tail_sink.push_batch(&reports).unwrap();
+            }
+            seen += chunk.len();
         }
         // Seeked run over the same tail.
         let seek_sink = ShardedAccumulator::new(BitReportAccumulator::new(3), 1);

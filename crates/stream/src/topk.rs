@@ -16,8 +16,8 @@
 //!    set: the top `k + slack` items ([`TrackerMode::TopK`]) or everything
 //!    above a threshold ([`TrackerMode::Threshold`]).
 //!
-//! Between refreshes the tracker's work per report is one accumulator fold
-//! and queries ([`HeavyHitterTracker::candidates`],
+//! Between refreshes the tracker's work is one batched accumulator fold
+//! per arriving batch, and queries ([`HeavyHitterTracker::candidates`],
 //! [`HeavyHitterTracker::top_k`]) touch only the pruned candidates —
 //! steady-state cost is `O(candidates)`, not `O(domain)`; the `O(domain)`
 //! estimation bill is paid once per cadence and amortizes to
@@ -54,11 +54,7 @@
 //! )
 //! .unwrap();
 //! let mut stream = SeededReportStream::new(&grr, InputBatch::Items(&items), 7);
-//! while stream
-//!     .next_chunk_with(|report| tracker.push(report).map(|_| ()))
-//!     .unwrap()
-//!     > 0
-//! {}
+//! while stream.track_chunk(&mut tracker).unwrap() > 0 {}
 //! assert_eq!(tracker.finish().unwrap()[0], 5, "item 5 dominates the stream");
 //! ```
 
@@ -239,36 +235,32 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
         self.since_refresh > 0 || self.refreshes == 0
     }
 
-    /// Folds one report into the next shard (round-robin) and refreshes the
-    /// candidate set if the cadence boundary was crossed. Returns `true` if
-    /// a refresh happened.
+    /// Folds a batch of reports (one stream chunk, one frame) into the
+    /// sink, refreshing the candidate set at every cadence boundary inside
+    /// it. The batch is split at those boundaries, each piece folds
+    /// through one [`ShardedAccumulator::push_batch`], and each refresh
+    /// therefore lands on exactly the report count that a refresh every
+    /// [`Self::cadence`] reports would see, however the stream was
+    /// chunked.
     ///
     /// # Errors
-    /// Propagates sink shape/width errors (nothing is counted and the
-    /// cadence counter does not advance) and refresh errors.
-    pub fn push(&mut self, report: Report<'_>) -> Result<bool> {
-        self.sink.push(report)?;
-        self.count_one()
-    }
-
-    /// Folds one report into an explicit shard — the caller-partitioned
-    /// sibling of [`Self::push`], for upstreams that already shard (one
-    /// listener per shard). Same cadence behavior.
-    ///
-    /// # Errors
-    /// Same conditions as [`Self::push`], plus an out-of-range shard index.
-    pub fn push_to(&mut self, shard: usize, report: Report<'_>) -> Result<bool> {
-        self.sink.push_to(shard, report)?;
-        self.count_one()
-    }
-
-    fn count_one(&mut self) -> Result<bool> {
-        self.since_refresh += 1;
-        if self.since_refresh >= self.cadence {
-            self.refresh()?;
-            return Ok(true);
+    /// Propagates sink shape/width errors and refresh errors. Each piece
+    /// folds atomically: the piece holding an invalid report counts
+    /// nothing and does not advance the cadence counter, while pieces
+    /// before it stay counted.
+    pub fn push_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
+        let mut rest = reports;
+        while !rest.is_empty() {
+            let take = rest.len().min(self.cadence - self.since_refresh);
+            let (piece, tail) = rest.split_at(take);
+            self.sink.push_batch(piece)?;
+            self.since_refresh += take;
+            if self.since_refresh == self.cadence {
+                self.refresh()?;
+            }
+            rest = tail;
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Forces the snapshot → re-estimate → prune cycle now, regardless of
@@ -355,15 +347,6 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
         Ok(self.top_k())
     }
 
-    /// Serializes the accumulated state in the stable checkpoint format
-    /// ([`AccumulatorSnapshot::to_checkpoint_string`]). The candidate set
-    /// is *derived* state — a pure function of the counts — so the
-    /// checkpoint is exactly the accumulator snapshot and restoring it
-    /// reproduces the tracker bit for bit.
-    pub fn to_checkpoint_string(&self) -> String {
-        self.sink.snapshot().to_checkpoint_string()
-    }
-
     /// Restores checkpointed counts into an **empty** tracker and refreshes
     /// so the candidates reflect the restored state — the restart-recovery
     /// path (pair with `SeededReportStream::seek_to_user`, as `idldp
@@ -376,15 +359,6 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
     pub fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
         self.sink.restore(snapshot)?;
         self.refresh()
-    }
-
-    /// Parses a checkpoint produced by [`Self::to_checkpoint_string`] and
-    /// restores it.
-    ///
-    /// # Errors
-    /// Same conditions as [`Self::restore`], plus checkpoint parse errors.
-    pub fn restore_from_checkpoint_str(&mut self, text: &str) -> Result<()> {
-        self.restore(&AccumulatorSnapshot::from_checkpoint_str(text)?)
     }
 }
 
@@ -422,11 +396,7 @@ mod tests {
     ) {
         let mut stream = crate::SeededReportStream::new(mech, InputBatch::Items(items), seed)
             .with_chunk_size(128);
-        while stream
-            .next_chunk_with(|r| tracker.push(r).map(|_| ()))
-            .unwrap()
-            > 0
-        {}
+        while stream.track_chunk(tracker).unwrap() > 0 {}
     }
 
     #[test]
@@ -547,18 +517,20 @@ mod tests {
                 .unwrap();
         drain(&mut tracker, &mech, &items, 21);
         tracker.refresh().unwrap();
-        let text = tracker.to_checkpoint_string();
+        // The checkpoint is the sink's snapshot, through the stable format.
+        let text = tracker.sink().snapshot().to_checkpoint_string();
+        let checkpoint = AccumulatorSnapshot::from_checkpoint_str(&text).unwrap();
 
         // Fresh tracker, different shard count: identical state after restore.
         let mut restored =
             HeavyHitterTracker::for_mechanism(&mech, 7, TrackerMode::TopK { k: 2, slack: 2 }, 256)
                 .unwrap();
-        restored.restore_from_checkpoint_str(&text).unwrap();
+        restored.restore(&checkpoint).unwrap();
         assert_eq!(restored.num_users(), tracker.num_users());
         assert_eq!(restored.candidates(), tracker.candidates());
         assert_eq!(restored.top_k(), tracker.top_k());
         // Restoring over live counts is refused.
-        assert!(restored.restore_from_checkpoint_str(&text).is_err());
+        assert!(restored.restore(&checkpoint).is_err());
     }
 
     #[test]
@@ -567,12 +539,27 @@ mod tests {
         let mut tracker =
             HeavyHitterTracker::for_mechanism(&mech, 2, TrackerMode::TopK { k: 1, slack: 0 }, 2)
                 .unwrap();
-        assert!(tracker.push(Report::Value(99)).is_err());
+        assert!(tracker
+            .push_batch(&[Report::Value(1), Report::Value(99)])
+            .is_err());
         assert_eq!(tracker.num_users(), 0);
         assert_eq!(tracker.refreshes(), 0);
-        // A good report still lands and the cadence still fires.
-        assert!(!tracker.push(Report::Value(1)).unwrap());
-        assert!(tracker.push(Report::Value(1)).unwrap(), "cadence refresh");
+        // Good reports still land and the cadence still fires.
+        tracker.push_batch(&[Report::Value(1)]).unwrap();
+        assert_eq!(tracker.refreshes(), 0);
+        tracker.push_batch(&[Report::Value(1)]).unwrap();
+        assert_eq!(tracker.refreshes(), 1, "cadence refresh");
         assert_eq!(tracker.top_k(), vec![1]);
+        // A batch spanning a boundary refreshes there, and an invalid
+        // report fails only its own piece: the piece before the boundary
+        // (one report, completing the cadence) stays counted.
+        tracker
+            .push_batch(&[Report::Value(0), Report::Value(2), Report::Value(3)])
+            .unwrap();
+        assert_eq!((tracker.num_users(), tracker.refreshes()), (5, 2));
+        assert!(tracker
+            .push_batch(&[Report::Value(0), Report::Value(0), Report::Value(7)])
+            .is_err());
+        assert_eq!((tracker.num_users(), tracker.refreshes()), (6, 3));
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the streaming accumulator layer.
 //!
 //! The central law under test: **any** sharding of a report set, under
-//! **any** merge order, yields counts identical to feeding every report
-//! into a single accumulator sequentially — for report streams generated
+//! **any** batching and **any** merge order, yields counts identical to
+//! the core reference fold of every report — for report streams generated
 //! by all eight mechanisms, in their native wire shapes (bit vectors,
 //! categorical values, hashed `(seed, value)` pairs, item sets).
 
@@ -16,7 +16,7 @@ use idldp_core::mechanism::{InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
-use idldp_core::report::{PackedBits, ReportData};
+use idldp_core::report::{PackedBits, Report, ReportData, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_core::subset::SubsetSelection;
 use idldp_num::rng::SplitMix64;
@@ -94,29 +94,65 @@ fn materialize(mech: &dyn Mechanism, inputs: InputBatch<'_>, seed: u64) -> Vec<R
     let mut reports = Vec::with_capacity(inputs.len());
     let mut stream = SeededReportStream::new(mech, inputs, seed).with_chunk_size(64);
     loop {
-        let got = stream
-            .next_chunk_with(|r| {
-                reports.push(r.to_data());
-                Ok(())
-            })
-            .unwrap();
-        if got == 0 {
-            break;
+        let chunk = stream.next_chunk().unwrap();
+        if chunk.is_empty() {
+            return reports;
         }
+        reports.extend(chunk);
     }
-    reports
 }
 
-/// Sequential reference: one accumulator, reports in order.
-fn sequential<A: ReportAccumulator>(mut acc: A, reports: &[ReportData]) -> AccumulatorSnapshot {
-    for r in reports {
-        acc.accumulate(r.as_report()).unwrap();
+fn views(reports: &[ReportData]) -> Vec<Report<'_>> {
+    reports.iter().map(ReportData::as_report).collect()
+}
+
+/// Cuts `items` into consecutive batches of 1 to `max` elements at
+/// pseudo-random points.
+fn random_split<'r, T>(items: &'r [T], rng: &mut SplitMix64, max: u64) -> Vec<&'r [T]> {
+    let mut batches = Vec::new();
+    let mut start = 0usize;
+    while start < items.len() {
+        let end = (start + 1 + (rng.next() % max) as usize).min(items.len());
+        batches.push(&items[start..end]);
+        start = end;
     }
+    batches
+}
+
+/// One accumulator, every report in one batch.
+fn folded<A: ReportAccumulator>(mut acc: A, reports: &[ReportData]) -> AccumulatorSnapshot {
+    acc.accumulate_batch(&views(reports)).unwrap();
     acc.snapshot()
 }
 
-/// Sharded run with a pseudo-random report→shard assignment and a
-/// pseudo-random shard merge order.
+/// The shape parameter the core fold takes: the hash range of a hashed
+/// shape, the pinned cardinality of an item-set shape.
+fn shape_param(shape: ReportShape) -> usize {
+    match shape {
+        ReportShape::Hashed { range } => range,
+        ReportShape::ItemSet { k } => k,
+        ReportShape::Bits | ReportShape::Value => 0,
+    }
+}
+
+/// Folds native-shape reports by hand via the core reference fold.
+fn reference_fold(reports: &[ReportData], width: usize, shape_param: usize) -> Vec<u64> {
+    let mut counts = vec![0u64; width];
+    for r in reports {
+        r.fold_into(&mut counts, shape_param).unwrap();
+    }
+    counts
+}
+
+/// The reference state of a mechanism's report stream: the core fold's
+/// counts and one user per report.
+fn reference(mech: &dyn Mechanism, reports: &[ReportData]) -> AccumulatorSnapshot {
+    let counts = reference_fold(reports, mech.report_len(), shape_param(mech.report_shape()));
+    AccumulatorSnapshot::new(counts, reports.len() as u64).unwrap()
+}
+
+/// Sharded run with a pseudo-random report→shard assignment, each shard's
+/// part folded in pseudo-random batches, plus a pseudo-random merge order.
 fn sharded_any_order<A: ReportAccumulator + Clone>(
     prototype: A,
     reports: &[ReportData],
@@ -124,15 +160,21 @@ fn sharded_any_order<A: ReportAccumulator + Clone>(
     order_seed: u64,
 ) -> AccumulatorSnapshot {
     let mut rng = SplitMix64::new(order_seed);
-    let sink = ShardedAccumulator::new(prototype.clone(), shards);
+    let mut parts: Vec<Vec<Report<'_>>> = vec![Vec::new(); shards];
     for r in reports {
-        let shard = (rng.next() % shards as u64) as usize;
-        sink.push_to(shard, r.as_report()).unwrap();
+        parts[(rng.next() % shards as u64) as usize].push(r.as_report());
+    }
+    let sink = ShardedAccumulator::new(prototype.clone(), shards);
+    for part in &parts {
+        let mut local = prototype.clone();
+        for batch in random_split(part, &mut rng, 31) {
+            local.accumulate_batch(batch).unwrap();
+        }
+        sink.absorb(&local).unwrap();
     }
     let snap = sink.snapshot();
     // Independently: a shuffled pairwise merge tree over a random
     // partition of the same reports must land on the same state.
-    let mut parts: Vec<AccumulatorSnapshot> = Vec::new();
     let mut order: Vec<usize> = (0..reports.len()).collect();
     for i in (1..order.len()).rev() {
         let j = (rng.next() % (i as u64 + 1)) as usize;
@@ -143,32 +185,20 @@ fn sharded_any_order<A: ReportAccumulator + Clone>(
         let mut part = AccumulatorSnapshot::empty(snap.report_len()).unwrap();
         for &i in chunk {
             let mut one = prototype.clone();
-            one.accumulate(reports[i].as_report()).unwrap();
+            one.accumulate_batch(&[reports[i].as_report()]).unwrap();
             part.merge(&one.snapshot()).unwrap();
         }
-        parts.push(part);
-    }
-    for part in &parts {
-        merged.merge(part).unwrap();
+        merged.merge(&part).unwrap();
     }
     assert_eq!(merged, snap, "shuffled merge differs from sharded snapshot");
     snap
 }
 
-/// Folds native-shape reports by hand via the core reference fold.
-fn reference_fold(reports: &[ReportData], width: usize, range: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; width];
-    for r in reports {
-        r.fold_into(&mut counts, range).unwrap();
-    }
-    counts
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any sharding/merge order equals sequential accumulation — all eight
-    /// mechanisms, through the shape-dispatching accumulator in each
+    /// Any sharding/batching/merge order equals the reference fold — all
+    /// eight mechanisms, through the shape-dispatching accumulator in each
     /// mechanism's native wire shape.
     #[test]
     fn sharding_never_changes_counts(
@@ -184,7 +214,7 @@ proptest! {
         prop_assert_eq!(reports.len(), n);
 
         let proto = ShapedAccumulator::for_mechanism(mech.as_ref());
-        let want = sequential(proto.clone(), &reports);
+        let want = reference(mech.as_ref(), &reports);
         prop_assert_eq!(want.num_users(), n as u64);
         let got = sharded_any_order(proto, &reports, shards, seed ^ 0xDEAD_BEEF);
         prop_assert_eq!(got, want);
@@ -214,7 +244,7 @@ proptest! {
                 ReportData::Bits(PackedBits::from_slots(&bits).unwrap())
             })
             .collect();
-        let via_bits = sequential(BitReportAccumulator::new(mech.report_len()), &bit_reports);
+        let via_bits = folded(BitReportAccumulator::new(mech.report_len()), &bit_reports);
         // ...and compare with sharded native-value accumulation.
         let via_one_hot = sharded_any_order(
             OneHotReportAccumulator::new(mech.report_len()),
@@ -245,7 +275,7 @@ proptest! {
         prop_assert!(reports.iter().all(|r| matches!(r, ReportData::Hashed { .. })));
 
         let proto = HashedReportAccumulator::new(m, range);
-        let want = sequential(proto.clone(), &reports);
+        let want = folded(proto.clone(), &reports);
         let got = sharded_any_order(proto, &reports, shards, seed ^ 0xA5A5);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(got.counts(), reference_fold(&reports, m, range).as_slice());
@@ -274,7 +304,7 @@ proptest! {
             .all(|r| matches!(r, ReportData::ItemSet(items) if items.len() == k)));
 
         let proto = ItemSetReportAccumulator::new(m);
-        let want = sequential(proto.clone(), &reports);
+        let want = folded(proto.clone(), &reports);
         let got = sharded_any_order(proto, &reports, shards, seed ^ 0x5A5A);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(got.counts(), reference_fold(&reports, m, 0).as_slice());
@@ -282,14 +312,14 @@ proptest! {
     }
 
     /// Batched-fold law: `accumulate_batch` over **any** split of the
-    /// stream is bit-identical to sequential `accumulate` — for every
-    /// mechanism's native wire shape through the shape-dispatching
-    /// accumulator, and again through the sharded `push_batch` fan-out
-    /// (whole batches landing on round-robin shards, merged on demand).
-    /// This is the contract the transport server's one-frame-one-fold
-    /// ingest path rests on.
+    /// stream equals the core reference fold — for every mechanism's
+    /// native wire shape through the shape-dispatching accumulator, and
+    /// again through the sharded `push_batch` fan-out (whole batches
+    /// landing on round-robin shards, merged on demand). A batch holding
+    /// one invalid report counts nothing. This is the contract the
+    /// transport server's one-frame-one-fold ingest path rests on.
     #[test]
-    fn batched_fold_equals_sequential_for_any_split(
+    fn batched_fold_equals_reference_fold_for_any_split(
         kind in 0usize..NUM_KINDS,
         n in 50usize..700,
         m in 4usize..14,
@@ -299,39 +329,40 @@ proptest! {
         let mech = mechanism(kind, m);
         let inputs = inputs_for(mech.as_ref(), n);
         let reports = materialize(mech.as_ref(), inputs.batch(), seed);
-        let views: Vec<_> = reports.iter().map(|r| r.as_report()).collect();
-
-        let proto = ShapedAccumulator::for_mechanism(mech.as_ref());
-        let want = sequential(proto.clone(), &reports);
+        let views = views(&reports);
+        let want = reference(mech.as_ref(), &reports);
 
         // One accumulator, the stream cut at pseudo-random split points.
         let mut rng = SplitMix64::new(seed ^ 0xF01D);
+        let proto = ShapedAccumulator::for_mechanism(mech.as_ref());
         let mut batched = proto.clone();
-        let mut start = 0usize;
-        while start < views.len() {
-            let end = (start + 1 + (rng.next() % 97) as usize).min(views.len());
-            batched.accumulate_batch(&views[start..end]).unwrap();
-            start = end;
+        for batch in random_split(&views, &mut rng, 97) {
+            batched.accumulate_batch(batch).unwrap();
         }
         prop_assert_eq!(batched.snapshot(), want.clone());
         prop_assert_eq!(batched.num_users(), n as u64);
 
+        // All or nothing: a too-wide bit report (refused by every shape)
+        // spliced into a copy of one batch leaves the state untouched.
+        let too_wide = PackedBits::from_slots(&vec![0u8; m + 1]).unwrap();
+        let batch = random_split(&views, &mut rng, 97)[0];
+        let mut poisoned = batch.to_vec();
+        poisoned.insert((rng.next() % (batch.len() as u64 + 1)) as usize, Report::Packed(&too_wide));
+        prop_assert!(batched.accumulate_batch(&poisoned).is_err());
+        prop_assert_eq!(batched.snapshot(), want.clone());
+
         // The sharded batch fan-out: a different split, whole batches
         // placed round-robin, counts identical after the shard merge.
         let sink = ShardedAccumulator::new(proto, shards);
-        let mut start = 0usize;
-        while start < views.len() {
-            let end = (start + 1 + (rng.next() % 61) as usize).min(views.len());
-            sink.push_batch(&views[start..end]).unwrap();
-            start = end;
+        for batch in random_split(&views, &mut rng, 61) {
+            sink.push_batch(batch).unwrap();
         }
-        prop_assert_eq!(sink.snapshot(), want.clone());
-        // ...and the consuming merge lands on the same state too.
-        prop_assert_eq!(sink.into_merged().snapshot(), want);
+        prop_assert_eq!(sink.snapshot(), want);
     }
 
-    /// Round-robin fan-out equals explicit partitioning equals sequential —
-    /// native shapes through the shape-dispatching accumulator.
+    /// One-report round-robin batches equal explicit partitioning equal
+    /// the reference fold — native shapes through the shape-dispatching
+    /// accumulator.
     #[test]
     fn round_robin_equals_partitioned(
         kind in 0usize..NUM_KINDS,
@@ -346,16 +377,18 @@ proptest! {
 
         let proto = ShapedAccumulator::for_mechanism(mech.as_ref());
         let rr = ShardedAccumulator::new(proto.clone(), shards);
-        for r in &reports {
-            rr.push(r.as_report()).unwrap();
+        for r in views(&reports) {
+            rr.push_batch(&[r]).unwrap();
         }
-        let want = sequential(proto, &reports);
-        prop_assert_eq!(rr.snapshot(), want);
+        let want = reference(mech.as_ref(), &reports);
+        prop_assert_eq!(rr.snapshot(), want.clone());
+        prop_assert_eq!(sharded_any_order(proto, &reports, shards, seed), want);
     }
 
     /// Tracker law: after `finish`, the pruned candidate set is exactly
-    /// the top `k + slack` of the direct oracle estimates over the final
-    /// sequential state — for any mechanism, cadence, and shard count.
+    /// the top `k + slack` of the direct oracle estimates over the
+    /// reference state — for any mechanism, cadence, shard count, and
+    /// batching.
     /// (The sim-level conformance suite layers batch equivalence on top.)
     #[test]
     fn tracker_candidates_match_direct_estimates(
@@ -380,12 +413,13 @@ proptest! {
             cadence,
         )
         .unwrap();
-        for r in &reports {
-            tracker.push(r.as_report()).unwrap();
+        let mut rng = SplitMix64::new(seed ^ 0x7AC4);
+        for batch in random_split(&views(&reports), &mut rng, 150) {
+            tracker.push_batch(batch).unwrap();
         }
         let top_k = tracker.finish().unwrap();
 
-        let snap = sequential(ShapedAccumulator::for_mechanism(mech.as_ref()), &reports);
+        let snap = reference(mech.as_ref(), &reports);
         let estimates = mech
             .frequency_oracle(snap.num_users())
             .estimate_from(&snap)
@@ -400,6 +434,42 @@ proptest! {
         }
     }
 
+    /// Cadence law: however the stream is chunked into `push_batch`
+    /// calls, the tracker refreshes exactly once per `cadence` reports
+    /// (`n / cadence` times before `finish`), and neither the chunking
+    /// nor the refresh schedule changes the final answer.
+    #[test]
+    fn tracker_refreshes_once_per_cadence_for_any_chunking(
+        kind in 0usize..NUM_KINDS,
+        n in 30usize..400,
+        cadence in 1usize..120,
+        shards in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        use idldp_stream::{HeavyHitterTracker, TrackerMode};
+        let mech = mechanism(kind, 9);
+        let inputs = inputs_for(mech.as_ref(), n);
+        let reports = materialize(mech.as_ref(), inputs.batch(), seed);
+        let views = views(&reports);
+        let mode = TrackerMode::TopK { k: 2, slack: 1 };
+
+        let mut answers = Vec::new();
+        let mut rng = SplitMix64::new(seed ^ 0xCADE);
+        for max in [1, 7, 300] {
+            let mut tracker =
+                HeavyHitterTracker::for_mechanism(mech.as_ref(), shards, mode, cadence).unwrap();
+            for batch in random_split(&views, &mut rng, max) {
+                tracker.push_batch(batch).unwrap();
+            }
+            prop_assert_eq!(tracker.refreshes(), (n / cadence) as u64);
+            prop_assert_eq!(tracker.is_dirty(), n % cadence != 0);
+            answers.push((tracker.finish().unwrap(), tracker.candidates().to_vec()));
+        }
+        for other in &answers[1..] {
+            prop_assert_eq!(other, &answers[0]);
+        }
+    }
+
     /// Checkpoint serialization round-trips any reachable snapshot.
     #[test]
     fn checkpoint_round_trips(
@@ -411,7 +481,7 @@ proptest! {
         let mech = mechanism(kind, m);
         let inputs = inputs_for(mech.as_ref(), n);
         let reports = materialize(mech.as_ref(), inputs.batch(), seed);
-        let snap = sequential(ShapedAccumulator::for_mechanism(mech.as_ref()), &reports);
+        let snap = reference(mech.as_ref(), &reports);
         let restored =
             AccumulatorSnapshot::from_checkpoint_str(&snap.to_checkpoint_string()).unwrap();
         prop_assert_eq!(restored, snap);
