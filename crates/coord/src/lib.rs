@@ -25,17 +25,16 @@
 //!   prefix of the frame, so the coordinator's own `Busy` replies obey
 //!   the protocol contract and an upstream `push_all` converges. Queries
 //!   fetch per-collector snapshots over [`Frame::SnapshotQuery`], merge
-//!   them, and run the frequency oracle once; distributed top-k unions
-//!   the collectors' `Candidates` replies with the merged-estimate top-k
-//!   and re-ranks with the shared NaN-safe ordering
-//!   ([`merge_candidates`]), which provably equals batch
-//!   `identify_top_k`.
-//! * [`CoordServer`] — the TCP frontend. It speaks the *same* framed
-//!   protocol as a collector (handshake validated by the server crate's
-//!   [`idldp_server::check_hello`], replies encoded by its
-//!   [`idldp_server::encode_reply`]), so every existing client — `idldp
-//!   push`, `ReportClient`, the loopback harness — works against a
-//!   coordinator unchanged.
+//!   them, and run the frequency oracle once; top-k ranks those merged
+//!   estimates with the shared NaN-safe ordering, which equals batch
+//!   `identify_top_k` exactly.
+//! * [`CoordServer`] — the TCP frontend. It runs on the collector's own
+//!   readiness event loops ([`idldp_server::EventLoops`]) behind the
+//!   [`idldp_server::Backend`] trait, and speaks the *same* framed
+//!   protocol (handshake validated by [`idldp_server::check_hello`]), so
+//!   every existing client — `idldp push`, `ReportClient`, the loopback
+//!   harness — works against a coordinator unchanged. Its loops are
+//!   bounded, reap idle peers, and close live connections on shutdown.
 //!
 //! Failure rules (exactness over availability): a query is answered only
 //! if **every** collector answers — one unreachable or paused collector
@@ -54,14 +53,13 @@ use idldp_core::report::ReportData;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_num::vecops::{cmp_desc_nan_last, top_k_indices};
 use idldp_server::{
-    check_hello, encode_reply, hello_tenant, ClientError, Frame, FrameError, PushOutcome,
-    ReportClient,
+    check_hello, Backend, ClientError, EventLoops, Frame, FrameAction, PushOutcome, ReportClient,
+    ServerConfig,
 };
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::convert::Infallible;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::Poll;
 
 /// Coordinator-side failures.
 #[derive(Debug)]
@@ -424,26 +422,21 @@ impl Coordinator {
             .map_err(|e| CoordError::Merge(e.to_string()))
     }
 
-    /// Distributed top-k through the `Candidates` merge path: every
-    /// collector's local top-k reply is unioned into a candidate pool,
-    /// then re-ranked against the *merged* estimates with the shared
-    /// NaN-safe ordering (see [`merge_candidates`] for why the result
-    /// equals batch `identify_top_k` exactly).
+    /// The top-k items of the merged estimates ([`Self::query_estimates`]),
+    /// ranked by the shared NaN-safe ordering — exactly batch
+    /// `identify_top_k` over the fleet. No collector is asked for its
+    /// local top-k: the merged estimates already decide the answer (see
+    /// [`merge_candidates`]).
     ///
     /// # Errors
     /// Collector failures or an oracle error.
     pub fn query_top_k(&mut self, k: usize) -> Result<(u64, Vec<(u64, f64)>), CoordError> {
-        let (users, merged_estimates) = self.query_estimates()?;
-        let mut locals = Vec::with_capacity(self.collectors.len());
-        for collector in &mut self.collectors {
-            let addr = collector.stats.addr.clone();
-            let (_, items) = collector
-                .client
-                .query_top_k(k)
-                .map_err(|e| collector_error(&addr, e))?;
-            locals.push(items);
-        }
-        Ok((users, merge_candidates(&locals, &merged_estimates, k)))
+        let (users, estimates) = self.query_estimates()?;
+        let items = top_k_indices(&estimates, k)
+            .into_iter()
+            .map(|i| (i as u64, estimates[i]))
+            .collect();
+        Ok((users, items))
     }
 
     /// Coordinated checkpoint: triggers a `Checkpoint` on every collector
@@ -499,9 +492,10 @@ fn collector_error(addr: &str, e: ClientError) -> CoordError {
 /// pool, and ranking the pool by the same total order `top_k_indices`
 /// uses makes the first k of the pool equal the first k of the whole
 /// domain — so the result is identical to batch `identify_top_k` on the
-/// merged estimates. The union is still load-bearing as the conformance
-/// surface: collectors' replies are validated against the exact ranking
-/// they contribute to.
+/// merged estimates, whatever the locals say. That is why
+/// [`Coordinator::query_top_k`] ranks the merged estimates alone and asks
+/// no collector for candidates. The service benchmark still times this
+/// merge (`coord.merge_candidates_us`).
 pub fn merge_candidates(
     locals: &[Vec<(u64, f64)>],
     merged_estimates: &[f64],
@@ -527,25 +521,26 @@ pub fn merge_candidates(
         .collect()
 }
 
-/// The coordinator's TCP frontend: accepts framed-protocol connections
-/// and serves them from a shared [`Coordinator`] (thread per connection;
-/// routing and queries serialize on the coordinator lock, which is what
-/// linearizes a query after every previously acknowledged push). Speaks
-/// byte-identical protocol to a collector — handshake via
-/// [`check_hello`], replies via [`encode_reply`] — so existing clients
-/// work against it unchanged.
+/// The coordinator's TCP frontend, served by the same readiness event
+/// loops as a collector ([`EventLoops`], with [`ServerConfig::default`]'s
+/// loop count and idle timeout): a bounded set of loops multiplexes every
+/// connection, idle peers are reaped, and [`CoordServer::shutdown`] closes
+/// live connections. Routing and queries serialize on the coordinator
+/// lock, which is what linearizes a query after every previously
+/// acknowledged push. Speaks byte-identical protocol to a collector —
+/// handshake via [`check_hello`], replies encoded by the shared loops — so
+/// existing clients work against it unchanged.
 pub struct CoordServer {
     local_addr: SocketAddr,
     coordinator: Arc<Mutex<Coordinator>>,
-    shutting_down: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    loops: EventLoops,
 }
 
 impl CoordServer {
     /// Binds `addr` (port 0 picks an ephemeral port) and starts serving.
     ///
     /// # Errors
-    /// Bind failures.
+    /// Bind failures, or a host without a unix readiness backend.
     pub fn start<A: ToSocketAddrs>(
         coordinator: Coordinator,
         addr: A,
@@ -553,27 +548,15 @@ impl CoordServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let coordinator = Arc::new(Mutex::new(coordinator));
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let coordinator = Arc::clone(&coordinator);
-            let shutting_down = Arc::clone(&shutting_down);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let coordinator = Arc::clone(&coordinator);
-                    // Connection handlers exit when the client hangs up.
-                    std::thread::spawn(move || serve_connection(stream, &coordinator));
-                }
-            })
-        };
+        let loops = EventLoops::spawn(
+            listener,
+            Arc::new(Frontend(Arc::clone(&coordinator))),
+            &ServerConfig::default(),
+        )?;
         Ok(Self {
             local_addr,
             coordinator,
-            shutting_down,
-            acceptor: Some(acceptor),
+            loops,
         })
     }
 
@@ -588,146 +571,102 @@ impl CoordServer {
         Arc::clone(&self.coordinator)
     }
 
-    /// Stops accepting new connections and joins the acceptor. Live
-    /// connections finish when their clients hang up.
-    pub fn shutdown(mut self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+    /// Stops the event loops, closing every connection (live ones
+    /// included), and joins them.
+    pub fn shutdown(self) {
+        self.loops.shutdown();
     }
 }
 
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    // `encode_reply` chunks oversized Estimates/Snapshot replies exactly
-    // like a collector does; multi-frame replies are one write buffer.
-    stream.write_all(&encode_reply(frame))?;
-    stream.flush()
-}
+/// The coordinator's side of the shared event loops. Every reply either
+/// comes from the coordinator's fleet operations or is a typed `Reject` —
+/// a collector failure mid-query never silently degrades an answer. Fleet
+/// calls block the loop that made them; they serialize on the coordinator
+/// lock regardless, so the loop adds no ordering the lock does not.
+struct Frontend(Arc<Mutex<Coordinator>>);
 
-fn reject(message: impl Into<String>) -> Frame {
-    Frame::Reject {
-        accepted: 0,
-        message: message.into(),
-    }
-}
-
-/// Reads the next frame off a frontend connection. `None` means the
-/// connection is done: a clean close, a socket error, or a malformed frame.
-/// A malformed frame first draws the same typed `Reject` a collector sends,
-/// prefixed with `phase` (`handshake` or `bad frame`) — a length-prefixed
-/// stream cannot resynchronise, so the connection then closes.
-fn read_frame(read_half: &mut TcpStream, stream: &mut TcpStream, phase: &str) -> Option<Frame> {
-    match Frame::read_from(read_half) {
-        Ok(frame) => frame,
-        Err(FrameError::Io(_)) => None,
-        Err(e) => {
-            let _ = write_frame(stream, &reject(format!("{phase}: {e}")));
-            None
-        }
-    }
-}
-
-/// Serves one frontend connection: Hello handshake, then the frame loop.
-/// Every reply either comes from the coordinator's fleet operations or is
-/// a typed `Reject` — a collector failure mid-query never silently
-/// degrades an answer.
-fn serve_connection(mut stream: TcpStream, coordinator: &Mutex<Coordinator>) {
-    let _ = stream.set_nodelay(true);
-    let mut read_half = match stream.try_clone() {
-        Ok(half) => half,
-        Err(_) => return,
-    };
-
-    // Handshake: same acceptance rule as a collector (shared code), plus
-    // the coordinator's own run line in the ack.
-    let Some(hello) = read_frame(&mut read_half, &mut stream, "handshake") else {
-        return;
-    };
-    // The frontend exposes exactly one stream — the fleet it coordinates.
-    // A Hello naming a tenant is refused before the config check, with a
-    // message pointing at the right fix (multi-tenant selection happens
-    // on the collectors, via `Coordinator::connect_tenant`).
-    if let Some(name) = hello_tenant(&hello) {
-        if !name.is_empty() {
-            let _ = write_frame(
-                &mut stream,
-                &reject(format!(
-                    "unknown tenant `{name}`: a coordinator frontend exposes a single \
-                     stream — connect without a tenant"
-                )),
-            );
-            return;
-        }
-    }
-    let ack = {
-        let coord = coordinator
+impl Frontend {
+    fn coordinator(&self) -> MutexGuard<'_, Coordinator> {
+        self.0
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match check_hello(coord.mechanism.as_ref(), &hello) {
-            Ok(()) => Frame::HelloAck {
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl Backend for Frontend {
+    type Session = ();
+    /// The coordinator answers every frame at once; it never settles.
+    type Settle = Infallible;
+
+    /// The collector's acceptance rule (shared code), plus the
+    /// coordinator's own run line in the ack.
+    fn hello(&self, frame: Frame) -> Result<((), Frame), Frame> {
+        // The frontend exposes exactly one stream — the fleet it
+        // coordinates. A Hello naming a tenant is refused before the
+        // config check, with a message pointing at the right fix
+        // (multi-tenant selection happens on the collectors, via
+        // `Coordinator::connect_tenant`).
+        if let Frame::Hello { tenant, .. } = &frame {
+            if !tenant.is_empty() {
+                return Err(Frame::reject(format!(
+                    "unknown tenant `{tenant}`: a coordinator frontend exposes a single \
+                     stream — connect without a tenant"
+                )));
+            }
+        }
+        let coord = self.coordinator();
+        check_hello(coord.mechanism.as_ref(), &frame).map_err(Frame::reject)?;
+        Ok((
+            (),
+            Frame::HelloAck {
                 users: coord.users(),
                 run_line: coord.run_line().to_string(),
             },
-            Err(message) => {
-                let _ = write_frame(&mut stream, &reject(message));
-                return;
-            }
-        }
-    };
-    if write_frame(&mut stream, &ack).is_err() {
-        return;
+        ))
     }
 
-    loop {
-        let Some(frame) = read_frame(&mut read_half, &mut stream, "bad frame") else {
-            return;
+    fn frame(&self, (): (), frame: Frame) -> FrameAction<Infallible> {
+        let mut coord = self.coordinator();
+        let reply = match frame {
+            Frame::Reports(reports) => match coord.route(&reports) {
+                Ok(PushOutcome::Ingested) => Ok(Frame::Ingested {
+                    accepted: reports.len() as u64,
+                }),
+                Ok(PushOutcome::Busy { accepted }) => Ok(Frame::Busy { accepted }),
+                Err(CoordError::Rejected {
+                    accepted, message, ..
+                }) => Ok(Frame::Reject { accepted, message }),
+                Err(e) => Err(e),
+            },
+            Frame::Query => coord
+                .query_estimates()
+                .map(|(users, estimates)| Frame::Estimates { users, estimates }),
+            Frame::TopKQuery { k } => coord
+                .query_top_k(k as usize)
+                .map(|(users, items)| Frame::Candidates { users, items }),
+            Frame::SnapshotQuery => coord.merged_snapshot().map(|merged| {
+                let users = merged.num_users();
+                let counts = merged.into_counts();
+                Frame::Snapshot {
+                    users,
+                    total: counts.len() as u64,
+                    offset: 0,
+                    counts,
+                }
+            }),
+            Frame::Checkpoint => coord
+                .checkpoint()
+                .map(|users| Frame::CheckpointAck { users }),
+            Frame::Hello { .. } => Ok(Frame::reject("connection is already negotiated")),
+            other => Ok(Frame::reject(format!(
+                "unexpected frame on the coordinator: {other:?}"
+            ))),
         };
-        let reply = {
-            let mut coord = coordinator
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match frame {
-                Frame::Reports(reports) => match coord.route(&reports) {
-                    Ok(PushOutcome::Ingested) => Frame::Ingested {
-                        accepted: reports.len() as u64,
-                    },
-                    Ok(PushOutcome::Busy { accepted }) => Frame::Busy { accepted },
-                    Err(CoordError::Rejected {
-                        accepted, message, ..
-                    }) => Frame::Reject { accepted, message },
-                    Err(e) => reject(e.to_string()),
-                },
-                Frame::Query => match coord.query_estimates() {
-                    Ok((users, estimates)) => Frame::Estimates { users, estimates },
-                    Err(e) => reject(e.to_string()),
-                },
-                Frame::TopKQuery { k } => match coord.query_top_k(k as usize) {
-                    Ok((users, items)) => Frame::Candidates { users, items },
-                    Err(e) => reject(e.to_string()),
-                },
-                Frame::SnapshotQuery => match coord.merged_snapshot() {
-                    Ok(merged) => Frame::Snapshot {
-                        users: merged.num_users(),
-                        total: merged.counts().len() as u64,
-                        offset: 0,
-                        counts: merged.counts().to_vec(),
-                    },
-                    Err(e) => reject(e.to_string()),
-                },
-                Frame::Checkpoint => match coord.checkpoint() {
-                    Ok(users) => Frame::CheckpointAck { users },
-                    Err(e) => reject(e.to_string()),
-                },
-                Frame::Hello { .. } => reject("connection is already negotiated"),
-                other => reject(format!("unexpected frame on the coordinator: {other:?}")),
-            }
-        };
-        if write_frame(&mut stream, &reply).is_err() {
-            return;
-        }
+        FrameAction::Reply(reply.unwrap_or_else(|e| Frame::reject(e.to_string())))
+    }
+
+    fn poll_settle(&self, settle: &Infallible) -> Poll<Option<Frame>> {
+        match *settle {}
     }
 }
 

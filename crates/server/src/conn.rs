@@ -1,63 +1,95 @@
 //! The per-connection protocol, free of any transport.
 //!
-//! Hello handshake, then a frame loop where `Reports` meet the bounded
-//! queue's typed `Busy` backpressure and queries linearize on the accept
-//! watermark. Every function here maps a decoded [`Frame`] (plus the
-//! shared server state) to a [`FrameAction`] and never touches a socket;
-//! the reactor (`reactor.rs`) owns the bytes — reading, flushing replies,
-//! and waiting out a query's watermark.
+//! [`Backend`] is what the event loops (`reactor.rs`) call on a
+//! connection's decoded frames: the Hello handshake, then one
+//! [`FrameAction`] per frame. The loops own the bytes — reading, flushing
+//! replies, and polling a settling reply — and never interpret a frame
+//! themselves, so the collector and the coordinator frontend share them.
 //!
-//! The query path is split in two on purpose: [`apply_frame`] captures the
-//! accept watermark *at frame-processing time* (the linearization point)
-//! and returns [`FrameAction::Settle`]; [`settle_reply`] then builds the
-//! reply once the fold frontier's verdict ([`WaitOutcome`]) is in. The
-//! reactor polls [`IngestQueue::poll_processed`] for that verdict between
-//! events, so a settling query never blocks an event loop.
+//! The collector's backend is its tenant [`Registry`]: `Reports` meet the
+//! bounded queue's typed `Busy` backpressure, and queries linearize on the
+//! accept watermark. A query is split in two on purpose: [`Backend::frame`]
+//! captures the accept watermark *at frame-processing time* (the
+//! linearization point) and returns [`FrameAction::Settle`];
+//! [`Backend::poll_settle`] then polls [`IngestQueue::poll_processed`] and
+//! builds the reply once the fold frontier's verdict ([`WaitOutcome`]) is
+//! in, so a settling query never blocks an event loop.
 //!
 //! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
 
 use crate::frame::{check_version, Frame};
 use crate::queue::{PushRefusal, WaitOutcome};
-use crate::server::{Shared, Tenant};
+use crate::server::{Registry, Tenant};
 use idldp_core::report::{ReportData, ReportShape};
 use idldp_num::vecops::top_k_indices;
+use std::task::Poll;
 
-/// The reply [`settle_reply`] gives while ingest is paused and the query's
+/// The reply a settling query gives while ingest is paused and its
 /// watermark needs still-queued reports (blocking would park the
 /// connection until resume).
-pub(crate) const PAUSED_MSG: &str =
+const PAUSED_MSG: &str =
     "ingest is paused; accepted reports are not yet folded — retry after resume";
 
+/// The protocol one event-loop frontend serves. The loops call
+/// [`Backend::hello`] on a connection's first frame, [`Backend::frame`] on
+/// every later one, and [`Backend::poll_settle`] at a short tick while a
+/// reply is settling; each returned frame is written back as the reply.
+/// Implemented by the collector's tenant registry and by the coordinator
+/// frontend (`idldp-coord`), which never settles.
+pub trait Backend: Send + Sync + 'static {
+    /// What a connection binds to at its handshake (the collector: the
+    /// tenant index its `Hello` selected).
+    type Session: Copy + Send;
+    /// A reply the backend cannot give yet (the collector: a query pinned
+    /// to the accept watermark of its tenant).
+    type Settle: Send;
+
+    /// Handles a connection's first frame. `Ok` is the session and the
+    /// `HelloAck` to send before the frame loop; `Err` is the `Reject` to
+    /// send before closing.
+    ///
+    /// # Errors
+    /// The refusal frame (not a `Hello`, unknown tenant, config mismatch).
+    fn hello(&self, frame: Frame) -> Result<(Self::Session, Frame), Frame>;
+
+    /// Handles one frame of a negotiated connection.
+    fn frame(&self, session: Self::Session, frame: Frame) -> FrameAction<Self::Settle>;
+
+    /// Polls a settling reply: `Pending` until it can be built, then the
+    /// reply, or `None` to hang up without one (the backend shut down).
+    fn poll_settle(&self, settle: &Self::Settle) -> Poll<Option<Frame>>;
+}
+
 /// What a negotiated connection should do with one decoded frame.
-pub(crate) enum FrameAction {
+pub enum FrameAction<S> {
     /// Send this reply and keep serving.
     Reply(Frame),
-    /// The frame is a query: its watermark is captured; produce the reply
-    /// via [`settle_reply`] once the fold frontier reaches it.
-    Settle(PendingQuery),
+    /// The reply is not ready: stop reading and poll
+    /// [`Backend::poll_settle`] until it is.
+    Settle(S),
 }
 
 /// A query waiting for the fold frontier: which reply to build, pinned to
 /// the accept watermark captured when the query frame was processed.
 pub(crate) struct PendingQuery {
     /// Which reply to build once settled.
-    pub(crate) kind: QueryKind,
+    kind: QueryKind,
     /// The tenant the connection bound to at handshake — the query
     /// settles against (and answers from) this tenant's queue and
     /// accumulator only.
-    pub(crate) tenant: usize,
+    tenant: usize,
     /// The accept watermark at the query's linearization point.
-    pub(crate) watermark: u64,
+    watermark: u64,
 }
 
 /// The reply family of a pending query.
-pub(crate) enum QueryKind {
+enum QueryKind {
     /// `Query` → `Estimates`.
     Estimates,
     /// `TopKQuery { k }` → `Candidates`.
     TopK(u64),
     /// `Checkpoint` → `CheckpointAck` (the path is known to be configured;
-    /// [`apply_frame`] rejects the frame outright otherwise).
+    /// [`Backend::frame`] rejects the frame outright otherwise).
     Checkpoint,
     /// `SnapshotQuery` → `Snapshot` (raw merged counts — what a
     /// coordinator fetches, since integer counts merge exactly where
@@ -65,36 +97,16 @@ pub(crate) enum QueryKind {
     Snapshot,
 }
 
-fn reject(message: impl Into<String>) -> Frame {
-    Frame::Reject {
-        accepted: 0,
-        message: message.into(),
-    }
-}
-
-/// The tenant name a [`Frame::Hello`] carries (the empty string selects
-/// the default tenant); `None` when the frame is not a `Hello` at all.
-/// Public for single-stream frontends — the coordinator hosts exactly one
-/// stream and refuses named tenants through this before [`check_hello`].
-#[must_use]
-pub fn hello_tenant(frame: &Frame) -> Option<&str> {
-    match frame {
-        Frame::Hello { tenant, .. } => Some(tenant),
-        _ => None,
-    }
-}
-
 /// Validates a connection's first frame against a mechanism config: it
 /// must be a [`Frame::Hello`] of
 /// [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION) announcing exactly this
-/// mechanism's kind/shape/width/ε. Shared by the server
-/// (via the internal `apply_hello`, against the *selected tenant's*
-/// mechanism) and the coordinator frontend, which speaks the same
-/// handshake on behalf of its collector fleet — one implementation,
-/// so the acceptance rule cannot drift. Tenant selection is deliberately
-/// not this function's business: the server resolves the name first via
-/// its registry, the coordinator refuses named tenants via
-/// [`hello_tenant`].
+/// mechanism's kind/shape/width/ε. Shared by the collector (against the
+/// *selected tenant's* mechanism) and the coordinator frontend, which
+/// speaks the same handshake on behalf of its collector fleet — one
+/// implementation, so the acceptance rule cannot drift. Tenant selection
+/// is deliberately not this function's business: the collector resolves
+/// the name first via its registry, the coordinator refuses named
+/// tenants.
 ///
 /// # Errors
 /// The human-readable refusal to send in a [`Frame::Reject`].
@@ -140,35 +152,6 @@ pub fn check_hello(
     Ok(())
 }
 
-/// Handles the first frame of a connection: resolves the named tenant,
-/// checks the announced config against *that tenant's* mechanism, and
-/// binds the connection to the tenant. `Ok` is the tenant index plus the
-/// `HelloAck` to send before entering the frame loop; `Err` is the
-/// `Reject` to send before closing (unknown tenant, config mismatch, or
-/// not a Hello at all; the codec already refused another version).
-pub(crate) fn apply_hello(shared: &Shared, frame: Frame) -> Result<(usize, Frame), Frame> {
-    let Frame::Hello {
-        tenant: ref tenant_name,
-        ..
-    } = frame
-    else {
-        return Err(reject("expected Hello as the first frame"));
-    };
-    let index = shared.resolve_tenant(tenant_name).map_err(reject)?;
-    let tenant = shared.tenant(index);
-    check_hello(tenant.mechanism.as_ref(), &frame).map_err(reject)?;
-    Ok((
-        index,
-        Frame::HelloAck {
-            users: tenant.sink.num_users(),
-            // The same stamp this tenant's checkpoints carry — lets a
-            // coordinator refuse a collector whose config (including the
-            // CLI seed) differs from the rest of its fleet.
-            run_line: tenant.run_line(),
-        },
-    ))
-}
-
 /// Validates one decoded report against the negotiated mechanism config —
 /// the *synchronous* half of ingestion, so every malformed report is
 /// refused in the connection reply and accepted reports can never fail to
@@ -212,82 +195,117 @@ fn validate_report(
         .map_err(|e| e.to_string())
 }
 
-/// Handles one frame of a negotiated connection, against the tenant the
-/// connection bound to at handshake. Pure protocol: `Reports` validate
-/// whole-frame-atomically and meet *this tenant's* queue's typed
-/// backpressure (per-tenant capacity accounting — another tenant's
-/// saturation is invisible here); queries capture this tenant's watermark
-/// and become [`FrameAction::Settle`]; everything else draws a typed
-/// reply.
-pub(crate) fn apply_frame(shared: &Shared, tenant: usize, frame: Frame) -> FrameAction {
-    let tenant_index = tenant;
-    let tenant = shared.tenant(tenant_index);
+/// The collector's protocol over its tenant registry. A connection binds
+/// to one tenant at handshake; every later frame is served against that
+/// tenant's queue and accumulator only.
+impl Backend for Registry {
+    type Session = usize;
+    type Settle = PendingQuery;
+
+    /// Resolves the named tenant, checks the announced config against
+    /// *that tenant's* mechanism, and binds the connection to it (the codec
+    /// already refused another version).
+    fn hello(&self, frame: Frame) -> Result<(usize, Frame), Frame> {
+        let Frame::Hello {
+            tenant: ref tenant_name,
+            ..
+        } = frame
+        else {
+            return Err(Frame::reject("expected Hello as the first frame"));
+        };
+        let index = self.resolve_tenant(tenant_name).map_err(Frame::reject)?;
+        let tenant = self.tenant(index);
+        check_hello(tenant.mechanism.as_ref(), &frame).map_err(Frame::reject)?;
+        Ok((
+            index,
+            Frame::HelloAck {
+                users: tenant.sink.num_users(),
+                // The same stamp this tenant's checkpoints carry — lets a
+                // coordinator refuse a collector whose config (including
+                // the CLI seed) differs from the rest of its fleet.
+                run_line: tenant.run_line(),
+            },
+        ))
+    }
+
+    /// `Reports` validate whole-frame-atomically and meet *this tenant's*
+    /// queue's typed backpressure (per-tenant capacity accounting —
+    /// another tenant's saturation is invisible here); queries capture
+    /// this tenant's watermark and settle; everything else draws a typed
+    /// reply.
+    fn frame(&self, session: usize, frame: Frame) -> FrameAction<PendingQuery> {
+        let tenant = self.tenant(session);
+        let kind = match frame {
+            Frame::Reports(reports) => return FrameAction::Reply(ingest(tenant, reports)),
+            Frame::Query => QueryKind::Estimates,
+            Frame::TopKQuery { k } => QueryKind::TopK(k),
+            Frame::SnapshotQuery => QueryKind::Snapshot,
+            Frame::Checkpoint if tenant.store.is_some() => QueryKind::Checkpoint,
+            Frame::Checkpoint => {
+                return FrameAction::Reply(Frame::reject(
+                    "server has no checkpoint path configured",
+                ))
+            }
+            Frame::Hello { .. } => {
+                return FrameAction::Reply(Frame::reject("connection is already negotiated"))
+            }
+            other => {
+                return FrameAction::Reply(Frame::reject(format!(
+                    "unexpected frame on the server side: {other:?}"
+                )))
+            }
+        };
+        FrameAction::Settle(PendingQuery {
+            kind,
+            tenant: session,
+            watermark: tenant.queue.watermark(),
+        })
+    }
+
+    /// Polls the tenant's fold frontier against the query's watermark. A
+    /// closed queue hangs up, a paused one draws the typed [`PAUSED_MSG`]
+    /// refusal, and a reached watermark computes the reply over the
+    /// now-complete merged view.
+    fn poll_settle(&self, pending: &PendingQuery) -> Poll<Option<Frame>> {
+        let tenant = self.tenant(pending.tenant);
+        let Some(outcome) = tenant.queue.poll_processed(pending.watermark) else {
+            return Poll::Pending;
+        };
+        Poll::Ready(match outcome {
+            WaitOutcome::Closed => None,
+            WaitOutcome::Paused => Some(Frame::reject(PAUSED_MSG)),
+            WaitOutcome::Reached => Some(settled_reply(tenant, &pending.kind)),
+        })
+    }
+}
+
+/// Admits one `Reports` frame to the tenant's queue. The whole frame
+/// validates before anything is queued: a hostile frame mixing valid and
+/// invalid reports is rejected atomically — no partial fold, nothing to
+/// un-count. (Backpressure is the one partial outcome: `Busy{accepted}`
+/// names the queued prefix, which the client re-sends from.)
+fn ingest(tenant: &Tenant, reports: Vec<ReportData>) -> Frame {
     let shape = tenant.mechanism.report_shape();
     let report_len = tenant.mechanism.report_len();
-    let reply = match frame {
-        Frame::Reports(reports) => {
-            // The whole frame validates before anything is queued: a
-            // hostile frame mixing valid and invalid reports is rejected
-            // atomically — no partial fold, nothing to un-count.
-            // (Backpressure is the one partial outcome: `Busy{accepted}`
-            // names the queued prefix, which the client re-sends from.)
-            let invalid = reports.iter().enumerate().find_map(|(idx, report)| {
-                validate_report(report, shape, report_len)
-                    .err()
-                    .map(|e| format!("report {idx}: {e}"))
-            });
-            if let Some(message) = invalid {
-                reject(message)
-            } else {
-                let batch_len = reports.len();
-                match tenant.queue.try_push_batch(reports) {
-                    Ok(accepted) if accepted == batch_len => Frame::Ingested {
-                        accepted: accepted as u64,
-                    },
-                    Ok(accepted) => Frame::Busy {
-                        accepted: accepted as u64,
-                    },
-                    Err(PushRefusal::Full) => Frame::Busy { accepted: 0 },
-                    Err(PushRefusal::Closed) => reject("server is shutting down"),
-                }
-            }
-        }
-        Frame::Query => {
-            return FrameAction::Settle(PendingQuery {
-                kind: QueryKind::Estimates,
-                tenant: tenant_index,
-                watermark: tenant.queue.watermark(),
-            })
-        }
-        Frame::TopKQuery { k } => {
-            return FrameAction::Settle(PendingQuery {
-                kind: QueryKind::TopK(k),
-                tenant: tenant_index,
-                watermark: tenant.queue.watermark(),
-            })
-        }
-        Frame::SnapshotQuery => {
-            return FrameAction::Settle(PendingQuery {
-                kind: QueryKind::Snapshot,
-                tenant: tenant_index,
-                watermark: tenant.queue.watermark(),
-            })
-        }
-        Frame::Checkpoint => {
-            if tenant.store.is_none() {
-                reject("server has no checkpoint path configured")
-            } else {
-                return FrameAction::Settle(PendingQuery {
-                    kind: QueryKind::Checkpoint,
-                    tenant: tenant_index,
-                    watermark: tenant.queue.watermark(),
-                });
-            }
-        }
-        Frame::Hello { .. } => reject("connection is already negotiated"),
-        other => reject(format!("unexpected frame on the server side: {other:?}")),
-    };
-    FrameAction::Reply(reply)
+    let invalid = reports.iter().enumerate().find_map(|(idx, report)| {
+        validate_report(report, shape, report_len)
+            .err()
+            .map(|e| format!("report {idx}: {e}"))
+    });
+    if let Some(message) = invalid {
+        return Frame::reject(message);
+    }
+    let batch_len = reports.len();
+    match tenant.queue.try_push_batch(reports) {
+        Ok(accepted) if accepted == batch_len => Frame::Ingested {
+            accepted: accepted as u64,
+        },
+        Ok(accepted) => Frame::Busy {
+            accepted: accepted as u64,
+        },
+        Err(PushRefusal::Full) => Frame::Busy { accepted: 0 },
+        Err(PushRefusal::Closed) => Frame::reject("server is shutting down"),
+    }
 }
 
 /// Estimates over one tenant's current merged view (empty while no
@@ -307,25 +325,12 @@ fn estimates_now(tenant: &Tenant) -> Result<(u64, Vec<f64>), String> {
         .map_err(|e| e.to_string())
 }
 
-/// Builds the reply of a settled query from the watermark wait's verdict.
-/// `None` means the server closed mid-wait — hang up without a reply. A
-/// paused queue draws the typed [`PAUSED_MSG`] refusal; a reached
-/// watermark computes the reply over the now-complete merged view.
-pub(crate) fn settle_reply(
-    shared: &Shared,
-    pending: &PendingQuery,
-    outcome: WaitOutcome,
-) -> Option<Frame> {
-    match outcome {
-        WaitOutcome::Closed => return None,
-        WaitOutcome::Paused => return Some(reject(PAUSED_MSG)),
-        WaitOutcome::Reached => {}
-    }
-    let tenant = shared.tenant(pending.tenant);
-    let reply = match &pending.kind {
+/// Builds the reply of a query whose watermark the fold frontier reached.
+fn settled_reply(tenant: &Tenant, kind: &QueryKind) -> Frame {
+    match kind {
         QueryKind::Estimates => match estimates_now(tenant) {
             Ok((users, estimates)) => Frame::Estimates { users, estimates },
-            Err(message) => reject(message),
+            Err(message) => Frame::reject(message),
         },
         QueryKind::TopK(k) => match estimates_now(tenant) {
             Ok((users, estimates)) => {
@@ -335,7 +340,7 @@ pub(crate) fn settle_reply(
                     .collect();
                 Frame::Candidates { users, items }
             }
-            Err(message) => reject(message),
+            Err(message) => Frame::reject(message),
         },
         QueryKind::Checkpoint => match &tenant.store {
             Some(store) => {
@@ -347,24 +352,25 @@ pub(crate) fn settle_reply(
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 match store.save(std::slice::from_ref(&snapshot), &run_line) {
                     Ok(()) => Frame::CheckpointAck { users },
-                    Err(e) => reject(format!("checkpoint write: {e}")),
+                    Err(e) => Frame::reject(format!("checkpoint write: {e}")),
                 }
             }
-            // Unreachable: `apply_frame` rejects Checkpoint before
-            // settling when no path is configured.
-            None => reject("server has no checkpoint path configured"),
+            // Unreachable: `frame` rejects Checkpoint before settling when
+            // no path is configured.
+            None => Frame::reject("server has no checkpoint path configured"),
         },
         QueryKind::Snapshot => {
             let snapshot = tenant.sink.snapshot();
+            let users = snapshot.num_users();
+            let counts = snapshot.into_counts();
             Frame::Snapshot {
-                users: snapshot.num_users(),
-                total: snapshot.counts().len() as u64,
+                users,
+                total: counts.len() as u64,
                 offset: 0,
-                counts: snapshot.counts().to_vec(),
+                counts,
             }
         }
-    };
-    Some(reply)
+    }
 }
 
 /// Encodes a reply for the wire. Replies that fit one frame encode
@@ -376,14 +382,13 @@ pub(crate) fn settle_reply(
 /// entries) still draws the typed over-cap refusal instead of a dead
 /// connection.
 ///
-/// Public because the coordinator frontend encodes its replies through
-/// this too — coordinator and collector replies chunk identically.
+/// Public because svcbench times reply encoding through it.
 pub fn encode_reply(frame: &Frame) -> Vec<u8> {
     if frame.fits_one_frame() {
         return frame.encode();
     }
     crate::frame::encode_reply_parts(frame).unwrap_or_else(|| {
-        reject(format!(
+        Frame::reject(format!(
             "reply exceeds the {} MiB frame cap (domain too large for one frame)",
             crate::frame::MAX_PAYLOAD_LEN >> 20
         ))

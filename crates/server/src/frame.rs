@@ -873,6 +873,14 @@ frame_table! {
 }
 
 impl Frame {
+    /// A [`Frame::Reject`] that accepted no reports.
+    pub fn reject(message: impl Into<String>) -> Frame {
+        Frame::Reject {
+            accepted: 0,
+            message: message.into(),
+        }
+    }
+
     /// Encodes the frame — header and payload — into bytes.
     pub fn encode(&self) -> Vec<u8> {
         let len = self.encoded_payload_len();

@@ -20,9 +20,10 @@
 //!   [`idldp_stream::ShardedAccumulator`], snapshot/estimate/top-k queries
 //!   served over the same socket, atomic checkpoint persistence, and a
 //!   readiness reactor multiplexing all connections onto a fixed set of
-//!   event loops (epoll on Linux, poll(2) on other unix hosts). The
-//!   per-connection protocol is a transport-free module the reactor
-//!   drives.
+//!   event loops (epoll on Linux, poll(2) on other unix hosts). The loops
+//!   ([`EventLoops`]) call the per-connection protocol through the
+//!   transport-free [`Backend`] trait, so the coordinator frontend
+//!   (`idldp-coord`) runs on them too.
 //! * [`client`] — [`ReportClient`]: connect + handshake, batched pushes
 //!   with `Busy`-absorbing retry, and the query calls. Backs the `idldp
 //!   push` CLI.
@@ -78,12 +79,13 @@ mod reactor;
 pub mod server;
 
 pub use client::{ClientError, PushOutcome, Query, Reply, ReportClient, MAX_STALLED_RETRIES};
-pub use conn::{check_hello, encode_reply, hello_tenant};
+pub use conn::{check_hello, encode_reply, Backend, FrameAction};
 pub use frame::{
     encode_reports_frame, encoded_report_len, Frame, FrameAssembler, FrameError, CHUNK_ELEMS,
     MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
 };
 pub use queue::{IngestQueue, PushRefusal, WaitOutcome};
 pub use server::{
-    run_identity_line, ReportServer, ServerConfig, ServerConfigBuilder, ServerError, TenantConfig,
+    run_identity_line, EventLoops, ReportServer, ServerConfig, ServerConfigBuilder, ServerError,
+    TenantConfig,
 };

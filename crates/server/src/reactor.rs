@@ -1,4 +1,5 @@
-//! The server's connection engine: readiness event loops (the C10k path).
+//! The connection engine of both frontends, the collector and the
+//! coordinator: readiness event loops (the C10k path).
 //!
 //! Instead of parking one thread per connection, a fixed set of event
 //! loops multiplexes *every* connection over a level-triggered readiness
@@ -11,10 +12,10 @@
 //! Per connection the loop drives a small state machine:
 //!
 //! ```text
-//!            Hello ok                    query frame
+//!            Hello ok                    settle frame
 //! Handshake ─────────▶ Open ──────────────────────────▶ Settling
 //!     │                 │  ▲                               │
-//!     │ bad Hello       │  └── reply flushed ◀─────────────┘ frontier verdict
+//!     │ bad Hello       │  └── reply flushed ◀─────────────┘ settled reply
 //!     ▼                 ▼ protocol violation
 //!  Closing ◀────────────┘   (flush the Reject, then close)
 //! ```
@@ -25,21 +26,21 @@
 //! reply is buffered (or a query is settling) the connection's read
 //! interest is off, so a pipelining peer is throttled by its own socket
 //! buffer — the kernel provides the backpressure, the server buffers at
-//! most one reply. Queries cannot block the loop: they park the
-//! connection in `Settling` and the loop re-polls the fold frontier
-//! ([`crate::queue::IngestQueue::poll_processed`]) at a short tick while
-//! any settle is pending — the watermark was captured at
+//! most one reply. A reply the backend cannot give yet parks the
+//! connection in `Settling`, and the loop re-polls it
+//! ([`Backend::poll_settle`]) at a short tick while any settle is pending.
+//! A collector query settles this way: its watermark was captured at
 //! frame-processing time, so linearization (and bit-identity with the
 //! batch pipeline) is untouched.
 //!
 //! Idle peers are reaped: a connection that completes no frame within the
 //! configured idle timeout is closed on the next sweep, whether it is
-//! silent or dripping bytes one poll at a time. Protocol logic lives in
-//! [`crate::conn`], free of any socket.
+//! silent or dripping bytes one poll at a time. Protocol logic lives
+//! behind [`Backend`], free of any socket.
 
-use crate::conn::{self, FrameAction, PendingQuery};
+use crate::conn::{encode_reply, Backend, FrameAction};
 use crate::frame::{Frame, FrameAssembler};
-use crate::server::{EventLoops, Shared};
+use crate::server::{EventLoops, LoopState};
 use polling::{Event, Poller};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -47,6 +48,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
 /// Poller key of loop 0's listener; connection keys start above it.
@@ -66,28 +68,32 @@ const IDLE_TICK: Duration = Duration::from_millis(200);
 const SETTLE_TICK: Duration = Duration::from_millis(1);
 
 /// Connection phase (see the module-level diagram).
-enum Phase {
+enum Phase<B: Backend> {
     /// Awaiting the Hello frame.
     Handshake,
-    /// Negotiated; serving the frame loop.
-    Open,
-    /// A query awaits the fold frontier's verdict.
-    Settling(PendingQuery),
+    /// Negotiated to this session; serving the frame loop.
+    Open(B::Session),
+    /// A reply awaits the backend's [`Backend::poll_settle`].
+    Settling(B::Session, B::Settle),
     /// Flush the buffered reply, then close.
     Closing,
 }
 
+impl<B: Backend> Phase<B> {
+    /// Whether the connection takes its next frame (handshake or open).
+    fn reads(&self) -> bool {
+        matches!(self, Phase::Handshake | Phase::Open(_))
+    }
+}
+
 /// One multiplexed connection owned by an event loop.
-struct Conn {
+struct Conn<B: Backend> {
     stream: TcpStream,
     asm: FrameAssembler,
     /// The (single) buffered reply, partially flushed up to `out_pos`.
     out: Vec<u8>,
     out_pos: usize,
-    phase: Phase,
-    /// The tenant this connection bound to at handshake (index into the
-    /// shared registry; 0 — the default tenant — until the Hello lands).
-    tenant: usize,
+    phase: Phase<B>,
     /// Reap deadline; refreshed each time a complete frame is processed.
     deadline: Option<Instant>,
     /// Interest currently registered with the poller, to skip redundant
@@ -95,12 +101,12 @@ struct Conn {
     interest: (bool, bool),
 }
 
-impl Conn {
+impl<B: Backend> Conn<B> {
     /// Queues `reply` as the connection's outgoing buffer (one reply at a
     /// time by construction: callers only queue while `out` is empty).
     fn queue_reply(&mut self, reply: &Frame) {
         debug_assert!(self.out.is_empty(), "one reply at a time");
-        self.out = conn::encode_reply(reply);
+        self.out = encode_reply(reply);
         self.out_pos = 0;
     }
 
@@ -129,8 +135,9 @@ impl Conn {
 }
 
 /// Everything one event loop needs.
-struct LoopCtx {
-    shared: Arc<Shared>,
+struct LoopCtx<B> {
+    backend: Arc<B>,
+    state: Arc<LoopState>,
     poller: Arc<Poller>,
     /// Sockets handed to this loop by loop 0's acceptor.
     inbox: Arc<Mutex<Vec<TcpStream>>>,
@@ -147,20 +154,19 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Spawns `loops` event-loop threads serving `listener` and returns one
-/// poller per loop (`notify` them all to make the loops observe the stop
-/// flag) with the threads to join. The listener is switched to
-/// non-blocking and owned by loop 0.
+/// Spawns `loops` event-loop threads serving `listener` for `backend`.
+/// The listener is switched to non-blocking and owned by loop 0.
 ///
 /// # Errors
 /// Poller construction failure.
-pub(crate) fn spawn(
+pub(crate) fn spawn<B: Backend>(
     listener: TcpListener,
-    shared: Arc<Shared>,
+    backend: Arc<B>,
     loops: usize,
     idle_timeout: Option<Duration>,
 ) -> std::io::Result<EventLoops> {
     listener.set_nonblocking(true)?;
+    let state = Arc::new(LoopState::default());
     let mut pollers = Vec::with_capacity(loops);
     let mut inboxes = Vec::with_capacity(loops);
     for _ in 0..loops {
@@ -171,7 +177,8 @@ pub(crate) fn spawn(
     let mut listener = Some(listener);
     for index in 0..loops {
         let ctx = LoopCtx {
-            shared: Arc::clone(&shared),
+            backend: Arc::clone(&backend),
+            state: Arc::clone(&state),
             poller: Arc::clone(&pollers[index]),
             inbox: Arc::clone(&inboxes[index]),
             listener: if index == 0 { listener.take() } else { None },
@@ -182,11 +189,15 @@ pub(crate) fn spawn(
         };
         threads.push(std::thread::spawn(move || event_loop(ctx)));
     }
-    Ok((pollers, threads))
+    Ok(EventLoops {
+        state,
+        pollers,
+        threads,
+    })
 }
 
-fn event_loop(ctx: LoopCtx) {
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
+fn event_loop<B: Backend>(ctx: LoopCtx<B>) {
+    let mut conns: HashMap<usize, Conn<B>> = HashMap::new();
     // Key 0 is the listener; connection keys are never reused (a u64-ish
     // counter — reuse could misroute a stale readiness event).
     let mut next_key = KEY_LISTENER + 1;
@@ -202,7 +213,7 @@ fn event_loop(ctx: LoopCtx) {
         }
     }
     loop {
-        if ctx.shared.stop.load(Ordering::SeqCst) {
+        if ctx.state.stop.load(Ordering::SeqCst) {
             break;
         }
         let timeout = wait_timeout(&conns);
@@ -210,7 +221,7 @@ fn event_loop(ctx: LoopCtx) {
         if ctx.poller.wait(&mut events, Some(timeout)).is_err() {
             break;
         }
-        if ctx.shared.stop.load(Ordering::SeqCst) {
+        if ctx.state.stop.load(Ordering::SeqCst) {
             break;
         }
         // Adopt connections handed off by the accepting loop.
@@ -229,10 +240,10 @@ fn event_loop(ctx: LoopCtx) {
             };
             let mut alive = true;
             if ev.readable && alive {
-                alive = on_readable(conn, &ctx.shared, ctx.idle_timeout);
+                alive = on_readable(conn, &ctx);
             }
             if ev.writable && alive {
-                alive = on_writable(conn, &ctx.shared, ctx.idle_timeout);
+                alive = on_writable(conn, &ctx);
             }
             finish_event(&ctx.poller, &mut conns, ev.key, alive);
         }
@@ -240,7 +251,7 @@ fn event_loop(ctx: LoopCtx) {
         reap_idle(&ctx, &mut conns);
     }
     // Shutdown: close every owned connection (and any not-yet-adopted
-    // hand-offs), then exit; `ReportServer::shutdown` joins us.
+    // hand-offs), then exit; `EventLoops::shutdown` joins us.
     for (_, conn) in conns.drain() {
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
@@ -252,10 +263,10 @@ fn event_loop(ctx: LoopCtx) {
 /// How long the next `wait` may block: the settle tick while any query is
 /// pending, otherwise the idle-sweep tick (hand-offs and shutdown wake
 /// the poller explicitly, so the bound is a safety net, not a latency).
-fn wait_timeout(conns: &HashMap<usize, Conn>) -> Duration {
+fn wait_timeout<B: Backend>(conns: &HashMap<usize, Conn<B>>) -> Duration {
     if conns
         .values()
-        .any(|c| matches!(c.phase, Phase::Settling(_)))
+        .any(|c| matches!(c.phase, Phase::Settling(..)))
     {
         SETTLE_TICK
     } else {
@@ -266,9 +277,9 @@ fn wait_timeout(conns: &HashMap<usize, Conn>) -> Duration {
 /// Drains the listener's accept backlog, dealing connections round-robin
 /// across all loops. Never blocks: the listener is non-blocking, and a
 /// hand-off is a vec push + notify.
-fn accept_ready(
-    ctx: &LoopCtx,
-    conns: &mut HashMap<usize, Conn>,
+fn accept_ready<B: Backend>(
+    ctx: &LoopCtx<B>,
+    conns: &mut HashMap<usize, Conn<B>>,
     next_key: &mut usize,
     rr: &mut usize,
 ) {
@@ -297,9 +308,9 @@ fn accept_ready(
 /// Takes ownership of an accepted socket: non-blocking, nodelay, fresh
 /// state machine, read interest. A socket that cannot be registered is
 /// dropped (closed) outright.
-fn register_conn(
-    ctx: &LoopCtx,
-    conns: &mut HashMap<usize, Conn>,
+fn register_conn<B: Backend>(
+    ctx: &LoopCtx<B>,
+    conns: &mut HashMap<usize, Conn<B>>,
     next_key: &mut usize,
     stream: TcpStream,
 ) {
@@ -322,7 +333,6 @@ fn register_conn(
         out: Vec::new(),
         out_pos: 0,
         phase: Phase::Handshake,
-        tenant: 0,
         deadline: None,
         interest: (true, false),
     };
@@ -332,13 +342,13 @@ fn register_conn(
 
 /// Reads as much as fairness allows, feeding the assembler and processing
 /// completed frames. Returns `false` when the connection must close now.
-fn on_readable(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool {
+fn on_readable<B: Backend>(conn: &mut Conn<B>, ctx: &LoopCtx<B>) -> bool {
     let mut buf = [0u8; READ_CHUNK];
     for _ in 0..MAX_READS_PER_EVENT {
         // One reply at a time: stop consuming input while a reply is
         // buffered or a query is settling (read interest is off then;
         // this also catches the transition mid-event).
-        if !conn.out.is_empty() || !matches!(conn.phase, Phase::Handshake | Phase::Open) {
+        if !conn.out.is_empty() || !conn.phase.reads() {
             return true;
         }
         match conn.stream.read(&mut buf) {
@@ -359,8 +369,10 @@ fn on_readable(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool
                     protocol_violation(conn, &e.to_string());
                     return true;
                 }
-                shared.note_buffered(conn.asm.buffered_bytes());
-                if !process_ready(conn, shared, idle) {
+                ctx.state
+                    .peak_buffered
+                    .fetch_max(conn.asm.buffered_bytes(), Ordering::Relaxed);
+                if !process_ready(conn, ctx) {
                     return false;
                 }
                 if n < buf.len() {
@@ -378,15 +390,12 @@ fn on_readable(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool
 /// Queues the typed `Reject` for a protocol violation and moves to
 /// `Closing`: reply, then close. The message is prefixed `handshake:`
 /// before the `HelloAck` and `bad frame:` after it.
-fn protocol_violation(conn: &mut Conn, detail: &str) {
+fn protocol_violation<B: Backend>(conn: &mut Conn<B>, detail: &str) {
     let message = match conn.phase {
         Phase::Handshake => format!("handshake: {detail}"),
         _ => format!("bad frame: {detail}"),
     };
-    conn.queue_reply(&Frame::Reject {
-        accepted: 0,
-        message,
-    });
+    conn.queue_reply(&Frame::reject(message));
     conn.phase = Phase::Closing;
 }
 
@@ -394,37 +403,32 @@ fn protocol_violation(conn: &mut Conn, detail: &str) {
 /// empty, not settling). Each reply is flushed eagerly — most complete in
 /// one write and the loop moves straight to the next pipelined frame.
 /// Returns `false` when the connection must close now.
-fn process_ready(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool {
+fn process_ready<B: Backend>(conn: &mut Conn<B>, ctx: &LoopCtx<B>) -> bool {
     while conn.out.is_empty() {
-        match conn.phase {
-            Phase::Handshake => {
-                let Some(frame) = conn.asm.next_frame() else {
-                    return true;
-                };
-                conn.touch(idle);
-                match conn::apply_hello(shared, frame) {
-                    Ok((tenant, ack)) => {
-                        conn.tenant = tenant;
-                        conn.queue_reply(&ack);
-                        conn.phase = Phase::Open;
-                    }
-                    Err(reject) => {
-                        conn.queue_reply(&reject);
-                        conn.phase = Phase::Closing;
-                    }
+        let session = match conn.phase {
+            Phase::Handshake => None,
+            Phase::Open(session) => Some(session),
+            Phase::Settling(..) | Phase::Closing => return true,
+        };
+        let Some(frame) = conn.asm.next_frame() else {
+            return true;
+        };
+        conn.touch(ctx.idle_timeout);
+        match session {
+            None => match ctx.backend.hello(frame) {
+                Ok((session, ack)) => {
+                    conn.queue_reply(&ack);
+                    conn.phase = Phase::Open(session);
                 }
-            }
-            Phase::Open => {
-                let Some(frame) = conn.asm.next_frame() else {
-                    return true;
-                };
-                conn.touch(idle);
-                match conn::apply_frame(shared, conn.tenant, frame) {
-                    FrameAction::Reply(reply) => conn.queue_reply(&reply),
-                    FrameAction::Settle(pending) => conn.phase = Phase::Settling(pending),
+                Err(reject) => {
+                    conn.queue_reply(&reject);
+                    conn.phase = Phase::Closing;
                 }
-            }
-            Phase::Settling(_) | Phase::Closing => return true,
+            },
+            Some(session) => match ctx.backend.frame(session, frame) {
+                FrameAction::Reply(reply) => conn.queue_reply(&reply),
+                FrameAction::Settle(settle) => conn.phase = Phase::Settling(session, settle),
+            },
         }
         if !conn.out.is_empty() {
             match conn.flush_out() {
@@ -443,50 +447,45 @@ fn process_ready(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bo
 
 /// Drains the write buffer on writability; a completed flush either closes
 /// (`Closing`) or resumes frame processing. Returns `false` to close.
-fn on_writable(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool {
+fn on_writable<B: Backend>(conn: &mut Conn<B>, ctx: &LoopCtx<B>) -> bool {
     match conn.flush_out() {
         Ok(true) => match conn.phase {
             Phase::Closing => false,
-            _ => process_ready(conn, shared, idle),
+            _ => process_ready(conn, ctx),
         },
         Ok(false) => true,
         Err(_) => false,
     }
 }
 
-/// Re-polls every settling connection's watermark against the fold
-/// frontier; settled ones get their reply queued (and flushed) or hang up
-/// on shutdown.
-fn tick_settling(ctx: &LoopCtx, conns: &mut HashMap<usize, Conn>) {
+/// Re-polls every settling connection's reply; settled ones get it queued
+/// (and flushed), or hang up when the backend has shut down.
+fn tick_settling<B: Backend>(ctx: &LoopCtx<B>, conns: &mut HashMap<usize, Conn<B>>) {
     let keys: Vec<usize> = conns
         .iter()
-        .filter(|(_, c)| matches!(c.phase, Phase::Settling(_)))
+        .filter(|(_, c)| matches!(c.phase, Phase::Settling(..)))
         .map(|(&k, _)| k)
         .collect();
     for key in keys {
         let conn = conns.get_mut(&key).expect("settling key just collected");
-        let Phase::Settling(pending) = &conn.phase else {
+        let Phase::Settling(session, settle) = &conn.phase else {
             continue;
         };
-        let Some(outcome) = ctx
-            .shared
-            .tenant(pending.tenant)
-            .queue
-            .poll_processed(pending.watermark)
-        else {
-            continue; // frontier still short of the watermark
+        let session = *session;
+        let Poll::Ready(reply) = ctx.backend.poll_settle(settle) else {
+            continue; // not settled yet
         };
-        let alive = match conn::settle_reply(&ctx.shared, pending, outcome) {
+        let alive = match reply {
             Some(reply) => {
-                conn.phase = Phase::Open;
+                conn.phase = Phase::Open(session);
                 conn.queue_reply(&reply);
                 match conn.flush_out() {
-                    Ok(true) => process_ready(conn, &ctx.shared, ctx.idle_timeout),
+                    Ok(true) => process_ready(conn, ctx),
                     Ok(false) => true,
                     Err(_) => false,
                 }
             }
-            None => false, // shutdown mid-query: drop without a reply
+            None => false, // shutdown mid-settle: drop without a reply
         };
         finish_event(&ctx.poller, conns, key, alive);
     }
@@ -494,9 +493,8 @@ fn tick_settling(ctx: &LoopCtx, conns: &mut HashMap<usize, Conn>) {
 
 /// Closes connections whose idle deadline passed without a completed
 /// frame — silent peers and slow-loris drips alike. Settling connections
-/// are exempt: their latency is the server's own fold frontier, not the
-/// peer's.
-fn reap_idle(ctx: &LoopCtx, conns: &mut HashMap<usize, Conn>) {
+/// are exempt: their latency is the backend's, not the peer's.
+fn reap_idle<B: Backend>(ctx: &LoopCtx<B>, conns: &mut HashMap<usize, Conn<B>>) {
     if ctx.idle_timeout.is_none() {
         return;
     }
@@ -504,12 +502,12 @@ fn reap_idle(ctx: &LoopCtx, conns: &mut HashMap<usize, Conn>) {
     let expired: Vec<usize> = conns
         .iter()
         .filter(|(_, c)| {
-            !matches!(c.phase, Phase::Settling(_)) && c.deadline.is_some_and(|d| now >= d)
+            !matches!(c.phase, Phase::Settling(..)) && c.deadline.is_some_and(|d| now >= d)
         })
         .map(|(&k, _)| k)
         .collect();
     for key in expired {
-        ctx.shared.reaped.fetch_add(1, Ordering::SeqCst);
+        ctx.state.reaped.fetch_add(1, Ordering::SeqCst);
         teardown(&ctx.poller, conns, key);
     }
 }
@@ -517,7 +515,12 @@ fn reap_idle(ctx: &LoopCtx, conns: &mut HashMap<usize, Conn>) {
 /// Post-event bookkeeping: close a dead connection, or re-register the
 /// interest its state now wants (read while it can accept a frame, write
 /// while a reply is buffered).
-fn finish_event(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, alive: bool) {
+fn finish_event<B: Backend>(
+    poller: &Poller,
+    conns: &mut HashMap<usize, Conn<B>>,
+    key: usize,
+    alive: bool,
+) {
     if !alive {
         teardown(poller, conns, key);
         return;
@@ -530,7 +533,7 @@ fn finish_event(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, a
         return;
     }
     let want = (
-        conn.out.is_empty() && matches!(conn.phase, Phase::Handshake | Phase::Open),
+        conn.out.is_empty() && conn.phase.reads(),
         !conn.out.is_empty(),
     );
     if want != conn.interest {
@@ -546,7 +549,7 @@ fn finish_event(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, a
 }
 
 /// Unregisters and closes one connection.
-fn teardown(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize) {
+fn teardown<B: Backend>(poller: &Poller, conns: &mut HashMap<usize, Conn<B>>, key: usize) {
     if let Some(conn) = conns.remove(&key) {
         let _ = poller.delete(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);

@@ -23,6 +23,7 @@
 //! run — `crates/sim/tests/server_loopback.rs` proves it for all eight
 //! mechanisms.
 
+use crate::conn::Backend;
 use crate::queue::IngestQueue;
 use idldp_core::identity::{RunIdentity, TenantId};
 use idldp_core::mechanism::Mechanism;
@@ -375,29 +376,16 @@ impl Tenant {
     }
 }
 
-/// Shared state between the event loops and the ingest workers.
-pub(crate) struct Shared {
-    /// The tenant registry. Index 0 is always the default tenant (the
-    /// mechanism passed to [`ReportServer::start`]); a connection binds
-    /// to exactly one tenant at handshake time and carries its index for
-    /// the rest of its life.
+/// The tenant registry: the collector's [`crate::Backend`], shared by the
+/// event loops and the ingest workers.
+pub(crate) struct Registry {
+    /// Index 0 is always the default tenant (the mechanism passed to
+    /// [`ReportServer::start`]); a connection binds to exactly one tenant
+    /// at handshake time and carries its index for the rest of its life.
     pub(crate) tenants: Vec<Tenant>,
-    pub(crate) stop: AtomicBool,
-    /// Connections reaped for idling past the configured timeout —
-    /// observable via [`ReportServer::reaped_connections`].
-    pub(crate) reaped: AtomicU64,
-    /// High-water mark of any one connection's buffered frame bytes — the
-    /// incremental-read memory bound the hostile-peer stress test pins.
-    peak_buffered: AtomicUsize,
 }
 
-impl Shared {
-    /// Folds `bytes` into the per-connection buffered-bytes high-water
-    /// mark (see [`ReportServer::peak_buffered_bytes`]).
-    pub(crate) fn note_buffered(&self, bytes: usize) {
-        self.peak_buffered.fetch_max(bytes, Ordering::Relaxed);
-    }
-
+impl Registry {
     /// The tenant a connection bound to at handshake time.
     pub(crate) fn tenant(&self, index: usize) -> &Tenant {
         &self.tenants[index]
@@ -443,11 +431,10 @@ pub fn run_identity_line(mechanism: &dyn Mechanism, config_stamp: Option<&str>) 
 /// call [`ReportServer::shutdown`] for an orderly stop.
 pub struct ReportServer {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    shared: Arc<Registry>,
+    /// The ingest workers.
     workers: Vec<JoinHandle<()>>,
-    /// One poller per event loop, notified on shutdown so the loops
-    /// observe the stop flag.
-    pollers: Vec<Arc<Poller>>,
+    loops: EventLoops,
 }
 
 impl ReportServer {
@@ -463,8 +450,7 @@ impl ReportServer {
     /// [`ServerError::Config`] for a bit-vector mechanism wider than the
     /// wire protocol's [`crate::frame::MAX_BIT_REPORT_SLOTS`] (every
     /// report would be undecodable — fail at startup, not per frame). A
-    /// host without a unix readiness backend is a [`ServerError::Config`]
-    /// too.
+    /// host without a unix readiness backend is a [`ServerError::Io`].
     pub fn start(mechanism: Arc<dyn Mechanism>, config: ServerConfig) -> Result<Self, ServerError> {
         // Re-validate: `Default` and `Clone` can produce a config without
         // going through the builder.
@@ -484,23 +470,19 @@ impl ReportServer {
             tenants.push(Self::start_tenant(tenant.clone(), &config)?);
         }
 
-        let shared = Arc::new(Shared {
-            tenants,
-            stop: AtomicBool::new(false),
-            reaped: AtomicU64::new(0),
-            peak_buffered: AtomicUsize::new(0),
-        });
+        let shared = Arc::new(Registry { tenants });
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
         // The event loops start first, so a host without a readiness
         // backend fails before any thread exists.
-        let (pollers, mut workers) = spawn_event_loops(listener, &shared, &config)?;
+        let loops = EventLoops::spawn(listener, Arc::clone(&shared), &config)?;
 
         // Fold workers are per tenant: each tenant's queue drains
         // independently, so a paused or saturated tenant cannot stall
         // another tenant's fold pipeline.
+        let mut workers = Vec::new();
         for tenant_index in 0..shared.tenants.len() {
             for _ in 0..config.ingest_workers {
                 let shared = Arc::clone(&shared);
@@ -514,7 +496,7 @@ impl ReportServer {
             addr,
             shared,
             workers,
-            pollers,
+            loops,
         })
     }
 
@@ -639,7 +621,7 @@ impl ReportServer {
     /// [`ServerConfigBuilder::idle_timeout`] — silent peers and slow-loris drips
     /// alike.
     pub fn reaped_connections(&self) -> u64 {
-        self.shared.reaped.load(Ordering::SeqCst)
+        self.loops.state.reaped.load(Ordering::SeqCst)
     }
 
     /// High-water mark of any single connection's buffered frame bytes.
@@ -647,7 +629,7 @@ impl ReportServer {
     /// frame (never its claimed length prefix) — the incremental-read
     /// memory bound the hostile-peer stress test asserts.
     pub fn peak_buffered_bytes(&self) -> usize {
-        self.shared.peak_buffered.load(Ordering::Relaxed)
+        self.loops.state.peak_buffered.load(Ordering::Relaxed)
     }
 
     /// Freezes the *default* tenant's merged accumulator view after
@@ -679,53 +661,86 @@ impl ReportServer {
         }
     }
 
-    /// Orderly stop: refuse new work, wake every event loop (each closes
+    /// Orderly stop: refuse new work, stop the event loops (each closes
     /// its connections), and join all threads. In-queue (accepted but
     /// unfolded) reports at this instant are discarded — clients that need
     /// durability send a `Checkpoint` frame first.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+    pub fn shutdown(self) {
         for tenant in &self.shared.tenants {
             tenant.queue.close();
         }
-        for poller in &self.pollers {
-            let _ = poller.notify();
-        }
-        for worker in self.workers.drain(..) {
+        self.loops.shutdown();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
 }
 
-/// The event loops' pollers and threads.
-pub(crate) type EventLoops = (Vec<Arc<Poller>>, Vec<JoinHandle<()>>);
-
-/// Starts [`ServerConfigBuilder::connection_workers`] event loops serving
-/// `listener`.
-#[cfg(unix)]
-fn spawn_event_loops(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    config: &ServerConfig,
-) -> Result<EventLoops, ServerError> {
-    Ok(crate::reactor::spawn(
-        listener,
-        Arc::clone(shared),
-        config.connection_workers,
-        config.idle_timeout,
-    )?)
+/// The readiness event loops (`reactor.rs`) serving one listener for one
+/// [`crate::Backend`] — the collector's tenant registry or the coordinator
+/// frontend. Owns the loops' threads and their own state: the stop flag
+/// and the reaping and buffering counters.
+pub struct EventLoops {
+    pub(crate) state: Arc<LoopState>,
+    /// One poller per event loop, notified on shutdown so the loops
+    /// observe the stop flag.
+    pub(crate) pollers: Vec<Arc<Poller>>,
+    pub(crate) threads: Vec<JoinHandle<()>>,
 }
 
-/// The event loops need a unix readiness backend (epoll, or poll(2)).
-#[cfg(not(unix))]
-fn spawn_event_loops(
-    _listener: TcpListener,
-    _shared: &Arc<Shared>,
-    _config: &ServerConfig,
-) -> Result<EventLoops, ServerError> {
-    Err(ServerError::Config(
-        "the server requires a unix readiness backend (epoll or poll)".into(),
-    ))
+/// What the event loops themselves track, apart from any backend.
+#[derive(Default)]
+pub(crate) struct LoopState {
+    pub(crate) stop: AtomicBool,
+    /// Connections reaped for idling past the configured timeout.
+    pub(crate) reaped: AtomicU64,
+    /// High-water mark of any one connection's buffered frame bytes — the
+    /// incremental-read memory bound the hostile-peer stress test pins.
+    pub(crate) peak_buffered: AtomicUsize,
+}
+
+impl EventLoops {
+    /// Starts `config`'s [`ServerConfigBuilder::connection_workers`] event
+    /// loops serving `listener` for `backend`, reaping connections idle
+    /// past its [`ServerConfigBuilder::idle_timeout`]. The listener is
+    /// switched to non-blocking and owned by loop 0.
+    ///
+    /// # Errors
+    /// Poller construction failure, or a host without a unix readiness
+    /// backend (epoll or poll).
+    pub fn spawn<B: Backend>(
+        listener: TcpListener,
+        backend: Arc<B>,
+        config: &ServerConfig,
+    ) -> std::io::Result<Self> {
+        #[cfg(not(unix))]
+        {
+            let _ = (listener, backend, config);
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "event loops require a unix readiness backend (epoll or poll)",
+            ))
+        }
+        #[cfg(unix)]
+        crate::reactor::spawn(
+            listener,
+            backend,
+            config.connection_workers,
+            config.idle_timeout,
+        )
+    }
+
+    /// Stops every loop — each closes its connections, live ones
+    /// included — and joins them.
+    pub fn shutdown(self) {
+        self.state.stop.store(true, Ordering::SeqCst);
+        for poller in &self.pollers {
+            let _ = poller.notify();
+        }
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Where a tenant's checkpoints live. The default tenant uses the
@@ -756,7 +771,7 @@ pub(crate) fn tenant_checkpoint_path(base: &Path, id: &TenantId) -> PathBuf {
 /// completion frontier stays contiguous across workers — a query
 /// watermark is only satisfied once every report below it is actually
 /// folded, not merely an equal *count* of later ones.
-fn ingest_worker(shared: &Shared, tenant_index: usize) {
+fn ingest_worker(shared: &Registry, tenant_index: usize) {
     let tenant = shared.tenant(tenant_index);
     while let Some((ticket, batch)) = tenant.queue.pop() {
         let reports: Vec<Report<'_>> = batch.iter().map(ReportData::as_report).collect();

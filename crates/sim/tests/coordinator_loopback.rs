@@ -10,8 +10,8 @@
 //! irrelevant by construction (integer counts commute under any split);
 //! this suite is what pins that law end to end through two protocol hops.
 //!
-//! Also covered: the distributed top-k `Candidates` merge path against
-//! batch `identify_top_k`, weighted round-robin routing, `Busy` spill off
+//! Also covered: top-k through the coordinator against batch
+//! `identify_top_k`, weighted round-robin routing, `Busy` spill off
 //! a saturated collector (and a whole-fleet `Busy` that a retrying client
 //! still converges through — exactly, nothing dropped or doubled),
 //! fleet-identity refusal at registration, coordinated checkpoints with
@@ -289,10 +289,9 @@ fn coordinator_estimates_and_top_k_are_bit_identical_to_batch() {
             assert_eq!(users, want_users, "{name}: user count through the fleet");
             assert_bit_identical(&name, &estimates, &want);
 
-            // Distributed top-k goes through the Candidates merge
-            // path: local per-collector top-k replies unioned and
-            // re-ranked against the merged estimates — and must equal
-            // batch identification exactly, bits included.
+            // Top-k through the coordinator ranks the merged
+            // estimates — and must equal batch identification exactly,
+            // bits included.
             let (tk_users, candidates) = client.query_top_k(k).unwrap();
             assert_eq!(tk_users, want_users, "{name}");
             let got_top: Vec<u64> = candidates.iter().map(|&(item, _)| item).collect();
