@@ -191,10 +191,11 @@ fn bench_aggregate_fold(c: &mut Criterion) {
     // reports as one `accumulate_batch` call into a persistent accumulator.
     // Bit rows carry-save-add through SWAR bit-planes, and subset selection
     // checks distinctness against a shared scratch row instead of sorting a
-    // copy of every set. Re-folding the same OLH reports makes every
-    // `(seed, value)` pair hit the preimage cache, which real traffic never
-    // does: clients draw a fresh seed per report. `olh` is therefore the
-    // warm-cache replay cost, and `olh-fresh` (below) the real one.
+    // copy of every set. The hashed fold has no preimage cache any more, so
+    // re-folding the same OLH reports costs what fresh ones do: `olh/100`
+    // and `olh/1000` no longer measure a warm-cache replay and read near
+    // `olh-fresh`. No real traffic ever hit that cache (clients draw a
+    // fresh seed per report).
     let mut group = c.benchmark_group("aggregate/fold-1k");
     group.sample_size(10);
     for name in ["oue", "grr", "olh", "ss"] {
@@ -215,11 +216,13 @@ fn bench_aggregate_fold(c: &mut Criterion) {
         }
     }
     // What an OLH ingest worker really folds: every iteration's 1k reports
-    // are freshly perturbed (outside the timed region), so each carries a
-    // seed the accumulator's preimage cache has never seen and the fold
-    // pays one full O(m) hash pass per report. `olh-fresh` runs at the
-    // registry's ε = 1, whose range g = 4 takes the kernel's mask arm;
-    // `olh-fresh-g5` forces g = 5, which keeps the remainder arm.
+    // are freshly perturbed (outside the timed region), and the item-major
+    // kernel hashes every pair against every item. `olh-fresh` runs at the
+    // registry's ε = 1, whose range g = 4 takes the kernel's mask arm
+    // (AVX-512 where the CPU has it); `olh-fresh-g5` forces g = 5, which
+    // keeps the remainder arm. `olh-fresh` is the standalone fold loop to
+    // check an `olh-fold` service move against: the svcbench binary's
+    // fold speed also moves with where the linker places the kernel.
     let m = 1000usize;
     let fresh: [(&str, Box<dyn BatchMechanism>); 2] = [
         ("olh-fresh", build("olh", m, 0)),

@@ -43,7 +43,11 @@
 //! are never dropped or double-sent (each spill forwards exactly the
 //! unaccepted tail). Coordinated checkpoints fan a `Checkpoint` frame to
 //! every collector and record the per-collector user counts as the
-//! generation vector.
+//! generation vector. A collector closes a connection idle past its idle
+//! timeout, so before each exchange the coordinator checks its connection
+//! and re-handshakes a closed one (same tenant, same run identity); a
+//! connection that fails mid-exchange is never retried, because that
+//! frame's fate is unknown.
 
 #![deny(missing_docs)]
 
@@ -149,6 +153,10 @@ struct Collector {
 /// the design; [`CoordServer`] puts this behind a socket.
 pub struct Coordinator {
     mechanism: Arc<dyn Mechanism>,
+    /// The tenant every collector connection selects (`None`: default).
+    tenant: Option<TenantId>,
+    /// The run identity every collector must announce, and its line.
+    identity: RunIdentity,
     run_line: String,
     collectors: Vec<Collector>,
     /// Weighted round-robin position: next collector index …
@@ -221,23 +229,7 @@ impl Coordinator {
         let mut registered = Vec::with_capacity(collectors.len());
         let mut users = 0u64;
         for (addr, weight) in collectors {
-            let (client, restored) =
-                ReportClient::connect_tenant(addr.as_str(), mechanism.as_ref(), tenant).map_err(
-                    |e| CoordError::Collector {
-                        addr: addr.clone(),
-                        detail: e.to_string(),
-                    },
-                )?;
-            // Typed comparison: an unparseable line is a mismatch too (a
-            // pre-identity server cannot prove its config).
-            let got = client.server_run_line();
-            if got.parse::<RunIdentity>().ok().as_ref() != Some(&want) {
-                return Err(CoordError::IdentityMismatch {
-                    addr: addr.clone(),
-                    got: got.to_string(),
-                    want: want.to_string(),
-                });
-            }
+            let (client, restored) = handshake(addr, mechanism.as_ref(), tenant, &want)?;
             users += restored;
             registered.push(Collector {
                 client,
@@ -253,7 +245,9 @@ impl Coordinator {
         Ok((
             Self {
                 mechanism,
+                tenant: tenant.cloned(),
                 run_line: want.to_string(),
+                identity: want,
                 collectors: registered,
                 cursor: 0,
                 cursor_spent: 0,
@@ -290,6 +284,27 @@ impl Coordinator {
     /// [`Self::checkpoint`] (registration order), if one completed.
     pub fn last_generation(&self) -> Option<&[u64]> {
         self.last_generation.as_deref()
+    }
+
+    /// Reconnects collector `idx` if it has closed its connection, as a
+    /// collector does to a connection idle past its idle timeout. The
+    /// fresh connection selects the same tenant and must announce the
+    /// same run identity as at registration. Only a connection whose
+    /// last exchange completed is replaced, so no frame's fate is
+    /// unknown and nothing is resent; a failure mid-exchange stays an
+    /// error, as before.
+    fn reconnect_if_closed(&mut self, idx: usize) -> Result<(), CoordError> {
+        let collector = &mut self.collectors[idx];
+        if collector.client.peer_closed() {
+            let (client, _) = handshake(
+                &collector.stats.addr,
+                self.mechanism.as_ref(),
+                self.tenant.as_ref(),
+                &self.identity,
+            )?;
+            collector.client = client;
+        }
+        Ok(())
     }
 
     /// Advances the weighted round-robin cursor and returns the collector
@@ -329,6 +344,10 @@ impl Coordinator {
                 break;
             }
             let idx = (first + hop) % fleet;
+            if let Err(e) = self.reconnect_if_closed(idx) {
+                self.users += accepted_total;
+                return Err(e);
+            }
             let collector = &mut self.collectors[idx];
             if hop > 0 {
                 collector.stats.spilled_in += rest.len() as u64;
@@ -384,7 +403,9 @@ impl Coordinator {
     /// refusal propagates — exactness over availability).
     pub fn merged_snapshot(&mut self) -> Result<AccumulatorSnapshot, CoordError> {
         let mut merged: Option<AccumulatorSnapshot> = None;
-        for collector in &mut self.collectors {
+        for idx in 0..self.collectors.len() {
+            self.reconnect_if_closed(idx)?;
+            let collector = &mut self.collectors[idx];
             let addr = collector.stats.addr.clone();
             let (users, counts) = collector
                 .client
@@ -451,7 +472,9 @@ impl Coordinator {
     /// succeeded.
     pub fn checkpoint(&mut self) -> Result<u64, CoordError> {
         let mut generation = Vec::with_capacity(self.collectors.len());
-        for collector in &mut self.collectors {
+        for idx in 0..self.collectors.len() {
+            self.reconnect_if_closed(idx)?;
+            let collector = &mut self.collectors[idx];
             let addr = collector.stats.addr.clone();
             let users = collector
                 .client
@@ -463,6 +486,34 @@ impl Coordinator {
         self.last_generation = Some(generation);
         Ok(total)
     }
+}
+
+/// Connects to the collector at `addr` for `mechanism` and `tenant`, and
+/// checks that its `HelloAck` announces exactly the run identity `want`.
+/// Returns the client and the collector's current user count.
+fn handshake(
+    addr: &str,
+    mechanism: &dyn Mechanism,
+    tenant: Option<&TenantId>,
+    want: &RunIdentity,
+) -> Result<(ReportClient, u64), CoordError> {
+    let (client, users) = ReportClient::connect_tenant(addr, mechanism, tenant).map_err(|e| {
+        CoordError::Collector {
+            addr: addr.to_string(),
+            detail: e.to_string(),
+        }
+    })?;
+    // Typed comparison: an unparseable line is a mismatch too (a
+    // pre-identity server cannot prove its config).
+    let got = client.server_run_line();
+    if got.parse::<RunIdentity>().ok().as_ref() != Some(want) {
+        return Err(CoordError::IdentityMismatch {
+            addr: addr.to_string(),
+            got: got.to_string(),
+            want: want.to_string(),
+        });
+    }
+    Ok((client, users))
 }
 
 fn collector_error(addr: &str, e: ClientError) -> CoordError {

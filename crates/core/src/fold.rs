@@ -4,38 +4,40 @@
 //! not have to: bit-vector reports are added byte at a time (`m` adds per
 //! report), and hashed reports evaluate [`hash_bucket`] over the whole item
 //! domain (`m` hashes per report). This module provides the primitives that
-//! turn a *batch* of reports into word operations and make the one
-//! unavoidable hash pass cheap; the `accumulate_batch` folds of
-//! `idldp-stream`'s accumulators build on them:
+//! turn a *batch* of reports into word and register operations; the
+//! `accumulate_batch` folds of `idldp-stream`'s accumulators build on them:
 //!
-//! * [`HashedFold`] — the one domain-wide hash loop of a `(seed, value)`
-//!   report: it hashes the seed across the item domain in a single pass
-//!   and packs the preimage 64 items per `u64` word without a
-//!   data-dependent branch, reducing a power-of-two range with a mask
-//!   (eight items per instruction on AVX-512 CPUs) and any other with
-//!   `%`. [`crate::report::Report::fold_into`], the
-//!   [`SeedPreimageCache`] miss path and
-//!   [`crate::olh::OptimalLocalHashing::fold_support_into`] all run it.
+//! * [`HashedFold`] — the one hash loop of `(seed, value)` reports. It is
+//!   item-major: for each group of eight items it walks a whole tile of
+//!   pairs, counting the pairs each item supports in eight counters that
+//!   stay in registers (one vector register on AVX-512 CPUs), and adds the
+//!   eight counts into the caller's row once per tile. A power-of-two range
+//!   reduces with a mask, any other with `%`. Every hashed fold runs it:
+//!   the accumulator's batch fold, [`crate::report::Report::fold_into`] and
+//!   [`crate::olh::OptimalLocalHashing::fold_support_into`] (batches of
+//!   one), OLH's batch perturbation, and the [`SeedPreimageCache`] miss
+//!   path.
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
 //!   (64 slots per word, LSB-first) with a carry-free multiply-gather, so
 //!   a row enters the fold as `m/64` words instead of `m` bytes. It builds
 //!   [`crate::report::PackedBits`], the owned bit report, whose words the
 //!   wire carries and the fold adds as they are.
-//! * [`BitPlanes`] — a SWAR bit-sliced counter: eight `u64` bit-planes per
-//!   64-slot lane accumulate packed rows with a carry-save add (no
-//!   per-slot loop), and spill into ordinary `u64` counts. The **spill
-//!   invariant**: eight planes hold per-slot partial sums up to 255, so at
-//!   most 255 rows may be pending between spills — [`BitPlanes::add_row`]
-//!   enforces this by spilling automatically.
+//! * [`BitPlanes`] — a SWAR bit-sliced counter for packed bit rows: eight
+//!   `u64` bit-planes per 64-slot lane accumulate packed rows with a
+//!   carry-save add (no per-slot loop), and spill into ordinary `u64`
+//!   counts. The **spill invariant**: eight planes hold per-slot partial
+//!   sums up to 255, so at most 255 rows may be pending between spills —
+//!   [`BitPlanes::add_row`] enforces this by spilling automatically.
 //! * [`SeedPreimageCache`] — an LRU map from a hashed report's
 //!   `(seed, value)` to the packed bitmap of items it supports
-//!   (`{v : hash_bucket(seed, v, g) == value}`). A miss costs one
-//!   [`HashedFold`] pass; a hit replays the report as an `O(m/64)` word
-//!   row. Clients draw a fresh seed per report, so real traffic always
-//!   misses; hits need a repeated pair. The cache is bounded: each entry
-//!   is `⌈m/64⌉` words (`≈ m/8` bytes), and the default capacity keeps the
-//!   whole cache within ~1 MiB (clamped to `16..=4096` entries), evicting
-//!   least-recently-used entries beyond that.
+//!   (`{v : hash_bucket(seed, v, g) == value}`). No fold uses it: clients
+//!   draw a fresh seed per report, so real traffic never repeats a pair,
+//!   and the item-major kernel already folds a pair for less than a miss
+//!   costs. It stays only for the hit and miss counters the service
+//!   benchmark reports. The cache is bounded: each entry is `⌈m/64⌉` words
+//!   (`≈ m/8` bytes), and the default capacity keeps the whole cache within
+//!   ~1 MiB (clamped to `16..=4096` entries), evicting least-recently-used
+//!   entries beyond that.
 //!
 //! All of them are pure integer arithmetic, so folds routed through them are
 //! **bit-identical** to the scalar per-report fold
@@ -55,53 +57,57 @@ pub fn packed_words(slots: usize) -> usize {
     slots.div_ceil(64)
 }
 
-/// The hash fold of hashed `(seed, value)` reports over one hash range:
-/// the packed preimage `{v : hash_bucket(seed, v, range) == value}`,
-/// computed in one pass over the item domain.
+/// `(seed, value)` pairs per tile of [`HashedFold`]: 1024 pairs are 16 KiB,
+/// which stay in L1 while every item group walks them.
+pub const TILE: usize = 1024;
+
+/// The item-major hash fold of hashed `(seed, value)` reports over one hash
+/// range: for every item `v`, the number of pairs with
+/// `hash_bucket(seed, v, range) == value`.
 ///
-/// A naive fold branches on every item's bucket, and at OLH's `g = 4`
-/// that branch mispredicts about a quarter of the time. No arm of this
-/// kernel branches on an item. In the scalar arms each item enters its
-/// word as `bits = (bits << 1) | u64::from(bucket == value)`, 64 items
-/// per word walked from the highest lane down, so the loop has neither a
-/// data-dependent branch nor a per-lane variable shift. The item term
-/// `v · ITEM_MIX` is walked by subtraction.
+/// A report-major fold hashes one pair across the whole item domain, packs
+/// the preimage and adds it to the counts, so every report pays a pass
+/// over a row of counters as well as its hashes. This kernel turns the
+/// loops around. It cuts the pairs into tiles of [`TILE`] and the items
+/// into groups of eight. For each group it walks the whole tile, and for
+/// each pair it hashes the group's eight items, tests each bucket against
+/// the value and bumps that item's counter. The eight counters live in
+/// registers for the whole tile and reach the caller once per tile, so the
+/// counts row is touched once per [`TILE`] pairs instead of once per pair,
+/// and no bucket test is a branch.
 ///
-/// Each call runs one of three arms, chosen once per call from the range
-/// and, for the first, the CPU:
+/// Each tile runs one of three arms, chosen from the range and, for the
+/// first, the CPU:
 ///
 /// * **AVX-512 mask arm** — a power-of-two range (`2, 4, 8, …`; OLH's `g`
 ///   at `ε = 1` and `ε = 2`) on an x86-64 CPU with `avx512f` and
-///   `avx512dq`, detected at run time (std caches the probe). It hashes
-///   eight consecutive items per instruction: the SplitMix64 finalizer's
-///   two 64-bit multiplies are one `vpmullq` each for all eight lanes, and
-///   one `vpcmpeqq` writes the eight bucket tests into an 8-bit mask that
-///   becomes one byte of the word. Every lane runs the same wrapping
-///   64-bit adds, multiplies and xor-shifts as [`hash_bucket`] on its own
-///   item, and lane `i` of the word's group `j` is item `64w + 8j + i`,
-///   whose test lands at bit `8j + i`, so each word is exactly the scalar
-///   arm's word. The last word hashes whole groups past `slots` and clears
-///   those bits, so padding stays zero.
-/// * **Scalar mask arm** — a power-of-two range on any other CPU.
+///   `avx512dq`, detected at run time (std caches the probe). A group's
+///   eight items are the eight lanes of a vector: the SplitMix64
+///   finalizer's two 64-bit multiplies are one `vpmullq` each, one
+///   `vpcmpeqq` writes the eight bucket tests into a mask, and one masked
+///   add puts them into the group's counter register. Every lane runs
+///   the same wrapping 64-bit adds, multiplies and xor-shifts as
+///   [`hash_bucket`] on its own item. Each pair's seed and value are
+///   broadcast once for two groups, whose hashes are independent and
+///   overlap in the pipeline.
+/// * **Scalar mask arm** — a power-of-two range on any other CPU: the same
+///   loop with eight scalar counters.
 /// * **Remainder arm** — every other range (`3, 5, …`), with the hardware
 ///   remainder `z % range`, exactly as [`hash_bucket`] computes it. There
 ///   is no vector integer divide, so it has no vector form.
 ///
 /// The mask `z & (range − 1)` is exact: for `range = 2^k`, `z % 2^k` is the
 /// low `k` bits of `z`, so the mask equals the [`hash_bucket`] remainder
-/// for every `z`. The two scalar arms run one generic word walk, so each
-/// compiles its own loop with no per-item branch between them.
+/// for every `z`. The two scalar arms run one generic loop, so each
+/// compiles its own loop with no per-item branch between them. A value
+/// outside the range matches no item.
 ///
 /// The scalar mask replaces a 64-bit `div` (about 4 ns per item, the
-/// loop's throughput limit) with one AND. An exact multiply-high reduction
-/// by a precomputed `⌈2^128 / range⌉` (Granlund & Montgomery, PLDI 1994)
-/// was tried for every range and dropped: on a 2-vCPU Xeon VM its median
-/// was barely better (4.3–4.5 µs against 4.5–4.6 µs per `m = 1000`
-/// preimage), and its one-second windows spread 0.17–0.21 of the median
-/// against 0.035 with the divider. Without the divider to wait on, the
-/// scalar mask loop is dispatch-bound at about 21 µops per item (1.7–2.3 µs
-/// per `m = 1000` preimage); the AVX-512 arm spends under three µops per
-/// item, and on the same kind of VM builds that preimage in about 0.5 µs.
+/// remainder loop's throughput limit) with one AND. An exact multiply-high
+/// reduction by a precomputed `⌈2^128 / range⌉` (Granlund & Montgomery,
+/// PLDI 1994) was tried for every range and dropped: on a 2-vCPU Xeon VM
+/// its median was barely better, and its timings spread four to five times
+/// wider than the divider's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HashedFold {
     range: u64,
@@ -120,83 +126,91 @@ impl HashedFold {
         }
     }
 
-    /// Hashes `seed` across items `0..slots` and hands each packed word of
-    /// the preimage of `value` to `emit(word_index, bits)`, in order. Item
-    /// `v` is bit `v % 64` of word `v / 64`, and padding bits beyond
-    /// `slots` are zero. A `value` outside the range has an empty
-    /// preimage.
-    #[inline]
-    pub fn preimage_words(
-        &self,
-        seed: u64,
-        value: usize,
-        slots: usize,
-        mut emit: impl FnMut(usize, u64),
-    ) {
+    /// Adds to `row[v]`, for every item `v` in `0..row.len()`, the number
+    /// of `(seed, value)` pairs in `pairs` that support `v`, one [`TILE`]
+    /// at a time.
+    pub fn count_into<C: FoldCount>(&self, pairs: &[(u64, usize)], row: &mut [C]) {
         let range = self.range;
-        if range.is_power_of_two() {
-            let mask = range - 1;
-            if !try_walk_words_avx512(seed, value as u64, mask, slots, &mut emit) {
-                walk_words(seed, value as u64, slots, |z| z & mask, emit);
+        for tile in pairs.chunks(TILE) {
+            if range.is_power_of_two() {
+                let mask = range - 1;
+                if !try_count_tile_avx512(tile, mask, row) {
+                    count_tile(tile, |z| z & mask, row);
+                }
+            } else {
+                count_tile(tile, |z| z % range, row);
             }
-        } else {
-            walk_words(seed, value as u64, slots, |z| z % range, emit);
         }
-    }
-
-    /// Writes the packed preimage of `(seed, value)` over `slots` items
-    /// into `row` (see [`HashedFold::preimage_words`]).
-    ///
-    /// # Panics
-    /// Panics if `row` is not [`packed_words`]`(slots)` long.
-    pub fn preimage_into(&self, seed: u64, value: usize, slots: usize, row: &mut [u64]) {
-        assert_eq!(row.len(), packed_words(slots), "packed row width");
-        self.preimage_words(seed, value, slots, |w, bits| row[w] = bits);
     }
 }
 
-/// The word walk of [`HashedFold::preimage_words`], generic over the
-/// bucket reduction `bucket(z)` so each reduction compiles its own loop
-/// with no per-item branch on which one applies.
+/// A cell of the row [`HashedFold::count_into`] adds into: a `u64` count,
+/// or a `u8` support flag for a batch of one pair (a `u8` cell holds at
+/// most 255).
+pub trait FoldCount: Copy {
+    /// Adds the support of `n` pairs to this cell.
+    fn add(&mut self, n: u64);
+}
+
+impl FoldCount for u64 {
+    #[inline(always)]
+    fn add(&mut self, n: u64) {
+        *self += n;
+    }
+}
+
+impl FoldCount for u8 {
+    #[inline(always)]
+    fn add(&mut self, n: u64) {
+        debug_assert!(n <= 255, "a u8 count cell holds at most 255");
+        *self += n as u8;
+    }
+}
+
+/// Adds group `group`'s eight lane counts into its items of `row`: lane
+/// `i` is item `8 · group + i`, and lanes past the row's end are dropped.
 #[inline(always)]
-fn walk_words(
-    seed: u64,
-    value: u64,
-    slots: usize,
-    bucket: impl Fn(u64) -> u64,
-    mut emit: impl FnMut(usize, u64),
-) {
-    let word = |first: usize, lanes: usize| {
-        // Walk the word's items from the last down, shifting each in at
-        // bit 0, so no per-lane variable shift is needed.
-        let mut item_mix = ((first + lanes - 1) as u64).wrapping_mul(ITEM_MIX);
-        let mut bits = 0u64;
-        for _ in 0..lanes {
-            bits = (bits << 1) | u64::from(bucket(hash_word(seed ^ item_mix)) == value);
-            item_mix = item_mix.wrapping_sub(ITEM_MIX);
+fn add_group<C: FoldCount>(row: &mut [C], group: usize, counts: [u64; 8]) {
+    let cells = &mut row[8 * group..];
+    // A whole group adds as a fixed eight-cell array, with no per-lane
+    // bound test; only the row's last group can be short.
+    if let Some(whole) = cells.first_chunk_mut::<8>() {
+        for (cell, n) in whole.iter_mut().zip(counts) {
+            cell.add(n);
         }
-        bits
-    };
-    let (full, tail) = (slots / 64, slots % 64);
-    for w in 0..full {
-        emit(w, word(w * 64, 64));
-    }
-    if tail > 0 {
-        emit(full, word(full * 64, tail));
+    } else {
+        for (cell, n) in cells.iter_mut().zip(counts) {
+            cell.add(n);
+        }
     }
 }
 
-/// Runs the AVX-512 word walk of the mask arm (bucket `z & mask`) if this
-/// host has `avx512f` and `avx512dq`, and returns whether it ran; `emit`
-/// is not called when it returns `false`.
+/// The scalar arms of [`HashedFold`] over one tile: eight counters per item
+/// group, generic over the bucket reduction `bucket(z)` so each reduction
+/// compiles its own loop with no per-item branch on which one applies.
+/// Group `j` covers items `8j..8j + 8`; lanes past the row are counted
+/// too, and dropped.
+#[inline(always)]
+fn count_tile<C: FoldCount>(pairs: &[(u64, usize)], bucket: impl Fn(u64) -> u64, row: &mut [C]) {
+    for group in 0..row.len().div_ceil(8) {
+        let first = 8 * group as u64;
+        let mix: [u64; 8] =
+            std::array::from_fn(|lane| (first + lane as u64).wrapping_mul(ITEM_MIX));
+        let mut counts = [0u64; 8];
+        for &(seed, value) in pairs {
+            for (count, &mix) in counts.iter_mut().zip(&mix) {
+                *count += u64::from(bucket(hash_word(seed ^ mix)) == value as u64);
+            }
+        }
+        add_group(row, group, counts);
+    }
+}
+
+/// Runs the AVX-512 mask arm (bucket `z & mask`) over one tile into `row`
+/// if this host has `avx512f` and `avx512dq`, and returns whether it ran;
+/// `row` is untouched when it returns `false`.
 #[cfg(target_arch = "x86_64")]
-fn try_walk_words_avx512(
-    seed: u64,
-    value: u64,
-    mask: u64,
-    slots: usize,
-    emit: impl FnMut(usize, u64),
-) -> bool {
+fn try_count_tile_avx512<C: FoldCount>(pairs: &[(u64, usize)], mask: u64, row: &mut [C]) -> bool {
     // std caches the CPUID probe, so each check is a load and a bit test.
     if !(std::arch::is_x86_feature_detected!("avx512f")
         && std::arch::is_x86_feature_detected!("avx512dq"))
@@ -204,34 +218,40 @@ fn try_walk_words_avx512(
         return false;
     }
     #[allow(unsafe_code)]
-    // SAFETY: `walk_words_avx512` only requires the `avx512f` and
+    // SAFETY: `avx512::count_tile` only requires the `avx512f` and
     // `avx512dq` target features, and both were detected on this CPU
     // (with OS support for the AVX-512 register state) just above.
     unsafe {
-        avx512::walk_words_avx512(seed, value, mask, slots, emit)
+        avx512::count_tile(pairs, mask, row)
     };
     true
 }
 
 /// No AVX-512 arm off x86-64: the scalar mask arm always runs.
 #[cfg(not(target_arch = "x86_64"))]
-fn try_walk_words_avx512(
-    _seed: u64,
-    _value: u64,
+fn try_count_tile_avx512<C: FoldCount>(
+    _pairs: &[(u64, usize)],
     _mask: u64,
-    _slots: usize,
-    _emit: impl FnMut(usize, u64),
+    _row: &mut [C],
 ) -> bool {
     false
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use super::{add_group, FoldCount};
     use crate::report::ITEM_MIX;
     use std::arch::x86_64::{
-        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpeq_epi64_mask, _mm512_mullo_epi64,
-        _mm512_set1_epi64, _mm512_set_epi64, _mm512_srli_epi64, _mm512_xor_si512,
+        __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512, _mm512_castsi512_si256,
+        _mm512_cmpeq_epi64_mask, _mm512_extracti64x4_epi64, _mm512_mask_add_epi64,
+        _mm512_mullo_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
+        _mm512_srli_epi64, _mm512_xor_si512,
     };
+
+    /// Item groups one walk over a tile counts: each pair's seed and value
+    /// are broadcast once for this many groups, whose hash chains are
+    /// independent and overlap in the pipeline.
+    const BLOCK: usize = 2;
 
     /// `lane · ITEM_MIX` for lane `0..8`: the item terms of one group of
     /// eight consecutive items, relative to the group's first.
@@ -242,6 +262,7 @@ mod avx512 {
     /// [`crate::report::hash_word`] on eight lanes: the same three
     /// wrapping adds/multiplies and xor-shifts, lane by lane.
     #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
     fn hash_word8(z: __m512i) -> __m512i {
         let z = _mm512_add_epi64(z, _mm512_set1_epi64(0x9E37_79B9_7F4A_7C15_u64 as i64));
         let z = _mm512_mullo_epi64(
@@ -255,25 +276,51 @@ mod avx512 {
         _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
     }
 
-    /// The mask arm's word walk, eight items per vector: lane `i` of group
-    /// `j` in word `w` is item `64w + 8j + i`, and its compare result is
-    /// bit `i` of the group's 8-bit mask, so the group's mask lands at
-    /// bits `8j..8j + 8` of the word, exactly where the scalar walk puts
-    /// those items. The last word hashes whole groups past `slots` and
-    /// clears those bits before it is emitted.
+    /// The eight lanes of `v`, lane 0 first.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn walk_words_avx512(
-        seed: u64,
-        value: u64,
+    #[inline]
+    fn lanes(v: __m512i) -> [u64; 8] {
+        let (lo, hi) = (_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
+        [
+            _mm256_extract_epi64::<0>(lo) as u64,
+            _mm256_extract_epi64::<1>(lo) as u64,
+            _mm256_extract_epi64::<2>(lo) as u64,
+            _mm256_extract_epi64::<3>(lo) as u64,
+            _mm256_extract_epi64::<0>(hi) as u64,
+            _mm256_extract_epi64::<1>(hi) as u64,
+            _mm256_extract_epi64::<2>(hi) as u64,
+            _mm256_extract_epi64::<3>(hi) as u64,
+        ]
+    }
+
+    /// The mask arm over one tile into `row`: [`BLOCK`] item groups per
+    /// walk over the tile, and single groups for the rest.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) fn count_tile<C: FoldCount>(pairs: &[(u64, usize)], mask: u64, row: &mut [C]) {
+        let groups = row.len().div_ceil(8);
+        let mut group = 0;
+        while group + BLOCK <= groups {
+            count_block::<BLOCK, C>(pairs, mask, group, row);
+            group += BLOCK;
+        }
+        for group in group..groups {
+            count_block::<1, C>(pairs, mask, group, row);
+        }
+    }
+
+    /// Groups `first..first + G` over one tile: lane `i` of group `j` is
+    /// item `8j + i`, and its counter is lane `i` of counter register `j`.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
+    fn count_block<const G: usize, C: FoldCount>(
+        pairs: &[(u64, usize)],
         mask: u64,
-        slots: usize,
-        mut emit: impl FnMut(usize, u64),
+        first: usize,
+        row: &mut [C],
     ) {
-        let seed = _mm512_set1_epi64(seed as i64);
         let mask = _mm512_set1_epi64(mask as i64);
-        let value = _mm512_set1_epi64(value as i64);
-        let step = _mm512_set1_epi64(lane_mix(8));
-        let mut item_mix = _mm512_set_epi64(
+        let one = _mm512_set1_epi64(1);
+        let lane_mixes = _mm512_set_epi64(
             lane_mix(7),
             lane_mix(6),
             lane_mix(5),
@@ -283,20 +330,23 @@ mod avx512 {
             lane_mix(1),
             lane_mix(0),
         );
-        let words = super::packed_words(slots);
-        for w in 0..words {
-            let mut bits = 0u64;
-            for group in 0..8 {
-                let z = hash_word8(_mm512_xor_si512(seed, item_mix));
+        let mut mix = [lane_mixes; G];
+        for (g, mix) in mix.iter_mut().enumerate() {
+            let group_mix = (8 * (first + g) as u64).wrapping_mul(ITEM_MIX);
+            *mix = _mm512_add_epi64(lane_mixes, _mm512_set1_epi64(group_mix as i64));
+        }
+        let mut counts = [_mm512_setzero_si512(); G];
+        for &(seed, value) in pairs {
+            let seed = _mm512_set1_epi64(seed as i64);
+            let value = _mm512_set1_epi64(value as i64);
+            for (count, &mix) in counts.iter_mut().zip(&mix) {
+                let z = hash_word8(_mm512_xor_si512(seed, mix));
                 let hits = _mm512_cmpeq_epi64_mask(_mm512_and_si512(z, mask), value);
-                bits |= u64::from(hits) << (8 * group);
-                item_mix = _mm512_add_epi64(item_mix, step);
+                *count = _mm512_mask_add_epi64(*count, hits, *count, one);
             }
-            let used = slots - w * 64;
-            if used < 64 {
-                bits &= (1u64 << used) - 1;
-            }
-            emit(w, bits);
+        }
+        for (g, &count) in counts.iter().enumerate() {
+            add_group(row, first + g, lanes(count));
         }
     }
 }
@@ -390,9 +440,8 @@ impl BitPlanes {
         self.slots
     }
 
-    /// Adds one packed 0/1 row (as produced by [`pack_bits_row`], the
-    /// words of a [`crate::report::PackedBits`], or a
-    /// [`SeedPreimageCache`] bitmap). Spills into `counts` first if the
+    /// Adds one packed 0/1 row (as produced by [`pack_bits_row`], or the
+    /// words of a [`crate::report::PackedBits`]). Spills into `counts` first if the
     /// 255-row plane capacity is reached, so the spill invariant holds by
     /// construction.
     ///
@@ -457,9 +506,12 @@ struct CacheEntry {
 /// Bounded LRU cache from a hashed report's `(seed, value)` to the packed
 /// preimage bitmap `{v in 0..slots : hash_bucket(seed, v, range) == value}`.
 ///
-/// The hot-seed fast path of the batched hashed fold: a miss pays the one
-/// `O(slots)` hash pass, a hit replays the report as `⌈slots/64⌉` word ORs
-/// into a [`BitPlanes`] row. Memory is bounded at
+/// Off the fold path: no fold consults it, since real traffic draws a
+/// fresh seed per report and never repeats a pair. It stays only for its
+/// hit and miss counters, which the service benchmark reports. A miss
+/// pays one [`HashedFold`] pass over a batch of one; a hit returns the
+/// stored `⌈slots/64⌉` words. The map allocates on first insert, so a
+/// cache that is never consulted costs nothing. Memory is bounded at
 /// `capacity × ⌈slots/64⌉ × 8` bytes (plus map overhead); the default
 /// capacity keeps that under ~1 MiB, clamped to `16..=4096` entries.
 #[derive(Clone, Debug)]
@@ -498,7 +550,7 @@ impl SeedPreimageCache {
             slots,
             fold: HashedFold::new(range),
             capacity,
-            map: HashMap::with_capacity(capacity.min(4096)),
+            map: HashMap::new(),
             entries: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -562,9 +614,11 @@ impl SeedPreimageCache {
             });
             self.entries.len() - 1
         };
+        let mut support = vec![0u8; self.slots];
+        self.fold.count_into(&[(seed, value)], &mut support);
         let bitmap = &mut self.entries[idx].bitmap;
         bitmap.resize(packed_words(self.slots), 0);
-        self.fold.preimage_into(seed, value, self.slots, bitmap);
+        pack_bits_row(&support, bitmap).expect("a batch of one flags each item 0 or 1");
         self.map.insert((seed, value), idx);
         self.push_front(idx);
         &self.entries[idx].bitmap
@@ -628,58 +682,109 @@ mod tests {
         ranges
     }
 
+    /// Item-domain widths around the eight-item group and the 64-item
+    /// word, plus the benchmark's `m = 1000`.
+    const WIDTHS: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 1000];
+
+    /// Tile lengths the arms see: empty, one pair, a short tile, and a
+    /// full tile and one short of it. (Batches longer than a tile are cut
+    /// by `count_into`; `tests/hashed_fold.rs` covers those.)
+    const TILE_LENGTHS: [usize; 5] = [0, 1, 10, TILE - 1, TILE];
+
+    /// `len` deterministic pairs for `range`: seeds 0, `u64::MAX` and
+    /// hashed ones; values an item hashes to (so huge ranges still have
+    /// support), the last bucket, an arbitrary bucket, and values outside
+    /// the range.
+    fn pairs_for(range: usize, len: usize, salt: u64) -> Vec<(u64, usize)> {
+        (0..len)
+            .map(|i| {
+                let seed = match i {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => hash_word(salt ^ i as u64),
+                };
+                let value = match i % 5 {
+                    0 | 1 => hash_bucket(seed, i % 1000, range),
+                    2 => range - 1,
+                    3 => seed as usize % range,
+                    _ if i % 10 == 4 => range,
+                    _ => usize::MAX,
+                };
+                (seed, value)
+            })
+            .collect()
+    }
+
+    /// `counts[v] = #{(seed, value) : hash_bucket(seed, v, range) == value}`,
+    /// one pair and one item at a time.
+    fn naive_counts(pairs: &[(u64, usize)], range: usize, slots: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; slots];
+        for &(seed, value) in pairs {
+            for (v, count) in counts.iter_mut().enumerate() {
+                *count += u64::from(hash_bucket(seed, v, range) == value);
+            }
+        }
+        counts
+    }
+
+    /// The counts an arm adds into a zeroed row of `slots` items.
+    fn arm_counts(slots: usize, run: impl FnOnce(&mut [u64])) -> Vec<u64> {
+        let mut row = vec![0u64; slots];
+        run(&mut row);
+        row
+    }
+
     #[test]
     fn kernel_rows_match_hash_bucket() {
         for range in edge_ranges() {
             let fold = HashedFold::new(range);
-            for slots in [1usize, 63, 64, 65, 130, 1000] {
-                for seed in [0u64, 0x5EED_F00D, u64::MAX] {
-                    // One value with a non-empty preimage even for huge
-                    // ranges, plus the range's extremes.
-                    let hit = hash_bucket(seed, slots / 2, range);
-                    for value in [0, range - 1, hit] {
-                        let mut row = vec![u64::MAX; packed_words(slots)];
-                        fold.preimage_into(seed, value, slots, &mut row);
-                        for v in 0..slots {
-                            let want = hash_bucket(seed, v, range) == value;
-                            let got = (row[v / 64] >> (v % 64)) & 1 == 1;
-                            assert_eq!(
-                                got, want,
-                                "range={range} slots={slots} seed={seed} item {v}"
-                            );
-                        }
-                        let used = slots % 64;
-                        if used > 0 {
-                            assert_eq!(row[slots / 64] >> used, 0, "padding stays zero");
-                        }
-                    }
-                }
+            let pairs = pairs_for(range, 10, range as u64);
+            for slots in WIDTHS {
+                let mut counts = vec![0u64; slots];
+                fold.count_into(&pairs, &mut counts);
+                assert_eq!(
+                    counts,
+                    naive_counts(&pairs, range, slots),
+                    "range={range} slots={slots}"
+                );
             }
         }
     }
 
-    /// Hands every mask-arm input to `check(seed, value, mask, slots,
-    /// naive)`, with `naive` the packed `hash_bucket` preimage: ranges
-    /// `2^1..=2^63`, widths `1..=130` and 1000, three seeds, and values
-    /// inside the range (0, the last bucket, one an item hashes to) and
-    /// outside it (the range itself and `u64::MAX`).
-    fn for_each_mask_input(mut check: impl FnMut(u64, u64, u64, usize, &[u64])) {
+    /// A `u8` row of a batch of one holds the 0/1 support flags.
+    #[test]
+    fn u8_row_of_one_pair_flags_its_support() {
+        for range in [4usize, 5] {
+            for &(seed, value) in &pairs_for(range, 10, 11) {
+                let mut flags = vec![0u8; 1000];
+                HashedFold::new(range).count_into(&[(seed, value)], &mut flags);
+                let flags: Vec<u64> = flags.into_iter().map(u64::from).collect();
+                assert_eq!(flags, naive_counts(&[(seed, value)], range, 1000));
+            }
+        }
+    }
+
+    /// The tile lengths one range runs: every length for a few ranges,
+    /// the short ones for the rest (a full tile hashes the long way).
+    fn tile_lengths(every: bool) -> &'static [usize] {
+        if every {
+            &TILE_LENGTHS
+        } else {
+            &TILE_LENGTHS[..3]
+        }
+    }
+
+    /// Hands every mask-arm input to `check(pairs, mask, slots, naive)`:
+    /// ranges `2^1..=2^63`, every width, and the tile lengths (the arms
+    /// run one tile at a time).
+    fn for_each_mask_input(mut check: impl FnMut(&[(u64, usize)], u64, usize, &[u64])) {
         for k in 1..=63u32 {
-            let range = 1u64 << k;
-            for slots in (1..=130usize).chain([1000]) {
-                for seed in [0u64, 0x5EED_F00D, u64::MAX] {
-                    let hit = hash_bucket(seed, slots / 2, range as usize) as u64;
-                    for value in [0, range - 1, hit, range, u64::MAX] {
-                        let mut naive = vec![0u64; packed_words(slots)];
-                        for v in 0..slots {
-                            let bucket = hash_bucket(seed, v, range as usize) as u64;
-                            naive[v / 64] |= u64::from(bucket == value) << (v % 64);
-                        }
-                        if value >= range {
-                            assert!(naive.iter().all(|&w| w == 0));
-                        }
-                        check(seed, value, range - 1, slots, &naive);
-                    }
+            let range = 1usize << k;
+            for &len in tile_lengths(k % 16 == 2) {
+                let pairs = pairs_for(range, len, u64::from(k));
+                for slots in WIDTHS {
+                    let naive = naive_counts(&pairs, range, slots);
+                    check(&pairs, range as u64 - 1, slots, &naive);
                 }
             }
         }
@@ -689,37 +794,43 @@ mod tests {
     /// where the dispatch picks the AVX-512 arm.
     #[test]
     fn scalar_mask_arm_matches_hash_bucket() {
-        for_each_mask_input(|seed, value, mask, slots, naive| {
-            let mut row = vec![u64::MAX; packed_words(slots)];
-            walk_words(seed, value, slots, |z| z & mask, |w, bits| row[w] = bits);
-            assert_eq!(
-                row, naive,
-                "mask={mask:#x} slots={slots} seed={seed} value={value}"
-            );
+        for_each_mask_input(|pairs, mask, slots, naive| {
+            let scalar = arm_counts(slots, |row| count_tile(pairs, |z| z & mask, row));
+            assert_eq!(scalar, naive, "mask={mask:#x} slots={slots}");
         });
     }
 
-    /// The AVX-512 arm equals the scalar mask arm and `hash_bucket`,
-    /// padding included. Needs `avx512f` and `avx512dq`.
+    /// The remainder arm, called directly, at every edge range (it is
+    /// exact for powers of two too, which the dispatch sends elsewhere).
+    #[test]
+    fn remainder_arm_matches_hash_bucket() {
+        for range in edge_ranges() {
+            for &len in tile_lengths(matches!(range, 3 | 5 | 7)) {
+                let pairs = pairs_for(range, len, 5);
+                for slots in WIDTHS {
+                    let got =
+                        arm_counts(slots, |row| count_tile(&pairs, |z| z % range as u64, row));
+                    let at = format!("range={range} slots={slots} pairs={len}");
+                    assert_eq!(got, naive_counts(&pairs, range, slots), "{at}");
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 arm equals the scalar mask arm and `hash_bucket`.
+    /// Needs `avx512f` and `avx512dq`.
     #[test]
     fn avx512_arm_matches_scalar_arm_and_hash_bucket() {
-        let mut probe = [0u64; 1];
-        if !try_walk_words_avx512(0, 0, 3, 1, |w, bits| probe[w] = bits) {
+        if !try_count_tile_avx512::<u64>(&[], 3, &mut []) {
             eprintln!("avx512_arm_matches_scalar_arm_and_hash_bucket: no avx512f/avx512dq on this CPU, AVX-512 arm not run");
             return;
         }
-        for_each_mask_input(|seed, value, mask, slots, naive| {
-            let mut scalar = vec![u64::MAX; packed_words(slots)];
-            walk_words(seed, value, slots, |z| z & mask, |w, bits| scalar[w] = bits);
-            let mut avx512 = vec![u64::MAX; packed_words(slots)];
-            assert!(try_walk_words_avx512(
-                seed,
-                value,
-                mask,
-                slots,
-                |w, bits| { avx512[w] = bits }
-            ));
-            let at = format!("mask={mask:#x} slots={slots} seed={seed} value={value}");
+        for_each_mask_input(|pairs, mask, slots, naive| {
+            let scalar = arm_counts(slots, |row| count_tile(pairs, |z| z & mask, row));
+            let avx512 = arm_counts(slots, |row| {
+                assert!(try_count_tile_avx512(pairs, mask, row));
+            });
+            let at = format!("mask={mask:#x} slots={slots} pairs={}", pairs.len());
             assert_eq!(avx512, scalar, "{at}");
             assert_eq!(avx512, naive, "{at}");
         });
@@ -727,10 +838,9 @@ mod tests {
 
     #[test]
     fn out_of_range_value_has_empty_preimage() {
-        let fold = HashedFold::new(4);
-        let mut row = vec![u64::MAX; packed_words(130)];
-        fold.preimage_into(9, 4, 130, &mut row);
-        assert!(row.iter().all(|&w| w == 0));
+        let mut counts = vec![0u64; 130];
+        HashedFold::new(4).count_into(&[(9, 4), (9, usize::MAX)], &mut counts);
+        assert!(counts.iter().all(|&n| n == 0));
     }
 
     #[test]

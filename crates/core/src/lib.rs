@@ -36,13 +36,13 @@
 //!   [`report::hash_bucket`]); [`mechanism::Mechanism::report_shape`] and
 //!   [`mechanism::Mechanism::perturb_data`] are the shape-aware emission
 //!   path, with `perturb_into` the zero-alloc folded bit-vector twin.
-//! * **Fold engine** — [`fold`]: the batched, word-packed server-side
-//!   folding primitives ([`fold::HashedFold`], the one branchless
-//!   domain-wide hash pass every hashed-report fold runs,
-//!   [`fold::BitPlanes`] SWAR bit-slice counters, carry-free
-//!   [`fold::pack_bits_row`] packing, and the bounded
-//!   [`fold::SeedPreimageCache`] for hashed reports) that the streaming
-//!   accumulators' `accumulate_batch` specializations build on.
+//! * **Fold engine** — [`fold`]: the batched server-side folding
+//!   primitives ([`fold::HashedFold`], the item-major batch kernel every
+//!   hashed-report fold runs, counting a tile of pairs per item group in
+//!   registers; [`fold::BitPlanes`] SWAR bit-slice counters for packed bit
+//!   rows; carry-free [`fold::pack_bits_row`] packing; and the bounded
+//!   [`fold::SeedPreimageCache`], which no fold consults) that the
+//!   streaming accumulators' `accumulate_batch` specializations build on.
 //! * **Estimation** — [`estimator::FrequencyEstimator`]: the unbiased
 //!   calibrated estimator of Eq. 8 and the closed-form MSE of Eq. 9;
 //!   [`oracle::CalibratingOracle`] and [`oracle::MatrixOracle`] adapt it

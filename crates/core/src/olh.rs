@@ -125,16 +125,10 @@ impl OptimalLocalHashing {
 
     /// The items a `(seed, value)` report supports — the server-side fold
     /// of one report, as 0/1 over the item domain, through the shared
-    /// [`HashedFold`] kernel.
+    /// [`HashedFold`] kernel as a batch of one.
     pub fn fold_support_into(&self, seed: u64, value: usize, report: &mut [u8]) {
         report.fill(0);
-        let slots = report.len();
-        HashedFold::new(self.g).preimage_words(seed, value, slots, |w, mut bits| {
-            while bits != 0 {
-                report[w * 64 + bits.trailing_zeros() as usize] = 1;
-                bits &= bits - 1;
-            }
-        });
+        HashedFold::new(self.g).count_into(&[(seed, value)], report);
     }
 }
 
@@ -229,10 +223,12 @@ impl Mechanism for OptimalLocalHashing {
 }
 
 impl BatchMechanism for OptimalLocalHashing {
-    /// Fast path: folds each `(seed, value)` pair straight into the
-    /// accumulator, skipping the intermediate report buffer. Randomness is
-    /// drawn by the same [`OptimalLocalHashing::perturb`] the per-user loop
-    /// uses, so batch ≡ loop bit for bit.
+    /// Fast path: draws every user's `(seed, value)` pair, then folds the
+    /// whole batch straight into the accumulator through the item-major
+    /// [`HashedFold`] kernel, skipping the intermediate report buffers.
+    /// Randomness is drawn by the same [`OptimalLocalHashing::perturb`] the
+    /// per-user loop uses, so batch ≡ loop bit for bit. A batch holding an
+    /// out-of-domain item folds nothing.
     fn perturb_batch(
         &self,
         batch: InputBatch<'_>,
@@ -250,10 +246,12 @@ impl BatchMechanism for OptimalLocalHashing {
                 actual: acc.counts().len(),
             });
         }
-        for &item in items {
-            let (seed, value) = self.perturb(item as usize, rng)?;
-            acc.fold_report(crate::report::Report::Hashed { seed, value }, self.g)?;
-        }
+        let pairs = items
+            .iter()
+            .map(|&item| self.perturb(item as usize, rng))
+            .collect::<Result<Vec<_>>>()?;
+        HashedFold::new(self.g).count_into(&pairs, acc.counts_mut());
+        acc.add_users(pairs.len() as u64);
         Ok(())
     }
 }

@@ -24,9 +24,9 @@
 //! * [`hash_bucket`] — the shared client/server hash for
 //!   [`ReportShape::Hashed`] reports, defined exactly once. The client
 //!   encodes with it; the server folds with [`crate::fold::HashedFold`],
-//!   which walks the same hash and reduction (a mask for power-of-two
-//!   ranges, `%` otherwise) across the whole item domain in one
-//!   branchless pass (tested equal to it).
+//!   which runs the same hash and reduction (a mask for power-of-two
+//!   ranges, `%` otherwise) for every pair of a batch across the whole
+//!   item domain, without a branch (tested equal to it).
 //!
 //! Every shape folds to the same server-side state — per-bucket counts over
 //! `report_len` buckets ([`crate::mechanism::CountAccumulator`]) — which is
@@ -242,13 +242,7 @@ impl Report<'_> {
             }
             Report::Value(v) => counts[v] += 1,
             Report::Hashed { seed, value } => {
-                let slots = counts.len();
-                HashedFold::new(shape_param).preimage_words(seed, value, slots, |w, mut bits| {
-                    while bits != 0 {
-                        counts[w * 64 + bits.trailing_zeros() as usize] += 1;
-                        bits &= bits - 1;
-                    }
-                });
+                HashedFold::new(shape_param).count_into(&[(seed, value)], counts);
             }
             Report::ItemSet(items) => {
                 for &item in items {
@@ -471,7 +465,7 @@ impl PackedBits {
 /// every item whose bucket equals `value`. This function is the wire-level
 /// definition of that mapping, stable across runs and platforms (pure
 /// integer arithmetic — a SplitMix64 finalizer over `seed ⊕ mix(item)`).
-/// The server's domain-wide pass, [`crate::fold::HashedFold`], computes
+/// The server's batch fold, [`crate::fold::HashedFold`], computes
 /// the same buckets: with `z % range`, or with the equal mask
 /// `z & (range − 1)` when `range` is a power of two.
 ///
@@ -490,8 +484,8 @@ pub(crate) const ITEM_MIX: u64 = 0xA24B_AED4_963E_E407;
 
 /// The SplitMix64 finalizer [`hash_bucket`] applies to `seed ⊕ v · ITEM_MIX`
 /// before reducing into the hash range. Shared with
-/// [`crate::fold::HashedFold`], which steps the item term from one item to
-/// the next instead of multiplying it out.
+/// [`crate::fold::HashedFold`], which computes each item group's terms
+/// once per tile of pairs.
 #[inline]
 pub(crate) fn hash_word(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -1,12 +1,12 @@
-//! Property tests for the OLH hash-fold kernel: for arbitrary seeds,
-//! values, hash ranges and domain widths, [`HashedFold`] computes exactly
-//! the preimage a naive `hash_bucket(seed, v, range) == value` loop does,
-//! and every fold built on it agrees, on every arm it dispatches to (the
-//! mask for power-of-two ranges, on AVX-512 where the CPU has it, and the
-//! remainder otherwise).
+//! Property tests for the OLH hash-fold kernel: for arbitrary batches of
+//! `(seed, value)` pairs, hash ranges and domain widths, [`HashedFold`]
+//! counts exactly what a naive `hash_bucket(seed, v, range) == value` loop
+//! does, and every fold built on it agrees, on every arm it dispatches to
+//! (the mask for power-of-two ranges, on AVX-512 where the CPU has it, and
+//! the remainder otherwise) and across tile edges.
 
 use idldp_core::budget::Epsilon;
-use idldp_core::fold::{packed_words, HashedFold};
+use idldp_core::fold::{HashedFold, TILE};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::report::{hash_bucket, Report};
 use proptest::prelude::*;
@@ -24,36 +24,46 @@ fn arb_range() -> impl Strategy<Value = usize> {
     )
 }
 
+/// Adds each pair's naive support to `counts`, one item at a time.
+fn add_naive(counts: &mut [u64], (seed, value): (u64, usize), range: usize) {
+    for (v, count) in counts.iter_mut().enumerate() {
+        *count += u64::from(hash_bucket(seed, v, range) == value);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Kernel rows equal the naive loop bit for bit, padding included.
+    /// Kernel count rows equal the naive loop, for any batch (repeated
+    /// pairs and out-of-range values included) and any starting row.
     #[test]
     fn kernel_rows_match_naive_hash_loop(
-        seed in any::<u64>(),
         range in arb_range(),
         slots in 1usize..1100,
-        pick in any::<u64>(),
-        hit in any::<bool>(),
+        picks in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u32..3), 0..12),
+        base in any::<u32>(),
     ) {
-        // Half the cases pick a value some item hashes to, so preimages
-        // are non-empty even for huge ranges.
-        let value = if hit {
-            hash_bucket(seed, pick as usize % slots, range)
-        } else {
-            pick as usize % range
-        };
-        let fold = HashedFold::new(range);
-        let mut row = vec![u64::MAX; packed_words(slots)];
-        fold.preimage_into(seed, value, slots, &mut row);
-        for v in 0..slots {
-            let want = hash_bucket(seed, v, range) == value;
-            prop_assert_eq!((row[v / 64] >> (v % 64)) & 1 == 1, want);
+        // Pairs pick a value some item hashes to (so preimages are
+        // non-empty even for huge ranges), any in-range value, or one
+        // outside the range.
+        let pairs: Vec<(u64, usize)> = picks
+            .iter()
+            .map(|&(seed, pick, kind)| {
+                let value = match kind {
+                    0 => hash_bucket(seed, pick as usize % slots, range),
+                    1 => pick as usize % range,
+                    _ => range.saturating_add(pick as usize % 2),
+                };
+                (seed, value)
+            })
+            .collect();
+        let mut want = vec![u64::from(base); slots];
+        for &pair in &pairs {
+            add_naive(&mut want, pair, range);
         }
-        let used = slots % 64;
-        if used > 0 {
-            prop_assert_eq!(row[slots / 64] >> used, 0);
-        }
+        let mut counts = vec![u64::from(base); slots];
+        HashedFold::new(range).count_into(&pairs, &mut counts);
+        prop_assert_eq!(counts, want);
     }
 
     /// The sequential fold and OLH's support vector, both routed through
@@ -78,6 +88,46 @@ proptest! {
         olh.fold_support_into(seed, value, &mut support);
         let support: Vec<u64> = support.iter().map(|&b| u64::from(b)).collect();
         prop_assert_eq!(&support, &naive);
+    }
+}
+
+/// Every batch length around the tile edge (empty, one pair, a tile and
+/// one either side, three tiles and a bit) at every width around the
+/// eight-item group and the 64-item word, on the mask arm (AVX-512 where
+/// the CPU has it) and the remainder arm, small and wide.
+#[test]
+fn batch_lengths_across_tiles_match_naive() {
+    let lengths = [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5];
+    let longest = lengths[lengths.len() - 1];
+    for range in [4usize, 5, 1 << 33, (1 << 33) + 1] {
+        let pairs: Vec<(u64, usize)> = (0..longest as u64)
+            .map(|i| {
+                let seed = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ range as u64;
+                // Mostly values an item hashes to, so wide ranges count.
+                let value = match i % 3 {
+                    0 => i as usize % range,
+                    _ => hash_bucket(seed, i as usize % 1000, range),
+                };
+                (seed, value)
+            })
+            .collect();
+        let fold = HashedFold::new(range);
+        for slots in [1usize, 7, 8, 9, 63, 64, 65, 1000] {
+            // The naive rows of every prefix length, in one pass.
+            let mut naive = vec![0u64; slots];
+            let mut want = vec![naive.clone()];
+            for (i, &pair) in pairs.iter().enumerate() {
+                add_naive(&mut naive, pair, range);
+                if lengths.contains(&(i + 1)) {
+                    want.push(naive.clone());
+                }
+            }
+            for (&len, want) in lengths.iter().zip(&want) {
+                let mut counts = vec![0u64; slots];
+                fold.count_into(&pairs[..len], &mut counts);
+                assert_eq!(&counts, want, "range={range} slots={slots} len={len}");
+            }
+        }
     }
 }
 

@@ -227,6 +227,33 @@ impl ReportClient {
         &self.server_run_line
     }
 
+    /// Whether the server has closed this connection since the last
+    /// exchange: a non-blocking peek finds end-of-stream or a reset where
+    /// an open, quiet connection has nothing to read. A server reaps
+    /// connections idle past its idle timeout, so a caller that keeps a
+    /// client across idle periods checks this before an exchange and
+    /// reconnects, instead of sending a frame the server will never read.
+    /// Buffered bytes, or a peek that cannot run, count as open.
+    pub fn peer_closed(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let stream = self.reader.get_ref();
+        if stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let closed = match stream.peek(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+            ),
+        };
+        // The write half shares this socket, and its blocking mode.
+        let _ = stream.set_nonblocking(false);
+        closed
+    }
+
     /// Overrides the `Busy` retry backoff of [`Self::push_all`].
     pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
         self.retry_backoff = backoff;

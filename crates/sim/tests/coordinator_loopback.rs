@@ -17,8 +17,10 @@
 //! fleet-identity refusal at registration, coordinated checkpoints with
 //! a per-collector generation vector and bit-identical restart, and the
 //! exactness-over-availability rule: one dead collector means a typed
-//! refusal, never a silently partial estimate. A malformed frame draws the
-//! same typed `Reject` from the coordinator as from a collector.
+//! refusal, never a silently partial estimate. A collector that reaped the
+//! coordinator's idle connection is reconnected before the next exchange.
+//! A malformed frame draws the same typed `Reject` from the coordinator as
+//! from a collector.
 
 use idldp_coord::{CoordError, CoordServer, Coordinator};
 use idldp_core::budget::Epsilon;
@@ -43,6 +45,7 @@ use idldp_sim::SimulationPipeline;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 const SEED: u64 = 20200707;
 /// Smaller than the server-loopback chunk so even a 4-collector fleet
@@ -671,6 +674,71 @@ fn a_dead_collector_means_a_typed_refusal_not_a_partial_answer() {
     drop(client);
     front.shutdown();
     for c in collectors {
+        c.shutdown();
+    }
+}
+
+/// Collectors reap connections idle past their idle timeout, the
+/// coordinator's own included. Before each exchange the coordinator
+/// re-handshakes a reaped connection, so after an idle pause a push and a
+/// query through the coordinator frontend both succeed, and the estimates
+/// stay bit-identical to a local fold.
+#[test]
+fn coordinator_reconnects_collectors_that_reaped_its_idle_connections() {
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(OptimalLocalHashing::new(eps(1.2), 24).unwrap());
+    let inputs = OwnedInputs::Items(items(1536, 24));
+    let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
+    let chunks = wire_chunks(mechanism.as_ref(), inputs.as_batch());
+    let idle = ServerConfig::builder()
+        .idle_timeout(Some(Duration::from_millis(300)))
+        .build()
+        .unwrap();
+    let collectors: Vec<ReportServer> = (0..2)
+        .map(|_| {
+            ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, idle.clone()).unwrap()
+        })
+        .collect();
+    let addrs: Vec<(String, usize)> = collectors
+        .iter()
+        .map(|c| (c.local_addr().to_string(), 1))
+        .collect();
+    let (coordinator, _) =
+        Coordinator::connect(mechanism.clone() as Arc<dyn Mechanism>, None, &addrs).unwrap();
+    let front = CoordServer::start(coordinator, "127.0.0.1:0").unwrap();
+    let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+
+    let (before, after) = chunks.split_at(chunks.len() / 2);
+    for chunk in before {
+        client.push_all(chunk).unwrap();
+    }
+    let (users, _) = client.query_estimates().unwrap();
+    let pushed_before = before.iter().map(Vec::len).sum::<usize>() as u64;
+    assert_eq!(users, pushed_before);
+
+    std::thread::sleep(Duration::from_secs(1));
+    for c in &collectors {
+        assert!(
+            c.reaped_connections() >= 1,
+            "the pause outlasts the collector's idle timeout"
+        );
+    }
+
+    // The push reconnects the collector it routes to first; the query
+    // reconnects every collector still closed.
+    for chunk in after {
+        client.push_all(chunk).unwrap();
+    }
+    let (users, estimates) = client.query_estimates().unwrap();
+    assert_eq!(users, want_users);
+    assert_bit_identical("olh after an idle pause", &estimates, &want);
+    let stats = front.coordinator().lock().unwrap().stats();
+    assert_eq!(stats.iter().map(|s| s.accepted).sum::<u64>(), want_users);
+
+    drop(client);
+    front.shutdown();
+    for c in collectors {
+        assert_eq!(c.fold_failures(), 0);
         c.shutdown();
     }
 }
