@@ -99,6 +99,17 @@ pub enum CoordError {
     },
     /// Merging or estimating over the fetched snapshots failed.
     Merge(String),
+    /// A reconnected collector announced fewer users than it is known to
+    /// hold: it restarted empty or from an older checkpoint, losing
+    /// acknowledged reports.
+    UsersLost {
+        /// The collector's address.
+        addr: String,
+        /// Users it held: restored at registration plus accepted since.
+        held: u64,
+        /// Users its `HelloAck` announced on reconnect.
+        announced: u64,
+    },
 }
 
 impl std::fmt::Display for CoordError {
@@ -121,6 +132,15 @@ impl std::fmt::Display for CoordError {
                 "collector {addr} rejected (accepted {accepted}): {message}"
             ),
             CoordError::Merge(detail) => write!(f, "merge: {detail}"),
+            CoordError::UsersLost {
+                addr,
+                held,
+                announced,
+            } => write!(
+                f,
+                "collector {addr} announced {announced} users on reconnect but held \
+                 {held}: it lost acknowledged reports"
+            ),
         }
     }
 }
@@ -146,6 +166,8 @@ pub struct CollectorStats {
 
 struct Collector {
     client: ReportClient,
+    /// Users the collector held at registration.
+    restored: u64,
     stats: CollectorStats,
 }
 
@@ -233,6 +255,7 @@ impl Coordinator {
             users += restored;
             registered.push(Collector {
                 client,
+                restored,
                 stats: CollectorStats {
                     addr: addr.clone(),
                     weight: *weight,
@@ -289,19 +312,31 @@ impl Coordinator {
     /// Reconnects collector `idx` if it has closed its connection, as a
     /// collector does to a connection idle past its idle timeout. The
     /// fresh connection selects the same tenant and must announce the
-    /// same run identity as at registration. Only a connection whose
-    /// last exchange completed is replaced, so no frame's fate is
-    /// unknown and nothing is resent; a failure mid-exchange stays an
-    /// error, as before.
+    /// same run identity as at registration, and at least the users the
+    /// collector is known to hold (restored at registration plus accepted
+    /// since). Fewer means it restarted and lost acknowledged reports: a
+    /// typed refusal, repeated on every later exchange, never a silent
+    /// adoption. More is allowed — another writer may push to the
+    /// collector directly. Only a connection whose last exchange
+    /// completed is replaced, so no frame's fate is unknown and nothing is
+    /// resent; a failure mid-exchange stays an error, as before.
     fn reconnect_if_closed(&mut self, idx: usize) -> Result<(), CoordError> {
         let collector = &mut self.collectors[idx];
         if collector.client.peer_closed() {
-            let (client, _) = handshake(
+            let (client, announced) = handshake(
                 &collector.stats.addr,
                 self.mechanism.as_ref(),
                 self.tenant.as_ref(),
                 &self.identity,
             )?;
+            let held = collector.restored + collector.stats.accepted;
+            if announced < held {
+                return Err(CoordError::UsersLost {
+                    addr: collector.stats.addr.clone(),
+                    held,
+                    announced,
+                });
+            }
             collector.client = client;
         }
         Ok(())

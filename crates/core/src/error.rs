@@ -52,6 +52,20 @@ pub enum Error {
         /// What was empty.
         what: String,
     },
+    /// A report arrived in another wire shape than the one negotiated.
+    ShapeMismatch {
+        /// The negotiated shape.
+        expected: crate::report::ReportShape,
+        /// The kind of report that arrived (`"item-set"`, …).
+        got: &'static str,
+    },
+    /// One report of a batch is malformed.
+    Report {
+        /// The report's position in its batch.
+        index: usize,
+        /// What is wrong with it.
+        source: Box<Error>,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -81,6 +95,12 @@ impl std::fmt::Display for Error {
                 "privacy constraint violated at pair {pair:?}: log-ratio {observed:.6} > allowed {allowed:.6}"
             ),
             Error::Empty { what } => write!(f, "{what} must not be empty"),
+            Error::ShapeMismatch { expected, got } => write!(
+                f,
+                "report shape mismatch: expected {}, got a {got} report",
+                expected.label()
+            ),
+            Error::Report { index, source } => write!(f, "report {index}: {source}"),
         }
     }
 }

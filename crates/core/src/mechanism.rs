@@ -152,29 +152,6 @@ impl CountAccumulator {
         Ok(())
     }
 
-    /// Folds one report *in any wire shape* into the counts — delegating
-    /// to the single fold implementation,
-    /// [`crate::report::Report::fold_into`] — and counts one user.
-    /// `shape_param` is the hash range for
-    /// [`crate::report::Report::Hashed`] reports and the pinned set
-    /// cardinality for [`crate::report::Report::ItemSet`] reports (`0` =
-    /// unchecked; ignored by the other shapes). This is what the `idldp-stream`
-    /// shape accumulators and the compact-shape batch fast paths build on,
-    /// so the fold rule exists in exactly one place.
-    ///
-    /// # Errors
-    /// Returns an error on a width/domain mismatch, an out-of-range value,
-    /// or a non-distinct item set; nothing is counted on failure.
-    pub fn fold_report(
-        &mut self,
-        report: crate::report::Report<'_>,
-        shape_param: usize,
-    ) -> Result<()> {
-        report.fold_into(&mut self.counts, shape_param)?;
-        self.users += 1;
-        Ok(())
-    }
-
     /// Direct bucket increment plus user count — for batch fast paths that
     /// bypass report buffers. Callers must pair every simulated user with
     /// exactly one [`Self::add_user`] call.

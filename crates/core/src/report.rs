@@ -15,6 +15,9 @@
 //! * [`Report`] — one borrowed report in any shape: the type every
 //!   accumulator ingests (`idldp-stream`'s
 //!   `ReportAccumulator::accumulate_batch` takes a slice of them).
+//! * [`validate`] — the report rules, written once: a batch of reports
+//!   against the negotiated shape and width. The collector admits frames
+//!   through it and every accumulator opens its fold with it.
 //! * [`ReportData`] — the owned twin, produced by
 //!   [`crate::mechanism::Mechanism::perturb_data`]; what a transport would
 //!   serialize.
@@ -114,121 +117,47 @@ impl Report<'_> {
         }
     }
 
-    /// Checks this report against a mechanism configuration — width
-    /// `report_len` plus the shape parameter `shape_param` — without
-    /// counting anything. `shape_param` is the hash range `g` for
-    /// [`Report::Hashed`] reports and the pinned set cardinality `k` for
-    /// [`Report::ItemSet`] reports (`0` = cardinality unchecked); the
-    /// other shapes ignore it. **The** definition of report
-    /// well-formedness: [`Report::fold_into`] validates through this
-    /// before touching any count, and transport servers (`idldp-server`)
-    /// call it to refuse a malformed report in the connection reply, so an
-    /// acknowledged report can never fail to fold later.
+    /// Checks this report against a mechanism configuration without
+    /// counting anything: a one-report call of [`validate`], the shape
+    /// taken from the report's variant. `shape_param` is the hash range
+    /// `g` for [`Report::Hashed`] reports and the pinned set cardinality
+    /// `k` for [`Report::ItemSet`] reports (`0` = cardinality unchecked);
+    /// the other shapes ignore it. [`Report::fold_into`] validates through
+    /// this before touching any count. An item set pays an `O(report_len)`
+    /// distinctness row here; batches share one row through [`validate`].
     ///
     /// # Errors
     /// Width mismatch (bit reports), out-of-domain value
     /// (categorical/hashed), or an empty, repeating, wrong-cardinality, or
     /// out-of-domain item set.
     pub fn validate(&self, report_len: usize, shape_param: usize) -> Result<()> {
-        match *self {
-            // Every packed slot is 0/1 by construction: only the width
-            // is left to check.
-            Report::Packed(bits) => {
-                if bits.slots() != report_len {
-                    return Err(Error::DimensionMismatch {
-                        what: "bit report".into(),
-                        expected: report_len,
-                        actual: bits.slots(),
-                    });
-                }
-            }
-            Report::Value(v) => {
-                if v >= report_len {
-                    return Err(Error::IndexOutOfRange {
-                        what: "categorical report value".into(),
-                        index: v,
-                        bound: report_len,
-                    });
-                }
-            }
-            Report::Hashed { value, .. } => {
-                // A one-bucket hash supports every item whatever the
-                // client held: no mechanism emits it, and it cannot fold.
-                if shape_param < 2 {
-                    return Err(Error::Empty {
-                        what: "hash range (needs at least two buckets)".into(),
-                    });
-                }
-                if value >= shape_param {
-                    return Err(Error::IndexOutOfRange {
-                        what: "hashed report value".into(),
-                        index: value,
-                        bound: shape_param,
-                    });
-                }
-            }
-            Report::ItemSet(items) => {
-                // No registered item-set mechanism emits an empty set; an
-                // empty report would count a user without touching any
-                // bucket, silently biasing calibration.
-                if items.is_empty() {
-                    return Err(Error::Empty {
-                        what: "item-set report".into(),
-                    });
-                }
-                // A pinned cardinality is exact: subset selection emits
-                // exactly k items, and any other size folds cleanly but
-                // biases the (p, (k−p)/(m−1)) calibration.
-                if shape_param > 0 && items.len() != shape_param {
-                    return Err(Error::DimensionMismatch {
-                        what: "item-set report cardinality".into(),
-                        expected: shape_param,
-                        actual: items.len(),
-                    });
-                }
-                for &item in items {
-                    if item >= report_len {
-                        return Err(Error::IndexOutOfRange {
-                            what: "item-set report member".into(),
-                            index: item,
-                            bound: report_len,
-                        });
-                    }
-                }
-                // Distinctness. The allocation-free prefix scan is O(k²),
-                // fine for the small sets mechanisms emit but a CPU
-                // amplifier when validating untrusted network input
-                // (servers run this synchronously per report) — large
-                // sets sort a copy and look for adjacent equals instead.
-                if items.len() <= 16 {
-                    for (k, &item) in items.iter().enumerate() {
-                        if items[..k].contains(&item) {
-                            return Err(Error::ParameterOrdering {
-                                detail: format!("item-set report repeats item {item}"),
-                            });
-                        }
-                    }
-                } else {
-                    let mut sorted = items.to_vec();
-                    sorted.sort_unstable();
-                    if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
-                        return Err(Error::ParameterOrdering {
-                            detail: format!("item-set report repeats item {}", pair[0]),
-                        });
-                    }
-                }
-            }
+        let shape = match self {
+            Report::Packed(_) => ReportShape::Bits,
+            Report::Value(_) => ReportShape::Value,
+            Report::Hashed { .. } => ReportShape::Hashed { range: shape_param },
+            Report::ItemSet(_) => ReportShape::ItemSet { k: shape_param },
+        };
+        Checker::new(shape, report_len).check(*self)
+    }
+
+    /// What kind of report this is, for a shape-mismatch error.
+    fn kind(&self) -> &'static str {
+        match self {
+            Report::Packed(_) => "bit-vector",
+            Report::Value(_) => "categorical value",
+            Report::Hashed { .. } => "hashed (seed, value)",
+            Report::ItemSet(_) => "item-set",
         }
-        Ok(())
     }
 
     /// Folds this report into per-bucket counts of width `report_len`,
     /// with `shape_param` interpreted as in [`Report::validate`] (the hash
     /// range for [`Report::Hashed`], the pinned cardinality for
-    /// [`Report::ItemSet`], ignored by the other shapes) — **the**
+    /// [`Report::ItemSet`], ignored by the other shapes) — the reference
     /// implementation of the fold table in the module docs, which every
-    /// server-side accumulator delegates to. One successful call accounts
-    /// for exactly one user.
+    /// accumulator's batch fold is tested equal to. It takes a packed
+    /// report for any shape, folding it as the support vector. One
+    /// successful call accounts for exactly one user.
     ///
     /// # Errors
     /// Any [`Report::validate`] failure; nothing is counted on failure.
@@ -252,6 +181,139 @@ impl Report<'_> {
         }
         Ok(())
     }
+}
+
+/// Checks a batch of reports against the negotiated `shape` and
+/// `report_len`: **the** definition of a well-formed report. Each report's
+/// variant must match the shape, then its content must fit: a bit report
+/// has exactly `report_len` slots; a value lies in `0..report_len`; a
+/// hashed value lies in a hash range of at least two buckets; an item set
+/// is non-empty, has the pinned cardinality (if any), and holds distinct
+/// members in `0..report_len`. Item-set distinctness is checked against
+/// one scratch row per batch, stamped with each set's number.
+///
+/// The collector admits a `Reports` frame through this, and every
+/// `idldp-stream` accumulator opens its batch fold with it, so an
+/// acknowledged report can never fail to fold. Nothing is allocated
+/// unless the batch holds an item set.
+///
+/// # Errors
+/// [`Error::Report`] naming the first malformed report's index, wrapping
+/// [`Error::ShapeMismatch`] or the content rule it breaks.
+pub fn validate<'a>(
+    shape: ReportShape,
+    report_len: usize,
+    reports: impl IntoIterator<Item = Report<'a>>,
+) -> Result<()> {
+    let mut checker = Checker::new(shape, report_len);
+    for (index, report) in reports.into_iter().enumerate() {
+        checker.check(report).map_err(|source| Error::Report {
+            index,
+            source: Box::new(source),
+        })?;
+    }
+    Ok(())
+}
+
+/// The report rules of [`validate`], fed one report at a time.
+struct Checker {
+    shape: ReportShape,
+    report_len: usize,
+    /// Per item, the number of the last item set holding it (allocated at
+    /// the first item set).
+    seen: Vec<u32>,
+    /// Item sets checked so far.
+    sets: u32,
+}
+
+impl Checker {
+    fn new(shape: ReportShape, report_len: usize) -> Self {
+        Self {
+            shape,
+            report_len,
+            seen: Vec::new(),
+            sets: 0,
+        }
+    }
+
+    #[inline]
+    fn check(&mut self, report: Report<'_>) -> Result<()> {
+        let m = self.report_len;
+        match (self.shape, report) {
+            // Every packed slot is 0/1 by construction: only the width
+            // is left to check.
+            (ReportShape::Bits, Report::Packed(bits)) if bits.slots() != m => {
+                Err(Error::DimensionMismatch {
+                    what: "bit report".into(),
+                    expected: m,
+                    actual: bits.slots(),
+                })
+            }
+            (ReportShape::Bits, Report::Packed(_)) => Ok(()),
+            (ReportShape::Value, Report::Value(v)) => in_range("categorical report value", v, m),
+            // A one-bucket hash supports every item whatever the client
+            // held: no mechanism emits it, and it cannot fold.
+            (ReportShape::Hashed { range }, Report::Hashed { .. }) if range < 2 => {
+                Err(Error::Empty {
+                    what: "hash range (needs at least two buckets)".into(),
+                })
+            }
+            (ReportShape::Hashed { range }, Report::Hashed { value, .. }) => {
+                in_range("hashed report value", value, range)
+            }
+            (ReportShape::ItemSet { k }, Report::ItemSet(items)) => self.check_items(items, k),
+            (expected, got) => Err(Error::ShapeMismatch {
+                expected,
+                got: got.kind(),
+            }),
+        }
+    }
+
+    fn check_items(&mut self, items: &[usize], k: usize) -> Result<()> {
+        // No registered item-set mechanism emits an empty set; an empty
+        // report would count a user without touching any bucket, silently
+        // biasing calibration.
+        if items.is_empty() {
+            return Err(Error::Empty {
+                what: "item-set report".into(),
+            });
+        }
+        // A pinned cardinality is exact: subset selection emits exactly k
+        // items, and any other size folds cleanly but biases the
+        // (p, (k−p)/(m−1)) calibration.
+        if k > 0 && items.len() != k {
+            return Err(Error::DimensionMismatch {
+                what: "item-set report cardinality".into(),
+                expected: k,
+                actual: items.len(),
+            });
+        }
+        if self.seen.is_empty() {
+            self.seen = vec![0; self.report_len];
+        }
+        self.sets += 1;
+        for &item in items {
+            in_range("item-set report member", item, self.report_len)?;
+            if self.seen[item] == self.sets {
+                return Err(Error::ParameterOrdering {
+                    detail: format!("item-set report repeats item {item}"),
+                });
+            }
+            self.seen[item] = self.sets;
+        }
+        Ok(())
+    }
+}
+
+fn in_range(what: &str, index: usize, bound: usize) -> Result<()> {
+    if index >= bound {
+        return Err(Error::IndexOutOfRange {
+            what: what.into(),
+            index,
+            bound,
+        });
+    }
+    Ok(())
 }
 
 /// One client report, owned: what [`crate::mechanism::Mechanism::perturb_data`]
@@ -731,22 +793,34 @@ mod tests {
         assert!(std::mem::size_of::<ReportData>() <= 32);
     }
 
-    /// Item-set distinctness must agree between the small (prefix-scan)
-    /// and large (sort-a-copy) branches — large sets are the untrusted
-    /// network input a quadratic scan would turn into a CPU amplifier.
+    /// Item-set distinctness is one stamped row per batch, for small and
+    /// large sets alike — large sets are the untrusted network input a
+    /// quadratic scan would turn into a CPU amplifier. One repeat at any
+    /// position of a set of more than 16 items is refused by the
+    /// one-report check and by the batch validator, which names it.
     #[test]
     fn large_item_set_duplicates_are_caught() {
         let m = 1000;
+        let shape = ReportShape::ItemSet { k: 0 };
         let distinct: Vec<usize> = (0..100).map(|i| i * 7 % m).collect();
         assert!(Report::ItemSet(&distinct).validate(m, 0).is_ok());
-        let mut repeated = distinct.clone();
-        repeated[99] = repeated[3];
-        let err = Report::ItemSet(&repeated).validate(m, 0).unwrap_err();
-        assert!(
-            err.to_string().contains("repeats item"),
-            "unexpected error: {err}"
-        );
-        // The small branch agrees on the same defect.
+        for len in [17usize, 40, 100] {
+            for at in 0..len {
+                let mut repeated = distinct[..len].to_vec();
+                repeated[at] = repeated[(at + 1 + hash_bucket(at as u64, len, len - 1)) % len];
+                let err = Report::ItemSet(&repeated).validate(m, 0).unwrap_err();
+                assert!(err.to_string().contains("repeats item"), "{err}");
+                let batch = [Report::ItemSet(&distinct), Report::ItemSet(&repeated)];
+                let err = validate(shape, m, batch).unwrap_err();
+                assert!(err.to_string().starts_with("report 1: "), "{err}");
+                assert!(err.to_string().contains("repeats item"), "{err}");
+            }
+        }
+        // The small sets agree on the same defect.
         assert!(Report::ItemSet(&[4, 9, 4]).validate(m, 0).is_err());
+        // Distinct sets sharing members pass in one batch: the row is
+        // stamped per set.
+        let batch = [Report::ItemSet(&distinct[..20]), Report::ItemSet(&distinct)];
+        assert!(validate(shape, m, batch).is_ok());
     }
 }

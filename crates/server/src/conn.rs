@@ -20,7 +20,7 @@
 use crate::frame::{check_version, Frame};
 use crate::queue::{PushRefusal, WaitOutcome};
 use crate::server::{Registry, Tenant};
-use idldp_core::report::{ReportData, ReportShape};
+use idldp_core::report::{validate, ReportData};
 use idldp_num::vecops::top_k_indices;
 use std::task::Poll;
 
@@ -152,49 +152,6 @@ pub fn check_hello(
     Ok(())
 }
 
-/// Validates one decoded report against the negotiated mechanism config —
-/// the *synchronous* half of ingestion, so every malformed report is
-/// refused in the connection reply and accepted reports can never fail to
-/// fold. The shape must be the connection's negotiated wire shape; the
-/// content rules are the core [`idldp_core::report::Report::validate`],
-/// the same definition `fold_into` enforces — which is what makes the
-/// accepted ⇒ foldable invariant definitional rather than two hand-synced
-/// rule sets.
-fn validate_report(
-    report: &ReportData,
-    shape: ReportShape,
-    report_len: usize,
-) -> Result<(), String> {
-    let matches_shape = matches!(
-        (report, shape),
-        (ReportData::Bits(_), ReportShape::Bits)
-            | (ReportData::Value(_), ReportShape::Value)
-            | (ReportData::Hashed { .. }, ReportShape::Hashed { .. })
-            | (ReportData::ItemSet(_), ReportShape::ItemSet { .. })
-    );
-    if !matches_shape {
-        let got = match report {
-            ReportData::Bits(_) => "bit-vector",
-            ReportData::Value(_) => "categorical value",
-            ReportData::Hashed { .. } => "hashed (seed, value)",
-            ReportData::ItemSet(_) => "item-set",
-        };
-        return Err(format!(
-            "report shape mismatch: connection negotiated {}, got a {got} report",
-            shape.label()
-        ));
-    }
-    let shape_param = match shape {
-        ReportShape::Hashed { range } => range,
-        ReportShape::ItemSet { k } => k,
-        _ => 0,
-    };
-    report
-        .as_report()
-        .validate(report_len, shape_param)
-        .map_err(|e| e.to_string())
-}
-
 /// The collector's protocol over its tenant registry. A connection binds
 /// to one tenant at handshake; every later frame is served against that
 /// tenant's queue and accumulator only.
@@ -219,7 +176,10 @@ impl Backend for Registry {
         Ok((
             index,
             Frame::HelloAck {
-                users: tenant.sink.num_users(),
+                // Every user the tenant holds, folded or still queued: a
+                // coordinator refuses a reconnect that announces fewer
+                // than it routed here.
+                users: tenant.restored + tenant.queue.watermark(),
                 // The same stamp this tenant's checkpoints carry — lets a
                 // coordinator refuse a collector whose config (including
                 // the CLI seed) differs from the rest of its fleet.
@@ -280,20 +240,22 @@ impl Backend for Registry {
 }
 
 /// Admits one `Reports` frame to the tenant's queue. The whole frame
-/// validates before anything is queued: a hostile frame mixing valid and
-/// invalid reports is rejected atomically — no partial fold, nothing to
-/// un-count. (Backpressure is the one partial outcome: `Busy{accepted}`
-/// names the queued prefix, which the client re-sends from.)
+/// validates against the negotiated shape before anything is queued — the
+/// synchronous half of ingestion, through the same [`validate`] the fold
+/// opens with, so an accepted report can never fail to fold. A hostile
+/// frame mixing valid and invalid reports is rejected atomically, naming
+/// the first bad report: no partial fold, nothing to un-count.
+/// (Backpressure is the one partial outcome: `Busy{accepted}` names the
+/// queued prefix, which the client re-sends from.)
 fn ingest(tenant: &Tenant, reports: Vec<ReportData>) -> Frame {
-    let shape = tenant.mechanism.report_shape();
-    let report_len = tenant.mechanism.report_len();
-    let invalid = reports.iter().enumerate().find_map(|(idx, report)| {
-        validate_report(report, shape, report_len)
-            .err()
-            .map(|e| format!("report {idx}: {e}"))
-    });
-    if let Some(message) = invalid {
-        return Frame::reject(message);
+    let mechanism = tenant.mechanism.as_ref();
+    let admitted = validate(
+        mechanism.report_shape(),
+        mechanism.report_len(),
+        reports.iter().map(ReportData::as_report),
+    );
+    if let Err(e) = admitted {
+        return Frame::reject(e.to_string());
     }
     let batch_len = reports.len();
     match tenant.queue.try_push_batch(reports) {

@@ -171,10 +171,11 @@ pub enum Frame {
         /// default tenant.
         tenant: String,
     },
-    /// Handshake accepted; `users` reports are already accumulated
-    /// server-side (nonzero after a checkpoint restore).
+    /// Handshake accepted; `users` reports are already held server-side
+    /// (nonzero after a checkpoint restore).
     HelloAck {
-        /// Users absorbed so far.
+        /// Users held: restored at start plus every report accepted
+        /// since, folded or still queued.
         users: u64,
         /// The server's run-identity line (the same stamp its checkpoints
         /// carry): mechanism kind, shape, width, ε, plus the CLI config

@@ -349,6 +349,9 @@ pub(crate) struct Tenant {
     /// tenant's admissions, and per-tenant watermarks, so queries
     /// linearize against their own stream only.
     pub(crate) queue: IngestQueue<ReportData>,
+    /// Users restored from the checkpoint at start. Plus the queue's
+    /// accept watermark, the users this tenant holds, folded or queued.
+    pub(crate) restored: u64,
     /// This tenant's parsed run identity (sent in `HelloAck`, stamped
     /// into checkpoints).
     pub(crate) identity: RunIdentity,
@@ -573,6 +576,7 @@ impl ReportServer {
         Ok(Tenant {
             id,
             mechanism,
+            restored: sink.num_users(),
             sink,
             queue: IngestQueue::new(queue_capacity.unwrap_or(config.queue_capacity)),
             identity,

@@ -18,7 +18,8 @@
 //! a per-collector generation vector and bit-identical restart, and the
 //! exactness-over-availability rule: one dead collector means a typed
 //! refusal, never a silently partial estimate. A collector that reaped the
-//! coordinator's idle connection is reconnected before the next exchange.
+//! coordinator's idle connection is reconnected before the next exchange;
+//! one that restarted with fewer users than it held is refused instead.
 //! A malformed frame draws the same typed `Reject` from the coordinator as
 //! from a collector.
 
@@ -682,7 +683,9 @@ fn a_dead_collector_means_a_typed_refusal_not_a_partial_answer() {
 /// coordinator's own included. Before each exchange the coordinator
 /// re-handshakes a reaped connection, so after an idle pause a push and a
 /// query through the coordinator frontend both succeed, and the estimates
-/// stay bit-identical to a local fold.
+/// stay bit-identical to a local fold. A collector whose paused queue
+/// still holds accepted reports announces them at the re-handshake, so
+/// the reconnect is not mistaken for a restart.
 #[test]
 fn coordinator_reconnects_collectors_that_reaped_its_idle_connections() {
     let mechanism: Arc<dyn BatchMechanism> =
@@ -716,6 +719,15 @@ fn coordinator_reconnects_collectors_that_reaped_its_idle_connections() {
     let pushed_before = before.iter().map(Vec::len).sum::<usize>() as u64;
     assert_eq!(users, pushed_before);
 
+    // With ingest paused, each collector accepts a chunk it cannot fold
+    // yet, and still holds it when the coordinator reconnects.
+    for c in &collectors {
+        c.pause_ingest();
+    }
+    let (held, after) = after.split_at(2);
+    for chunk in held {
+        client.push_all(chunk).unwrap();
+    }
     std::thread::sleep(Duration::from_secs(1));
     for c in &collectors {
         assert!(
@@ -724,9 +736,14 @@ fn coordinator_reconnects_collectors_that_reaped_its_idle_connections() {
         );
     }
 
-    // The push reconnects the collector it routes to first; the query
-    // reconnects every collector still closed.
-    for chunk in after {
+    // The push reconnects the collector it routes to first (its queued
+    // chunk counts as held); the query reconnects every collector still
+    // closed.
+    client.push_all(&after[0]).unwrap();
+    for c in &collectors {
+        c.resume_ingest();
+    }
+    for chunk in &after[1..] {
         client.push_all(chunk).unwrap();
     }
     let (users, estimates) = client.query_estimates().unwrap();
@@ -741,6 +758,79 @@ fn coordinator_reconnects_collectors_that_reaped_its_idle_connections() {
         assert_eq!(c.fold_failures(), 0);
         c.shutdown();
     }
+}
+
+/// A collector that restarts from an older checkpoint behind a live
+/// coordinator has lost acknowledged reports. The coordinator's reconnect
+/// sees its `HelloAck` announce fewer users than it held and refuses,
+/// naming the collector and both counts — for queries and pushes alike,
+/// never answering from the shrunken fleet.
+#[test]
+fn a_collector_restarted_from_an_older_checkpoint_is_refused_on_reconnect() {
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
+    let dir = std::env::temp_dir().join(format!("idldp-coord-restart-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("collector.ckpt");
+    let config = |addr: &str| {
+        ServerConfig::builder()
+            .addr(addr)
+            .checkpoint_path(&ckpt)
+            .build()
+            .unwrap()
+    };
+    let collector = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        config("127.0.0.1:0"),
+    )
+    .unwrap();
+    let addr = collector.local_addr().to_string();
+    let (coordinator, _) = Coordinator::connect(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        None,
+        &[(addr.clone(), 1)],
+    )
+    .unwrap();
+    let front = CoordServer::start(coordinator, "127.0.0.1:0").unwrap();
+    let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+    let batch: Vec<ReportData> = (0..64).map(|i| ReportData::Value(i % 8)).collect();
+    client.push_all(&batch).unwrap();
+    assert_eq!(client.checkpoint().unwrap(), 64);
+    client.push_all(&batch).unwrap();
+    assert_eq!(client.query_estimates().unwrap().0, 128);
+
+    // The collector restarts on the same address from its checkpoint,
+    // which holds only the first 64 acknowledged reports.
+    collector.shutdown();
+    let collector =
+        ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config(&addr)).unwrap();
+    assert_eq!(collector.num_users(), 64);
+
+    for _ in 0..2 {
+        match client.query_estimates() {
+            Err(ClientError::Rejected { message, .. }) => {
+                assert!(message.contains(&addr), "{message}");
+                assert!(
+                    message.contains("announced 64") && message.contains("held 128"),
+                    "{message}"
+                );
+            }
+            other => panic!("a collector that lost reports must be refused, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.push_all(&batch),
+        Err(ClientError::Rejected { accepted: 0, .. })
+    ));
+    assert_eq!(
+        collector.num_users(),
+        64,
+        "nothing reached the restarted collector"
+    );
+    drop(client);
+    front.shutdown();
+    collector.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A malformed frame after the handshake draws the same typed `bad frame:`

@@ -36,16 +36,19 @@
 //! * [`ItemSetReportAccumulator`] — subset-selection reports: a small set
 //!   of distinct items, each incrementing its own bucket.
 //!
-//! Every accumulator also accepts the report's *folded* bit-vector form
-//! as a [`Report::Packed`] bit report (the support vector
-//! [`idldp_core::mechanism::Mechanism::perturb_into`] writes, packed), so
-//! streams and batch pipelines interoperate with either representation
-//! and the counts are identical by the fold laws tested in `idldp-core`.
+//! Each accumulator folds only its own shape. Every
+//! [`ReportAccumulator::accumulate_batch`] opens with the core
+//! [`validate`] against [`ReportAccumulator::shape`] — the same report
+//! rules the collector admits frames by — and then only folds. A report
+//! of another shape, a packed bit report included, is refused: the batch
+//! pipeline folds the *folded* bit-vector form
+//! ([`idldp_core::mechanism::Mechanism::perturb_into`]) through the core
+//! [`CountAccumulator`], not through these accumulators.
 
 use idldp_core::error::{Error, Result};
 use idldp_core::fold::{BitPlanes, HashedFold, SeedPreimageCache};
 use idldp_core::mechanism::CountAccumulator;
-use idldp_core::report::{PackedBits, ReportShape};
+use idldp_core::report::{validate, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
 
 pub use idldp_core::report::Report;
@@ -95,8 +98,9 @@ pub trait ReportAccumulator: Send {
     /// chunk; a single report is a one-element batch) — the accumulator's
     /// only fold.
     ///
-    /// Atomic: every report validates before any bucket moves, so a batch
-    /// containing any invalid report counts nothing. The transport server
+    /// Atomic: the batch opens with the core [`validate`] against
+    /// [`Self::shape`], before any bucket moves, so a batch containing any
+    /// invalid report counts nothing. The transport server
     /// relies on this to reject a hostile mixed frame without a partial
     /// fold. The counts after a successful call equal the core reference
     /// fold ([`Report::fold_into`]) of the same reports, for every way of
@@ -104,8 +108,8 @@ pub trait ReportAccumulator: Send {
     /// [`idldp_core::fold`] is pure integer arithmetic).
     ///
     /// # Errors
-    /// Returns the first report's validation error: the wrong width, the
-    /// wrong shape for this accumulator, or an out-of-range value.
+    /// The first malformed report's [`validate`] error: the wrong shape for
+    /// this accumulator, the wrong width, or an out-of-range value.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()>;
 
     /// Width of the folded count state (the mechanism's
@@ -178,30 +182,6 @@ fn check_width(what: &str, expected: usize, actual: usize) -> Result<()> {
     Ok(())
 }
 
-fn wrong_shape(accumulator: &str, got: &Report<'_>, width: usize) -> Error {
-    let shape = match got {
-        Report::Packed(_) => "bit-vector",
-        Report::Value(_) => "categorical value",
-        Report::Hashed { .. } => "hashed (seed, value)",
-        Report::ItemSet(_) => "item-set",
-    };
-    Error::DimensionMismatch {
-        what: format!("report shape ({accumulator} accumulator got a {shape} report)"),
-        expected: width,
-        actual: 0,
-    }
-}
-
-/// Adds a batch's staged per-bucket sums into the count state and counts
-/// its users: the commit step of the staged folds, run only once the whole
-/// batch has validated.
-fn commit_staged(inner: &mut CountAccumulator, staged: &[u64], users: usize) {
-    for (c, &s) in inner.counts_mut().iter_mut().zip(staged) {
-        *c += s;
-    }
-    inner.add_users(users as u64);
-}
-
 /// Accumulator for 0/1 bit-vector reports (the UE/IDUE/IDUE-PS shape).
 ///
 /// Thin streaming wrapper over the core
@@ -248,23 +228,19 @@ impl ReportAccumulator for BitReportAccumulator {
     }
 
     /// Word-packed batch fold: each report's words are carry-save-added
-    /// into SWAR bit-planes. They spill into a staged buffer that only
-    /// commits once the whole batch has validated.
+    /// into SWAR bit-planes, which spill into the counts.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
+        validate(self.shape(), m, reports.iter().copied())?;
         let mut planes = BitPlanes::new(m);
-        let mut staged = vec![0u64; m];
+        let counts = self.inner.counts_mut();
         for report in reports {
-            match *report {
-                Report::Packed(bits) => {
-                    check_width("accumulated report width", m, bits.slots())?;
-                    planes.add_row(bits.words(), &mut staged);
-                }
-                ref other => return Err(wrong_shape("bit", other, m)),
+            if let Report::Packed(bits) = report {
+                planes.add_row(bits.words(), counts);
             }
         }
-        planes.spill_into(&mut staged);
-        commit_staged(&mut self.inner, &staged, reports.len());
+        planes.spill_into(counts);
+        self.inner.add_users(reports.len() as u64);
         Ok(())
     }
 }
@@ -272,11 +248,7 @@ impl ReportAccumulator for BitReportAccumulator {
 /// Accumulator for categorical (one-hot) reports: GRR value reports,
 /// matrix-mechanism rows, and PS's sampled item.
 ///
-/// Accepts [`Report::Value`] directly, or a [`Report::Packed`] bit
-/// report that is exactly one-hot — the folded form
-/// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for these
-/// mechanisms. Shares the core [`CountAccumulator`] state with
-/// [`BitReportAccumulator`]; only the accepted report shape differs.
+/// Folds [`Report::Value`] reports only, each incrementing its bucket.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OneHotReportAccumulator {
     inner: CountAccumulator,
@@ -291,17 +263,6 @@ impl OneHotReportAccumulator {
         assert!(report_len > 0, "report width must be positive");
         Self {
             inner: CountAccumulator::new(report_len),
-        }
-    }
-
-    fn hot_index(&self, bits: &PackedBits) -> Result<usize> {
-        check_width("one-hot report", self.report_len(), bits.slots())?;
-        let mut ones = bits.ones();
-        match (ones.next(), ones.next()) {
-            (Some(hot), None) => Ok(hot),
-            _ => Err(Error::ParameterOrdering {
-                detail: "categorical report must be one-hot (one bit set)".into(),
-            }),
         }
     }
 }
@@ -319,28 +280,12 @@ impl ReportAccumulator for OneHotReportAccumulator {
         &mut self.inner
     }
 
-    /// Batch fold: resolves every report to its hot index first (the
-    /// all-or-nothing validation pass), then applies the increments.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        let m = self.report_len();
-        let mut values = Vec::with_capacity(reports.len());
+        validate(self.shape(), self.report_len(), reports.iter().copied())?;
         for report in reports {
-            let value = match *report {
-                Report::Value(v) if v < m => v,
-                Report::Value(v) => {
-                    return Err(Error::IndexOutOfRange {
-                        what: "categorical report value".into(),
-                        index: v,
-                        bound: m,
-                    })
-                }
-                Report::Packed(bits) => self.hot_index(bits)?,
-                ref other => return Err(wrong_shape("categorical", other, m)),
-            };
-            values.push(value);
-        }
-        for value in values {
-            self.inner.add_bit(value);
+            if let Report::Value(v) = *report {
+                self.inner.add_bit(v);
+            }
         }
         self.inner.add_users(reports.len() as u64);
         Ok(())
@@ -353,10 +298,7 @@ impl ReportAccumulator for OneHotReportAccumulator {
 /// `v` whose [`idldp_core::report::hash_bucket`]`(seed, v, range)` equals
 /// the reported value — the same shared hash the client encoded with,
 /// through the one [`HashedFold`] kernel, which counts a whole batch item
-/// group by item group. Also accepts the pre-folded [`Report::Packed`]
-/// support vector (what
-/// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
-/// either representation of the same report yields identical counts.
+/// group by item group. Folds [`Report::Hashed`] reports only.
 ///
 /// The fold never consults the [`SeedPreimageCache`] the accumulator
 /// still holds: clients draw a fresh seed per report, so real traffic
@@ -420,59 +362,36 @@ impl ReportAccumulator for HashedReportAccumulator {
         &mut self.inner
     }
 
-    /// Item-major batch fold: the validation pass gathers every
-    /// `(seed, value)` pair, and [`HashedFold`] counts them into a staged
-    /// buffer in [`idldp_core::fold::TILE`]-pair tiles, each item group's
-    /// counters held in registers across a tile. Packed support vectors,
-    /// if any, carry-save-add into SWAR bit-planes over the same buffer,
-    /// which commits only once the whole batch has validated. The counts
-    /// are exactly what the scalar hash fold would increment.
+    /// Item-major batch fold: [`HashedFold`] counts the batch's
+    /// `(seed, value)` pairs in [`idldp_core::fold::TILE`]-pair tiles,
+    /// each item group's counters held in registers across a tile. The
+    /// counts are exactly what the scalar hash fold would increment.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
-        // Validation pass first: nothing folds if any report is invalid.
+        validate(self.shape(), m, reports.iter().copied())?;
         let mut pairs = Vec::with_capacity(reports.len());
-        let mut packed = false;
         for report in reports {
-            match *report {
-                Report::Hashed { seed, value } => {
-                    report.validate(m, self.range)?;
-                    pairs.push((seed, value));
-                }
-                Report::Packed(_) => {
-                    report.validate(m, self.range)?;
-                    packed = true;
-                }
-                ref other => return Err(wrong_shape("hashed", other, m)),
+            if let Report::Hashed { seed, value } = *report {
+                pairs.push((seed, value));
             }
         }
-        let mut staged = vec![0u64; m];
-        HashedFold::new(self.range).count_into(&pairs, &mut staged);
-        if packed {
-            let mut planes = BitPlanes::new(m);
-            for report in reports {
-                if let Report::Packed(bits) = *report {
-                    planes.add_row(bits.words(), &mut staged);
-                }
-            }
-            planes.spill_into(&mut staged);
-        }
-        commit_staged(&mut self.inner, &staged, reports.len());
+        HashedFold::new(self.range).count_into(&pairs, self.inner.counts_mut());
+        self.inner.add_users(reports.len() as u64);
         Ok(())
     }
 }
 
 /// Accumulator for item-set reports (the subset-selection wire shape).
 ///
-/// Each report is a small set of distinct items; every member increments
-/// its own bucket and the report counts as one user. Also accepts the
-/// k-hot [`Report::Packed`] membership vector.
+/// Each [`Report::ItemSet`] report is a small set of distinct items; every
+/// member increments its own bucket and the report counts as one user.
 ///
 /// When built with [`ItemSetReportAccumulator::with_cardinality`] the
 /// accumulator pins the exact set size `k` the mechanism emits
-/// ([`ReportShape::ItemSet`]'s `k` field) and refuses explicit item-set
-/// reports of any other size — a wrong-sized set folds cleanly but biases
-/// the subset-selection estimator's `(p, (k - p) / (m - 1))` calibration,
-/// so the server rejects it at the door.
+/// ([`ReportShape::ItemSet`]'s `k` field) and refuses sets of any other
+/// size — a wrong-sized set folds cleanly but biases the subset-selection
+/// estimator's `(p, (k - p) / (m - 1))` calibration, so the server
+/// rejects it at the door.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ItemSetReportAccumulator {
     inner: CountAccumulator,
@@ -490,9 +409,9 @@ impl ItemSetReportAccumulator {
         Self::with_cardinality(report_len, 0)
     }
 
-    /// An empty accumulator over `report_len` items that refuses explicit
-    /// item-set reports whose size differs from `k` (`k == 0` leaves the
-    /// cardinality unchecked).
+    /// An empty accumulator over `report_len` items that refuses item sets
+    /// whose size differs from `k` (`k == 0` leaves the cardinality
+    /// unchecked).
     ///
     /// # Panics
     /// Panics if `report_len == 0` or `k >= report_len`.
@@ -527,70 +446,14 @@ impl ReportAccumulator for ItemSetReportAccumulator {
         &mut self.inner
     }
 
-    /// Batch fold: validates every report (width, domain, distinctness,
-    /// pinned cardinality) before any bucket moves, then applies the
-    /// member increments.
-    ///
-    /// Distinctness is checked against an epoch-stamped scratch row shared
-    /// by the whole batch, replacing the per-report sort-and-scan of
-    /// [`Report::validate`] with one `O(k)` pass and no per-report
-    /// allocation — the same errors, amortized over the batch.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        let m = self.report_len();
-        let mut stamp = vec![0u32; m];
-        let mut epoch = 0u32;
-        for report in reports {
-            let items = match report {
-                Report::ItemSet(items) => *items,
-                Report::Packed(_) => {
-                    report.validate(m, self.k)?;
-                    continue;
-                }
-                other => return Err(wrong_shape("item-set", other, m)),
-            };
-            if items.is_empty() {
-                return Err(Error::Empty {
-                    what: "item-set report".into(),
-                });
-            }
-            if self.k > 0 && items.len() != self.k {
-                return Err(Error::DimensionMismatch {
-                    what: "item-set report cardinality".into(),
-                    expected: self.k,
-                    actual: items.len(),
-                });
-            }
-            epoch += 1;
-            for &item in items {
-                if item >= m {
-                    return Err(Error::IndexOutOfRange {
-                        what: "item-set report member".into(),
-                        index: item,
-                        bound: m,
-                    });
-                }
-                if stamp[item] == epoch {
-                    return Err(Error::ParameterOrdering {
-                        detail: format!("item-set report repeats item {item}"),
-                    });
-                }
-                stamp[item] = epoch;
-            }
-        }
+        validate(self.shape(), self.report_len(), reports.iter().copied())?;
         let counts = self.inner.counts_mut();
         for report in reports {
-            match *report {
-                Report::ItemSet(items) => {
-                    for &item in items {
-                        counts[item] += 1;
-                    }
+            if let Report::ItemSet(items) = *report {
+                for &item in items {
+                    counts[item] += 1;
                 }
-                Report::Packed(bits) => {
-                    for slot in bits.ones() {
-                        counts[slot] += 1;
-                    }
-                }
-                _ => unreachable!("shapes checked in the validation pass"),
             }
         }
         self.inner.add_users(reports.len() as u64);
@@ -698,7 +561,7 @@ impl ReportAccumulator for ShapedAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idldp_core::report::{hash_bucket, ReportData};
+    use idldp_core::report::{hash_bucket, PackedBits, ReportData};
 
     fn packed(slots: &[u8]) -> PackedBits {
         PackedBits::from_slots(slots).unwrap()
@@ -750,15 +613,10 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_accumulator_accepts_both_shapes() {
+    fn one_hot_accumulator_counts_values() {
         let mut a = OneHotReportAccumulator::new(4);
-        let (two, zero) = (packed(&[0, 0, 1, 0]), packed(&[1, 0, 0, 0]));
-        a.accumulate_batch(&[
-            Report::Value(2),
-            Report::Packed(&two),
-            Report::Packed(&zero),
-        ])
-        .unwrap();
+        a.accumulate_batch(&[Report::Value(2), Report::Value(2), Report::Value(0)])
+            .unwrap();
         let snap = a.snapshot();
         assert_eq!(snap.counts(), &[1, 0, 2, 0]);
         assert_eq!(snap.num_users(), 3);
@@ -768,9 +626,9 @@ mod tests {
     fn one_hot_accumulator_rejects_invalid() {
         let mut a = OneHotReportAccumulator::new(3);
         assert!(fold_one(&mut a, Report::Value(3)).is_err());
-        assert!(fold_one(&mut a, Report::Packed(&packed(&[0, 0, 0]))).is_err());
-        assert!(fold_one(&mut a, Report::Packed(&packed(&[1, 1, 0]))).is_err());
-        assert!(fold_one(&mut a, Report::Packed(&packed(&[1, 0]))).is_err());
+        // A one-hot row of the right width is still a bit report.
+        let err = fold_one(&mut a, Report::Packed(&packed(&[0, 1, 0]))).unwrap_err();
+        assert!(err.to_string().contains("shape mismatch"), "{err}");
         assert!(fold_one(&mut a, Report::ItemSet(&[1])).is_err());
         assert_eq!(a.num_users(), 0);
     }
@@ -789,14 +647,16 @@ mod tests {
         }
         assert_eq!(snap.num_users(), 1);
 
-        // The pre-folded bits form counts identically.
+        // The pre-folded support vector counts identically through the
+        // reference fold, and the hashed accumulator refuses it.
         let mut bits = vec![0u8; m];
         for (v, b) in bits.iter_mut().enumerate() {
             *b = u8::from(hash_bucket(seed, v, g) == value);
         }
-        let mut via_bits = HashedReportAccumulator::new(m, g);
-        fold_one(&mut via_bits, Report::Packed(&packed(&bits))).unwrap();
-        assert_eq!(via_bits.snapshot(), snap);
+        let support = packed(&bits);
+        assert_eq!(reference(&[Report::Packed(&support)], m, g), snap.counts());
+        assert!(fold_one(&mut a, Report::Packed(&support)).is_err());
+        assert_eq!(a.snapshot(), snap, "a refused report counts nothing");
     }
 
     #[test]
@@ -815,16 +675,18 @@ mod tests {
     #[test]
     fn item_set_accumulator_counts_members_once() {
         let mut a = ItemSetReportAccumulator::new(5);
-        let k_hot = packed(&[0, 1, 0, 1, 0]);
         a.accumulate_batch(&[
             Report::ItemSet(&[0, 3]),
             Report::ItemSet(&[3]),
-            Report::Packed(&k_hot),
+            Report::ItemSet(&[1, 3]),
         ])
         .unwrap();
         let snap = a.snapshot();
         assert_eq!(snap.counts(), &[1, 1, 0, 3, 0]);
         assert_eq!(snap.num_users(), 3);
+        // The k-hot membership vector is a bit report: refused.
+        assert!(fold_one(&mut a, Report::Packed(&packed(&[0, 1, 0, 1, 0]))).is_err());
+        assert_eq!(a.snapshot(), snap);
     }
 
     #[test]
@@ -835,6 +697,23 @@ mod tests {
         assert!(fold_one(&mut a, Report::Value(0)).is_err());
         assert!(fold_one(&mut a, Report::Hashed { seed: 0, value: 0 }).is_err());
         assert_eq!(a.num_users(), 0, "failed accumulations count nothing");
+
+        // Sets of more than 16 items, each with one repeat at a
+        // pseudo-random position, behind a valid set in the same batch.
+        let m = 1000;
+        let mut wide = ItemSetReportAccumulator::new(m);
+        for len in 17..60usize {
+            let mut items: Vec<usize> = (0..len).map(|i| (i * 37 + len) % m).collect();
+            let at = hash_bucket(len as u64, 0, len);
+            items[at] = items[(at + 1 + hash_bucket(len as u64, 1, len - 1)) % len];
+            let err = wide
+                .accumulate_batch(&[Report::ItemSet(&[0, 1]), Report::ItemSet(&items)])
+                .unwrap_err();
+            assert!(err.to_string().contains("report 1: "), "{err}");
+            assert!(err.to_string().contains("repeats item"), "{err}");
+        }
+        assert_eq!(wide.num_users(), 0, "failed accumulations count nothing");
+        assert!(wide.snapshot().counts().iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -922,15 +801,13 @@ mod tests {
         assert_eq!(batched.snapshot().counts(), reference(&values, m, 0));
 
         // Hashed: seeds repeat (seven across 300 reports, so pairs recur
-        // within one tile), and a mixed-in pre-folded bits row exercises
-        // the packed-row path.
+        // within one tile).
         let g = 3usize;
         let hashed: Vec<Report<'_>> = (0..300u64)
             .map(|i| Report::Hashed {
                 seed: i % 7,
                 value: (i % g as u64) as usize,
             })
-            .chain(std::iter::once(Report::Packed(&bit_rows[0])))
             .collect();
         let mut batched = HashedReportAccumulator::new(m, g);
         batched.accumulate_batch(&hashed).unwrap();
@@ -939,14 +816,11 @@ mod tests {
         // `hash_bucket`, independent of any fold kernel.
         let mut exact = vec![0u64; m];
         for report in &hashed {
-            match *report {
-                Report::Hashed { seed, value } => {
-                    for (v, count) in exact.iter_mut().enumerate() {
-                        *count += u64::from(hash_bucket(seed, v, g) == value);
-                    }
-                }
-                Report::Packed(bits) => bits.ones().for_each(|slot| exact[slot] += 1),
-                _ => unreachable!("hashed and packed reports only"),
+            let Report::Hashed { seed, value } = *report else {
+                unreachable!("hashed reports only")
+            };
+            for (v, count) in exact.iter_mut().enumerate() {
+                *count += u64::from(hash_bucket(seed, v, g) == value);
             }
         }
         assert_eq!(batched.snapshot().counts(), exact);
@@ -958,26 +832,22 @@ mod tests {
         );
 
         let sets: Vec<Vec<usize>> = (0..30usize).map(|i| vec![i % m, (i + 3) % m]).collect();
-        let set_reports: Vec<Report<'_>> = sets
-            .iter()
-            .map(|s| Report::ItemSet(s))
-            .chain(std::iter::once(Report::Packed(&bit_rows[1])))
-            .collect();
+        let set_reports: Vec<Report<'_>> = sets.iter().map(|s| Report::ItemSet(s)).collect();
         let mut batched = ItemSetReportAccumulator::new(m);
         batched.accumulate_batch(&set_reports).unwrap();
         assert_eq!(batched.snapshot().counts(), reference(&set_reports, m, 0));
         assert_eq!(batched.num_users(), set_reports.len() as u64);
     }
 
-    /// Every accumulator that takes bit reports folds packed reports to
-    /// the counts of their 0/1 rows, in one-report batches and in one
-    /// whole batch, at every width across the 64-slot word and 128/129
-    /// inline/heap edges.
+    /// The bit accumulator folds packed reports to the counts of their
+    /// 0/1 rows, in one-report batches and in one whole batch, at every
+    /// width across the 64-slot word and 128/129 inline/heap edges. Every
+    /// other shape refuses each packed row and counts nothing.
     #[test]
     fn packed_reports_fold_to_their_rows() {
         for m in (1..=130usize).chain([1000]) {
             // 300 rows cross a bit-plane spill; the one-hot rows are the
-            // only ones the categorical accumulator takes.
+            // folded form of a categorical report.
             let mut rows: Vec<Vec<u8>> = (0..300u64)
                 .map(|r| {
                     (0..m)
@@ -991,43 +861,36 @@ mod tests {
                 row
             }));
             let reports: Vec<PackedBits> = rows.iter().map(|row| packed(row)).collect();
+            let mut want = vec![0u64; m];
+            for row in &rows {
+                for (w, &bit) in want.iter_mut().zip(row) {
+                    *w += u64::from(bit);
+                }
+            }
+
+            let mut one_by_one = BitReportAccumulator::new(m);
+            for bits in &reports {
+                fold_one(&mut one_by_one, Report::Packed(bits)).unwrap();
+            }
+            assert_eq!(one_by_one.snapshot().counts(), want, "m={m}");
+            assert_eq!(one_by_one.num_users(), rows.len() as u64, "m={m}");
+
+            let views: Vec<Report<'_>> = reports.iter().map(Report::Packed).collect();
+            let mut batched = BitReportAccumulator::new(m);
+            batched.accumulate_batch(&views).unwrap();
+            assert_eq!(batched, one_by_one, "m={m}");
+
             for shape in [
-                ReportShape::Bits,
                 ReportShape::Value,
                 ReportShape::Hashed { range: 3 },
                 ReportShape::ItemSet { k: 0 },
             ] {
-                let takes = |row: &[u8]| {
-                    shape != ReportShape::Value || row.iter().filter(|&&b| b == 1).count() == 1
-                };
-                let taken: Vec<usize> = (0..rows.len()).filter(|&r| takes(&rows[r])).collect();
-                let mut want = vec![0u64; m];
-                for &r in &taken {
-                    for (w, &bit) in want.iter_mut().zip(&rows[r]) {
-                        *w += u64::from(bit);
-                    }
+                let mut other = ShapedAccumulator::for_shape(shape, m);
+                for bits in &reports {
+                    assert!(fold_one(&mut other, Report::Packed(bits)).is_err());
                 }
-
-                let mut one_by_one = ShapedAccumulator::for_shape(shape, m);
-                for (row, bits) in rows.iter().zip(&reports) {
-                    assert_eq!(
-                        fold_one(&mut one_by_one, Report::Packed(bits)).is_ok(),
-                        takes(row),
-                        "{shape:?} m={m}"
-                    );
-                }
-                assert_eq!(one_by_one.snapshot().counts(), want, "{shape:?} m={m}");
-                assert_eq!(
-                    one_by_one.num_users(),
-                    taken.len() as u64,
-                    "{shape:?} m={m}"
-                );
-
-                let views: Vec<Report<'_>> =
-                    taken.iter().map(|&r| Report::Packed(&reports[r])).collect();
-                let mut batched = ShapedAccumulator::for_shape(shape, m);
-                batched.accumulate_batch(&views).unwrap();
-                assert_eq!(batched, one_by_one, "{shape:?} m={m}");
+                assert!(other.accumulate_batch(&views).is_err());
+                assert_eq!(other.num_users(), 0, "{shape:?} m={m}");
             }
         }
     }

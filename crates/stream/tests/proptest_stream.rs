@@ -7,6 +7,7 @@
 //! categorical values, hashed `(seed, value)` pairs, item sets).
 
 use idldp_core::budget::Epsilon;
+use idldp_core::error::Error;
 use idldp_core::grr::GeneralizedRandomizedResponse;
 use idldp_core::idue::Idue;
 use idldp_core::idue_ps::IduePs;
@@ -16,7 +17,7 @@ use idldp_core::mechanism::{InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
-use idldp_core::report::{PackedBits, Report, ReportData, ReportShape};
+use idldp_core::report::{validate, PackedBits, Report, ReportData, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_core::subset::SubsetSelection;
 use idldp_num::rng::SplitMix64;
@@ -342,14 +343,28 @@ proptest! {
         prop_assert_eq!(batched.snapshot(), want.clone());
         prop_assert_eq!(batched.num_users(), n as u64);
 
-        // All or nothing: a too-wide bit report (refused by every shape)
-        // spliced into a copy of one batch leaves the state untouched.
+        // All or nothing: a too-wide bit report (refused by every shape),
+        // or a well-formed report of another shape, spliced into a copy of
+        // one batch leaves the state untouched. Admission refuses the same
+        // report, by its index.
         let too_wide = PackedBits::from_slots(&vec![0u8; m + 1]).unwrap();
+        let full_width = PackedBits::from_slots(&vec![1u8; mech.report_len()]).unwrap();
+        let stranger = match mech.report_shape() {
+            ReportShape::Bits => Report::Value(0),
+            _ => Report::Packed(&full_width),
+        };
         let batch = random_split(&views, &mut rng, 97)[0];
-        let mut poisoned = batch.to_vec();
-        poisoned.insert((rng.next() % (batch.len() as u64 + 1)) as usize, Report::Packed(&too_wide));
-        prop_assert!(batched.accumulate_batch(&poisoned).is_err());
-        prop_assert_eq!(batched.snapshot(), want.clone());
+        for spliced in [Report::Packed(&too_wide), stranger] {
+            let at = (rng.next() % (batch.len() as u64 + 1)) as usize;
+            let mut poisoned = batch.to_vec();
+            poisoned.insert(at, spliced);
+            let (shape, width) = (mech.report_shape(), mech.report_len());
+            let admitted = validate(shape, width, poisoned.iter().copied());
+            let is_at = matches!(admitted, Err(Error::Report { index, .. }) if index == at);
+            prop_assert!(is_at, "{:?}", admitted);
+            prop_assert!(batched.accumulate_batch(&poisoned).is_err());
+            prop_assert_eq!(batched.snapshot(), want.clone());
+        }
 
         // The sharded batch fan-out: a different split, whole batches
         // placed round-robin, counts identical after the shard merge.
