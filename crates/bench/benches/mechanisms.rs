@@ -24,6 +24,16 @@
 //! delta being ≥ 5× faster at the sparse corner (m=100k, t=100). Files
 //! live on `/dev/shm` when the host has it, so the numbers measure
 //! serialization and layout, not disk latency.
+//!
+//! `stream/sharded-new/m<domain>` builds a collector's count state: a GRR
+//! prototype split into the default 8 shards, the step a collector takes
+//! before it restores. These rows and `checkpoint/restore/*` are warm
+//! in-process figures. After the first iteration frees its rows, the
+//! allocator serves later ones from memory this process already touched,
+//! so the rows cannot see the first-touch page faults a freshly started
+//! collector pays on every new page. The cold figure is the service
+//! benchmark's `setup_s` (`coord-query` restores two collectors at
+//! m = 100k).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idldp_core::budget::Epsilon;
@@ -33,7 +43,7 @@ use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, StoreKind};
 use idldp_num::rng::stream_rng;
 use idldp_server::{encode_reports_frame, Frame};
-use idldp_sim::stream::{ReportAccumulator, ShapedAccumulator};
+use idldp_sim::stream::{ReportAccumulator, ShapedAccumulator, ShardedAccumulator, DEFAULT_SHARDS};
 use idldp_sim::{BuildContext, MechanismRegistry};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -252,6 +262,25 @@ fn bench_aggregate_fold(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sharded_new(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stream");
+    group.sample_size(10);
+    for m in [1_000usize, 100_000] {
+        let grr = build("grr", m, 0);
+        group.bench_with_input(
+            BenchmarkId::new("sharded-new", format!("m{m}")),
+            &m,
+            |b, _| {
+                b.iter(|| {
+                    let prototype = ShapedAccumulator::for_mechanism(grr.as_ref());
+                    black_box(ShardedAccumulator::new(prototype, DEFAULT_SHARDS))
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 /// Scratch directory for checkpoint benches: tmpfs when the host has it,
 /// so the measurements are serialization + layout, not disk latency.
 fn bench_dir() -> PathBuf {
@@ -397,6 +426,7 @@ criterion_group!(
     bench_compact_wire_emission,
     bench_frame_reports,
     bench_aggregate_fold,
+    bench_sharded_new,
     bench_checkpoint_write,
     bench_checkpoint_restore
 );

@@ -173,8 +173,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 .seek_to_user(users)
                 .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             match &mut sink {
-                Sink::Plain(sharded) => sharded.restore(restored.snapshot()),
-                Sink::Tracked(tracker) => tracker.restore(restored.snapshot()),
+                Sink::Plain(sharded) => sharded.restore(restored.into_snapshot()),
+                Sink::Tracked(tracker) => tracker.restore(restored.into_snapshot()),
             }
             .map_err(|e| e.to_string())?;
             println!("ingest: restored {users} users from checkpoint `{path}`");

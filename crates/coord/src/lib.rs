@@ -99,15 +99,15 @@ pub enum CoordError {
     },
     /// Merging or estimating over the fetched snapshots failed.
     Merge(String),
-    /// A reconnected collector announced fewer users than it is known to
-    /// hold: it restarted empty or from an older checkpoint, losing
-    /// acknowledged reports.
+    /// A collector announced fewer users than it is known to hold, in
+    /// its `HelloAck` on reconnect or in a `Snapshot` reply: it restarted
+    /// empty or from an older checkpoint, losing acknowledged reports.
     UsersLost {
         /// The collector's address.
         addr: String,
         /// Users it held: restored at registration plus accepted since.
         held: u64,
-        /// Users its `HelloAck` announced on reconnect.
+        /// Users its `HelloAck` or `Snapshot` announced.
         announced: u64,
     },
 }
@@ -138,8 +138,8 @@ impl std::fmt::Display for CoordError {
                 announced,
             } => write!(
                 f,
-                "collector {addr} announced {announced} users on reconnect but held \
-                 {held}: it lost acknowledged reports"
+                "collector {addr} announced {announced} users but held {held}: it lost \
+                 acknowledged reports"
             ),
         }
     }
@@ -169,6 +169,23 @@ struct Collector {
     /// Users the collector held at registration.
     restored: u64,
     stats: CollectorStats,
+}
+
+impl Collector {
+    /// Refuses a user count `announced` by the collector that is below
+    /// what it is known to hold (restored at registration plus accepted
+    /// since). More is allowed: another writer may push to it directly.
+    fn check_held(&self, announced: u64) -> Result<(), CoordError> {
+        let held = self.restored + self.stats.accepted;
+        if announced < held {
+            return Err(CoordError::UsersLost {
+                addr: self.stats.addr.clone(),
+                held,
+                announced,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// The registration, routing, and merge engine. See the crate docs for
@@ -329,14 +346,7 @@ impl Coordinator {
                 self.tenant.as_ref(),
                 &self.identity,
             )?;
-            let held = collector.restored + collector.stats.accepted;
-            if announced < held {
-                return Err(CoordError::UsersLost {
-                    addr: collector.stats.addr.clone(),
-                    held,
-                    announced,
-                });
-            }
+            collector.check_held(announced)?;
             collector.client = client;
         }
         Ok(())
@@ -433,9 +443,15 @@ impl Coordinator {
     /// integer-count merge, identical to an unsharded accumulator over
     /// the union of the collectors' reports.
     ///
+    /// Each snapshot must cover at least the users its collector is known
+    /// to hold, the same bound a reconnect checks, so a collector that
+    /// lost reports after its connection was last checked is refused
+    /// here rather than merged.
+    ///
     /// # Errors
     /// Any collector failing or refusing (a paused collector's typed
-    /// refusal propagates — exactness over availability).
+    /// refusal propagates — exactness over availability), or
+    /// [`CoordError::UsersLost`] for a snapshot below the held users.
     pub fn merged_snapshot(&mut self) -> Result<AccumulatorSnapshot, CoordError> {
         let mut merged: Option<AccumulatorSnapshot> = None;
         for idx in 0..self.collectors.len() {
@@ -446,6 +462,7 @@ impl Coordinator {
                 .client
                 .query_snapshot()
                 .map_err(|e| collector_error(&addr, e))?;
+            collector.check_held(users)?;
             let snapshot = AccumulatorSnapshot::new(counts, users)
                 .map_err(|e| CoordError::Merge(format!("collector {addr}: {e}")))?;
             match &mut merged {
@@ -799,6 +816,85 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A raw-frame fake collector at a fresh address: it answers one
+    /// connection's `Hello` with a correct `HelloAck` announcing
+    /// `restored` users, then each `SnapshotQuery` with a snapshot of
+    /// `snapshot_users` users over zero counts, until the peer hangs up.
+    fn fake_collector(
+        mechanism: &dyn Mechanism,
+        restored: u64,
+        snapshot_users: u64,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        use std::io::{BufReader, BufWriter, Write};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let run_line = idldp_server::run_identity_line(mechanism, None);
+        let width = mechanism.report_len();
+        let fake = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            let mut reply = |frame: Frame| {
+                frame.write_to(&mut writer).unwrap();
+                writer.flush().unwrap();
+            };
+            match Frame::read_from(&mut reader).unwrap() {
+                Some(Frame::Hello { .. }) => {}
+                other => panic!("expected Hello, got {other:?}"),
+            }
+            reply(Frame::HelloAck {
+                users: restored,
+                run_line,
+            });
+            while let Ok(Some(frame)) = Frame::read_from(&mut reader) {
+                assert!(matches!(frame, Frame::SnapshotQuery), "{frame:?}");
+                reply(Frame::Snapshot {
+                    users: snapshot_users,
+                    total: width as u64,
+                    offset: 0,
+                    counts: vec![0; width],
+                });
+            }
+        });
+        (addr, fake)
+    }
+
+    /// A collector whose snapshot covers fewer users than it held at
+    /// registration lost acknowledged reports after the connection check:
+    /// the query is refused with both counts, never merged. A snapshot
+    /// with more users (another writer pushed to the collector) is merged.
+    #[test]
+    fn merged_snapshot_refuses_a_collector_below_its_held_users() {
+        use idldp_core::budget::Epsilon;
+        use idldp_core::grr::GeneralizedRandomizedResponse;
+
+        let mechanism: Arc<dyn Mechanism> =
+            Arc::new(GeneralizedRandomizedResponse::new(Epsilon::new(1.0).unwrap(), 4).unwrap());
+        for (snapshot_users, lost) in [(6, true), (8, false)] {
+            let (addr, fake) = fake_collector(mechanism.as_ref(), 7, snapshot_users);
+            let (mut coordinator, restored) =
+                Coordinator::connect(Arc::clone(&mechanism), None, &[(addr.clone(), 1)]).unwrap();
+            assert_eq!(restored, 7);
+            match coordinator.merged_snapshot() {
+                Err(CoordError::UsersLost {
+                    addr: got,
+                    held,
+                    announced,
+                }) => {
+                    assert!(lost, "{snapshot_users} users must merge");
+                    assert_eq!((got, held, announced), (addr, 7, 6));
+                }
+                Ok(merged) => {
+                    assert!(!lost, "a snapshot below the held users merged");
+                    assert_eq!(merged.num_users(), 8);
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+            drop(coordinator);
+            fake.join().unwrap();
         }
     }
 

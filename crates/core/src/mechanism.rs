@@ -217,11 +217,13 @@ impl CountAccumulator {
     }
 
     /// Rebuilds an accumulator from checkpointed state, so a restarted
-    /// aggregation service resumes counting where it left off.
-    pub fn from_snapshot(snapshot: &AccumulatorSnapshot) -> Self {
+    /// aggregation service resumes counting where it left off. The
+    /// snapshot's count vector becomes the accumulator's, uncopied.
+    pub fn from_snapshot(snapshot: AccumulatorSnapshot) -> Self {
+        let users = snapshot.num_users();
         Self {
-            counts: snapshot.counts().to_vec(),
-            users: snapshot.num_users(),
+            counts: snapshot.into_counts(),
+            users,
         }
     }
 

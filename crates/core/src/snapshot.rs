@@ -140,6 +140,12 @@ impl AccumulatorSnapshot {
 
     /// Parses the format written by [`Self::to_checkpoint_string`].
     ///
+    /// The counts line is read in one pass over its bytes, straight into
+    /// the count vector (see `parse_counts_line`), and only in the form
+    /// the writer emits: one space before each count, ASCII digits only.
+    /// A repeated or tab separator, a sign, a trailing space or a value
+    /// past `u64::MAX` is refused as a bad count.
+    ///
     /// Lines after the `check` line are ignored, so callers may append
     /// their own metadata (e.g. `idldp ingest` stamps a run-identity line)
     /// without breaking the snapshot itself.
@@ -166,15 +172,7 @@ impl AccumulatorSnapshot {
         let counts_line = lines
             .next()
             .ok_or_else(|| malformed("missing counts line"))?;
-        let counts = counts_line
-            .strip_prefix("counts")
-            .ok_or_else(|| malformed(&format!("bad counts line `{counts_line}`")))?
-            .split_whitespace()
-            .map(|tok| {
-                tok.parse::<u64>()
-                    .map_err(|_| malformed(&format!("bad count `{tok}`")))
-            })
-            .collect::<Result<Vec<u64>>>()?;
+        let counts = parse_counts_line(counts_line).map_err(|detail| malformed(&detail))?;
         let check_line = lines
             .next()
             .ok_or_else(|| malformed("missing check line"))?;
@@ -206,6 +204,63 @@ impl AccumulatorSnapshot {
         }
         h
     }
+}
+
+/// A copy of a borrowed snapshot, so a restore that takes an owned
+/// snapshot (and moves its counts into place) also accepts `&snapshot`.
+impl From<&AccumulatorSnapshot> for AccumulatorSnapshot {
+    fn from(snapshot: &AccumulatorSnapshot) -> Self {
+        snapshot.clone()
+    }
+}
+
+/// Parses a `counts <c0> <c1> ...` line, the count grammar of both the
+/// flat checkpoint and the delta log's base record, in one pass: each
+/// count is one space and then ASCII digits, folded with checked `u64`
+/// arithmetic straight into the vector. Anything else, including the
+/// separators and signs `split_whitespace` and `u64::from_str` would let
+/// through, is a `bad count`. A bare `counts` parses to no counts.
+fn parse_counts_line(line: &str) -> std::result::Result<Vec<u64>, String> {
+    let body = line
+        .strip_prefix("counts")
+        .ok_or_else(|| format!("bad counts line `{line}`"))?;
+    let bytes = body.as_bytes();
+    // The token from `at` to the next space; spaces are ASCII, so the
+    // slice ends on a character boundary.
+    let bad = |at: usize| {
+        let end = bytes[at..]
+            .iter()
+            .position(|&b| b == b' ')
+            .map_or(bytes.len(), |len| at + len);
+        format!("bad count `{}`", &body[at..end])
+    };
+    // Every count takes at least two bytes: its space and one digit.
+    let mut counts = Vec::with_capacity(bytes.len() / 2);
+    let mut at = 0;
+    while at < bytes.len() {
+        if bytes[at] != b' ' {
+            return Err(bad(at));
+        }
+        at += 1;
+        let start = at;
+        let mut value = 0u64;
+        while at < bytes.len() && bytes[at] != b' ' {
+            let digit = bytes[at].wrapping_sub(b'0');
+            if digit > 9 {
+                return Err(bad(start));
+            }
+            value = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(digit)))
+                .ok_or_else(|| bad(start))?;
+            at += 1;
+        }
+        if at == start {
+            return Err(bad(start));
+        }
+        counts.push(value);
+    }
+    Ok(counts)
 }
 
 /// Writes `payload` to `path` atomically: the bytes go to a uniquely
@@ -485,6 +540,116 @@ mod tests {
             "rename failure leaves the complete temp payload behind"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The count-line grammar before the one-pass parser, kept here only
+    /// as the oracle the parser is checked against.
+    fn old_parse_counts_line(line: &str) -> Option<Vec<u64>> {
+        line.strip_prefix("counts")?
+            .split_whitespace()
+            .map(|tok| tok.parse::<u64>().ok())
+            .collect()
+    }
+
+    /// A checkpoint whose counts line is `line`, sealed with the digest of
+    /// the values the old parser read from it (so only the counts line
+    /// can make a parse fail).
+    fn checkpoint_with_counts_line(line: &str, users: u64) -> String {
+        let values = old_parse_counts_line(line).unwrap_or_default();
+        let digest = AccumulatorSnapshot {
+            counts: values,
+            users,
+        }
+        .digest();
+        format!("idldp-snapshot v1\nusers {users}\n{line}\ncheck {digest:016x}\n")
+    }
+
+    #[test]
+    fn writer_output_parses_to_identical_counts() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut cases = vec![vec![0], vec![u64::MAX], vec![0, u64::MAX, 10, 9, 100]];
+        for width in [1usize, 2, 63, 1000, 100_000] {
+            // Small counts (one or two digits, like a restored GRR row),
+            // then full-range ones.
+            cases.push((0..width).map(|_| rng.random_range(0..100u64)).collect());
+            cases.push(
+                (0..width)
+                    .map(|_| rng.next_u64() >> rng.random_range(0..64u32))
+                    .collect(),
+            );
+        }
+        for counts in cases {
+            let snapshot = AccumulatorSnapshot::new(counts.clone(), 3).unwrap();
+            let text = snapshot.to_checkpoint_string();
+            let line = text.lines().nth(2).unwrap();
+            assert_eq!(old_parse_counts_line(line).as_ref(), Some(&counts));
+            assert_eq!(parse_counts_line(line).unwrap(), counts);
+            assert_eq!(
+                AccumulatorSnapshot::from_checkpoint_str(&text).unwrap(),
+                snapshot
+            );
+        }
+    }
+
+    #[test]
+    fn count_lines_the_old_parser_refused_are_still_refused() {
+        let malformed = |line: &str| {
+            assert!(old_parse_counts_line(line).is_none(), "oracle: {line:?}");
+            assert!(parse_counts_line(line).is_err(), "{line:?}");
+            let text = checkpoint_with_counts_line(line, 1);
+            match AccumulatorSnapshot::from_checkpoint_str(&text) {
+                Err(Error::ParameterOrdering { detail }) => {
+                    assert!(detail.contains("bad count"), "{line:?}: {detail}")
+                }
+                other => panic!("{line:?}: expected a malformed-field error, got {other:?}"),
+            }
+        };
+        malformed("counts 18446744073709551616"); // u64::MAX + 1
+        malformed("counts 1 99999999999999999999 2");
+        malformed("counts 5 x 6");
+        malformed("counts 5 6x");
+        malformed("counts -1");
+        malformed("counts \u{0663}"); // ARABIC-INDIC DIGIT THREE
+        malformed("counts 1 \u{ff11}"); // FULLWIDTH DIGIT ONE
+        malformed("counts 1 + 2");
+        malformed("count 1 2");
+        // An empty count list parses to no counts in both, and the
+        // snapshot refuses it as empty.
+        assert_eq!(old_parse_counts_line("counts"), Some(vec![]));
+        assert_eq!(parse_counts_line("counts").unwrap(), Vec::<u64>::new());
+        assert!(matches!(
+            AccumulatorSnapshot::from_checkpoint_str(&checkpoint_with_counts_line("counts", 0)),
+            Err(Error::Empty { .. })
+        ));
+    }
+
+    /// Forms only a hand edit produces, which `split_whitespace` and
+    /// `u64::from_str` let through, are refused as corrupt, never read as
+    /// other counts: the file is damaged, and its owner should know.
+    #[test]
+    fn non_canonical_count_lines_are_refused_as_corrupt() {
+        for line in [
+            "counts  5 6",     // repeated separator
+            "counts 5\t6",     // tab separator
+            "counts\t5 6",     // tab after the keyword
+            "counts 5 6 ",     // trailing space
+            "counts +5 6",     // leading plus
+            "counts5 6",       // no separator after the keyword
+            "counts 5\u{a0}6", // no-break space
+        ] {
+            let values = old_parse_counts_line(line).expect("the old parser accepted it");
+            assert!(!values.is_empty(), "{line:?}");
+            assert!(parse_counts_line(line).is_err(), "{line:?}");
+            let text = checkpoint_with_counts_line(line, 2);
+            assert!(
+                matches!(
+                    AccumulatorSnapshot::from_checkpoint_str(&text),
+                    Err(Error::ParameterOrdering { .. })
+                ),
+                "{line:?}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! (`idldp-snapshot v1`) on read, and both carry the caller's run-identity
 //! line so a restore can refuse state from a differently configured run.
 
-use super::{write_checkpoint_atomic, AccumulatorSnapshot};
+use super::{parse_counts_line, write_checkpoint_atomic, AccumulatorSnapshot};
 use std::fmt;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -130,6 +130,12 @@ impl RestoredCheckpoint {
     pub fn merged(&self) -> AccumulatorSnapshot {
         self.snapshot.clone()
     }
+
+    /// Consumes the checkpoint, returning the restored snapshot without a
+    /// copy (a restore moves it into the accumulator).
+    pub fn into_snapshot(self) -> AccumulatorSnapshot {
+        self.snapshot
+    }
 }
 
 /// A durable home for accumulator state across process generations.
@@ -199,14 +205,6 @@ fn seal(mut body: String) -> String {
     let digest = fnv1a(body.as_bytes());
     writeln!(body, "check {digest:016x}").expect("writing to String cannot fail");
     body
-}
-
-fn parse_counts_line(line: &str) -> Result<Vec<u64>, String> {
-    line.strip_prefix("counts")
-        .ok_or_else(|| format!("bad counts line `{line}`"))?
-        .split_whitespace()
-        .map(|tok| tok.parse::<u64>().map_err(|_| format!("bad count `{tok}`")))
-        .collect()
 }
 
 fn push_counts_line(out: &mut String, counts: &[u64]) {
@@ -322,7 +320,9 @@ pub const DELTA_SIZE_RATIO: u64 = 4;
 /// append costs O(reports since last checkpoint), not O(domain). Every
 /// record ends with a `check` digest over its own bytes, so a reload
 /// replays the longest intact prefix and a torn tail (crash mid-append) is
-/// truncated at the last record boundary before new records land.
+/// truncated at the last record boundary before new records land. A
+/// record whose digest matches but whose lines do not parse was sealed
+/// that way, so it is not a torn tail: the load refuses it as corrupt.
 ///
 /// Compaction — an atomic rewrite of the whole log as one base record —
 /// triggers after [`DELTA_COMPACT_EVERY`] deltas, when the log outgrows
@@ -440,10 +440,53 @@ enum DeltaRecord {
     },
 }
 
-/// Parses one record at the start of `s`. Returns the record and its byte
-/// length, or `None` when the bytes are not one complete, digest-clean
-/// record (the torn-tail / damage stop condition).
-fn parse_delta_record(s: &str) -> Option<(usize, DeltaRecord, Option<String>)> {
+/// Parses one record at the start of `s`. Returns the record, its byte
+/// length and its run line; `Ok(None)` when the bytes are not one
+/// complete, digest-clean record (the torn-tail stop condition); and an
+/// error when a digest-clean record does not parse. Such a record holds
+/// exactly the bytes that were sealed, so it is damage, not a torn write,
+/// and replaying past it (or restoring nothing) would lose counts.
+fn parse_delta_record(s: &str) -> Result<Option<(usize, DeltaRecord, Option<String>)>, String> {
+    let Some((len, is_base, users_line, counts_line, run_line)) = sealed_record(s) else {
+        return Ok(None);
+    };
+    let record = if is_base {
+        let users = users_line
+            .strip_prefix("users ")
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or_else(|| format!("bad users line `{users_line}`"))?;
+        let counts = parse_counts_line(counts_line)?;
+        if counts.is_empty() {
+            return Err("base record with no counts".into());
+        }
+        DeltaRecord::Base { counts, users }
+    } else {
+        let users = users_line
+            .strip_prefix("users +")
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or_else(|| format!("bad users line `{users_line}`"))?;
+        let entries = counts_line
+            .strip_prefix("counts")
+            .and_then(|entries| {
+                entries
+                    .split_whitespace()
+                    .map(|tok| {
+                        let (i, d) = tok.split_once(':')?;
+                        Some((i.parse().ok()?, d.parse().ok()?))
+                    })
+                    .collect::<Option<Vec<(usize, u64)>>>()
+            })
+            .ok_or_else(|| format!("bad delta counts line `{counts_line}`"))?;
+        DeltaRecord::Delta { entries, users }
+    };
+    Ok(Some((len, record, run_line)))
+}
+
+/// Frames one sealed record at the start of `s`: its byte length, whether
+/// it is a base record, its users and counts lines, and its run line.
+/// `None` when the bytes are not one complete record whose digest
+/// matches.
+fn sealed_record(s: &str) -> Option<(usize, bool, &str, &str, Option<String>)> {
     fn take_line<'a>(s: &'a str, pos: &mut usize) -> Option<&'a str> {
         let nl = s[*pos..].find('\n')? + *pos;
         let line = &s[*pos..nl];
@@ -471,26 +514,7 @@ fn parse_delta_record(s: &str) -> Option<(usize, DeltaRecord, Option<String>)> {
     if fnv1a(&s.as_bytes()[..check_line_start]) != check {
         return None;
     }
-    let record = if is_base {
-        let users = users_line.strip_prefix("users ")?.trim().parse().ok()?;
-        let counts = parse_counts_line(counts_line).ok()?;
-        if counts.is_empty() {
-            return None;
-        }
-        DeltaRecord::Base { counts, users }
-    } else {
-        let users = users_line.strip_prefix("users +")?.trim().parse().ok()?;
-        let entries = counts_line
-            .strip_prefix("counts")?
-            .split_whitespace()
-            .map(|tok| {
-                let (i, d) = tok.split_once(':')?;
-                Some((i.parse().ok()?, d.parse().ok()?))
-            })
-            .collect::<Option<Vec<(usize, u64)>>>()?;
-        DeltaRecord::Delta { entries, users }
-    };
-    Some((pos, record, run_line))
+    Some((pos, is_base, users_line, counts_line, run_line))
 }
 
 impl SnapshotStore for DeltaStore {
@@ -546,7 +570,10 @@ impl SnapshotStore for DeltaStore {
         let mut pos = 0usize;
         let mut state: Option<(Vec<u64>, u64)> = None;
         while pos < text.len() {
-            let Some((len, record, run_line)) = parse_delta_record(&text[pos..]) else {
+            let parsed = parse_delta_record(&text[pos..]).map_err(|detail| {
+                StoreError::Corrupt(format!("`{}`: {detail}", self.path.display()))
+            })?;
+            let Some((len, record, run_line)) = parsed else {
                 break;
             };
             match record {
@@ -821,6 +848,49 @@ mod tests {
         let restored = DeltaStore::new(&path).load().unwrap().unwrap();
         assert_eq!(restored.merged(), snap(&[1, 1], 1));
         assert_eq!(restored.run_line(), Some("run b"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint whose counts line is not in the writer's form (here a
+    /// tab separator, which `split_whitespace` used to accept) is refused
+    /// as corrupt by every backend, with a digest that matches, so only
+    /// the counts line is at fault. Neither backend restores it as empty.
+    #[test]
+    fn non_canonical_counts_are_corrupt_never_empty() {
+        let dir = test_dir("noncanonical");
+        let canonical = snap(&[3, 0, 4], 7);
+        let flat = canonical
+            .to_checkpoint_string()
+            .replace("counts 3 0", "counts 3\t0");
+        let base = seal("idldp-delta v1 base\nusers 7\ncounts 3\t0 4\nrun r\n".into());
+        for kind in StoreKind::ALL {
+            for (what, text) in [("flat", &flat), ("delta base", &base)] {
+                let path = dir.join(format!("{kind}-{}.ckpt", what.replace(' ', "-")));
+                std::fs::write(&path, text).unwrap();
+                match open_store(kind, &path).load() {
+                    // A flat file is every backend's to migrate; a delta log
+                    // is only the delta backend's to read.
+                    Err(StoreError::Corrupt(detail)) => {
+                        assert!(!detail.is_empty(), "{kind}/{what}")
+                    }
+                    other => panic!("{kind}/{what}: expected Corrupt, got {other:?}"),
+                }
+            }
+        }
+        // The same base record in canonical form restores.
+        let path = dir.join("canonical.log");
+        let good = seal("idldp-delta v1 base\nusers 7\ncounts 3 0 4\nrun r\n".into());
+        std::fs::write(&path, &good).unwrap();
+        let restored = DeltaStore::new(&path).load().unwrap().unwrap();
+        assert_eq!(restored.into_snapshot(), canonical);
+        // A sealed delta record that does not parse is damage too: the
+        // log is refused, not cut back to the base before it.
+        let bad_delta = seal("idldp-delta v1 delta\nusers +1\ncounts 0:x\nrun r\n".into());
+        std::fs::write(&path, good + &bad_delta).unwrap();
+        assert!(matches!(
+            DeltaStore::new(&path).load(),
+            Err(StoreError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -42,6 +42,14 @@
 //! the default tenant; [`server::TenantConfig`] adds more, and the
 //! `Hello` selects one by name (an empty name selects the default).
 //!
+//! Test hooks: [`ReportServer::resume_ingest`],
+//! [`ReportServer::num_users_for`], [`ReportServer::tenant_ids`],
+//! [`TenantConfig::with_queue_capacity`] and
+//! [`ReportClient::with_retry_backoff`] have no caller in the `idldp`
+//! binary. The loopback suites use them to resume paused folding, read
+//! one tenant's users, list the hosted tenants, shrink one tenant's queue
+//! and retry `Busy` without waiting.
+//!
 //! ```no_run
 //! use idldp_core::budget::Epsilon;
 //! use idldp_core::grr::GeneralizedRandomizedResponse;

@@ -559,7 +559,7 @@ impl ReportServer {
                                 )))
                             }
                         }
-                        sink.restore(restored.snapshot()).map_err(|e| {
+                        sink.restore(restored.into_snapshot()).map_err(|e| {
                             ServerError::Checkpoint(format!("{}: {e}", path.display()))
                         })?;
                     }

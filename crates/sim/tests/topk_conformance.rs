@@ -253,7 +253,7 @@ fn tracker_checkpoint_resume_is_bit_identical() {
 
     let mut resumed = HeavyHitterTracker::for_mechanism(&mech, 7, mode, 511).unwrap();
     resumed
-        .restore(&AccumulatorSnapshot::from_checkpoint_str(&checkpoint).unwrap())
+        .restore(AccumulatorSnapshot::from_checkpoint_str(&checkpoint).unwrap())
         .unwrap();
     assert_eq!(resumed.num_users(), (8 * CHUNK) as u64);
     let mut stream = SeededReportStream::new(&mech, batch, SEED).with_chunk_size(CHUNK);

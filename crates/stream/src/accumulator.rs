@@ -156,11 +156,13 @@ pub trait ReportAccumulator: Send {
     }
 
     /// Replaces the state with checkpointed counts (restart recovery).
+    /// The snapshot's count vector becomes this accumulator's row as it
+    /// is, so a restore copies no counts.
     ///
     /// # Errors
     /// Returns an error if the snapshot width differs from
     /// [`Self::report_len`].
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
+    fn restore(&mut self, snapshot: AccumulatorSnapshot) -> Result<()> {
         check_width(
             "restored snapshot width",
             self.report_len(),
@@ -750,7 +752,7 @@ mod tests {
             // ...and restore round-trips.
             let snap = acc.snapshot();
             let mut fresh = ShapedAccumulator::for_shape(shape, 4);
-            fresh.restore(&snap).unwrap();
+            fresh.restore(snap.clone()).unwrap();
             assert_eq!(fresh.snapshot(), snap);
         }
         // Cross-shape merges are refused.
@@ -949,13 +951,13 @@ mod tests {
             .unwrap();
         let snap = a.snapshot();
         let mut fresh = OneHotReportAccumulator::new(3);
-        fresh.restore(&snap).unwrap();
+        fresh.restore(snap.clone()).unwrap();
         assert_eq!(fresh, a);
         let mut bits = BitReportAccumulator::new(3);
-        bits.restore(&snap).unwrap();
+        bits.restore(snap.clone()).unwrap();
         assert_eq!(bits.snapshot(), snap);
         assert!(bits
-            .restore(&idldp_core::snapshot::AccumulatorSnapshot::empty(5).unwrap())
+            .restore(idldp_core::snapshot::AccumulatorSnapshot::empty(5).unwrap())
             .is_err());
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::accumulator::{Report, ReportAccumulator};
 use idldp_core::error::{Error, Result};
+use idldp_core::mechanism::CountAccumulator;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,23 +45,43 @@ pub struct ShardedAccumulator<A> {
 }
 
 impl<A: ReportAccumulator + Clone> ShardedAccumulator<A> {
-    /// Creates `num_shards` shards, each a clone of the (empty)
-    /// `prototype`.
+    /// Creates `num_shards` shards from an empty `prototype`: the
+    /// prototype itself becomes shard 0, and every other shard is a copy
+    /// of it on a fresh zero row of the same width.
+    ///
+    /// The prototype's count row is never copied. It is set aside while
+    /// the other shards are cloned around a one-bucket placeholder, so at
+    /// a wide domain no shard's construction writes, or faults in, a page
+    /// of zeros: each row's pages are first touched by the fold (or the
+    /// restore) that fills them.
     ///
     /// # Panics
     /// Panics if `num_shards == 0` or the prototype already holds users
-    /// (cloning non-empty state into every shard would multiply it).
-    pub fn new(prototype: A, num_shards: usize) -> Self {
+    /// (its state lands in shard 0, and a restore would then double-count
+    /// it).
+    pub fn new(mut prototype: A, num_shards: usize) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         assert_eq!(
             prototype.num_users(),
             0,
             "shard prototype must be an empty accumulator"
         );
+        let width = prototype.report_len();
+        let row = std::mem::replace(prototype.count_state_mut(), CountAccumulator::new(1));
+        debug_assert!(
+            row.counts().iter().all(|&c| c == 0),
+            "shard prototype must hold zero counts"
+        );
+        let mut shards: Vec<Mutex<A>> = Vec::with_capacity(num_shards);
+        shards.extend((1..num_shards).map(|_| {
+            let mut shard = prototype.clone();
+            *shard.count_state_mut() = CountAccumulator::new(width);
+            Mutex::new(shard)
+        }));
+        *prototype.count_state_mut() = row;
+        shards.insert(0, Mutex::new(prototype));
         Self {
-            shards: (0..num_shards)
-                .map(|_| Mutex::new(prototype.clone()))
-                .collect(),
+            shards,
             next: AtomicUsize::new(0),
         }
     }
@@ -148,17 +169,21 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
     /// needs none (merge order is irrelevant), so the other shards simply
     /// start from zero.
     ///
+    /// An owned snapshot's count vector becomes shard 0's row as it is
+    /// (the restored counts are not copied into a second row); a borrowed
+    /// one is copied once.
+    ///
     /// # Errors
     /// Returns an error if the snapshot width differs, or if any shard
     /// already holds users (restoring over live counts would double-count;
     /// build a fresh `ShardedAccumulator` to restore into).
-    pub fn restore(&self, snapshot: &AccumulatorSnapshot) -> Result<()> {
+    pub fn restore(&self, snapshot: impl Into<AccumulatorSnapshot>) -> Result<()> {
         if self.num_users() != 0 {
             return Err(Error::ParameterOrdering {
                 detail: "restore requires empty shards (counts already present)".into(),
             });
         }
-        self.shards[0].lock().restore(snapshot)
+        self.shards[0].lock().restore(snapshot.into())
     }
 }
 
@@ -339,6 +364,74 @@ mod tests {
         let snap = sharded.snapshot();
         assert_eq!(snap.num_users(), 4000);
         assert_eq!(snap.counts(), &[2000, 2000]);
+    }
+
+    /// Every shard of a wide sharding has the prototype's shape and
+    /// width and starts at zero, though only the prototype's own row was
+    /// built by the caller.
+    #[test]
+    fn new_gives_every_shard_a_zero_row_of_the_prototype_width() {
+        use crate::accumulator::ShapedAccumulator;
+        use idldp_core::report::ReportShape;
+        let m = 100_000;
+        for shape in [
+            ReportShape::Value,
+            ReportShape::Hashed { range: 5 },
+            ReportShape::ItemSet { k: 3 },
+        ] {
+            let sharded = ShardedAccumulator::new(ShapedAccumulator::for_shape(shape, m), 8);
+            assert_eq!(sharded.num_shards(), 8);
+            for (i, shard) in sharded.shards.iter().enumerate() {
+                let shard = shard.lock();
+                assert_eq!(shard.shape(), shape, "shard {i}");
+                assert_eq!(shard.report_len(), m, "shard {i}");
+                assert_eq!(shard.num_users(), 0, "shard {i}");
+                assert!(shard.count_state().counts().iter().all(|&c| c == 0));
+            }
+            // Each shard folds into its own row.
+            for item in 0..8 {
+                let report = match shape {
+                    ReportShape::Hashed { .. } => Report::Hashed {
+                        seed: item,
+                        value: 1,
+                    },
+                    ReportShape::ItemSet { .. } => Report::ItemSet(&[0, 1, m - 1]),
+                    _ => Report::Value(m - 1),
+                };
+                sharded.push_batch(&[report]).unwrap();
+            }
+            for part in sharded.snapshot_shards() {
+                assert_eq!(part.num_users(), 1, "{shape:?}");
+            }
+        }
+    }
+
+    /// A restored checkpoint, snapshotted again, writes the same bytes.
+    #[test]
+    fn restore_then_snapshot_is_bit_identical_to_the_checkpoint() {
+        use crate::accumulator::OneHotReportAccumulator;
+        let m = 100_000;
+        let counts: Vec<u64> = (0..m as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 64))
+            .collect();
+        let text = AccumulatorSnapshot::new(counts, 200_000)
+            .unwrap()
+            .to_checkpoint_string();
+        for shards in [1, 8] {
+            let restored = AccumulatorSnapshot::from_checkpoint_str(&text).unwrap();
+            let sharded = ShardedAccumulator::new(OneHotReportAccumulator::new(m), shards);
+            sharded.restore(restored).unwrap();
+            assert_eq!(sharded.snapshot().to_checkpoint_string(), text);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard prototype must be an empty accumulator")]
+    fn prototype_with_users_panics() {
+        let mut prototype = BitReportAccumulator::new(2);
+        let row = packed(&[1, 0]);
+        prototype.accumulate_batch(&[Report::Packed(&row)]).unwrap();
+        let _ = ShardedAccumulator::new(prototype, 4);
     }
 
     #[test]

@@ -356,7 +356,7 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
     /// # Errors
     /// Returns an error if the snapshot width differs or the tracker
     /// already holds users (the [`ShardedAccumulator::restore`] contract).
-    pub fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
+    pub fn restore(&mut self, snapshot: impl Into<AccumulatorSnapshot>) -> Result<()> {
         self.sink.restore(snapshot)?;
         self.refresh()
     }
