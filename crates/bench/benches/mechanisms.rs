@@ -11,8 +11,10 @@
 //! the compact wire shapes through the shape accumulators. Mechanisms are
 //! built through the registry, so a newly registered protocol can be
 //! benchmarked by adding its name to a list. The `frame/reports` group
-//! measures the transport codec between the two: encoding and decoding
-//! one 1024-report frame of each wire shape.
+//! measures the transport codec between the two: encoding, decoding and
+//! checking (the report grammar walked without decoding, as the
+//! coordinator does before forwarding) one 1024-report frame of each wire
+//! shape.
 //!
 //! The `checkpoint/*` groups measure the pluggable snapshot stores: one
 //! save (`checkpoint/write/<backend>/m<domain>-t<traffic>`) after `t`
@@ -42,7 +44,7 @@ use idldp_core::mechanism::{BatchMechanism, CountAccumulator, Input, InputBatch}
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, StoreKind};
 use idldp_num::rng::stream_rng;
-use idldp_server::{encode_reports_frame, Frame};
+use idldp_server::{encode_reports_frame, Frame, ReportsFrame};
 use idldp_sim::stream::{ReportAccumulator, ShapedAccumulator, ShardedAccumulator, DEFAULT_SHARDS};
 use idldp_sim::{BuildContext, MechanismRegistry};
 use std::hint::black_box;
@@ -164,7 +166,9 @@ fn bench_frame_reports(c: &mut Criterion) {
     // The wire codec of one 1024-report `Reports` frame per report shape:
     // what a client pays to encode a batch and a server pays to decode it
     // before validation. A bit report is copied between its packed words
-    // and the wire bytes; divide by 1024 for the per-report cost.
+    // and the wire bytes; divide by 1024 for the per-report cost. The
+    // `check` rows walk the same report grammar without building a report:
+    // what the coordinator pays per frame before it forwards the bytes.
     let mut group = c.benchmark_group("frame/reports");
     for (shape, name, m) in [
         ("bits", "idue-opt1", 64usize),
@@ -190,6 +194,13 @@ fn bench_frame_reports(c: &mut Criterion) {
             &m,
             |b, _| {
                 b.iter(|| black_box(Frame::decode(black_box(&bytes)).unwrap()));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(&format!("check-{shape}"), m),
+            &m,
+            |b, _| {
+                b.iter(|| black_box(ReportsFrame::check(black_box(&bytes)).unwrap().len()));
             },
         );
     }

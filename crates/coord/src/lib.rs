@@ -19,11 +19,15 @@
 //!   collector running a different mechanism, domain size, ε, or seed is
 //!   refused at registration, not discovered as garbage estimates later.
 //!   Routing sends each report frame to one collector (weighted
-//!   round-robin); a `Busy` collector keeps its accepted prefix and the
-//!   *remainder spills to the next collector* instead of burning a retry
-//!   budget against the stuck one — total accepted stays a contiguous
-//!   prefix of the frame, so the coordinator's own `Busy` replies obey
-//!   the protocol contract and an upstream `push_all` converges. Queries
+//!   round-robin) as the bytes it received: report frames cross the
+//!   coordinator undecoded and are never re-encoded. A `Busy` collector
+//!   keeps its accepted prefix and the *remainder spills to the next
+//!   collector* instead of burning a retry budget against the stuck one;
+//!   only that spilled suffix is re-framed, from the bytes behind the
+//!   accepted reports. Total accepted stays a contiguous prefix of the
+//!   frame, so the coordinator's own `Busy` replies obey the protocol
+//!   contract and an upstream `push_all` converges, and a frame that
+//!   fails part-way is refused naming the reports that landed. Queries
 //!   fetch per-collector snapshots over [`Frame::SnapshotQuery`], merge
 //!   them, and run the frequency oracle once; top-k ranks those merged
 //!   estimates with the shared NaN-safe ordering, which equals batch
@@ -33,8 +37,12 @@
 //!   [`idldp_server::Backend`] trait, and speaks the *same* framed
 //!   protocol (handshake validated by [`idldp_server::check_hello`]), so
 //!   every existing client — `idldp push`, `ReportClient`, the loopback
-//!   harness — works against a coordinator unchanged. Its loops are
-//!   bounded, reap idle peers, and close live connections on shutdown.
+//!   harness — works against a coordinator unchanged. A `Reports` frame
+//!   is checked against the report grammar (the decoder's own walker,
+//!   [`idldp_server::ReportsFrame`]) and counted, never decoded; a frame
+//!   that breaks the grammar draws the collector's `bad frame:` refusal
+//!   and reaches no collector. Its loops are bounded, reap idle peers,
+//!   and close live connections on shutdown.
 //!
 //! Failure rules (exactness over availability): a query is answered only
 //! if **every** collector answers — one unreachable or paused collector
@@ -57,8 +65,8 @@ use idldp_core::report::ReportData;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_num::vecops::{cmp_desc_nan_last, top_k_indices};
 use idldp_server::{
-    check_hello, Backend, ClientError, EventLoops, Frame, FrameAction, PushOutcome, ReportClient,
-    ServerConfig,
+    check_hello, Backend, ClientError, EventLoops, Frame, FrameAction, FrameError, PushOutcome,
+    ReportClient, ReportsFrame, ServerConfig, WireFrame,
 };
 use std::convert::Infallible;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -146,6 +154,36 @@ impl std::fmt::Display for CoordError {
 }
 
 impl std::error::Error for CoordError {}
+
+/// A frame whose routing failed part-way: how many of its reports landed
+/// before the failure, and the failure. The landed reports are a
+/// contiguous prefix of the frame, already counted in
+/// [`Coordinator::users`]; the frontend's `Reject` names them, so a client
+/// knows where its frame stopped.
+#[derive(Debug)]
+pub struct RouteError {
+    /// Reports of the frame accepted (by one collector or several) before
+    /// the failure.
+    pub accepted: u64,
+    /// Why routing stopped.
+    pub cause: CoordError,
+}
+
+impl std::fmt::Display for RouteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} ({} of the frame's reports landed)",
+            self.cause, self.accepted
+        )
+    }
+}
+
+impl std::error::Error for RouteError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.cause)
+    }
+}
 
 /// Per-collector routing statistics, surfaced so saturation is
 /// observable: which collector absorbed how much, how often it pushed
@@ -364,11 +402,15 @@ impl Coordinator {
         idx
     }
 
-    /// Routes one report frame. The frame goes to the round-robin-chosen
-    /// collector; on `Busy { accepted }` the accepted prefix stays and
-    /// the remainder spills to the next collector, on through the fleet.
-    /// One pass, one push attempt per collector — the upstream client
-    /// owns retry pacing, exactly as it does against a single server.
+    /// Routes one batch of reports: encodes it once, then routes the
+    /// frame's bytes exactly as [`CoordServer`] routes the frames it
+    /// receives, which are never decoded or re-encoded. The frame goes to
+    /// the round-robin-chosen collector; on `Busy { accepted }` the
+    /// accepted prefix stays and the remainder spills to the next
+    /// collector, on through the fleet, re-framed from the bytes behind
+    /// the accepted reports ([`ReportsFrame::suffix`]). One pass, one push
+    /// attempt per collector — the upstream client owns retry pacing,
+    /// exactly as it does against a single server.
     ///
     /// Returns `Ingested` when every report landed, `Busy { accepted }`
     /// with the contiguous accepted prefix when the whole fleet is
@@ -376,66 +418,97 @@ impl Coordinator {
     /// `ReportClient::push_all` converges against a coordinator unchanged.
     ///
     /// # Errors
+    /// A [`RouteError`] naming the reports that landed before the failure:
     /// [`CoordError::Rejected`] when a collector refuses the batch
     /// (invalid reports — nothing from the refused remainder was queued
-    /// anywhere), [`CoordError::Collector`] on transport failure.
-    pub fn route(&mut self, reports: &[ReportData]) -> Result<PushOutcome, CoordError> {
+    /// anywhere), [`CoordError::Collector`] on transport failure, or a
+    /// reconnect refusal. A batch that cannot travel as one frame (over
+    /// the frame cap, or a bit report over the width cap) is a
+    /// [`CoordError::Collector`] of the collector it was routed to, with
+    /// nothing sent.
+    pub fn route(&mut self, reports: &[ReportData]) -> Result<PushOutcome, RouteError> {
+        match ReportsFrame::encode(reports) {
+            Ok(frame) => self.route_frame(&frame),
+            Err(detail) => {
+                let idx = self.pick();
+                Err(RouteError {
+                    accepted: 0,
+                    cause: CoordError::Collector {
+                        addr: self.collectors[idx].stats.addr.clone(),
+                        detail,
+                    },
+                })
+            }
+        }
+    }
+
+    /// The routing path of [`Self::route`] and of the frontend: `frame`'s
+    /// bytes go out as they are, and only a spill is re-framed.
+    fn route_frame(&mut self, frame: &ReportsFrame<'_>) -> Result<PushOutcome, RouteError> {
         let fleet = self.collectors.len();
         let first = self.pick();
-        let mut rest = reports;
+        let mut spill = None;
         let mut accepted_total = 0u64;
+        let mut result = Ok(());
         for hop in 0..fleet {
+            let rest = spill.as_ref().unwrap_or(frame);
             if rest.is_empty() {
                 break;
             }
             let idx = (first + hop) % fleet;
             if let Err(e) = self.reconnect_if_closed(idx) {
-                self.users += accepted_total;
-                return Err(e);
+                result = Err(e);
+                break;
             }
             let collector = &mut self.collectors[idx];
             if hop > 0 {
                 collector.stats.spilled_in += rest.len() as u64;
             }
-            match collector.client.push(rest) {
+            match collector.client.push_frame(rest) {
                 Ok(PushOutcome::Ingested) => {
                     collector.stats.accepted += rest.len() as u64;
                     accepted_total += rest.len() as u64;
-                    rest = &[];
+                    break;
                 }
                 Ok(PushOutcome::Busy { accepted }) => {
                     collector.stats.busy_replies += 1;
                     collector.stats.accepted += accepted;
                     accepted_total += accepted;
-                    rest = &rest[accepted as usize..];
+                    if accepted > 0 {
+                        spill = Some(rest.suffix(accepted as usize));
+                    }
                 }
                 Err(ClientError::Rejected { accepted, message }) => {
                     // A refusal validates whole-frame-atomically on the
                     // collector, so `accepted` is 0 in practice; forward
                     // whatever prefix landed anywhere before it.
-                    self.users += accepted_total + accepted;
-                    return Err(CoordError::Rejected {
+                    accepted_total += accepted;
+                    result = Err(CoordError::Rejected {
                         addr: collector.stats.addr.clone(),
-                        accepted: accepted_total + accepted,
+                        accepted: accepted_total,
                         message,
                     });
+                    break;
                 }
                 Err(e) => {
-                    self.users += accepted_total;
-                    return Err(CoordError::Collector {
+                    result = Err(CoordError::Collector {
                         addr: collector.stats.addr.clone(),
                         detail: e.to_string(),
                     });
+                    break;
                 }
             }
         }
         self.users += accepted_total;
-        if rest.is_empty() {
-            Ok(PushOutcome::Ingested)
-        } else {
-            Ok(PushOutcome::Busy {
+        match result {
+            Err(cause) => Err(RouteError {
                 accepted: accepted_total,
-            })
+                cause,
+            }),
+            Ok(()) if accepted_total == frame.len() as u64 => Ok(PushOutcome::Ingested),
+            Ok(()) => Ok(PushOutcome::Busy {
+                accepted: accepted_total,
+            }),
         }
     }
 
@@ -728,19 +801,31 @@ impl Backend for Frontend {
         ))
     }
 
-    fn frame(&self, (): (), frame: Frame) -> FrameAction<Infallible> {
+    /// A `Reports` frame is checked against the report grammar and routed
+    /// as its bytes, before the coordinator lock is taken; every other
+    /// frame is decoded and answered from the fleet.
+    fn frame(&self, (): (), frame: WireFrame) -> Result<FrameAction<Infallible>, FrameError> {
+        if frame.is_reports() {
+            let reports = frame.check_reports()?;
+            let routed = self.coordinator().route_frame(&reports);
+            return Ok(FrameAction::Reply(match routed {
+                Ok(PushOutcome::Ingested) => Frame::Ingested {
+                    accepted: reports.len() as u64,
+                },
+                Ok(PushOutcome::Busy { accepted }) => Frame::Busy { accepted },
+                Err(RouteError {
+                    accepted,
+                    cause: CoordError::Rejected { message, .. },
+                }) => Frame::Reject { accepted, message },
+                Err(RouteError { accepted, cause }) => Frame::Reject {
+                    accepted,
+                    message: cause.to_string(),
+                },
+            }));
+        }
+        let frame = frame.decode()?;
         let mut coord = self.coordinator();
         let reply = match frame {
-            Frame::Reports(reports) => match coord.route(&reports) {
-                Ok(PushOutcome::Ingested) => Ok(Frame::Ingested {
-                    accepted: reports.len() as u64,
-                }),
-                Ok(PushOutcome::Busy { accepted }) => Ok(Frame::Busy { accepted }),
-                Err(CoordError::Rejected {
-                    accepted, message, ..
-                }) => Ok(Frame::Reject { accepted, message }),
-                Err(e) => Err(e),
-            },
             Frame::Query => coord
                 .query_estimates()
                 .map(|(users, estimates)| Frame::Estimates { users, estimates }),
@@ -765,7 +850,9 @@ impl Backend for Frontend {
                 "unexpected frame on the coordinator: {other:?}"
             ))),
         };
-        FrameAction::Reply(reply.unwrap_or_else(|e| Frame::reject(e.to_string())))
+        Ok(FrameAction::Reply(
+            reply.unwrap_or_else(|e| Frame::reject(e.to_string())),
+        ))
     }
 
     fn poll_settle(&self, settle: &Infallible) -> Poll<Option<Frame>> {
@@ -896,6 +983,92 @@ mod tests {
             drop(coordinator);
             fake.join().unwrap();
         }
+    }
+
+    /// A raw-frame fake collector at a fresh address: it answers one
+    /// connection's `Hello`, then reads each later frame as raw bytes and
+    /// answers it with the next of `replies`. Returns the bytes it read.
+    fn recording_collector(
+        mechanism: &dyn Mechanism,
+        replies: Vec<Frame>,
+    ) -> (String, std::thread::JoinHandle<Vec<Vec<u8>>>) {
+        use std::io::{Read, Write};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let run_line = idldp_server::run_identity_line(mechanism, None);
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            match Frame::read_from(&mut stream).unwrap() {
+                Some(Frame::Hello { .. }) => {}
+                other => panic!("expected Hello, got {other:?}"),
+            }
+            let ack = Frame::HelloAck { users: 0, run_line };
+            stream.write_all(&ack.encode()).unwrap();
+            let mut received = Vec::new();
+            for reply in replies {
+                let mut frame = vec![0u8; 5];
+                stream.read_exact(&mut frame).unwrap();
+                let len = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
+                frame.resize(5 + len, 0);
+                stream.read_exact(&mut frame[5..]).unwrap();
+                received.push(frame);
+                stream.write_all(&reply.encode()).unwrap();
+            }
+            received
+        });
+        (addr, fake)
+    }
+
+    /// Report frames cross the coordinator as bytes. A frame no collector
+    /// pushes back on reaches its collector byte-identical to what the
+    /// client sent. After a `Busy { accepted: 4 }` the next collector
+    /// receives exactly the frame of the remaining reports, as a fresh
+    /// encoder would write it.
+    #[test]
+    fn report_frames_reach_collectors_as_the_bytes_sent() {
+        use idldp_core::budget::Epsilon;
+        use idldp_core::grr::GeneralizedRandomizedResponse;
+        use idldp_server::encode_reports_frame;
+
+        let mechanism: Arc<dyn Mechanism> =
+            Arc::new(GeneralizedRandomizedResponse::new(Epsilon::new(1.0).unwrap(), 16).unwrap());
+        let first: Vec<ReportData> = (0..10).map(|i| ReportData::Value(i % 16)).collect();
+        let second: Vec<ReportData> = (0..10).map(|i| ReportData::Value(15 - i)).collect();
+        let (addr_a, fake_a) = recording_collector(
+            mechanism.as_ref(),
+            vec![
+                Frame::Ingested { accepted: 10 },
+                Frame::Ingested { accepted: 6 },
+            ],
+        );
+        let (addr_b, fake_b) =
+            recording_collector(mechanism.as_ref(), vec![Frame::Busy { accepted: 4 }]);
+        let (coordinator, _) =
+            Coordinator::connect(Arc::clone(&mechanism), None, &[(addr_a, 1), (addr_b, 1)])
+                .unwrap();
+        let front = CoordServer::start(coordinator, "127.0.0.1:0").unwrap();
+        let (mut client, _) =
+            ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+        assert_eq!(client.push(&first).unwrap(), PushOutcome::Ingested);
+        assert_eq!(client.push(&second).unwrap(), PushOutcome::Ingested);
+        let stats = front.coordinator().lock().unwrap().stats();
+        assert_eq!(
+            stats
+                .iter()
+                .map(|s| (s.accepted, s.spilled_in))
+                .collect::<Vec<_>>(),
+            vec![(16, 6), (4, 0)]
+        );
+        drop(client);
+        front.shutdown();
+        assert_eq!(
+            fake_a.join().unwrap(),
+            vec![
+                encode_reports_frame(&first),
+                encode_reports_frame(&second[4..])
+            ]
+        );
+        assert_eq!(fake_b.join().unwrap(), vec![encode_reports_frame(&second)]);
     }
 
     /// The NaN-safe tie-break identity, spelled out: equal estimates rank

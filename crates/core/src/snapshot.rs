@@ -189,21 +189,42 @@ impl AccumulatorSnapshot {
 
     /// FNV-1a over the user count and the count vector, little-endian.
     fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut absorb = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        absorb(self.users);
-        for &c in &self.counts {
-            absorb(c);
-        }
-        h
+        self.counts
+            .iter()
+            .fold(fnv1a_u64(FNV_OFFSET, self.users), |h, &c| fnv1a_u64(h, c))
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Byte-serial FNV-1a of the 8 little-endian bytes of `v` from state `h`,
+/// in fewer steps. A zero byte leaves `h ^ byte` as `h`, so it only
+/// multiplies by the prime: the bytes above a value's highest nonzero one
+/// fold into one multiply by a power of the prime. Most counts fit one or
+/// two bytes, so this takes two or three multiplies where the definition
+/// takes eight.
+#[inline]
+fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
+    let significant = 8 - (v.leading_zeros() / 8) as usize;
+    let mut rest = v;
+    for _ in 0..significant {
+        h ^= rest & 0xff;
+        h = h.wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+    }
+    h.wrapping_mul(FNV_PRIME_POW[8 - significant])
 }
 
 /// A copy of a borrowed snapshot, so a restore that takes an owned
@@ -540,6 +561,57 @@ mod tests {
             "rename failure leaves the complete temp payload behind"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The digest's definition, byte-serial FNV-1a over the 8
+    /// little-endian bytes of the user count and of every count, kept here
+    /// only as the oracle the faster digest is checked against.
+    fn byte_serial_digest(users: u64, counts: &[u64]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for v in std::iter::once(&users).chain(counts) {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    /// The digest folds a count's high zero bytes into one multiply; its
+    /// value stays the byte-serial one, at every byte width and at the
+    /// edges of each.
+    #[test]
+    fn digest_equals_the_byte_serial_definition() {
+        use rand::{Rng, SeedableRng};
+        let mut edges = vec![0, 1, 255, 256, (1 << 56) - 1, u64::MAX];
+        for shift in 0..64 {
+            edges.extend([1u64 << shift, (1u64 << shift) - 1, (1u64 << shift) + 1]);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let random: Vec<u64> = (0..4096)
+            .map(|_| rng.random::<u64>() >> rng.random_range(0..64))
+            .collect();
+        for counts in [vec![], edges.clone(), random] {
+            for users in [0, 1, 256, u64::MAX] {
+                let snapshot = AccumulatorSnapshot {
+                    counts: counts.clone(),
+                    users,
+                };
+                assert_eq!(
+                    snapshot.digest(),
+                    byte_serial_digest(users, &counts),
+                    "users={users} counts={}",
+                    counts.len()
+                );
+            }
+        }
+        for v in edges {
+            assert_eq!(
+                fnv1a_u64(FNV_OFFSET, v),
+                byte_serial_digest(v, &[]),
+                "{v:#x}"
+            );
+        }
     }
 
     /// The count-line grammar before the one-pass parser, kept here only

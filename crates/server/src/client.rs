@@ -10,8 +10,7 @@
 //! losing reports.
 
 use crate::frame::{
-    encoded_report_len, try_encode_reports_frame, Frame, FrameError, MAX_PAYLOAD_LEN,
-    PROTOCOL_VERSION,
+    encoded_report_len, Frame, FrameError, ReportsFrame, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
 };
 use idldp_core::identity::TenantId;
 use idldp_core::mechanism::Mechanism;
@@ -294,38 +293,40 @@ impl ReportClient {
     /// [`MAX_BIT_REPORT_SLOTS`](crate::frame::MAX_BIT_REPORT_SLOTS), which
     /// is found while encoding, before any bytes are written.
     pub fn push(&mut self, reports: &[ReportData]) -> Result<PushOutcome, ClientError> {
-        let payload = 4 + reports.iter().map(encoded_report_len).sum::<usize>();
-        if payload > MAX_PAYLOAD_LEN {
-            return Err(ClientError::Protocol(format!(
-                "batch of {} reports encodes to {payload} payload bytes, over the \
-                 {MAX_PAYLOAD_LEN}-byte frame cap — split it (push_all does this)",
-                reports.len()
-            )));
-        }
         // Encoded straight from the borrowed slice — no clone per (re)send,
         // which matters when Busy backpressure retries frame-cap-sized
         // batches.
-        let frame = try_encode_reports_frame(reports).map_err(ClientError::Protocol)?;
-        self.writer.write_all(&frame)?;
+        let frame = ReportsFrame::encode(reports).map_err(ClientError::Protocol)?;
+        self.push_frame(&frame)
+    }
+
+    /// Sends one already-encoded `Reports` frame as it is, in one write,
+    /// and checks the reply against the frame's report count the way
+    /// [`Self::push`] does: `Ingested` must count every report, and `Busy`
+    /// must name a strict prefix.
+    ///
+    /// # Errors
+    /// Transport errors, [`ClientError::Rejected`] when the server refused
+    /// the frame, or a typed [`ClientError::Protocol`] for a reply that
+    /// breaks those rules.
+    pub fn push_frame(&mut self, frame: &ReportsFrame<'_>) -> Result<PushOutcome, ClientError> {
+        self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()?;
+        let count = frame.len();
         match self.read_reply()? {
-            Frame::Ingested { accepted } if accepted == reports.len() as u64 => {
-                Ok(PushOutcome::Ingested)
-            }
+            Frame::Ingested { accepted } if accepted == count as u64 => Ok(PushOutcome::Ingested),
             Frame::Ingested { accepted } => Err(ClientError::Protocol(format!(
-                "server acknowledged {accepted} of {} reports without Busy",
-                reports.len()
+                "server acknowledged {accepted} of {count} reports without Busy"
             ))),
             // `accepted` must be a strict prefix of the batch — a server
             // that accepted everything replies Ingested, and a count past
             // the batch end would make the caller's resend slice nonsense
             // (push_all indexes pending[accepted..]).
-            Frame::Busy { accepted } if (accepted as usize) < reports.len() => {
+            Frame::Busy { accepted } if (accepted as usize) < count => {
                 Ok(PushOutcome::Busy { accepted })
             }
             Frame::Busy { accepted } => Err(ClientError::Protocol(format!(
-                "server answered Busy claiming {accepted} accepted of a {}-report batch",
-                reports.len()
+                "server answered Busy claiming {accepted} accepted of a {count}-report batch"
             ))),
             other => Err(unexpected("Ingested/Busy", &other)),
         }

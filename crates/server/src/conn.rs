@@ -1,10 +1,13 @@
 //! The per-connection protocol, free of any transport.
 //!
 //! [`Backend`] is what the event loops (`reactor.rs`) call on a
-//! connection's decoded frames: the Hello handshake, then one
-//! [`FrameAction`] per frame. The loops own the bytes — reading, flushing
-//! replies, and polling a settling reply — and never interpret a frame
-//! themselves, so the collector and the coordinator frontend share them.
+//! connection's frames: the decoded Hello handshake, then one
+//! [`FrameAction`] per frame, handed over as it arrived ([`WireFrame`]).
+//! The loops own the bytes — reading, flushing replies, and polling a
+//! settling reply — and never interpret a frame past the handshake, so
+//! the collector and the coordinator frontend share them. The collector
+//! decodes every frame; the coordinator forwards a `Reports` frame's
+//! bytes without decoding them.
 //!
 //! The collector's backend is its tenant [`Registry`]: `Reports` meet the
 //! bounded queue's typed `Busy` backpressure, and queries linearize on the
@@ -17,7 +20,7 @@
 //!
 //! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
 
-use crate::frame::{check_version, Frame};
+use crate::frame::{check_version, Frame, FrameError, WireFrame};
 use crate::queue::{PushRefusal, WaitOutcome};
 use crate::server::{Registry, Tenant};
 use idldp_core::report::{validate, ReportData};
@@ -52,8 +55,16 @@ pub trait Backend: Send + Sync + 'static {
     /// The refusal frame (not a `Hello`, unknown tenant, config mismatch).
     fn hello(&self, frame: Frame) -> Result<(Self::Session, Frame), Frame>;
 
-    /// Handles one frame of a negotiated connection.
-    fn frame(&self, session: Self::Session, frame: Frame) -> FrameAction<Self::Settle>;
+    /// Handles one frame of a negotiated connection, as it arrived.
+    ///
+    /// # Errors
+    /// The frame breaks the grammar: the loops answer with the typed
+    /// `bad frame:` `Reject` and close the connection.
+    fn frame(
+        &self,
+        session: Self::Session,
+        frame: WireFrame,
+    ) -> Result<FrameAction<Self::Settle>, FrameError>;
 
     /// Polls a settling reply: `Pending` until it can be built, then the
     /// reply, or `None` to hang up without one (the backend shut down).
@@ -188,38 +199,44 @@ impl Backend for Registry {
         ))
     }
 
-    /// `Reports` validate whole-frame-atomically and meet *this tenant's*
-    /// queue's typed backpressure (per-tenant capacity accounting —
-    /// another tenant's saturation is invisible here); queries capture
-    /// this tenant's watermark and settle; everything else draws a typed
-    /// reply.
-    fn frame(&self, session: usize, frame: Frame) -> FrameAction<PendingQuery> {
+    /// Decodes the frame. `Reports` validate whole-frame-atomically and
+    /// meet *this tenant's* queue's typed backpressure (per-tenant
+    /// capacity accounting — another tenant's saturation is invisible
+    /// here); queries capture this tenant's watermark and settle;
+    /// everything else draws a typed reply.
+    fn frame(
+        &self,
+        session: usize,
+        frame: WireFrame,
+    ) -> Result<FrameAction<PendingQuery>, FrameError> {
         let tenant = self.tenant(session);
-        let kind = match frame {
-            Frame::Reports(reports) => return FrameAction::Reply(ingest(tenant, reports)),
+        let kind = match frame.decode()? {
+            Frame::Reports(reports) => return Ok(FrameAction::Reply(ingest(tenant, reports))),
             Frame::Query => QueryKind::Estimates,
             Frame::TopKQuery { k } => QueryKind::TopK(k),
             Frame::SnapshotQuery => QueryKind::Snapshot,
             Frame::Checkpoint if tenant.store.is_some() => QueryKind::Checkpoint,
             Frame::Checkpoint => {
-                return FrameAction::Reply(Frame::reject(
+                return Ok(FrameAction::Reply(Frame::reject(
                     "server has no checkpoint path configured",
-                ))
-            }
-            Frame::Hello { .. } => {
-                return FrameAction::Reply(Frame::reject("connection is already negotiated"))
-            }
-            other => {
-                return FrameAction::Reply(Frame::reject(format!(
-                    "unexpected frame on the server side: {other:?}"
                 )))
             }
+            Frame::Hello { .. } => {
+                return Ok(FrameAction::Reply(Frame::reject(
+                    "connection is already negotiated",
+                )))
+            }
+            other => {
+                return Ok(FrameAction::Reply(Frame::reject(format!(
+                    "unexpected frame on the server side: {other:?}"
+                ))))
+            }
         };
-        FrameAction::Settle(PendingQuery {
+        Ok(FrameAction::Settle(PendingQuery {
             kind,
             tenant: session,
             watermark: tenant.queue.watermark(),
-        })
+        }))
     }
 
     /// Polls the tenant's fold frontier against the query's watermark. A

@@ -30,8 +30,18 @@
 //! the truncation test and the padding check (the property suite in
 //! `tests/proptest_frames.rs` hammers all of this with arbitrary
 //! mutations).
+//!
+//! A frame need not be decoded to be checked. The event loops hand a
+//! backend each frame as it arrived ([`WireFrame`]), and a
+//! [`ReportsFrame`] is a `Reports` frame checked against the report grammar
+//! and counted without building a [`ReportData`]: the coordinator forwards
+//! those bytes unchanged. The report grammar is one walker
+//! (`walk_report`); the decoder builds each report from what the walker
+//! reads and the check drops it, so the two accept the same frames and
+//! fail with the same error.
 
 use idldp_core::report::{PackedBits, ReportData, ReportShape};
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// Protocol version negotiated in [`Frame::Hello`]. Bump on any grammar
@@ -349,8 +359,7 @@ impl<'a> Cursor<'a> {
 
     /// A `u64` that must fit the platform's `usize`.
     fn read_len(&mut self, what: &str) -> Result<usize, FrameError> {
-        let v = self.read_u64()?;
-        usize::try_from(v).map_err(|_| FrameError::Malformed(format!("{what} {v} overflows usize")))
+        fit_usize(self.read_u64()?, what)
     }
 
     /// An element count whose elements occupy at least `min_elem` bytes
@@ -376,6 +385,11 @@ impl<'a> Cursor<'a> {
         }
         Ok(())
     }
+}
+
+/// A wire `u64` as a `usize`, or the typed refusal naming `what`.
+fn fit_usize(v: u64, what: &str) -> Result<usize, FrameError> {
+    usize::try_from(v).map_err(|_| FrameError::Malformed(format!("{what} {v} overflows usize")))
 }
 
 /// One payload field's wire form: the one place a field type is written,
@@ -539,7 +553,7 @@ fn put_elems<T: FixedWidth>(out: &mut Vec<u8>, elems: &[T]) {
 }
 
 /// The report batch: the hot path, written by hand over [`put_report`] and
-/// [`read_report`].
+/// [`walk_batch`].
 impl Field for Vec<ReportData> {
     const MIN_LEN: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
@@ -549,18 +563,19 @@ impl Field for Vec<ReportData> {
         4 + self.iter().map(encoded_report_len).sum::<usize>()
     }
     fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
-        // Every report is at least 5 bytes on the wire (tag + the 4-byte
-        // count of an empty bits/item-set body). The reservation is
-        // additionally clamped: an in-memory `ReportData` is ~6× the
+        // The reservation is clamped: an in-memory `ReportData` is ~6× the
         // minimum wire size, so trusting a hostile count even within the
         // payload bound would reserve far more than the bytes received —
         // the Vec grows to the true count as reports actually parse.
-        let count = c.read_count(what, 5)?;
-        let mut reports = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            reports.push(read_report(c)?);
-        }
-        Ok(reports)
+        walk_batch(
+            c,
+            what,
+            |count| Vec::with_capacity(count.min(1 << 16)),
+            |reports, report| {
+                reports.push(report.into_data()?);
+                Ok(())
+            },
+        )
     }
 }
 
@@ -752,8 +767,54 @@ fn put_report(out: &mut Vec<u8>, report: &ReportData) -> Result<(), String> {
     Ok(())
 }
 
+/// The fewest wire bytes one report takes: its tag and the 4-byte count of
+/// an empty bit or item-set body.
+const MIN_REPORT_LEN: usize = 5;
+
+/// One report as the wire carries it, borrowed from the payload: what
+/// [`walk_report`] reads once every rule of the report grammar has passed.
+enum WireReport<'a> {
+    /// The slot count and the `⌈slots/8⌉` packed bytes, padding zero.
+    Bits {
+        slots: usize,
+        bytes: &'a [u8],
+    },
+    Value(usize),
+    Hashed {
+        seed: u64,
+        value: usize,
+    },
+    /// The members' little-endian `u64`s, each known to fit a `usize`.
+    ItemSet(&'a [u8]),
+}
+
+impl WireReport<'_> {
+    /// The owned report. Every rule was checked by the walk; the bit
+    /// report's constructor checks its own again and stays typed.
+    #[inline]
+    fn into_data(self) -> Result<ReportData, FrameError> {
+        Ok(match self {
+            WireReport::Bits { slots, bytes } => ReportData::Bits(
+                PackedBits::from_le_bytes(slots, bytes)
+                    .map_err(|e| FrameError::Malformed(e.to_string()))?,
+            ),
+            WireReport::Value(v) => ReportData::Value(v),
+            WireReport::Hashed { seed, value } => ReportData::Hashed { seed, value },
+            WireReport::ItemSet(members) => ReportData::ItemSet(
+                members
+                    .chunks_exact(8)
+                    .map(|m| u64::from_le_bytes(m.try_into().expect("8 bytes")) as usize)
+                    .collect(),
+            ),
+        })
+    }
+}
+
+/// The report grammar: reads one report's wire form, checking every rule
+/// a report obeys. The decoder and the wire check both read reports
+/// through this, and nothing else reads a report.
 #[inline]
-fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
+fn walk_report<'a>(c: &mut Cursor<'a>) -> Result<WireReport<'a>, FrameError> {
     match c.read_u8()? {
         REPORT_BITS => {
             let slots = c.read_u32()? as usize;
@@ -764,35 +825,66 @@ fn read_report(c: &mut Cursor<'_>) -> Result<ReportData, FrameError> {
                     "bit report claims {slots} slots, over the {MAX_BIT_REPORT_SLOTS}-slot cap"
                 )));
             }
-            let bytes_needed = slots.div_ceil(8);
-            if bytes_needed > c.remaining() {
-                return Err(FrameError::Truncated {
-                    needed: bytes_needed,
-                    available: c.remaining(),
-                });
-            }
+            let bytes = c.take(slots.div_ceil(8))?;
             // Padding bits above `slots` must be zero, so every encoding of
             // a report is canonical (encode ∘ decode is the identity on
-            // bytes too, not just on reports).
-            PackedBits::from_le_bytes(slots, c.take(bytes_needed)?)
-                .map(ReportData::Bits)
-                .map_err(|e| FrameError::Malformed(e.to_string()))
+            // bytes too, not just on reports). Only the last byte has any.
+            if let Some(&last) = bytes.last() {
+                if !slots.is_multiple_of(8) && last >> (slots % 8) != 0 {
+                    return Err(FrameError::Malformed(format!(
+                        "bit report of {slots} slots has nonzero padding bits"
+                    )));
+                }
+            }
+            Ok(WireReport::Bits { slots, bytes })
         }
-        REPORT_VALUE => Ok(ReportData::Value(c.read_len("report value")?)),
-        REPORT_HASHED => Ok(ReportData::Hashed {
+        REPORT_VALUE => Ok(WireReport::Value(c.read_len("report value")?)),
+        REPORT_HASHED => Ok(WireReport::Hashed {
             seed: c.read_u64()?,
             value: c.read_len("hashed report value")?,
         }),
         REPORT_ITEM_SET => {
             let count = c.read_count("item set", 8)?;
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                items.push(c.read_len("item-set member")?);
+            let members = c.take(count * 8)?;
+            for m in members.chunks_exact(8) {
+                fit_usize(
+                    u64::from_le_bytes(m.try_into().expect("8 bytes")),
+                    "item-set member",
+                )?;
             }
-            Ok(ReportData::ItemSet(items))
+            Ok(WireReport::ItemSet(members))
         }
         other => Err(FrameError::Malformed(format!("unknown report tag {other}"))),
     }
+}
+
+/// The report batch grammar: a `u32` count, then that many reports, each
+/// read by [`walk_report`]. `start` sees the count and `step` each report
+/// in order; the decoder collects them and the wire check drops them.
+#[inline]
+fn walk_batch<'a, S>(
+    c: &mut Cursor<'a>,
+    what: &str,
+    start: impl FnOnce(usize) -> S,
+    mut step: impl FnMut(&mut S, WireReport<'a>) -> Result<(), FrameError>,
+) -> Result<S, FrameError> {
+    let count = c.read_count(what, MIN_REPORT_LEN)?;
+    let mut acc = start(count);
+    for _ in 0..count {
+        step(&mut acc, walk_report(c)?)?;
+    }
+    Ok(acc)
+}
+
+/// Checks a `Reports` payload against the grammar the decoder applies —
+/// the same walk, the same errors — and returns its report count.
+fn check_reports_payload(payload: &[u8]) -> Result<usize, FrameError> {
+    let mut c = Cursor::new(payload);
+    // The field name the frame table gives the decoder, so both name it
+    // alike in a malformed-count error.
+    let count = walk_batch(&mut c, "Reports.reports", |count| count, |_, _| Ok(()))?;
+    c.finish("frame payload")?;
+    Ok(count)
 }
 
 /// The frame table: each variant's tag and its fields in wire order. It
@@ -905,24 +997,8 @@ impl Frame {
     /// # Errors
     /// Any of the typed [`FrameError`] conditions; never panics.
     pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        let header = buf.first_chunk().ok_or(FrameError::Truncated {
-            needed: 5,
-            available: buf.len(),
-        })?;
-        let (tag, len) = read_header(header)?;
-        if buf.len() - 5 < len {
-            return Err(FrameError::Truncated {
-                needed: len,
-                available: buf.len() - 5,
-            });
-        }
-        if buf.len() - 5 > len {
-            return Err(FrameError::Malformed(format!(
-                "{} bytes after the frame end",
-                buf.len() - 5 - len
-            )));
-        }
-        Self::parse_payload(tag, &buf[5..5 + len])
+        let (tag, payload) = split_frame(buf)?;
+        Self::parse_payload(tag, payload)
     }
 
     /// Writes the frame to a stream (one `write_all`; callers flush).
@@ -960,6 +1036,177 @@ impl Frame {
     }
 }
 
+/// Splits a buffer holding exactly one frame into its tag and payload.
+///
+/// # Errors
+/// A truncated or oversized header, a payload shorter than its length
+/// prefix, or bytes after the frame end.
+fn split_frame(buf: &[u8]) -> Result<(u8, &[u8]), FrameError> {
+    let header = buf.first_chunk().ok_or(FrameError::Truncated {
+        needed: 5,
+        available: buf.len(),
+    })?;
+    let (tag, len) = read_header(header)?;
+    if buf.len() - 5 < len {
+        return Err(FrameError::Truncated {
+            needed: len,
+            available: buf.len() - 5,
+        });
+    }
+    if buf.len() - 5 > len {
+        return Err(FrameError::Malformed(format!(
+            "{} bytes after the frame end",
+            buf.len() - 5 - len
+        )));
+    }
+    Ok((tag, &buf[5..]))
+}
+
+/// One frame as it arrived, header and payload, not yet decoded. The event
+/// loops hand each one to their backend: the collector decodes it
+/// ([`Self::decode`]), the coordinator checks a `Reports` frame
+/// ([`Self::check_reports`]) and forwards its bytes.
+#[derive(Debug, PartialEq, Eq)]
+pub struct WireFrame {
+    /// The 5-byte header, then the payload it announces.
+    bytes: Vec<u8>,
+}
+
+impl WireFrame {
+    /// The frame's tag byte.
+    fn tag(&self) -> u8 {
+        self.bytes[0]
+    }
+
+    /// Whether this is a `Reports` frame.
+    pub fn is_reports(&self) -> bool {
+        self.tag() == TAG_REPORTS
+    }
+
+    /// The whole frame: header, then payload.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Decodes the frame, as [`Frame::decode`] would its bytes.
+    ///
+    /// # Errors
+    /// Any typed [`FrameError`] of the payload grammar.
+    pub fn decode(&self) -> Result<Frame, FrameError> {
+        Frame::parse_payload(self.tag(), &self.bytes[5..])
+    }
+
+    /// Checks a `Reports` frame against the report grammar without
+    /// decoding it (see [`ReportsFrame::check`]).
+    ///
+    /// # Errors
+    /// The error [`Self::decode`] would return, or a typed refusal of a
+    /// frame of another kind.
+    pub fn check_reports(&self) -> Result<ReportsFrame<'_>, FrameError> {
+        ReportsFrame::from_parts(self.tag(), &self.bytes)
+    }
+}
+
+/// A `Reports` frame held as its wire bytes: checked against the report
+/// grammar and counted, never decoded. This is how the coordinator routes
+/// a frame. It forwards the bytes it received, and after a `Busy` it cuts
+/// the unaccepted suffix ([`Self::suffix`]) from the same bytes.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ReportsFrame<'a> {
+    /// The whole frame: header, report count, reports.
+    bytes: Cow<'a, [u8]>,
+    /// Reports in the frame.
+    count: usize,
+}
+
+impl<'a> ReportsFrame<'a> {
+    /// Checks that `frame` is exactly one well-formed `Reports` frame. It
+    /// walks the report grammar the decoder walks, so it accepts exactly
+    /// the frames [`Frame::decode`] turns into [`Frame::Reports`], with the
+    /// same report count, and fails with the decoder's error otherwise.
+    ///
+    /// # Errors
+    /// The error [`Frame::decode`] returns for these bytes, or a typed
+    /// refusal of a well-formed frame of another kind.
+    pub fn check(frame: &'a [u8]) -> Result<Self, FrameError> {
+        let (tag, _) = split_frame(frame)?;
+        Self::from_parts(tag, frame)
+    }
+
+    /// The check of a frame whose header is already known to be sound.
+    fn from_parts(tag: u8, frame: &'a [u8]) -> Result<Self, FrameError> {
+        if tag != TAG_REPORTS {
+            return Err(FrameError::Malformed(format!(
+                "expected a Reports frame, got tag 0x{tag:02x}"
+            )));
+        }
+        Ok(Self {
+            count: check_reports_payload(&frame[5..])?,
+            bytes: Cow::Borrowed(frame),
+        })
+    }
+
+    /// Encodes `reports` into one frame, the bytes
+    /// [`encode_reports_frame`] writes.
+    ///
+    /// # Errors
+    /// Why the batch cannot travel as one frame: its payload is over
+    /// [`MAX_PAYLOAD_LEN`], or a bit report is wider than
+    /// [`MAX_BIT_REPORT_SLOTS`].
+    pub fn encode(reports: &[ReportData]) -> Result<ReportsFrame<'static>, String> {
+        let payload = 4 + reports.iter().map(encoded_report_len).sum::<usize>();
+        if payload > MAX_PAYLOAD_LEN {
+            return Err(format!(
+                "batch of {} reports encodes to {payload} payload bytes, over the \
+                 {MAX_PAYLOAD_LEN}-byte frame cap — split it (ReportClient::push_all does this)",
+                reports.len()
+            ));
+        }
+        Ok(ReportsFrame {
+            bytes: Cow::Owned(try_encode_reports_frame(reports)?),
+            count: reports.len(),
+        })
+    }
+
+    /// Reports in the frame.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the frame holds no report.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The whole frame, as it goes on the wire.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The frame of the reports from index `k` on: a new header and count
+    /// before the bytes behind report `k`, equal to encoding those reports
+    /// afresh. Finding report `k` walks the `k` reports before it.
+    ///
+    /// # Panics
+    /// When `k` is past the frame's report count.
+    pub fn suffix(&self, k: usize) -> ReportsFrame<'static> {
+        assert!(k <= self.count, "suffix from report {k} of {}", self.count);
+        let body = &self.bytes[9..];
+        let mut c = Cursor::new(body);
+        for _ in 0..k {
+            walk_report(&mut c).expect("a checked frame walks");
+        }
+        let rest = &body[c.pos..];
+        let mut out = frame_header(TAG_REPORTS, 4 + rest.len());
+        ((self.count - k) as u32).put(&mut out);
+        out.extend_from_slice(rest);
+        ReportsFrame {
+            bytes: Cow::Owned(out),
+            count: self.count - k,
+        }
+    }
+}
+
 /// Largest single read [`Frame::read_from`] makes, and the payload
 /// reservation a header alone earns: a peer claiming 16 MiB holds no more
 /// than this until it delivers the bytes.
@@ -978,39 +1225,161 @@ fn read_header(header: &[u8; 5]) -> Result<(u8, usize), FrameError> {
     Ok((header[0], len))
 }
 
-/// What the [`FrameAssembler`] is in the middle of.
+/// What the [`WireAssembler`] is in the middle of.
 enum AssemblerState {
     /// Collecting the 5-byte `tag + payload_len` header.
     Header { buf: [u8; 5], len: usize },
-    /// Header complete; collecting `need` payload bytes.
-    Payload {
-        tag: u8,
-        need: usize,
-        payload: Vec<u8>,
-    },
+    /// Header complete; collecting the frame's `need` bytes, header
+    /// included, in `frame`.
+    Payload { need: usize, frame: Vec<u8> },
+}
+
+/// Push-based incremental frame splitter: feed it whatever bytes the
+/// socket produced — any fragmentation, down to one byte at a time — and
+/// it yields each complete frame as it arrived ([`WireFrame`]), without
+/// decoding it. The event loops keep one per connection, because they
+/// cannot block for the rest of a frame, and hand each frame to their
+/// backend; [`FrameAssembler`] decodes what one yields.
+///
+/// An oversized length prefix fails at header completion *before* any
+/// payload allocation, and the frame buffer grows only as bytes actually
+/// arrive (small initial reservation), so a peer claiming a 16 MiB frame
+/// holds no more memory than it has transmitted
+/// ([`Self::buffered_bytes`] is the live measure; the hostile-peer stress
+/// test pins it down). A header error is sticky: after it there is no way
+/// to resynchronise on a length-prefixed wire.
+pub(crate) struct WireAssembler {
+    state: AssemblerState,
+    ready: std::collections::VecDeque<WireFrame>,
+    failed: Option<FrameError>,
+}
+
+impl WireAssembler {
+    /// An assembler at a frame boundary with nothing buffered.
+    pub(crate) fn new() -> Self {
+        Self {
+            state: AssemblerState::Header {
+                buf: [0; 5],
+                len: 0,
+            },
+            ready: std::collections::VecDeque::new(),
+            failed: None,
+        }
+    }
+
+    /// Absorbs `bytes`, queueing every frame they complete for
+    /// [`Self::next_frame`]. Partial trailing bytes are buffered for the
+    /// next feed.
+    ///
+    /// # Errors
+    /// An oversized length prefix. The error is sticky: once returned,
+    /// every later call returns it again (frames already complete remain
+    /// retrievable).
+    pub(crate) fn feed(&mut self, mut bytes: &[u8]) -> Result<(), FrameError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        loop {
+            match &mut self.state {
+                // A frame completes on the byte that fills it — including
+                // the zero-payload case right after the header — so
+                // completion is checked before asking for more input.
+                AssemblerState::Payload { need, frame } if frame.len() == *need => {
+                    self.ready.push_back(WireFrame {
+                        bytes: std::mem::take(frame),
+                    });
+                    self.state = AssemblerState::Header {
+                        buf: [0; 5],
+                        len: 0,
+                    };
+                }
+                _ if bytes.is_empty() => return Ok(()),
+                AssemblerState::Header { buf, len } => {
+                    let take = (buf.len() - *len).min(bytes.len());
+                    buf[*len..*len + take].copy_from_slice(&bytes[..take]);
+                    *len += take;
+                    bytes = &bytes[take..];
+                    if *len == buf.len() {
+                        let (_, payload) = read_header(buf).inspect_err(|e| {
+                            self.failed = Some(e.clone());
+                        })?;
+                        // Reserve small and grow as bytes arrive.
+                        let mut frame = Vec::with_capacity(5 + payload.min(READ_CHUNK));
+                        frame.extend_from_slice(buf);
+                        self.state = AssemblerState::Payload {
+                            need: 5 + payload,
+                            frame,
+                        };
+                    }
+                }
+                AssemblerState::Payload { need, frame } => {
+                    let take = (*need - frame.len()).min(bytes.len());
+                    frame.extend_from_slice(&bytes[..take]);
+                    bytes = &bytes[take..];
+                }
+            }
+        }
+    }
+
+    /// The next complete frame, in arrival order.
+    pub(crate) fn next_frame(&mut self) -> Option<WireFrame> {
+        self.ready.pop_front()
+    }
+
+    /// Bytes still missing from the part in progress: the rest of the
+    /// header, or the rest of the payload. Reading no more than this never
+    /// consumes a byte past the current frame.
+    fn pending(&self) -> usize {
+        match &self.state {
+            AssemblerState::Header { buf, len } => buf.len() - len,
+            AssemblerState::Payload { need, frame } => need - frame.len(),
+        }
+    }
+
+    /// Bytes buffered for the frame in progress (header + partial
+    /// payload). This — not the peer's claimed length prefix — is what a
+    /// connection's read path holds in memory, which is what the
+    /// slow-loris stress bound measures.
+    pub(crate) fn buffered_bytes(&self) -> usize {
+        match &self.state {
+            AssemblerState::Header { len, .. } => *len,
+            AssemblerState::Payload { frame, .. } => frame.len(),
+        }
+    }
+
+    /// The typed error an EOF at this point amounts to: `None` at a frame
+    /// boundary (clean close), [`FrameError::Truncated`] mid-frame.
+    pub(crate) fn eof_truncation(&self) -> Option<FrameError> {
+        match &self.state {
+            AssemblerState::Header { len: 0, .. } => None,
+            AssemblerState::Header { len, .. } => Some(FrameError::Truncated {
+                needed: 5,
+                available: *len,
+            }),
+            AssemblerState::Payload { need, frame } => Some(FrameError::Truncated {
+                needed: need - 5,
+                available: frame.len() - 5,
+            }),
+        }
+    }
 }
 
 /// Push-based incremental frame decoder: feed it whatever bytes the
 /// socket produced — any fragmentation, down to one byte at a time — and
 /// it yields exactly the frames [`Frame::decode`] would yield on the
-/// concatenation. It is the one stateful reader of the frame grammar: the
-/// reactor keeps one per connection because it cannot block for the rest
-/// of a frame, and the blocking [`Frame::read_from`] is a loop over one.
+/// concatenation. It splits the stream with the same assembler the event
+/// loops use and decodes each frame as it completes; the blocking
+/// [`Frame::read_from`] is a loop over one.
 ///
-/// An oversized length prefix fails at header completion *before* any
-/// payload allocation, and the payload buffer grows only as bytes
-/// actually arrive (small initial reservation), so a peer claiming a
-/// 16 MiB frame holds no more memory than it has transmitted
-/// ([`Self::buffered_bytes`] is the live measure; the hostile-peer
-/// stress test pins it down).
+/// A peer claiming a 16 MiB frame holds no more memory than it has
+/// transmitted ([`Self::buffered_bytes`]).
 ///
 /// Decode errors are *sticky*: after a byte stream has violated the
 /// grammar there is no way to resynchronise on a length-prefixed wire,
 /// so every later [`Self::feed`] returns the same error and the
-/// connection must be torn down (after flushing the typed
-/// [`Frame::Reject`], as the reactor does).
+/// connection must be torn down.
 pub struct FrameAssembler {
-    state: AssemblerState,
+    wire: WireAssembler,
     ready: std::collections::VecDeque<Frame>,
     failed: Option<FrameError>,
 }
@@ -1025,10 +1394,7 @@ impl FrameAssembler {
     /// An assembler at a frame boundary with nothing buffered.
     pub fn new() -> Self {
         Self {
-            state: AssemblerState::Header {
-                buf: [0; 5],
-                len: 0,
-            },
+            wire: WireAssembler::new(),
             ready: std::collections::VecDeque::new(),
             failed: None,
         }
@@ -1040,55 +1406,26 @@ impl FrameAssembler {
     ///
     /// # Errors
     /// The typed [`FrameError`] the concatenated stream violates the
-    /// grammar with. The error is sticky: once returned, every later call
-    /// returns it again (frames already decoded remain retrievable).
-    pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), FrameError> {
+    /// grammar with — the first in stream order. The error is sticky:
+    /// once returned, every later call returns it again (frames already
+    /// decoded remain retrievable).
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<(), FrameError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        loop {
-            match &mut self.state {
-                // A frame completes on the byte that fills its payload —
-                // including the zero-payload case right after the header —
-                // so completion is checked before asking for more input.
-                AssemblerState::Payload { tag, need, payload } if payload.len() == *need => {
-                    match Frame::parse_payload(*tag, payload) {
-                        Ok(frame) => self.ready.push_back(frame),
-                        Err(e) => {
-                            self.failed = Some(e.clone());
-                            return Err(e);
-                        }
-                    }
-                    self.state = AssemblerState::Header {
-                        buf: [0; 5],
-                        len: 0,
-                    };
-                }
-                _ if bytes.is_empty() => return Ok(()),
-                AssemblerState::Header { buf, len } => {
-                    let take = (buf.len() - *len).min(bytes.len());
-                    buf[*len..*len + take].copy_from_slice(&bytes[..take]);
-                    *len += take;
-                    bytes = &bytes[take..];
-                    if *len == buf.len() {
-                        let (tag, need) = read_header(buf).inspect_err(|e| {
-                            self.failed = Some(e.clone());
-                        })?;
-                        self.state = AssemblerState::Payload {
-                            tag,
-                            need,
-                            // Reserve small and grow as bytes arrive.
-                            payload: Vec::with_capacity(need.min(READ_CHUNK)),
-                        };
-                    }
-                }
-                AssemblerState::Payload { need, payload, .. } => {
-                    let take = (*need - payload.len()).min(bytes.len());
-                    payload.extend_from_slice(&bytes[..take]);
-                    bytes = &bytes[take..];
+        // The frames a header error follows come first in the stream, so
+        // their decode errors win over it.
+        let split = self.wire.feed(bytes);
+        while let Some(frame) = self.wire.next_frame() {
+            match frame.decode() {
+                Ok(frame) => self.ready.push_back(frame),
+                Err(e) => {
+                    self.failed = Some(e.clone());
+                    return Err(e);
                 }
             }
         }
+        split.inspect_err(|e| self.failed = Some(e.clone()))
     }
 
     /// The next fully decoded frame, in arrival order.
@@ -1096,42 +1433,22 @@ impl FrameAssembler {
         self.ready.pop_front()
     }
 
-    /// Bytes still missing from the part in progress: the rest of the
-    /// header, or the rest of the payload. Reading no more than this never
-    /// consumes a byte past the current frame.
+    /// Bytes still missing from the part in progress.
     fn pending(&self) -> usize {
-        match &self.state {
-            AssemblerState::Header { buf, len } => buf.len() - len,
-            AssemblerState::Payload { need, payload, .. } => need - payload.len(),
-        }
+        self.wire.pending()
     }
 
     /// Bytes buffered for the frame in progress (header + partial
-    /// payload). This — not the peer's claimed length prefix — is what a
-    /// connection's decode path holds in memory, which is what the
-    /// slow-loris stress bound measures.
+    /// payload) — not the peer's claimed length prefix.
     pub fn buffered_bytes(&self) -> usize {
-        match &self.state {
-            AssemblerState::Header { len, .. } => *len,
-            AssemblerState::Payload { payload, .. } => 5 + payload.len(),
-        }
+        self.wire.buffered_bytes()
     }
 
     /// The typed error an EOF at this point amounts to: `None` at a frame
     /// boundary (clean close), [`FrameError::Truncated`] mid-frame. This
     /// is what [`Frame::read_from`] returns at EOF.
     pub fn eof_truncation(&self) -> Option<FrameError> {
-        match &self.state {
-            AssemblerState::Header { len: 0, .. } => None,
-            AssemblerState::Header { len, .. } => Some(FrameError::Truncated {
-                needed: 5,
-                available: *len,
-            }),
-            AssemblerState::Payload { need, payload, .. } => Some(FrameError::Truncated {
-                needed: *need,
-                available: payload.len(),
-            }),
-        }
+        self.wire.eof_truncation()
     }
 }
 
@@ -1530,6 +1847,86 @@ mod tests {
             encode_reports_frame(&reports),
             Frame::Reports(reports).encode()
         );
+    }
+
+    /// The spill suffix from every report index equals encoding the
+    /// remaining reports afresh, across every report shape, and is itself
+    /// a checked frame of the remaining count.
+    #[test]
+    fn a_suffix_equals_the_remaining_reports_encoded_afresh() {
+        let reports = vec![
+            bit_report(&[1, 0, 1]),
+            ReportData::Value(2),
+            bit_report(&[1; 70]),
+            ReportData::Hashed { seed: 3, value: 1 },
+            ReportData::ItemSet(vec![0, 4]),
+            ReportData::ItemSet(vec![]),
+            bit_report(&[]),
+        ];
+        let bytes = encode_reports_frame(&reports);
+        let frame = ReportsFrame::check(&bytes).unwrap();
+        assert_eq!(frame.len(), reports.len());
+        for k in 0..=reports.len() {
+            let suffix = frame.suffix(k);
+            assert_eq!(
+                suffix.as_bytes(),
+                encode_reports_frame(&reports[k..]),
+                "k={k}"
+            );
+            assert_eq!(suffix.len(), reports.len() - k);
+            assert_eq!(ReportsFrame::check(suffix.as_bytes()).unwrap(), suffix);
+        }
+        // A suffix of a suffix cuts from the bytes it holds.
+        assert_eq!(
+            frame.suffix(2).suffix(3).as_bytes(),
+            encode_reports_frame(&reports[5..])
+        );
+    }
+
+    /// `ReportsFrame::encode` writes the bytes `encode_reports_frame` does,
+    /// counted, and refuses a batch over the frame cap before encoding it.
+    #[test]
+    fn reports_frame_encode_matches_the_slice_encoder_and_refuses_over_cap() {
+        let reports = vec![ReportData::Value(9), bit_report(&[0, 1])];
+        let frame = ReportsFrame::encode(&reports).unwrap();
+        assert_eq!(frame.as_bytes(), encode_reports_frame(&reports));
+        assert_eq!(frame.len(), 2);
+        let over = vec![ReportData::Value(1); MAX_PAYLOAD_LEN / 9 + 1];
+        let refusal = ReportsFrame::encode(&over).unwrap_err();
+        assert!(refusal.contains("frame cap"), "{refusal}");
+        let too_wide = [bit_report(&vec![0; MAX_BIT_REPORT_SLOTS + 1])];
+        let refusal = ReportsFrame::encode(&too_wide).unwrap_err();
+        assert!(refusal.contains("MAX_BIT_REPORT_SLOTS"), "{refusal}");
+    }
+
+    /// The wire assembler yields each frame as the bytes that were sent;
+    /// decoding one equals `Frame::decode` of those bytes, and checking a
+    /// `Reports` one equals `ReportsFrame::check` of them.
+    #[test]
+    fn wire_frames_are_the_bytes_sent() {
+        let frames = [
+            Frame::Query,
+            Frame::Reports(vec![bit_report(&[1, 0, 1]), ReportData::Value(4)]),
+            Frame::Ingested { accepted: 2 },
+        ];
+        let stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let mut asm = WireAssembler::new();
+        for byte in stream {
+            asm.feed(&[byte]).unwrap();
+        }
+        for frame in &frames {
+            let wire = asm.next_frame().unwrap();
+            let bytes = frame.encode();
+            assert_eq!(wire.as_bytes(), bytes);
+            assert_eq!(wire.decode().unwrap(), *frame);
+            assert_eq!(wire.is_reports(), matches!(frame, Frame::Reports(_)));
+            match ReportsFrame::check(&bytes) {
+                Ok(checked) => assert_eq!(wire.check_reports().unwrap(), checked),
+                Err(e) => assert_eq!(wire.check_reports().unwrap_err(), e),
+            }
+        }
+        assert!(asm.next_frame().is_none());
+        assert_eq!(asm.buffered_bytes(), 0);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   values, hashed `(seed, value)` pairs, item sets) plus the control
 //!   frames (`Hello` mechanism-config handshake, `Query`, `TopKQuery`,
 //!   `Checkpoint`) and their typed replies. Decoding is total: arbitrary
-//!   bytes either parse or yield a typed [`FrameError`], never a panic.
+//!   bytes either parse or yield a typed [`FrameError`], never a panic. A
+//!   `Reports` frame can also be checked and counted without decoding
+//!   ([`ReportsFrame`]), through the same report grammar.
 //! * [`queue`] — the bounded [`IngestQueue`] between the event loops and
 //!   the fold workers: the backpressure point (full ⇒ typed `Busy` reply,
 //!   never a silent drop) and the drain watermark that linearizes queries
@@ -25,8 +27,9 @@
 //!   transport-free [`Backend`] trait, so the coordinator frontend
 //!   (`idldp-coord`) runs on them too.
 //! * [`client`] — [`ReportClient`]: connect + handshake, batched pushes
-//!   with `Busy`-absorbing retry, and the query calls. Backs the `idldp
-//!   push` CLI.
+//!   with `Busy`-absorbing retry, pushes of an already-encoded frame
+//!   ([`ReportClient::push_frame`], the coordinator's forwarding path),
+//!   and the query calls. Backs the `idldp push` CLI.
 //!
 //! The load-bearing property, proven by
 //! `crates/sim/tests/server_loopback.rs` for all eight mechanisms:
@@ -89,8 +92,8 @@ pub mod server;
 pub use client::{ClientError, PushOutcome, Query, Reply, ReportClient, MAX_STALLED_RETRIES};
 pub use conn::{check_hello, encode_reply, Backend, FrameAction};
 pub use frame::{
-    encode_reports_frame, encoded_report_len, Frame, FrameAssembler, FrameError, CHUNK_ELEMS,
-    MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+    encode_reports_frame, encoded_report_len, Frame, FrameAssembler, FrameError, ReportsFrame,
+    WireFrame, CHUNK_ELEMS, MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
 };
 pub use queue::{IngestQueue, PushRefusal, WaitOutcome};
 pub use server::{

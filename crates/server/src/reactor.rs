@@ -20,9 +20,12 @@
 //!  Closing ◀────────────┘   (flush the Reject, then close)
 //! ```
 //!
-//! Reads feed the incremental [`FrameAssembler`] — a peer's claimed frame
+//! Reads feed the incremental [`WireAssembler`] — a peer's claimed frame
 //! length never allocates ahead of its bytes, so a slow-loris drip holds
-//! only what it has sent. Replies are strictly one-at-a-time: while a
+//! only what it has sent. The loop decodes a connection's first frame, the
+//! `Hello`, and hands every later frame to the backend as it arrived; a
+//! frame that breaks the grammar draws the typed `bad frame:` `Reject`
+//! either way. Replies are strictly one-at-a-time: while a
 //! reply is buffered (or a query is settling) the connection's read
 //! interest is off, so a pipelining peer is throttled by its own socket
 //! buffer — the kernel provides the backpressure, the server buffers at
@@ -39,7 +42,7 @@
 //! behind [`Backend`], free of any socket.
 
 use crate::conn::{encode_reply, Backend, FrameAction};
-use crate::frame::{Frame, FrameAssembler};
+use crate::frame::{Frame, WireAssembler};
 use crate::server::{EventLoops, LoopState};
 use polling::{Event, Poller};
 use std::collections::HashMap;
@@ -89,7 +92,7 @@ impl<B: Backend> Phase<B> {
 /// One multiplexed connection owned by an event loop.
 struct Conn<B: Backend> {
     stream: TcpStream,
-    asm: FrameAssembler,
+    asm: WireAssembler,
     /// The (single) buffered reply, partially flushed up to `out_pos`.
     out: Vec<u8>,
     out_pos: usize,
@@ -329,7 +332,7 @@ fn register_conn<B: Backend>(
     }
     let mut conn = Conn {
         stream,
-        asm: FrameAssembler::new(),
+        asm: WireAssembler::new(),
         out: Vec::new(),
         out_pos: 0,
         phase: Phase::Handshake,
@@ -415,19 +418,21 @@ fn process_ready<B: Backend>(conn: &mut Conn<B>, ctx: &LoopCtx<B>) -> bool {
         };
         conn.touch(ctx.idle_timeout);
         match session {
-            None => match ctx.backend.hello(frame) {
-                Ok((session, ack)) => {
+            None => match frame.decode().map(|hello| ctx.backend.hello(hello)) {
+                Ok(Ok((session, ack))) => {
                     conn.queue_reply(&ack);
                     conn.phase = Phase::Open(session);
                 }
-                Err(reject) => {
+                Ok(Err(reject)) => {
                     conn.queue_reply(&reject);
                     conn.phase = Phase::Closing;
                 }
+                Err(e) => protocol_violation(conn, &e.to_string()),
             },
             Some(session) => match ctx.backend.frame(session, frame) {
-                FrameAction::Reply(reply) => conn.queue_reply(&reply),
-                FrameAction::Settle(settle) => conn.phase = Phase::Settling(session, settle),
+                Ok(FrameAction::Reply(reply)) => conn.queue_reply(&reply),
+                Ok(FrameAction::Settle(settle)) => conn.phase = Phase::Settling(session, settle),
+                Err(e) => protocol_violation(conn, &e.to_string()),
             },
         }
         if !conn.out.is_empty() {

@@ -1,6 +1,6 @@
 //! Property tests for the frame codec.
 //!
-//! Three laws:
+//! Four laws:
 //!
 //! 1. **Round-trip identity** — for arbitrary [`ReportData`] of every wire
 //!    shape and arbitrary control frames, `decode(encode(f)) == f`, both
@@ -10,15 +10,24 @@
 //!    frame or return a typed [`FrameError`]; the decoder never panics and
 //!    never accepts an oversized length prefix.
 //! 3. **Fragmentation invariance** — the incremental [`FrameAssembler`]
-//!    (the decode path of the reactor and of the blocking stream reader)
+//!    (the decode path of the blocking stream reader, over the splitter
+//!    the event loops use)
 //!    fed any byte-fragmentation schedule of a frame sequence yields
 //!    exactly the frames of a whole-frame decode and buffers no more than
 //!    one frame at a time; the stream reader, fed a few bytes per read,
 //!    never reads past a frame's end and classifies an EOF cut as a clean
 //!    close or a truncation.
+//! 4. **One report grammar** — the wire check ([`ReportsFrame::check`],
+//!    what the coordinator routes by) accepts exactly the bytes
+//!    [`Frame::decode`] turns into a `Reports` frame, with the same count,
+//!    and fails with the decoder's own error on a `Reports` frame it
+//!    refuses: over valid frames of every report shape, and over truncated
+//!    and byte-flipped copies of them.
 
 use idldp_core::report::{PackedBits, ReportData};
-use idldp_server::{Frame, FrameAssembler, FrameError, MAX_PAYLOAD_LEN, PROTOCOL_VERSION};
+use idldp_server::{
+    Frame, FrameAssembler, FrameError, ReportsFrame, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+};
 use proptest::prelude::*;
 use std::io::Read;
 
@@ -158,8 +167,116 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         })
 }
 
+/// A `Reports` frame of one report shape (`shape` 0–3) or of all four
+/// mixed (`shape` 4). Bit reports reach past one packed word.
+fn arb_reports_frame() -> impl Strategy<Value = Vec<ReportData>> {
+    (
+        0usize..5,
+        prop::collection::vec(
+            (
+                arb_report(),
+                prop::collection::vec(0u8..=1, 0..140),
+                0usize..4,
+            ),
+            0..10,
+        ),
+    )
+        .prop_map(|(shape, reports)| {
+            reports
+                .into_iter()
+                .map(|(report, wide_bits, own_shape)| {
+                    match if shape == 4 { own_shape } else { shape } {
+                        0 => ReportData::Bits(PackedBits::from_slots(&wide_bits).unwrap()),
+                        1 => ReportData::Value(wide_bits.len() * 7919),
+                        2 => ReportData::Hashed {
+                            seed: (wide_bits.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                            value: wide_bits.len(),
+                        },
+                        _ => match report {
+                            ReportData::ItemSet(items) => ReportData::ItemSet(items),
+                            _ => ReportData::ItemSet((0..wide_bits.len() % 9).collect()),
+                        },
+                    }
+                })
+                .collect()
+        })
+}
+
+/// Law 4 on one byte string: the check and the decoder agree on it.
+fn check_agrees_with_decode(bytes: &[u8]) {
+    match (Frame::decode(bytes), ReportsFrame::check(bytes)) {
+        (Ok(Frame::Reports(reports)), Ok(checked)) => {
+            prop_assert_eq!(checked.len(), reports.len(), "report counts differ");
+            prop_assert_eq!(checked.as_bytes(), bytes);
+        }
+        (Ok(Frame::Reports(reports)), Err(e)) => {
+            prop_assert!(
+                false,
+                "check refused {} decodable reports: {e}",
+                reports.len()
+            )
+        }
+        (Ok(other), Ok(_)) => prop_assert!(false, "check accepted a {other:?}"),
+        // Another frame kind: not the check's to accept.
+        (Ok(_), Err(_)) => {}
+        (Err(e), Ok(checked)) => {
+            prop_assert!(
+                false,
+                "check accepted {} reports decode refuses: {e}",
+                checked.len()
+            )
+        }
+        (Err(decoded), Err(checked)) => {
+            if bytes.first() == Some(&0x03) {
+                prop_assert_eq!(checked, decoded, "a refused Reports frame, two errors");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Law 4: valid `Reports` frames of every report shape, then one
+    /// truncated copy (the header's length fixed up, so the cut lands in
+    /// the report grammar, and left as sent), one byte-flipped copy, one
+    /// with bytes appended behind the last report, and one whose report
+    /// count is rewritten.
+    #[test]
+    fn wire_check_accepts_exactly_what_decode_accepts(
+        reports in arb_reports_frame(),
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        xor in 1u8..=255,
+        extra in prop::collection::vec(0u8..=255, 1..12),
+        recount in 0u32..16,
+    ) {
+        let bytes = Frame::Reports(reports.clone()).encode();
+        check_agrees_with_decode(&bytes);
+        prop_assert_eq!(ReportsFrame::check(&bytes).unwrap().len(), reports.len());
+
+        let cut = cut.index(bytes.len());
+        check_agrees_with_decode(&bytes[..cut]);
+        if cut >= 5 {
+            let mut fixed = bytes[..cut].to_vec();
+            fixed[1..5].copy_from_slice(&((cut - 5) as u32).to_le_bytes());
+            check_agrees_with_decode(&fixed);
+        }
+
+        let mut flipped = bytes.clone();
+        flipped[at.index(bytes.len())] ^= xor;
+        check_agrees_with_decode(&flipped);
+
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(&extra);
+        let len = (trailing.len() - 5) as u32;
+        trailing[1..5].copy_from_slice(&len.to_le_bytes());
+        check_agrees_with_decode(&trailing);
+
+        let mut recounted = bytes.clone();
+        recounted[5..9].copy_from_slice(&recount.to_le_bytes());
+        check_agrees_with_decode(&recounted);
+    }
 
     /// encode → decode is the identity for every frame kind, through both
     /// decoder entry points.

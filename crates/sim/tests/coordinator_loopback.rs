@@ -21,7 +21,10 @@
 //! coordinator's idle connection is reconnected before the next exchange;
 //! one that restarted with fewer users than it held is refused instead.
 //! A malformed frame draws the same typed `Reject` from the coordinator as
-//! from a collector.
+//! from a collector — a `Reports` frame whose body breaks the report
+//! grammar too, refused at the coordinator before any collector sees it.
+//! A frame that fails part-way through a spill draws a `Reject` naming the
+//! reports that landed.
 
 use idldp_coord::{CoordError, CoordServer, Coordinator};
 use idldp_core::budget::Epsilon;
@@ -865,4 +868,131 @@ fn malformed_frames_draw_a_typed_reject_from_the_coordinator() {
     for c in collectors {
         c.shutdown();
     }
+}
+
+/// A `Reports` frame around a hand-built payload.
+fn reports_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = vec![0x03];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A report count, then raw report bytes.
+fn reports_payload(count: u32, reports: &[&[u8]]) -> Vec<u8> {
+    let mut payload = count.to_le_bytes().to_vec();
+    for report in reports {
+        payload.extend_from_slice(report);
+    }
+    payload
+}
+
+/// The coordinator checks a `Reports` frame against the report grammar
+/// before it forwards the bytes. A frame whose body breaks the grammar
+/// draws exactly the `bad frame:` refusal a collector sends for the same
+/// bytes, the connection closes, and no collector counts a report.
+#[test]
+fn malformed_report_bodies_are_refused_at_the_coordinator() {
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.0), 8).unwrap());
+    let (collectors, front) = start_fleet(&mechanism, 2);
+    let value = [&[1u8][..], &3u64.to_le_bytes()].concat();
+    let over_cap = [
+        &[0u8][..],
+        &(idldp_server::MAX_BIT_REPORT_SLOTS as u32 + 1).to_le_bytes(),
+    ]
+    .concat();
+    let padded = [&[0u8][..], &3u32.to_le_bytes(), &[0b1000_0111]].concat();
+    let cases = [
+        (
+            "unknown report tag",
+            reports_payload(1, &[&[9], &3u64.to_le_bytes()]),
+        ),
+        ("truncated report", reports_payload(1, &[&value[..5]])),
+        ("count past the payload", reports_payload(3, &[&value])),
+        ("trailing bytes", reports_payload(1, &[&value, &[0, 0, 0]])),
+        (
+            "bit report over the slot cap",
+            reports_payload(1, &[&over_cap]),
+        ),
+        ("nonzero padding bits", reports_payload(1, &[&padded])),
+    ];
+    let negotiated = Some(mechanism.as_ref() as &dyn Mechanism);
+    for (case, payload) in &cases {
+        let bytes = reports_frame(payload);
+        let at_coordinator = raw_reject(front.local_addr(), negotiated, &bytes);
+        assert!(
+            at_coordinator.starts_with("bad frame: "),
+            "{case}: {at_coordinator}"
+        );
+        let at_collector = raw_reject(collectors[0].local_addr(), negotiated, &bytes);
+        assert_eq!(at_coordinator, at_collector, "{case}");
+    }
+
+    let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+    let (users, _) = client.query_estimates().unwrap();
+    assert_eq!(
+        users, 0,
+        "no collector counted a report of a malformed frame"
+    );
+    let stats = front.coordinator().lock().unwrap().stats();
+    assert!(stats.iter().all(|s| s.accepted == 0), "{stats:?}");
+    client.push_all(&[ReportData::Value(3)]).unwrap();
+    assert_eq!(client.query_estimates().unwrap().0, 1);
+    drop(client);
+    front.shutdown();
+    for c in collectors {
+        c.shutdown();
+    }
+}
+
+/// A frame that fails after a spill began is refused with the reports
+/// that landed. The paused collector takes the first 64 reports of the
+/// frame (`Busy`), the spill then finds the other collector gone, and the
+/// coordinator's `Reject` names those 64: the users the paused collector
+/// gains once it resumes, and the users the coordinator counts.
+#[test]
+fn a_reject_after_a_partial_spill_names_the_reports_that_landed() {
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(GeneralizedRandomizedResponse::new(eps(1.2), 8).unwrap());
+    let small = ServerConfig::builder().queue_capacity(64).build().unwrap();
+    let paused = ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, small).unwrap();
+    let gone = ReportServer::start(
+        mechanism.clone() as Arc<dyn Mechanism>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addrs = vec![
+        (paused.local_addr().to_string(), 1),
+        (gone.local_addr().to_string(), 1),
+    ];
+    let (coordinator, _) =
+        Coordinator::connect(mechanism.clone() as Arc<dyn Mechanism>, None, &addrs).unwrap();
+    let front = CoordServer::start(coordinator, "127.0.0.1:0").unwrap();
+    let (mut client, _) = ReportClient::connect(front.local_addr(), mechanism.as_ref()).unwrap();
+
+    paused.pause_ingest();
+    gone.shutdown();
+    let batch: Vec<ReportData> = (0..128).map(|i| ReportData::Value(i % 8)).collect();
+    let accepted = match client.push(&batch) {
+        Err(ClientError::Rejected { accepted, message }) => {
+            assert!(message.contains("collector"), "{message}");
+            accepted
+        }
+        other => panic!("a spill into a dead collector must be refused, got {other:?}"),
+    };
+    assert_eq!(accepted, 64, "the paused collector's queue took 64 reports");
+    assert_eq!(front.coordinator().lock().unwrap().users(), accepted);
+
+    paused.resume_ingest();
+    let (mut direct, _) = ReportClient::connect(paused.local_addr(), mechanism.as_ref()).unwrap();
+    let (users, _) = direct.query_estimates().unwrap();
+    assert_eq!(
+        users, accepted,
+        "the Reject names exactly the reports that landed"
+    );
+    drop(direct);
+    drop(client);
+    front.shutdown();
+    paused.shutdown();
 }
