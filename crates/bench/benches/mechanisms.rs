@@ -14,7 +14,15 @@
 //! measures the transport codec between the two: encoding, decoding and
 //! checking (the report grammar walked without decoding, as the
 //! coordinator does before forwarding) one 1024-report frame of each wire
-//! shape.
+//! shape. Next to it, the `ingest` group times what a collector does with
+//! one such frame from the wire to the counts: `admit-fold-1k` is its
+//! path, admission (one walk checking the grammar and the tenant's
+//! rules) and the fold read straight from the checked bytes;
+//! `decode-fold-1k` is the path it replaced, decode to owned reports,
+//! validate, and the validating `accumulate_batch` over borrowed views.
+//! Shapes and widths are the service workloads': `value/100000`
+//! (`coord-query`), `bits/64` (`idue-frames`) and `hashed/1000`
+//! (`olh-fold`).
 //!
 //! The `checkpoint/*` groups measure the pluggable snapshot stores: one
 //! save (`checkpoint/write/<backend>/m<domain>-t<traffic>`) after `t`
@@ -42,9 +50,10 @@ use idldp_core::budget::Epsilon;
 use idldp_core::levels::LevelPartition;
 use idldp_core::mechanism::{BatchMechanism, CountAccumulator, Input, InputBatch};
 use idldp_core::olh::OptimalLocalHashing;
+use idldp_core::report::{validate, Report, ReportData};
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, StoreKind};
 use idldp_num::rng::stream_rng;
-use idldp_server::{encode_reports_frame, Frame, ReportsFrame};
+use idldp_server::{encode_reports_frame, Frame, ReportsFrame, WireFrame};
 use idldp_sim::stream::{ReportAccumulator, ShapedAccumulator, ShardedAccumulator, DEFAULT_SHARDS};
 use idldp_sim::{BuildContext, MechanismRegistry};
 use std::hint::black_box;
@@ -201,6 +210,64 @@ fn bench_frame_reports(c: &mut Criterion) {
             &m,
             |b, _| {
                 b.iter(|| black_box(ReportsFrame::check(black_box(&bytes)).unwrap().len()));
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_ingest(c: &mut Criterion) {
+    // One 1024-report frame from its received bytes into a persistent
+    // accumulator, per collector path. The frame's buffer is copied
+    // outside the timed region (the collector receives it into a buffer
+    // of its own), so each sample times one frame.
+    let mut group = c.benchmark_group("ingest");
+    group.sample_size(201);
+    for (shape, name, m) in [
+        ("value", "grr", 100_000usize),
+        ("bits", "idue-opt1", 64),
+        ("hashed", "olh", 1000),
+    ] {
+        let mech = build(name, m, 0);
+        let (report_shape, width) = (mech.report_shape(), mech.report_len());
+        let mut rng = stream_rng(11, 0);
+        let reports: Vec<_> = (0..1024)
+            .map(|i| mech.perturb_data(Input::Item(i % m), &mut rng).unwrap())
+            .collect();
+        let bytes = encode_reports_frame(&reports);
+        let mut acc = ShapedAccumulator::for_mechanism(mech.as_ref());
+        group.bench_with_input(
+            BenchmarkId::new(&format!("admit-fold-1k/{shape}"), m),
+            &m,
+            |b, _| {
+                b.iter_with_setup(
+                    || WireFrame::new(bytes.clone()).unwrap(),
+                    |frame| {
+                        let batch = frame.admit_reports(report_shape, width).unwrap();
+                        acc.accumulate_checked(&batch).unwrap();
+                        acc.num_users()
+                    },
+                );
+            },
+        );
+        let mut acc = ShapedAccumulator::for_mechanism(mech.as_ref());
+        group.bench_with_input(
+            BenchmarkId::new(&format!("decode-fold-1k/{shape}"), m),
+            &m,
+            |b, _| {
+                b.iter_with_setup(
+                    || WireFrame::new(bytes.clone()).unwrap(),
+                    |frame| {
+                        let Ok(Frame::Reports(decoded)) = frame.decode() else {
+                            panic!("a Reports frame")
+                        };
+                        let views: Vec<Report<'_>> =
+                            decoded.iter().map(ReportData::as_report).collect();
+                        validate(report_shape, width, views.iter().copied()).unwrap();
+                        acc.accumulate_batch(&views).unwrap();
+                        acc.num_users()
+                    },
+                );
             },
         );
     }
@@ -436,6 +503,7 @@ criterion_group!(
     bench_batch_fast_paths,
     bench_compact_wire_emission,
     bench_frame_reports,
+    bench_ingest,
     bench_aggregate_fold,
     bench_sharded_new,
     bench_checkpoint_write,

@@ -475,7 +475,19 @@ impl Coordinator {
                     collector.stats.accepted += accepted;
                     accepted_total += accepted;
                     if accepted > 0 {
-                        spill = Some(rest.suffix(accepted as usize));
+                        // The client already refused a `Busy` past the
+                        // frame's end, so the cut cannot fail; if it did,
+                        // the collector's reply is what was wrong.
+                        match rest.suffix(accepted as usize) {
+                            Ok(suffix) => spill = Some(suffix),
+                            Err(e) => {
+                                result = Err(CoordError::Collector {
+                                    addr: collector.stats.addr.clone(),
+                                    detail: e.to_string(),
+                                });
+                                break;
+                            }
+                        }
                     }
                 }
                 Err(ClientError::Rejected { accepted, message }) => {

@@ -450,10 +450,22 @@ impl BitPlanes {
     /// `slots` long.
     pub fn add_row(&mut self, row: &[u64], counts: &mut [u64]) {
         assert_eq!(row.len(), self.words, "packed row width");
+        self.add_words(row.iter().copied(), counts);
+    }
+
+    /// Adds one packed 0/1 row given as its words in order: the row
+    /// [`Self::add_row`] takes, or one read word by word from its
+    /// little-endian wire bytes. Words past the row's `⌈slots/64⌉` are
+    /// not read, and bits above `slots` must be zero.
+    ///
+    /// # Panics
+    /// Panics if `counts` is not `slots` long when a spill is due.
+    #[inline]
+    pub fn add_words(&mut self, row: impl IntoIterator<Item = u64>, counts: &mut [u64]) {
         if self.pending == Self::MAX_PENDING_ROWS {
             self.spill_into(counts);
         }
-        for (w, &bits) in row.iter().enumerate() {
+        for (w, bits) in row.into_iter().take(self.words).enumerate() {
             let mut carry = bits;
             let mut p = 0usize;
             while carry != 0 {

@@ -36,6 +36,11 @@
 //!   [`report::hash_bucket`]); [`mechanism::Mechanism::report_shape`] and
 //!   [`mechanism::Mechanism::perturb_data`] are the shape-aware emission
 //!   path, with `perturb_into` the zero-alloc folded bit-vector twin.
+//!   The report wire grammar lives there too: one walker
+//!   ([`report::walk_report`]) that decoding, the coordinator's check and
+//!   the collector's admission all read reports through, and
+//!   [`report::CheckedReports`], the admitted batch a collector queues as
+//!   the bytes it received, read by [`wire::WireCursor`].
 //! * **Fold engine** — [`fold`]: the batched server-side folding
 //!   primitives ([`fold::HashedFold`], the item-major batch kernel every
 //!   hashed-report fold runs, counting a tile of pairs per item group in
@@ -109,6 +114,7 @@ pub mod report;
 pub mod snapshot;
 pub mod subset;
 pub mod ue;
+pub mod wire;
 
 pub use budget::Epsilon;
 pub use error::Error;

@@ -16,8 +16,16 @@
 //!   accumulator ingests (`idldp-stream`'s
 //!   `ReportAccumulator::accumulate_batch` takes a slice of them).
 //! * [`validate`] — the report rules, written once: a batch of reports
-//!   against the negotiated shape and width. The collector admits frames
-//!   through it and every accumulator opens its fold with it.
+//!   against the negotiated shape and width. `idldp-stream`'s
+//!   `accumulate_batch` opens its fold with it; the collector's admission
+//!   applies the same rules ([`CheckedReports::check`]).
+//! * [`walk_report`] / [`walk_batch`] — the report wire grammar, written
+//!   once: the transport's decoder, the coordinator's check and the
+//!   collector's admission all read reports through it.
+//! * [`CheckedReports`] — a `Reports` payload that passed the grammar and
+//!   the rules of one shape in a single walk, held as the bytes it
+//!   arrived in. Only [`CheckedReports::check`] builds one, and the
+//!   accumulators fold straight from its bytes, with no second check.
 //! * [`ReportData`] — the owned twin, produced by
 //!   [`crate::mechanism::Mechanism::perturb_data`]; what a transport would
 //!   serialize.
@@ -45,6 +53,7 @@
 
 use crate::error::{Error, Result};
 use crate::fold::{pack_bits_row, packed_words, HashedFold};
+use crate::wire::{fit_usize, le_u64, WireCursor, WireError};
 
 /// The report shape a mechanism emits on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,16 +146,19 @@ impl Report<'_> {
             Report::Hashed { .. } => ReportShape::Hashed { range: shape_param },
             Report::ItemSet(_) => ReportShape::ItemSet { k: shape_param },
         };
-        Checker::new(shape, report_len).check(*self)
+        Checker::new(shape, report_len).check(self.facts())
     }
 
-    /// What kind of report this is, for a shape-mismatch error.
-    fn kind(&self) -> &'static str {
-        match self {
-            Report::Packed(_) => "bit-vector",
-            Report::Value(_) => "categorical value",
-            Report::Hashed { .. } => "hashed (seed, value)",
-            Report::ItemSet(_) => "item-set",
+    /// What the report rules read from this report.
+    #[inline]
+    fn facts(&self) -> Facts<std::iter::Copied<std::slice::Iter<'_, usize>>> {
+        match *self {
+            Report::Packed(bits) => Facts::Bits {
+                slots: bits.slots(),
+            },
+            Report::Value(v) => Facts::Value(v),
+            Report::Hashed { value, .. } => Facts::Hashed { value },
+            Report::ItemSet(items) => Facts::ItemSet(items.iter().copied()),
         }
     }
 
@@ -192,10 +204,11 @@ impl Report<'_> {
 /// members in `0..report_len`. Item-set distinctness is checked against
 /// one scratch row per batch, stamped with each set's number.
 ///
-/// The collector admits a `Reports` frame through this, and every
-/// `idldp-stream` accumulator opens its batch fold with it, so an
-/// acknowledged report can never fail to fold. Nothing is allocated
-/// unless the batch holds an item set.
+/// Every `idldp-stream` accumulator opens its `accumulate_batch` with
+/// this. The collector applies the same rules (the same `Checker`) to
+/// each report as it walks a frame's bytes ([`CheckedReports::check`]),
+/// so an acknowledged report can never fail to fold. Nothing is
+/// allocated unless the batch holds an item set.
 ///
 /// # Errors
 /// [`Error::Report`] naming the first malformed report's index, wrapping
@@ -207,12 +220,41 @@ pub fn validate<'a>(
 ) -> Result<()> {
     let mut checker = Checker::new(shape, report_len);
     for (index, report) in reports.into_iter().enumerate() {
-        checker.check(report).map_err(|source| Error::Report {
-            index,
-            source: Box::new(source),
-        })?;
+        checker
+            .check(report.facts())
+            .map_err(|source| at_report(index, source))?;
     }
     Ok(())
+}
+
+/// The error of the report at `index` of its batch.
+fn at_report(index: usize, source: Error) -> Error {
+    Error::Report {
+        index,
+        source: Box::new(source),
+    }
+}
+
+/// What the report rules read from one report, whichever form it arrived
+/// in: a borrowed [`Report`] or a report's wire form ([`WireReport`]).
+/// `I` yields an item set's members.
+enum Facts<I> {
+    Bits { slots: usize },
+    Value(usize),
+    Hashed { value: usize },
+    ItemSet(I),
+}
+
+impl<I> Facts<I> {
+    /// What kind of report this is, for a shape-mismatch error.
+    fn kind(&self) -> &'static str {
+        match self {
+            Facts::Bits { .. } => "bit-vector",
+            Facts::Value(_) => "categorical value",
+            Facts::Hashed { .. } => "hashed (seed, value)",
+            Facts::ItemSet(_) => "item-set",
+        }
+    }
 }
 
 /// The report rules of [`validate`], fed one report at a time.
@@ -237,31 +279,32 @@ impl Checker {
     }
 
     #[inline]
-    fn check(&mut self, report: Report<'_>) -> Result<()> {
+    fn check<I: ExactSizeIterator<Item = usize>>(&mut self, report: Facts<I>) -> Result<()> {
         let m = self.report_len;
         match (self.shape, report) {
-            // Every packed slot is 0/1 by construction: only the width
-            // is left to check.
-            (ReportShape::Bits, Report::Packed(bits)) if bits.slots() != m => {
+            // Every packed slot is 0/1 by construction (and the wire
+            // grammar refuses set padding bits): only the width is left
+            // to check.
+            (ReportShape::Bits, Facts::Bits { slots }) if slots != m => {
                 Err(Error::DimensionMismatch {
                     what: "bit report".into(),
                     expected: m,
-                    actual: bits.slots(),
+                    actual: slots,
                 })
             }
-            (ReportShape::Bits, Report::Packed(_)) => Ok(()),
-            (ReportShape::Value, Report::Value(v)) => in_range("categorical report value", v, m),
+            (ReportShape::Bits, Facts::Bits { .. }) => Ok(()),
+            (ReportShape::Value, Facts::Value(v)) => in_range("categorical report value", v, m),
             // A one-bucket hash supports every item whatever the client
             // held: no mechanism emits it, and it cannot fold.
-            (ReportShape::Hashed { range }, Report::Hashed { .. }) if range < 2 => {
+            (ReportShape::Hashed { range }, Facts::Hashed { .. }) if range < 2 => {
                 Err(Error::Empty {
                     what: "hash range (needs at least two buckets)".into(),
                 })
             }
-            (ReportShape::Hashed { range }, Report::Hashed { value, .. }) => {
+            (ReportShape::Hashed { range }, Facts::Hashed { value }) => {
                 in_range("hashed report value", value, range)
             }
-            (ReportShape::ItemSet { k }, Report::ItemSet(items)) => self.check_items(items, k),
+            (ReportShape::ItemSet { k }, Facts::ItemSet(items)) => self.check_items(items, k),
             (expected, got) => Err(Error::ShapeMismatch {
                 expected,
                 got: got.kind(),
@@ -269,11 +312,11 @@ impl Checker {
         }
     }
 
-    fn check_items(&mut self, items: &[usize], k: usize) -> Result<()> {
+    fn check_items(&mut self, items: impl ExactSizeIterator<Item = usize>, k: usize) -> Result<()> {
         // No registered item-set mechanism emits an empty set; an empty
         // report would count a user without touching any bucket, silently
         // biasing calibration.
-        if items.is_empty() {
+        if items.len() == 0 {
             return Err(Error::Empty {
                 what: "item-set report".into(),
             });
@@ -292,7 +335,7 @@ impl Checker {
             self.seen = vec![0; self.report_len];
         }
         self.sets += 1;
-        for &item in items {
+        for item in items {
             in_range("item-set report member", item, self.report_len)?;
             if self.seen[item] == self.sets {
                 return Err(Error::ParameterOrdering {
@@ -358,6 +401,417 @@ impl ReportData {
         self.as_report().fold_into(counts, shape_param)
     }
 }
+
+/// Hard ceiling on the slot count of one packed bit report (2²³ slots =
+/// 1 MiB on the wire). A report decodes into its packed words, about as
+/// many bytes as it takes on the wire, so the cap bounds a report's
+/// width, not an expansion; [`walk_report`] checks it before it looks for
+/// the bytes behind a claim. It is far wider than any realistic
+/// unary-encoding domain; servers refuse to start for a bit-vector
+/// mechanism wider than this, and senders refuse to encode a wider
+/// report.
+pub const MAX_BIT_REPORT_SLOTS: usize = 1 << 23;
+
+/// Wire tag of a bit report: a `u32` slot count, then `⌈slots/8⌉` bytes,
+/// slot `i` at bit `i % 8` of byte `i / 8`, padding bits zero.
+pub const REPORT_BITS: u8 = 0;
+/// Wire tag of a categorical report: the value as a `u64`.
+pub const REPORT_VALUE: u8 = 1;
+/// Wire tag of a hashed report: the seed, then the value, as `u64`s.
+pub const REPORT_HASHED: u8 = 2;
+/// Wire tag of an item-set report: a `u32` member count, then the members
+/// as `u64`s.
+pub const REPORT_ITEM_SET: u8 = 3;
+
+/// The fewest wire bytes one report takes: its tag and the 4-byte count of
+/// an empty bit or item-set body.
+const MIN_REPORT_LEN: usize = 5;
+
+/// The name a `Reports` frame's report batch goes by in a refusal of its
+/// count (the field name the transport's frame table gives it), so every
+/// reader of a batch refuses a bad count alike.
+const BATCH_FIELD: &str = "Reports.reports";
+
+/// The payload name a refusal of trailing bytes after a batch carries, as
+/// the frame decoder names them.
+const PAYLOAD: &str = "frame payload";
+
+/// One report as the wire carries it, borrowed from the payload: what
+/// [`walk_report`] reads once every rule of the report grammar has passed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WireReport<'a> {
+    /// A bit report: the slot count and the `⌈slots/8⌉` packed bytes,
+    /// padding bits zero.
+    Bits {
+        /// Slots in the report, at most [`MAX_BIT_REPORT_SLOTS`].
+        slots: usize,
+        /// The packed bytes.
+        bytes: &'a [u8],
+    },
+    /// A categorical report value.
+    Value(usize),
+    /// A hashed report.
+    Hashed {
+        /// The per-user hash seed.
+        seed: u64,
+        /// The hash value.
+        value: usize,
+    },
+    /// An item-set report: its members' little-endian `u64`s, each known
+    /// to fit a `usize`.
+    ItemSet(&'a [u8]),
+}
+
+impl WireReport<'_> {
+    /// The owned report.
+    ///
+    /// # Errors
+    /// None for a report [`walk_report`] returned, which checked every
+    /// rule the bit report's constructor checks again; the error stays
+    /// typed rather than assumed away.
+    #[inline]
+    pub fn to_data(&self) -> std::result::Result<ReportData, WireError> {
+        Ok(match *self {
+            WireReport::Bits { slots, bytes } => ReportData::Bits(
+                PackedBits::from_le_bytes(slots, bytes)
+                    .map_err(|e| WireError::Malformed(e.to_string()))?,
+            ),
+            WireReport::Value(v) => ReportData::Value(v),
+            WireReport::Hashed { seed, value } => ReportData::Hashed { seed, value },
+            WireReport::ItemSet(members) => ReportData::ItemSet(members_of(members).collect()),
+        })
+    }
+
+    /// What the report rules read from this report.
+    #[inline]
+    fn facts(&self) -> Facts<impl ExactSizeIterator<Item = usize> + '_> {
+        match *self {
+            WireReport::Bits { slots, .. } => Facts::Bits { slots },
+            WireReport::Value(v) => Facts::Value(v),
+            WireReport::Hashed { value, .. } => Facts::Hashed { value },
+            WireReport::ItemSet(members) => Facts::ItemSet(members_of(members)),
+        }
+    }
+}
+
+/// The members of an item set's wire body, 8 little-endian bytes each.
+/// Only bodies whose every member fits a `usize` reach this (the grammar
+/// checks them), so the cast keeps each member's value.
+#[inline]
+fn members_of(body: &[u8]) -> impl ExactSizeIterator<Item = usize> + '_ {
+    body.chunks_exact(8).map(|m| le_u64(m) as usize)
+}
+
+/// The report grammar: reads one report's wire form, checking every rule
+/// a report obeys on the wire (a known tag, the bit-report width cap, the
+/// bytes present, zero padding bits, values and members that fit a
+/// `usize`). The transport's decoder, its coordinator-side check and the
+/// collector's admission ([`CheckedReports::check`]) all read reports
+/// through this, and nothing else reads a report off the wire.
+///
+/// # Errors
+/// The first rule the bytes break.
+#[inline]
+pub fn walk_report<'a>(c: &mut WireCursor<'a>) -> std::result::Result<WireReport<'a>, WireError> {
+    match c.read_u8()? {
+        REPORT_BITS => {
+            let slots = c.read_u32()? as usize;
+            // Checked before the truncation test, so a hostile claim is
+            // refused before the reader looks for the bytes behind it.
+            if slots > MAX_BIT_REPORT_SLOTS {
+                return Err(WireError::Malformed(format!(
+                    "bit report claims {slots} slots, over the {MAX_BIT_REPORT_SLOTS}-slot cap"
+                )));
+            }
+            let bytes = c.take(slots.div_ceil(8))?;
+            // Padding bits above `slots` must be zero, so every encoding of
+            // a report is canonical (encode ∘ decode is the identity on
+            // bytes too, not just on reports). Only the last byte has any.
+            if let Some(&last) = bytes.last() {
+                if !slots.is_multiple_of(8) && last >> (slots % 8) != 0 {
+                    return Err(WireError::Malformed(format!(
+                        "bit report of {slots} slots has nonzero padding bits"
+                    )));
+                }
+            }
+            Ok(WireReport::Bits { slots, bytes })
+        }
+        REPORT_VALUE => Ok(WireReport::Value(c.read_len("report value")?)),
+        REPORT_HASHED => Ok(WireReport::Hashed {
+            seed: c.read_u64()?,
+            value: c.read_len("hashed report value")?,
+        }),
+        REPORT_ITEM_SET => {
+            let count = c.read_count("item set", 8)?;
+            let members = c.take(count * 8)?;
+            for m in members.chunks_exact(8) {
+                fit_usize(le_u64(m), "item-set member")?;
+            }
+            Ok(WireReport::ItemSet(members))
+        }
+        other => Err(WireError::Malformed(format!("unknown report tag {other}"))),
+    }
+}
+
+/// The report batch grammar: a `u32` count, then that many reports, each
+/// read by [`walk_report`]. `start` sees the count and `step` each report
+/// with its index, in order: the decoder collects them, the
+/// coordinator's check drops them, and admission checks each against the
+/// tenant's rules.
+///
+/// # Errors
+/// A count the bytes cannot hold, any [`walk_report`] error, or the first
+/// error `step` returns.
+#[inline]
+pub fn walk_batch<'a, S>(
+    c: &mut WireCursor<'a>,
+    start: impl FnOnce(usize) -> S,
+    mut step: impl FnMut(&mut S, usize, WireReport<'a>) -> std::result::Result<(), WireError>,
+) -> std::result::Result<S, WireError> {
+    let count = c.read_count(BATCH_FIELD, MIN_REPORT_LEN)?;
+    let mut acc = start(count);
+    for index in 0..count {
+        step(&mut acc, index, walk_report(c)?)?;
+    }
+    Ok(acc)
+}
+
+/// Why [`CheckedReports::check`] refused a payload.
+#[derive(Clone, Debug, PartialEq)]
+pub enum AdmitError {
+    /// The bytes break the report grammar: the error decoding them
+    /// returns.
+    Wire(WireError),
+    /// The bytes parse, and a report breaks the shape's rules: the error
+    /// [`validate`] returns for the decoded reports, naming the first bad
+    /// report's index.
+    Report(Error),
+}
+
+impl From<WireError> for AdmitError {
+    fn from(e: WireError) -> Self {
+        AdmitError::Wire(e)
+    }
+}
+
+/// A batch of reports that passed the report grammar and the rules of one
+/// shape and width, held as the bytes it arrived in.
+///
+/// Only [`CheckedReports::check`] builds one, in one walk of the payload.
+/// It accepts exactly the payloads that decoding and then [`validate`]
+/// accept, and refuses the rest with the same error. A checked batch is
+/// folded straight from its bytes (by the accumulators' checked entry in
+/// `idldp-stream`) with no second check.
+///
+/// The constructor establishes the invariant every reader relies on: the
+/// bytes from the body's start are exactly [`Self::len`] reports of the
+/// checked shape back to back, each obeying its rules. So each report
+/// record has its shape's length: 9 bytes for a value, 17 for a hashed
+/// pair, `5 + ⌈m/8⌉` for a bit row of width `m`, and `5 + 8·n` for an
+/// item set of `n` members (`5 + 8·k` when `k` is pinned). Values lie in
+/// `0..m`, hashed values in `0..range`, and item-set members in `0..m`,
+/// distinct within their set. Two batches are equal when they hold the
+/// same reports under the same shape and width, whatever buffer holds
+/// them.
+#[derive(Clone, Debug)]
+pub struct CheckedReports {
+    /// The buffer the payload arrived in; the reports start at `body`.
+    bytes: Vec<u8>,
+    /// Where the first report starts in `bytes`.
+    body: usize,
+    /// Reports in the batch.
+    count: usize,
+    /// The shape the reports were checked against.
+    shape: ReportShape,
+    /// The width the reports were checked against.
+    report_len: usize,
+}
+
+impl CheckedReports {
+    /// Checks the `Reports` payload at `bytes[start..]` (a `u32` report
+    /// count, then the reports, then nothing) against the report grammar
+    /// and the rules of `shape` and `report_len`, in one walk, and keeps
+    /// the buffer as the batch.
+    ///
+    /// After a report breaks a rule, the walk goes on checking only the
+    /// grammar, so a payload that does not parse is refused as such
+    /// wherever its defect lies, as decoding first would refuse it.
+    ///
+    /// # Errors
+    /// [`AdmitError::Wire`] with the decoder's error for bytes that do not
+    /// parse; otherwise [`AdmitError::Report`] with [`validate`]'s error
+    /// for the first report that breaks a rule.
+    pub fn check(
+        bytes: Vec<u8>,
+        start: usize,
+        shape: ReportShape,
+        report_len: usize,
+    ) -> std::result::Result<Self, AdmitError> {
+        let payload = bytes.get(start..).unwrap_or_default();
+        let mut c = WireCursor::new(payload);
+        let mut checker = Checker::new(shape, report_len);
+        let (count, broken) = walk_batch(
+            &mut c,
+            |count| (count, None),
+            |(_, broken), index, report| {
+                if broken.is_none() {
+                    if let Err(source) = checker.check(report.facts()) {
+                        *broken = Some(at_report(index, source));
+                    }
+                }
+                Ok(())
+            },
+        )?;
+        c.finish(PAYLOAD)?;
+        if let Some(e) = broken {
+            return Err(AdmitError::Report(e));
+        }
+        Ok(Self {
+            bytes,
+            // The walk read the `u32` count in front of the reports.
+            body: start + 4,
+            count,
+            shape,
+            report_len,
+        })
+    }
+
+    /// Reports in the batch.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the batch holds no report.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The reports' bytes, back to back.
+    fn body(&self) -> &[u8] {
+        self.bytes.get(self.body..).unwrap_or_default()
+    }
+
+    /// Keeps the first `len` reports and drops the rest (no change when
+    /// `len` is not below [`Self::len`]): what a collector queues when
+    /// its queue takes only a prefix of a frame.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.count {
+            return;
+        }
+        let end: usize = self.records().take(len).map(<[u8]>::len).sum();
+        self.bytes.truncate(self.body + end);
+        self.count = len;
+    }
+
+    /// Each report's wire bytes, tag first, in order. By the type's
+    /// invariant every record is whole and has its shape's length, so
+    /// the readers below slice fields at fixed offsets inside a record;
+    /// the walk itself reads no byte past the buffer, and ends early
+    /// rather than panic if the invariant were ever broken.
+    fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let fixed = match self.shape {
+            ReportShape::Bits => Some(5 + self.report_len.div_ceil(8)),
+            ReportShape::Value => Some(9),
+            ReportShape::Hashed { .. } => Some(17),
+            ReportShape::ItemSet { k: 0 } => None,
+            ReportShape::ItemSet { k } => Some(5 + 8 * k),
+        };
+        let mut rest = self.body();
+        std::iter::from_fn(move || {
+            let len = match fixed {
+                Some(len) => len,
+                None => 5 + 8 * le_u64(rest.get(1..5)?) as usize,
+            };
+            let (record, tail) = rest.split_at_checked(len)?;
+            rest = tail;
+            Some(record)
+        })
+    }
+
+    /// Refuses a fold of this batch under another shape or width than it
+    /// was checked against: its records would be read at the wrong
+    /// offsets, or its values could overrun the counts.
+    fn expect(&self, shape: ReportShape, report_len: usize) -> Result<()> {
+        if (shape, report_len) != (self.shape, self.report_len) {
+            return Err(Error::ParameterOrdering {
+                detail: format!(
+                    "a batch checked as {} over {} buckets cannot fold as {} over {report_len}",
+                    self.shape.label(),
+                    self.report_len,
+                    shape.label()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// The values of a batch checked as [`ReportShape::Value`] over
+    /// `report_len` buckets, each in `0..report_len`.
+    ///
+    /// # Errors
+    /// The batch was checked against another shape or width.
+    pub fn values(&self, report_len: usize) -> Result<impl Iterator<Item = usize> + '_> {
+        self.expect(ReportShape::Value, report_len)?;
+        Ok(self.records().map(|r| le_u64(&r[1..9]) as usize))
+    }
+
+    /// The `(seed, value)` pairs of a batch checked as
+    /// [`ReportShape::Hashed`] with hash range `range` over `report_len`
+    /// items, each value in `0..range`.
+    ///
+    /// # Errors
+    /// The batch was checked against another shape, range or width.
+    pub fn hashed_pairs(
+        &self,
+        range: usize,
+        report_len: usize,
+    ) -> Result<impl Iterator<Item = (u64, usize)> + '_> {
+        self.expect(ReportShape::Hashed { range }, report_len)?;
+        Ok(self
+            .records()
+            .map(|r| (le_u64(&r[1..9]), le_u64(&r[9..17]) as usize)))
+    }
+
+    /// The rows of a batch checked as [`ReportShape::Bits`] of width
+    /// `report_len`, each as its `⌈report_len/64⌉` little-endian words,
+    /// bits above the width zero: the rows
+    /// [`crate::fold::BitPlanes::add_words`] adds.
+    ///
+    /// # Errors
+    /// The batch was checked against another shape or width.
+    pub fn bit_rows(
+        &self,
+        report_len: usize,
+    ) -> Result<impl Iterator<Item = impl Iterator<Item = u64> + '_> + '_> {
+        self.expect(ReportShape::Bits, report_len)?;
+        Ok(self.records().map(|r| r[5..].chunks(8).map(le_u64)))
+    }
+
+    /// The member lists of a batch checked as [`ReportShape::ItemSet`]
+    /// with pinned cardinality `k` (`0` for none) over `report_len`
+    /// items: each set non-empty, its members distinct and in
+    /// `0..report_len`.
+    ///
+    /// # Errors
+    /// The batch was checked against another shape, cardinality or width.
+    pub fn item_sets(
+        &self,
+        k: usize,
+        report_len: usize,
+    ) -> Result<impl Iterator<Item = impl Iterator<Item = usize> + '_> + '_> {
+        self.expect(ReportShape::ItemSet { k }, report_len)?;
+        Ok(self.records().map(|r| members_of(&r[5..])))
+    }
+}
+
+impl PartialEq for CheckedReports {
+    fn eq(&self, other: &Self) -> bool {
+        (self.shape, self.report_len, self.count) == (other.shape, other.report_len, other.count)
+            && self.body() == other.body()
+    }
+}
+
+impl Eq for CheckedReports {}
 
 /// Words a [`PackedBits`] keeps in place (128 slots): two words and the
 /// slot count are what fit in [`ReportData`]'s 32 bytes, so the packed bit
@@ -791,6 +1245,142 @@ mod tests {
     #[test]
     fn report_data_stays_32_bytes() {
         assert!(std::mem::size_of::<ReportData>() <= 32);
+    }
+
+    /// The wire form of a batch: a `u32` count, then each report's tag and
+    /// fields (the transport's encoder writes the same bytes).
+    fn payload(reports: &[ReportData]) -> Vec<u8> {
+        let mut out = (reports.len() as u32).to_le_bytes().to_vec();
+        for report in reports {
+            match report {
+                ReportData::Bits(bits) => {
+                    out.push(REPORT_BITS);
+                    out.extend_from_slice(&(bits.slots() as u32).to_le_bytes());
+                    bits.extend_le_bytes(&mut out);
+                }
+                ReportData::Value(v) => {
+                    out.push(REPORT_VALUE);
+                    out.extend_from_slice(&(*v as u64).to_le_bytes());
+                }
+                ReportData::Hashed { seed, value } => {
+                    out.push(REPORT_HASHED);
+                    out.extend_from_slice(&seed.to_le_bytes());
+                    out.extend_from_slice(&(*value as u64).to_le_bytes());
+                }
+                ReportData::ItemSet(items) => {
+                    out.push(REPORT_ITEM_SET);
+                    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                    for &item in items {
+                        out.extend_from_slice(&(item as u64).to_le_bytes());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Admission refuses a rule break with `validate`'s error for the
+    /// decoded reports, by index; a payload that also breaks the grammar
+    /// later is refused as a grammar break, as decoding first would.
+    #[test]
+    fn check_refuses_like_decode_then_validate() {
+        let reports = [
+            ReportData::Value(1),
+            ReportData::Value(9),
+            ReportData::Value(2),
+        ];
+        let views: Vec<Report<'_>> = reports.iter().map(ReportData::as_report).collect();
+        let want = validate(ReportShape::Value, 4, views.iter().copied()).unwrap_err();
+        let bytes = payload(&reports);
+        match CheckedReports::check(bytes.clone(), 0, ReportShape::Value, 4) {
+            Err(AdmitError::Report(e)) => {
+                assert_eq!(e, want);
+                assert!(e.to_string().starts_with("report 1: "), "{e}");
+            }
+            other => panic!("expected the rule refusal, got {other:?}"),
+        }
+        // Cut inside the last report: the grammar break wins.
+        let cut = bytes[..bytes.len() - 1].to_vec();
+        assert!(matches!(
+            CheckedReports::check(cut, 0, ReportShape::Value, 4),
+            Err(AdmitError::Wire(WireError::Truncated { .. }))
+        ));
+        // Bytes after the last report are refused as the decoder names them.
+        let mut trailing = payload(&reports[..1]);
+        trailing.push(0);
+        assert_eq!(
+            CheckedReports::check(trailing, 0, ReportShape::Value, 4),
+            Err(AdmitError::Wire(WireError::Malformed(
+                "frame payload: 1 trailing payload bytes".into()
+            )))
+        );
+        // A payload may start past a header the caller keeps.
+        let mut framed = vec![0xAA; 5];
+        framed.extend_from_slice(&payload(&reports[..1]));
+        let batch = CheckedReports::check(framed, 5, ReportShape::Value, 4).unwrap();
+        assert_eq!(batch.values(4).unwrap().collect::<Vec<_>>(), vec![1]);
+    }
+
+    /// Each reader returns the checked reports' primitives, a prefix cut
+    /// keeps exactly the first reports, and a read under another shape or
+    /// width is a typed refusal.
+    #[test]
+    fn checked_batches_read_back_their_reports() {
+        let m = 70;
+        let rows: Vec<PackedBits> = (0..5u64)
+            .map(|r| {
+                PackedBits::from_slots(
+                    &(0..m)
+                        .map(|i| hash_bucket(r, i, 2) as u8)
+                        .collect::<Vec<_>>(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let bits: Vec<ReportData> = rows.iter().cloned().map(ReportData::Bits).collect();
+        let batch = CheckedReports::check(payload(&bits), 0, ReportShape::Bits, m).unwrap();
+        let read: Vec<Vec<u64>> = batch.bit_rows(m).unwrap().map(Iterator::collect).collect();
+        let want: Vec<Vec<u64>> = rows.iter().map(|r| r.words().to_vec()).collect();
+        assert_eq!(read, want);
+        assert!(batch.bit_rows(m + 1).is_err());
+        assert!(batch.values(m).is_err());
+
+        let pairs = [(7u64, 0usize), (u64::MAX, 2)];
+        let hashed: Vec<ReportData> = pairs
+            .iter()
+            .map(|&(seed, value)| ReportData::Hashed { seed, value })
+            .collect();
+        let shape = ReportShape::Hashed { range: 3 };
+        let batch = CheckedReports::check(payload(&hashed), 0, shape, 10).unwrap();
+        assert_eq!(
+            batch.hashed_pairs(3, 10).unwrap().collect::<Vec<_>>(),
+            pairs
+        );
+        assert!(batch.hashed_pairs(4, 10).is_err(), "another range");
+
+        // Unpinned item sets are variable-length records.
+        let sets = [vec![3usize], vec![0, 5, 9], vec![4, 1]];
+        let data: Vec<ReportData> = sets.iter().cloned().map(ReportData::ItemSet).collect();
+        let shape = ReportShape::ItemSet { k: 0 };
+        let mut batch = CheckedReports::check(payload(&data), 0, shape, 10).unwrap();
+        let read: Vec<Vec<usize>> = batch
+            .item_sets(0, 10)
+            .unwrap()
+            .map(Iterator::collect)
+            .collect();
+        assert_eq!(read, sets);
+        assert!(batch.item_sets(2, 10).is_err(), "another cardinality");
+        for keep in (0..=3).rev() {
+            batch.truncate(keep);
+            assert_eq!(batch.len(), keep);
+            let read: Vec<Vec<usize>> = batch
+                .item_sets(0, 10)
+                .unwrap()
+                .map(Iterator::collect)
+                .collect();
+            assert_eq!(read, sets[..keep]);
+        }
+        assert!(batch.is_empty());
     }
 
     /// Item-set distinctness is one stamped row per batch, for small and

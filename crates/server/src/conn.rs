@@ -5,25 +5,25 @@
 //! [`FrameAction`] per frame, handed over as it arrived ([`WireFrame`]).
 //! The loops own the bytes — reading, flushing replies, and polling a
 //! settling reply — and never interpret a frame past the handshake, so
-//! the collector and the coordinator frontend share them. The collector
-//! decodes every frame; the coordinator forwards a `Reports` frame's
-//! bytes without decoding them.
+//! the collector and the coordinator frontend share them. Neither decodes
+//! a `Reports` frame: the collector admits it into a checked batch of its
+//! received bytes, and the coordinator forwards its bytes. Every other
+//! frame is decoded.
 //!
 //! The collector's backend is its tenant [`Registry`]: `Reports` meet the
 //! bounded queue's typed `Busy` backpressure, and queries linearize on the
 //! accept watermark. A query is split in two on purpose: [`Backend::frame`]
 //! captures the accept watermark *at frame-processing time* (the
 //! linearization point) and returns [`FrameAction::Settle`];
-//! [`Backend::poll_settle`] then polls [`IngestQueue::poll_processed`] and
+//! [`Backend::poll_settle`] then polls [`BatchQueue::poll_processed`] and
 //! builds the reply once the fold frontier's verdict ([`WaitOutcome`]) is
 //! in, so a settling query never blocks an event loop.
 //!
-//! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
+//! [`BatchQueue::poll_processed`]: crate::queue::BatchQueue::poll_processed
 
-use crate::frame::{check_version, Frame, FrameError, WireFrame};
+use crate::frame::{check_version, Admission, Frame, FrameError, WireFrame};
 use crate::queue::{PushRefusal, WaitOutcome};
 use crate::server::{Registry, Tenant};
-use idldp_core::report::{validate, ReportData};
 use idldp_num::vecops::top_k_indices;
 use std::task::Poll;
 
@@ -199,19 +199,22 @@ impl Backend for Registry {
         ))
     }
 
-    /// Decodes the frame. `Reports` validate whole-frame-atomically and
-    /// meet *this tenant's* queue's typed backpressure (per-tenant
-    /// capacity accounting — another tenant's saturation is invisible
-    /// here); queries capture this tenant's watermark and settle;
-    /// everything else draws a typed reply.
+    /// Admits a `Reports` frame ([`ingest`]): whole-frame-atomically,
+    /// against *this tenant's* rules, then *this tenant's* queue's typed
+    /// backpressure (per-tenant capacity accounting — another tenant's
+    /// saturation is invisible here). Decodes every other frame: queries
+    /// capture this tenant's watermark and settle; everything else draws
+    /// a typed reply.
     fn frame(
         &self,
         session: usize,
         frame: WireFrame,
     ) -> Result<FrameAction<PendingQuery>, FrameError> {
         let tenant = self.tenant(session);
+        if frame.is_reports() {
+            return ingest(tenant, frame).map(FrameAction::Reply);
+        }
         let kind = match frame.decode()? {
-            Frame::Reports(reports) => return Ok(FrameAction::Reply(ingest(tenant, reports))),
             Frame::Query => QueryKind::Estimates,
             Frame::TopKQuery { k } => QueryKind::TopK(k),
             Frame::SnapshotQuery => QueryKind::Snapshot,
@@ -256,26 +259,29 @@ impl Backend for Registry {
     }
 }
 
-/// Admits one `Reports` frame to the tenant's queue. The whole frame
-/// validates against the negotiated shape before anything is queued — the
-/// synchronous half of ingestion, through the same [`validate`] the fold
-/// opens with, so an accepted report can never fail to fold. A hostile
-/// frame mixing valid and invalid reports is rejected atomically, naming
-/// the first bad report: no partial fold, nothing to un-count.
+/// Admits one `Reports` frame to the tenant's queue. One walk of the
+/// frame's bytes applies the report grammar and the tenant's report rules
+/// ([`WireFrame::admit_reports`]) before anything is queued — the
+/// synchronous half of ingestion, and the only check a report gets: the
+/// queued batch is the checked bytes, which the fold reads without
+/// checking again, so an accepted report can never fail to fold. A
+/// hostile frame mixing valid and invalid reports is rejected atomically,
+/// naming the first bad report: no partial fold, nothing to un-count.
 /// (Backpressure is the one partial outcome: `Busy{accepted}` names the
 /// queued prefix, which the client re-sends from.)
-fn ingest(tenant: &Tenant, reports: Vec<ReportData>) -> Frame {
+///
+/// # Errors
+/// A frame that breaks the grammar: the loops answer `bad frame:` and
+/// close, as for any undecodable frame.
+fn ingest(tenant: &Tenant, frame: WireFrame) -> Result<Frame, FrameError> {
     let mechanism = tenant.mechanism.as_ref();
-    let admitted = validate(
-        mechanism.report_shape(),
-        mechanism.report_len(),
-        reports.iter().map(ReportData::as_report),
-    );
-    if let Err(e) = admitted {
-        return Frame::reject(e.to_string());
-    }
-    let batch_len = reports.len();
-    match tenant.queue.try_push_batch(reports) {
+    let batch = match frame.admit_reports(mechanism.report_shape(), mechanism.report_len()) {
+        Ok(batch) => batch,
+        Err(Admission::Frame(e)) => return Err(e),
+        Err(Admission::Report(e)) => return Ok(Frame::reject(e.to_string())),
+    };
+    let batch_len = batch.len();
+    Ok(match tenant.queue.try_push_batch(batch) {
         Ok(accepted) if accepted == batch_len => Frame::Ingested {
             accepted: accepted as u64,
         },
@@ -284,7 +290,7 @@ fn ingest(tenant: &Tenant, reports: Vec<ReportData>) -> Frame {
         },
         Err(PushRefusal::Full) => Frame::Busy { accepted: 0 },
         Err(PushRefusal::Closed) => Frame::reject("server is shutting down"),
-    }
+    })
 }
 
 /// Estimates over one tenant's current merged view (empty while no

@@ -25,22 +25,30 @@
 //! prefix ([`MAX_PAYLOAD_LEN`]), an unknown tag, or malformed payload
 //! content. Nothing panics and nothing allocates proportionally to a
 //! length field before the bytes backing it have arrived. A bit report
-//! decodes into its owned packed form ([`PackedBits`]) as a copy of the
-//! wire bytes into words, after the [`MAX_BIT_REPORT_SLOTS`] width cap,
-//! the truncation test and the padding check (the property suite in
-//! `tests/proptest_frames.rs` hammers all of this with arbitrary
-//! mutations).
+//! decodes into its owned packed form ([`idldp_core::report::PackedBits`])
+//! as a copy of the wire bytes into words, after the
+//! [`MAX_BIT_REPORT_SLOTS`] width cap, the truncation test and the padding
+//! check (the property suite in `tests/proptest_frames.rs` hammers all of
+//! this with arbitrary mutations).
 //!
 //! A frame need not be decoded to be checked. The event loops hand a
-//! backend each frame as it arrived ([`WireFrame`]), and a
-//! [`ReportsFrame`] is a `Reports` frame checked against the report grammar
-//! and counted without building a [`ReportData`]: the coordinator forwards
-//! those bytes unchanged. The report grammar is one walker
-//! (`walk_report`); the decoder builds each report from what the walker
-//! reads and the check drops it, so the two accept the same frames and
-//! fail with the same error.
+//! backend each frame as it arrived ([`WireFrame`]). The report grammar
+//! is one walker, [`idldp_core::report::walk_report`], and this file
+//! keeps the frame header and the frame table around it. The decoder
+//! builds each report from what the walker reads. A [`ReportsFrame`] is a
+//! `Reports` frame checked against the grammar and counted without
+//! building a [`ReportData`]: the coordinator forwards those bytes
+//! unchanged. The collector admits a `Reports` frame
+//! ([`WireFrame::admit_reports`]) into a [`CheckedReports`]: the same
+//! walk, with the tenant's report rules applied to each report on the
+//! way, keeping the received bytes as the batch. All three accept the
+//! same frames and fail with the same error.
 
-use idldp_core::report::{PackedBits, ReportData, ReportShape};
+use idldp_core::report::{
+    walk_batch, walk_report, AdmitError, CheckedReports, ReportData, ReportShape, REPORT_BITS,
+    REPORT_HASHED, REPORT_ITEM_SET, REPORT_VALUE,
+};
+use idldp_core::wire::{WireCursor, WireError};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 
@@ -76,15 +84,7 @@ pub const CHUNK_ELEMS: usize = 1 << 20;
 /// peer cannot make the decoder reserve unbounded memory.
 pub const MAX_PAYLOAD_LEN: usize = 16 << 20;
 
-/// Hard ceiling on the slot count of one packed bit report (2²³ slots =
-/// 1 MiB on the wire). A report decodes into its packed words, about as
-/// many bytes as it takes on the wire, so the cap bounds a report's
-/// width, not an expansion; the decoder checks it before it looks for the
-/// bytes behind a claim. It is far wider than any realistic
-/// unary-encoding domain; servers refuse to start for a bit-vector
-/// mechanism wider than this, and senders refuse to encode a wider
-/// report.
-pub const MAX_BIT_REPORT_SLOTS: usize = 1 << 23;
+pub use idldp_core::report::MAX_BIT_REPORT_SLOTS;
 
 /// Typed decode/transport errors. Every malformed input maps to one of
 /// these — the codec never panics.
@@ -144,6 +144,19 @@ impl std::error::Error for FrameError {}
 impl From<std::io::Error> for FrameError {
     fn from(e: std::io::Error) -> Self {
         FrameError::Io(e.to_string())
+    }
+}
+
+/// The wire reader's errors are the frame's: a read past the payload is a
+/// truncated frame, a grammar break a malformed one.
+impl From<WireError> for FrameError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { needed, available } => {
+                FrameError::Truncated { needed, available }
+            }
+            WireError::Malformed(detail) => FrameError::Malformed(detail),
+        }
     }
 }
 
@@ -307,91 +320,6 @@ const SHAPE_VALUE: u8 = 1;
 const SHAPE_HASHED: u8 = 2;
 const SHAPE_ITEM_SET: u8 = 3;
 
-const REPORT_BITS: u8 = 0;
-const REPORT_VALUE: u8 = 1;
-const REPORT_HASHED: u8 = 2;
-const REPORT_ITEM_SET: u8 = 3;
-
-/// Bounds-checked little-endian reader over a payload slice. All `read_*`
-/// methods return [`FrameError::Truncated`] instead of slicing past the
-/// end, which is what makes the decoder total.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn read_u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn read_u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn read_u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A `u64` that must fit the platform's `usize`.
-    fn read_len(&mut self, what: &str) -> Result<usize, FrameError> {
-        fit_usize(self.read_u64()?, what)
-    }
-
-    /// An element count whose elements occupy at least `min_elem` bytes
-    /// each — bounded by the remaining payload, so `Vec::with_capacity`
-    /// can never reserve more than the frame actually carries.
-    fn read_count(&mut self, what: &str, min_elem: usize) -> Result<usize, FrameError> {
-        let count = self.read_u32()? as usize;
-        let bound = self.remaining() / min_elem.max(1);
-        if count > bound {
-            return Err(FrameError::Malformed(format!(
-                "{what} count {count} exceeds what the payload can hold ({bound})"
-            )));
-        }
-        Ok(count)
-    }
-
-    fn finish(self, what: &str) -> Result<(), FrameError> {
-        if self.remaining() != 0 {
-            return Err(FrameError::Malformed(format!(
-                "{what}: {} trailing payload bytes",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// A wire `u64` as a `usize`, or the typed refusal naming `what`.
-fn fit_usize(v: u64, what: &str) -> Result<usize, FrameError> {
-    usize::try_from(v).map_err(|_| FrameError::Malformed(format!("{what} {v} overflows usize")))
-}
-
 /// One payload field's wire form: the one place a field type is written,
 /// sized and read. The frame table composes every frame from these.
 trait Field: Sized {
@@ -401,7 +329,7 @@ trait Field: Sized {
     fn put(&self, out: &mut Vec<u8>);
     fn wire_len(&self) -> usize;
     /// Reads one value; `what` names the field in a malformed-frame error.
-    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError>;
+    fn read(c: &mut WireCursor<'_>, what: &str) -> Result<Self, FrameError>;
 }
 
 impl Field for u32 {
@@ -412,8 +340,8 @@ impl Field for u32 {
     fn wire_len(&self) -> usize {
         4
     }
-    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
-        c.read_u32()
+    fn read(c: &mut WireCursor<'_>, _: &str) -> Result<Self, FrameError> {
+        Ok(c.read_u32()?)
     }
 }
 
@@ -425,8 +353,8 @@ impl Field for u64 {
     fn wire_len(&self) -> usize {
         8
     }
-    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
-        c.read_u64()
+    fn read(c: &mut WireCursor<'_>, _: &str) -> Result<Self, FrameError> {
+        Ok(c.read_u64()?)
     }
 }
 
@@ -439,8 +367,8 @@ impl Field for f64 {
     fn wire_len(&self) -> usize {
         8
     }
-    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
-        c.read_u64().map(f64::from_bits)
+    fn read(c: &mut WireCursor<'_>, _: &str) -> Result<Self, FrameError> {
+        Ok(c.read_u64().map(f64::from_bits)?)
     }
 }
 
@@ -454,7 +382,7 @@ impl Field for String {
     fn wire_len(&self) -> usize {
         4 + self.len()
     }
-    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+    fn read(c: &mut WireCursor<'_>, what: &str) -> Result<Self, FrameError> {
         let len = c.read_count(what, 1)?;
         String::from_utf8(c.take(len)?.to_vec())
             .map_err(|_| FrameError::Malformed(format!("{what} is not valid UTF-8")))
@@ -484,7 +412,7 @@ impl Field for ReportShape {
             ReportShape::Bits | ReportShape::Value => 1,
         }
     }
-    fn read(c: &mut Cursor<'_>, _: &str) -> Result<Self, FrameError> {
+    fn read(c: &mut WireCursor<'_>, _: &str) -> Result<Self, FrameError> {
         match c.read_u8()? {
             SHAPE_BITS => Ok(ReportShape::Bits),
             SHAPE_VALUE => Ok(ReportShape::Value),
@@ -509,7 +437,7 @@ impl Field for (u64, f64) {
     fn wire_len(&self) -> usize {
         16
     }
-    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+    fn read(c: &mut WireCursor<'_>, what: &str) -> Result<Self, FrameError> {
         Ok((u64::read(c, what)?, f64::read(c, what)?))
     }
 }
@@ -532,9 +460,9 @@ impl<T: FixedWidth> Field for Vec<T> {
     fn wire_len(&self) -> usize {
         4 + T::MIN_LEN * self.len()
     }
-    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+    fn read(c: &mut WireCursor<'_>, what: &str) -> Result<Self, FrameError> {
         let count = c.read_count(what, T::MIN_LEN)?;
-        let mut elems = Cursor::new(c.take(count * T::MIN_LEN)?);
+        let mut elems = WireCursor::new(c.take(count * T::MIN_LEN)?);
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(T::read(&mut elems, what)?);
@@ -553,7 +481,8 @@ fn put_elems<T: FixedWidth>(out: &mut Vec<u8>, elems: &[T]) {
 }
 
 /// The report batch: the hot path, written by hand over [`put_report`] and
-/// [`walk_batch`].
+/// the core report walker ([`walk_batch`]), which names the field itself
+/// (the frame table gives it the same name, `Reports.reports`).
 impl Field for Vec<ReportData> {
     const MIN_LEN: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
@@ -562,20 +491,19 @@ impl Field for Vec<ReportData> {
     fn wire_len(&self) -> usize {
         4 + self.iter().map(encoded_report_len).sum::<usize>()
     }
-    fn read(c: &mut Cursor<'_>, what: &str) -> Result<Self, FrameError> {
+    fn read(c: &mut WireCursor<'_>, _: &str) -> Result<Self, FrameError> {
         // The reservation is clamped: an in-memory `ReportData` is ~6× the
         // minimum wire size, so trusting a hostile count even within the
         // payload bound would reserve far more than the bytes received —
         // the Vec grows to the true count as reports actually parse.
-        walk_batch(
+        Ok(walk_batch(
             c,
-            what,
             |count| Vec::with_capacity(count.min(1 << 16)),
-            |reports, report| {
-                reports.push(report.into_data()?);
+            |reports, _, report| {
+                reports.push(report.to_data()?);
                 Ok(())
             },
-        )
+        )?)
     }
 }
 
@@ -767,122 +695,11 @@ fn put_report(out: &mut Vec<u8>, report: &ReportData) -> Result<(), String> {
     Ok(())
 }
 
-/// The fewest wire bytes one report takes: its tag and the 4-byte count of
-/// an empty bit or item-set body.
-const MIN_REPORT_LEN: usize = 5;
-
-/// One report as the wire carries it, borrowed from the payload: what
-/// [`walk_report`] reads once every rule of the report grammar has passed.
-enum WireReport<'a> {
-    /// The slot count and the `⌈slots/8⌉` packed bytes, padding zero.
-    Bits {
-        slots: usize,
-        bytes: &'a [u8],
-    },
-    Value(usize),
-    Hashed {
-        seed: u64,
-        value: usize,
-    },
-    /// The members' little-endian `u64`s, each known to fit a `usize`.
-    ItemSet(&'a [u8]),
-}
-
-impl WireReport<'_> {
-    /// The owned report. Every rule was checked by the walk; the bit
-    /// report's constructor checks its own again and stays typed.
-    #[inline]
-    fn into_data(self) -> Result<ReportData, FrameError> {
-        Ok(match self {
-            WireReport::Bits { slots, bytes } => ReportData::Bits(
-                PackedBits::from_le_bytes(slots, bytes)
-                    .map_err(|e| FrameError::Malformed(e.to_string()))?,
-            ),
-            WireReport::Value(v) => ReportData::Value(v),
-            WireReport::Hashed { seed, value } => ReportData::Hashed { seed, value },
-            WireReport::ItemSet(members) => ReportData::ItemSet(
-                members
-                    .chunks_exact(8)
-                    .map(|m| u64::from_le_bytes(m.try_into().expect("8 bytes")) as usize)
-                    .collect(),
-            ),
-        })
-    }
-}
-
-/// The report grammar: reads one report's wire form, checking every rule
-/// a report obeys. The decoder and the wire check both read reports
-/// through this, and nothing else reads a report.
-#[inline]
-fn walk_report<'a>(c: &mut Cursor<'a>) -> Result<WireReport<'a>, FrameError> {
-    match c.read_u8()? {
-        REPORT_BITS => {
-            let slots = c.read_u32()? as usize;
-            // Checked before the truncation test, so a hostile claim is
-            // refused before the decoder looks for the bytes behind it.
-            if slots > MAX_BIT_REPORT_SLOTS {
-                return Err(FrameError::Malformed(format!(
-                    "bit report claims {slots} slots, over the {MAX_BIT_REPORT_SLOTS}-slot cap"
-                )));
-            }
-            let bytes = c.take(slots.div_ceil(8))?;
-            // Padding bits above `slots` must be zero, so every encoding of
-            // a report is canonical (encode ∘ decode is the identity on
-            // bytes too, not just on reports). Only the last byte has any.
-            if let Some(&last) = bytes.last() {
-                if !slots.is_multiple_of(8) && last >> (slots % 8) != 0 {
-                    return Err(FrameError::Malformed(format!(
-                        "bit report of {slots} slots has nonzero padding bits"
-                    )));
-                }
-            }
-            Ok(WireReport::Bits { slots, bytes })
-        }
-        REPORT_VALUE => Ok(WireReport::Value(c.read_len("report value")?)),
-        REPORT_HASHED => Ok(WireReport::Hashed {
-            seed: c.read_u64()?,
-            value: c.read_len("hashed report value")?,
-        }),
-        REPORT_ITEM_SET => {
-            let count = c.read_count("item set", 8)?;
-            let members = c.take(count * 8)?;
-            for m in members.chunks_exact(8) {
-                fit_usize(
-                    u64::from_le_bytes(m.try_into().expect("8 bytes")),
-                    "item-set member",
-                )?;
-            }
-            Ok(WireReport::ItemSet(members))
-        }
-        other => Err(FrameError::Malformed(format!("unknown report tag {other}"))),
-    }
-}
-
-/// The report batch grammar: a `u32` count, then that many reports, each
-/// read by [`walk_report`]. `start` sees the count and `step` each report
-/// in order; the decoder collects them and the wire check drops them.
-#[inline]
-fn walk_batch<'a, S>(
-    c: &mut Cursor<'a>,
-    what: &str,
-    start: impl FnOnce(usize) -> S,
-    mut step: impl FnMut(&mut S, WireReport<'a>) -> Result<(), FrameError>,
-) -> Result<S, FrameError> {
-    let count = c.read_count(what, MIN_REPORT_LEN)?;
-    let mut acc = start(count);
-    for _ in 0..count {
-        step(&mut acc, walk_report(c)?)?;
-    }
-    Ok(acc)
-}
-
 /// Checks a `Reports` payload against the grammar the decoder applies —
 /// the same walk, the same errors — and returns its report count.
 fn check_reports_payload(payload: &[u8]) -> Result<usize, FrameError> {
-    let mut c = Cursor::new(payload);
-    // The field name the frame table gives the decoder, so both name it
-    // alike in a malformed-count error.
-    let count = walk_batch(&mut c, "Reports.reports", |count| count, |_, _| Ok(()))?;
+    let mut c = WireCursor::new(payload);
+    let count = walk_batch(&mut c, |count| count, |_, _, _| Ok(()))?;
     c.finish("frame payload")?;
     Ok(count)
 }
@@ -926,7 +743,7 @@ macro_rules! frame_table {
 
             fn parse_payload(tag: u8, payload: &[u8]) -> Result<Frame, FrameError> {
                 check_hello_version(tag, payload)?;
-                let mut c = Cursor::new(payload);
+                let mut c = WireCursor::new(payload);
                 let frame = match tag {
                     $($tag => Frame::$variant
                         $((Field::read(
@@ -1063,9 +880,15 @@ fn split_frame(buf: &[u8]) -> Result<(u8, &[u8]), FrameError> {
 }
 
 /// One frame as it arrived, header and payload, not yet decoded. The event
-/// loops hand each one to their backend: the collector decodes it
-/// ([`Self::decode`]), the coordinator checks a `Reports` frame
+/// loops hand each one to their backend: the collector admits a `Reports`
+/// frame ([`Self::admit_reports`]) and decodes the rest
+/// ([`Self::decode`]); the coordinator checks a `Reports` frame
 /// ([`Self::check_reports`]) and forwards its bytes.
+///
+/// The bytes always hold the 5-byte header and exactly the payload it
+/// announces, under [`MAX_PAYLOAD_LEN`]: both constructors (the event
+/// loops' assembler and [`Self::new`]) check that, so the header reads
+/// below index a buffer known to hold it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct WireFrame {
     /// The 5-byte header, then the payload it announces.
@@ -1073,6 +896,16 @@ pub struct WireFrame {
 }
 
 impl WireFrame {
+    /// One frame from its bytes, as a peer sent it.
+    ///
+    /// # Errors
+    /// The header is cut short or over [`MAX_PAYLOAD_LEN`], or the bytes
+    /// do not end with the payload it announces.
+    pub fn new(bytes: Vec<u8>) -> Result<Self, FrameError> {
+        split_frame(&bytes)?;
+        Ok(Self { bytes })
+    }
+
     /// The frame's tag byte.
     fn tag(&self) -> u8 {
         self.bytes[0]
@@ -1105,12 +938,58 @@ impl WireFrame {
     pub fn check_reports(&self) -> Result<ReportsFrame<'_>, FrameError> {
         ReportsFrame::from_parts(self.tag(), &self.bytes)
     }
+
+    /// Admits a `Reports` frame against a tenant's `shape` and
+    /// `report_len`: one walk applies the report grammar and the report
+    /// rules ([`CheckedReports::check`]), and the frame's own buffer
+    /// becomes the batch, nothing decoded or copied. It accepts exactly
+    /// the frames that [`Self::decode`] turns into [`Frame::Reports`]
+    /// whose reports then pass [`idldp_core::report::validate`].
+    ///
+    /// # Errors
+    /// [`Admission::Frame`] with [`Self::decode`]'s error for a frame that
+    /// does not parse (or is not a `Reports` frame);
+    /// [`Admission::Report`] with `validate`'s error, naming the first bad
+    /// report, for one that parses.
+    pub fn admit_reports(
+        self,
+        shape: ReportShape,
+        report_len: usize,
+    ) -> Result<CheckedReports, Admission> {
+        if !self.is_reports() {
+            return Err(Admission::Frame(not_reports(self.tag())));
+        }
+        CheckedReports::check(self.bytes, 5, shape, report_len).map_err(|e| match e {
+            AdmitError::Wire(e) => Admission::Frame(e.into()),
+            AdmitError::Report(e) => Admission::Report(e),
+        })
+    }
+}
+
+/// Why [`WireFrame::admit_reports`] refused a frame.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Admission {
+    /// The frame breaks the grammar: the collector answers `bad frame:`
+    /// and closes the connection, as for any undecodable frame.
+    Frame(FrameError),
+    /// A report breaks the tenant's rules: the collector refuses the
+    /// whole frame with a typed `Reject` and keeps serving.
+    Report(idldp_core::Error),
+}
+
+/// The refusal of a frame of another kind where a `Reports` frame belongs.
+fn not_reports(tag: u8) -> FrameError {
+    FrameError::Malformed(format!("expected a Reports frame, got tag 0x{tag:02x}"))
 }
 
 /// A `Reports` frame held as its wire bytes: checked against the report
 /// grammar and counted, never decoded. This is how the coordinator routes
 /// a frame. It forwards the bytes it received, and after a `Busy` it cuts
 /// the unaccepted suffix ([`Self::suffix`]) from the same bytes.
+///
+/// Every constructor (the check, the encoder, the suffix) leaves `bytes`
+/// holding the 9-byte header and count, then exactly `count` reports that
+/// pass the report grammar.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ReportsFrame<'a> {
     /// The whole frame: header, report count, reports.
@@ -1136,9 +1015,7 @@ impl<'a> ReportsFrame<'a> {
     /// The check of a frame whose header is already known to be sound.
     fn from_parts(tag: u8, frame: &'a [u8]) -> Result<Self, FrameError> {
         if tag != TAG_REPORTS {
-            return Err(FrameError::Malformed(format!(
-                "expected a Reports frame, got tag 0x{tag:02x}"
-            )));
+            return Err(not_reports(tag));
         }
         Ok(Self {
             count: check_reports_payload(&frame[5..])?,
@@ -1187,23 +1064,28 @@ impl<'a> ReportsFrame<'a> {
     /// before the bytes behind report `k`, equal to encoding those reports
     /// afresh. Finding report `k` walks the `k` reports before it.
     ///
-    /// # Panics
-    /// When `k` is past the frame's report count.
-    pub fn suffix(&self, k: usize) -> ReportsFrame<'static> {
-        assert!(k <= self.count, "suffix from report {k} of {}", self.count);
-        let body = &self.bytes[9..];
-        let mut c = Cursor::new(body);
-        for _ in 0..k {
-            walk_report(&mut c).expect("a checked frame walks");
+    /// # Errors
+    /// `k` is past the frame's report count. (The walk itself cannot
+    /// fail on a frame the constructors built; its error stays typed.)
+    pub fn suffix(&self, k: usize) -> Result<ReportsFrame<'static>, FrameError> {
+        if k > self.count {
+            return Err(FrameError::Malformed(format!(
+                "suffix from report {k} of a {}-report frame",
+                self.count
+            )));
         }
-        let rest = &body[c.pos..];
+        let mut c = WireCursor::new(self.bytes.get(9..).unwrap_or_default());
+        for _ in 0..k {
+            walk_report(&mut c)?;
+        }
+        let rest = c.rest();
         let mut out = frame_header(TAG_REPORTS, 4 + rest.len());
         ((self.count - k) as u32).put(&mut out);
         out.extend_from_slice(rest);
-        ReportsFrame {
+        Ok(ReportsFrame {
             bytes: Cow::Owned(out),
             count: self.count - k,
-        }
+        })
     }
 }
 
@@ -1456,6 +1338,7 @@ impl FrameAssembler {
 mod tests {
     use super::*;
     use crate::conn::encode_reply;
+    use idldp_core::report::PackedBits;
 
     fn bit_report(slots: &[u8]) -> ReportData {
         ReportData::Bits(PackedBits::from_slots(slots).unwrap())
@@ -1867,7 +1750,7 @@ mod tests {
         let frame = ReportsFrame::check(&bytes).unwrap();
         assert_eq!(frame.len(), reports.len());
         for k in 0..=reports.len() {
-            let suffix = frame.suffix(k);
+            let suffix = frame.suffix(k).unwrap();
             assert_eq!(
                 suffix.as_bytes(),
                 encode_reports_frame(&reports[k..]),
@@ -1878,9 +1761,12 @@ mod tests {
         }
         // A suffix of a suffix cuts from the bytes it holds.
         assert_eq!(
-            frame.suffix(2).suffix(3).as_bytes(),
+            frame.suffix(2).unwrap().suffix(3).unwrap().as_bytes(),
             encode_reports_frame(&reports[5..])
         );
+        // A cut past the last report is a typed refusal, not a panic.
+        let past = frame.suffix(reports.len() + 1).unwrap_err();
+        assert!(past.to_string().contains("suffix from report 8"), "{past}");
     }
 
     /// `ReportsFrame::encode` writes the bytes `encode_reports_frame` does,

@@ -14,10 +14,12 @@
 //!   bytes either parse or yield a typed [`FrameError`], never a panic. A
 //!   `Reports` frame can also be checked and counted without decoding
 //!   ([`ReportsFrame`]), through the same report grammar.
-//! * [`queue`] — the bounded [`IngestQueue`] between the event loops and
+//! * [`queue`] — the bounded [`BatchQueue`] between the event loops and
 //!   the fold workers: the backpressure point (full ⇒ typed `Busy` reply,
 //!   never a silent drop) and the drain watermark that linearizes queries
-//!   after ingestion.
+//!   after ingestion. The collector queues each admitted `Reports` frame
+//!   as its checked bytes ([`WireFrame::admit_reports`]);
+//!   [`IngestQueue`] is the same queue over `Vec` batches.
 //! * [`server`] — [`ReportServer`]: ingest workers folding into an
 //!   [`idldp_stream::ShardedAccumulator`], snapshot/estimate/top-k queries
 //!   served over the same socket, atomic checkpoint persistence, and a
@@ -92,10 +94,10 @@ pub mod server;
 pub use client::{ClientError, PushOutcome, Query, Reply, ReportClient, MAX_STALLED_RETRIES};
 pub use conn::{check_hello, encode_reply, Backend, FrameAction};
 pub use frame::{
-    encode_reports_frame, encoded_report_len, Frame, FrameAssembler, FrameError, ReportsFrame,
-    WireFrame, CHUNK_ELEMS, MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+    encode_reports_frame, encoded_report_len, Admission, Frame, FrameAssembler, FrameError,
+    ReportsFrame, WireFrame, CHUNK_ELEMS, MAX_BIT_REPORT_SLOTS, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
 };
-pub use queue::{IngestQueue, PushRefusal, WaitOutcome};
+pub use queue::{Batch, BatchQueue, IngestQueue, PushRefusal, WaitOutcome};
 pub use server::{
     run_identity_line, EventLoops, ReportServer, ServerConfig, ServerConfigBuilder, ServerError,
     TenantConfig,

@@ -1,32 +1,77 @@
 //! The bounded ingest queue between the event loops and the fold workers.
 //!
-//! Event loops parse [`crate::frame::Frame::Reports`] batches and
-//! *try* to enqueue each frame's reports here as one unit; ingest workers
-//! pop whole batches and fold them into the sharded accumulator through
-//! one batched fold per frame. The queue is the backpressure point:
-//! [`IngestQueue::try_push_batch`] never blocks — when the queue is at
+//! Event loops admit each `Reports` frame into a checked batch (the
+//! frame's own bytes, see [`idldp_core::report::CheckedReports`]) and
+//! *try* to enqueue it here as one unit; ingest workers pop whole batches
+//! and fold them into the sharded accumulator straight from those bytes,
+//! one batched fold per frame. The queue holds any [`Batch`]: the
+//! collector queues checked batches, and [`IngestQueue`] is the same
+//! queue over plain `Vec`s of items. The queue is the backpressure point:
+//! [`BatchQueue::try_push_batch`] never blocks — when the queue is at
 //! capacity it refuses (or accepts only a prefix), and the event loop
 //! turns that refusal into a typed `Busy` reply instead of silently
 //! dropping a report. Capacity is counted in **reports**, not batches, so
 //! the memory bound does not depend on how clients chunk their frames.
 //!
 //! The queue also carries the *linearization* counters that make queries
-//! exact: `enqueued` counts accepted reports, and each [`IngestQueue::pop`]
+//! exact: `enqueued` counts accepted reports, and each [`BatchQueue::pop`]
 //! hands out a [`BatchTicket`] naming the contiguous run of enqueue
 //! sequence numbers the batch occupies, which the worker passes back to
-//! [`IngestQueue::mark_processed`] once the whole batch is folded.
+//! [`BatchQueue::mark_processed`] once the whole batch is folded.
 //! Completion is tracked as a **contiguous frontier**, not a global count:
 //! with several fold workers, worker B finishing reports 2..N must not let
 //! a watermark wait return while worker A is still mid-fold on report 1 —
 //! out-of-order completions are buffered until the prefix below them is
-//! done. [`IngestQueue::wait_processed`] therefore blocks (and
-//! [`IngestQueue::poll_processed`] answers `None`) until *every* report at
+//! done. [`BatchQueue::wait_processed`] therefore blocks (and
+//! [`BatchQueue::poll_processed`] answers `None`) until *every* report at
 //! or below a watermark has been folded — so a `Query` observes
 //! every report the server accepted before it, and loopback estimates can
 //! be bit-identical to a batch run.
 
+use idldp_core::report::CheckedReports;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+
+/// What a [`BatchQueue`] holds: a run of items that can keep a prefix of
+/// itself, so a push that fits only part of a batch queues that part.
+pub trait Batch {
+    /// Items in the batch (what capacity counts).
+    fn len(&self) -> usize;
+
+    /// Whether the batch holds no item.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Keeps the first `len` items (`len` is below [`Batch::len`]).
+    fn truncate(&mut self, len: usize);
+}
+
+impl<T> Batch for Vec<T> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+}
+
+/// A checked report batch keeps a prefix by cutting its bytes after the
+/// last kept report: the `Busy { accepted }` prefix stays contiguous.
+impl Batch for CheckedReports {
+    fn len(&self) -> usize {
+        CheckedReports::len(self)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        CheckedReports::truncate(self, len);
+    }
+}
+
+/// The queue over plain `Vec` batches of items: what an embedder that
+/// decodes its reports queues.
+pub type IngestQueue<T> = BatchQueue<Vec<T>>;
 
 /// Why a non-blocking push was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +82,7 @@ pub enum PushRefusal {
     Closed,
 }
 
-/// How a [`IngestQueue::wait_processed`] wait ended.
+/// How a [`BatchQueue::wait_processed`] wait ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaitOutcome {
     /// Every item at or below the watermark has been processed.
@@ -53,8 +98,8 @@ pub enum WaitOutcome {
 }
 
 /// The contiguous run of enqueue sequence numbers (1-based, inclusive)
-/// occupied by one popped batch. Returned by [`IngestQueue::pop`]; passed
-/// back to [`IngestQueue::mark_processed`] when the batch has been fully
+/// occupied by one popped batch. Returned by [`BatchQueue::pop`]; passed
+/// back to [`BatchQueue::mark_processed`] when the batch has been fully
 /// folded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchTicket {
@@ -85,11 +130,11 @@ impl BatchTicket {
     }
 }
 
-struct State<T> {
+struct State<B> {
     /// Accepted batches in FIFO order, each tagged with the sequence
     /// number of its first item (batches occupy contiguous sequence runs
     /// by construction).
-    batches: VecDeque<(u64, Vec<T>)>,
+    batches: VecDeque<(u64, B)>,
     /// Total items across `batches` (the capacity denominator).
     queued_items: usize,
     /// Items ever accepted.
@@ -110,9 +155,9 @@ struct State<T> {
 
 /// A bounded multi-producer multi-consumer batch queue with explicit
 /// backpressure, drain watermarks, and a test/operations pause switch.
-pub struct IngestQueue<T> {
+pub struct BatchQueue<B> {
     capacity: usize,
-    state: Mutex<State<T>>,
+    state: Mutex<State<B>>,
     /// Signaled when a batch arrives, the pause is lifted, or the queue
     /// closes (wakes poppers).
     not_empty: Condvar,
@@ -121,7 +166,7 @@ pub struct IngestQueue<T> {
     progress: Condvar,
 }
 
-impl<T> IngestQueue<T> {
+impl<B: Batch> BatchQueue<B> {
     /// An open queue holding at most `capacity` in-flight items (reports,
     /// summed across queued batches).
     ///
@@ -146,7 +191,7 @@ impl<T> IngestQueue<T> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State<B>> {
         // The queue holds plain data; a panicking holder cannot leave it in
         // a torn state, so poisoning is recovered like parking_lot would.
         self.state
@@ -181,7 +226,7 @@ impl<T> IngestQueue<T> {
     /// # Errors
     /// [`PushRefusal::Full`] when the queue cannot take even one item
     /// (nothing is queued), [`PushRefusal::Closed`] after [`Self::close`].
-    pub fn try_push_batch(&self, mut batch: Vec<T>) -> Result<usize, PushRefusal> {
+    pub fn try_push_batch(&self, mut batch: B) -> Result<usize, PushRefusal> {
         let mut s = self.lock();
         if s.closed {
             return Err(PushRefusal::Closed);
@@ -209,7 +254,7 @@ impl<T> IngestQueue<T> {
     /// `None`. The returned [`BatchTicket`] names the batch's contiguous
     /// enqueue sequence run — pass it back to [`Self::mark_processed`]
     /// when the whole batch has been folded.
-    pub fn pop(&self) -> Option<(BatchTicket, Vec<T>)> {
+    pub fn pop(&self) -> Option<(BatchTicket, B)> {
         let mut s = self.lock();
         loop {
             if s.closed {
@@ -568,6 +613,37 @@ mod tests {
         assert_eq!(q.poll_processed(1), Some(WaitOutcome::Reached));
         q.close();
         assert_eq!(q.poll_processed(2), Some(WaitOutcome::Closed));
+    }
+
+    /// The collector's queue holds checked batches: a push that fits only
+    /// part of a frame queues its first reports, cut from the frame's own
+    /// bytes, and capacity counts reports, not bytes.
+    #[test]
+    fn checked_batches_keep_their_accepted_prefix() {
+        use crate::frame::encode_reports_frame;
+        use idldp_core::report::{ReportData, ReportShape};
+        let check = |values: &[usize]| {
+            let reports: Vec<ReportData> = values.iter().map(|&v| ReportData::Value(v)).collect();
+            CheckedReports::check(encode_reports_frame(&reports), 5, ReportShape::Value, 10)
+                .unwrap()
+        };
+        let q = BatchQueue::new(5);
+        assert_eq!(q.try_push_batch(check(&[1, 2])), Ok(2));
+        assert_eq!(q.try_push_batch(check(&[3, 4, 5, 6])), Ok(3));
+        assert_eq!(q.try_push_batch(check(&[7])), Err(PushRefusal::Full));
+        let (t1, first) = q.pop().unwrap();
+        let (t2, prefix) = q.pop().unwrap();
+        assert_eq!((t1, t2), (ticket(1, 2), ticket(3, 5)));
+        assert_eq!(first.values(10).unwrap().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            prefix.values(10).unwrap().collect::<Vec<_>>(),
+            vec![3, 4, 5]
+        );
+        assert_eq!(
+            prefix,
+            check(&[3, 4, 5]),
+            "the prefix is the shorter frame's batch"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! listener ──(loop 0 accepts, deals sockets round-robin)──▶
-//!   event loops ──(bounded IngestQueue: full ⇒ typed Busy reply)──▶
-//!     ingest workers ──(fold)──▶ ShardedAccumulator ──(snapshot)──▶ oracle
+//!   event loops ──(admit: checked bytes; bounded queue full ⇒ typed Busy reply)──▶
+//!     ingest workers ──(fold from the bytes)──▶ ShardedAccumulator ──(snapshot)──▶ oracle
 //! ```
 //!
 //! Connections are served by the readiness reactor (`reactor.rs`):
@@ -17,18 +17,17 @@
 //!
 //! Queries linearize after ingestion: `Query`/`TopKQuery`/`Checkpoint`
 //! are answered only once the fold side reaches the accept watermark taken
-//! when the request arrived ([`crate::queue::IngestQueue::poll_processed`]),
+//! when the request arrived ([`crate::queue::BatchQueue::poll_processed`]),
 //! so the reply reflects every report any client had pushed by then. That
 //! is what makes loopback estimates *bit-identical* to a batch pipeline
 //! run — `crates/sim/tests/server_loopback.rs` proves it for all eight
 //! mechanisms.
 
 use crate::conn::Backend;
-use crate::queue::IngestQueue;
+use crate::queue::BatchQueue;
 use idldp_core::identity::{RunIdentity, TenantId};
 use idldp_core::mechanism::Mechanism;
-use idldp_core::report::Report;
-use idldp_core::report::{ReportData, ReportShape};
+use idldp_core::report::{CheckedReports, ReportShape};
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, SnapshotStore, StoreKind};
 use idldp_stream::{ShapedAccumulator, ShardedAccumulator};
 use polling::Poller;
@@ -347,16 +346,18 @@ pub(crate) struct Tenant {
     /// This tenant's bounded ingest queue — per-tenant capacity
     /// accounting, so a hot tenant's `Busy` cannot starve another
     /// tenant's admissions, and per-tenant watermarks, so queries
-    /// linearize against their own stream only.
-    pub(crate) queue: IngestQueue<ReportData>,
+    /// linearize against their own stream only. It holds the admitted
+    /// frames' checked bytes; capacity is counted in reports.
+    pub(crate) queue: BatchQueue<CheckedReports>,
     /// Users restored from the checkpoint at start. Plus the queue's
     /// accept watermark, the users this tenant holds, folded or queued.
     pub(crate) restored: u64,
     /// This tenant's parsed run identity (sent in `HelloAck`, stamped
     /// into checkpoints).
     pub(crate) identity: RunIdentity,
-    /// Reports that failed to fold after acceptance (cannot happen for
-    /// reports the event loops validated; counted defensively).
+    /// Reports that failed to fold after acceptance (cannot happen: a
+    /// batch is checked against this tenant's shape and width at
+    /// admission, and the fold only confirms that; counted defensively).
     fold_failures: AtomicU64,
     /// The open checkpoint store, if checkpointing is configured — at the
     /// tenant-namespaced path. The mutex serializes concurrent
@@ -578,7 +579,7 @@ impl ReportServer {
             mechanism,
             restored: sink.num_users(),
             sink,
-            queue: IngestQueue::new(queue_capacity.unwrap_or(config.queue_capacity)),
+            queue: BatchQueue::new(queue_capacity.unwrap_or(config.queue_capacity)),
             identity,
             fold_failures: AtomicU64::new(0),
             store,
@@ -768,20 +769,21 @@ pub(crate) fn tenant_checkpoint_path(base: &Path, id: &TenantId) -> PathBuf {
 }
 
 /// Drains one tenant's ingest queue into its sharded accumulator, one
-/// whole batch (one `Reports` frame) per pop: a frame costs one lock
-/// acquisition and one batched fold ([`ShardedAccumulator::push_batch`])
-/// instead of per-report round trips. The [`crate::queue::BatchTicket`]
-/// from `pop` is handed back to `mark_processed` so the queue's
-/// completion frontier stays contiguous across workers — a query
-/// watermark is only satisfied once every report below it is actually
-/// folded, not merely an equal *count* of later ones.
+/// whole batch (one admitted `Reports` frame, or its accepted prefix) per
+/// pop: a frame costs one lock acquisition and one batched fold
+/// ([`ShardedAccumulator::push_checked`]), read straight from the frame's
+/// checked bytes — no report is rebuilt or checked again. The
+/// [`crate::queue::BatchTicket`] from `pop` is handed back to
+/// `mark_processed` so the queue's completion frontier stays contiguous
+/// across workers — a query watermark is only satisfied once every
+/// report below it is actually folded, not merely an equal *count* of
+/// later ones.
 fn ingest_worker(shared: &Registry, tenant_index: usize) {
     let tenant = shared.tenant(tenant_index);
     while let Some((ticket, batch)) = tenant.queue.pop() {
-        let reports: Vec<Report<'_>> = batch.iter().map(ReportData::as_report).collect();
-        if tenant.sink.push_batch(&reports).is_err() {
-            // Cannot happen for reports the event loops validated
-            // (the batched fold validates by the same core definition);
+        if tenant.sink.push_checked(&batch).is_err() {
+            // Cannot happen: admission checked the batch against this
+            // tenant's shape and width, which is all the fold confirms;
             // counted defensively, batch-atomically.
             tenant.count_fold_failures(batch.len() as u64);
         }

@@ -23,11 +23,23 @@
 //!    and fails with the decoder's own error on a `Reports` frame it
 //!    refuses: over valid frames of every report shape, and over truncated
 //!    and byte-flipped copies of them.
+//! 5. **Admission is decode, then validate** — the collector's admission
+//!    ([`WireFrame::admit_reports`], one walk applying the grammar and a
+//!    tenant's report rules) accepts exactly the frames [`Frame::decode`]
+//!    turns into reports that [`validate`] then accepts, and refuses the
+//!    rest with the same error: the decoder's for bytes that do not
+//!    parse, `validate`'s (same text, same report index) for a report
+//!    that breaks a rule. Every admitted batch folds from its bytes
+//!    ([`ReportAccumulator::accumulate_checked`]) to the counts and users
+//!    `accumulate_batch` gives the decoded reports, whole or cut at a
+//!    `Busy` prefix and folded with the re-admitted rest.
 
-use idldp_core::report::{PackedBits, ReportData};
+use idldp_core::report::{hash_bucket, validate, PackedBits, Report, ReportData, ReportShape};
 use idldp_server::{
-    Frame, FrameAssembler, FrameError, ReportsFrame, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
+    Admission, Frame, FrameAssembler, FrameError, ReportsFrame, WireFrame, MAX_PAYLOAD_LEN,
+    PROTOCOL_VERSION,
 };
+use idldp_stream::{ReportAccumulator, ShapedAccumulator};
 use proptest::prelude::*;
 use std::io::Read;
 
@@ -234,8 +246,193 @@ fn check_agrees_with_decode(bytes: &[u8]) {
     }
 }
 
+/// A tenant `(shape, width)` and a frame of reports for it: most obey the
+/// tenant's rules, and some break one — a bit report one slot too wide or
+/// narrow, a value or hashed value out of range, an item set that is
+/// empty, of the wrong pinned size, repeats a member or holds one out of
+/// range — or arrive in another shape.
+fn arb_tenant_frame() -> impl Strategy<Value = (ReportShape, usize, Vec<ReportData>)> {
+    (
+        0usize..4,
+        1usize..140,
+        2usize..7,
+        0usize..3,
+        prop::collection::vec((0u8..24, any::<u64>()), 0..14),
+    )
+        .prop_map(|(kind, m, g, k, picks)| {
+            let k = if m >= 2 { k.min(m - 1) } else { 0 };
+            let shape = match kind {
+                0 => ReportShape::Bits,
+                1 => ReportShape::Value,
+                2 => ReportShape::Hashed { range: g },
+                _ => ReportShape::ItemSet { k },
+            };
+            let bits = |slots: usize, x: u64| {
+                let row: Vec<u8> = (0..slots).map(|i| hash_bucket(x, i, 2) as u8).collect();
+                ReportData::Bits(PackedBits::from_slots(&row).unwrap())
+            };
+            // `len` distinct members of `0..m` from a rotation by `x`.
+            let set = |len: usize, x: u64| -> Vec<usize> {
+                (0..len.min(m)).map(|j| (x as usize + j) % m).collect()
+            };
+            let set_len = |x: u64| {
+                if k > 0 {
+                    k
+                } else {
+                    1 + (x as usize) % m.min(6)
+                }
+            };
+            let reports = picks
+                .into_iter()
+                .map(|(pick, x)| match (shape, pick) {
+                    (ReportShape::Bits, 20) => bits(m + 1, x),
+                    (ReportShape::Bits, 21) => bits(m - 1, x),
+                    (ReportShape::Bits, _) if pick < 20 => bits(m, x),
+                    (ReportShape::Value, 20) => ReportData::Value(m + x as usize % 3),
+                    (ReportShape::Value, _) if pick < 20 => ReportData::Value(x as usize % m),
+                    (ReportShape::Hashed { range }, 20) => ReportData::Hashed {
+                        seed: x,
+                        value: range + (x >> 40) as usize % 3,
+                    },
+                    (ReportShape::Hashed { range }, _) if pick < 20 => ReportData::Hashed {
+                        seed: x,
+                        value: (x >> 40) as usize % range,
+                    },
+                    (ReportShape::ItemSet { .. }, 20) => ReportData::ItemSet(Vec::new()),
+                    (ReportShape::ItemSet { .. }, 21) => {
+                        let mut items = set(set_len(x), x);
+                        items.push(items[0]);
+                        ReportData::ItemSet(items)
+                    }
+                    (ReportShape::ItemSet { .. }, 22) => {
+                        let mut items = set(set_len(x), x);
+                        items[0] = m + x as usize % 5;
+                        ReportData::ItemSet(items)
+                    }
+                    (ReportShape::ItemSet { .. }, _) if pick < 20 => {
+                        ReportData::ItemSet(set(set_len(x), x))
+                    }
+                    // A set one member longer than a pinned `k` (any
+                    // distinct set passes when `k` is not pinned), or a
+                    // report of another shape.
+                    (ReportShape::ItemSet { .. }, _) => ReportData::ItemSet(set(set_len(x) + 1, x)),
+                    (_, _) => match x % 3 {
+                        0 => bits(m, x),
+                        1 => ReportData::Value(x as usize % m),
+                        _ => ReportData::ItemSet(set(1, x)),
+                    },
+                })
+                .collect();
+            (shape, m, reports)
+        })
+}
+
+/// Law 5 on one byte string: admission agrees with decode + validate, and
+/// an admitted batch folds like the decoded reports, whole and split at
+/// the `Busy` prefix `split` (an index into `0..=len`).
+fn admission_agrees_with_decode_then_validate(
+    shape: ReportShape,
+    m: usize,
+    bytes: &[u8],
+    split: prop::sample::Index,
+) {
+    let admitted = WireFrame::new(bytes.to_vec())
+        .map_err(Admission::Frame)
+        .and_then(|frame| frame.admit_reports(shape, m));
+    match (Frame::decode(bytes), admitted) {
+        (Ok(Frame::Reports(reports)), Ok(batch)) => {
+            let views: Vec<Report<'_>> = reports.iter().map(ReportData::as_report).collect();
+            prop_assert!(validate(shape, m, views.iter().copied()).is_ok());
+            prop_assert_eq!(batch.len(), reports.len());
+            let mut want = ShapedAccumulator::for_shape(shape, m);
+            want.accumulate_batch(&views).unwrap();
+
+            let mut whole = ShapedAccumulator::for_shape(shape, m);
+            whole.accumulate_checked(&batch).unwrap();
+            prop_assert_eq!(&whole, &want, "whole batch");
+
+            // `Busy { accepted: k }`: the queue keeps the first k reports,
+            // and the client's resend of the rest is admitted afresh.
+            let k = split.index(batch.len() + 1);
+            let mut prefix = batch.clone();
+            prefix.truncate(k);
+            let rest = ReportsFrame::check(bytes).unwrap().suffix(k).unwrap();
+            let rest = WireFrame::new(rest.as_bytes().to_vec())
+                .unwrap()
+                .admit_reports(shape, m)
+                .unwrap();
+            prop_assert_eq!((prefix.len(), rest.len()), (k, batch.len() - k));
+            let mut split_fold = ShapedAccumulator::for_shape(shape, m);
+            split_fold.accumulate_checked(&prefix).unwrap();
+            split_fold.accumulate_checked(&rest).unwrap();
+            prop_assert_eq!(&split_fold, &want, "split at {}", k);
+        }
+        (Ok(Frame::Reports(reports)), Err(Admission::Report(refused))) => {
+            let views: Vec<Report<'_>> = reports.iter().map(ReportData::as_report).collect();
+            let validated = validate(shape, m, views.iter().copied());
+            prop_assert_eq!(validated.as_ref().err(), Some(&refused));
+            prop_assert_eq!(
+                validated.unwrap_err().to_string(),
+                refused.to_string(),
+                "refusal text"
+            );
+        }
+        (Ok(Frame::Reports(reports)), Err(Admission::Frame(e))) => prop_assert!(
+            false,
+            "admission refused {} decodable reports as a bad frame: {e}",
+            reports.len()
+        ),
+        // Another frame kind is never admitted.
+        (Ok(other), admitted) => prop_assert!(
+            matches!(admitted, Err(Admission::Frame(_))),
+            "admission of a {other:?}: {admitted:?}"
+        ),
+        (Err(decoded), Err(Admission::Frame(refused))) => {
+            if bytes.first() == Some(&0x03) {
+                prop_assert_eq!(refused, decoded, "a refused Reports frame, two errors");
+            }
+        }
+        (Err(decoded), admitted) => prop_assert!(
+            false,
+            "admission gave {admitted:?} for bytes decode refuses: {decoded}"
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Law 5: frames for a tenant of every shape, mixing valid reports
+    /// with ones that break a rule, then one truncated copy (the header's
+    /// length fixed up, so the cut lands in the report grammar), one
+    /// byte-flipped copy, and one with its report count rewritten.
+    #[test]
+    fn admission_is_decode_then_validate(
+        (shape, m, reports) in arb_tenant_frame(),
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        xor in 1u8..=255,
+        recount in 0u32..16,
+        split in any::<prop::sample::Index>(),
+    ) {
+        let bytes = Frame::Reports(reports).encode();
+        admission_agrees_with_decode_then_validate(shape, m, &bytes, split);
+
+        let cut = cut.index(bytes.len());
+        if cut >= 5 {
+            let mut fixed = bytes[..cut].to_vec();
+            fixed[1..5].copy_from_slice(&((cut - 5) as u32).to_le_bytes());
+            admission_agrees_with_decode_then_validate(shape, m, &fixed, split);
+        }
+
+        let mut flipped = bytes.clone();
+        flipped[at.index(bytes.len())] ^= xor;
+        admission_agrees_with_decode_then_validate(shape, m, &flipped, split);
+
+        let mut recounted = bytes.clone();
+        recounted[5..9].copy_from_slice(&recount.to_le_bytes());
+        admission_agrees_with_decode_then_validate(shape, m, &recounted, split);
+    }
 
     /// Law 4: valid `Reports` frames of every report shape, then one
     /// truncated copy (the header's length fixed up, so the cut lands in

@@ -23,13 +23,19 @@
 //! * Checkpoints are per tenant: each tenant persists at its own
 //!   namespaced path, and a restart restores every tenant's count
 //!   independently, resuming to bit-identical estimates.
+//! * Admission applies each tenant's own report rules: a frame with one
+//!   report that breaks them (a bit report of the wrong width, a value
+//!   or hashed value out of range, an item set of the wrong size, with a
+//!   repeated member or a member out of range) draws a typed `Reject`
+//!   naming that report, counts nothing, and the next valid frame lands.
 
 use idldp_core::budget::Epsilon;
 use idldp_core::grr::GeneralizedRandomizedResponse;
 use idldp_core::identity::TenantId;
 use idldp_core::mechanism::{BatchMechanism, InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
-use idldp_core::report::{ReportData, ReportShape};
+use idldp_core::report::{PackedBits, ReportData, ReportShape};
+use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
 use idldp_server::{
     ClientError, Frame, PushOutcome, ReportClient, ReportServer, ServerConfig, ServerConfigBuilder,
@@ -315,6 +321,126 @@ fn a_v3_hello_draws_a_typed_reject() {
             stream.tenant
         );
     }
+    server.shutdown();
+}
+
+/// Each tenant's rules at admission, over TCP: one server hosts a bit,
+/// a value, a hashed and an item-set tenant, and each case sends a frame
+/// of valid reports with one that breaks a rule of its tenant. The frame
+/// draws a `Reject` naming the first bad report with `accepted: 0` and
+/// no user counted, and a valid frame sent after it lands.
+#[test]
+fn admission_refuses_each_tenant_rule_by_report() {
+    let mut streams = three_streams();
+    let ss = SubsetSelection::new(eps(1.0), 20).unwrap();
+    let k = ss.subset_size();
+    assert!((2..19).contains(&k), "k = {k}");
+    streams.push(Stream {
+        tenant: TenantId::new("gamma").unwrap(),
+        mechanism: Arc::new(ss),
+        inputs: Vec::new(),
+    });
+    let server = ReportServer::start(
+        Arc::clone(&streams[0].mechanism) as Arc<dyn Mechanism>,
+        tenanted_builder(&streams).build().unwrap(),
+    )
+    .unwrap();
+
+    let bits = |slots: usize| ReportData::Bits(PackedBits::from_slots(&vec![1; slots]).unwrap());
+    let ReportShape::Hashed { range } = streams[2].mechanism.report_shape() else {
+        panic!("beta is the OLH tenant")
+    };
+    let set = |items: &[usize]| ReportData::ItemSet(items.to_vec());
+    let valid_set: Vec<usize> = (0..k).collect();
+    let mut repeated = valid_set.clone();
+    repeated[k - 1] = repeated[0];
+    let mut outside = valid_set.clone();
+    outside[1] = 20;
+    let hashed = |value: usize| ReportData::Hashed { seed: 9, value };
+    // (stream, valid report, frame with one bad report, its index, what
+    // the refusal says)
+    let cases: Vec<(usize, ReportData, Vec<ReportData>, usize, &str)> = vec![
+        (
+            0,
+            bits(20),
+            vec![bits(20), bits(19), bits(20)],
+            1,
+            "expected length 20, got 19",
+        ),
+        (
+            1,
+            ReportData::Value(3),
+            vec![
+                ReportData::Value(3),
+                ReportData::Value(7),
+                ReportData::Value(24),
+            ],
+            2,
+            "categorical report value index 24 out of range",
+        ),
+        (
+            2,
+            hashed(0),
+            vec![hashed(range), hashed(0)],
+            0,
+            "hashed report value",
+        ),
+        (
+            3,
+            set(&valid_set),
+            vec![set(&valid_set), set(&(0..=k).collect::<Vec<_>>())],
+            1,
+            "cardinality",
+        ),
+        (
+            3,
+            set(&valid_set),
+            vec![set(&valid_set), set(&repeated)],
+            1,
+            "repeats item 0",
+        ),
+        (
+            3,
+            set(&valid_set),
+            vec![set(&outside), set(&valid_set)],
+            0,
+            "item-set report member index 20",
+        ),
+    ];
+    for (stream, valid, frame, index, says) in cases {
+        let stream = &streams[stream];
+        let (mut client, _) = stream.connect(&server);
+        let before = client.query_estimates().unwrap().0;
+        match client.push(&frame) {
+            Err(ClientError::Rejected { accepted, message }) => {
+                assert_eq!(accepted, 0, "{}: {message}", stream.tenant);
+                assert!(
+                    message.starts_with(&format!("report {index}: ")),
+                    "{}: {message}",
+                    stream.tenant
+                );
+                assert!(message.contains(says), "{}: {message}", stream.tenant);
+            }
+            other => panic!("{}: a bad report drew {other:?}", stream.tenant),
+        }
+        assert_eq!(
+            client.query_estimates().unwrap().0,
+            before,
+            "{}: a refused frame counts no user",
+            stream.tenant
+        );
+        assert_eq!(
+            client.push(&[valid.clone(), valid]).unwrap(),
+            PushOutcome::Ingested
+        );
+        assert_eq!(
+            client.query_estimates().unwrap().0,
+            before + 2,
+            "{}",
+            stream.tenant
+        );
+    }
+    assert_eq!(server.fold_failures(), 0);
     server.shutdown();
 }
 

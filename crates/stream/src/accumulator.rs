@@ -9,9 +9,15 @@
 //! merged state feeds the incremental oracle path
 //! ([`idldp_core::mechanism::FrequencyOracle::estimate_from`]).
 //!
-//! Every accumulator is one fold over one count state. The fold,
-//! [`ReportAccumulator::accumulate_batch`], is the only part each shape
-//! writes; the count state is the core [`CountAccumulator`], and the
+//! Every accumulator is one fold over one count state. The fold is the
+//! only part each shape writes: one body per shape, over the shape's
+//! primitives (values, `(seed, value)` pairs, bit rows as little-endian
+//! words, item-set members). Two entries feed it:
+//! [`ReportAccumulator::accumulate_batch`] takes borrowed [`Report`]s (the
+//! batch pipeline, the CLI, replay benchmarks) and
+//! [`ReportAccumulator::accumulate_checked`] takes a batch the collector
+//! admitted ([`CheckedReports`]) and reads it straight from its wire
+//! bytes. The count state is the core [`CountAccumulator`], and the
 //! trait's provided methods (width, users, merge, snapshot, restore) are
 //! written once over it. How reports are grouped into batches never
 //! changes the counts: the stream property suite checks every shape's
@@ -36,11 +42,14 @@
 //! * [`ItemSetReportAccumulator`] — subset-selection reports: a small set
 //!   of distinct items, each incrementing its own bucket.
 //!
-//! Each accumulator folds only its own shape. Every
-//! [`ReportAccumulator::accumulate_batch`] opens with the core
-//! [`validate`] against [`ReportAccumulator::shape`] — the same report
-//! rules the collector admits frames by — and then only folds. A report
-//! of another shape, a packed bit report included, is refused: the batch
+//! Each accumulator folds only its own shape, and each report is checked
+//! once. [`ReportAccumulator::accumulate_batch`] validates its reports
+//! with the core [`validate`] against [`ReportAccumulator::shape`] and
+//! then folds. [`ReportAccumulator::accumulate_checked`] validates
+//! nothing: [`CheckedReports::check`] applied the same rules when the
+//! collector admitted the frame, and the fold only confirms the batch was
+//! checked against this accumulator's shape and width. A report of
+//! another shape, a packed bit report included, is refused: the batch
 //! pipeline folds the *folded* bit-vector form
 //! ([`idldp_core::mechanism::Mechanism::perturb_into`]) through the core
 //! [`CountAccumulator`], not through these accumulators.
@@ -48,7 +57,7 @@
 use idldp_core::error::{Error, Result};
 use idldp_core::fold::{BitPlanes, HashedFold, SeedPreimageCache};
 use idldp_core::mechanism::CountAccumulator;
-use idldp_core::report::{validate, ReportShape};
+use idldp_core::report::{validate, CheckedReports, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
 
 pub use idldp_core::report::Report;
@@ -94,23 +103,33 @@ pub trait ReportAccumulator: Send {
     /// restore steps. Counts changed through it bypass report validation.
     fn count_state_mut(&mut self) -> &mut CountAccumulator;
 
-    /// Folds a whole batch of reports (one `Reports` frame, one stream
-    /// chunk; a single report is a one-element batch) — the accumulator's
-    /// only fold.
+    /// Folds a whole batch of reports (one stream chunk; a single report
+    /// is a one-element batch) through the accumulator's fold body.
     ///
     /// Atomic: the batch opens with the core [`validate`] against
     /// [`Self::shape`], before any bucket moves, so a batch containing any
-    /// invalid report counts nothing. The transport server
-    /// relies on this to reject a hostile mixed frame without a partial
-    /// fold. The counts after a successful call equal the core reference
-    /// fold ([`Report::fold_into`]) of the same reports, for every way of
-    /// splitting a stream into batches (the batched fold engine in
-    /// [`idldp_core::fold`] is pure integer arithmetic).
+    /// invalid report counts nothing. The counts after a successful call
+    /// equal the core reference fold ([`Report::fold_into`]) of the same
+    /// reports, for every way of splitting a stream into batches (the
+    /// batched fold engine in [`idldp_core::fold`] is pure integer
+    /// arithmetic).
     ///
     /// # Errors
     /// The first malformed report's [`validate`] error: the wrong shape for
     /// this accumulator, the wrong width, or an out-of-range value.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()>;
+
+    /// Folds a batch the collector admitted ([`CheckedReports::check`],
+    /// one `Reports` frame or its accepted prefix) straight from its wire
+    /// bytes, through the same fold body as [`Self::accumulate_batch`].
+    /// No report is checked again: the batch type can only hold reports
+    /// that passed [`validate`]'s rules. The counts equal
+    /// [`Self::accumulate_batch`] of the decoded reports.
+    ///
+    /// # Errors
+    /// The batch was checked against another shape or width than this
+    /// accumulator's; nothing is counted.
+    fn accumulate_checked(&mut self, batch: &CheckedReports) -> Result<()>;
 
     /// Width of the folded count state (the mechanism's
     /// [`idldp_core::mechanism::Mechanism::report_len`]).
@@ -229,21 +248,34 @@ impl ReportAccumulator for BitReportAccumulator {
         &mut self.inner
     }
 
-    /// Word-packed batch fold: each report's words are carry-save-added
-    /// into SWAR bit-planes, which spill into the counts.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        let m = self.report_len();
-        validate(self.shape(), m, reports.iter().copied())?;
-        let mut planes = BitPlanes::new(m);
+        validate(self.shape(), self.report_len(), reports.iter().copied())?;
+        self.fold(reports.iter().filter_map(|report| match report {
+            Report::Packed(bits) => Some(bits.words().iter().copied()),
+            _ => None,
+        }));
+        Ok(())
+    }
+
+    fn accumulate_checked(&mut self, batch: &CheckedReports) -> Result<()> {
+        self.fold(batch.bit_rows(self.report_len())?);
+        Ok(())
+    }
+}
+
+impl BitReportAccumulator {
+    /// The fold body, one user per row: each row's words are
+    /// carry-save-added into SWAR bit-planes, which spill into the counts.
+    fn fold<W: IntoIterator<Item = u64>>(&mut self, rows: impl Iterator<Item = W>) {
+        let mut planes = BitPlanes::new(self.report_len());
         let counts = self.inner.counts_mut();
-        for report in reports {
-            if let Report::Packed(bits) = report {
-                planes.add_row(bits.words(), counts);
-            }
+        let mut users = 0u64;
+        for row in rows {
+            planes.add_words(row, counts);
+            users += 1;
         }
         planes.spill_into(counts);
-        self.inner.add_users(reports.len() as u64);
-        Ok(())
+        self.inner.add_users(users);
     }
 }
 
@@ -284,13 +316,29 @@ impl ReportAccumulator for OneHotReportAccumulator {
 
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         validate(self.shape(), self.report_len(), reports.iter().copied())?;
-        for report in reports {
-            if let Report::Value(v) = *report {
-                self.inner.add_bit(v);
-            }
-        }
-        self.inner.add_users(reports.len() as u64);
+        self.fold(reports.iter().filter_map(|report| match *report {
+            Report::Value(v) => Some(v),
+            _ => None,
+        }));
         Ok(())
+    }
+
+    fn accumulate_checked(&mut self, batch: &CheckedReports) -> Result<()> {
+        self.fold(batch.values(self.report_len())?);
+        Ok(())
+    }
+}
+
+impl OneHotReportAccumulator {
+    /// The fold body, one user per value: each value increments its
+    /// bucket.
+    fn fold(&mut self, values: impl Iterator<Item = usize>) {
+        let mut users = 0u64;
+        for v in values {
+            self.inner.add_bit(v);
+            users += 1;
+        }
+        self.inner.add_users(users);
     }
 }
 
@@ -369,17 +417,27 @@ impl ReportAccumulator for HashedReportAccumulator {
     /// each item group's counters held in registers across a tile. The
     /// counts are exactly what the scalar hash fold would increment.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        let m = self.report_len();
-        validate(self.shape(), m, reports.iter().copied())?;
-        let mut pairs = Vec::with_capacity(reports.len());
-        for report in reports {
-            if let Report::Hashed { seed, value } = *report {
-                pairs.push((seed, value));
-            }
-        }
-        HashedFold::new(self.range).count_into(&pairs, self.inner.counts_mut());
-        self.inner.add_users(reports.len() as u64);
+        validate(self.shape(), self.report_len(), reports.iter().copied())?;
+        self.fold(reports.iter().filter_map(|report| match *report {
+            Report::Hashed { seed, value } => Some((seed, value)),
+            _ => None,
+        }));
         Ok(())
+    }
+
+    fn accumulate_checked(&mut self, batch: &CheckedReports) -> Result<()> {
+        self.fold(batch.hashed_pairs(self.range, self.report_len())?);
+        Ok(())
+    }
+}
+
+impl HashedReportAccumulator {
+    /// The fold body, one user per pair: the batch's pairs gathered into
+    /// one slice for [`HashedFold::count_into`].
+    fn fold(&mut self, pairs: impl Iterator<Item = (u64, usize)>) {
+        let pairs: Vec<(u64, usize)> = pairs.collect();
+        HashedFold::new(self.range).count_into(&pairs, self.inner.counts_mut());
+        self.inner.add_users(pairs.len() as u64);
     }
 }
 
@@ -450,16 +508,32 @@ impl ReportAccumulator for ItemSetReportAccumulator {
 
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         validate(self.shape(), self.report_len(), reports.iter().copied())?;
-        let counts = self.inner.counts_mut();
-        for report in reports {
-            if let Report::ItemSet(items) = *report {
-                for &item in items {
-                    counts[item] += 1;
-                }
-            }
-        }
-        self.inner.add_users(reports.len() as u64);
+        self.fold(reports.iter().filter_map(|report| match *report {
+            Report::ItemSet(items) => Some(items.iter().copied()),
+            _ => None,
+        }));
         Ok(())
+    }
+
+    fn accumulate_checked(&mut self, batch: &CheckedReports) -> Result<()> {
+        self.fold(batch.item_sets(self.k, self.report_len())?);
+        Ok(())
+    }
+}
+
+impl ItemSetReportAccumulator {
+    /// The fold body, one user per set: every member increments its own
+    /// bucket.
+    fn fold<S: IntoIterator<Item = usize>>(&mut self, sets: impl Iterator<Item = S>) {
+        let counts = self.inner.counts_mut();
+        let mut users = 0u64;
+        for set in sets {
+            for item in set {
+                counts[item] += 1;
+            }
+            users += 1;
+        }
+        self.inner.add_users(users);
     }
 }
 
@@ -556,6 +630,15 @@ impl ReportAccumulator for ShapedAccumulator {
             Self::Value(a) => a.accumulate_batch(reports),
             Self::Hashed(a) => a.accumulate_batch(reports),
             Self::ItemSet(a) => a.accumulate_batch(reports),
+        }
+    }
+
+    fn accumulate_checked(&mut self, batch: &CheckedReports) -> Result<()> {
+        match self {
+            Self::Bits(a) => a.accumulate_checked(batch),
+            Self::Value(a) => a.accumulate_checked(batch),
+            Self::Hashed(a) => a.accumulate_checked(batch),
+            Self::ItemSet(a) => a.accumulate_checked(batch),
         }
     }
 }
@@ -935,6 +1018,37 @@ mod tests {
             .is_err());
         assert_eq!(sets.num_users(), 0);
         assert_eq!(sets.snapshot().counts(), &[0, 0, 0]);
+    }
+
+    /// A checked batch folds like the reports it holds, and only into an
+    /// accumulator of the shape and width it was checked against: any
+    /// other refuses it and counts nothing.
+    #[test]
+    fn checked_batches_fold_only_as_what_they_were_checked_against() {
+        let values = [2usize, 0, 2];
+        let mut payload = (values.len() as u32).to_le_bytes().to_vec();
+        for &v in &values {
+            payload.push(idldp_core::report::REPORT_VALUE);
+            payload.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        let batch = CheckedReports::check(payload, 0, ReportShape::Value, 4).unwrap();
+        let mut checked = ShapedAccumulator::for_shape(ReportShape::Value, 4);
+        checked.accumulate_checked(&batch).unwrap();
+        let mut reports = ShapedAccumulator::for_shape(ReportShape::Value, 4);
+        let views: Vec<Report<'_>> = values.iter().map(|&v| Report::Value(v)).collect();
+        reports.accumulate_batch(&views).unwrap();
+        assert_eq!(checked, reports);
+        for (shape, width) in [
+            (ReportShape::Value, 5),
+            (ReportShape::Bits, 4),
+            (ReportShape::Hashed { range: 2 }, 4),
+            (ReportShape::ItemSet { k: 0 }, 4),
+        ] {
+            let mut other = ShapedAccumulator::for_shape(shape, width);
+            let err = other.accumulate_checked(&batch).unwrap_err();
+            assert!(err.to_string().contains("cannot fold"), "{err}");
+            assert_eq!(other.num_users(), 0, "{shape:?} over {width}");
+        }
     }
 
     #[test]

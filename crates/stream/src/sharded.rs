@@ -13,6 +13,7 @@
 use crate::accumulator::{Report, ReportAccumulator};
 use idldp_core::error::{Error, Result};
 use idldp_core::mechanism::CountAccumulator;
+use idldp_core::report::CheckedReports;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,6 +123,24 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
         }
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.shards[shard].lock().accumulate_batch(reports)
+    }
+
+    /// Folds a batch the collector admitted ([`CheckedReports`]) into the
+    /// next shard (round-robin) under one lock acquisition, straight from
+    /// its bytes ([`ReportAccumulator::accumulate_checked`]): the
+    /// collector's ingest path, with no report checked again. Counts
+    /// equal [`Self::push_batch`] of the decoded reports.
+    ///
+    /// # Errors
+    /// The batch was checked against another shape or width than the
+    /// shards'; nothing is counted, and the round-robin cursor still
+    /// advances.
+    pub fn push_checked(&self, batch: &CheckedReports) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        self.shards[shard].lock().accumulate_checked(batch)
     }
 
     /// Merges a locally accumulated `A` (e.g. a worker's chunk state) into
